@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all lint vet build test race determinism obs chaos bench bench-smoke serve-smoke fuzz-smoke check
+.PHONY: all lint vet build test race determinism obs chaos bench bench-smoke bench-spine serve-smoke fuzz-smoke check
 
 all: check
 
@@ -36,7 +36,9 @@ race:
 # The determinism tests compare parallel plan costs / search-space
 # counters against the sequential enumerator, and parallel execution
 # results / metrics against the sequential engine; -count=2 reruns
-# them to shake out schedule-dependent flakiness.
+# them to shake out schedule-dependent flakiness. The engine's fragment-
+# read table test (TestDeterminismFragmentRead: concurrent per-node
+# reads against a brute-force oracle) rides the same run.
 determinism:
 	$(GO) test -run TestDeterminism -race -count=2 ./internal/opt/... ./internal/engine/...
 
@@ -78,6 +80,13 @@ bench-smoke:
 	$(GO) run ./cmd/benchrunner -experiment ingest -quick -ingestjson ''
 	$(GO) run ./cmd/benchrunner -experiment failover -quick -failoverjson ''
 
+# The benchmark spine (benchmark/, its own module) compiles against
+# engine and root-package internals that PRs here may not be allowed
+# to edit alongside; vet it and run its short tests so a signature
+# change that breaks the seam fails the gate, not the next benchmark.
+bench-spine:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+
 # The HTTP serving gate: a race-instrumented pass over the SPARQL
 # protocol conformance suite, then the smoke test — one server on a
 # random port serving a mixed workload (cache hits and misses, an
@@ -96,4 +105,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=5s ./internal/sparql
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalize$$' -fuzztime=5s ./internal/querygraph
 
-check: lint build race determinism obs chaos bench-smoke serve-smoke fuzz-smoke
+check: lint build race determinism obs chaos bench-smoke bench-spine serve-smoke fuzz-smoke

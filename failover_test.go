@@ -159,6 +159,67 @@ func TestFailoverProperty(t *testing.T) {
 	if !sawFailover {
 		t.Error("sweep never recorded a failover — replica-serving path untested")
 	}
+
+	// One migrated-then-ingested configuration: the advisor aligns the
+	// <knows> object group, a write lands in the broadcast delta, and
+	// then every node dies in turn — so a dead node is hit by an ALIGNED
+	// scan that must merge overlay copies and delta rows, checked
+	// against the single-node reference over the post-write dataset.
+	t.Run("migrated+ingested/2f/P4", func(t *testing.T) {
+		const src = `SELECT * WHERE { ?x <http://knows> ?y . ?z <http://knows> ?y . }`
+		ds := failoverDataset()
+		sys, err := Open(ds, WithMethod(mustMethod(t, "2f")), WithNodes(4),
+			WithParallelism(2), WithNodeFailover(failoverBreakerOff),
+			WithAdaptivePartitioning(AdaptiveConfig{
+				MinShuffledBytes: 1, MinQueries: 1, ReplicationBudget: 4, Synchronous: true,
+			}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3 && sys.AdvisorStats().Migrations == 0; i++ {
+			if _, err := sys.Run(context.Background(), src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sys.AdvisorStats().Migrations == 0 {
+			t.Fatal("advisor never migrated the <knows> group — configuration no longer reaches aligned scans")
+		}
+		ds.Add("http://p0", "http://knows", "http://p5")
+		ds.Add("http://new0", "http://knows", "http://p1")
+		ds.Add("http://new1", "http://knows", "http://new1")
+		if sys.engine.Snapshot().DeltaLen() == 0 {
+			t.Fatal("writes did not land in the broadcast delta")
+		}
+		want, err := Reference(ds, mustParse(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sawAlignedFailover bool
+		for node := 0; node < 4; node++ {
+			faults := NewFaultSet(seed + int64(node))
+			faults.Arm(FaultNodeScan(node), 1)
+			faults.Arm(FaultNodeShuffle(node), 1)
+			res, err := sys.Run(context.Background(), src, WithFaultInjection(faults))
+			if err != nil {
+				var ue *UnavailableError
+				if !errors.As(err, &ue) || ue.Missing <= 0 {
+					t.Errorf("node %d: err = %v (%T), want *UnavailableError with a Missing count", node, err, err)
+				}
+				continue
+			}
+			sameRows(t, fmt.Sprintf("node %d dead", node), res, want)
+			aligned := false
+			for _, ch := range res.Trace.Children {
+				aligned = aligned || ch.Aligned
+			}
+			if aligned && res.Failovers > 0 {
+				sawAlignedFailover = true
+			}
+		}
+		if !sawAlignedFailover {
+			t.Error("no dead node was served through an aligned scan — the aligned × delta × failover cell is untested")
+		}
+	})
 }
 
 // TestFailoverWithoutPolicyFailsFast pins the no-failover twin's

@@ -291,9 +291,6 @@ type Engine struct {
 	// fo is the node-failover policy; nil disables the failover ladder
 	// (node faults then fail queries immediately — see nodeGate).
 	fo *FailoverPolicy
-	// avail caches the live-replica membership set of the most recent
-	// (snapshot, dead set) pair a failover scan needed.
-	avail atomic.Pointer[availEntry]
 }
 
 // New builds an engine over the placement produced by a partitioning
@@ -546,8 +543,10 @@ func (e *Engine) opGate(ctx context.Context, p *plan.Node, env ExecEnv) error {
 }
 
 // eval executes p and returns one relation per node (the distributed
-// intermediate result of paper §II-D) plus the operator's trace.
-func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics) ([]*Relation, *TraceNode, error) {
+// intermediate result of paper §II-D) plus the operator's trace. A
+// non-empty alignVar asks a Scan child of a repartition join to emit
+// its rows aligned on that join variable (see alignHints).
+func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, alignVar string) ([]*Relation, *TraceNode, error) {
 	if err := e.opGate(ctx, p, env); err != nil {
 		return nil, nil, err
 	}
@@ -557,7 +556,7 @@ func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 	start := time.Now()
 	switch p.Alg {
 	case plan.Scan:
-		out, err = e.scan(ctx, p.TP, q, env, m, tr)
+		out, err = e.scan(ctx, p, q, env, m, tr, alignVar)
 	case plan.LocalJoin, plan.BroadcastJoin, plan.RepartitionJoin:
 		out, err = e.joinOp(ctx, p, q, env, m, tr, &start)
 	default:
@@ -645,41 +644,67 @@ func (e *Engine) perNodeErr(n int, f func(node int) error) error {
 	return nil
 }
 
-func (e *Engine) scan(ctx context.Context, tp int, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode) ([]*Relation, error) {
-	bp := bindPattern(e.dict, q.Patterns[tp])
-	stores := env.Snap.stores
-	out := make([]*Relation, len(stores))
-	// Match the broadcast-ingest delta once — its rows are logically
-	// present on every node — and share the matched rows across all
-	// node relations (set semantics collapse the copies downstream).
-	deltaRows, scanned, err := e.matchDelta(env, bp)
+// scan evaluates a Scan plan node: one fragment read per node (see
+// Snap.read) plus the broadcast delta, matched once and surfaced on
+// every node. A non-empty alignVar makes it the scan of an aligned
+// child (see alignHints): each row is emitted only on the node the
+// parent's repartition scatter would route it to, so the emitted
+// multiset is identical to scan+scatter+dedup with nothing moved.
+func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, alignVar string) ([]*Relation, error) {
+	bp := bindPattern(e.dict, q.Patterns[p.TP])
+	alignCol := -1
+	if alignVar != "" {
+		for i, v := range bp.vars {
+			if v == alignVar {
+				alignCol = i
+			}
+		}
+		if alignCol < 0 {
+			return nil, fmt.Errorf("engine: aligned-scan variable ?%s missing from tp%d", alignVar, p.TP+1)
+		}
+		tr.Aligned = true
+	}
+	snap := env.Snap
+	n := len(snap.stores)
+	out := make([]*Relation, n)
+	deltaRows, scanned, err := snap.readDelta(&bp, env.Gauge)
 	if err != nil {
 		return nil, err
 	}
-	err = e.perNodeErr(len(stores), func(node int) error {
-		local := bp
-		var count int64
-		local.scanned = &count
-		down, err := e.nodeGate(ctx, node, faultinject.NodeScan(node), "scan", env)
+	err = e.perNodeErr(n, func(node int) error {
+		down, err := e.nodeGate(ctx, node, "scan", env)
 		if err != nil {
 			return err
 		}
+		var dead []int
 		if down {
-			rel, err := e.failoverScan(node, local, env, nil)
-			if err != nil {
-				return err
-			}
-			out[node] = rel
+			dead = env.fo.deadNodes()
+		}
+		rel, count, missing := snap.read(node, &bp, alignCol, dead)
+		if missing > 0 {
+			// Any hole fails fast, typed: never a silent partial result.
+			return e.unavailable(env, "scan", missing)
+		}
+		if down {
+			env.fo.recordFailover()
+		}
+		if alignCol < 0 {
+			rel.Rows = append(rel.Rows, deltaRows...)
 		} else {
-			out[node] = stores[node].match(local)
+			// Ingested triples are replicated to every node via the
+			// delta, so the align filter keeps each of them exactly on its
+			// scatter destination — the alignment guarantee holds for them
+			// without any overlay copy (ApplyMigration excludes delta
+			// triples from overlays for the same reason).
+			for _, row := range deltaRows {
+				if int(uint64(row[alignCol])%uint64(n)) == node {
+					rel.Rows = append(rel.Rows, row)
+				}
+			}
 		}
-		if len(deltaRows) > 0 {
-			// Delta rows survive any node's death — the broadcast chunks
-			// are replicated to every node by construction.
-			out[node].Rows = append(out[node].Rows, deltaRows...)
-		}
+		out[node] = rel
 		atomic.AddInt64(&scanned, count)
-		return out[node].chargeTo(env.Gauge, "scan")
+		return rel.chargeTo(env.Gauge, "scan")
 	})
 	if err != nil {
 		return nil, err
@@ -688,41 +713,42 @@ func (e *Engine) scan(ctx context.Context, tp int, q *sparql.Query, env ExecEnv,
 	return out, nil
 }
 
-// matchDelta matches bp against the snapshot's ingest delta chunks,
-// returning the combined rows (shared by every node's scan output)
-// and the postings touched. Charged to the gauge once — the rows are
-// one materialization no matter how many nodes surface them.
-func (e *Engine) matchDelta(env ExecEnv, bp boundPattern) ([][]rdf.TermID, int64, error) {
-	chunks := env.Snap.delta
-	if len(chunks) == 0 {
-		return nil, 0, nil
+// alignGroup resolves the alignable (predicate, position) triple group
+// of one child of a repartition join on joinVar: the child must be a
+// Scan leaf whose pattern has a constant, known predicate (an unknown
+// one matches nothing; the normal path is fine) with the join variable
+// at the subject or object. Plan nodes and trace nodes both carry
+// (alg, tp), so execution (alignHints) and trace mining
+// (ShuffleGroups) derive the group key the same way.
+func (e *Engine) alignGroup(q *sparql.Query, alg plan.Algorithm, tp int, joinVar string) (pred rdf.TermID, pos partition.Pos, ok bool) {
+	if alg != plan.Scan {
+		return 0, 0, false
 	}
-	var rows [][]rdf.TermID
-	var scanned int64
-	for _, st := range chunks {
-		local := bp
-		var count int64
-		local.scanned = &count
-		rel := st.match(local)
-		scanned += count
-		if err := rel.chargeTo(env.Gauge, "scan"); err != nil {
-			return nil, 0, err
-		}
-		rows = append(rows, rel.Rows...)
+	pat := q.Patterns[tp]
+	if pat.P.IsVar() {
+		return 0, 0, false
 	}
-	return rows, scanned, nil
+	if pred, ok = e.dict.Lookup(pat.P.Value); !ok {
+		return 0, 0, false
+	}
+	switch {
+	case pat.S.IsVar() && pat.S.Value == joinVar:
+		return pred, partition.PosS, true
+	case pat.O.IsVar() && pat.O.Value == joinVar:
+		return pred, partition.PosO, true
+	}
+	return 0, 0, false
 }
 
 // alignHints returns, per child of a repartition join, the join
 // variable that child should align-scan on ("" = evaluate normally;
-// nil when no child qualifies). A child qualifies when it is a Scan
-// leaf whose pattern has a constant predicate with the join variable
-// at the subject or object, and the snapshot's alignment table marks
-// that (predicate, position) triple group fully migrated: every triple
-// of the group then has a copy on AlignNode(key term) — exactly the
-// node the repartition scatter would send its rows to — so the scan
-// can emit each matching triple only there and skip the shuffle
-// entirely without changing the joined row set.
+// nil when no child qualifies). A child qualifies when it has an
+// alignable triple group (see alignGroup) and the snapshot's alignment
+// table marks that group fully migrated: every triple of the group
+// then has a copy on AlignNode(key term) — exactly the node the
+// repartition scatter would send its rows to — so the scan can emit
+// each matching triple only there and skip the shuffle entirely
+// without changing the joined row set.
 func (e *Engine) alignHints(p *plan.Node, q *sparql.Query, env ExecEnv) []string {
 	a := env.Snap.align
 	if a.Len() == 0 {
@@ -730,27 +756,8 @@ func (e *Engine) alignHints(p *plan.Node, q *sparql.Query, env ExecEnv) []string
 	}
 	var hints []string
 	for i, c := range p.Children {
-		if c.Alg != plan.Scan {
-			continue
-		}
-		tp := q.Patterns[c.TP]
-		if tp.P.IsVar() {
-			continue
-		}
-		pred, ok := e.dict.Lookup(tp.P.Value)
-		if !ok {
-			continue // unknown predicate matches nothing; normal path is fine
-		}
-		var pos partition.Pos
-		switch {
-		case tp.S.IsVar() && tp.S.Value == p.JoinVar:
-			pos = partition.PosS
-		case tp.O.IsVar() && tp.O.Value == p.JoinVar:
-			pos = partition.PosO
-		default:
-			continue // join variable not at an alignable position
-		}
-		if !a.Aligned(pred, pos) {
+		pred, pos, ok := e.alignGroup(q, c.Alg, c.TP, p.JoinVar)
+		if !ok || !a.Aligned(pred, pos) {
 			continue
 		}
 		if hints == nil {
@@ -759,113 +766,6 @@ func (e *Engine) alignHints(p *plan.Node, q *sparql.Query, env ExecEnv) []string
 		hints[i] = p.JoinVar
 	}
 	return hints
-}
-
-// alignedScan is the Scan evaluation of an aligned child: match the
-// pattern as usual, but emit each row only on the node the parent's
-// repartition scatter would route it to (row[col] % n). The alignment
-// guarantee — every group triple has a copy on its align node — makes
-// the emitted multiset identical to scan+scatter+dedup: each distinct
-// matching row appears exactly once, already on its destination.
-func (e *Engine) alignedScan(ctx context.Context, p *plan.Node, q *sparql.Query, joinVar string, env ExecEnv, m *Metrics) ([]*Relation, *TraceNode, error) {
-	if err := e.opGate(ctx, p, env); err != nil {
-		return nil, nil, err
-	}
-	tr := newTrace(p)
-	tr.Aligned = true
-	start := time.Now()
-	bp := bindPattern(e.dict, q.Patterns[p.TP])
-	stores := env.Snap.stores
-	n := len(stores)
-	out := make([]*Relation, n)
-	deltaRows, scanned, err := e.matchDelta(env, bp)
-	if err != nil {
-		return nil, nil, err
-	}
-	err = e.perNodeErr(n, func(node int) error {
-		local := bp
-		var count int64
-		local.scanned = &count
-		col := -1
-		for i, v := range local.vars {
-			if v == joinVar {
-				col = i
-			}
-		}
-		if col < 0 {
-			return fmt.Errorf("engine: aligned-scan variable ?%s missing from tp%d", joinVar, p.TP+1)
-		}
-		down, err := e.nodeGate(ctx, node, faultinject.NodeScan(node), "scan", env)
-		if err != nil {
-			return err
-		}
-		if down {
-			// Failover applies the same destination filter before the
-			// coverage check, so rows another node would keep anyway never
-			// demand a replica, and the kept rows land in the same order
-			// the healthy scan emits them: base, overlay, delta.
-			keep := func(row []rdf.TermID) bool { return int(uint64(row[col])%uint64(n)) == node }
-			rel, err := e.failoverScan(node, local, env, keep)
-			if err != nil {
-				return err
-			}
-			for _, row := range deltaRows {
-				if keep(row) {
-					rel.Rows = append(rel.Rows, row)
-				}
-			}
-			out[node] = rel
-			atomic.AddInt64(&scanned, count)
-			return rel.chargeTo(env.Gauge, "scan")
-		}
-		rel := stores[node].match(local)
-		if ov := env.Snap.overlay(node); ov != nil {
-			// Migrated copies live only in the overlay, invisible to
-			// normal scans; an aligned scan must see them — they are
-			// exactly the copies the migration placed on this node so
-			// the shuffle can be skipped.
-			ovRel := ov.match(local)
-			if err := ovRel.chargeTo(env.Gauge, "scan"); err != nil {
-				return err
-			}
-			rel.Rows = append(rel.Rows, ovRel.Rows...)
-		}
-		if len(deltaRows) > 0 {
-			// Ingested triples are replicated to every node via the
-			// delta, so the align filter below keeps each of them exactly
-			// on its scatter destination — the alignment guarantee holds
-			// for them without any overlay copy (ApplyMigration excludes
-			// delta triples from overlays for the same reason).
-			rel.Rows = append(rel.Rows, deltaRows...)
-		}
-		// No dedup needed, unlike the scatter path: every copy of a
-		// triple shares one align node, only that node passes the
-		// filter, and there each row appears once — the base fragment
-		// and the overlay are each deduplicated, the overlay is built
-		// net of the base and the delta, and the delta is net of the
-		// whole dataset — so each matching row already appears exactly
-		// once globally.
-		kept := rel.Rows[:0]
-		for _, row := range rel.Rows {
-			if int(uint64(row[col])%uint64(n)) == node {
-				kept = append(kept, row)
-			}
-		}
-		rel.Rows = kept
-		out[node] = rel
-		atomic.AddInt64(&scanned, count)
-		return rel.chargeTo(env.Gauge, "scan")
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	m.ScannedTriples += scanned
-	tr.Elapsed = time.Since(start)
-	tr.record(out)
-	if e.inst != nil {
-		e.inst.recordOp(p.Alg, tr.Elapsed, tr.OutputRows)
-	}
-	return out, tr, nil
 }
 
 // evalChildren evaluates the children of p — concurrently when the
@@ -883,11 +783,11 @@ func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query
 	metrics := make([]Metrics, n)
 	errs := make([]error, n)
 	if err := e.forEachBounded(n, func(i int) {
-		if hints != nil && hints[i] != "" {
-			children[i], traces[i], errs[i] = e.alignedScan(ctx, p.Children[i], q, hints[i], env, &metrics[i])
-		} else {
-			children[i], traces[i], errs[i] = e.eval(ctx, p.Children[i], q, env, &metrics[i])
+		hint := ""
+		if hints != nil {
+			hint = hints[i]
 		}
+		children[i], traces[i], errs[i] = e.eval(ctx, p.Children[i], q, env, &metrics[i], hint)
 	}); err != nil {
 		return nil, err
 	}
@@ -1137,7 +1037,7 @@ func (e *Engine) scatter(ctx context.Context, frags []*Relation, col int, env Ex
 	// healthy worker re-homes it — the failover is recorded and the
 	// shuffle proceeds unchanged, bit-identical to the healthy run.
 	for node := 0; node < n; node++ {
-		down, err := e.nodeGate(ctx, node, faultinject.NodeShuffle(node), "shuffle", env)
+		down, err := e.nodeGate(ctx, node, "shuffle", env)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -1192,7 +1092,8 @@ func Reference(ds *rdf.Dataset, q *sparql.Query) (*Result, error) {
 	st := newStore(snap.Triples())
 	var cur *Relation
 	for _, tp := range q.Patterns {
-		rel := st.match(bindPattern(snap.Dict(), tp))
+		bp := bindPattern(snap.Dict(), tp)
+		rel, _, _ := st.match(&bp, keepAll, nil)
 		if cur == nil {
 			cur = rel
 		} else {

@@ -364,44 +364,3 @@ func (f *FactorizedRelation) colRef(v string) (group, col int) {
 	}
 	return 0, -1
 }
-
-// projectDistinct enumerates the distinct projections of this
-// relation's flat rows onto vars, appending previously unseen rows to
-// out (whose schema is vars) and deduplicating against seen — the
-// flatten-at-projection step. Only the groups that contribute a
-// projected column are enumerated: groups the projection ignores
-// affect multiplicity alone, which DISTINCT erases, so their fanout is
-// never walked. The returned count is the number of candidate rows
-// enumerated (the partial flatten's size); the deferred fanout is
-// flatCount minus that.
-func (f *FactorizedRelation) projectDistinct(ctx context.Context, vars []string, out *Relation, seen map[uint64][]int32) (int64, error) {
-	e := newFactEnum(f, vars)
-	idCols := seqCols(len(vars))
-	var enumerated int64
-	ops := 0
-	for {
-		row := e.next()
-		if row == nil {
-			return enumerated, nil
-		}
-		if ops++; ops&(cancelEvery-1) == 0 {
-			if err := obs.Canceled(ctx, "flatten"); err != nil {
-				return enumerated, err
-			}
-		}
-		enumerated++
-		h := hashRow(row)
-		dup := false
-		for _, i := range seen[h] {
-			if equalOn(row, idCols, out.Rows[i], idCols) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		seen[h] = append(seen[h], int32(len(out.Rows)))
-		out.appendCopy(row)
-	}
-}

@@ -30,16 +30,26 @@ func testRel(vars []string, rows ...[]int) *Relation {
 	return r
 }
 
-// flatRowsOf flattens a factorization the slow way — through
-// projectDistinct onto the full schema — and returns sorted rows.
+// enumerateDistinct drains the serving enumerator over f projected onto
+// vars: the distinct rows, sorted, plus how many candidates it walked.
+func enumerateDistinct(f *FactorizedRelation, vars []string) (*Relation, int64) {
+	out := newRelation(vars, 0)
+	e := newFactEnum(f, vars)
+	var enumerated int64
+	for row := e.next(); row != nil; row = e.next() {
+		enumerated++
+		out.appendCopy(row)
+	}
+	out.dedup()
+	out.sortRows()
+	return out, enumerated
+}
+
+// flatRowsOf flattens a factorization the slow way — enumerating the
+// full schema — and returns sorted rows.
 func flatRowsOf(t *testing.T, f *FactorizedRelation) [][]rdf.TermID {
 	t.Helper()
-	vars := f.Vars()
-	out := newRelation(vars, 0)
-	if _, err := f.projectDistinct(context.Background(), vars, out, map[uint64][]int32{}); err != nil {
-		t.Fatal(err)
-	}
-	out.sortRows()
+	out, _ := enumerateDistinct(f, f.Vars())
 	return out.Rows
 }
 
@@ -122,11 +132,7 @@ func TestFactorizedSemiJoinFilter(t *testing.T) {
 		t.Fatalf("flatCount %d, want 2 (x=2 matches z=200,201)", got)
 	}
 	// Links must have been rewritten to the compacted spine.
-	out := newRelation([]string{"x", "z"}, 0)
-	if _, err := f.projectDistinct(context.Background(), []string{"x", "z"}, out, map[uint64][]int32{}); err != nil {
-		t.Fatal(err)
-	}
-	out.sortRows()
+	out, _ := enumerateDistinct(f, []string{"x", "z"})
 	want := [][]int{{2, 200}, {2, 201}}
 	if len(out.Rows) != len(want) {
 		t.Fatalf("projected %d rows, want %d", len(out.Rows), len(want))
@@ -194,11 +200,7 @@ func TestFactorizedProjectionSkipsIgnoredGroups(t *testing.T) {
 	if got := f.flatCount(); got != 5 {
 		t.Fatalf("flatCount %d, want 5", got)
 	}
-	out := newRelation([]string{"x"}, 0)
-	enumerated, err := f.projectDistinct(context.Background(), []string{"x"}, out, map[uint64][]int32{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, enumerated := enumerateDistinct(f, []string{"x"})
 	if enumerated != int64(len(f.spine.Rows)) {
 		t.Fatalf("projection enumerated %d candidates, want %d (one per spine row)", enumerated, len(f.spine.Rows))
 	}

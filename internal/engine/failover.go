@@ -22,16 +22,13 @@ package engine
 //  3. Failover. The node joins the execution's dead set, and its share
 //     of the operation is served without it:
 //
-//     Scans read the dead node's fragment *manifest* — the snapshot's
-//     immutable store, standing in for the placement metadata a real
-//     coordinator keeps — and verify every matched triple has a live
-//     copy: on a healthy node's base fragment or overlay (the avail
-//     set), or in the broadcast ingest delta (replicated everywhere by
-//     construction). Covered scans emit exactly the rows the healthy
-//     run would have — bit-identical by construction, because base,
-//     overlay and delta are pairwise disjoint per node and the aligned
-//     filter keeps one copy globally (see alignedScan) — while a scan
-//     that matches even one uncovered triple fails fast with a typed
+//     Scans become failover reads (see Snap.read): the dead node's
+//     immutable store is walked as its fragment *manifest* — standing
+//     in for the placement metadata a real coordinator keeps — and
+//     every kept triple must have a copy on a live node, answered by
+//     the replicas' own indexes. Covered scans emit exactly the rows
+//     the healthy run would have; a scan that matches even one
+//     uncovered triple fails fast with a typed
 //     *resilience.UnavailableError. Never a hang, never a silent
 //     partial result.
 //
@@ -52,7 +49,6 @@ import (
 	"time"
 
 	"sparqlopt/internal/obs"
-	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/resilience"
 	"sparqlopt/internal/resilience/faultinject"
 	"sparqlopt/internal/resilience/health"
@@ -161,13 +157,24 @@ func (st *failoverState) summary() (int64, []string) {
 func (e *Engine) SetFailover(p *FailoverPolicy) { e.fo = p }
 
 // nodeGate simulates contacting node for one kind of operation
-// ("scan" or "shuffle") at the given fault site. It returns down=true
-// when the node must be treated as dead and the operation served via
-// failover. With no failover policy a firing fault is a hard, typed
-// error instead. err is non-nil only for cancellation or that
-// no-failover failure.
-func (e *Engine) nodeGate(ctx context.Context, node int, site faultinject.Site, kind string, env ExecEnv) (down bool, err error) {
+// ("scan" or "shuffle") at that operation's per-node fault site. It
+// returns down=true when the node must be treated as dead and the
+// operation served via failover. With no failover policy a firing
+// fault is a hard, typed error instead. err is non-nil only for
+// cancellation or that no-failover failure.
+func (e *Engine) nodeGate(ctx context.Context, node int, kind string, env ExecEnv) (down bool, err error) {
 	fo := e.fo
+	// The site name is built only when a fault set could fire it: every
+	// scan and scatter passes here once per node, and production (no
+	// set) must not pay a string concatenation for each.
+	var site faultinject.Site
+	if env.Faults != nil {
+		if kind == "scan" {
+			site = faultinject.NodeScan(node)
+		} else {
+			site = faultinject.NodeShuffle(node)
+		}
+	}
 	if fo == nil {
 		if env.Faults.Should(site) {
 			// Failover disabled: node death is immediately fatal to the
@@ -212,124 +219,6 @@ func (e *Engine) nodeGate(ctx context.Context, node int, site faultinject.Site, 
 			}
 		}
 	}
-}
-
-// availEntry caches the live-replica membership set for one
-// (snapshot, dead set) pair: the union of every healthy node's base
-// fragment and overlay. Executions hitting the same outage reuse it;
-// a snapshot swap or a different dead set rebuilds.
-type availEntry struct {
-	snap *Snap
-	key  string
-	m    map[rdf.Triple]struct{}
-}
-
-// availFor returns the set of triples with at least one live copy,
-// given the dead node set. The broadcast ingest delta is excluded on
-// purpose: delta triples are replicated to every node and never
-// appear in base fragments or overlays, so scans of a dead node never
-// need them checked (matchChecked only sees store triples).
-func (e *Engine) availFor(snap *Snap, dead []int) map[rdf.Triple]struct{} {
-	key := fmt.Sprint(dead)
-	if cur := e.avail.Load(); cur != nil && cur.snap == snap && cur.key == key {
-		return cur.m
-	}
-	isDead := make(map[int]bool, len(dead))
-	for _, n := range dead {
-		isDead[n] = true
-	}
-	size := 0
-	for node, st := range snap.stores {
-		if !isDead[node] {
-			size += len(st.triples)
-		}
-	}
-	m := make(map[rdf.Triple]struct{}, size)
-	for node, st := range snap.stores {
-		if isDead[node] {
-			continue
-		}
-		for _, t := range st.triples {
-			m[t] = struct{}{}
-		}
-		if ov := snap.overlay(node); ov != nil {
-			for _, t := range ov.triples {
-				m[t] = struct{}{}
-			}
-		}
-	}
-	e.avail.Store(&availEntry{snap: snap, key: key, m: m})
-	return m
-}
-
-// matchChecked is store.match against a dead node's fragment manifest:
-// identical candidate selection and row production, but each matched
-// row must clear two extra gates — keep (nil = keep all; the aligned
-// scan's destination filter) and then membership of its triple in
-// avail. missing counts kept rows whose triple has no live replica;
-// when missing is 0 the relation is bit-identical to what the healthy
-// node's match (plus filter) would have produced.
-func (s *store) matchChecked(bp boundPattern, avail map[rdf.Triple]struct{}, keep func([]rdf.TermID) bool) (*Relation, int) {
-	if bp.unknown {
-		return &Relation{Vars: bp.vars}, 0
-	}
-	candidates := s.candidates(bp)
-	if bp.scanned != nil {
-		*bp.scanned += int64(len(candidates))
-	}
-	rel := newRelation(bp.vars, len(candidates))
-	missing := 0
-	var row [3]rdf.TermID
-	for _, i := range candidates {
-		t := s.triples[i]
-		if bp.sConst && t.S != bp.s {
-			continue
-		}
-		if bp.pConst && t.P != bp.p {
-			continue
-		}
-		if bp.oConst && t.O != bp.o {
-			continue
-		}
-		if !fillRow(row[:len(bp.vars)], bp, t) {
-			continue
-		}
-		if keep != nil && !keep(row[:len(bp.vars)]) {
-			continue
-		}
-		if _, ok := avail[t]; !ok {
-			missing++
-			continue
-		}
-		rel.appendCopy(row[:len(bp.vars)])
-	}
-	return rel, missing
-}
-
-// failoverScan serves a dead node's share of a scan from its fragment
-// manifest, verified against live replicas. keep is the aligned scan's
-// destination filter (nil for a normal scan). On full coverage the
-// relation is bit-identical to the healthy node's output; any hole
-// fails fast with a typed *resilience.UnavailableError.
-func (e *Engine) failoverScan(node int, bp boundPattern, env ExecEnv, keep func([]rdf.TermID) bool) (*Relation, error) {
-	avail := e.availFor(env.Snap, env.fo.deadNodes())
-	rel, missing := env.Snap.stores[node].matchChecked(bp, avail, keep)
-	if ov := env.Snap.overlay(node); ov != nil && keep != nil {
-		// Aligned scans also read the node's migration overlay; its
-		// copies need live homes too (their base source could be on
-		// another dead node).
-		ovRel, ovMissing := ov.matchChecked(bp, avail, keep)
-		if err := ovRel.chargeTo(env.Gauge, "scan"); err != nil {
-			return nil, err
-		}
-		rel.Rows = append(rel.Rows, ovRel.Rows...)
-		missing += ovMissing
-	}
-	if missing > 0 {
-		return nil, e.unavailable(env, "scan", missing)
-	}
-	env.fo.recordFailover()
-	return rel, nil
 }
 
 // unavailable builds the typed fail-fast error for a query that

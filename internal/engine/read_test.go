@@ -1,0 +1,336 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"sparqlopt/internal/cost"
+	"sparqlopt/internal/plan"
+	"sparqlopt/internal/rdf"
+	"sparqlopt/internal/resilience"
+	"sparqlopt/internal/sparql"
+)
+
+// readFixture is a hand-built three-node snapshot: base fragments with
+// replicated and single-copy triples, migration overlays on nodes 0
+// and 2, and two broadcast delta chunks. It respects the fragment-view
+// invariant (base, overlay and delta pairwise disjoint per node).
+type readFixture struct {
+	dict    *rdf.Dict
+	base    [][]rdf.Triple
+	overlay [][]rdf.Triple
+	delta   [][]rdf.Triple
+}
+
+func newReadFixture() *readFixture {
+	d := rdf.NewDict()
+	tr := func(s, p, o string) rdf.Triple {
+		return rdf.Triple{S: d.Intern(s), P: d.Intern(p), O: d.Intern(o)}
+	}
+	a := tr("e0", "p", "e1") // replicated: nodes 0, 1 (+ overlay 2)
+	b := tr("e1", "p", "e2") // single base copy on node 1 (+ overlay 0)
+	c := tr("e2", "p", "e0") // replicated: nodes 0, 2
+	l := tr("e3", "p", "e3") // self-loop, single copy on node 2: a hole when 2 dies
+	e := tr("e0", "p", "e3") // replicated: nodes 1, 2
+	f := tr("e4", "q", "e1") // other predicate, everywhere
+	g := tr("e1", "p", "e1") // self-loop, replicated: nodes 0, 2
+	return &readFixture{
+		dict: d,
+		base: [][]rdf.Triple{
+			{a, c, f, g},
+			{a, b, e, f},
+			{c, l, e, f, g},
+		},
+		overlay: [][]rdf.Triple{{b}, nil, {a}},
+		delta: [][]rdf.Triple{
+			{tr("e5", "p", "e0"), tr("e4", "p", "e4")},
+			{tr("e2", "p", "e5"), tr("e5", "q", "e5")},
+		},
+	}
+}
+
+func (fx *readFixture) snap() *Snap {
+	s := &Snap{overlays: make([]*store, len(fx.base))}
+	for _, ts := range fx.base {
+		s.stores = append(s.stores, newStore(ts))
+	}
+	for i, ts := range fx.overlay {
+		if ts != nil {
+			s.overlays[i] = newStore(ts)
+		}
+	}
+	for _, ts := range fx.delta {
+		s.delta = append(s.delta, newStore(ts))
+	}
+	return s
+}
+
+// oracle is the brute-force fragment read: plain filters over the
+// triple lists, no indexes.
+type oracle struct {
+	fx         *readFixture
+	tp         sparql.TriplePattern
+	vars       []string
+	unknown    bool
+	s, p, o    rdf.TermID
+	sC, pC, oC bool
+}
+
+func newOracle(fx *readFixture, tp sparql.TriplePattern) *oracle {
+	or := &oracle{fx: fx, tp: tp}
+	bind := func(t sparql.Term, id *rdf.TermID, isConst *bool) {
+		if t.IsVar() {
+			for _, v := range or.vars {
+				if v == t.Value {
+					return
+				}
+			}
+			or.vars = append(or.vars, t.Value)
+			return
+		}
+		*isConst = true
+		var ok bool
+		if *id, ok = fx.dict.Lookup(t.Value); !ok {
+			or.unknown = true
+		}
+	}
+	bind(tp.S, &or.s, &or.sC)
+	bind(tp.P, &or.p, &or.pC)
+	bind(tp.O, &or.o, &or.oC)
+	return or
+}
+
+// row binds t to the pattern's variables, nil when t does not match.
+func (or *oracle) row(t rdf.Triple) []rdf.TermID {
+	if or.unknown || or.sC && t.S != or.s || or.pC && t.P != or.p || or.oC && t.O != or.o {
+		return nil
+	}
+	vals := map[string]rdf.TermID{}
+	for _, pos := range []struct {
+		term sparql.Term
+		id   rdf.TermID
+	}{{or.tp.S, t.S}, {or.tp.P, t.P}, {or.tp.O, t.O}} {
+		if !pos.term.IsVar() {
+			continue
+		}
+		if prev, ok := vals[pos.term.Value]; ok && prev != pos.id {
+			return nil
+		}
+		vals[pos.term.Value] = pos.id
+	}
+	row := make([]rdf.TermID, len(or.vars))
+	for i, v := range or.vars {
+		row[i] = vals[v]
+	}
+	return row
+}
+
+// touched is the posting count an index scan of ts charges: the
+// smallest constant position's list, or every triple with none.
+func (or *oracle) touched(ts []rdf.Triple) int64 {
+	if or.unknown {
+		return 0
+	}
+	best := int64(len(ts))
+	for _, c := range []struct {
+		isConst bool
+		hit     func(rdf.Triple) bool
+	}{
+		{or.sC, func(t rdf.Triple) bool { return t.S == or.s }},
+		{or.pC, func(t rdf.Triple) bool { return t.P == or.p }},
+		{or.oC, func(t rdf.Triple) bool { return t.O == or.o }},
+	} {
+		if !c.isConst {
+			continue
+		}
+		var n int64
+		for _, t := range ts {
+			if c.hit(t) {
+				n++
+			}
+		}
+		if n < best {
+			best = n
+		}
+	}
+	return best
+}
+
+func contains(ts []rdf.Triple, t rdf.Triple) bool {
+	for _, u := range ts {
+		if u == t {
+			return true
+		}
+	}
+	return false
+}
+
+// read is the expected fragment view of node: kept rows in emission
+// order (base, overlay, delta), postings touched on the node's own
+// stores, and kept triples with no live copy.
+func (or *oracle) read(node, alignCol int, dead map[int]bool) (rows [][]rdf.TermID, scanned int64, missing int) {
+	n := len(or.fx.base)
+	keep := func(row []rdf.TermID) bool {
+		return alignCol < 0 || int(row[alignCol])%n == node
+	}
+	lists := [][]rdf.Triple{or.fx.base[node]}
+	if alignCol >= 0 && or.fx.overlay[node] != nil {
+		lists = append(lists, or.fx.overlay[node])
+	}
+	for _, ts := range lists {
+		scanned += or.touched(ts)
+		for _, t := range ts {
+			row := or.row(t)
+			if row == nil || !keep(row) {
+				continue
+			}
+			if dead[node] {
+				live := false
+				for m := 0; m < n; m++ {
+					if !dead[m] && (contains(or.fx.base[m], t) || contains(or.fx.overlay[m], t)) {
+						live = true
+					}
+				}
+				if !live {
+					missing++
+					continue
+				}
+			}
+			rows = append(rows, row)
+		}
+	}
+	for _, ts := range or.fx.delta {
+		for _, t := range ts {
+			if row := or.row(t); row != nil && keep(row) {
+				rows = append(rows, row)
+			}
+		}
+	}
+	return rows, scanned, missing
+}
+
+// TestDeterminismFragmentRead is the one oracle for the one reader:
+// for every pattern shape × {normal, aligned on S, aligned on O} ×
+// {healthy, one node dead, two nodes dead}, the Scan operator's
+// per-node rows (in order), ScannedTriples and — when a dead node's
+// fragment has a hole — the typed error's Missing count must equal a
+// brute-force filter over the fixture's triple lists. It runs under
+// the determinism gate (-race -count=2): the per-node reads are
+// concurrent.
+func TestDeterminismFragmentRead(t *testing.T) {
+	fx := newReadFixture()
+	snap := fx.snap()
+	n := len(fx.base)
+	eng := &Engine{dict: fx.dict, fo: &FailoverPolicy{}}
+	eng.snap.Store(snap)
+	patterns := []string{
+		`?s <p> ?o`,
+		`?s <p> <e1>`,
+		`?x <p> ?x`,
+		`?s ?pp ?o`,
+		`?s <p> <nowhere>`,
+	}
+	deadSets := [][]int{nil}
+	for i := 0; i < n; i++ {
+		deadSets = append(deadSets, []int{i})
+	}
+	for i := 0; i < n; i++ {
+		deadSets = append(deadSets, []int{i, (i + 1) % n})
+	}
+	var sawCovered, sawHole bool
+	for _, src := range patterns {
+		q := sparql.MustParse(`SELECT * WHERE { ` + src + ` . }`)
+		tp := q.Patterns[0]
+		or := newOracle(fx, tp)
+		aligns := []string{""}
+		if tp.S.IsVar() {
+			aligns = append(aligns, tp.S.Value)
+		}
+		if tp.O.IsVar() && tp.O.Value != tp.S.Value {
+			aligns = append(aligns, tp.O.Value)
+		}
+		for _, alignVar := range aligns {
+			alignCol := -1
+			for i, v := range or.vars {
+				if v == alignVar {
+					alignCol = i
+				}
+			}
+			for _, deadList := range deadSets {
+				id := fmt.Sprintf("%s/align=%q/dead=%v", src, alignVar, deadList)
+				dead := map[int]bool{}
+				fo := &failoverState{}
+				for _, d := range deadList {
+					dead[d] = true
+					fo.markDead(d, "scan")
+				}
+				wantRows := make([][][]rdf.TermID, n)
+				var wantScanned int64
+				wantMissing := 0
+				for node := 0; node < n; node++ {
+					rows, scanned, missing := or.read(node, alignCol, dead)
+					wantRows[node] = rows
+					wantScanned += scanned
+					if wantMissing == 0 {
+						// The lowest-numbered failing node's error wins.
+						wantMissing = missing
+					}
+				}
+				for _, ts := range fx.delta {
+					wantScanned += or.touched(ts)
+				}
+
+				var m Metrics
+				env := ExecEnv{Snap: snap, fo: fo}
+				p := plan.NewScan(0, 1, cost.Default)
+				out, tr, err := eng.eval(context.Background(), p, q, env, &m, alignVar)
+				if wantMissing > 0 {
+					sawHole = true
+					var ue *resilience.UnavailableError
+					if !errors.As(err, &ue) {
+						t.Errorf("%s: err = %v, want *UnavailableError", id, err)
+						continue
+					}
+					if ue.Missing != wantMissing || ue.Op != "scan" || !reflect.DeepEqual(ue.Nodes, fo.deadNodes()) {
+						t.Errorf("%s: error %+v, want Missing=%d Op=scan Nodes=%v", id, ue, wantMissing, fo.deadNodes())
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s: %v", id, err)
+					continue
+				}
+				for node := 0; node < n; node++ {
+					got := out[node].Rows
+					if len(got) != len(wantRows[node]) {
+						t.Errorf("%s: node %d has %d rows %v, want %d %v", id, node, len(got), got, len(wantRows[node]), wantRows[node])
+						continue
+					}
+					for i := range got {
+						if !reflect.DeepEqual(got[i], wantRows[node][i]) {
+							t.Errorf("%s: node %d row %d = %v, want %v", id, node, i, got[i], wantRows[node][i])
+						}
+					}
+				}
+				if m.ScannedTriples != wantScanned {
+					t.Errorf("%s: ScannedTriples = %d, want %d", id, m.ScannedTriples, wantScanned)
+				}
+				if tr.Aligned != (alignVar != "") {
+					t.Errorf("%s: trace Aligned = %v", id, tr.Aligned)
+				}
+				if failovers, _ := fo.summary(); failovers != int64(len(deadList)) {
+					t.Errorf("%s: %d failovers recorded, want %d", id, failovers, len(deadList))
+				}
+				if len(deadList) > 0 && tr.OutputRows > 0 {
+					sawCovered = true
+				}
+			}
+		}
+	}
+	if !sawCovered || !sawHole {
+		t.Errorf("table degenerate: covered=%v hole=%v — the fixture no longer reaches both failover outcomes", sawCovered, sawHole)
+	}
+}

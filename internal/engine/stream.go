@@ -98,12 +98,12 @@ func (e *multiEnum) next() []rdf.TermID {
 	return nil
 }
 
-// factEnum is the explicit-state form of projectDistinct's nested
-// enumeration loop over one answer graph: a cursor over spine rows
-// plus an odometer over the kept satellites' match lists. Making the
-// state explicit is what lets the flatten be demand-driven — the
-// stream pulls one candidate at a time instead of the graph pushing
-// every candidate through a callback.
+// factEnum enumerates the projections of one answer graph's flat rows
+// — the flatten-at-projection step — as explicit state: a cursor over
+// spine rows plus an odometer over the kept satellites' match lists.
+// Making the state explicit is what lets the flatten be demand-driven:
+// the stream pulls one candidate at a time instead of the graph
+// pushing every candidate through a callback.
 type factEnum struct {
 	f       *FactorizedRelation
 	groups  []int // per projected var: -1 = spine, else satellite index
@@ -116,11 +116,11 @@ type factEnum struct {
 	live    bool // the odometer holds a valid position for spine row i
 }
 
-// newFactEnum mirrors projectDistinct's prologue: resolve each
-// projected variable to its group, and keep only the satellites that
-// contribute a projected column — ignored groups affect multiplicity
-// alone, which DISTINCT erases. Unbound variables must have been
-// rejected by the caller.
+// newFactEnum resolves each projected variable to its group and keeps
+// only the satellites that contribute a projected column — ignored
+// groups affect multiplicity alone, which DISTINCT erases, so their
+// fanout is never walked. Unbound variables must have been rejected by
+// the caller.
 func newFactEnum(f *FactorizedRelation, vars []string) *factEnum {
 	e := &factEnum{
 		f:       f,
@@ -332,7 +332,7 @@ func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Quer
 		st.res = &Result{Vars: vars, Metrics: m, Trace: trace, Factorized: true, flatRows: trace.OutputRows}
 		st.res.Failovers, st.res.Degraded = env.fo.summary()
 	} else {
-		parts, trace, err := e.eval(ctx, p, q, env, &m)
+		parts, trace, err := e.eval(ctx, p, q, env, &m, "")
 		if err != nil {
 			return nil, err
 		}

@@ -159,24 +159,8 @@ func (e *Engine) ShuffleGroups(res *Result, q *sparql.Query) []ShuffleGroup {
 	walk = func(t *TraceNode) {
 		if t.Alg == plan.RepartitionJoin {
 			for _, ch := range t.Children {
-				if ch.Alg != plan.Scan {
-					continue
-				}
-				tp := q.Patterns[ch.TP]
-				if tp.P.IsVar() {
-					continue
-				}
-				pred, ok := e.dict.Lookup(tp.P.Value)
+				pred, pos, ok := e.alignGroup(q, ch.Alg, ch.TP, t.JoinVar)
 				if !ok {
-					continue
-				}
-				var pos partition.Pos
-				switch {
-				case tp.S.IsVar() && tp.S.Value == t.JoinVar:
-					pos = partition.PosS
-				case tp.O.IsVar() && tp.O.Value == t.JoinVar:
-					pos = partition.PosO
-				default:
 					continue
 				}
 				out = append(out, ShuffleGroup{

@@ -21,9 +21,6 @@ type RunSettings struct {
 	// TraceSink, when non-nil, enables lifecycle tracing for the call;
 	// the completed trace is handed to the sink before the call returns.
 	TraceSink func(*obs.Trace)
-	// NoCache bypasses the plan cache for this call (the plan is still
-	// optimized, just neither looked up nor stored).
-	NoCache bool
 	// OptTimeout, when positive, bounds plan optimization alone (not
 	// execution). A timeout here is degradable: the serving path falls
 	// down its ladder to a cheaper algorithm instead of failing.

@@ -119,55 +119,6 @@ func collectPattern(dict *rdf.Dict, triples []rdf.Triple, tp sparql.TriplePatter
 
 var errUnknown = fmt.Errorf("unknown constant")
 
-// CollectSampled estimates statistics from a systematic sample of the
-// dataset: every k-th triple is examined and counts are scaled by k.
-// Distinct-binding counts are scaled the same way — a first-order
-// estimate that is exact for keys appearing once and conservative for
-// heavy hitters. rate must be in (0, 1]; rate 1 is exact collection.
-// Use it when the dataset is too large to scan per pattern.
-func CollectSampled(ds *rdf.Dataset, q *sparql.Query, rate float64) (*Stats, error) {
-	return CollectSampledSnapshot(ds.Snapshot(), q, rate)
-}
-
-// CollectSampledSnapshot is CollectSampled over a pinned snapshot.
-func CollectSampledSnapshot(snap *rdf.Snapshot, q *sparql.Query, rate float64) (*Stats, error) {
-	if rate <= 0 || rate > 1 {
-		return nil, fmt.Errorf("stats: sampling rate %v outside (0, 1]", rate)
-	}
-	if rate == 1 {
-		return CollectSnapshot(snap, q)
-	}
-	step := int(1 / rate)
-	if step < 1 {
-		step = 1
-	}
-	all := snap.Triples()
-	sample := make([]rdf.Triple, 0, len(all)/step+1)
-	for i := 0; i < len(all); i += step {
-		sample = append(sample, all[i])
-	}
-	s := &Stats{Patterns: make([]PatternStats, len(q.Patterns)), Epoch: snap.Epoch()}
-	for i, tp := range q.Patterns {
-		ps, err := collectPattern(snap.Dict(), sample, tp)
-		if err != nil {
-			return nil, fmt.Errorf("pattern %d: %w", i, err)
-		}
-		s.Patterns[i] = ps
-	}
-	scale := float64(step)
-	for i := range s.Patterns {
-		s.Patterns[i].Card *= scale
-		for v := range s.Patterns[i].Bindings {
-			b := s.Patterns[i].Bindings[v] * scale
-			if b > s.Patterns[i].Card && s.Patterns[i].Card >= 1 {
-				b = s.Patterns[i].Card
-			}
-			s.Patterns[i].Bindings[v] = b
-		}
-	}
-	return s, nil
-}
-
 // Remap returns a copy of s with its patterns reordered and its
 // variables renamed: output pattern i is s.Patterns[perm[i]], and
 // every binding key v becomes rename[v] (keys absent from rename are

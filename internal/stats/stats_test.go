@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -229,50 +228,6 @@ func TestQuickEstimatorStable(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCollectSampled(t *testing.T) {
-	ds := rdf.NewDataset()
-	for i := 0; i < 1000; i++ {
-		ds.Add(fmt.Sprintf("s%d", i), "p", fmt.Sprintf("o%d", i%100))
-	}
-	q := sparql.MustParse(`SELECT * WHERE { ?x <p> ?y . }`)
-	exact, err := Collect(ds, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, err := CollectSampled(ds, q, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Scaled cardinality within 20% of exact.
-	if r := sampled.Patterns[0].Card / exact.Patterns[0].Card; r < 0.8 || r > 1.2 {
-		t.Errorf("sampled card %v vs exact %v", sampled.Patterns[0].Card, exact.Patterns[0].Card)
-	}
-	// Bindings never exceed cardinality.
-	for v, b := range sampled.Patterns[0].Bindings {
-		if b > sampled.Patterns[0].Card {
-			t.Errorf("B(%s) = %v > card %v", v, b, sampled.Patterns[0].Card)
-		}
-	}
-	// rate 1 falls back to exact collection.
-	one, err := CollectSampled(ds, q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.Patterns[0].Card != exact.Patterns[0].Card {
-		t.Error("rate 1 is not exact")
-	}
-}
-
-func TestCollectSampledBadRate(t *testing.T) {
-	ds := buildDataset()
-	q := sparql.MustParse(`SELECT * WHERE { ?x <worksFor> ?y . }`)
-	for _, rate := range []float64{0, -0.5, 1.5} {
-		if _, err := CollectSampled(ds, q, rate); err == nil {
-			t.Errorf("rate %v accepted", rate)
-		}
 	}
 }
 

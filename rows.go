@@ -399,9 +399,9 @@ func (s *System) RunStreamQuery(ctx context.Context, q *Query, opts ...RunOption
 // shareEligible reports whether one call may join the execution-
 // sharing table: deterministic fault injection and per-call tracing
 // are private to a call (a follower would observe the wrong
-// lifecycle), and a cache-bypass call asked for isolation.
+// lifecycle).
 func shareEligible(set opt.RunSettings) bool {
-	return set.Faults == nil && set.TraceSink == nil && !set.NoCache
+	return set.Faults == nil && set.TraceSink == nil
 }
 
 // shareKey is the identity of one shared execution. The canonical

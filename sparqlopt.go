@@ -27,10 +27,10 @@
 //	fmt.Println(res.Rows)
 //
 // Run defaults to the TD-Auto algorithm; per-call behavior is set with
-// RunOptions (WithAlgorithm, WithDeadline, WithTraceSink,
-// WithoutCache). A bare Algorithm is itself a RunOption, so the older
-// positional call style Run(ctx, src, sparqlopt.TDCMD) still compiles
-// and behaves identically.
+// RunOptions (WithAlgorithm, WithDeadline, WithTraceSink). A bare
+// Algorithm is itself a RunOption, so the older positional call style
+// Run(ctx, src, sparqlopt.TDCMD) still compiles and behaves
+// identically.
 package sparqlopt
 
 import (
@@ -253,17 +253,17 @@ func AlgorithmByName(name string) (Algorithm, bool) {
 //     (WithParallelism, WithFactorization, WithCostParams), serving
 //     infrastructure (WithPlanCache, WithExecutionSharing,
 //     WithAdmissionControl, WithMemoryBudget, WithAdaptivePartitioning,
-//     WithScopedInvalidation, WithSampledStats) and observability
-//     (WithObservability, WithWriteFaultInjection).
+//     WithScopedInvalidation) and observability (WithObservability,
+//     WithWriteFaultInjection).
 //
 //   - RunOption configures one serving call and is passed to Run,
 //     RunStream, Optimize and friends: WithAlgorithm (or a bare
 //     Algorithm value — both CLIs accept the same names), WithLimit,
-//     WithDeadline, WithOptimizerTimeout, WithoutCache, WithTraceSink,
+//     WithDeadline, WithOptimizerTimeout, WithTraceSink,
 //     WithFaultInjection.
 //
 //   - ObsOption configures the observability layer inside
-//     WithObservability: WithMetricsRegistry, WithSlowQueryLog.
+//     WithObservability: WithSlowQueryLog.
 //
 // Every option family ignores nil and zero values where that reads as
 // "default", so call sites list only what they change.
@@ -287,12 +287,6 @@ func WithDeadline(d time.Duration) RunOption {
 // Tracing works with or without WithObservability.
 func WithTraceSink(sink func(*Trace)) RunOption {
 	return opt.RunOptionFunc(func(s *opt.RunSettings) { s.TraceSink = sink })
-}
-
-// WithoutCache bypasses the plan cache for one call: the query is
-// optimized from scratch and the result is not stored.
-func WithoutCache() RunOption {
-	return opt.RunOptionFunc(func(s *opt.RunSettings) { s.NoCache = true })
 }
 
 // WithOptimizerTimeout bounds plan optimization alone (statistics and
@@ -328,7 +322,6 @@ type System struct {
 	ds          *Dataset
 	method      Method
 	params      CostParams
-	sampleRate  float64
 	parallelism int
 	placement   *partition.Placement
 	engine      *engine.Engine
@@ -374,7 +367,6 @@ type openConfig struct {
 	method        Method
 	params        CostParams
 	nodes         int
-	sampleRate    float64
 	parallelism   int
 	planCache     int
 	maxConcurrent int
@@ -390,7 +382,6 @@ type openConfig struct {
 }
 
 type obsConfig struct {
-	registry      *obs.Registry
 	slowCap       int
 	slowThreshold time.Duration
 }
@@ -445,7 +436,7 @@ func WithPlanCache(n int) Option { return func(c *openConfig) { c.planCache = n 
 // singleflight (one optimization per shape) one level down to one
 // execution per identical read, and it is what makes a thundering herd
 // of one hot query cost one execution instead of N. Calls that ask for
-// per-call isolation (WithoutCache, WithTraceSink, WithFaultInjection)
+// per-call isolation (WithTraceSink, WithFaultInjection)
 // never share. The broadcast log is charged to the leader's memory
 // budget; a trip cuts the followers loose (they fall back to their own
 // execution if they consumed nothing yet). Counters are read back with
@@ -483,12 +474,6 @@ func WithMemoryBudget(perQuery, total int64) Option {
 		c.memTotal = total
 	}
 }
-
-// WithSampledStats makes Optimize collect statistics from a
-// systematic sample of the dataset instead of full scans — the
-// trade-off for very large datasets. rate must be in (0, 1]; the
-// default (and rate 1) is exact collection.
-func WithSampledStats(rate float64) Option { return func(c *openConfig) { c.sampleRate = rate } }
 
 // WithScopedInvalidation controls predicate-scoped plan-cache
 // invalidation (default on). When on, a committed write invalidates
@@ -604,12 +589,6 @@ func WithAdaptivePartitioning(ac AdaptiveConfig) Option {
 // ObsOption configures WithObservability.
 type ObsOption func(*obsConfig)
 
-// WithMetricsRegistry registers the system's metrics on an existing
-// registry instead of a private one — for sharing one exposition
-// endpoint across several systems. Metric names collide if two systems
-// share a registry; use one registry per System.
-func WithMetricsRegistry(r *Registry) ObsOption { return func(c *obsConfig) { c.registry = r } }
-
 // WithSlowQueryLog keeps the last capacity queries that ran at or over
 // threshold (failed queries are always logged). Entries are read back
 // with System.SlowQueries.
@@ -622,11 +601,10 @@ func WithSlowQueryLog(capacity int, threshold time.Duration) ObsOption {
 
 // WithObservability turns on the metrics layer: the optimizer, engine,
 // plan cache and serving path register Prometheus-style instruments,
-// exposed through System.WriteMetrics. Optional ObsOptions add a
-// slow-query log or redirect registration to a shared registry. When
-// this option is absent every instrument hook in the hot paths reduces
-// to one nil check — the overhead is below the benchmark noise floor
-// (see the obsoverhead experiment).
+// exposed through System.WriteMetrics. An optional ObsOption adds a
+// slow-query log. When this option is absent every instrument hook in
+// the hot paths reduces to one nil check — the overhead is below the
+// benchmark noise floor (see the obsoverhead experiment).
 func WithObservability(opts ...ObsOption) Option {
 	return func(c *openConfig) {
 		cfg := &obsConfig{}
@@ -639,7 +617,7 @@ func WithObservability(opts ...ObsOption) Option {
 
 // Open partitions the dataset and builds the execution engine.
 func Open(ds *Dataset, opts ...Option) (*System, error) {
-	cfg := openConfig{method: partition.HashSO{}, params: cost.Default, nodes: cost.Default.Nodes, sampleRate: 1}
+	cfg := openConfig{method: partition.HashSO{}, params: cost.Default, nodes: cost.Default.Nodes}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -651,9 +629,6 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.sampleRate <= 0 || cfg.sampleRate > 1 {
-		return nil, fmt.Errorf("sparqlopt: sampling rate %v outside (0, 1]", cfg.sampleRate)
-	}
 	eng := engine.New(ds.Dict, placement)
 	eng.SetParallelism(cfg.parallelism)
 	snap := ds.Snapshot()
@@ -662,7 +637,6 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 		ds:          ds,
 		method:      cfg.method,
 		params:      cfg.params,
-		sampleRate:  cfg.sampleRate,
 		parallelism: cfg.parallelism,
 		placement:   placement,
 		engine:      eng,
@@ -725,10 +699,7 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 		})
 	}
 	if cfg.obs != nil {
-		r := cfg.obs.registry
-		if r == nil {
-			r = obs.NewRegistry()
-		}
+		r := obs.NewRegistry()
 		s.obs = &obsState{
 			registry:     r,
 			queries:      r.Counter("query_runs_total", "Serving calls (Run/RunQuery)."),
@@ -921,10 +892,10 @@ func (s *System) optimizeTraced(ctx context.Context, q *Query, algo Algorithm, s
 
 // collect gathers per-pattern statistics for q over the pinned
 // snapshot, going through the cache's snapshot layer when caching is
-// enabled. Exact collection answers the dominant (?s <p> ?o) shapes
-// from the incremental tracker in O(1) when the tracker is current at
-// the snapshot's epoch; sampled collection and tracker-uncoverable
-// shapes scan the pinned snapshot.
+// enabled. Collection answers the dominant (?s <p> ?o) shapes from the
+// incremental tracker in O(1) when the tracker is current at the
+// snapshot's epoch; tracker-uncoverable shapes scan the pinned
+// snapshot.
 func (s *System) collect(q *Query, snap *engine.Snap) (*stats.Stats, error) {
 	if s.cache == nil {
 		return s.collectRaw(q, snap)
@@ -938,11 +909,7 @@ func (s *System) collect(q *Query, snap *engine.Snap) (*stats.Stats, error) {
 // collectRaw is collection without the cache's snapshot layer — the
 // callback handed to the cache machinery, which must not re-enter it.
 func (s *System) collectRaw(q *Query, snap *engine.Snap) (*stats.Stats, error) {
-	data := snap.Data()
-	if s.sampleRate < 1 {
-		return stats.CollectSampledSnapshot(data, q, s.sampleRate)
-	}
-	return stats.CollectTracked(s.tracker, data, q)
+	return stats.CollectTracked(s.tracker, snap.Data(), q)
 }
 
 // inputWithStats assembles the optimizer input around an existing
@@ -1376,10 +1343,9 @@ func (s *System) planLadder(ctx context.Context, q *Query, set opt.RunSettings, 
 }
 
 // plan produces the physical plan for q: through the plan cache when
-// one is configured and the call did not opt out, otherwise the plain
-// stats + enumerate pipeline.
+// one is configured, otherwise the plain stats + enumerate pipeline.
 func (s *System) plan(ctx context.Context, q *Query, set opt.RunSettings, g *resilience.Gauge, tr *obs.Trace, snap *engine.Snap) (*opt.Result, engine.CacheInfo, error) {
-	if s.cache == nil || set.NoCache {
+	if s.cache == nil {
 		res, err := s.optimizeTraced(ctx, q, set.Algorithm, set, g, tr, snap)
 		return res, engine.CacheInfo{}, err
 	}
