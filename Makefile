@@ -1,14 +1,17 @@
 # Development targets. `make check` is the full gate used before
-# merging: vet, build, the race-instrumented test suite, a doubled
-# run of the parallel-determinism tests (the most schedule-sensitive
-# ones, covering both the optimizer and the execution engine), and a
-# single-iteration pass over the execution benchmarks so they cannot
-# bit-rot. Benchmarks that are too slow under the race detector skip
-# themselves (see internal/race).
+# merging: lint (gofmt + vet), build, the race-instrumented test suite,
+# a doubled run of the parallel-determinism tests (the most schedule-
+# sensitive ones, covering both the optimizer and the execution
+# engine), the observability, chaos and HTTP serving gates, smoke
+# passes over the root benchmarks, the kept benchrunner experiments and
+# the benchmark spine so none of them can bit-rot, and short fuzzing
+# passes. Timing tests that the race detector distorts skip themselves
+# (see internal/race). Measuring is not part of the gate: performance
+# is `bash benchmark/run.sh`, the paper's tables are `make paper`.
 
 GO ?= go
 
-.PHONY: all lint vet build test race determinism obs chaos bench bench-smoke bench-spine serve-smoke fuzz-smoke check
+.PHONY: all lint vet build test race determinism obs chaos bench bench-smoke bench-spine serve-smoke fuzz-smoke paper check
 
 all: check
 
@@ -70,15 +73,15 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
 # One iteration of the execution benchmarks plus a quick pass of the
-# adaptive-repartitioning and serving-under-ingest experiments:
-# catches compile or runtime breakage in the bench harnesses without
-# measuring anything. Both passes also re-check their bit-identical-
-# results invariants on every gate run (JSON artifacts suppressed).
+# adaptive-repartitioning and node-failover experiments: catches
+# compile or runtime breakage in the bench harnesses without measuring
+# anything (their output shows whether every round stayed bit-identical
+# to Reference and every failure typed). Quick runs write no JSON
+# artifact.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkExecute -benchtime=1x .
-	$(GO) run ./cmd/benchrunner -experiment adaptive -quick -adaptivejson ''
-	$(GO) run ./cmd/benchrunner -experiment ingest -quick -ingestjson ''
-	$(GO) run ./cmd/benchrunner -experiment failover -quick -failoverjson ''
+	$(GO) run ./cmd/benchrunner -experiment adaptive -quick
+	$(GO) run ./cmd/benchrunner -experiment failover -quick
 
 # The benchmark spine (benchmark/, its own module) compiles against
 # engine and root-package internals that PRs here may not be allowed
@@ -91,12 +94,11 @@ bench-spine:
 # protocol conformance suite, then the smoke test — one server on a
 # random port serving a mixed workload (cache hits and misses, an
 # overload burst, a mid-stream client disconnect), a clean shutdown
-# and a zero-goroutine-leak check — plus a quick pass of the serving
-# benchmark harness (JSON artifact suppressed).
+# and a zero-goroutine-leak check. Serving latency over a real sparqld
+# is the spine's warm-mix and result-heavy workloads.
 serve-smoke:
 	$(GO) test -race -count=1 ./internal/httpd
 	$(GO) test -race -run TestServeSmoke -count=2 ./internal/httpd
-	$(GO) run ./cmd/benchrunner -experiment serving -quick -servingjson ''
 
 # Short fuzzing passes over the parser and the plan-cache
 # fingerprinter, seeded from the checked-in corpora. 5 s each: enough
@@ -104,5 +106,12 @@ serve-smoke:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=5s ./internal/sparql
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalize$$' -fuzztime=5s ./internal/querygraph
+
+# The paper reproduction at full scale: Tables III–VII, Figs. 6–8, the
+# pruning-rule ablation and the two cost-model checks, under the
+# paper's 600 s optimization cap. Takes hours on a small box; tier-1
+# and `make check` only ever run the quick passes.
+paper:
+	$(GO) run ./cmd/benchrunner -experiment all
 
 check: lint build race determinism obs chaos bench-smoke bench-spine serve-smoke fuzz-smoke

@@ -1,5 +1,6 @@
 // Command benchrunner regenerates the tables and figures of the
-// paper's evaluation section (§V).
+// paper's evaluation section (§V), and runs the four serving
+// experiments the benchmark spine (benchmark/) does not cover.
 //
 // Usage:
 //
@@ -7,30 +8,29 @@
 //
 //	-experiment  which artifact to regenerate:
 //	             table3 | table4 | table5 | table6 | table7 |
-//	             fig6 | fig7 | fig8 | fig7and8 | ablation | costcheck |
-//	             engine | plancache | obsoverhead | overload |
-//	             factorized | adaptive | ingest | serving | failover |
-//	             all
-//	             (default all; ablation is this repo's extra study of
-//	             the TD-CMDP pruning rules; engine profiles end-to-end
-//	             execution and writes BENCH_engine.json; plancache
-//	             replays LUBM L1–L10 cold vs warm through the plan
-//	             cache and writes BENCH_plancache.json; obsoverhead
-//	             serves L1–L10 with observability on vs off and writes
-//	             BENCH_obsoverhead.json; overload drives client fleets
-//	             at 1x-8x of capacity against a gated system (admission
-//	             control + memory budget) and an ungated one and writes
-//	             BENCH_overload.json; factorized compares flat vs
-//	             answer-graph execution on result-heavy queries and
-//	             writes BENCH_factorized.json; adaptive drives a
+//	             fig6 | fig7 | fig8 | fig7and8 |
+//	             ablation | costcheck | qerror | all
+//	             (default all: the paper reproduction, everything
+//	             above; ablation is this repo's extra study of the
+//	             TD-CMDP pruning rules, costcheck and qerror check the
+//	             cost model and the cardinality estimates against
+//	             execution), or one serving experiment, by name only:
+//	             obsoverhead | overload | adaptive | failover
+//	             (obsoverhead serves L1–L10 with observability on vs
+//	             off; overload drives client fleets at 1x-8x of
+//	             capacity against a gated system (admission control +
+//	             memory budget) and an ungated one; adaptive drives a
 //	             repeating hot workload through a static and an
 //	             advisor-enabled system, reporting steady-state shuffle
 //	             volume, warm p99, replication cost and cold-query
-//	             regression, and writes BENCH_adaptive.json; failover
-//	             kills one node mid-workload against a failover-enabled
-//	             system and a twin without it, reporting success rate,
-//	             degraded p99, recovery re-replication and time to full
-//	             service, and writes BENCH_failover.json)
+//	             regression; failover kills one node mid-workload
+//	             against a failover-enabled system and a twin without
+//	             it, reporting success rate, degraded p99, recovery
+//	             re-replication and time to full service. A full-scale
+//	             run of one of these writes BENCH_<experiment>.json in
+//	             the working directory; a -quick run writes no file.)
+//	             Serving latency, throughput and per-layer cost are
+//	             measured by the spine: bash benchmark/run.sh.
 //	-timeout     per-optimizer-run cap (default 600s, the paper's cap;
 //	             timed-out cells print N/A)
 //	-quick       shrink datasets and instance counts for a fast pass
@@ -39,29 +39,8 @@
 //	-parallelism optimizer and engine worker goroutines (0 = all
 //	             cores, 1 = sequential; identical plan costs and
 //	             execution results either way)
-//	-enginejson  output path of the engine profile (default
-//	             BENCH_engine.json; empty disables the file)
-//	-plancachejson  output path of the plan cache profile (default
-//	             BENCH_plancache.json; empty disables the file)
-//	-obsjson     output path of the observability overhead profile
-//	             (default BENCH_obsoverhead.json; empty disables the file)
-//	-overloadjson  output path of the overload experiment (default
-//	             BENCH_overload.json; empty disables the file)
-//	-factorizedjson  output path of the factorized-execution profile
-//	             (default BENCH_factorized.json; empty disables the file)
-//	-adaptivejson  output path of the adaptive-repartitioning profile
-//	             (default BENCH_adaptive.json; empty disables the file)
-//	-ingestjson  output path of the serving-under-ingest profile
-//	             (default BENCH_ingest.json; empty disables the file)
-//	-failoverjson  output path of the node-failover experiment (default
-//	             BENCH_failover.json; empty disables the file)
-//	-servingjson output path of the HTTP serving profile: streaming vs
-//	             materializing responses over real sockets (p50/p99 and
-//	             peak heap per mode) plus duplicate-query coalescing
-//	             counts (default BENCH_serving.json; empty disables)
-//	-metrics     append a Prometheus metrics snapshot to the output of
-//	             the serving-path experiments (engine, plancache,
-//	             obsoverhead)
+//	-csv         also write plot-ready CSV files into this directory
+//	             (figures only)
 //
 // Examples:
 //
@@ -78,25 +57,38 @@ import (
 	"sparqlopt/internal/bench"
 )
 
+// paper is the reproduction of the paper's evaluation, in the order
+// "all" runs it.
+var paper = []string{"table3", "table4", "table5", "table6", "table7", "fig6", "fig7and8", "ablation", "costcheck", "qerror"}
+
+var experiments = map[string]func(bench.Config) error{
+	"table3":      bench.Table3,
+	"table4":      bench.Table4,
+	"table5":      bench.Table5,
+	"table6":      bench.Table6,
+	"table7":      bench.Table7,
+	"fig6":        bench.Fig6,
+	"fig7":        bench.Fig7,
+	"fig8":        bench.Fig8,
+	"fig7and8":    bench.Fig7And8,
+	"ablation":    bench.Ablation,
+	"costcheck":   bench.CostModelCheck,
+	"qerror":      bench.QError,
+	"obsoverhead": bench.ObsOverheadBench,
+	"overload":    bench.OverloadBench,
+	"adaptive":    bench.AdaptiveBench,
+	"failover":    bench.FailoverBench,
+}
+
 func main() {
 	var (
-		experiment   = flag.String("experiment", "all", "table3|table4|table5|table6|table7|fig6|fig7|fig8|fig7and8|engine|plancache|all")
-		timeout      = flag.Duration("timeout", 0, "per-run optimization cap (0 = paper's 600s, or 3s with -quick)")
-		quick        = flag.Bool("quick", false, "small datasets and instance counts")
-		nodes        = flag.Int("nodes", 0, "simulated cluster size (0 = 10)")
-		seed         = flag.Int64("seed", 1, "generator seed")
-		parallel     = flag.Int("parallelism", 0, "optimizer and engine worker goroutines (0 = all cores, 1 = sequential)")
-		csvDir       = flag.String("csv", "", "also write plot-ready CSV files into this directory (figures only)")
-		engineJSON   = flag.String("enginejson", "BENCH_engine.json", "engine profile output path (empty = no file)")
-		pcJSON       = flag.String("plancachejson", "BENCH_plancache.json", "plan cache profile output path (empty = no file)")
-		obsJSON      = flag.String("obsjson", "BENCH_obsoverhead.json", "observability overhead output path (empty = no file)")
-		overloadJSON = flag.String("overloadjson", "BENCH_overload.json", "overload experiment output path (empty = no file)")
-		factJSON     = flag.String("factorizedjson", "BENCH_factorized.json", "factorized-execution profile output path (empty = no file)")
-		adaptJSON    = flag.String("adaptivejson", "BENCH_adaptive.json", "adaptive-repartitioning profile output path (empty = no file)")
-		ingestJSON   = flag.String("ingestjson", "BENCH_ingest.json", "serving-under-ingest profile output path (empty = no file)")
-		servingJSON  = flag.String("servingjson", "BENCH_serving.json", "HTTP serving profile output path (empty = no file)")
-		failJSON     = flag.String("failoverjson", "BENCH_failover.json", "node-failover experiment output path (empty = no file)")
-		metrics      = flag.Bool("metrics", false, "append a metrics snapshot to serving-path experiments")
+		experiment = flag.String("experiment", "all", "table3|table4|table5|table6|table7|fig6|fig7|fig8|fig7and8|ablation|costcheck|qerror|all (= all of those), or obsoverhead|overload|adaptive|failover")
+		timeout    = flag.Duration("timeout", 0, "per-run optimization cap (0 = paper's 600s, or 3s with -quick)")
+		quick      = flag.Bool("quick", false, "small datasets and instance counts")
+		nodes      = flag.Int("nodes", 0, "simulated cluster size (0 = 10)")
+		seed       = flag.Int64("seed", 1, "generator seed")
+		parallel   = flag.Int("parallelism", 0, "optimizer and engine worker goroutines (0 = all cores, 1 = sequential)")
+		csvDir     = flag.String("csv", "", "also write plot-ready CSV files into this directory (figures only)")
 	)
 	flag.Parse()
 
@@ -108,33 +100,7 @@ func main() {
 		Seed:        *seed,
 		CSVDir:      *csvDir,
 		Parallelism: *parallel,
-		Metrics:     *metrics,
 	}
-
-	experiments := map[string]func(bench.Config) error{
-		"table3":      bench.Table3,
-		"table4":      bench.Table4,
-		"table5":      bench.Table5,
-		"table6":      bench.Table6,
-		"table7":      bench.Table7,
-		"fig6":        bench.Fig6,
-		"fig7":        bench.Fig7,
-		"fig8":        bench.Fig8,
-		"fig7and8":    bench.Fig7And8,
-		"ablation":    bench.Ablation,
-		"costcheck":   bench.CostModelCheck,
-		"qerror":      bench.QError,
-		"engine":      func(cfg bench.Config) error { return bench.EngineBench(cfg, *engineJSON) },
-		"plancache":   func(cfg bench.Config) error { return bench.PlanCacheBench(cfg, *pcJSON) },
-		"obsoverhead": func(cfg bench.Config) error { return bench.ObsOverheadBench(cfg, *obsJSON) },
-		"overload":    func(cfg bench.Config) error { return bench.OverloadBench(cfg, *overloadJSON) },
-		"factorized":  func(cfg bench.Config) error { return bench.FactorizedBench(cfg, *factJSON) },
-		"adaptive":    func(cfg bench.Config) error { return bench.AdaptiveBench(cfg, *adaptJSON) },
-		"ingest":      func(cfg bench.Config) error { return bench.IngestBench(cfg, *ingestJSON) },
-		"serving":     func(cfg bench.Config) error { return bench.ServingBench(cfg, *servingJSON) },
-		"failover":    func(cfg bench.Config) error { return bench.FailoverBench(cfg, *failJSON) },
-	}
-	order := []string{"table3", "table4", "table5", "table6", "table7", "fig6", "fig7and8", "ablation", "costcheck", "qerror", "engine", "plancache", "obsoverhead", "overload", "factorized", "adaptive", "ingest", "serving", "failover"}
 
 	run := func(name string) {
 		start := time.Now()
@@ -147,7 +113,7 @@ func main() {
 	}
 
 	if *experiment == "all" {
-		for _, name := range order {
+		for _, name := range paper {
 			run(name)
 		}
 		return

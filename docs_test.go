@@ -1,0 +1,133 @@
+package sparqlopt_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestDocsNameOnlyWhatExists keeps the prose from outliving the code:
+// every `-experiment <name>`, BENCH_*.json artifact and root With…
+// option that README.md, DESIGN.md, EXPERIMENTS.md or benchrunner's
+// usage comment names must exist in the tree — the experiment in
+// benchrunner's table, the artifact checked in at the repo root, the
+// option declared in the root package. The usage comment must also
+// list every experiment the table holds.
+func TestDocsNameOnlyWhatExists(t *testing.T) {
+	const runner = "cmd/benchrunner/main.go"
+	fset := token.NewFileSet()
+	main, err := parser.ParseFile(fset, runner, nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	experiments := map[string]bool{"all": true}
+	ast.Inspect(main, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "experiments" || len(vs.Values) != 1 {
+			return true
+		}
+		for _, el := range vs.Values[0].(*ast.CompositeLit).Elts {
+			name, err := strconv.Unquote(el.(*ast.KeyValueExpr).Key.(*ast.BasicLit).Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			experiments[name] = true
+		}
+		return false
+	})
+	if len(experiments) < 2 {
+		t.Fatalf("found no experiments table in %s", runner)
+	}
+
+	options := map[string]bool{}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "With") {
+				options[fd.Name.Name] = true
+			}
+		}
+	}
+	if len(options) == 0 {
+		t.Fatal("found no With… options in the root package")
+	}
+
+	var (
+		// "-experiment x" or "-experiment a|b|c"; the leading class keeps
+		// "per-experiment index" out.
+		experimentRE = regexp.MustCompile(`(?:^|[^\w-])-experiment[ =]([a-z0-9|]+)`)
+		artifactRE   = regexp.MustCompile(`BENCH_\w+\.json`)
+		// A With… name, bare or qualified; only bare and sparqlopt.-
+		// qualified ones are claims about the root package.
+		optionRE = regexp.MustCompile(`(\w+\.)?\b(With[A-Z]\w*)`)
+	)
+	usage := main.Doc.Text()
+	docs := map[string]string{runner: usage}
+	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[name] = string(data)
+	}
+	for name, text := range docs {
+		for _, line := range strings.Split(text, "\n") {
+			for _, m := range experimentRE.FindAllStringSubmatch(line, -1) {
+				for _, exp := range strings.Split(m[1], "|") {
+					if !experiments[exp] {
+						t.Errorf("%s names -experiment %s, which benchrunner does not have", name, exp)
+					}
+				}
+			}
+			for _, artifact := range artifactRE.FindAllString(line, -1) {
+				if _, err := os.Stat(artifact); err != nil {
+					t.Errorf("%s names %s, which is not checked in", name, artifact)
+				}
+			}
+			for _, m := range optionRE.FindAllStringSubmatch(line, -1) {
+				if (m[1] == "" || m[1] == "sparqlopt.") && !options[m[2]] {
+					t.Errorf("%s names option %s, which the root package does not declare", name, m[2])
+				}
+			}
+		}
+	}
+
+	// The usage comment lists experiments as "a | b | c" rows.
+	listed := map[string]bool{}
+	for _, line := range strings.Split(usage, "\n") {
+		if !strings.Contains(line, " | ") {
+			continue
+		}
+		for _, exp := range strings.Split(line, "|") {
+			if exp = strings.TrimSpace(exp); exp != "" {
+				listed[exp] = true
+			}
+		}
+	}
+	for exp := range listed {
+		if !experiments[exp] {
+			t.Errorf("%s usage lists experiment %q, which benchrunner does not have", runner, exp)
+		}
+	}
+	for exp := range experiments {
+		if !listed[exp] {
+			t.Errorf("%s usage does not list experiment %q", runner, exp)
+		}
+	}
+}

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"text/tabwriter"
@@ -96,9 +94,8 @@ type adaptiveReport struct {
 // and replication cost of the migrations, plus the cold-query
 // regression guard. Every run on both systems is verified bit-identical
 // to the single-node reference, including the runs racing the
-// migration. Writes BENCH_adaptive.json to jsonPath (skipped when
-// empty).
-func AdaptiveBench(cfg Config, jsonPath string) error {
+// migration. A full-scale run writes BENCH_adaptive.json.
+func AdaptiveBench(cfg Config) error {
 	unis := 5
 	rounds := 24
 	// Cold queries finish in ~1 ms, where scheduler jitter alone is
@@ -337,18 +334,7 @@ func AdaptiveBench(cfg Config, jsonPath string) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.out(), "wrote %d records to %s\n", len(report.Records), jsonPath)
-	return nil
+	return cfg.writeReport("adaptive", report)
 }
 
 // sameRowMatrix compares serving-path results bit for bit.

@@ -13,6 +13,7 @@ package bench
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -53,9 +54,6 @@ type Config struct {
 	// cost and execute to identical results and metrics, so it only
 	// changes wall time, never table contents.
 	Parallelism int
-	// Metrics makes the serving-path experiments (engine, plancache,
-	// obsoverhead) append a Prometheus metrics snapshot to Out.
-	Metrics bool
 }
 
 // csvFile opens a CSV output file, or returns nil when CSVDir is
@@ -154,6 +152,25 @@ func (c Config) meta() Meta {
 		eng = "factorized"
 	}
 	return Meta{Quick: c.Quick, Nodes: c.nodes(), Seed: c.seed(), Parallelism: c.Parallelism, Engine: eng}
+}
+
+// writeReport saves a full-scale run's report as BENCH_<experiment>.json
+// in the working directory — the checked-in artifacts are regenerated
+// from the repo root. Quick runs are smoke passes and write nothing.
+func (c Config) writeReport(experiment string, report any) error {
+	if c.Quick {
+		return nil
+	}
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	path := "BENCH_" + experiment + ".json"
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(c.out(), "wrote %s\n", path)
+	return nil
 }
 
 // Optimizer names one algorithm under test.

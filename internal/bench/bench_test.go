@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -210,6 +209,11 @@ func TestTable5Quick(t *testing.T) {
 func TestAblation(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := quickCfg(&buf)
+	// The ablation's cases are the same at every scale, so the cap is
+	// only a guard: star-10 under unpruned TD-CMD takes ~0.3 s natively
+	// but ~3.5 s under the race detector on two cores, over the quick
+	// cap, and a timed-out row prints N/A instead of the ratio.
+	cfg.Timeout = 30 * time.Second
 	if err := Ablation(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -290,58 +294,5 @@ func TestFigCSVOutput(t *testing.T) {
 		if !strings.Contains(string(data), "TD-CMD") && !strings.Contains(string(data), "ratio") {
 			t.Errorf("%s has no header:\n%s", name, data)
 		}
-	}
-}
-
-func TestPlanCacheBenchQuick(t *testing.T) {
-	var buf bytes.Buffer
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_plancache.json")
-	if err := PlanCacheBench(quickCfg(&buf), jsonPath); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		HitRatio        float64 `json:"hit_ratio"`
-		Misses          int64   `json:"misses"`
-		MeanPlanSpeedup float64 `json:"mean_plan_speedup"`
-		Records         []struct {
-			Query          string `json:"query"`
-			IdenticalRows  bool   `json:"identical_rows"`
-			WarmEnumerated int64  `json:"warm_enumerated_joins"`
-			Error          string `json:"error"`
-		} `json:"records"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Records) != 10 {
-		t.Fatalf("%d records, want the 10 LUBM queries", len(report.Records))
-	}
-	for _, r := range report.Records {
-		if r.Error != "" {
-			t.Fatalf("%s errored: %s", r.Query, r.Error)
-		}
-		if !r.IdenticalRows {
-			t.Errorf("%s: warm rows differ from the uncached run", r.Query)
-		}
-		if r.WarmEnumerated != 0 {
-			t.Errorf("%s: warm runs enumerated %d joins, want 0", r.Query, r.WarmEnumerated)
-		}
-	}
-	if report.Misses != 10 {
-		t.Errorf("%d misses, want one per query", report.Misses)
-	}
-	if report.HitRatio < 0.9 {
-		t.Errorf("hit ratio %.3f, want >= 0.9", report.HitRatio)
-	}
-	// The acceptance bar: serving a repeated shape from the cache must
-	// beat re-optimizing it by at least 5x even at quick scale. The
-	// quick margin is typically two orders of magnitude, so this
-	// threshold has plenty of headroom against noisy machines.
-	if report.MeanPlanSpeedup < 5 {
-		t.Errorf("mean plan speedup %.1fx, want >= 5x", report.MeanPlanSpeedup)
 	}
 }

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"text/tabwriter"
 	"time"
@@ -77,9 +75,9 @@ var failoverQueries = []string{"L1", "L2", "L4", "L5", "L7"}
 // them, and after recovery every query succeeds with the node still
 // dead. The no-failover twin runs the same kill phase and shows the
 // raw failure mode: typed fast failures on every affected query, no
-// replica serving, no recovery. Results land in jsonPath (skipped when
-// empty).
-func FailoverBench(cfg Config, jsonPath string) error {
+// replica serving, no recovery. A full-scale run writes
+// BENCH_failover.json.
+func FailoverBench(cfg Config) error {
 	ds := lubm.Generate(lubm.Config{Universities: 2, Seed: cfg.seed(), Compact: true})
 	rounds := 20
 	if cfg.Quick {
@@ -165,18 +163,7 @@ func FailoverBench(cfg Config, jsonPath string) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.out(), "wrote %d records to %s\n", len(report.Records), jsonPath)
-	return nil
+	return cfg.writeReport("failover", report)
 }
 
 // failoverPhase serves rounds of the workload against sys, every run

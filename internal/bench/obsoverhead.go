@@ -2,9 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"text/tabwriter"
 	"time"
 
@@ -47,10 +45,19 @@ type obsOverheadReport struct {
 // ObsOverheadBench serves LUBM L1–L10 through two Systems over the same
 // dataset — one opened plain, one with WithObservability plus a
 // keep-everything slow-query log — and reports per-query minimum
-// latencies and the enabled-vs-disabled overhead to jsonPath (skipped
-// when empty). Rounds interleave the two systems so drift hits both
-// equally.
-func ObsOverheadBench(cfg Config, jsonPath string) error {
+// latencies and the enabled-vs-disabled overhead (a full-scale run
+// writes BENCH_obsoverhead.json).
+func ObsOverheadBench(cfg Config) error {
+	report, err := obsOverhead(cfg)
+	if err != nil {
+		return err
+	}
+	return cfg.writeReport("obsoverhead", report)
+}
+
+// obsOverhead is the measurement behind ObsOverheadBench. Rounds
+// interleave the two systems so drift hits both equally.
+func obsOverhead(cfg Config) (obsOverheadReport, error) {
 	ds := lubm.Generate(lubm.Config{Universities: 7, Seed: cfg.seed(), Compact: cfg.Quick})
 	open := func(observed bool) (*sparqlopt.System, error) {
 		opts := []sparqlopt.Option{
@@ -64,11 +71,11 @@ func ObsOverheadBench(cfg Config, jsonPath string) error {
 	}
 	plain, err := open(false)
 	if err != nil {
-		return err
+		return obsOverheadReport{}, err
 	}
 	observed, err := open(true)
 	if err != nil {
-		return err
+		return obsOverheadReport{}, err
 	}
 	rounds := 7
 	if cfg.Quick {
@@ -81,7 +88,7 @@ func ObsOverheadBench(cfg Config, jsonPath string) error {
 	for _, name := range lubm.QueryNames {
 		rec, err := obsOverheadOne(cfg, plain, observed, name, rounds)
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return obsOverheadReport{}, fmt.Errorf("%s: %w", name, err)
 		}
 		report.Records = append(report.Records, rec)
 		if rec.Error != "" {
@@ -98,27 +105,7 @@ func ObsOverheadBench(cfg Config, jsonPath string) error {
 	}
 	fmt.Fprintf(w, "total %.3gs disabled, %.3gs enabled (%+.1f%%)\n",
 		report.TotalDisabledSeconds, report.TotalEnabledSeconds, report.TotalOverhead*100)
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if cfg.Metrics {
-		fmt.Fprintln(cfg.out(), "\nmetrics snapshot (enabled system):")
-		if err := observed.WriteMetrics(cfg.out()); err != nil {
-			return err
-		}
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.out(), "wrote %d records to %s\n", len(report.Records), jsonPath)
-	return nil
+	return report, w.Flush()
 }
 
 // obsOverheadOne measures one query on both systems, interleaved, and

@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"sparqlopt/internal/race"
@@ -24,21 +21,13 @@ func TestObsOverheadDisabledPathBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation distorts the timing comparison")
 	}
-	path := filepath.Join(t.TempDir(), "obsoverhead.json")
 	cfg := Config{Out: io.Discard, Quick: true, Nodes: 4, Seed: 1}
 	const attempts = 5
 	var report obsOverheadReport
 	for i := 0; i < attempts; i++ {
-		if err := ObsOverheadBench(cfg, path); err != nil {
+		var err error
+		if report, err = obsOverhead(cfg); err != nil {
 			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		report = obsOverheadReport{}
-		if err := json.Unmarshal(data, &report); err != nil {
-			t.Fatalf("attempt %d: report not parseable: %v", i, err)
 		}
 		if len(report.Records) == 0 || report.TotalDisabledSeconds <= 0 {
 			t.Fatalf("attempt %d: empty report: %+v", i, report)

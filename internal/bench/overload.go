@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"text/tabwriter"
@@ -63,13 +61,13 @@ var overloadQueries = []string{"L1", "L2", "L4", "L5", "L7"}
 
 // OverloadBench drives closed-loop client fleets at 1x..8x of serving
 // capacity against a gated system (admission control + per-query
-// memory budget) and an ungated one, and writes throughput and latency
-// percentiles per level to jsonPath (skipped when empty). The point of
-// the artifact: under admission control the p99 of served queries
-// stays flat as offered load grows (excess is rejected fast, with a
-// typed error and a retry-after hint), while the ungated system's tail
-// latency degrades with every extra concurrent query.
-func OverloadBench(cfg Config, jsonPath string) error {
+// memory budget) and an ungated one, and reports throughput and latency
+// percentiles per level (a full-scale run writes BENCH_overload.json).
+// The point of the artifact: under admission control the p99 of served
+// queries stays flat as offered load grows (excess is rejected fast,
+// with a typed error and a retry-after hint), while the ungated
+// system's tail latency degrades with every extra concurrent query.
+func OverloadBench(cfg Config) error {
 	ds := lubm.Generate(lubm.Config{Universities: 2, Seed: cfg.seed(), Compact: true})
 	capacity := 2
 	perQueryBudget := int64(1 << 28) // 256 MiB: roomy, trips only on runaways
@@ -133,18 +131,7 @@ func OverloadBench(cfg Config, jsonPath string) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.out(), "wrote %d records to %s\n", len(report.Records), jsonPath)
-	return nil
+	return cfg.writeReport("overload", report)
 }
 
 // overloadLevel runs one closed-loop level: clients goroutines, each

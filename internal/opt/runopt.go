@@ -21,10 +21,6 @@ type RunSettings struct {
 	// TraceSink, when non-nil, enables lifecycle tracing for the call;
 	// the completed trace is handed to the sink before the call returns.
 	TraceSink func(*obs.Trace)
-	// OptTimeout, when positive, bounds plan optimization alone (not
-	// execution). A timeout here is degradable: the serving path falls
-	// down its ladder to a cheaper algorithm instead of failing.
-	OptTimeout time.Duration
 	// Limit, when positive, caps the number of result rows one call
 	// returns: the stream ends after Limit rows and enumeration stops.
 	// The cap applies to the engine's deterministic emission order,

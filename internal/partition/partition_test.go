@@ -267,44 +267,6 @@ func TestGreedyEdgeCutBalance(t *testing.T) {
 	}
 }
 
-func TestWithHotQueries(t *testing.T) {
-	q := sparql.MustParse(fig1)
-	g := querygraph.NewGraph(q)
-	base := HashSO{}
-	// Hot query covering tp1, tp2, tp3, tp4 (so the whole chain
-	// through ?a and ?e becomes local).
-	hot := sparql.MustParse(`SELECT * WHERE {
-		?b <p1> ?a .
-		?c <p2> ?a .
-		?a <p3> ?e .
-		?e <p4> ?g .
-	}`)
-	m := WithHotQueries(base, []*sparql.Query{hot})
-	if m.Name() != "Hash-SO+hot" {
-		t.Errorf("Name = %q", m.Name())
-	}
-	c := NewLocalChecker(m, g)
-	// {tp3, tp4} share only ?e; base hash makes it local anyway, but
-	// {tp1, tp3, tp4} (indexes 0,2,3) is NOT local under plain hash...
-	base2 := NewLocalChecker(base, g)
-	if base2.IsLocal(bitset.Of(0, 2, 3)) {
-		t.Fatal("test premise wrong: {tp1,tp3,tp4} local under plain hash")
-	}
-	// ...but local with the hot query installed.
-	if !c.IsLocal(bitset.Of(0, 2, 3)) {
-		t.Error("{tp1,tp3,tp4} should be local with hot query")
-	}
-	// Patterns outside the hot query stay non-local.
-	if c.IsLocal(bitset.Full(7)) {
-		t.Error("full query should remain non-local")
-	}
-	// Partition delegates to the base method.
-	ds := chainDataset()
-	if _, err := m.Partition(ds, 2); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestTwoHopForwardCombineQuery(t *testing.T) {
 	g := fig1Graph(t)
 	b, _ := g.VertexOf(sparql.V("b"))

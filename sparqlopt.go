@@ -252,15 +252,13 @@ func AlgorithmByName(name string) (Algorithm, bool) {
 //     Open: data placement (WithMethod, WithNodes), execution shape
 //     (WithParallelism, WithFactorization, WithCostParams), serving
 //     infrastructure (WithPlanCache, WithExecutionSharing,
-//     WithAdmissionControl, WithMemoryBudget, WithAdaptivePartitioning,
-//     WithScopedInvalidation) and observability (WithObservability,
-//     WithWriteFaultInjection).
+//     WithAdmissionControl, WithMemoryBudget, WithAdaptivePartitioning)
+//     and observability (WithObservability, WithWriteFaultInjection).
 //
 //   - RunOption configures one serving call and is passed to Run,
 //     RunStream, Optimize and friends: WithAlgorithm (or a bare
 //     Algorithm value — both CLIs accept the same names), WithLimit,
-//     WithDeadline, WithOptimizerTimeout, WithTraceSink,
-//     WithFaultInjection.
+//     WithDeadline, WithTraceSink, WithFaultInjection.
 //
 //   - ObsOption configures the observability layer inside
 //     WithObservability: WithSlowQueryLog.
@@ -287,15 +285,6 @@ func WithDeadline(d time.Duration) RunOption {
 // Tracing works with or without WithObservability.
 func WithTraceSink(sink func(*Trace)) RunOption {
 	return opt.RunOptionFunc(func(s *opt.RunSettings) { s.TraceSink = sink })
-}
-
-// WithOptimizerTimeout bounds plan optimization alone (statistics and
-// enumeration), not execution. Unlike WithDeadline, expiry here is
-// degradable: the serving path retries down its fallback ladder
-// (TD-CMDP, then the greedy baseline) instead of failing the query,
-// and ExecResult.Degraded records what happened.
-func WithOptimizerTimeout(d time.Duration) RunOption {
-	return opt.RunOptionFunc(func(s *opt.RunSettings) { s.OptTimeout = d })
 }
 
 // WithFaultInjection arms deterministic fault injection for one call —
@@ -376,7 +365,6 @@ type openConfig struct {
 	execSharing   bool
 	obs           *obsConfig
 	adaptive      *AdaptiveConfig
-	scopedOff     bool
 	writeFaults   *FaultSet
 	failover      *NodeFailoverConfig
 }
@@ -474,17 +462,6 @@ func WithMemoryBudget(perQuery, total int64) Option {
 		c.memTotal = total
 	}
 }
-
-// WithScopedInvalidation controls predicate-scoped plan-cache
-// invalidation (default on). When on, a committed write invalidates
-// only the cached plans and statistics whose predicate sets intersect
-// the predicates the write touched; shapes over disjoint predicates
-// keep serving their cached plans without re-optimizing. Off restores
-// the epoch-wide behavior: any write invalidates every cached shape.
-// The knob exists for A/B benchmarks (the ingest experiment) and as an
-// escape hatch; scoped invalidation never serves a stale plan for a
-// touched predicate.
-func WithScopedInvalidation(on bool) Option { return func(c *openConfig) { c.scopedOff = !on } }
 
 // WithWriteFaultInjection arms deterministic fault injection on the
 // write-apply path: the hook that folds each committed write into the
@@ -645,7 +622,7 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 		tracker:     stats.NewTracker(snap),
 		writeFaults: cfg.writeFaults,
 	}
-	if s.cache != nil && !cfg.scopedOff {
+	if s.cache != nil {
 		s.cache.SetInvalidation(ds.Dict.Lookup, ds.ChangedBetween)
 	}
 	// Every committed write is folded into the serving snapshot —
@@ -862,8 +839,7 @@ func (s *System) OptimizeQuery(ctx context.Context, q *Query, opts ...RunOption)
 }
 
 // optimizeTraced is the uncached optimization path: collect statistics
-// and enumerate, each under its own trace phase. The enumeration alone
-// runs under set.OptTimeout when one is configured; memo growth charges
+// and enumerate, each under its own trace phase. Memo growth charges
 // against g. Statistics are collected over the pinned snapshot snap,
 // so concurrent ingest cannot shift the numbers mid-optimization.
 func (s *System) optimizeTraced(ctx context.Context, q *Query, algo Algorithm, set opt.RunSettings, g *resilience.Gauge, tr *obs.Trace, snap *engine.Snap) (*OptimizeResult, error) {
@@ -878,9 +854,7 @@ func (s *System) optimizeTraced(ctx context.Context, q *Query, algo Algorithm, s
 		return nil, err
 	}
 	sp = tr.Span("enumerate")
-	octx, ocancel := withDeadline(ctx, set.OptTimeout)
-	res, err := opt.Optimize(octx, in, algo)
-	ocancel()
+	res, err := opt.Optimize(ctx, in, algo)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -1279,15 +1253,13 @@ func (s *System) Close() {
 // degradable reports whether a planning failure is worth retrying with
 // a cheaper algorithm: the call itself is still alive (its context has
 // not expired) and the failure is one the ladder can help with — a
-// memory-budget trip, an optimizer-only timeout (WithOptimizerTimeout)
-// or a recovered enumeration panic.
+// memory-budget trip or a recovered enumeration panic.
 func degradable(ctx context.Context, err error) bool {
 	if ctx.Err() != nil {
 		return false
 	}
 	var pe *resilience.PanicError
 	return errors.Is(err, resilience.ErrBudgetExceeded) ||
-		errors.Is(err, context.DeadlineExceeded) ||
 		errors.As(err, &pe)
 }
 
@@ -1361,9 +1333,7 @@ func (s *System) plan(ctx context.Context, q *Query, set opt.RunSettings, g *res
 			if err != nil {
 				return nil, err
 			}
-			octx, ocancel := withDeadline(ctx, set.OptTimeout)
-			defer ocancel()
-			return opt.Optimize(octx, in, set.Algorithm)
+			return opt.Optimize(ctx, in, set.Algorithm)
 		}, tr)
 	if err != nil {
 		return nil, engine.CacheInfo{}, err
