@@ -100,12 +100,15 @@ serve-smoke:
 	$(GO) test -race -count=1 ./internal/httpd
 	$(GO) test -race -run TestServeSmoke -count=2 ./internal/httpd
 
-# Short fuzzing passes over the parser and the plan-cache
-# fingerprinter, seeded from the checked-in corpora. 5 s each: enough
-# to replay the corpus and mutate a little, fast enough for the gate.
+# Short fuzzing passes over the parser, the plan-cache fingerprinter
+# and the result encoder (held to encoding/json byte for byte), seeded
+# from the checked-in corpora and the tests' own seeds. 5 s each:
+# enough to replay the corpus and mutate a little, fast enough for the
+# gate.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=5s ./internal/sparql
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalize$$' -fuzztime=5s ./internal/querygraph
+	$(GO) test -run='^$$' -fuzz='^FuzzEncodeTerm$$' -fuzztime=5s ./internal/httpd
 
 # The paper reproduction at full scale: Tables III–VII, Figs. 6–8, the
 # pruning-rule ablation and the two cost-model checks, under the

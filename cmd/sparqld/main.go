@@ -40,8 +40,6 @@
 //	            and with -adaptive sustained failure triggers recovery
 //	            re-replication
 //	-debug      expose /debug/slowlog and /debug/trace
-//	-materialize  serve through Run instead of RunStream (the A/B
-//	            comparator used by the serving benchmark)
 //
 // Endpoints: /sparql (protocol), /metrics, /healthz, and with -debug
 // /debug/slowlog and /debug/trace. SIGINT/SIGTERM drain in-flight
@@ -91,7 +89,6 @@ func main() {
 		failover     = flag.Bool("failover", false, "enable node health tracking and replica failover")
 		decay        = flag.Int("decay-half-life", 0, "advisor accumulator half-life in observed queries (with -adaptive)")
 		debug        = flag.Bool("debug", false, "expose /debug/slowlog and /debug/trace")
-		materialize  = flag.Bool("materialize", false, "serve through Run instead of RunStream")
 	)
 	flag.Parse()
 	if err := run(serveConfig{
@@ -101,7 +98,7 @@ func main() {
 		maxConcurrent: *maxConc, maxQueued: *maxQueued, memBudget: *memBudget,
 		timeout: *timeout, maxTimeout: *maxTimeout, limit: *limit, maxLimit: *maxLimit,
 		slowlog: *slowlog, adaptive: *adaptive, decayHalfLife: *decay,
-		failover: *failover, debug: *debug, materialize: *materialize,
+		failover: *failover, debug: *debug,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "sparqld:", err)
 		os.Exit(1)
@@ -122,7 +119,7 @@ type serveConfig struct {
 	adaptive                            bool
 	decayHalfLife                       int
 	failover                            bool
-	debug, materialize                  bool
+	debug                               bool
 }
 
 func run(cfg serveConfig) error {
@@ -186,7 +183,6 @@ func run(cfg serveConfig) error {
 		MaxLimit:         cfg.maxLimit,
 		DefaultAlgorithm: &algo,
 		Debug:            cfg.debug,
-		Materialize:      cfg.materialize,
 	})
 	srv := &http.Server{Addr: cfg.addr, Handler: handler}
 

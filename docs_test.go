@@ -18,7 +18,9 @@ import (
 // usage comment names must exist in the tree — the experiment in
 // benchrunner's table, the artifact checked in at the repo root, the
 // option declared in the root package. The usage comment must also
-// list every experiment the table holds.
+// list every experiment the table holds. sparqld is held the same way:
+// every flag its usage comment or a `sparqld -flag …` command line in
+// the docs names must be defined, and every defined flag listed.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	const runner = "cmd/benchrunner/main.go"
 	fset := token.NewFileSet()
@@ -86,6 +88,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 		docs[name] = string(data)
 	}
+	checkDaemonFlags(t, fset, docs)
 	for name, text := range docs {
 		for _, line := range strings.Split(text, "\n") {
 			for _, m := range experimentRE.FindAllStringSubmatch(line, -1) {
@@ -128,6 +131,76 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	for exp := range experiments {
 		if !listed[exp] {
 			t.Errorf("%s usage does not list experiment %q", runner, exp)
+		}
+	}
+}
+
+// checkDaemonFlags is the sparqld half of TestDocsNameOnlyWhatExists.
+func checkDaemonFlags(t *testing.T, fset *token.FileSet, docs map[string]string) {
+	const daemon = "cmd/sparqld/main.go"
+	main, err := parser.ParseFile(fset, daemon, nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Defined: the first argument of every flag.<Type>("name", …) call.
+	defined := map[string]bool{}
+	ast.Inspect(main, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) < 2 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			name, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defined[name] = true
+		}
+		return true
+	})
+	if len(defined) == 0 {
+		t.Fatalf("found no flag definitions in %s", daemon)
+	}
+
+	// Listed: any -name at the start of a word of the usage comment
+	// (its rows and the prose under them alike).
+	listed := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?:^|[\s/(])-([a-z][a-z-]*)`).FindAllStringSubmatch(main.Doc.Text(), -1) {
+		listed[m[1]] = true
+	}
+	for name := range listed {
+		if !defined[name] {
+			t.Errorf("%s usage names -%s, which sparqld does not define", daemon, name)
+		}
+	}
+	for name := range defined {
+		if !listed[name] {
+			t.Errorf("%s usage does not list -%s", daemon, name)
+		}
+	}
+
+	// A sparqld command line in the docs: the words after the name, up
+	// to the end of the line or of the code span, continuation lines
+	// joined.
+	cmdRE := regexp.MustCompile("sparqld((?:[ \\t]+[^\\s`]+)+)")
+	for name, text := range docs {
+		for _, m := range cmdRE.FindAllStringSubmatch(strings.ReplaceAll(text, "\\\n", " "), -1) {
+			for _, word := range strings.Fields(m[1]) {
+				if len(word) < 2 || word[0] != '-' || word[1] < 'a' || word[1] > 'z' {
+					continue
+				}
+				flagName, _, _ := strings.Cut(strings.TrimRight(word[1:], ".,;:)"), "=")
+				if !defined[flagName] {
+					t.Errorf("%s names sparqld -%s, which sparqld does not define", name, flagName)
+				}
+			}
 		}
 	}
 }

@@ -8,22 +8,22 @@
 // flattens lazily, chunk by chunk, never holding more than one chunk
 // of flat rows.
 //
-// Distinctness across chunks cannot verify candidates against rows
-// that were already emitted and released, so the streaming dedup keeps
-// a 128-bit hash per distinct row (two independent 64-bit hashes)
-// instead of the materializing path's hash-plus-row-compare. With
-// 2^-128-scale pairwise collision probability the chance of ever
-// dropping a genuinely distinct row is negligible (~10^-27 for a
-// million-row result); the corpus tests compare against the exact
-// reference executor. The seen-set is charged to the query's memory
-// gauge — it is O(distinct rows) at ~1/3 the bytes of the output
-// arena it replaces, and it disappears entirely on the dedup-free
-// fast path (see dedupFree).
+// Distinctness across chunks is exact. Emitted chunks are recycled, so
+// the stream keeps its own copy of every distinct row it has emitted in
+// a rowSet — an open-addressing table of row indices over one
+// append-only TermID arena — and verifies every hash candidate against
+// the stored row, exactly as the materializing path's hash-plus-row-
+// compare does. A distinct row costs its 4·width payload bytes plus
+// 8–16 bytes of table slots (load factor ¼–½), before the slack of the
+// arena's geometric growth; the set is charged to the query's memory
+// gauge at its allocated size, and it disappears entirely on the
+// dedup-free fast path (see dedupFree).
 package engine
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"sparqlopt/internal/obs"
@@ -37,10 +37,6 @@ import (
 // amortize per-chunk overhead (gauge math, HTTP flushes), small enough
 // that a streamed query's resident output is a few tens of KB.
 const streamChunkRows = 1024
-
-// dedupEntryBytes is the reservation per streaming seen-set entry: the
-// 16-byte key plus amortized map bucket overhead.
-const dedupEntryBytes = 40
 
 // dedupChargeStep batches seen-set gauge reservations so the hot loop
 // does not hit the shared budget atomics on every insert.
@@ -201,19 +197,78 @@ func (e *factEnum) next() []rdf.TermID {
 	return nil
 }
 
-// hash128 is the streaming dedup key: hashRow's FNV-1a/splitmix64 pair
-// plus a second independent hash (different basis and multiplier, a
-// murmur-style finalizer), so a collision requires both 64-bit hashes
-// to collide on the same pair of distinct rows.
-func hash128(row []rdf.TermID) [2]uint64 {
-	h2 := uint64(0x9e3779b97f4a7c15)
-	for _, v := range row {
-		h2 = (h2 ^ uint64(v)) * 0xff51afd7ed558ccd
+// rowSet is an exact set of fixed-width rows that remembers insertion
+// order: distinct rows sit back to back in one append-only arena, and an
+// open-addressing table (linear probing, power-of-two size, load ≤ ½)
+// maps a row's hash to its index in the arena. Every probe hit is
+// verified with equalRows, so the hash affects only speed — it is a
+// constructor parameter so the tests can force every row to collide.
+type rowSet struct {
+	width int
+	hash  func([]rdf.TermID) uint64
+	arena []rdf.TermID // row i is arena[i*width : (i+1)*width]
+	slots []uint32     // 0 = empty, else row index + 1
+	n     uint32
+}
+
+// rowSetMinSlots keeps an empty set at 64 bytes, so a point read that
+// dedups a handful of rows pays for no more than that.
+const rowSetMinSlots = 16
+
+func newRowSet(width int, hash func([]rdf.TermID) uint64) *rowSet {
+	return &rowSet{width: width, hash: hash, slots: make([]uint32, rowSetMinSlots)}
+}
+
+// add inserts row unless an identical row is already present and
+// reports whether it was new.
+func (s *rowSet) add(row []rdf.TermID) bool {
+	mask := uint64(len(s.slots) - 1)
+	i := s.hash(row) & mask
+	for ; s.slots[i] != 0; i = (i + 1) & mask {
+		at := int(s.slots[i]-1) * s.width
+		if equalRows(s.arena[at:at+s.width], row) {
+			return false
+		}
 	}
-	h2 ^= h2 >> 33
-	h2 *= 0xc4ceb9fe1a85ec53
-	h2 ^= h2 >> 33
-	return [2]uint64{hashRow(row), h2}
+	if s.n == math.MaxUint32 {
+		// Slots hold a row index plus one in 32 bits. The arena of such
+		// a set is ≥16 GB, so a memory budget trips long before this.
+		panic("engine: streaming seen-set holds 2^32-1 distinct rows")
+	}
+	if need := len(s.arena) + s.width; need > cap(s.arena) {
+		// Double explicitly: append alone grows large slices by ~1.25x
+		// (see Relation.grow).
+		grown := make([]rdf.TermID, len(s.arena), max(2*cap(s.arena), 8*s.width))
+		copy(grown, s.arena)
+		s.arena = grown
+	}
+	s.arena = append(s.arena, row...)
+	s.n++
+	s.slots[i] = s.n
+	if 2*int(s.n) > len(s.slots) {
+		s.rehash(2 * len(s.slots))
+	}
+	return true
+}
+
+// rehash rebuilds the table at size slots. The stored rows are distinct
+// by construction, so re-insertion compares nothing.
+func (s *rowSet) rehash(size int) {
+	s.slots = make([]uint32, size)
+	mask := uint64(size - 1)
+	for r := uint32(0); r < s.n; r++ {
+		at := int(r) * s.width
+		i := s.hash(s.arena[at:at+s.width]) & mask
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = r + 1
+	}
+}
+
+// bytes is the set's allocated footprint: arena capacity plus table.
+func (s *rowSet) bytes() int64 {
+	return int64(cap(s.arena))*termIDBytes + int64(len(s.slots))*4
 }
 
 // dedupFree reports whether the root's gathered output is provably
@@ -262,7 +317,7 @@ type Stream struct {
 	res *Result
 	src rowEnum
 
-	seen        map[[2]uint64]struct{} // nil on the dedup-free fast path
+	seen        *rowSet // nil on the dedup-free fast path
 	seenCharged int64
 	chunk       *Relation
 	ops         int
@@ -354,7 +409,7 @@ func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Quer
 		st.res.Failovers, st.res.Degraded = env.fo.summary()
 	}
 	if !dedupFree(p, len(env.Snap.stores), vars, schema) {
-		st.seen = make(map[[2]uint64]struct{})
+		st.seen = newRowSet(len(vars), hashRow)
 	}
 	st.chunk = newRelation(vars, streamChunkRows)
 	return st, nil
@@ -410,12 +465,10 @@ func (s *Stream) NextChunk(ctx context.Context) (rows [][]rdf.TermID, err error)
 			}
 		}
 		if s.seen != nil {
-			k := hash128(row)
-			if _, dup := s.seen[k]; dup {
+			if !s.seen.add(row) {
 				continue
 			}
-			s.seen[k] = struct{}{}
-			if need := int64(len(s.seen)) * dedupEntryBytes; need-s.seenCharged >= dedupChargeStep {
+			if need := s.seen.bytes(); need-s.seenCharged >= dedupChargeStep {
 				if err := s.env.Gauge.Reserve("dedup", need-s.seenCharged); err != nil {
 					return nil, err
 				}

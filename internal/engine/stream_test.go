@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"sparqlopt/internal/opt"
@@ -192,20 +193,54 @@ func TestStreamFinishIdempotent(t *testing.T) {
 	}
 }
 
-// TestHash128Independence: the two words of the dedup hash must not be
-// derivable from each other — rows colliding in one word must split in
-// the other.
-func TestHash128Independence(t *testing.T) {
-	seen := map[[2]uint64]bool{}
-	for i := 0; i < 1000; i++ {
-		h := hash128([]rdf.TermID{rdf.TermID(i), rdf.TermID(i * 7)})
-		if h[0] == h[1] {
-			t.Fatalf("words equal for row %d", i)
+// TestRowSetExact: the seen-set's answers must not depend on its hash.
+// With the hash replaced by a constant (every row collides) and by one
+// bit, add must agree with a map[string] oracle row for row, and the
+// arena must hold the distinct rows in first-occurrence order, across
+// several table growths and row widths.
+func TestRowSetExact(t *testing.T) {
+	hashes := map[string]func([]rdf.TermID) uint64{
+		"constant": func([]rdf.TermID) uint64 { return 7 },
+		"one-bit":  func(row []rdf.TermID) uint64 { return hashRow(row) & 1 },
+		"hashRow":  hashRow,
+	}
+	for name, hash := range hashes {
+		for width := 1; width <= 12; width++ {
+			rng := rand.New(rand.NewSource(int64(width)))
+			set := newRowSet(width, hash)
+			oracle := map[string]bool{}
+			var order [][]rdf.TermID
+			row := make([]rdf.TermID, width)
+			// 600 draws from ~400 possible rows: about half the adds are
+			// duplicates and the table doubles six times from 16 slots.
+			for i := 0; i < 600; i++ {
+				k := rng.Intn(400)
+				clear(row)
+				row[k%width] = rdf.TermID(k / width)
+				key := fmt.Sprint(row)
+				if fresh := set.add(row); fresh == oracle[key] {
+					t.Fatalf("%s width %d: add(%v) = %v on draw %d, oracle says seen = %v", name, width, row, fresh, i, oracle[key])
+				}
+				if !oracle[key] {
+					oracle[key] = true
+					order = append(order, append([]rdf.TermID{}, row...))
+				}
+			}
+			if int(set.n) != len(order) || len(set.arena) != len(order)*width {
+				t.Fatalf("%s width %d: set holds %d rows (%d arena cells), oracle %d", name, width, set.n, len(set.arena), len(order))
+			}
+			for i, want := range order {
+				if got := set.arena[i*width : (i+1)*width]; !equalRows(got, want) {
+					t.Fatalf("%s width %d: arena row %d = %v, first-occurrence order wants %v", name, width, i, got, want)
+				}
+			}
+			if len(set.slots) < 2*len(order) || len(set.slots) > max(4*len(order), rowSetMinSlots) {
+				t.Fatalf("%s width %d: %d slots for %d rows, want load in [1/4, 1/2]", name, width, len(set.slots), len(order))
+			}
+			if want := int64(cap(set.arena)+len(set.slots)) * 4; set.bytes() != want {
+				t.Fatalf("%s width %d: bytes() = %d, allocated %d", name, width, set.bytes(), want)
+			}
 		}
-		if seen[h] {
-			t.Fatalf("collision at row %d", i)
-		}
-		seen[h] = true
 	}
 }
 

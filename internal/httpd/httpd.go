@@ -2,7 +2,7 @@
 // the network face of the streaming results API: responses are encoded
 // row by row straight off a RunStream cursor, so a response body can be
 // arbitrarily larger than the per-query memory budget — the resident
-// state is one engine chunk plus the encoder's buffer.
+// state is one engine chunk plus the encoder's buffer (see encode.go).
 //
 // Endpoints:
 //
@@ -36,20 +36,20 @@ package httpd
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"sparqlopt"
 )
 
 // Config tunes a Server. The zero value serves with no default or
-// maximum timeout/limit, no debug endpoints, streaming responses.
+// maximum timeout/limit and no debug endpoints.
 type Config struct {
 	// DefaultTimeout bounds requests that do not send ?timeout=; 0
 	// means no default deadline.
@@ -66,10 +66,6 @@ type Config struct {
 	DefaultAlgorithm *sparqlopt.Algorithm
 	// Debug exposes /debug/slowlog and /debug/trace.
 	Debug bool
-	// Materialize serves queries through System.Run instead of
-	// RunStream — the A/B comparator for the serving benchmark; the
-	// whole result is resident while the response is written.
-	Materialize bool
 }
 
 // Server is the SPARQL-protocol handler for one System.
@@ -132,9 +128,17 @@ const (
 	ctTSV         = "text/tab-separated-values"
 )
 
-// flushEvery is how many rows may buffer before the response is
-// flushed to the client mid-stream.
-const flushEvery = 512
+// flushBytes is how much encoded output may buffer before it is
+// written and flushed to the client mid-stream.
+const flushBytes = 32 << 10
+
+// encodeBufs recycles response buffers across requests. A buffer
+// passes flushBytes by at most one row, so only a response with a
+// pathologically long row grows one; those are dropped, not pooled.
+var encodeBufs = sync.Pool{New: func() any {
+	buf := make([]byte, 0, flushBytes+flushBytes/8)
+	return &buf
+}}
 
 // request is one decoded protocol request.
 type request struct {
@@ -147,15 +151,6 @@ type request struct {
 func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.decodeRequest(w, r)
 	if !ok {
-		return
-	}
-	if s.cfg.Materialize {
-		res, err := s.sys.Run(r.Context(), req.query, req.opts...)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		s.encodeMaterialized(w, req.enc, res)
 		return
 	}
 	rows, err := s.sys.RunStream(r.Context(), req.query, req.opts...)
@@ -276,7 +271,7 @@ func first(params map[string][]string, key string) string {
 // */* and application/* mean JSON, the protocol default.
 func negotiate(accept string) (encoder, bool) {
 	if strings.TrimSpace(accept) == "" {
-		return jsonEncoder{}, true
+		return &jsonEncoder{}, true
 	}
 	for _, part := range strings.Split(accept, ",") {
 		mt := part
@@ -285,7 +280,7 @@ func negotiate(accept string) (encoder, bool) {
 		}
 		switch strings.TrimSpace(strings.ToLower(mt)) {
 		case ctJSON, "application/json", "application/*", "*/*":
-			return jsonEncoder{}, true
+			return &jsonEncoder{}, true
 		case ctTSV, "text/*":
 			return tsvEncoder{}, true
 		}
@@ -293,36 +288,38 @@ func negotiate(accept string) (encoder, bool) {
 	return nil, false
 }
 
-// encodeStream writes the negotiated representation row by row off the
-// cursor. A failure after the first byte cannot change the status; the
-// handler aborts the connection so the client sees a truncated
-// transfer, not a silently short result.
+// encodeStream writes the negotiated representation off the cursor:
+// rows are appended to one pooled buffer that goes out in a single
+// Write each time it passes flushBytes. A failure after the first byte
+// cannot change the status; the handler aborts the connection so the
+// client sees a truncated transfer, not a silently short result.
 func (s *Server) encodeStream(w http.ResponseWriter, enc encoder, rows *sparqlopt.Rows) {
 	w.Header().Set("Content-Type", enc.contentType())
 	flusher, _ := w.(http.Flusher)
-	enc.header(w, rows.Vars())
-	n := 0
+	pooled := encodeBufs.Get().(*[]byte)
+	buf := enc.header((*pooled)[:0], rows.Vars())
+	defer func() {
+		if cap(buf) <= 2*flushBytes {
+			*pooled = buf
+			encodeBufs.Put(pooled)
+		}
+	}()
 	for rows.Next() {
-		enc.row(w, s.sys, rows.Vars(), rows.Row(), n)
-		if n++; n%flushEvery == 0 && flusher != nil {
-			flusher.Flush()
+		buf = enc.row(buf, s.sys, rows.Row())
+		if len(buf) >= flushBytes {
+			if _, err := w.Write(buf); err != nil {
+				return // the client is gone; the deferred Close abandons the stream
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+			buf = buf[:0]
 		}
 	}
 	if err := rows.Err(); err != nil {
 		panic(http.ErrAbortHandler)
 	}
-	enc.footer(w)
-}
-
-// encodeMaterialized writes an already-collected result in the same
-// representation (the Materialize comparator path).
-func (s *Server) encodeMaterialized(w http.ResponseWriter, enc encoder, res *sparqlopt.ExecResult) {
-	w.Header().Set("Content-Type", enc.contentType())
-	enc.header(w, res.Vars)
-	for i, row := range res.Rows {
-		enc.row(w, s.sys, res.Vars, row, i)
-	}
-	enc.footer(w)
+	w.Write(enc.footer(buf)) // a failed last write has nobody left to tell
 }
 
 // writeError maps a serving failure onto the protocol, pre-stream.
@@ -360,91 +357,6 @@ func writeError(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
-
-// encoder writes one result representation. Implementations stream:
-// header, then rows in arrival order, then footer.
-type encoder interface {
-	contentType() string
-	header(w io.Writer, vars []string)
-	row(w io.Writer, sys *sparqlopt.System, vars []string, row []sparqlopt.TermID, i int)
-	footer(w io.Writer)
-}
-
-// jsonEncoder emits application/sparql-results+json.
-type jsonEncoder struct{}
-
-func (jsonEncoder) contentType() string { return ctJSON }
-
-func (jsonEncoder) header(w io.Writer, vars []string) {
-	names, _ := json.Marshal(vars)
-	fmt.Fprintf(w, `{"head":{"vars":%s},"results":{"bindings":[`, names)
-}
-
-func (jsonEncoder) row(w io.Writer, sys *sparqlopt.System, vars []string, row []sparqlopt.TermID, i int) {
-	if i > 0 {
-		io.WriteString(w, ",")
-	}
-	io.WriteString(w, "{")
-	for j, id := range row {
-		if j > 0 {
-			io.WriteString(w, ",")
-		}
-		name, _ := json.Marshal(vars[j])
-		typ, value := classify(sys.Term(id))
-		val, _ := json.Marshal(value)
-		fmt.Fprintf(w, `%s:{"type":%q,"value":%s}`, name, typ, val)
-	}
-	io.WriteString(w, "}")
-}
-
-func (jsonEncoder) footer(w io.Writer) { io.WriteString(w, "]}}\n") }
-
-// classify splits a dictionary term into its SPARQL results type and
-// lexical value: quoted strings are literals, "_:"-prefixed terms are
-// blank nodes, everything else is an IRI.
-func classify(term string) (typ, value string) {
-	switch {
-	case len(term) >= 2 && term[0] == '"':
-		return "literal", strings.Trim(term, `"`)
-	case strings.HasPrefix(term, "_:"):
-		return "bnode", term[2:]
-	default:
-		return "uri", term
-	}
-}
-
-// tsvEncoder emits SPARQL 1.1 TSV: IRIs in angle brackets, literals
-// quoted, one row per line.
-type tsvEncoder struct{}
-
-func (tsvEncoder) contentType() string { return ctTSV }
-
-func (tsvEncoder) header(w io.Writer, vars []string) {
-	for i, v := range vars {
-		if i > 0 {
-			io.WriteString(w, "\t")
-		}
-		io.WriteString(w, "?"+v)
-	}
-	io.WriteString(w, "\n")
-}
-
-func (tsvEncoder) row(w io.Writer, sys *sparqlopt.System, vars []string, row []sparqlopt.TermID, i int) {
-	for j, id := range row {
-		if j > 0 {
-			io.WriteString(w, "\t")
-		}
-		term := sys.Term(id)
-		if typ, _ := classify(term); typ == "uri" {
-			fmt.Fprintf(w, "<%s>", term)
-		} else {
-			io.WriteString(w, term)
-		}
-	}
-	io.WriteString(w, "\n")
-}
-
-func (tsvEncoder) footer(io.Writer) {}
 
 // handleMetrics exposes the System's Prometheus registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -3,12 +3,14 @@ package httpd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -305,8 +307,9 @@ func TestOverload503(t *testing.T) {
 
 // TestBoundedMemoryOverHTTP is the serving face of the redesign's
 // acceptance bar: a result whose materialized form exceeds the
-// per-query budget still completes over HTTP when streamed, and the
-// same query through the materializing comparator trips 507.
+// per-query budget — Run trips on it — still completes over HTTP,
+// because the endpoint streams. A budget that trips before the first
+// byte is a 507.
 func TestBoundedMemoryOverHTTP(t *testing.T) {
 	ds := sparqlopt.NewDataset()
 	for i := 0; i < 300; i++ {
@@ -342,10 +345,65 @@ func TestBoundedMemoryOverHTTP(t *testing.T) {
 		t.Fatalf("streamed: %d, %d lines; want 200 with 90001 lines", resp.StatusCode, rowCount)
 	}
 
-	mat := newServer(t, sys, Config{Materialize: true})
-	resp2, body := get(t, mat.URL+"/sparql?query="+url.QueryEscape(src))
+	if _, err := sys.Run(context.Background(), src); !errors.Is(err, sparqlopt.ErrBudgetExceeded) {
+		t.Fatalf("Run materializing the same result: %v, want ErrBudgetExceeded", err)
+	}
+
+	// One byte of budget cannot hold even the scan under the stream.
+	tiny := newServer(t, testSystem(t, sparqlopt.WithMemoryBudget(1, 0)), Config{})
+	resp2, body := get(t, tiny.URL+"/sparql?query="+url.QueryEscape(orgQuery))
 	if resp2.StatusCode != http.StatusInsufficientStorage {
-		t.Fatalf("materializing comparator: %d %.120s, want 507", resp2.StatusCode, body)
+		t.Fatalf("budget tripped before the first byte: %d %.120s, want 507", resp2.StatusCode, body)
+	}
+}
+
+// TestCrossNodeDuplicatesOverHTTP: hash-so places every triple on its
+// subject's node and on its object's, so a scan root hands the stream
+// almost every row twice; the body must hold Reference's rows, each
+// once.
+func TestCrossNodeDuplicatesOverHTTP(t *testing.T) {
+	ds := sparqlopt.NewDataset()
+	for i := 0; i < 60; i++ {
+		for j := 0; j < 60; j++ {
+			ds.Add(fmt.Sprintf("a%d", i), "n", fmt.Sprintf("b%d", j))
+		}
+	}
+	sys, err := sparqlopt.Open(ds, sparqlopt.WithNodes(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	const src = `SELECT ?a ?b WHERE { ?a <n> ?b . }`
+	q, err := sparqlopt.ParseQuery(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := sparqlopt.Reference(ds, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, row := range ref.Rows {
+		want = append(want, "<"+sys.Term(row[0])+">\t<"+sys.Term(row[1])+">")
+	}
+	sort.Strings(want)
+
+	srv := newServer(t, sys, Config{})
+	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/sparql?query="+url.QueryEscape(src), nil)
+	req.Header.Set("Accept", ctTSV)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%d, %v", resp.StatusCode, err)
+	}
+	got := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")[1:]
+	sort.Strings(got)
+	if len(got) != len(want) || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("body holds %d rows, Reference %d", len(got), len(want))
 	}
 }
 

@@ -375,6 +375,44 @@ func TestStreamCancelMidway(t *testing.T) {
 	}
 }
 
+// TestStreamCrossNodeDuplicates: hash-so places every triple on its
+// subject's node and on its object's, so a scan root hands the stream
+// almost every row twice, from different nodes and different chunks.
+// The seen-set must drop exactly those copies: the stream equals
+// Reference.
+func TestStreamCrossNodeDuplicates(t *testing.T) {
+	ds := NewDataset()
+	for i := 0; i < 60; i++ {
+		for j := 0; j < 60; j++ {
+			ds.Add(fmt.Sprintf("a%d", i), "n", fmt.Sprintf("b%d", j))
+		}
+	}
+	sys, err := Open(ds, WithNodes(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	q, err := ParseQuery(`SELECT * WHERE { ?a <n> ?b . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Reference(ds, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := sys.RunStreamQuery(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drainSorted(t, rows)
+	if !equalRowSets(got, want.Rows) {
+		t.Fatalf("stream returned %d rows, Reference %d", len(got), len(want.Rows))
+	}
+	if flat := rows.Result().FlatRowCount(); flat < 3*int64(len(got))/2 {
+		t.Fatalf("root gathered %d rows for %d distinct; the case needs cross-node duplicates", flat, len(got))
+	}
+}
+
 // TestStreamScan: Scan decodes the current row through the dictionary.
 func TestStreamScan(t *testing.T) {
 	ds := NewDataset()
