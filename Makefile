@@ -40,8 +40,10 @@ race:
 # counters against the sequential enumerator, and parallel execution
 # results / metrics against the sequential engine; -count=2 reruns
 # them to shake out schedule-dependent flakiness. The engine's fragment-
-# read table test (TestDeterminismFragmentRead: concurrent per-node
-# reads against a brute-force oracle) rides the same run.
+# read table tests (TestDeterminismFragmentRead: concurrent per-node
+# reads in permutation order, TestDeterminismFragmentProbe: the same
+# leaves looked up by a set of bindings — both against a brute-force
+# oracle) ride the same run.
 determinism:
 	$(GO) test -run TestDeterminism -race -count=2 ./internal/opt/... ./internal/engine/...
 
@@ -72,14 +74,17 @@ chaos:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
-# One iteration of the execution benchmarks plus a quick pass of the
-# adaptive-repartitioning and node-failover experiments: catches
+# One iteration of the execution benchmarks and of the store build
+# (LUBM-10 under hash-so through engine.New, with allocations — a
+# build-time regression shows here without the spine) plus a quick pass
+# of the adaptive-repartitioning and node-failover experiments: catches
 # compile or runtime breakage in the bench harnesses without measuring
 # anything (their output shows whether every round stayed bit-identical
 # to Reference and every failure typed). Quick runs write no JSON
 # artifact.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkExecute -benchtime=1x .
+	$(GO) test -run='^$$' -bench=BenchmarkStoreBuild -benchtime=1x ./internal/engine
 	$(GO) run ./cmd/benchrunner -experiment adaptive -quick
 	$(GO) run ./cmd/benchrunner -experiment failover -quick
 

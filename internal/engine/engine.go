@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -266,7 +267,7 @@ func (s *Snap) Data() *rdf.Snapshot { return s.data }
 func (s *Snap) DeltaLen() int {
 	n := 0
 	for _, st := range s.delta {
-		n += len(st.triples)
+		n += len(st.spo)
 	}
 	return n
 }
@@ -299,13 +300,30 @@ type Engine struct {
 // see SetParallelism.
 func New(dict *rdf.Dict, placement *partition.Placement) *Engine {
 	e := &Engine{dict: dict}
-	stores := make([]*store, placement.Nodes)
-	for i, ts := range placement.Triples {
-		stores[i] = newStore(ts)
-	}
-	e.snap.Store(&Snap{stores: stores})
+	e.snap.Store(&Snap{stores: buildStores(placement.Triples)})
 	e.SetParallelism(0)
 	return e
+}
+
+// buildStores sorts every node's fragment into its store, as many at a
+// time as there are processors: the builds are independent, and sorting
+// is the whole cost of opening an engine.
+func buildStores(fragments [][]rdf.Triple) []*store {
+	stores := make([]*store, len(fragments))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(fragments)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var tmp []rdf.Triple // the worker's sort scratch, shared by its builds
+			for i := int(next.Add(1)) - 1; i < len(fragments); i = int(next.Add(1)) - 1 {
+				stores[i] = buildStore(fragments[i], &tmp)
+			}
+		}()
+	}
+	wg.Wait()
+	return stores
 }
 
 // Snapshot returns the engine's current immutable store view. The
@@ -329,8 +347,10 @@ func (e *Engine) SetData(data *rdf.Snapshot) {
 // node; see Snap), and the attached dataset snapshot becomes the
 // view's pinned data. Chunks are merged into one store once their
 // count passes maxDeltaChunks, so scan overhead stays O(1) in commit
-// count. Queries in flight keep their captured snapshot — an ingest
-// commit never blocks or tears a running query.
+// count; the merge keeps the accumulated chunk's sorted permutations
+// and merges the recent commits' into them, so its cost is linear in
+// the delta. Queries in flight keep their captured snapshot — an
+// ingest commit never blocks or tears a running query.
 func (e *Engine) ApplyIngest(delta []rdf.Triple, data *rdf.Snapshot) {
 	if len(delta) == 0 {
 		if data != nil {
@@ -341,20 +361,19 @@ func (e *Engine) ApplyIngest(delta []rdf.Triple, data *rdf.Snapshot) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	old := e.snap.Load()
-	chunk := make([]rdf.Triple, len(delta))
-	copy(chunk, delta)
 	var chunks []*store
 	if len(old.delta) >= maxDeltaChunks {
-		merged := make([]rdf.Triple, 0, old.DeltaLen()+len(chunk))
-		for _, st := range old.delta {
-			merged = append(merged, st.triples...)
+		// The first chunk is the previous merge — everything but the last
+		// few commits. Sort those together and merge the two runs.
+		recent := append([]rdf.Triple{}, delta...)
+		for _, st := range old.delta[1:] {
+			recent = append(recent, st.spo...)
 		}
-		merged = append(merged, chunk...)
-		chunks = []*store{newStore(merged)}
+		chunks = []*store{mergeStores(old.delta[0], newStore(recent))}
 	} else {
 		chunks = make([]*store, len(old.delta), len(old.delta)+1)
 		copy(chunks, old.delta)
-		chunks = append(chunks, newStore(chunk))
+		chunks = append(chunks, newStore(delta))
 	}
 	e.snap.Store(&Snap{stores: old.stores, overlays: old.overlays, align: old.align, delta: chunks, data: data})
 }
@@ -379,52 +398,35 @@ func (e *Engine) ApplyMigration(m *partition.Migration, align *partition.Alignme
 	if old.overlays != nil {
 		copy(overlays, old.overlays)
 	}
-	// Triples that arrived through ingest live in the broadcast delta,
-	// which aligned scans already read on every node; an overlay copy of
-	// one would make the aligned scan emit it twice. They are excluded
-	// from overlays on all nodes.
-	var inDelta map[rdf.Triple]struct{}
-	if len(old.delta) > 0 {
-		inDelta = make(map[rdf.Triple]struct{}, old.DeltaLen())
-		for _, st := range old.delta {
-			for _, t := range st.triples {
-				inDelta[t] = struct{}{}
-			}
-		}
-	}
 	rebuilt := 0
 	for node, adds := range m.Adds {
 		if len(adds) == 0 {
 			continue
 		}
-		var prev []rdf.Triple
+		// An add the node's base fragment or previous overlay already
+		// holds is a duplicate. So is one that arrived through ingest: it
+		// lives in the broadcast delta, which aligned scans already read
+		// on every node, and an overlay copy would make them emit it
+		// twice. The stores answer both by binary search.
+		held := append([]*store{old.stores[node]}, old.delta...)
 		if overlays[node] != nil {
-			prev = overlays[node].triples
+			held = append(held, overlays[node])
 		}
-		base := old.stores[node].triples
-		seen := make(map[rdf.Triple]struct{}, len(base)+len(prev)+len(adds))
-		for _, t := range base {
-			seen[t] = struct{}{}
-		}
-		for _, t := range prev {
-			seen[t] = struct{}{}
-		}
-		merged := make([]rdf.Triple, len(prev), len(prev)+len(adds))
-		copy(merged, prev)
+		fresh := make([]rdf.Triple, 0, len(adds))
 		for _, t := range adds {
-			if _, dup := seen[t]; dup {
-				continue
+			if !slices.ContainsFunc(held, func(st *store) bool { return st.has(t) }) {
+				fresh = append(fresh, t)
 			}
-			if inDelta != nil {
-				if _, dup := inDelta[t]; dup {
-					continue
-				}
-			}
-			seen[t] = struct{}{}
-			merged = append(merged, t)
 		}
-		overlays[node] = newStore(merged)
-		rebuilt += len(merged)
+		// Adds may repeat a triple among themselves; sorted, the copies
+		// are neighbours.
+		slices.SortFunc(fresh, permSPO.cmp)
+		added := newStore(slices.Compact(fresh))
+		if overlays[node] != nil {
+			added = mergeStores(overlays[node], added)
+		}
+		overlays[node] = added
+		rebuilt += len(added.spo)
 	}
 	e.snap.Store(&Snap{stores: old.stores, overlays: overlays, align: align, delta: old.delta, data: old.data})
 	return rebuilt
@@ -545,32 +547,45 @@ func (e *Engine) opGate(ctx context.Context, p *plan.Node, env ExecEnv) error {
 // eval executes p and returns one relation per node (the distributed
 // intermediate result of paper §II-D) plus the operator's trace. A
 // non-empty alignVar asks a Scan child of a repartition join to emit
-// its rows aligned on that join variable (see alignHints).
-func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, alignVar string) ([]*Relation, *TraceNode, error) {
+// its rows aligned on that join variable (see alignHints). lazy lets a
+// Scan child of a local or broadcast join leave its reads to the
+// parent's fold: the open leaf is returned with them, the relations of
+// the nodes not read yet are nil, and the parent settles the leaf's
+// accounting when its fold is done (see scanLeaf).
+func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, alignVar string, lazy bool) ([]*Relation, *scanLeaf, *TraceNode, error) {
 	if err := e.opGate(ctx, p, env); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	var out []*Relation
+	var leaf *scanLeaf
 	var err error
 	tr := newTrace(p)
 	start := time.Now()
 	switch p.Alg {
 	case plan.Scan:
-		out, err = e.scan(ctx, p, q, env, m, tr, alignVar)
+		if leaf, err = e.scan(ctx, p, q, env, tr, alignVar, lazy); err == nil {
+			out = leaf.rels
+			tr.recordSizes(leaf.size)
+			if !lazy {
+				leaf.settle(m)
+				leaf = nil
+			}
+		}
 	case plan.LocalJoin, plan.BroadcastJoin, plan.RepartitionJoin:
-		out, err = e.joinOp(ctx, p, q, env, m, tr, &start)
+		if out, err = e.joinOp(ctx, p, q, env, m, tr, &start); err == nil {
+			tr.record(out)
+		}
 	default:
 		err = fmt.Errorf("engine: unknown operator %v", p.Alg)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	tr.Elapsed = time.Since(start)
-	tr.record(out)
 	if e.inst != nil {
 		e.inst.recordOp(p.Alg, tr.Elapsed, tr.OutputRows)
 	}
-	return out, tr, nil
+	return out, leaf, tr, nil
 }
 
 // forEachBounded runs f(i) for i in [0, n), concurrently up to the
@@ -644,75 +659,6 @@ func (e *Engine) perNodeErr(n int, f func(node int) error) error {
 	return nil
 }
 
-// scan evaluates a Scan plan node: one fragment read per node (see
-// Snap.read) plus the broadcast delta, matched once and surfaced on
-// every node. A non-empty alignVar makes it the scan of an aligned
-// child (see alignHints): each row is emitted only on the node the
-// parent's repartition scatter would route it to, so the emitted
-// multiset is identical to scan+scatter+dedup with nothing moved.
-func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, alignVar string) ([]*Relation, error) {
-	bp := bindPattern(e.dict, q.Patterns[p.TP])
-	alignCol := -1
-	if alignVar != "" {
-		for i, v := range bp.vars {
-			if v == alignVar {
-				alignCol = i
-			}
-		}
-		if alignCol < 0 {
-			return nil, fmt.Errorf("engine: aligned-scan variable ?%s missing from tp%d", alignVar, p.TP+1)
-		}
-		tr.Aligned = true
-	}
-	snap := env.Snap
-	n := len(snap.stores)
-	out := make([]*Relation, n)
-	deltaRows, scanned, err := snap.readDelta(&bp, env.Gauge)
-	if err != nil {
-		return nil, err
-	}
-	err = e.perNodeErr(n, func(node int) error {
-		down, err := e.nodeGate(ctx, node, "scan", env)
-		if err != nil {
-			return err
-		}
-		var dead []int
-		if down {
-			dead = env.fo.deadNodes()
-		}
-		rel, count, missing := snap.read(node, &bp, alignCol, dead)
-		if missing > 0 {
-			// Any hole fails fast, typed: never a silent partial result.
-			return e.unavailable(env, "scan", missing)
-		}
-		if down {
-			env.fo.recordFailover()
-		}
-		if alignCol < 0 {
-			rel.Rows = append(rel.Rows, deltaRows...)
-		} else {
-			// Ingested triples are replicated to every node via the
-			// delta, so the align filter keeps each of them exactly on its
-			// scatter destination — the alignment guarantee holds for them
-			// without any overlay copy (ApplyMigration excludes delta
-			// triples from overlays for the same reason).
-			for _, row := range deltaRows {
-				if int(uint64(row[alignCol])%uint64(n)) == node {
-					rel.Rows = append(rel.Rows, row)
-				}
-			}
-		}
-		out[node] = rel
-		atomic.AddInt64(&scanned, count)
-		return rel.chargeTo(env.Gauge, "scan")
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.ScannedTriples += scanned
-	return out, nil
-}
-
 // alignGroup resolves the alignable (predicate, position) triple group
 // of one child of a repartition join on joinVar: the child must be a
 // Scan leaf whose pattern has a constant, known predicate (an unknown
@@ -775,10 +721,12 @@ func (e *Engine) alignHints(p *plan.Node, q *sparql.Query, env ExecEnv) []string
 // into its own Metrics; the merge happens in child order, so totals
 // are independent of the schedule. A non-empty hints[i] names the join
 // variable child i should align-scan on (see alignHints); hints may be
-// nil when no child qualifies.
-func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time, hints []string) ([][]*Relation, error) {
+// nil when no child qualifies. With lazy set, Scan children are opened
+// lazily and come back in leaves (nil entries for the other children).
+func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time, hints []string, lazy bool) ([][]*Relation, []*scanLeaf, error) {
 	n := len(p.Children)
 	children := make([][]*Relation, n)
+	leaves := make([]*scanLeaf, n)
 	traces := make([]*TraceNode, n)
 	metrics := make([]Metrics, n)
 	errs := make([]error, n)
@@ -787,13 +735,13 @@ func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query
 		if hints != nil {
 			hint = hints[i]
 		}
-		children[i], traces[i], errs[i] = e.eval(ctx, p.Children[i], q, env, &metrics[i], hint)
+		children[i], leaves[i], traces[i], errs[i] = e.eval(ctx, p.Children[i], q, env, &metrics[i], hint, lazy)
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	for i := range metrics {
@@ -801,7 +749,7 @@ func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query
 	}
 	tr.Children = append(tr.Children, traces...)
 	*start = time.Now()
-	return children, nil
+	return children, leaves, nil
 }
 
 // joinInputs evaluates p's children and performs the operator's data
@@ -812,16 +760,31 @@ func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query
 // that node's join consumes. Transfer accounting lands in m and tr
 // exactly as the flat operators always reported it, so the flat and
 // factorized execution paths are metric-identical.
-func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time) ([][]*Relation, error) {
+//
+// With lazy set (the flat path), the Scan children of a local join and
+// the Scan child a broadcast join leaves in place are opened but not
+// read: they come back in leaves, with nil relations on the nodes still
+// unread, for the fold to read or probe (see joinAll). A child that has
+// to move is read in full first, so data movement is what it always was.
+func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time, lazy bool) (foldInputs, error) {
+	var in foldInputs
 	var hints []string
 	if p.Alg == plan.RepartitionJoin {
 		hints = e.alignHints(p, q, env)
+		lazy = false
 	}
-	children, err := e.evalChildren(ctx, p, q, env, m, tr, start, hints)
+	children, leaves, err := e.evalChildren(ctx, p, q, env, m, tr, start, hints, lazy)
 	if err != nil {
-		return nil, err
+		return in, err
 	}
 	n := len(env.Snap.stores)
+	// sizes[i] is child i's cluster-wide row count, as its trace just
+	// recorded it; a lazily opened leaf knows it without having read a
+	// row.
+	sizes := make([]int64, len(children))
+	for i := range children {
+		sizes[i] = tr.Children[i].OutputRows
+	}
 	inputs := make([][]*Relation, n)
 	switch p.Alg {
 	case plan.LocalJoin:
@@ -832,14 +795,11 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 			}
 			inputs[node] = rels
 		}
+		in.leaves, in.sizes = leaves, sizes
 	case plan.BroadcastJoin:
 		// Find the largest input by total row count.
-		largest, largestSize := 0, -1
-		sizes := make([]int, len(children))
-		for i, frags := range children {
-			for _, f := range frags {
-				sizes[i] += len(f.Rows)
-			}
+		largest, largestSize := 0, int64(-1)
+		for i := range children {
 			if sizes[i] > largestSize {
 				largest, largestSize = i, sizes[i]
 			}
@@ -857,8 +817,15 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 				order = append(order, i)
 			}
 		}
+		errs := make([]error, len(children))
 		if err := e.forEachBounded(len(order), func(oi int) {
 			i := order[oi]
+			if leaves[i] != nil {
+				// A leaf that ships is needed whole.
+				if errs[i] = leaves[i].readAll(e); errs[i] != nil {
+					return
+				}
+			}
 			frags := children[i]
 			// The gather shares the fragments' row storage; no arena copy.
 			g := &Relation{Vars: frags[0].Vars, Rows: make([][]rdf.TermID, 0, sizes[i])}
@@ -870,16 +837,30 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 			gathered[i] = g
 			moved[i] = int64(len(g.Rows)) * int64(n)
 		}); err != nil {
-			return nil, err
+			return in, err
 		}
+		for _, err := range errs {
+			if err != nil {
+				return in, err
+			}
+		}
+		// The fold sees the largest input first, then the replicated ones
+		// — each present in full on every node.
 		small := make([]*Relation, 0, len(children)-1)
+		in.leaves = make([]*scanLeaf, len(children))
+		in.leaves[0] = leaves[largest]
+		in.sizes = append(make([]int64, 0, len(children)), sizes[largest])
 		for _, i := range order {
+			if leaves[i] != nil {
+				leaves[i].settle(m)
+			}
 			bytes := moved[i] * termIDBytes * int64(len(gathered[i].Vars))
 			m.TransferredRows += moved[i]
 			m.TransferredBytes += bytes
 			tr.TransferredRows += moved[i]
 			tr.TransferredBytes += bytes
 			small = append(small, gathered[i])
+			in.sizes = append(in.sizes, moved[i])
 		}
 		for node := 0; node < n; node++ {
 			rels := make([]*Relation, 0, len(children))
@@ -897,7 +878,7 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 		for i, frags := range children {
 			cols[i] = frags[0].colIndex(p.JoinVar)
 			if cols[i] < 0 {
-				return nil, fmt.Errorf("engine: repartition variable ?%s missing from input %d", p.JoinVar, i)
+				return in, fmt.Errorf("engine: repartition variable ?%s missing from input %d", p.JoinVar, i)
 			}
 		}
 		shuffled := make([][]*Relation, len(children)) // [child][node]
@@ -913,11 +894,11 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 			}
 			shuffled[i], moved[i], errs[i] = e.scatter(ctx, children[i], cols[i], env)
 		}); err != nil {
-			return nil, err
+			return in, err
 		}
 		for _, err := range errs {
 			if err != nil {
-				return nil, err
+				return in, err
 			}
 		}
 		for i := range children {
@@ -939,26 +920,48 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 			}
 			inputs[node] = rels
 		}
+		in.leaves, in.sizes = leaves, sizes
 	default:
-		return nil, fmt.Errorf("engine: unknown operator %v", p.Alg)
+		return in, fmt.Errorf("engine: unknown operator %v", p.Alg)
 	}
-	return inputs, nil
+	in.rels = inputs
+	return in, nil
+}
+
+// foldInputs is what a join operator's per-node folds consume, input by
+// input in one order on every node: rels[node] are the node's input
+// relations, nil where leaves holds the input's scan leaf and that
+// node's read has not been performed; sizes are the inputs' cluster-
+// wide row counts.
+type foldInputs struct {
+	rels   [][]*Relation
+	leaves []*scanLeaf
+	sizes  []int64
 }
 
 // joinOp runs one k-way join operator the flat way: per-node inputs
 // from joinInputs, then a hash-join fold on every node, materializing
 // each node's result as a flat row arena.
 func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time) ([]*Relation, error) {
-	inputs, err := e.joinInputs(ctx, p, q, env, m, tr, start)
+	in, err := e.joinInputs(ctx, p, q, env, m, tr, start, true)
 	if err != nil {
 		return nil, err
 	}
+	vars := make([][]string, len(in.sizes))
+	for i, r := range in.rels[0] {
+		if in.leaves[i] != nil {
+			vars[i] = in.leaves[i].bp.vars
+		} else {
+			vars[i] = r.Vars
+		}
+	}
+	order, schema := foldOrder(vars, in.sizes)
 	site := opName(p.Alg)
 	out := make([]*Relation, len(env.Snap.stores))
 	var joined int64
 	err = e.perNodeErr(len(out), func(node int) error {
 		env.Faults.PanicIf(faultinject.EnginePanic)
-		r, err := joinAll(ctx, env.Gauge, site, inputs[node])
+		r, err := joinAll(ctx, env.Gauge, site, node, in.rels[node], in.leaves, order, schema)
 		if err != nil {
 			return err
 		}
@@ -968,6 +971,12 @@ func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env 
 	})
 	if err != nil {
 		return nil, err
+	}
+	// The fold was the last reader of the leaves it was handed.
+	for _, l := range in.leaves {
+		if l != nil {
+			l.settle(m)
+		}
 	}
 	m.JoinedRows += joined
 	return out, nil
@@ -986,10 +995,11 @@ func (e *Engine) evalFactorizedRoot(ctx context.Context, p *plan.Node, q *sparql
 	}
 	tr := newTrace(p)
 	start := time.Now()
-	inputs, err := e.joinInputs(ctx, p, q, env, m, tr, &start)
+	in, err := e.joinInputs(ctx, p, q, env, m, tr, &start, false)
 	if err != nil {
 		return nil, nil, err
 	}
+	inputs := in.rels
 	site := opName(p.Alg)
 	out := make([]*FactorizedRelation, len(env.Snap.stores))
 	counts := make([]int64, len(out))
@@ -1093,7 +1103,8 @@ func Reference(ds *rdf.Dataset, q *sparql.Query) (*Result, error) {
 	var cur *Relation
 	for _, tp := range q.Patterns {
 		bp := bindPattern(snap.Dict(), tp)
-		rel, _, _ := st.match(&bp, keepAll, nil)
+		rel := &Relation{Vars: bp.vars}
+		st.match(&bp, keepAll, nil, rel, nil, seqCols(len(bp.vars)))
 		if cur == nil {
 			cur = rel
 		} else {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sparqlopt/internal/opt"
@@ -56,7 +57,15 @@ func flatRowsOf(t *testing.T, f *FactorizedRelation) [][]rdf.TermID {
 // joinFlat is the flat-path oracle: the natural join of rels, sorted.
 func joinFlat(t *testing.T, rels []*Relation) *Relation {
 	t.Helper()
-	joined, err := joinAll(context.Background(), nil, "test", rels)
+	var schema []string
+	for _, r := range rels {
+		for _, v := range r.Vars {
+			if !slices.Contains(schema, v) {
+				schema = append(schema, v)
+			}
+		}
+	}
+	joined, err := joinAll(context.Background(), nil, "test", 0, rels, nil, seqCols(len(rels)), schema)
 	if err != nil {
 		t.Fatal(err)
 	}

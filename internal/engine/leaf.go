@@ -1,0 +1,262 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"sparqlopt/internal/obs"
+	"sparqlopt/internal/plan"
+	"sparqlopt/internal/rdf"
+	"sparqlopt/internal/resilience"
+	"sparqlopt/internal/sparql"
+)
+
+// scanLeaf is one Scan operator's fragment reads, one per node. A scan
+// the engine needs in full — a root scan, a child of a repartition join
+// or of a factorized root, any node's read that must fail over — reads
+// every fragment when it is opened. A Scan child of a local or
+// broadcast join is opened lazily instead: every node is gated and the
+// exact size of its read is taken from the candidate ranges' lengths,
+// but no row is copied until the parent's fold on that node asks for
+// the relation (read) — and it may never ask, looking the rows it
+// already holds up in the index instead (probe).
+type scanLeaf struct {
+	snap  *Snap
+	bp    boundPattern
+	gauge *resilience.Gauge
+	tr    *TraceNode
+	// rels[node] is the node's fragment read; nil while not performed.
+	// Each node's fold touches only its own element.
+	rels []*Relation
+	// size[node] is the row count of the node's read, known before it is
+	// performed.
+	size []int
+
+	// The delta is matched at most once per operator, by whichever read
+	// comes first, and its rows are shared by every node's relation.
+	deltaOnce sync.Once
+	deltaRows [][]rdf.TermID
+	deltaErr  error
+
+	// scanned counts the postings touched by reads and probes alike;
+	// bindings the rows that probed, on the nodes that chose to.
+	scanned, bindings atomic.Int64
+	probed            atomic.Bool
+}
+
+// scan opens the Scan plan node p: one fragment read per node (see
+// Snap.read) plus the broadcast delta, matched once and surfaced on
+// every node. A non-empty alignVar makes it the scan of an aligned
+// child (see alignHints): each row is emitted only on the node the
+// parent's repartition scatter would route it to, so the emitted
+// multiset is identical to scan+scatter+dedup with nothing moved. With
+// lazy set, healthy nodes' reads are sized but left to the parent join
+// (see scanLeaf); a pattern that repeats a variable filters its
+// candidates, so its ranges are not its sizes and it is read at once.
+func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, alignVar string, lazy bool) (*scanLeaf, error) {
+	snap := env.Snap
+	n := len(snap.stores)
+	l := &scanLeaf{
+		snap:  snap,
+		bp:    bindPattern(e.dict, q.Patterns[p.TP]),
+		gauge: env.Gauge,
+		tr:    tr,
+		rels:  make([]*Relation, n),
+		size:  make([]int, n),
+	}
+	bp := &l.bp
+	alignCol := -1
+	if alignVar != "" {
+		for i, v := range bp.vars {
+			if v == alignVar {
+				alignCol = i
+			}
+		}
+		if alignCol < 0 {
+			return nil, fmt.Errorf("engine: aligned-scan variable ?%s missing from tp%d", alignVar, p.TP+1)
+		}
+		tr.Aligned = true
+	}
+	lazy = lazy && !bp.repeated
+	deltaLen := 0
+	if lazy {
+		for _, st := range snap.delta {
+			deltaLen += len(st.candidates(bp))
+		}
+	}
+	err := e.perNodeErr(n, func(node int) error {
+		down, err := e.nodeGate(ctx, node, "scan", env)
+		if err != nil {
+			return err
+		}
+		if lazy && !down {
+			l.size[node] = len(snap.stores[node].candidates(bp)) + deltaLen
+			return nil
+		}
+		var dead []int
+		if down {
+			dead = env.fo.deadNodes()
+		}
+		missing, err := l.readAt(node, alignCol, dead)
+		if missing > 0 {
+			// Any hole fails fast, typed: never a silent partial result.
+			return e.unavailable(env, "scan", missing)
+		}
+		if down {
+			env.fo.recordFailover()
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// readAt performs node's fragment read and surfaces the delta's rows on
+// it. A failover read that finds kept triples without a live copy
+// reports their count and leaves the node unread.
+func (l *scanLeaf) readAt(node, alignCol int, dead []int) (missing int, err error) {
+	rel, count, missing := l.snap.read(node, &l.bp, alignCol, dead)
+	if missing > 0 {
+		return missing, nil
+	}
+	l.deltaOnce.Do(func() {
+		var scanned int64
+		l.deltaRows, scanned, l.deltaErr = l.snap.readDelta(&l.bp, l.gauge)
+		l.scanned.Add(scanned)
+	})
+	if l.deltaErr != nil {
+		return 0, l.deltaErr
+	}
+	if alignCol < 0 {
+		rel.Rows = append(rel.Rows, l.deltaRows...)
+	} else {
+		// Ingested triples are replicated to every node via the delta,
+		// so the align filter keeps each of them exactly on its scatter
+		// destination — the alignment guarantee holds for them without
+		// any overlay copy (ApplyMigration excludes delta triples from
+		// overlays for the same reason).
+		n := len(l.rels)
+		for _, row := range l.deltaRows {
+			if int(uint64(row[alignCol])%uint64(n)) == node {
+				rel.Rows = append(rel.Rows, row)
+			}
+		}
+	}
+	l.rels[node] = rel
+	l.size[node] = len(rel.Rows)
+	l.scanned.Add(count)
+	return 0, rel.chargeTo(l.gauge, "scan")
+}
+
+// read returns node's fragment read, performing it now if the leaf was
+// opened lazily.
+func (l *scanLeaf) read(node int) (*Relation, error) {
+	switch {
+	case l.rels[node] != nil:
+	case l.size[node] == 0:
+		// Nothing to read, and most nodes of a point read are here.
+		l.rels[node] = &Relation{Vars: l.bp.vars}
+	default:
+		if _, err := l.readAt(node, -1, nil); err != nil {
+			return nil, err
+		}
+	}
+	return l.rels[node], nil
+}
+
+// readAll performs every read still outstanding, for a parent that
+// needs the leaf as a relation on every node after all.
+func (l *scanLeaf) readAll(e *Engine) error {
+	return e.perNodeErr(len(l.rels), func(node int) error {
+		_, err := l.read(node)
+		return err
+	})
+}
+
+// sharesVarWith reports whether r binds a variable of the pattern.
+func (l *scanLeaf) sharesVarWith(r *Relation) bool {
+	for _, v := range l.bp.vars {
+		if r.colIndex(v) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// probe joins cur with node's fragment of the leaf without reading the
+// fragment: for each row of cur the pattern's shared variables are
+// bound to the row's values and the same fragment read is issued — the
+// node's base store plus the delta chunks — now over the few postings
+// the bound pattern's range holds. The output is what hashJoin(cur,
+// the node's read) returns, up to row order: cur's columns then the
+// pattern's remaining ones. The loop polls ctx every cancelEvery rows
+// and postings.
+func (l *scanLeaf) probe(ctx context.Context, node int, cur *Relation) (*Relation, error) {
+	bp := l.bp // rebound per row; vars is shared read-only
+	sCol, pCol, oCol := -1, -1, -1
+	if bp.sVar >= 0 {
+		sCol = cur.colIndex(bp.vars[bp.sVar])
+	}
+	if bp.pVar >= 0 {
+		pCol = cur.colIndex(bp.vars[bp.pVar])
+	}
+	if bp.oVar >= 0 {
+		oCol = cur.colIndex(bp.vars[bp.oVar])
+	}
+	bp.sConst = bp.sConst || sCol >= 0
+	bp.pConst = bp.pConst || pCol >= 0
+	bp.oConst = bp.oConst || oCol >= 0
+	outVars := append([]string{}, cur.Vars...)
+	var extra []int
+	for j, v := range bp.vars {
+		if cur.colIndex(v) < 0 {
+			outVars = append(outVars, v)
+			extra = append(extra, j)
+		}
+	}
+	out := newRelation(outVars, min(len(cur.Rows), l.size[node]))
+	base := l.snap.stores[node]
+	var scanned int64
+	polled := int64(0)
+	for i, row := range cur.Rows {
+		if at := scanned + int64(i); at-polled >= cancelEvery {
+			polled = at
+			if err := obs.Canceled(ctx, "join"); err != nil {
+				return nil, err
+			}
+		}
+		if sCol >= 0 {
+			bp.s = row[sCol]
+		}
+		if pCol >= 0 {
+			bp.p = row[pCol]
+		}
+		if oCol >= 0 {
+			bp.o = row[oCol]
+		}
+		n, _ := base.match(&bp, keepAll, nil, out, row, extra)
+		scanned += n
+		for _, st := range l.snap.delta {
+			n, _ := st.match(&bp, keepAll, nil, out, row, extra)
+			scanned += n
+		}
+	}
+	l.scanned.Add(scanned)
+	l.bindings.Add(int64(len(cur.Rows)))
+	l.probed.Store(true)
+	return out, nil
+}
+
+// settle closes the leaf's accounting once nothing will read or probe
+// it any more: the postings touched land in the operator's metrics and,
+// with how the leaf was used, in its trace.
+func (l *scanLeaf) settle(m *Metrics) {
+	l.tr.Postings = l.scanned.Load()
+	l.tr.Bindings = l.bindings.Load()
+	l.tr.Probed = l.probed.Load()
+	m.ScannedTriples += l.tr.Postings
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"sparqlopt/internal/cost"
@@ -128,35 +129,51 @@ func (or *oracle) row(t rdf.Triple) []rdf.TermID {
 	return row
 }
 
-// touched is the posting count an index scan of ts charges: the
-// smallest constant position's list, or every triple with none.
-func (or *oracle) touched(ts []rdf.Triple) int64 {
-	if or.unknown {
-		return 0
-	}
-	best := int64(len(ts))
-	for _, c := range []struct {
-		isConst bool
-		hit     func(rdf.Triple) bool
-	}{
-		{or.sC, func(t rdf.Triple) bool { return t.S == or.s }},
-		{or.pC, func(t rdf.Triple) bool { return t.P == or.p }},
-		{or.oC, func(t rdf.Triple) bool { return t.O == or.o }},
-	} {
-		if !c.isConst {
-			continue
+// candidates is what an index scan of ts touches, in the order it
+// emits: the triples agreeing with every constant — a repeated variable
+// is checked after the index, not by it — sorted the way the permutation
+// serving that constant combination is (SPO unless the predicate or the
+// object leads: POS for P and PO, OSP for O and SO).
+func (or *oracle) candidates(ts []rdf.Triple) []rdf.Triple {
+	var out []rdf.Triple
+	for _, t := range ts {
+		if !or.unknown && (!or.sC || t.S == or.s) && (!or.pC || t.P == or.p) && (!or.oC || t.O == or.o) {
+			out = append(out, t)
 		}
-		var n int64
-		for _, t := range ts {
-			if c.hit(t) {
-				n++
+	}
+	key := func(t rdf.Triple) [3]rdf.TermID { return [3]rdf.TermID{t.S, t.P, t.O} }
+	switch {
+	case or.pC && !or.sC:
+		key = func(t rdf.Triple) [3]rdf.TermID { return [3]rdf.TermID{t.P, t.O, t.S} }
+	case or.oC && !or.pC:
+		key = func(t rdf.Triple) [3]rdf.TermID { return [3]rdf.TermID{t.O, t.S, t.P} }
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := key(out[i]), key(out[j])
+		for k := range a {
+			if a[k] != b[k] {
+				return a[k] < b[k]
 			}
 		}
-		if n < best {
-			best = n
-		}
+		return false
+	})
+	return out
+}
+
+// bound is the oracle of the pattern with variable v fixed to id at
+// every position it stands at — what a probe looks up for one row.
+func (or *oracle) bound(v string, id rdf.TermID) *oracle {
+	b := *or
+	if or.tp.S.IsVar() && or.tp.S.Value == v {
+		b.s, b.sC = id, true
 	}
-	return best
+	if or.tp.P.IsVar() && or.tp.P.Value == v {
+		b.p, b.pC = id, true
+	}
+	if or.tp.O.IsVar() && or.tp.O.Value == v {
+		b.o, b.oC = id, true
+	}
+	return &b
 }
 
 func contains(ts []rdf.Triple, t rdf.Triple) bool {
@@ -181,8 +198,9 @@ func (or *oracle) read(node, alignCol int, dead map[int]bool) (rows [][]rdf.Term
 		lists = append(lists, or.fx.overlay[node])
 	}
 	for _, ts := range lists {
-		scanned += or.touched(ts)
-		for _, t := range ts {
+		cands := or.candidates(ts)
+		scanned += int64(len(cands))
+		for _, t := range cands {
 			row := or.row(t)
 			if row == nil || !keep(row) {
 				continue
@@ -203,7 +221,7 @@ func (or *oracle) read(node, alignCol int, dead map[int]bool) (rows [][]rdf.Term
 		}
 	}
 	for _, ts := range or.fx.delta {
-		for _, t := range ts {
+		for _, t := range or.candidates(ts) {
 			if row := or.row(t); row != nil && keep(row) {
 				rows = append(rows, row)
 			}
@@ -280,13 +298,13 @@ func TestDeterminismFragmentRead(t *testing.T) {
 					}
 				}
 				for _, ts := range fx.delta {
-					wantScanned += or.touched(ts)
+					wantScanned += int64(len(or.candidates(ts)))
 				}
 
 				var m Metrics
 				env := ExecEnv{Snap: snap, fo: fo}
 				p := plan.NewScan(0, 1, cost.Default)
-				out, tr, err := eng.eval(context.Background(), p, q, env, &m, alignVar)
+				out, _, tr, err := eng.eval(context.Background(), p, q, env, &m, alignVar, false)
 				if wantMissing > 0 {
 					sawHole = true
 					var ue *resilience.UnavailableError
@@ -333,4 +351,155 @@ func TestDeterminismFragmentRead(t *testing.T) {
 	if !sawCovered || !sawHole {
 		t.Errorf("table degenerate: covered=%v hole=%v — the fixture no longer reaches both failover outcomes", sawCovered, sawHole)
 	}
+}
+
+// TestDeterminismFragmentProbe is the same oracle for the other way a
+// join consumes a leaf: for every pattern shape × each of its variables
+// as the bound column × {healthy, one node dead, two nodes dead}, a
+// lazily opened leaf probed with a set of bindings — every term of the
+// fixture, one of them twice — must return, per node, exactly the rows
+// a brute-force filter of the node's read keeps for those bindings
+// (overlays stay invisible, both delta chunks are seen), and count as
+// postings exactly the lengths of the ranges it looked up. A dead
+// node's fragment is not probed: its read failed over when the leaf was
+// opened, and the join falls back to it. Reading the probed leaf
+// afterwards must join to the same rows.
+func TestDeterminismFragmentProbe(t *testing.T) {
+	fx := newReadFixture()
+	snap := fx.snap()
+	n := len(fx.base)
+	eng := &Engine{dict: fx.dict, fo: &FailoverPolicy{}}
+	eng.snap.Store(snap)
+	ctx := context.Background()
+	deadSets := [][]int{nil}
+	for i := 0; i < n; i++ {
+		deadSets = append(deadSets, []int{i}, []int{i, (i + 1) % n})
+	}
+	const tag = rdf.TermID(99)
+	var sawProbe, sawFallback, sawHit bool
+	for _, src := range []string{`?s <p> ?o`, `?s <p> <e1>`, `?x <p> ?x`, `?s ?pp ?o`, `?s <p> <nowhere>`} {
+		q := sparql.MustParse(`SELECT * WHERE { ` + src + ` . }`)
+		or := newOracle(fx, q.Patterns[0])
+		for col, v := range or.vars {
+			// The rows in hand: (binding, tag), the tag proving that a
+			// probe carries the whole row through.
+			cur := &Relation{Vars: []string{v, "tag"}}
+			for id := 0; id <= fx.dict.Len(); id++ {
+				cur.appendCopy([]rdf.TermID{rdf.TermID(id % fx.dict.Len()), tag})
+			}
+			var extra []int
+			for j := range or.vars {
+				if j != col {
+					extra = append(extra, j)
+				}
+			}
+			for _, deadList := range deadSets {
+				id := fmt.Sprintf("%s/bind=%s/dead=%v", src, v, deadList)
+				dead := map[int]bool{}
+				fo := &failoverState{}
+				for _, d := range deadList {
+					dead[d] = true
+					fo.markDead(d, "scan")
+				}
+				var m Metrics
+				env := ExecEnv{Snap: snap, fo: fo}
+				_, leaf, _, err := eng.eval(ctx, plan.NewScan(0, 1, cost.Default), q, env, &m, "", true)
+				hole := false
+				for node := 0; node < n; node++ {
+					if _, _, missing := or.read(node, -1, dead); missing > 0 {
+						hole = true
+					}
+				}
+				if hole {
+					var ue *resilience.UnavailableError
+					if !errors.As(err, &ue) {
+						t.Errorf("%s: err = %v, want *UnavailableError", id, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s: %v", id, err)
+					continue
+				}
+				for node := 0; node < n; node++ {
+					rows, _, _ := or.read(node, -1, dead)
+					var want [][]rdf.TermID
+					var wantPostings int64
+					for _, crow := range cur.Rows {
+						for _, row := range rows {
+							if row[col] != crow[0] {
+								continue
+							}
+							out := append([]rdf.TermID{}, crow...)
+							for _, j := range extra {
+								out = append(out, row[j])
+							}
+							want = append(want, out)
+						}
+						b := or.bound(v, crow[0])
+						wantPostings += int64(len(b.candidates(fx.base[node])))
+						for _, ts := range fx.delta {
+							wantPostings += int64(len(b.candidates(ts)))
+						}
+					}
+					var got *Relation
+					if dead[node] {
+						sawFallback = true
+						if leaf.rels[node] == nil {
+							t.Errorf("%s: dead node %d was left unread", id, node)
+							continue
+						}
+						got, err = hashJoin(ctx, cur, leaf.rels[node])
+					} else {
+						sawProbe = true
+						before := leaf.scanned.Load()
+						got, err = leaf.probe(ctx, node, cur)
+						if postings := leaf.scanned.Load() - before; postings != wantPostings {
+							t.Errorf("%s: node %d probe touched %d postings, want %d", id, node, postings, wantPostings)
+						}
+					}
+					if err != nil {
+						t.Errorf("%s: node %d: %v", id, node, err)
+						continue
+					}
+					wantKeys := sortedKeys(&Relation{Rows: want})
+					if !reflect.DeepEqual(got.Vars, append([]string{v, "tag"}, varsAt(or.vars, extra)...)) || !reflect.DeepEqual(sortedKeys(got), wantKeys) {
+						t.Errorf("%s: node %d joined to %v %v, want %v", id, node, got.Vars, got.Rows, want)
+					}
+					sawHit = sawHit || len(want) > 0
+					if dead[node] {
+						continue
+					}
+					rel, err := leaf.read(node)
+					if err != nil {
+						t.Errorf("%s: node %d: %v", id, node, err)
+						continue
+					}
+					read, err := hashJoin(ctx, cur, rel)
+					if err != nil {
+						t.Errorf("%s: node %d: %v", id, node, err)
+						continue
+					}
+					if !reflect.DeepEqual(sortedKeys(read), wantKeys) {
+						t.Errorf("%s: node %d read joins to %v, probe to %v", id, node, read.Rows, got.Rows)
+					}
+				}
+				leaf.settle(&m)
+				if !leaf.tr.Probed || leaf.tr.Postings != m.ScannedTriples || leaf.tr.Bindings == 0 {
+					t.Errorf("%s: settled trace %+v, metrics %+v", id, leaf.tr, m)
+				}
+			}
+		}
+	}
+	if !sawProbe || !sawFallback || !sawHit {
+		t.Errorf("table degenerate: probe=%v fallback=%v hit=%v", sawProbe, sawFallback, sawHit)
+	}
+}
+
+func varsAt(vars []string, cols []int) []string {
+	var out []string
+	for _, c := range cols {
+		out = append(out, vars[c])
+	}
+	return out
 }

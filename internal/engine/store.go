@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"sparqlopt/internal/rdf"
@@ -8,29 +10,238 @@ import (
 	"sparqlopt/internal/sparql"
 )
 
-// store is one node's local triple fragment with hash indexes on each
-// position, standing in for the per-node RDF-3X instance of the
-// paper's prototype.
+// store is one node's local triple fragment held as three sorted copies
+// — the SPO, POS and OSP permutations — standing in for the per-node
+// RDF-3X instance of the paper's prototype. Every combination of
+// constant positions is a prefix of one of the three orders, so a
+// pattern's candidates are one binary-searched range with nothing left
+// to filter, and membership is one binary search.
 type store struct {
-	triples []rdf.Triple
-	byS     map[rdf.TermID][]int32
-	byP     map[rdf.TermID][]int32
-	byO     map[rdf.TermID][]int32
+	spo, pos, osp []rdf.Triple
 }
 
+// perm names a sort order by the triple component it compares first.
+type perm uint8
+
+const (
+	permSPO perm = iota
+	permPOS
+	permOSP
+)
+
+// key returns t's components in p's comparison order.
+func (p perm) key(t rdf.Triple) (a, b, c rdf.TermID) {
+	switch p {
+	case permPOS:
+		return t.P, t.O, t.S
+	case permOSP:
+		return t.O, t.S, t.P
+	}
+	return t.S, t.P, t.O
+}
+
+// prefixCmp compares the first k components of t under p with (a, b, c).
+func (p perm) prefixCmp(t rdf.Triple, k int, a, b, c rdf.TermID) int {
+	x, y, z := p.key(t)
+	switch {
+	case x != a:
+		return cmp.Compare(x, a)
+	case k == 1:
+		return 0
+	case y != b:
+		return cmp.Compare(y, b)
+	case k == 2:
+		return 0
+	}
+	return cmp.Compare(z, c)
+}
+
+// cmp orders two triples under p.
+func (p perm) cmp(t, u rdf.Triple) int {
+	a, b, c := p.key(u)
+	return p.prefixCmp(t, 3, a, b, c)
+}
+
+// prefixRange returns the run of ts — sorted under p — whose first k
+// components equal (a, b, c). The lower end is a binary search; the
+// upper end gallops from it, so the short ranges point lookups return
+// cost one or two comparisons more.
+func (p perm) prefixRange(ts []rdf.Triple, k int, a, b, c rdf.TermID) []rdf.Triple {
+	lo, hi := 0, len(ts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.prefixCmp(ts[mid], k, a, b, c) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	// Invariant: everything before end matches or precedes the prefix,
+	// ts[bound] (when in range) follows it.
+	end, step := lo, 1
+	bound := len(ts)
+	for end+step <= len(ts) {
+		if p.prefixCmp(ts[end+step-1], k, a, b, c) > 0 {
+			bound = end + step - 1
+			break
+		}
+		end += step
+		step *= 2
+	}
+	for end < bound {
+		mid := int(uint(end+bound) >> 1)
+		if p.prefixCmp(ts[mid], k, a, b, c) > 0 {
+			bound = mid
+		} else {
+			end = mid + 1
+		}
+	}
+	return ts[lo:end]
+}
+
+// radixMin is the fragment size from which the permutations are built
+// by radix sort; below it the per-pass counter work outweighs a
+// comparison sort (ingest chunks are a few dozen triples).
+const radixMin = 256
+
+// newStore sorts a copy of triples into the three permutations. The
+// input is left untouched: placements and write deltas stay their
+// owners'.
 func newStore(triples []rdf.Triple) *store {
-	s := &store{
-		triples: triples,
-		byS:     make(map[rdf.TermID][]int32),
-		byP:     make(map[rdf.TermID][]int32),
-		byO:     make(map[rdf.TermID][]int32),
+	var tmp []rdf.Triple
+	return buildStore(triples, &tmp)
+}
+
+// buildStore is newStore with the radix sort's scratch buffer supplied
+// by the caller, grown as needed, so a worker building several stores
+// allocates it once.
+func buildStore(triples []rdf.Triple, tmp *[]rdf.Triple) *store {
+	n := len(triples)
+	s := &store{spo: make([]rdf.Triple, n), pos: make([]rdf.Triple, n), osp: make([]rdf.Triple, n)}
+	if n < radixMin {
+		for _, o := range []struct {
+			dst []rdf.Triple
+			p   perm
+		}{{s.spo, permSPO}, {s.pos, permPOS}, {s.osp, permOSP}} {
+			copy(o.dst, triples)
+			slices.SortFunc(o.dst, o.p.cmp)
+		}
+		return s
 	}
-	for i, t := range triples {
-		s.byS[t.S] = append(s.byS[t.S], int32(i))
-		s.byP[t.P] = append(s.byP[t.P], int32(i))
-		s.byO[t.O] = append(s.byO[t.O], int32(i))
+	if cap(*tmp) < n {
+		*tmp = make([]rdf.Triple, n)
 	}
+	// Each order is one stable pass away from another: SPO re-sorted on
+	// O is OSP, OSP re-sorted on P is POS. Five component sorts, not nine.
+	radixSort(s.spo, (*tmp)[:n], triples, compO, compP, compS)
+	radixSort(s.osp, (*tmp)[:n], s.spo, compO)
+	radixSort(s.pos, (*tmp)[:n], s.osp, compP)
 	return s
+}
+
+// Triple components, as radix sort keys.
+const (
+	compS = iota
+	compP
+	compO
+)
+
+func component(t rdf.Triple, c int) rdf.TermID {
+	switch c {
+	case compS:
+		return t.S
+	case compP:
+		return t.P
+	}
+	return t.O
+}
+
+const (
+	radixBits   = 11
+	radixSize   = 1 << radixBits
+	radixDigits = 3 // ⌈32 / radixBits⌉ digits cover a TermID
+)
+
+// radixSort writes src into dst stably sorted by the given components,
+// least significant first, using tmp as the ping-pong buffer; src is
+// only read. It is an LSD radix sort over the dense dictionary IDs:
+// every digit's histogram is taken in one read of src (the multiset of
+// keys does not change between passes), and a digit on which all keys
+// agree — the high digits of a small dictionary, the predicate of a
+// single-predicate fragment — costs no pass at all.
+func radixSort(dst, tmp, src []rdf.Triple, comps ...int) {
+	n := len(src)
+	hist := make([][radixSize]uint32, len(comps)*radixDigits)
+	for _, t := range src {
+		for ci, c := range comps {
+			v := component(t, c)
+			for d := 0; d < radixDigits; d++ {
+				hist[ci*radixDigits+d][(v>>(d*radixBits))&(radixSize-1)]++
+			}
+		}
+	}
+	type pass struct{ comp, shift, hist int }
+	var passes []pass
+	if n > 0 {
+		for ci, c := range comps {
+			v := component(src[0], c)
+			for d := 0; d < radixDigits; d++ {
+				h := ci*radixDigits + d
+				if hist[h][(v>>(d*radixBits))&(radixSize-1)] == uint32(n) {
+					continue
+				}
+				passes = append(passes, pass{comp: c, shift: d * radixBits, hist: h})
+			}
+		}
+	}
+	if len(passes) == 0 {
+		copy(dst, src)
+		return
+	}
+	from := src
+	for i, ps := range passes {
+		// Alternate so that the last pass lands in dst.
+		to := tmp
+		if (len(passes)-1-i)%2 == 0 {
+			to = dst
+		}
+		offs := &hist[ps.hist]
+		var sum uint32
+		for b := range offs {
+			offs[b], sum = sum, sum+offs[b]
+		}
+		for _, t := range from {
+			b := (component(t, ps.comp) >> ps.shift) & (radixSize - 1)
+			to[offs[b]] = t
+			offs[b]++
+		}
+		from = to
+	}
+}
+
+// mergeStores returns the store holding a's and b's triples, merging
+// the already-sorted permutations linearly instead of sorting again.
+func mergeStores(a, b *store) *store {
+	return &store{
+		spo: mergeSorted(permSPO, a.spo, b.spo),
+		pos: mergeSorted(permPOS, a.pos, b.pos),
+		osp: mergeSorted(permOSP, a.osp, b.osp),
+	}
+}
+
+func mergeSorted(p perm, a, b []rdf.Triple) []rdf.Triple {
+	out := make([]rdf.Triple, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if p.cmp(b[0], a[0]) < 0 {
+			out = append(out, b[0])
+			b = b[1:]
+		} else {
+			out = append(out, a[0])
+			a = a[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // boundPattern is a triple pattern with constants resolved to IDs.
@@ -40,6 +251,9 @@ type boundPattern struct {
 	s, p, o                rdf.TermID
 	sVar, pVar, oVar       int // column index for each variable position, -1 if constant
 	unknown                bool
+	// repeated marks a variable standing at two positions (?x <p> ?x):
+	// the candidate range then over-approximates the matches.
+	repeated bool
 }
 
 // bindPattern resolves constants against the dictionary. A constant
@@ -49,6 +263,7 @@ func bindPattern(dict *rdf.Dict, tp sparql.TriplePattern) boundPattern {
 	col := func(name string) int {
 		for i, v := range bp.vars {
 			if v == name {
+				bp.repeated = true
 				return i
 			}
 		}
@@ -87,36 +302,51 @@ type alignKeep struct{ col, n, node int }
 
 var keepAll = alignKeep{col: -1}
 
-// match scans the store for the pattern, using the most selective
-// available index. Matching rows are appended into the relation's
-// arena — one allocation for the whole scan, not one per row. It is
-// the only loop over candidate postings; every read the engine
-// performs is a parameterization of it. A matched row must clear two
-// optional gates, in this order: keep, then live (nil = every copy is
-// live) — the failover coverage check, asked for the row's triple when
-// this store stands in for a dead node's placement manifest. scanned
-// is the number of postings touched; missing counts the kept rows live
-// rejects (rows another node keeps anyway never demand a replica). bp
-// is shared read-only by the concurrent per-node reads of one scan.
-func (s *store) match(bp *boundPattern, keep alignKeep, live func(rdf.Triple) bool) (rel *Relation, scanned int64, missing int) {
-	if bp.unknown {
-		return &Relation{Vars: bp.vars}, 0, 0
+// candidates returns the triples agreeing with every constant of bp:
+// the prefix range of the one permutation whose order starts with the
+// constant positions. With no constant it is the SPO copy itself.
+func (s *store) candidates(bp *boundPattern) []rdf.Triple {
+	switch {
+	case bp.unknown:
+		return nil
+	case bp.sConst && bp.pConst && bp.oConst:
+		return permSPO.prefixRange(s.spo, 3, bp.s, bp.p, bp.o)
+	case bp.sConst && bp.pConst:
+		return permSPO.prefixRange(s.spo, 2, bp.s, bp.p, 0)
+	case bp.pConst && bp.oConst:
+		return permPOS.prefixRange(s.pos, 2, bp.p, bp.o, 0)
+	case bp.oConst && bp.sConst:
+		return permOSP.prefixRange(s.osp, 2, bp.o, bp.s, 0)
+	case bp.sConst:
+		return permSPO.prefixRange(s.spo, 1, bp.s, 0, 0)
+	case bp.pConst:
+		return permPOS.prefixRange(s.pos, 1, bp.p, 0, 0)
+	case bp.oConst:
+		return permOSP.prefixRange(s.osp, 1, bp.o, 0, 0)
 	}
+	return s.spo
+}
+
+// match reads the pattern's candidate range and appends one row per
+// matching triple to out: prefix followed by the extra columns of the
+// pattern's own row (a plain scan passes no prefix and every column; a
+// probe passes the row that bound the pattern and the columns it does
+// not already hold). It is the only loop over candidates; every read
+// the engine performs is a parameterization of it. A matched row must
+// clear two optional gates, in this order: keep, then live (nil = every
+// copy is live) — the failover coverage check, asked for the row's
+// triple when this store stands in for a dead node's placement
+// manifest. scanned is the number of postings touched — the range's
+// length; missing counts the kept rows live rejects (rows another node
+// keeps anyway never demand a replica). bp is shared read-only by the
+// concurrent per-node reads of one scan.
+func (s *store) match(bp *boundPattern, keep alignKeep, live func(rdf.Triple) bool, out *Relation, prefix []rdf.TermID, extra []int) (scanned int64, missing int) {
 	candidates := s.candidates(bp)
-	rel = newRelation(bp.vars, len(candidates))
-	var row [3]rdf.TermID // a triple pattern binds at most 3 variables
-	for _, i := range candidates {
-		t := s.triples[i]
-		if bp.sConst && t.S != bp.s {
-			continue
-		}
-		if bp.pConst && t.P != bp.p {
-			continue
-		}
-		if bp.oConst && t.O != bp.o {
-			continue
-		}
-		if !fillRow(row[:len(bp.vars)], bp, t) {
+	out.reserve(len(candidates))
+	var buf [3]rdf.TermID // a triple pattern binds at most 3 variables
+	row := buf[:len(bp.vars)]
+	for _, t := range candidates {
+		if !fillRow(row, bp, t) {
 			continue
 		}
 		if keep.col >= 0 && int(uint64(row[keep.col])%uint64(keep.n)) != keep.node {
@@ -126,30 +356,32 @@ func (s *store) match(bp *boundPattern, keep alignKeep, live func(rdf.Triple) bo
 			missing++
 			continue
 		}
-		rel.appendCopy(row[:len(bp.vars)])
+		out.appendMerged(prefix, row, extra)
 	}
-	return rel, int64(len(candidates)), missing
+	return int64(len(candidates)), missing
 }
 
-// has reports whether the store holds t, probing the shorter of its
-// subject and object posting lists.
+// has reports whether the store holds t: one binary search.
 func (s *store) has(t rdf.Triple) bool {
-	list := s.byS[t.S]
-	if o := s.byO[t.O]; len(o) < len(list) {
-		list = o
-	}
-	for _, i := range list {
-		if s.triples[i] == t {
-			return true
-		}
-	}
-	return false
+	return len(permSPO.prefixRange(s.spo, 3, t.S, t.P, t.O)) > 0
 }
 
 // fillRow writes the variable positions of t into row; a repeated
 // variable (e.g. ?x <p> ?x) must bind equal values. It reports whether
 // the triple is a match.
 func fillRow(row []rdf.TermID, bp *boundPattern, t rdf.Triple) bool {
+	if !bp.repeated {
+		if bp.sVar >= 0 {
+			row[bp.sVar] = t.S
+		}
+		if bp.pVar >= 0 {
+			row[bp.pVar] = t.P
+		}
+		if bp.oVar >= 0 {
+			row[bp.oVar] = t.O
+		}
+		return true
+	}
 	var filled [3]bool
 	put := func(c int, v rdf.TermID) bool {
 		if c < 0 {
@@ -163,31 +395,6 @@ func fillRow(row []rdf.TermID, bp *boundPattern, t rdf.Triple) bool {
 		return true
 	}
 	return put(bp.sVar, t.S) && put(bp.pVar, t.P) && put(bp.oVar, t.O)
-}
-
-// candidates picks the smallest applicable index posting list.
-func (s *store) candidates(bp *boundPattern) []int32 {
-	var best []int32
-	have := false
-	consider := func(list []int32, applicable bool) {
-		if !applicable {
-			return
-		}
-		if !have || len(list) < len(best) {
-			best, have = list, true
-		}
-	}
-	consider(s.byS[bp.s], bp.sConst)
-	consider(s.byP[bp.p], bp.pConst)
-	consider(s.byO[bp.o], bp.oConst)
-	if have {
-		return best
-	}
-	all := make([]int32, len(s.triples))
-	for i := range all {
-		all[i] = int32(i)
-	}
-	return all
 }
 
 // read is the engine's one per-node fragment read: the rows of bp
@@ -222,15 +429,14 @@ func (s *Snap) read(node int, bp *boundPattern, alignCol int, dead []int) (rel *
 	if dead != nil {
 		live = s.liveCopy(dead)
 	}
-	rel, scanned, missing = s.stores[node].match(bp, keep, live)
+	rel = &Relation{Vars: bp.vars}
+	cols := seqCols(len(bp.vars))
+	scanned, missing = s.stores[node].match(bp, keep, live, rel, nil, cols)
 	if ov := s.overlay(node); ov != nil && alignCol >= 0 {
 		// The overlay's copies need live homes too (their base source
-		// could be on another dead node). Kept rows are copied into the
-		// base relation's arena so the caller's one charge covers them.
-		ovRel, ovScanned, ovMissing := ov.match(bp, keep, live)
-		for _, row := range ovRel.Rows {
-			rel.appendCopy(row)
-		}
+		// could be on another dead node). They land in the same arena, so
+		// the caller's one charge covers them.
+		ovScanned, ovMissing := ov.match(bp, keep, live, rel, nil, cols)
 		scanned += ovScanned
 		missing += ovMissing
 	}
@@ -269,15 +475,18 @@ func (s *Snap) liveCopy(dead []int) func(rdf.Triple) bool {
 // death) and the postings touched. Charged to the gauge once — the
 // rows are one materialization no matter how many nodes surface them.
 func (s *Snap) readDelta(bp *boundPattern, g *resilience.Gauge) ([][]rdf.TermID, int64, error) {
-	var rows [][]rdf.TermID
+	if len(s.delta) == 0 {
+		return nil, 0, nil
+	}
+	rel := &Relation{Vars: bp.vars}
+	cols := seqCols(len(bp.vars))
 	var scanned int64
 	for _, st := range s.delta {
-		rel, n, _ := st.match(bp, keepAll, nil)
+		n, _ := st.match(bp, keepAll, nil, rel, nil, cols)
 		scanned += n
-		if err := rel.chargeTo(g, "scan"); err != nil {
-			return nil, 0, err
-		}
-		rows = append(rows, rel.Rows...)
 	}
-	return rows, scanned, nil
+	if err := rel.chargeTo(g, "scan"); err != nil {
+		return nil, 0, err
+	}
+	return rel.Rows, scanned, nil
 }

@@ -1,0 +1,128 @@
+package engine
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"sparqlopt/internal/rdf"
+)
+
+// randomFragment draws n triples over a small vocabulary, so that terms
+// recur across positions (self-loops included) and triples repeat, with
+// TermID 0 and the largest ID among them; wide spreads the IDs over all
+// 32 bits so every radix digit is exercised.
+func randomFragment(r *rand.Rand, n int, wide bool) []rdf.Triple {
+	vocab := []rdf.TermID{0, 1, 2, 3, 5, 8, 2047, 2048, 1 << 22, math.MaxUint32}
+	if wide {
+		for i := 0; i < 40; i++ {
+			vocab = append(vocab, rdf.TermID(r.Uint32()))
+		}
+	}
+	pick := func() rdf.TermID { return vocab[r.Intn(len(vocab))] }
+	ts := make([]rdf.Triple, n)
+	for i := range ts {
+		ts[i] = rdf.Triple{S: pick(), P: pick(), O: pick()}
+	}
+	return ts
+}
+
+// TestStoreRanges holds the sorted-permutation store to linear scans of
+// the triple list it was built from: the three permutations against a
+// comparison sort (on both sides of radixMin), every constant mask's
+// candidate range and match's rows — ?x ?p ?x included — against a
+// filter, has against a search, and a merge against a rebuild.
+func TestStoreRanges(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 60; trial++ {
+		n := []int{0, 1, 7, radixMin - 1, radixMin, 3 * radixMin}[trial%6]
+		ts := randomFragment(r, n, trial%2 == 1)
+		input := slices.Clone(ts)
+		st := newStore(ts)
+		if !slices.Equal(ts, input) {
+			t.Fatalf("trial %d: newStore reordered its input", trial)
+		}
+		for _, o := range []struct {
+			name string
+			got  []rdf.Triple
+			p    perm
+		}{{"spo", st.spo, permSPO}, {"pos", st.pos, permPOS}, {"osp", st.osp, permOSP}} {
+			want := slices.Clone(ts)
+			slices.SortFunc(want, o.p.cmp)
+			if !slices.Equal(o.got, want) {
+				t.Fatalf("trial %d (n=%d): %s permutation differs from a comparison sort", trial, n, o.name)
+			}
+		}
+		probes := randomFragment(r, 20, true)
+		for i := 0; i < 20 && n > 0; i++ {
+			probes = append(probes, ts[r.Intn(n)])
+		}
+		for _, c := range probes {
+			if got, want := st.has(c), slices.Contains(ts, c); got != want {
+				t.Fatalf("trial %d: has(%v) = %v, want %v", trial, c, got, want)
+			}
+			for mask := 0; mask < 8; mask++ {
+				for _, repeat := range []bool{false, true} {
+					bp := boundPattern{sVar: -1, pVar: -1, oVar: -1, s: c.S, p: c.P, o: c.O,
+						sConst: mask&1 != 0, pConst: mask&2 != 0, oConst: mask&4 != 0}
+					for _, pos := range []struct {
+						isConst bool
+						col     *int
+						name    string
+					}{{bp.sConst, &bp.sVar, "s"}, {bp.pConst, &bp.pVar, "p"}, {bp.oConst, &bp.oVar, "o"}} {
+						if pos.isConst {
+							continue
+						}
+						if repeat && len(bp.vars) > 0 {
+							// ?x at every free position.
+							*pos.col, bp.repeated = 0, true
+							continue
+						}
+						*pos.col = len(bp.vars)
+						bp.vars = append(bp.vars, pos.name)
+					}
+					var wantRange int64
+					var want [][]rdf.TermID
+					for _, u := range ts {
+						if bp.sConst && u.S != c.S || bp.pConst && u.P != c.P || bp.oConst && u.O != c.O {
+							continue
+						}
+						wantRange++
+						row := make([]rdf.TermID, len(bp.vars))
+						ok := true
+						seen := make([]bool, len(bp.vars))
+						for _, b := range []struct {
+							col int
+							v   rdf.TermID
+						}{{bp.sVar, u.S}, {bp.pVar, u.P}, {bp.oVar, u.O}} {
+							if b.col < 0 {
+								continue
+							}
+							if seen[b.col] && row[b.col] != b.v {
+								ok = false
+							}
+							seen[b.col], row[b.col] = true, b.v
+						}
+						if ok {
+							want = append(want, row)
+						}
+					}
+					rel := &Relation{Vars: bp.vars}
+					scanned, _ := st.match(&bp, keepAll, nil, rel, nil, seqCols(len(bp.vars)))
+					if scanned != wantRange {
+						t.Fatalf("trial %d: mask %03b of %v touched %d postings, a filter keeps %d", trial, mask, c, scanned, wantRange)
+					}
+					if !slices.Equal(sortedKeys(rel), sortedKeys(&Relation{Rows: want})) {
+						t.Fatalf("trial %d: mask %03b repeat=%v of %v matched %v, want %v", trial, mask, repeat, c, rel.Rows, want)
+					}
+				}
+			}
+		}
+		other := randomFragment(r, r.Intn(2*radixMin), trial%2 == 0)
+		merged, rebuilt := mergeStores(st, newStore(other)), newStore(append(slices.Clone(ts), other...))
+		if !slices.Equal(merged.spo, rebuilt.spo) || !slices.Equal(merged.pos, rebuilt.pos) || !slices.Equal(merged.osp, rebuilt.osp) {
+			t.Fatalf("trial %d: merging two stores differs from building their union", trial)
+		}
+	}
+}

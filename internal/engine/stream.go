@@ -387,7 +387,7 @@ func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Quer
 		st.res = &Result{Vars: vars, Metrics: m, Trace: trace, Factorized: true, flatRows: trace.OutputRows}
 		st.res.Failovers, st.res.Degraded = env.fo.summary()
 	} else {
-		parts, trace, err := e.eval(ctx, p, q, env, &m, "")
+		parts, _, trace, err := e.eval(ctx, p, q, env, &m, "", false)
 		if err != nil {
 			return nil, err
 		}

@@ -46,6 +46,16 @@ type TraceNode struct {
 	// adaptive advisor), so the parent's scatter for this child was
 	// skipped entirely.
 	Aligned bool
+	// Postings is the index postings a scan touched: the lengths of the
+	// candidate ranges it read or looked up.
+	Postings int64
+	// Probed marks a scan whose parent join, on at least one node, looked
+	// the rows it held up in the index instead of reading the fragment;
+	// Bindings counts the rows that were looked up. OutputRows is then
+	// still the size of the full read — what the estimate predicted —
+	// not a count of rows produced.
+	Probed   bool
+	Bindings int64
 	// ScatterRows/ScatterBytes attribute a parent repartition join's
 	// shuffle to the child that fed it — the rows of THIS operator's
 	// output that landed on a different node (0 for an aligned child).
@@ -73,11 +83,23 @@ func newTrace(p *plan.Node) *TraceNode {
 // record fills the output statistics from the per-node relations.
 func (tr *TraceNode) record(out []*Relation) {
 	for _, r := range out {
-		n := int64(len(r.Rows))
-		tr.OutputRows += n
-		if n > tr.MaxNodeRows {
-			tr.MaxNodeRows = n
-		}
+		tr.recordNode(len(r.Rows))
+	}
+}
+
+// recordSizes is record for a scan, whose per-node row counts are known
+// whether or not the rows were read.
+func (tr *TraceNode) recordSizes(sizes []int) {
+	for _, n := range sizes {
+		tr.recordNode(n)
+	}
+}
+
+func (tr *TraceNode) recordNode(rows int) {
+	n := int64(rows)
+	tr.OutputRows += n
+	if n > tr.MaxNodeRows {
+		tr.MaxNodeRows = n
 	}
 }
 
@@ -93,8 +115,12 @@ func (tr *TraceNode) Format() string {
 			if t.Aligned {
 				aligned = " aligned"
 			}
-			fmt.Fprintf(&b, "%sscan tp%d: rows=%d (est %.4g) max/node=%d time=%v%s\n",
-				indent, t.TP+1, t.OutputRows, t.EstimatedCard, t.MaxNodeRows, t.Elapsed.Round(time.Microsecond), aligned)
+			read := fmt.Sprintf("rows=%d postings=%d", t.OutputRows, t.Postings)
+			if t.Probed {
+				read = fmt.Sprintf("probed, %d bindings, %d postings (range %d)", t.Bindings, t.Postings, t.OutputRows)
+			}
+			fmt.Fprintf(&b, "%sscan tp%d: %s (est %.4g) max/node=%d time=%v%s\n",
+				indent, t.TP+1, read, t.EstimatedCard, t.MaxNodeRows, t.Elapsed.Round(time.Microsecond), aligned)
 		default:
 			mark := ""
 			if t.Factorized {
@@ -189,6 +215,10 @@ func (tr *TraceNode) AttachSpans(parent *obs.Span) {
 	s := &obs.Span{Name: "op:" + opName(tr.Alg), Dur: tr.Elapsed}
 	if tr.Alg == plan.Scan {
 		s.SetAttrInt("tp", int64(tr.TP+1))
+		s.SetAttrInt("postings", tr.Postings)
+		if tr.Probed {
+			s.SetAttrInt("probe_bindings", tr.Bindings)
+		}
 	} else {
 		s.SetAttr("join_var", tr.JoinVar)
 	}

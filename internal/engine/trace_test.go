@@ -2,11 +2,13 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
+	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/sparql"
 )
 
@@ -81,5 +83,65 @@ func TestTraceRowCountsAreExact(t *testing.T) {
 	}
 	if got.Trace.MaxNodeRows > got.Trace.OutputRows {
 		t.Error("per-node maximum exceeds total")
+	}
+}
+
+// TestTraceSaysHowLeafWasRead: a point read's big leaf is looked up,
+// not read, and the trace says so — the probed leaf reports its
+// bindings and postings, keeps the full read's size as OutputRows so
+// the estimate still has something to be compared with, and the
+// leaves' postings add up to the run's ScannedTriples.
+func TestTraceSaysHowLeafWasRead(t *testing.T) {
+	ds := rdf.NewDataset()
+	ds.Add("s0", "advisor", "f7")
+	for i := 0; i < 300; i++ {
+		ds.Add(fmt.Sprintf("f%d", i), "worksFor", fmt.Sprintf("d%d", i%9))
+	}
+	q := sparql.MustParse(`SELECT * WHERE { <s0> <advisor> ?f . ?f <worksFor> ?d . }`)
+	m := partition.HashSO{}
+	placement, err := m.Partition(ds, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(ds.Dict, placement)
+	res := optimizeFor(t, ds, q, m, 0)
+	got, err := e.Execute(context.Background(), res.Plan, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != 1 || got.Trace.Alg != plan.LocalJoin {
+		t.Fatalf("want one row from a local join, got %d from %v", len(got.Rows), got.Trace.Alg)
+	}
+	// Hash-SO keeps up to two copies of a triple; the leaf's size is the
+	// copies the placement holds, read or not.
+	worksFor, _ := ds.Dict.Lookup("worksFor")
+	var copies int64
+	for _, ts := range placement.Triples {
+		for _, tr := range ts {
+			if tr.P == worksFor {
+				copies++
+			}
+		}
+	}
+	small, big := got.Trace.Children[0], got.Trace.Children[1]
+	if small.Probed || small.Postings != small.OutputRows || small.OutputRows < 1 {
+		t.Errorf("the selective leaf should be read in full: %+v", small)
+	}
+	// Every advisor row looks ?f up; the node holding ?f's own triples
+	// finds the one worksFor triple there.
+	if !big.Probed || big.Bindings != small.OutputRows || big.Postings < 1 || big.Postings > big.Bindings || big.OutputRows != copies {
+		t.Errorf("the big leaf should be probed, %d copies: %+v", copies, big)
+	}
+	if sum := small.Postings + big.Postings; sum != got.Metrics.ScannedTriples {
+		t.Errorf("leaves touched %d postings, metrics say %d", sum, got.Metrics.ScannedTriples)
+	}
+	out := got.Trace.Format()
+	for _, want := range []string{
+		fmt.Sprintf("scan tp1: rows=%d postings=%d", small.OutputRows, small.Postings),
+		fmt.Sprintf("scan tp2: probed, %d bindings, %d postings (range %d)", big.Bindings, big.Postings, copies),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("trace format lacks %q:\n%s", want, out)
+		}
 	}
 }
