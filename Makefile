@@ -43,9 +43,11 @@ race:
 # read table tests (TestDeterminismFragmentRead: concurrent per-node
 # reads in permutation order, TestDeterminismFragmentProbe: the same
 # leaves looked up by a set of bindings — both against a brute-force
-# oracle) ride the same run.
+# oracle; TestDeterminismScanDeadSet: deaths a scan discovers itself,
+# all known before any failover read) and the per-node helper's table
+# (TestFanOut) ride the same run.
 determinism:
-	$(GO) test -run TestDeterminism -race -count=2 ./internal/opt/... ./internal/engine/...
+	$(GO) test -run 'TestDeterminism|TestFanOut' -race -count=2 ./internal/opt/... ./internal/engine/...
 
 # The observability layer's own gate: vet plus a doubled, race-
 # instrumented run of the registry/trace/slow-log suites and the
@@ -74,9 +76,11 @@ chaos:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
-# One iteration of the execution benchmarks and of the store build
-# (LUBM-10 under hash-so through engine.New, with allocations — a
-# build-time regression shows here without the spine) plus a quick pass
+# One iteration of the execution benchmarks, of the point reads (P1 and
+# P2 through RunStream, with allocations — a regression in what a point
+# read pays beyond its rows shows here without the spine) and of the
+# store build (LUBM-10 under hash-so through engine.New, with
+# allocations — a build-time regression shows here too) plus a quick pass
 # of the adaptive-repartitioning and node-failover experiments: catches
 # compile or runtime breakage in the bench harnesses without measuring
 # anything (their output shows whether every round stayed bit-identical
@@ -84,6 +88,7 @@ bench:
 # artifact.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkExecute -benchtime=1x .
+	$(GO) test -run='^$$' -bench=BenchmarkPointRead -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkStoreBuild -benchtime=1x ./internal/engine
 	$(GO) run ./cmd/benchrunner -experiment adaptive -quick
 	$(GO) run ./cmd/benchrunner -experiment failover -quick

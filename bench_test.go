@@ -314,6 +314,63 @@ func BenchmarkExecute(b *testing.B) {
 	}
 }
 
+// BenchmarkPointRead measures the spine's two point reads — P1, one
+// subject-bound pattern, and P2, a subject-bound pattern joined to a
+// large one — through RunStream with the plan cache warm, on LUBM-2
+// under hash-so over 10 nodes: eight students each, in turn. A point
+// read returns a few rows, so what it pays beyond them is fixed per
+// query — goroutines per operator, the stream's chunk buffer, per-node
+// bookkeeping — and allocs/op and B/op are where that shows.
+func BenchmarkPointRead(b *testing.B) {
+	ds := lubm.Generate(lubm.Config{Universities: 2, Seed: 1})
+	m, err := sparqlopt.PartitionMethod("hash-so")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := sparqlopt.Open(ds, sparqlopt.WithMethod(m), sparqlopt.WithNodes(10), sparqlopt.WithPlanCache(64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	ctx := context.Background()
+	read := func(b *testing.B, query string) int {
+		rows, err := sys.RunStream(ctx, query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for rows.Next() {
+			n++
+		}
+		if err := rows.Close(); err != nil {
+			b.Fatal(err)
+		}
+		return n
+	}
+	const prefixes = "PREFIX ub: <" + lubm.UB + ">\n"
+	for _, kind := range []struct{ name, text string }{
+		{"P1", "SELECT ?c WHERE { <%s> ub:takesCourse ?c . }"},
+		{"P2", "SELECT ?f ?d WHERE { <%s> ub:advisor ?f . ?f ub:worksFor ?d . }"},
+	} {
+		var queries []string
+		for i := 0; i < 8; i++ {
+			student := fmt.Sprintf("http://www.Department%d.University%d.edu/GraduateStudent%d", i%4, i%2, i)
+			q := prefixes + fmt.Sprintf(kind.text, student)
+			// Warms the plan cache and checks the student has an answer.
+			if read(b, q) == 0 {
+				b.Fatalf("%s for %s returns no rows", kind.name, student)
+			}
+			queries = append(queries, q)
+		}
+		b.Run(kind.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				read(b, queries[i%len(queries)])
+			}
+		})
+	}
+}
+
 // BenchmarkEndToEnd measures optimize+execute of a benchmark query on
 // the simulated cluster.
 func BenchmarkEndToEnd(b *testing.B) {

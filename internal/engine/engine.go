@@ -273,8 +273,8 @@ func (s *Snap) DeltaLen() int {
 }
 
 // Engine executes plans over a partitioned dataset, one goroutine per
-// simulated computing node, plus bounded intra-query parallelism
-// across independent plan subtrees.
+// simulated computing node that has rows to handle (see fanOut), plus
+// bounded intra-query parallelism across independent plan subtrees.
 type Engine struct {
 	dict *rdf.Dict
 	// mu serializes snapshot swaps (migrations, ingest commits,
@@ -634,29 +634,51 @@ func (e *Engine) forEachBounded(n int, f func(i int)) error {
 	return nil
 }
 
-// perNodeErr runs f concurrently for every node — one goroutine per
-// simulated computing node — and returns the lowest-numbered node's
-// error, deterministically. A node goroutine's panic is recovered on
-// that goroutine into a typed *resilience.PanicError attributed to the
-// node, so a poisoned operator fails its query, never the process.
-func (e *Engine) perNodeErr(n int, f func(node int) error) error {
+// fanOut runs f once for every one of n simulated computing nodes and
+// returns how many of them were busy and the lowest-numbered node's
+// error, deterministically. Work runs where the data is: busy(node) —
+// asked once per node, and answered from sizes the operator already
+// holds — says whether the node has rows to handle. A node without any
+// runs on the calling goroutine, and so does the first busy one; every
+// other busy node gets a goroutine of its own, so a point read whose
+// matches live on one node starts none. A panic in f is recovered on
+// whichever goroutine ran it into a typed *resilience.PanicError
+// attributed to the node, so a poisoned operator fails its query, never
+// the process.
+func (e *Engine) fanOut(n int, busy func(node int) bool, f func(node int) error) (int, error) {
 	errs := make([]error, n)
+	run := func(node int) {
+		defer resilience.CatchPanic(&errs[node], e.inst.panicRecovered)
+		errs[node] = f(node)
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(node int) {
-			defer wg.Done()
-			defer resilience.CatchPanic(&errs[node], e.inst.panicRecovered)
-			errs[node] = f(node)
-		}(i)
+	busyNodes, first := 0, -1
+	for node := 0; node < n; node++ {
+		switch {
+		case !busy(node):
+			run(node)
+			continue
+		case first < 0:
+			first = node
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(node)
+			}()
+		}
+		busyNodes++
+	}
+	if first >= 0 {
+		run(first)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return busyNodes, err
 		}
 	}
-	return nil
+	return busyNodes, nil
 }
 
 // alignGroup resolves the alignable (predicate, position) triple group
@@ -716,7 +738,8 @@ func (e *Engine) alignHints(p *plan.Node, q *sparql.Query, env ExecEnv) []string
 
 // evalChildren evaluates the children of p — concurrently when the
 // parallelism knob allows, since the subtrees of a k-way join are
-// independent — attaching their traces to tr in child order and
+// independent, and on the calling goroutine when all of them are Scans
+// opened lazily — attaching their traces to tr in child order and
 // restarting the parent's own-time clock. Every child accumulates
 // into its own Metrics; the merge happens in child order, so totals
 // are independent of the schedule. A non-empty hints[i] names the join
@@ -730,13 +753,22 @@ func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query
 	traces := make([]*TraceNode, n)
 	metrics := make([]Metrics, n)
 	errs := make([]error, n)
-	if err := e.forEachBounded(n, func(i int) {
+	child := func(i int) {
 		hint := ""
 		if hints != nil {
 			hint = hints[i]
 		}
 		children[i], leaves[i], traces[i], errs[i] = e.eval(ctx, p.Children[i], q, env, &metrics[i], hint, lazy)
-	}); err != nil {
+	}
+	if lazy && !slices.ContainsFunc(p.Children, func(c *plan.Node) bool { return c.Alg != plan.Scan }) {
+		// Lazily opened leaves only gate and size their nodes, a binary
+		// search each: less work than handing them to other goroutines.
+		// (A leaf that has to read at once still spreads its reads over
+		// the nodes that hold rows; see scan.)
+		for i := range n {
+			child(i)
+		}
+	} else if err := e.forEachBounded(n, child); err != nil {
 		return nil, nil, err
 	}
 	for _, err := range errs {
@@ -959,7 +991,15 @@ func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env 
 	site := opName(p.Alg)
 	out := make([]*Relation, len(env.Snap.stores))
 	var joined int64
-	err = e.perNodeErr(len(out), func(node int) error {
+	// A node whose first fold input is empty joins nothing.
+	busy := func(node int) bool {
+		if r := in.rels[node][order[0]]; r != nil {
+			return len(r.Rows) > 0
+		}
+		return in.leaves[order[0]].size[node] > 0
+	}
+	tr.Nodes = len(out)
+	tr.BusyNodes, err = e.fanOut(len(out), busy, func(node int) error {
 		env.Faults.PanicIf(faultinject.EnginePanic)
 		r, err := joinAll(ctx, env.Gauge, site, node, in.rels[node], in.leaves, order, schema)
 		if err != nil {
@@ -1003,7 +1043,11 @@ func (e *Engine) evalFactorizedRoot(ctx context.Context, p *plan.Node, q *sparql
 	site := opName(p.Alg)
 	out := make([]*FactorizedRelation, len(env.Snap.stores))
 	counts := make([]int64, len(out))
-	err = e.perNodeErr(len(out), func(node int) error {
+	busy := func(node int) bool {
+		return slices.ContainsFunc(inputs[node], func(r *Relation) bool { return len(r.Rows) > 0 })
+	}
+	tr.Nodes = len(out)
+	tr.BusyNodes, err = e.fanOut(len(out), busy, func(node int) error {
 		env.Faults.PanicIf(faultinject.EnginePanic)
 		f, err := factorize(ctx, env.Gauge, site, inputs[node])
 		if err != nil {

@@ -55,6 +55,9 @@ type scanLeaf struct {
 // lazy set, healthy nodes' reads are sized but left to the parent join
 // (see scanLeaf); a pattern that repeats a variable filters its
 // candidates, so its ranges are not its sizes and it is read at once.
+// Every node is gated and sized before any read starts; only the reads
+// whose range holds candidates (or that fail over) are spread over
+// goroutines (see fanOut), and the trace records how many those were.
 func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, alignVar string, lazy bool) (*scanLeaf, error) {
 	snap := env.Snap
 	n := len(snap.stores)
@@ -86,25 +89,47 @@ func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 			deltaLen += len(st.candidates(bp))
 		}
 	}
-	err := e.perNodeErr(n, func(node int) error {
-		down, err := e.nodeGate(ctx, node, "scan", env)
+	// Gate every node before any read, sizing it on the way: its
+	// candidate range, and for a lazy leaf the delta too, which makes the
+	// size exact. A failover read then checks coverage against every
+	// death this scan discovered, whatever the schedule.
+	var down []bool // nil while every node is up
+	for node := 0; node < n; node++ {
+		d, err := e.nodeGate(ctx, node, "scan", env)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if lazy && !down {
-			l.size[node] = len(snap.stores[node].candidates(bp)) + deltaLen
+		if d {
+			if down == nil {
+				down = make([]bool, n)
+			}
+			down[node] = true
+		}
+		l.size[node] = len(snap.stores[node].candidates(bp)) + deltaLen
+		if ov := snap.overlay(node); ov != nil && alignCol >= 0 {
+			l.size[node] += len(ov.candidates(bp))
+		}
+	}
+	var dead []int
+	if down != nil {
+		dead = env.fo.deadNodes()
+	}
+	isDown := func(node int) bool { return down != nil && down[node] }
+	busy := func(node int) bool { return isDown(node) || !lazy && l.size[node] > 0 }
+	busyNodes, err := e.fanOut(n, busy, func(node int) error {
+		if lazy && !isDown(node) {
 			return nil
 		}
-		var dead []int
-		if down {
-			dead = env.fo.deadNodes()
+		var deadSet []int
+		if isDown(node) {
+			deadSet = dead
 		}
-		missing, err := l.readAt(node, alignCol, dead)
+		missing, err := l.readAt(node, alignCol, deadSet)
 		if missing > 0 {
 			// Any hole fails fast, typed: never a silent partial result.
 			return e.unavailable(env, "scan", missing)
 		}
-		if down {
+		if isDown(node) {
 			env.fo.recordFailover()
 		}
 		return err
@@ -112,6 +137,15 @@ func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 	if err != nil {
 		return nil, err
 	}
+	if lazy {
+		busyNodes = 0
+		for _, size := range l.size {
+			if size > 0 {
+				busyNodes++
+			}
+		}
+	}
+	tr.BusyNodes, tr.Nodes = busyNodes, n
 	return l, nil
 }
 
@@ -171,10 +205,12 @@ func (l *scanLeaf) read(node int) (*Relation, error) {
 // readAll performs every read still outstanding, for a parent that
 // needs the leaf as a relation on every node after all.
 func (l *scanLeaf) readAll(e *Engine) error {
-	return e.perNodeErr(len(l.rels), func(node int) error {
+	busy := func(node int) bool { return l.rels[node] == nil && l.size[node] > 0 }
+	_, err := e.fanOut(len(l.rels), busy, func(node int) error {
 		_, err := l.read(node)
 		return err
 	})
+	return err
 }
 
 // sharesVarWith reports whether r binds a variable of the pattern.

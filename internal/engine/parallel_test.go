@@ -2,8 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sparqlopt/internal/opt"
@@ -11,6 +17,7 @@ import (
 	"sparqlopt/internal/querygraph"
 	"sparqlopt/internal/race"
 	"sparqlopt/internal/rdf"
+	"sparqlopt/internal/resilience"
 	"sparqlopt/internal/sparql"
 	"sparqlopt/internal/workload/randquery"
 )
@@ -128,6 +135,93 @@ func TestDeterminismParallelBenchQuery(t *testing.T) {
 				t.Fatal(err)
 			}
 			equalResults(t, got, want, fmt.Sprintf("%s P=%d", src[:15], p))
+		}
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// TestFanOut pins the per-node helper every operator runs through: f
+// runs exactly once per node whatever the busy pattern; nodes without
+// work and the first busy node run on the calling goroutine, every
+// other busy node on a goroutine of its own; the lowest-numbered
+// node's error wins; and a panic comes back as a typed PanicError
+// wherever it ran.
+func TestFanOut(t *testing.T) {
+	const n = 6
+	patterns := map[string][]bool{
+		"none":        make([]bool, n),
+		"one":         {false, false, false, true, false, false},
+		"all":         {true, true, true, true, true, true},
+		"alternating": {true, false, true, false, true, false},
+	}
+	for name, pattern := range patterns {
+		busy := func(node int) bool { return pattern[node] }
+		first := slices.Index(pattern, true)
+		e := &Engine{}
+		caller := goid()
+		var runs [n]atomic.Int32
+		var mu sync.Mutex
+		ran := map[int]string{}
+		count, err := e.fanOut(n, busy, func(node int) error {
+			runs[node].Add(1)
+			mu.Lock()
+			ran[node] = goid()
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := 0
+		for node := 0; node < n; node++ {
+			if got := runs[node].Load(); got != 1 {
+				t.Errorf("%s: node %d ran %d times", name, node, got)
+			}
+			onCaller := ran[node] == caller
+			if pattern[node] {
+				want++
+			}
+			if inline := !pattern[node] || node == first; onCaller != inline {
+				t.Errorf("%s: node %d ran on the caller = %v, want %v", name, node, onCaller, inline)
+			}
+		}
+		if count != want {
+			t.Errorf("%s: %d busy nodes reported, want %d", name, count, want)
+		}
+
+		// Nodes 1 and 4 fail; node 1's error is returned whichever of
+		// them is busy.
+		_, err = e.fanOut(n, busy, func(node int) error {
+			if node == 1 || node == 4 {
+				return fmt.Errorf("node %d", node)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "node 1" {
+			t.Errorf("%s: err = %v, want node 1's", name, err)
+		}
+	}
+
+	// Node 0 idle, node 2 the caller's busy node, node 4 a spawned one.
+	pattern := []bool{false, false, true, false, true, false}
+	busy := func(node int) bool { return pattern[node] }
+	for _, node := range []int{0, 2, 4} {
+		e := &Engine{}
+		_, err := e.fanOut(n, busy, func(at int) error {
+			if at == node {
+				panic(fmt.Sprintf("poisoned node %d", at))
+			}
+			return nil
+		})
+		var pe *resilience.PanicError
+		if !errors.As(err, &pe) || pe.Value != fmt.Sprintf("poisoned node %d", node) {
+			t.Errorf("panic on node %d: err = %v, want *resilience.PanicError", node, err)
 		}
 	}
 }

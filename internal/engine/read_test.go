@@ -12,6 +12,7 @@ import (
 	"sparqlopt/internal/plan"
 	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/resilience"
+	"sparqlopt/internal/resilience/faultinject"
 	"sparqlopt/internal/sparql"
 )
 
@@ -350,6 +351,53 @@ func TestDeterminismFragmentRead(t *testing.T) {
 	}
 	if !sawCovered || !sawHole {
 		t.Errorf("table degenerate: covered=%v hole=%v — the fixture no longer reaches both failover outcomes", sawCovered, sawHole)
+	}
+}
+
+// TestDeterminismScanDeadSet: deaths a scan discovers itself — faults
+// firing on nodes 0 and 2 at the scan's own gate, one attempt each, no
+// dead set marked beforehand — must all be known before any failover
+// read checks coverage. Node 0 then misses the two triples whose only
+// other copy is on node 2, and that error (the lowest-numbered node's)
+// is the one returned, on every run and for lazy and eager leaves alike.
+// Reading node 0 while node 2 was not yet known dead would find those
+// triples covered and report node 2's hole instead.
+func TestDeterminismScanDeadSet(t *testing.T) {
+	fx := newReadFixture()
+	snap := fx.snap()
+	n := len(fx.base)
+	eng := &Engine{dict: fx.dict, fo: &FailoverPolicy{MaxAttempts: 1}}
+	eng.snap.Store(snap)
+	q := sparql.MustParse(`SELECT * WHERE { ?s <p> ?o . }`)
+	or := newOracle(fx, q.Patterns[0])
+	dead := map[int]bool{0: true, 2: true}
+	wantMissing := 0
+	for node := 0; node < n && wantMissing == 0; node++ {
+		_, _, wantMissing = or.read(node, -1, dead)
+	}
+	if wantMissing == 0 {
+		t.Fatal("fixture degenerate: nodes 0 and 2 dead leaves no hole")
+	}
+	runs := 200
+	if testing.Short() {
+		runs = 20
+	}
+	for run := 0; run < runs; run++ {
+		for _, lazy := range []bool{false, true} {
+			faults := faultinject.New(int64(run))
+			faults.Arm(faultinject.NodeScan(0), 1)
+			faults.Arm(faultinject.NodeScan(2), 1)
+			env := ExecEnv{Snap: snap, Faults: faults, fo: &failoverState{}}
+			var m Metrics
+			_, _, _, err := eng.eval(context.Background(), plan.NewScan(0, 1, cost.Default), q, env, &m, "", lazy)
+			var ue *resilience.UnavailableError
+			if !errors.As(err, &ue) {
+				t.Fatalf("run %d lazy=%v: err = %v, want *UnavailableError", run, lazy, err)
+			}
+			if ue.Missing != wantMissing || ue.Op != "scan" || !reflect.DeepEqual(ue.Nodes, []int{0, 2}) {
+				t.Fatalf("run %d lazy=%v: error %+v, want Missing=%d Op=scan Nodes=[0 2]", run, lazy, ue, wantMissing)
+			}
+		}
 	}
 }
 

@@ -446,8 +446,9 @@ func (s *Snap) read(node int, bp *boundPattern, alignCol int, dead []int) (rel *
 // liveCopy returns the failover coverage check for a dead set (sorted
 // ascending): whether a triple has a copy on some live node's base
 // fragment or overlay. Kept out of read so the healthy read's stack
-// frame stays small — every scan runs one fresh goroutine per node,
-// and a deeper frame chain costs each of them a stack growth.
+// frame stays small — a scan's reads on busy nodes run on fresh
+// goroutines, and a deeper frame chain costs each of them a stack
+// growth.
 func (s *Snap) liveCopy(dead []int) func(rdf.Triple) bool {
 	var replicas []*store
 	for n, st := range s.stores {

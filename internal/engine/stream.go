@@ -33,9 +33,11 @@ import (
 	"sparqlopt/internal/sparql"
 )
 
-// streamChunkRows is how many rows one chunk holds. Large enough to
+// streamChunkRows is the most rows one chunk holds. Large enough to
 // amortize per-chunk overhead (gauge math, HTTP flushes), small enough
-// that a streamed query's resident output is a few tens of KB.
+// that a streamed query's resident output is a few tens of KB. The chunk
+// is allocated for the root's flat row count when that is smaller, so a
+// result of a few rows pays for a few rows.
 const streamChunkRows = 1024
 
 // dedupChargeStep batches seen-set gauge reservations so the hot loop
@@ -411,7 +413,7 @@ func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Quer
 	if !dedupFree(p, len(env.Snap.stores), vars, schema) {
 		st.seen = newRowSet(len(vars), hashRow)
 	}
-	st.chunk = newRelation(vars, streamChunkRows)
+	st.chunk = newRelation(vars, int(min(st.res.flatRows, streamChunkRows)))
 	return st, nil
 }
 

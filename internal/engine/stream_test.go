@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"sparqlopt/internal/cost"
 	"sparqlopt/internal/opt"
 	"sparqlopt/internal/partition"
+	"sparqlopt/internal/plan"
 	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/sparql"
 )
@@ -111,6 +113,75 @@ func TestStreamMultiChunk(t *testing.T) {
 	}
 	if chunks < 3600/streamChunkRows {
 		t.Fatalf("only %d chunks for %d rows", chunks, total)
+	}
+}
+
+// TestStreamChunkSizedToResult: the chunk buffer is allocated for the
+// root's output when that is smaller than a full chunk — a two-row point
+// read holds two rows, not 1 024 — while a 10⁵-row result still arrives
+// in full 1 024-row chunks and a short last one.
+func TestStreamChunkSizedToResult(t *testing.T) {
+	// The two advisor triples live on node 1 only, so the root's output
+	// is exactly the two result rows.
+	ds := rdf.NewDataset()
+	d := ds.Dict
+	advisors := []rdf.Triple{
+		{S: d.Intern("s0"), P: d.Intern("advisor"), O: d.Intern("f0")},
+		{S: d.Intern("s0"), P: d.Intern("advisor"), O: d.Intern("f1")},
+	}
+	e := New(d, &partition.Placement{Nodes: 4, Triples: [][]rdf.Triple{nil, advisors, nil, nil}})
+	small := sparql.MustParse(`SELECT * WHERE { <s0> <advisor> ?f . }`)
+	st, err := e.ExecuteStream(context.Background(), plan.NewScan(0, 1, cost.Default), small, ExecEnv{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := drainStream(t, st); len(rows) != 2 {
+		t.Fatalf("streamed %d rows, want 2", len(rows))
+	}
+	if cap(st.chunk.Rows) != 2 || cap(st.chunk.arena) != 2 {
+		t.Errorf("two-row result's chunk has room for %d rows, %d terms; want 2 and 2", cap(st.chunk.Rows), cap(st.chunk.arena))
+	}
+
+	ds = rdf.NewDataset()
+	for i := 0; i < 250; i++ {
+		for j := 0; j < 400; j++ {
+			ds.Add(fmt.Sprintf("a%d", i), "n", fmt.Sprintf("b%d", j))
+		}
+	}
+	m := partition.HashSO{}
+	placement, err := m.Partition(ds, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e = New(ds.Dict, placement)
+	big := sparql.MustParse(`SELECT * WHERE { ?a <n> ?b . }`)
+	st, err = e.ExecuteStream(context.Background(), optimizeFor(t, ds, big, m, opt.TDAuto).Plan, big, ExecEnv{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 250 * 400
+	var sizes []int
+	for {
+		chunk, err := st.NextChunk(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chunk == nil {
+			break
+		}
+		sizes = append(sizes, len(chunk))
+	}
+	st.Finish()
+	if len(sizes) != (total+streamChunkRows-1)/streamChunkRows {
+		t.Fatalf("%d rows arrived in %d chunks", total, len(sizes))
+	}
+	for i, n := range sizes[:len(sizes)-1] {
+		if n != streamChunkRows {
+			t.Errorf("chunk %d holds %d rows, want %d", i, n, streamChunkRows)
+		}
+	}
+	if last := sizes[len(sizes)-1]; last != total%streamChunkRows {
+		t.Errorf("last chunk holds %d rows, want %d", last, total%streamChunkRows)
 	}
 }
 

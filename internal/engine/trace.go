@@ -25,6 +25,11 @@ type TraceNode struct {
 	OutputRows int64
 	// MaxNodeRows is the largest per-node output (load skew).
 	MaxNodeRows int64
+	// BusyNodes is how many of the cluster's Nodes the operator had work
+	// on: for a join, the nodes whose first fold input held rows; for a
+	// scan, the nodes it read or failed over, or — for a leaf its parent
+	// join reads later — the nodes whose read is non-empty.
+	BusyNodes, Nodes int
 	// TransferredRows is this operator's own network contribution.
 	TransferredRows int64
 	// TransferredBytes is the wire volume of TransferredRows.
@@ -109,6 +114,7 @@ func (tr *TraceNode) Format() string {
 	var b strings.Builder
 	var walk func(t *TraceNode, indent string)
 	walk = func(t *TraceNode, indent string) {
+		spread := fmt.Sprintf("on %d/%d nodes", t.BusyNodes, t.Nodes)
 		switch t.Alg {
 		case plan.Scan:
 			aligned := ""
@@ -119,15 +125,15 @@ func (tr *TraceNode) Format() string {
 			if t.Probed {
 				read = fmt.Sprintf("probed, %d bindings, %d postings (range %d)", t.Bindings, t.Postings, t.OutputRows)
 			}
-			fmt.Fprintf(&b, "%sscan tp%d: %s (est %.4g) max/node=%d time=%v%s\n",
-				indent, t.TP+1, read, t.EstimatedCard, t.MaxNodeRows, t.Elapsed.Round(time.Microsecond), aligned)
+			fmt.Fprintf(&b, "%sscan tp%d: %s (est %.4g) max/node=%d %s time=%v%s\n",
+				indent, t.TP+1, read, t.EstimatedCard, t.MaxNodeRows, spread, t.Elapsed.Round(time.Microsecond), aligned)
 		default:
 			mark := ""
 			if t.Factorized {
 				mark = fmt.Sprintf(" factorized(deferred=%d)", t.DeferredFanout)
 			}
-			fmt.Fprintf(&b, "%s%s on ?%s: rows=%d (est %.4g) max/node=%d moved=%d (%dB) time=%v%s\n",
-				indent, t.Alg, t.JoinVar, t.OutputRows, t.EstimatedCard, t.MaxNodeRows,
+			fmt.Fprintf(&b, "%s%s on ?%s: rows=%d (est %.4g) max/node=%d %s moved=%d (%dB) time=%v%s\n",
+				indent, t.Alg, t.JoinVar, t.OutputRows, t.EstimatedCard, t.MaxNodeRows, spread,
 				t.TransferredRows, t.TransferredBytes, t.Elapsed.Round(time.Microsecond), mark)
 		}
 		for _, ch := range t.Children {
@@ -225,6 +231,7 @@ func (tr *TraceNode) AttachSpans(parent *obs.Span) {
 	s.SetAttrFloat("est_rows", tr.EstimatedCard)
 	s.SetAttrInt("rows", tr.OutputRows)
 	s.SetAttrInt("max_node_rows", tr.MaxNodeRows)
+	s.SetAttr("nodes", fmt.Sprintf("%d/%d", tr.BusyNodes, tr.Nodes))
 	if tr.Alg == plan.BroadcastJoin || tr.Alg == plan.RepartitionJoin {
 		s.SetAttrInt("shuffled_rows", tr.TransferredRows)
 		s.SetAttrInt("shuffled_bytes", tr.TransferredBytes)
