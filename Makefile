@@ -44,10 +44,12 @@ race:
 # reads in permutation order, TestDeterminismFragmentProbe: the same
 # leaves looked up by a set of bindings — both against a brute-force
 # oracle; TestDeterminismScanDeadSet: deaths a scan discovers itself,
-# all known before any failover read) and the per-node helper's table
-# (TestFanOut) ride the same run.
+# all known before any failover read), the per-node helper's table
+# (TestFanOut), the repeated-run memo check (TestMemoDeterminism,
+# whose claims hit the parallel memo's lock-free path) and the memo
+# table's own race (TestMemoTableClaims) ride the same run.
 determinism:
-	$(GO) test -run 'TestDeterminism|TestFanOut' -race -count=2 ./internal/opt/... ./internal/engine/...
+	$(GO) test -run 'TestDeterminism|TestMemo|TestFanOut' -race -count=2 ./internal/opt/... ./internal/engine/...
 
 # The observability layer's own gate: vet plus a doubled, race-
 # instrumented run of the registry/trace/slow-log suites and the
@@ -78,7 +80,9 @@ bench:
 
 # One iteration of the execution benchmarks, of the point reads (P1 and
 # P2 through RunStream, with allocations — a regression in what a point
-# read pays beyond its rows shows here without the spine) and of the
+# read pays beyond its rows shows here without the spine), of cold
+# planning (L9 and L10 through Run with no plan cache, with allocations
+# — the enumerator's allocation diet shows here) and of the
 # store build (LUBM-10 under hash-so through engine.New, with
 # allocations — a build-time regression shows here too) plus a quick pass
 # of the adaptive-repartitioning and node-failover experiments: catches
@@ -89,6 +93,7 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkExecute -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkPointRead -benchtime=1x .
+	$(GO) test -run='^$$' -bench=BenchmarkColdPlan -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkStoreBuild -benchtime=1x ./internal/engine
 	$(GO) run ./cmd/benchrunner -experiment adaptive -quick
 	$(GO) run ./cmd/benchrunner -experiment failover -quick

@@ -371,6 +371,35 @@ func BenchmarkPointRead(b *testing.B) {
 	}
 }
 
+// BenchmarkColdPlan measures the cold-planning path the way a served
+// request without a plan cache pays it: LUBM-2 under 2f on 10 nodes,
+// L9 and L10 through Run, so each op collects statistics, enumerates
+// the plan (L10 is ≈155k join operators under TD-CMDP) and executes
+// it. allocs/op is mostly the enumerator's.
+func BenchmarkColdPlan(b *testing.B) {
+	ds := lubm.Generate(lubm.Config{Universities: 2, Seed: 1})
+	m, err := sparqlopt.PartitionMethod("2f")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := sparqlopt.Open(ds, sparqlopt.WithMethod(m), sparqlopt.WithNodes(10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	for _, name := range []string{"L9", "L10"} {
+		src := lubm.QueryText(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.Run(context.Background(), src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEndToEnd measures optimize+execute of a benchmark query on
 // the simulated cluster.
 func BenchmarkEndToEnd(b *testing.B) {

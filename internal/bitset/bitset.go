@@ -129,8 +129,8 @@ func (s TPSet) ProperSubsets(f func(sub TPSet) bool) {
 
 // Hash returns a well-mixed 64-bit hash of the set (the finalizer of
 // splitmix64). Raw TPSet values of related subqueries differ only in a
-// few low bits; the mix spreads them evenly, which shard selection in
-// the optimizer's lock-striped memo table relies on.
+// few low bits; the mix spreads them evenly, which the linear probing
+// of the optimizer's parallel memo table relies on.
 func (s TPSet) Hash() uint64 {
 	x := uint64(s)
 	x ^= x >> 30

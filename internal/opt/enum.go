@@ -15,6 +15,9 @@
 package opt
 
 import (
+	"math/bits"
+	"sync"
+
 	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/querygraph"
 )
@@ -24,7 +27,9 @@ import (
 // (SQ, q\SQ, v_j) it calls emit(SQ, q\SQ); enumeration stops early if
 // emit returns false. The side passed first always contains the
 // lowest-indexed pattern of N_tp(v_j) ∩ q, which makes each unordered
-// division appear exactly once.
+// division appear exactly once. It allocates nothing: the components
+// of q − v_j live in an array on the stack and every other step is a
+// bit operation on the join graph's exclusion masks.
 //
 // q must be a connected subquery of jg's query.
 func ConnBinDivision(jg *querygraph.JoinGraph, q bitset.TPSet, vj int, emit func(sq, rest bitset.TPSet) bool) {
@@ -32,74 +37,76 @@ func ConnBinDivision(jg *querygraph.JoinGraph, q bitset.TPSet, vj int, emit func
 	if neighbors.Len() < 2 {
 		return // both sides need a pattern adjacent to vj
 	}
-	comps := jg.ComponentsExcluding(q, vj)
-	seed := neighbors.Min()
-
-	findComp := func(tp int) bitset.TPSet {
-		for _, c := range comps {
-			if c.Has(tp) {
-				return c
-			}
-		}
-		return 0
+	d := binDiv{jg: jg, q: q, vj: vj, neighbors: neighbors}
+	for rest := q; !rest.IsEmpty(); {
+		comp := jg.ReachExcluding(rest, bitset.Single(rest.Min()), vj)
+		d.comps[d.ncomps] = comp
+		d.ncomps++
+		rest = rest.Diff(comp)
 	}
+	d.rec(0, 0, 0, emit)
+}
 
-	// extension returns the set that must be added to sq together with
-	// tp: the whole component when it is indivisible (Lemma 1), or
-	// {tp} plus the fall-off parts that contain no vj-neighbor
-	// (Lemma 2) when it is divisible.
-	extension := func(sq bitset.TPSet, tp int) bitset.TPSet {
-		comp := findComp(tp)
-		if comp.Intersect(jg.Ntp[vj]).Len() == 1 {
-			return comp // indivisible component: take it whole
+// binDiv is the state of one ConnBinDivision call.
+type binDiv struct {
+	jg        *querygraph.JoinGraph
+	q         bitset.TPSet
+	vj        int
+	neighbors bitset.TPSet // N_tp(v_j) ∩ q
+	// comps[:ncomps] are the connected components of q − v_j.
+	comps  [bitset.MaxPatterns]bitset.TPSet
+	ncomps int
+}
+
+// extension returns the set that must be added to sq together with
+// tp: the whole component when it is indivisible (Lemma 1), or {tp}
+// plus the fall-off parts — the patterns of the rest of the component
+// that no remaining vj-neighbor reaches without vj (Lemma 2) — when it
+// is divisible.
+func (d *binDiv) extension(sq bitset.TPSet, tp int) bitset.TPSet {
+	var comp bitset.TPSet
+	for _, c := range d.comps[:d.ncomps] {
+		if c.Has(tp) {
+			comp = c
+			break
 		}
-		rest := comp.Diff(sq).Remove(tp)
-		ext := bitset.Single(tp)
-		if rest.IsEmpty() {
-			return ext
-		}
-		for _, sub := range jg.ComponentsExcluding(rest, vj) {
-			if !sub.Overlaps(neighbors) {
-				ext = ext.Union(sub)
-			}
-		}
-		return ext
 	}
+	if comp.Intersect(d.neighbors).Len() == 1 {
+		return comp // indivisible component: take it whole
+	}
+	rest := comp.Diff(sq).Remove(tp)
+	anchored := d.jg.ReachExcluding(rest, rest.Intersect(d.neighbors), d.vj)
+	return rest.Diff(anchored).Add(tp)
+}
 
-	// rec extends sq; x holds the frontier patterns already branched on
-	// at enclosing levels, whose divisions were enumerated there.
-	var rec func(sq, x bitset.TPSet) bool
-	rec = func(sq, x bitset.TPSet) bool {
-		if !sq.IsEmpty() {
-			if !emit(sq, q.Diff(sq)) {
+// rec extends sq; x holds the frontier patterns already branched on at
+// enclosing levels, whose divisions were enumerated there, and adj is
+// jg.Neighbors(sq), grown with each extension.
+func (d *binDiv) rec(sq, x, adj bitset.TPSet, emit func(sq, rest bitset.TPSet) bool) bool {
+	var frontier bitset.TPSet
+	if sq.IsEmpty() {
+		frontier = bitset.Single(d.neighbors.Min())
+	} else {
+		if !emit(sq, d.q.Diff(sq)) {
+			return false
+		}
+		frontier = adj.Intersect(d.q).Diff(sq).Diff(x)
+	}
+	for f := frontier; f != 0; f &= f - 1 {
+		tp := bits.TrailingZeros64(uint64(f))
+		ext := d.extension(sq, tp)
+		next := sq.Union(ext)
+		// Skip divisions already emitted under an earlier branch (ext
+		// pulled in an excluded pattern) and the degenerate full
+		// division.
+		if !ext.Overlaps(x) && next != d.q {
+			if !d.rec(next, x, adj.Union(d.jg.Neighbors(ext)), emit) {
 				return false
 			}
 		}
-		var frontier bitset.TPSet
-		if sq.IsEmpty() {
-			frontier = bitset.Single(seed)
-		} else {
-			frontier = jg.AdjOf(q, sq).Diff(x)
-		}
-		cont := true
-		frontier.Each(func(tp int) bool {
-			ext := extension(sq, tp)
-			next := sq.Union(ext)
-			// Skip divisions already emitted under an earlier branch
-			// (ext pulled in an excluded pattern) and the degenerate
-			// full division.
-			if !ext.Overlaps(x) && next != q {
-				if !rec(next, x) {
-					cont = false
-					return false
-				}
-			}
-			x = x.Add(tp)
-			return true
-		})
-		return cont
+		x = x.Add(tp)
 	}
-	rec(0, 0)
+	return true
 }
 
 // CMD is one connected multi-division (Definition 3): a partition of a
@@ -111,6 +118,11 @@ type CMD struct {
 	// Var is the index of the join variable v_j in the join graph.
 	Var int
 }
+
+// partsPool recycles the buffer ConnMultiDivision hands to emit as
+// CMD.Parts. The buffer must live on the heap, since emit may be any
+// function, and pooling it keeps a call allocation-free.
+var partsPool = sync.Pool{New: func() any { return new([bitset.MaxPatterns]bitset.TPSet) }}
 
 // ConnMultiDivision enumerates the connected multi-divisions of the
 // subquery q (Algorithm 3), calling emit once per cmd; enumeration
@@ -124,50 +136,60 @@ func ConnMultiDivision(jg *querygraph.JoinGraph, q bitset.TPSet, pruneCCMD bool,
 	if q.Len() < 2 {
 		return
 	}
-	parts := make([]bitset.TPSet, 0, q.Len())
+	buf := partsPool.Get().(*[bitset.MaxPatterns]bitset.TPSet)
+	defer partsPool.Put(buf)
 	for vj := range jg.Vars {
 		neighbors := jg.Ntp[vj].Intersect(q)
 		if neighbors.Len() < 2 {
 			continue
 		}
-		single := func(s bitset.TPSet) bool { return s.Intersect(neighbors).Len() == 1 }
-
-		// rec peels cbds of rest on vj, accumulating peeled parts.
-		// allSingle tracks whether every accumulated part has exactly
-		// one vj-neighbor (required of k>2 divisions under pruning).
-		var rec func(rest bitset.TPSet, allSingle bool) bool
-		rec = func(rest bitset.TPSet, allSingle bool) bool {
-			if len(parts) > 0 {
-				valid := len(parts) == 1 || !pruneCCMD || (allSingle && single(rest))
-				if valid {
-					parts = append(parts, rest)
-					ok := emit(CMD{Parts: parts, Var: vj})
-					parts = parts[:len(parts)-1]
-					if !ok {
-						return false
-					}
-				}
-			}
-			if single(rest) {
-				return true
-			}
-			cont := true
-			ConnBinDivision(jg, rest, vj, func(a, b bitset.TPSet) bool {
-				if pruneCCMD && len(parts) >= 1 && !(allSingle && single(a)) {
-					// Deeper splits would only yield non-ccmd k>2
-					// divisions; prune the branch but keep scanning
-					// sibling cbds.
-					return true
-				}
-				parts = append(parts, a)
-				cont = rec(b, allSingle && single(a))
-				parts = parts[:len(parts)-1]
-				return cont
-			})
-			return cont
-		}
-		if !rec(q, true) {
+		m := multiDiv{jg: jg, vj: vj, neighbors: neighbors, prune: pruneCCMD, parts: buf[:0]}
+		if !m.rec(q, true, emit) {
 			return
 		}
 	}
+}
+
+// multiDiv is the state of ConnMultiDivision on one join variable.
+type multiDiv struct {
+	jg        *querygraph.JoinGraph
+	vj        int
+	neighbors bitset.TPSet // N_tp(v_j) ∩ q
+	prune     bool
+	parts     []bitset.TPSet // parts peeled so far
+}
+
+// single reports whether s holds exactly one vj-neighbor.
+func (m *multiDiv) single(s bitset.TPSet) bool { return s.Intersect(m.neighbors).Len() == 1 }
+
+// rec peels cbds of rest on vj, accumulating peeled parts. allSingle
+// tracks whether every accumulated part has exactly one vj-neighbor
+// (required of k>2 divisions under pruning).
+func (m *multiDiv) rec(rest bitset.TPSet, allSingle bool, emit func(cmd CMD) bool) bool {
+	if len(m.parts) > 0 {
+		if len(m.parts) == 1 || !m.prune || (allSingle && m.single(rest)) {
+			m.parts = append(m.parts, rest)
+			ok := emit(CMD{Parts: m.parts, Var: m.vj})
+			m.parts = m.parts[:len(m.parts)-1]
+			if !ok {
+				return false
+			}
+		}
+	}
+	if m.single(rest) {
+		return true
+	}
+	cont := true
+	ConnBinDivision(m.jg, rest, m.vj, func(a, b bitset.TPSet) bool {
+		if m.prune && len(m.parts) >= 1 && !(allSingle && m.single(a)) {
+			// Deeper splits would only yield non-ccmd k>2 divisions;
+			// prune the branch but keep scanning sibling cbds.
+			return true
+		}
+		m.parts = append(m.parts, a)
+		cont = m.rec(b, allSingle && m.single(a), emit)
+		m.parts = m.parts[:len(m.parts)-1]
+		return cont
+	})
+	return cont
 }

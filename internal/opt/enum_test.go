@@ -8,7 +8,9 @@ import (
 
 	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/querygraph"
+	"sparqlopt/internal/race"
 	"sparqlopt/internal/sparql"
+	"sparqlopt/internal/workload/lubm"
 )
 
 // fig1 and fig4 are the paper's running examples (see querygraph tests).
@@ -402,5 +404,41 @@ func TestCMDPartsAreValid(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestDivisionsAllocateNothing: Algorithms 2 and 3 cost bit operations,
+// not allocations. Over L10's join graph neither enumerator may
+// allocate, pruned or not, once the parts buffer is pooled.
+func TestDivisionsAllocateNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
+	}
+	jg := mustJG(t, lubm.Query("L10"))
+	all := jg.All()
+	var n int
+	for _, prune := range []bool{false, true} {
+		ConnMultiDivision(jg, all, prune, func(CMD) bool { return true }) // warm the pool
+		if a := testing.AllocsPerRun(5, func() {
+			ConnMultiDivision(jg, all, prune, func(cmd CMD) bool {
+				n += len(cmd.Parts)
+				return true
+			})
+		}); a != 0 {
+			t.Errorf("ConnMultiDivision(L10, prune=%v): %v allocs per run, want 0", prune, a)
+		}
+	}
+	if a := testing.AllocsPerRun(5, func() {
+		for vj := range jg.Vars {
+			ConnBinDivision(jg, all, vj, func(sq, rest bitset.TPSet) bool {
+				n += sq.Len()
+				return true
+			})
+		}
+	}); a != 0 {
+		t.Errorf("ConnBinDivision(L10): %v allocs per run, want 0", a)
+	}
+	if n == 0 {
+		t.Fatal("L10 produced no divisions")
 	}
 }

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/plan"
@@ -10,7 +11,7 @@ import (
 )
 
 // memoEntryBytes approximates the resident cost of one memo entry: the
-// map slot, the future, and the plan node the entry pins. The figure
+// memo slot, the future, and the plan node the entry pins. The figure
 // is deliberately round — the budget tracks growth, not bytes-exact
 // heap usage — but it scales with the real driver of optimizer memory,
 // the number of distinct subqueries memoized (exponential in query
@@ -47,70 +48,133 @@ func (sp *space) releaseMemo() {
 }
 
 // The parallel enumerator replaces the sequential plain-map memo with
-// a lock-striped table of plan futures. Each distinct subquery is
-// planned by exactly one worker: the first goroutine to claim a set
-// becomes its owner and computes the plan; later claimants receive the
-// same future and block on its completion. This keeps the search-space
-// counters (and the amount of work) identical to the sequential run —
-// no subquery is ever planned twice — while letting independent
-// subqueries proceed on different cores.
+// a table of plan futures. Each distinct subquery is planned by exactly
+// one worker: the first goroutine to claim a set becomes its owner and
+// computes the plan; later claimants receive the same future and, while
+// it is unresolved, block on its completion. This keeps the
+// search-space counters (and the amount of work) identical to the
+// sequential run — no subquery is ever planned twice — while letting
+// independent subqueries proceed on different cores.
+//
+// Almost every claim is a hit on a future resolved long ago, so a hit
+// writes nothing shared: it probes the table with atomic loads, takes
+// no lock, and reads the future's resolved flag instead of receiving
+// from its channel. Only a miss takes the table's lock, and only a
+// waiter on an unresolved future touches the channel.
 
-// memoShards is the number of lock stripes. 64 keeps the probability
-// of two live workers hashing to the same stripe low at any supported
-// parallelism while the table stays small enough to allocate per run.
-const memoShards = 64
-
-// futurePlan is the promise for one subquery's best plan. done is
-// closed by the owner after plan is written, so waiters observe a
-// fully published value. plan is nil when the run was cancelled
-// mid-computation (the run as a whole errors out in that case).
+// futurePlan is the promise for one subquery's best plan. The owner
+// writes plan, then sets resolved, then closes done: a claimant that
+// loads resolved == true reads a fully published plan without touching
+// the channel; one that loads false waits on done. plan is nil when the
+// run was cancelled mid-computation (the run as a whole errors out in
+// that case).
 type futurePlan struct {
-	done chan struct{}
-	plan *plan.Node
+	resolved atomic.Bool
+	done     chan struct{}
+	plan     *plan.Node
 }
 
-// memoTable is the sharded future-based memo keyed by subquery bitset.
+// memoTable maps subquery bitsets to plan futures: an open-addressing
+// hash table (linear probing, at most half full) that readers probe
+// without a lock. Inserts and growth serialize on mu. An insert stores
+// the future before the key, and growth fills the new slots before
+// publishing them, so a reader that finds a key finds its future. A
+// reader's miss is not final — the key may have been published after
+// its probe, or into slots grown since it loaded them — so claim
+// re-probes under mu before it creates a future.
 type memoTable struct {
-	shards [memoShards]memoShard
+	slots atomic.Pointer[memoSlots]
+	mu    sync.Mutex
+	n     int // claimed subqueries, guarded by mu
 }
 
-type memoShard struct {
-	mu sync.Mutex
-	m  map[bitset.TPSet]*futurePlan
+// memoSlots is one generation of the table; len(keys) is a power of
+// two. Key 0 marks a free slot: the enumerator never claims the empty
+// subquery.
+type memoSlots struct {
+	keys []atomic.Uint64
+	futs []atomic.Pointer[futurePlan]
+}
+
+// memoInitialSlots is the first generation's size: enough for the
+// subqueries of a small query without growing.
+const memoInitialSlots = 256
+
+func newMemoSlots(n int) *memoSlots {
+	return &memoSlots{keys: make([]atomic.Uint64, n), futs: make([]atomic.Pointer[futurePlan], n)}
 }
 
 func newMemoTable() *memoTable {
 	t := &memoTable{}
-	for i := range t.shards {
-		t.shards[i].m = make(map[bitset.TPSet]*futurePlan)
-	}
+	t.slots.Store(newMemoSlots(memoInitialSlots))
 	return t
 }
 
+// find returns the future published for s in this generation, or nil.
+func (m *memoSlots) find(s bitset.TPSet) *futurePlan {
+	mask := uint64(len(m.keys) - 1)
+	for i := s.Hash() & mask; ; i = (i + 1) & mask {
+		switch m.keys[i].Load() {
+		case uint64(s):
+			return m.futs[i].Load()
+		case 0:
+			return nil
+		}
+	}
+}
+
+// put stores f for s, which must be absent, in a free slot.
+func (m *memoSlots) put(s bitset.TPSet, f *futurePlan) {
+	mask := uint64(len(m.keys) - 1)
+	i := s.Hash() & mask
+	for m.keys[i].Load() != 0 {
+		i = (i + 1) & mask
+	}
+	m.futs[i].Store(f)
+	m.keys[i].Store(uint64(s))
+}
+
 // claim returns the future for s and whether the caller won ownership.
-// The winner must compute the plan, store it in f.plan and close
-// f.done exactly once; losers wait on f.done and read f.plan.
+// The winner must compute the plan and resolve f exactly once; losers
+// call f.wait.
 func (t *memoTable) claim(s bitset.TPSet) (f *futurePlan, owner bool) {
-	sh := &t.shards[s.Hash()%memoShards]
-	sh.mu.Lock()
-	if f, ok := sh.m[s]; ok {
-		sh.mu.Unlock()
+	if f := t.slots.Load().find(s); f != nil {
 		return f, false
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cur := t.slots.Load()
+	if f := cur.find(s); f != nil {
+		return f, false // published after the lock-free probe
+	}
+	if 2*(t.n+1) > len(cur.keys) {
+		grown := newMemoSlots(2 * len(cur.keys))
+		for i := range cur.keys {
+			if k := cur.keys[i].Load(); k != 0 {
+				grown.put(bitset.TPSet(k), cur.futs[i].Load())
+			}
+		}
+		t.slots.Store(grown)
+		cur = grown
+	}
 	f = &futurePlan{done: make(chan struct{})}
-	sh.m[s] = f
-	sh.mu.Unlock()
+	cur.put(s, f)
+	t.n++
 	return f, true
 }
 
 // resolve publishes p as the owner's result and wakes all waiters.
 func (f *futurePlan) resolve(p *plan.Node) {
 	f.plan = p
+	f.resolved.Store(true)
 	close(f.done)
 }
 
-// wait blocks until the owner resolves the future.
+// wait returns the owner's result, blocking only while the future is
+// unresolved.
 func (f *futurePlan) wait() *plan.Node {
-	<-f.done
+	if !f.resolved.Load() {
+		<-f.done
+	}
 	return f.plan
 }

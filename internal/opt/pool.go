@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"sparqlopt/internal/bitset"
+	"sparqlopt/internal/plan"
 )
 
 // pool bounds the enumerator's concurrency at Options.Parallelism
@@ -49,6 +50,9 @@ type cmdBatch struct {
 	vjs   []int          // join variable of CMD i
 	offs  []int32        // parts of CMD i are parts[offs[i]:offs[i+1]]
 	parts []bitset.TPSet // arena backing every CMD's parts
+	// cur and win are costBatch's scratch children: the candidate
+	// being costed and the batch's winner so far.
+	cur, win []*plan.Node
 }
 
 func (b *cmdBatch) reset() {

@@ -75,8 +75,9 @@ func (c *counters) snapshot() Counter {
 //
 // Everything a worker reads during enumeration (jg, card, isLocal,
 // params, leaves) is immutable once run starts; mutable state is
-// confined to the memo (plain map when sequential, lock-striped future
-// table when parallel), the atomic counters and the cancellation flag.
+// confined to the memo (plain map when sequential, a table of plan
+// futures with lock-free hits when parallel), the atomic counters and
+// the cancellation flag.
 type space struct {
 	ctx     context.Context
 	jg      *querygraph.JoinGraph // join graph over units
@@ -262,11 +263,18 @@ func (sp *space) bestPlanGen(s bitset.TPSet, inheritedLocal bool, w *worker) *pl
 		}
 	}
 	out := sp.card(s)
-	// children is scratch shared across cmds; a winning candidate gets
-	// its own copy, so losing cmds (the common case) allocate nothing.
-	// cmds/plans accumulate locally and fold into the shared atomics
-	// once per subquery, keeping the hot loop free of shared writes.
-	children := make([]*plan.Node, 0, s.Len())
+	// The candidate's children fill cur; an improving candidate swaps
+	// cur with win, so the winner's children are always in win and a
+	// losing cmd (the common case) neither allocates nor copies. The
+	// join node is built once, for the winner. cmds/plans accumulate
+	// locally and fold into the shared atomics once per subquery,
+	// keeping the hot loop free of shared writes.
+	var curBuf, winBuf [bitset.MaxPatterns]*plan.Node
+	cur, win := curBuf[:0], winBuf[:0]
+	var winner candidate
+	if bPlan != nil {
+		winner.cost = bPlan.Cost
+	}
 	var cmds, plans int64
 	ConnMultiDivision(sp.jg, s, sp.opt.PruneCCMD, func(cmd CMD) bool {
 		if w.cancelled() {
@@ -274,33 +282,45 @@ func (sp *space) bestPlanGen(s bitset.TPSet, inheritedLocal bool, w *worker) *pl
 		}
 		sp.faults.PanicIf(faultinject.OptPanic)
 		cmds++
-		children = children[:0]
+		cur = cur[:0]
 		for _, part := range cmd.Parts {
 			ch := sp.best(part, local, w)
 			if ch == nil {
 				return false // cancelled
 			}
-			children = append(children, ch)
+			cur = append(cur, ch)
 		}
-		alg, c := sp.bestCandidate(children, out, &plans)
-		if bPlan == nil || c < bPlan.Cost {
-			kids := make([]*plan.Node, len(children))
-			copy(kids, children)
-			bPlan = plan.NewJoin(alg, sp.jg.Vars[cmd.Var], kids, out, sp.params)
+		alg, c := sp.bestCandidate(cur, out, &plans)
+		if (bPlan == nil && len(win) == 0) || c < winner.cost {
+			winner = candidate{alg: alg, cost: c, vj: cmd.Var}
+			cur, win = win, cur
 		}
 		return true
 	})
 	sp.counter.cmds.Add(cmds)
 	sp.counter.plans.Add(plans)
+	if len(win) > 0 {
+		kids := append([]*plan.Node(nil), win...)
+		bPlan = plan.NewJoin(winner.alg, sp.jg.Vars[winner.vj], kids, out, sp.params)
+	}
 	return bPlan
+}
+
+// candidate is the winning join of one subquery so far: its algorithm,
+// cumulative cost and join variable. Its children live in scratch
+// until enumeration is over and the one join node is built.
+type candidate struct {
+	alg  plan.Algorithm
+	cost float64
+	vj   int
 }
 
 // bestCandidate costs the join candidates of one cmd — repartition
 // always, broadcast when Rule 2 allows — and returns the cheaper
 // algorithm with its cumulative cost, preferring repartition on ties.
 // Candidates are costed without building nodes (plan.JoinCost), so
-// only improving candidates ever allocate. plans accumulates the
-// number of candidates costed into the caller's local counter.
+// costing allocates nothing. plans accumulates the number of
+// candidates costed into the caller's local counter.
 func (sp *space) bestCandidate(children []*plan.Node, out float64, plans *int64) (plan.Algorithm, float64) {
 	*plans++
 	_, c := plan.JoinCost(plan.RepartitionJoin, children, out, sp.params)
@@ -343,23 +363,41 @@ func (sp *space) bestPar(s bitset.TPSet, inheritedLocal bool, w *worker) (p *pla
 	return p
 }
 
-// bestReducer folds the per-batch best plans into the subquery's best.
+// bestReducer folds the per-batch winners into the subquery's best.
 // Min-cost folding is order-independent, so the reduction is
 // deterministic up to cost even though batches finish in any order.
+// It keeps the winning candidate and a copy of its children, and plan
+// builds the one join node after every batch is in.
 type bestReducer struct {
-	mu   sync.Mutex
-	best *plan.Node
+	mu     sync.Mutex
+	local  *plan.Node // the local-join plan when the subquery is local
+	winner candidate
+	kids   []*plan.Node // the winner's children; empty until a merge
 }
 
-func (r *bestReducer) merge(p *plan.Node) {
-	if p == nil {
-		return
-	}
+func (r *bestReducer) merge(c candidate, kids []*plan.Node) {
 	r.mu.Lock()
-	if r.best == nil || p.Cost < r.best.Cost {
-		r.best = p
+	if (r.local == nil && len(r.kids) == 0) || c.cost < r.bestCost() {
+		r.winner = c
+		r.kids = append(r.kids[:0], kids...)
 	}
 	r.mu.Unlock()
+}
+
+// bestCost is the cost to beat: the winner's, else the local plan's.
+func (r *bestReducer) bestCost() float64 {
+	if len(r.kids) > 0 {
+		return r.winner.cost
+	}
+	return r.local.Cost
+}
+
+// plan returns the subquery's best plan once every batch has merged.
+func (r *bestReducer) plan(sp *space, out float64) *plan.Node {
+	if len(r.kids) == 0 {
+		return r.local
+	}
+	return plan.NewJoin(r.winner.alg, sp.jg.Vars[r.winner.vj], r.kids, out, sp.params)
 }
 
 // bestPlanGenPar is BestPlanGen with the connected multi-divisions
@@ -380,7 +418,7 @@ func (sp *space) bestPlanGenPar(s bitset.TPSet, inheritedLocal bool, w *worker) 
 			sp.inst.localShortcut()
 			return lp // Rule 3: the local join plan is final
 		}
-		red.best = lp
+		red.local = lp
 	}
 	out := sp.card(s)
 	var wg sync.WaitGroup
@@ -424,7 +462,7 @@ func (sp *space) bestPlanGenPar(s bitset.TPSet, inheritedLocal bool, w *worker) 
 	flush()
 	wg.Wait()
 	sp.pool.putBatch(batch)
-	return red.best
+	return red.plan(sp, out)
 }
 
 // costBatch plans the parts of every cmd in b and merges the batch's
@@ -432,16 +470,16 @@ func (sp *space) bestPlanGenPar(s bitset.TPSet, inheritedLocal bool, w *worker) 
 // enumerating goroutine when the pool is saturated).
 func (sp *space) costBatch(b *cmdBatch, local bool, out float64, red *bestReducer) {
 	w := &worker{sp: sp}
-	var best *plan.Node
+	var winner candidate
 	var plans int64
-	children := make([]*plan.Node, 0, 8)
+	cur, win := b.cur[:0], b.win[:0]
 	for i := 0; i < b.len(); i++ {
 		if w.cancelled() {
 			break
 		}
 		sp.faults.PanicIf(faultinject.OptPanic)
 		parts := b.partsOf(i)
-		children = children[:0]
+		cur = cur[:0]
 		ok := true
 		for _, part := range parts {
 			ch := sp.bestPar(part, local, w)
@@ -449,20 +487,26 @@ func (sp *space) costBatch(b *cmdBatch, local bool, out float64, red *bestReduce
 				ok = false // cancelled
 				break
 			}
-			children = append(children, ch)
+			cur = append(cur, ch)
 		}
 		if !ok {
 			break
 		}
-		alg, c := sp.bestCandidate(children, out, &plans)
-		if best == nil || c < best.Cost {
-			kids := make([]*plan.Node, len(children))
-			copy(kids, children)
-			best = plan.NewJoin(alg, sp.jg.Vars[b.vjs[i]], kids, out, sp.params)
+		alg, c := sp.bestCandidate(cur, out, &plans)
+		if len(win) == 0 || c < winner.cost {
+			winner = candidate{alg: alg, cost: c, vj: b.vjs[i]}
+			cur, win = win, cur
 		}
 	}
 	sp.counter.plans.Add(plans)
-	red.merge(best)
+	if len(win) > 0 {
+		red.merge(winner, win)
+	}
+	// Keep the grown buffers for the batch's next use, without pinning
+	// this run's plan nodes in the pool.
+	b.cur, b.win = cur[:0], win[:0]
+	clear(cur[:cap(cur)])
+	clear(win[:cap(win)])
 }
 
 // localPlan builds the k-way local join of all units of the local

@@ -14,9 +14,8 @@
 //     on the way in and out, so ?x <knows> <alice> can be served with
 //     the plan optimized for ?y <knows> <bob>.
 //
-//   - A lock-striped LRU (the sharding mirrors the optimizer's memo
-//     table) bounds the number of resident fingerprints; eviction is
-//     per shard, counters are global.
+//   - A lock-striped LRU bounds the number of resident fingerprints;
+//     eviction is per shard, counters are global.
 //
 //   - Singleflight: the first goroutine to miss on a (fingerprint,
 //     algorithm) pair owns the optimization; concurrent missers block

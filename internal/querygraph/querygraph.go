@@ -16,6 +16,7 @@ package querygraph
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/sparql"
@@ -72,6 +73,11 @@ type JoinGraph struct {
 	// Adj[i] is the set of patterns sharing at least one join variable
 	// with pattern i (excluding i itself).
 	Adj []bitset.TPSet
+	// exAdj[i·|V_J|+j] is the set of patterns sharing a join variable
+	// other than j with pattern i (excluding i itself): Adj[i] in the
+	// join graph J(Q) − v_j. Algorithm 2 walks these masks, so removing
+	// a variable costs no work per query.
+	exAdj []bitset.TPSet
 }
 
 // NewJoinGraph builds the join graph of q. It returns an error when the
@@ -112,13 +118,7 @@ func NewJoinGraph(q *sparql.Query) (*JoinGraph, error) {
 		jg.Vars = append(jg.Vars, v)
 		jg.Ntp = append(jg.Ntp, occ[v])
 	}
-	for j, members := range jg.Ntp {
-		members.Each(func(i int) bool {
-			jg.TPVars[i] = append(jg.TPVars[i], j)
-			jg.Adj[i] = jg.Adj[i].Union(members.Remove(i))
-			return true
-		})
-	}
+	jg.link()
 	return jg, nil
 }
 
@@ -163,6 +163,12 @@ func NewJoinGraphFromVarSets(varSets [][]string) (*JoinGraph, error) {
 		jg.Vars = append(jg.Vars, v)
 		jg.Ntp = append(jg.Ntp, occ[v])
 	}
+	jg.link()
+	return jg, nil
+}
+
+// link derives TPVars, Adj and the exclusion masks from Ntp.
+func (jg *JoinGraph) link() {
 	for j, members := range jg.Ntp {
 		members.Each(func(i int) bool {
 			jg.TPVars[i] = append(jg.TPVars[i], j)
@@ -170,7 +176,19 @@ func NewJoinGraphFromVarSets(varSets [][]string) (*JoinGraph, error) {
 			return true
 		})
 	}
-	return jg, nil
+	nj := len(jg.Vars)
+	jg.exAdj = make([]bitset.TPSet, jg.NumTP*nj)
+	for i, vars := range jg.TPVars {
+		for vj := 0; vj < nj; vj++ {
+			var out bitset.TPSet
+			for _, v := range vars {
+				if v != vj {
+					out = out.Union(jg.Ntp[v])
+				}
+			}
+			jg.exAdj[i*nj+vj] = out.Remove(i)
+		}
+	}
 }
 
 // NumJoinVars is |V_J|.
@@ -199,25 +217,42 @@ func (jg *JoinGraph) AdjIn(s bitset.TPSet, tp int) bitset.TPSet {
 // restricted to s and excluding sub — the expansion frontier
 // Adj(SQ) ∩ Q \ SQ used by Algorithm 2.
 func (jg *JoinGraph) AdjOf(s, sub bitset.TPSet) bitset.TPSet {
-	var out bitset.TPSet
-	sub.Each(func(i int) bool {
-		out = out.Union(jg.Adj[i])
-		return true
-	})
-	return out.Intersect(s).Diff(sub)
+	return jg.Neighbors(sub).Intersect(s).Diff(sub)
 }
 
-// adjExcluding returns the neighbors of tp within s connected via any
-// join variable other than vj.
-func (jg *JoinGraph) adjExcluding(s bitset.TPSet, tp, vj int) bitset.TPSet {
+// Neighbors returns the union of Adj[i] over the patterns i of sub.
+// Algorithm 2 grows it one extension at a time instead of recomputing
+// AdjOf for every subquery it visits.
+func (jg *JoinGraph) Neighbors(sub bitset.TPSet) bitset.TPSet {
 	var out bitset.TPSet
-	for _, v := range jg.TPVars[tp] {
-		if v == vj {
-			continue
-		}
-		out = out.Union(jg.Ntp[v].Intersect(s))
+	for f := sub; f != 0; f &= f - 1 {
+		out |= jg.Adj[bits.TrailingZeros64(uint64(f))]
 	}
-	return out.Remove(tp)
+	return out
+}
+
+// reach is the multi-source breadth-first search every connectivity
+// primitive shares: it returns the patterns of s reachable from from∩s,
+// where the neighbours of pattern i are adj[i·stride+off].
+func reach(adj []bitset.TPSet, stride, off int, s, from bitset.TPSet) bitset.TPSet {
+	reached := from.Intersect(s)
+	for frontier := reached; !frontier.IsEmpty(); {
+		var next bitset.TPSet
+		for f := frontier; f != 0; f &= f - 1 {
+			next |= adj[bits.TrailingZeros64(uint64(f))*stride+off]
+		}
+		frontier = next.Intersect(s).Diff(reached)
+		reached = reached.Union(frontier)
+	}
+	return reached
+}
+
+// ReachExcluding returns the patterns of s reachable from the patterns
+// of from∩s in the join graph with join variable vj removed (J(Q) − v_j
+// of §III-C, Fig. 4): one breadth-first search over the precomputed
+// exclusion masks, allocating nothing.
+func (jg *JoinGraph) ReachExcluding(s, from bitset.TPSet, vj int) bitset.TPSet {
+	return reach(jg.exAdj, len(jg.Vars), vj, s, from)
 }
 
 // Connected reports whether the patterns of s form a connected
@@ -227,52 +262,29 @@ func (jg *JoinGraph) Connected(s bitset.TPSet) bool {
 	if s.Len() <= 1 {
 		return true
 	}
-	start := s.Min()
-	reached := bitset.Single(start)
-	frontier := reached
-	for !frontier.IsEmpty() {
-		var next bitset.TPSet
-		frontier.Each(func(i int) bool {
-			next = next.Union(jg.Adj[i].Intersect(s))
-			return true
-		})
-		next = next.Diff(reached)
-		reached = reached.Union(next)
-		frontier = next
-	}
-	return reached == s
+	return reach(jg.Adj, 1, 0, s, bitset.Single(s.Min())) == s
 }
 
 // Components returns the connected components of s in the join graph,
 // ordered by their smallest member.
 func (jg *JoinGraph) Components(s bitset.TPSet) []bitset.TPSet {
-	return jg.componentsBy(s, func(i int) bitset.TPSet { return jg.Adj[i].Intersect(s) })
+	var comps []bitset.TPSet
+	for rest := s; !rest.IsEmpty(); {
+		comp := reach(jg.Adj, 1, 0, rest, bitset.Single(rest.Min()))
+		comps = append(comps, comp)
+		rest = rest.Diff(comp)
+	}
+	return comps
 }
 
 // ComponentsExcluding returns the connected components of s in the
 // join graph with join variable vj removed (J(Q) − v_j of §III-C,
-// Fig. 4). Patterns connected only through vj fall apart.
+// Fig. 4), ordered by their smallest member. Patterns connected only
+// through vj fall apart.
 func (jg *JoinGraph) ComponentsExcluding(s bitset.TPSet, vj int) []bitset.TPSet {
-	return jg.componentsBy(s, func(i int) bitset.TPSet { return jg.adjExcluding(s, i, vj) })
-}
-
-func (jg *JoinGraph) componentsBy(s bitset.TPSet, adj func(i int) bitset.TPSet) []bitset.TPSet {
 	var comps []bitset.TPSet
-	rest := s
-	for !rest.IsEmpty() {
-		start := rest.Min()
-		comp := bitset.Single(start)
-		frontier := comp
-		for !frontier.IsEmpty() {
-			var next bitset.TPSet
-			frontier.Each(func(i int) bool {
-				next = next.Union(adj(i))
-				return true
-			})
-			next = next.Diff(comp)
-			comp = comp.Union(next)
-			frontier = next
-		}
+	for rest := s; !rest.IsEmpty(); {
+		comp := jg.ReachExcluding(rest, bitset.Single(rest.Min()), vj)
 		comps = append(comps, comp)
 		rest = rest.Diff(comp)
 	}
@@ -285,8 +297,7 @@ func (jg *JoinGraph) ConnectedExcluding(s bitset.TPSet, vj int) bool {
 	if s.Len() <= 1 {
 		return true
 	}
-	comps := jg.ComponentsExcluding(s, vj)
-	return len(comps) == 1
+	return jg.ReachExcluding(s, bitset.Single(s.Min()), vj) == s
 }
 
 // JoinVarsOf returns the indexes of the join variables of the

@@ -11,6 +11,9 @@ package stats
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"sort"
 	"sync"
 
 	"sparqlopt/internal/bitset"
@@ -142,20 +145,32 @@ func (s *Stats) Remap(perm []int, rename map[string]string) *Stats {
 }
 
 // Estimator computes and memoizes subquery cardinalities for one
-// query under one Stats. It is safe for concurrent use: the parallel
-// plan enumerator calls it from every worker. Estimates are pure
-// functions of the set, so concurrent misses may compute the same
-// entry twice but always store identical values.
+// query under one Stats. It indexes the query's variables once, so an
+// estimate is a card plus a dense vector of binding counts, and it
+// folds every set from its memoized prefix: one Eq. 10 join per new
+// set. The fold runs in pattern-index order and multiplies the
+// shared-variable denominator in variable-index order, so an estimate
+// is a bit-reproducible function of the set.
+//
+// It is safe for concurrent use: the parallel plan enumerator calls it
+// from every worker. Two workers missing on the same set may both
+// compute it; they store bit-identical values, so which store wins is
+// unobservable.
 type Estimator struct {
-	q     *sparql.Query
-	stats *Stats
-	mu    sync.RWMutex
-	memo  map[bitset.TPSet]entry
+	// vars maps a variable name to its index in every binding vector.
+	vars map[string]int
+	// base[i] is pattern i's estimate, its bindings floored at 1.
+	base []entry
+	mu   sync.RWMutex
+	memo map[bitset.TPSet]entry
 }
 
+// entry is one estimate: the cardinality and B(SQ, v) for every
+// indexed variable v, 0 when v does not occur in SQ. A present
+// variable's count is always ≥ 1.
 type entry struct {
 	card     float64
-	bindings map[string]float64
+	bindings []float64
 }
 
 // NewEstimator returns an estimator for q with the given statistics.
@@ -164,7 +179,33 @@ func NewEstimator(q *sparql.Query, s *Stats) (*Estimator, error) {
 	if len(s.Patterns) != len(q.Patterns) {
 		return nil, fmt.Errorf("stats: have %d pattern stats for %d patterns", len(s.Patterns), len(q.Patterns))
 	}
-	return &Estimator{q: q, stats: s, memo: make(map[bitset.TPSet]entry)}, nil
+	e := &Estimator{vars: map[string]int{}, memo: make(map[bitset.TPSet]entry)}
+	// Index every variable a pattern has a count for: pattern by
+	// pattern, each pattern's names sorted.
+	for _, ps := range s.Patterns {
+		names := make([]string, 0, len(ps.Bindings))
+		for v := range ps.Bindings {
+			names = append(names, v)
+		}
+		sort.Strings(names)
+		for _, v := range names {
+			if _, ok := e.vars[v]; !ok {
+				e.vars[v] = len(e.vars)
+			}
+		}
+	}
+	e.base = make([]entry, len(s.Patterns))
+	for i, ps := range s.Patterns {
+		b := make([]float64, len(e.vars))
+		for v, n := range ps.Bindings {
+			// A count below 1 joins exactly as 1 does (Eq. 10 floors
+			// the denominator and capBinding the result), and 0 is
+			// the vector's "absent".
+			b[e.vars[v]] = math.Max(n, 1)
+		}
+		e.base[i] = entry{card: ps.Card, bindings: b}
+	}
+	return e, nil
 }
 
 // Cardinality estimates |SQ| for the subquery encoded by set. Folding
@@ -177,18 +218,27 @@ func (e *Estimator) Cardinality(set bitset.TPSet) float64 {
 }
 
 // Bindings estimates B(SQ, v), the distinct bindings of variable v in
-// the result of the subquery.
+// the result of the subquery; 1 when v does not occur in it.
 func (e *Estimator) Bindings(set bitset.TPSet, v string) float64 {
-	b, ok := e.resolve(set).bindings[v]
+	i, ok := e.vars[v]
 	if !ok {
 		return 1
 	}
-	return b
+	if b := e.resolve(set).bindings; b != nil && b[i] > 0 {
+		return b[i]
+	}
+	return 1
 }
 
+// resolve returns the estimate of set: the left fold of Eq. 11 in
+// pattern-index order, taken as join(resolve(set∖{max}), base(max)) so
+// that every prefix is folded once and then reused.
 func (e *Estimator) resolve(set bitset.TPSet) entry {
-	if set.IsEmpty() {
+	switch set.Len() {
+	case 0:
 		return entry{card: 1}
+	case 1:
+		return e.base[set.Min()]
 	}
 	e.mu.RLock()
 	got, ok := e.memo[set]
@@ -196,65 +246,35 @@ func (e *Estimator) resolve(set bitset.TPSet) entry {
 	if ok {
 		return got
 	}
-	first := set.Min()
-	cur := e.base(first)
-	set.Each(func(i int) bool {
-		if i == first {
-			return true
-		}
-		cur = e.join(cur, e.base(i))
-		return true
-	})
+	last := bits.Len64(uint64(set)) - 1
+	cur := e.join(e.resolve(set.Remove(last)), e.base[last])
 	e.mu.Lock()
 	e.memo[set] = cur
 	e.mu.Unlock()
 	return cur
 }
 
-func (e *Estimator) base(i int) entry {
-	ps := e.stats.Patterns[i]
-	b := make(map[string]float64, len(ps.Bindings))
-	for v, n := range ps.Bindings {
-		b[v] = n
-	}
-	return entry{card: ps.Card, bindings: b}
-}
-
 // join applies Eq. 10, generalized to intermediate results: the
 // binding count of a shared variable after the join is the smaller of
 // the two sides'; a variable present on one side only keeps its count,
-// capped by the output cardinality.
+// capped by the output cardinality. A fold with no shared variable
+// degrades to the cross product l.card·r.card.
 func (e *Estimator) join(l, r entry) entry {
 	denom := 1.0
-	shared := false
 	for v, lb := range l.bindings {
-		rb, ok := r.bindings[v]
-		if !ok {
-			continue
+		if rb := r.bindings[v]; lb > 0 && rb > 0 {
+			denom *= math.Max(lb, rb) // both ≥ 1
 		}
-		shared = true
-		m := lb
-		if rb > m {
-			m = rb
-		}
-		if m < 1 {
-			m = 1
-		}
-		denom *= m
 	}
 	card := l.card * r.card / denom
-	_ = shared // disconnected folds degrade to the cross product l.card*r.card
-	out := entry{card: card, bindings: make(map[string]float64, len(l.bindings)+len(r.bindings))}
+	out := entry{card: card, bindings: make([]float64, len(l.bindings))}
 	for v, lb := range l.bindings {
 		b := lb
-		if rb, ok := r.bindings[v]; ok && rb < b {
+		if rb := r.bindings[v]; b == 0 || (rb > 0 && rb < b) {
 			b = rb
 		}
-		out.bindings[v] = capBinding(b, card)
-	}
-	for v, rb := range r.bindings {
-		if _, ok := l.bindings[v]; !ok {
-			out.bindings[v] = capBinding(rb, card)
+		if b > 0 {
+			out.bindings[v] = capBinding(b, card)
 		}
 	}
 	return out
