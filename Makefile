@@ -81,8 +81,10 @@ bench:
 # One iteration of the execution benchmarks, of the point reads (P1 and
 # P2 through RunStream, with allocations — a regression in what a point
 # read pays beyond its rows shows here without the spine), of cold
-# planning (L9 and L10 through Run with no plan cache, with allocations
-# — the enumerator's allocation diet shows here) and of the
+# planning (L7, L9 and L10 through Run with no plan cache, with
+# allocations — the enumerator's allocation diet shows here), of
+# statistics collection (L3–L10 through the tracker, with allocations —
+# a pattern that falls back to a scan shows here) and of the
 # store build (LUBM-10 under hash-so through engine.New, with
 # allocations — a build-time regression shows here too) plus a quick pass
 # of the adaptive-repartitioning and node-failover experiments: catches
@@ -94,6 +96,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkExecute -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkPointRead -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkColdPlan -benchtime=1x .
+	$(GO) test -run='^$$' -bench=BenchmarkCollectTracked -benchtime=1x ./internal/stats
 	$(GO) test -run='^$$' -bench=BenchmarkStoreBuild -benchtime=1x ./internal/engine
 	$(GO) run ./cmd/benchrunner -experiment adaptive -quick
 	$(GO) run ./cmd/benchrunner -experiment failover -quick

@@ -373,9 +373,11 @@ func BenchmarkPointRead(b *testing.B) {
 
 // BenchmarkColdPlan measures the cold-planning path the way a served
 // request without a plan cache pays it: LUBM-2 under 2f on 10 nodes,
-// L9 and L10 through Run, so each op collects statistics, enumerates
-// the plan (L10 is ≈155k join operators under TD-CMDP) and executes
-// it. allocs/op is mostly the enumerator's.
+// L7, L9 and L10 through Run, so each op collects statistics,
+// enumerates the plan (L10 is ≈155k join operators under TD-CMDP) and
+// executes it. L7 owns cold-plan's median latency, and its statistics
+// were most of its planning until the tracker answered them; allocs/op
+// of L9/L10 is mostly the enumerator's.
 func BenchmarkColdPlan(b *testing.B) {
 	ds := lubm.Generate(lubm.Config{Universities: 2, Seed: 1})
 	m, err := sparqlopt.PartitionMethod("2f")
@@ -387,7 +389,7 @@ func BenchmarkColdPlan(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer sys.Close()
-	for _, name := range []string{"L9", "L10"} {
+	for _, name := range []string{"L7", "L9", "L10"} {
 		src := lubm.QueryText(name)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -9,10 +9,11 @@
 //   - Canonical fingerprints (querygraph.Canonicalize) collapse every
 //     query of one shape — same join structure and predicates,
 //     constants in the same subject/object positions — onto one cache
-//     entry. Cached plans and statistics snapshots are stored in the
-//     canonical index/name space and remapped to each concrete query
-//     on the way in and out, so ?x <knows> <alice> can be served with
-//     the plan optimized for ?y <knows> <bob>.
+//     entry. Cached plans are stored in the canonical index/name space
+//     and remapped to each concrete query on the way in and out, so
+//     ?x <knows> <alice> can be served with the plan optimized for
+//     ?y <knows> <bob>. Statistics are not cached: they depend on the
+//     constants, and a miss collects its own.
 //
 //   - A lock-striped LRU bounds the number of resident fingerprints;
 //     eviction is per shard, counters are global.
@@ -62,7 +63,7 @@ const maxWaiterRetries = 3
 type CollectFunc func(q *sparql.Query) (*stats.Stats, error)
 
 // OptimizeFunc runs the actual optimizer for a cache miss, using the
-// provided statistics (which may be a remapped cached snapshot).
+// statistics collect returned for the same query.
 type OptimizeFunc func(ctx context.Context, q *sparql.Query, st *stats.Stats) (*opt.Result, error)
 
 // Counters is a snapshot of the cache's cumulative behavior.
@@ -86,10 +87,6 @@ type Counters struct {
 	// change set was disjoint from the entry's predicates — the writes
 	// that scoped invalidation made free.
 	Retained int64
-	// StatsHits / StatsMisses count statistics-snapshot reuse vs.
-	// fresh stats.Collect scans.
-	StatsHits   int64
-	StatsMisses int64
 }
 
 // LookupError marks a failure of the cache machinery itself — as
@@ -116,8 +113,8 @@ type Info struct {
 	Epoch uint64
 }
 
-// Cache is a sharded LRU of plan templates and statistics snapshots
-// keyed by canonical query fingerprint. It is safe for concurrent use.
+// Cache is a sharded LRU of plan templates keyed by canonical query
+// fingerprint. It is safe for concurrent use.
 type Cache struct {
 	capPerShard int
 	shards      [numShards]shard
@@ -131,7 +128,6 @@ type Cache struct {
 	hits, misses, evictions atomic.Int64
 	waits, invalidations    atomic.Int64
 	retained                atomic.Int64
-	statsHits, statsMisses  atomic.Int64
 }
 
 type shard struct {
@@ -157,9 +153,6 @@ type entry struct {
 	// invalidated by every change. Both are set on first sync.
 	preds    map[rdf.TermID]struct{}
 	predWild bool
-	// cstats is the statistics snapshot in canonical space (nil until
-	// the first collection at this epoch).
-	cstats *stats.Stats
 	// plans holds one future per algorithm, in canonical space.
 	plans map[opt.Algorithm]*slot
 }
@@ -218,8 +211,6 @@ func (c *Cache) Counters() Counters {
 		SingleflightWaits: c.waits.Load(),
 		Invalidations:     c.invalidations.Load(),
 		Retained:          c.retained.Load(),
-		StatsHits:         c.statsHits.Load(),
-		StatsMisses:       c.statsMisses.Load(),
 	}
 }
 
@@ -227,8 +218,8 @@ func (c *Cache) Counters() Counters {
 // on an epoch move, an entry is dropped only when changed(entryEpoch,
 // newEpoch) touches the predicate set of the entry's template
 // (resolved to TermIDs via lookup); otherwise the entry — its plan
-// templates and statistics snapshot — is retained and retagged to the
-// new epoch. Must be called before the cache starts serving.
+// templates — is retained and retagged to the new epoch. Must be called
+// before the cache starts serving.
 func (c *Cache) SetInvalidation(lookup func(string) (rdf.TermID, bool), changed func(from, to uint64) rdf.ChangeSet) {
 	c.lookup = lookup
 	c.changed = changed
@@ -251,8 +242,6 @@ func (c *Cache) RegisterMetrics(r *obs.Registry) {
 		{"plancache_singleflight_waits", "Calls that joined an in-flight optimization.", func() float64 { return float64(c.waits.Load()) }},
 		{"plancache_invalidations", "Entries reset by dataset epoch moves.", func() float64 { return float64(c.invalidations.Load()) }},
 		{"plancache_retained", "Entries kept across epoch moves whose change sets missed them.", func() float64 { return float64(c.retained.Load()) }},
-		{"plancache_stats_hits", "Statistics snapshots served from the cache.", func() float64 { return float64(c.statsHits.Load()) }},
-		{"plancache_stats_misses", "Fresh statistics collections.", func() float64 { return float64(c.statsMisses.Load()) }},
 		{"plancache_entries", "Resident fingerprints.", func() float64 { return float64(c.Len()) }},
 		{"plancache_capacity", "Fingerprint capacity.", func() float64 { return float64(c.Capacity()) }},
 	}
@@ -311,21 +300,17 @@ func (e *entry) syncEpoch(epoch uint64, c *Cache, q *sparql.Query) {
 	if c.changed != nil && !e.predWild {
 		cs := c.changed(e.epoch, epoch)
 		if !cs.Touches(e.preds, false) {
-			if e.cstats != nil || len(e.plans) > 0 {
+			if len(e.plans) > 0 {
 				c.retained.Add(1)
 			}
 			e.epoch = epoch
-			if e.cstats != nil {
-				e.cstats.Epoch = epoch
-			}
 			return
 		}
 	}
-	if e.cstats != nil || len(e.plans) > 0 {
+	if len(e.plans) > 0 {
 		c.invalidations.Add(1)
 	}
 	e.epoch = epoch
-	e.cstats = nil
 	e.plans = make(map[opt.Algorithm]*slot)
 }
 
@@ -355,8 +340,7 @@ func (e *entry) resolvePreds(q *sparql.Query, c *Cache) {
 // Optimize returns an optimization result for q under algo and the
 // given dataset epoch, serving a remapped cached template when one
 // exists, joining an in-flight optimization of the same fingerprint
-// when one is running, and otherwise optimizing via the callbacks
-// (collect may be skipped when a statistics snapshot is cached). The
+// when one is running, and otherwise optimizing via the callbacks. The
 // returned result's plan is always in q's own pattern/variable space.
 // tr, when non-nil, receives canonicalize / cache_lookup / stats /
 // enumerate lifecycle spans.
@@ -375,10 +359,7 @@ func (c *Cache) Optimize(ctx context.Context, q *sparql.Query, algo opt.Algorith
 		lookup.SetAttr("outcome", "collision")
 		lookup.End()
 		c.misses.Add(1)
-		c.statsMisses.Add(1)
-		sp := tr.Span("stats")
-		st, err := collect(q)
-		sp.End()
+		st, err := collectTraced(tr, collect, q)
 		if err != nil {
 			return nil, Info{}, err
 		}
@@ -400,9 +381,11 @@ func (c *Cache) Optimize(ctx context.Context, q *sparql.Query, algo opt.Algorith
 			// This goroutine owns the optimization for (fingerprint, algo).
 			s = &slot{done: make(chan struct{})}
 			e.plans[algo] = s
-			break // e.mu still held; released below after the cstats read
 		}
 		e.mu.Unlock()
+		if !ok {
+			break
+		}
 		select {
 		case <-cur.done:
 		default:
@@ -450,36 +433,14 @@ func (c *Cache) Optimize(ctx context.Context, q *sparql.Query, algo opt.Algorith
 			Groups:  remapGroups(cur.groups, canon.PatternOf),
 		}, Info{Hit: true, Shared: shared, Epoch: epoch}, nil
 	}
-	var st *stats.Stats
-	if e.cstats != nil {
-		st = e.cstats.Remap(canon.CanonOf, canon.VarOf)
-	}
-	e.mu.Unlock()
 
 	c.misses.Add(1)
 	lookup.SetAttr("outcome", "miss")
 	lookup.End()
-	stSpan := tr.Span("stats")
-	if st != nil {
-		c.statsHits.Add(1)
-		stSpan.SetAttr("source", "cached_snapshot")
-		stSpan.End()
-	} else {
-		c.statsMisses.Add(1)
-		stSpan.SetAttr("source", "collected")
-		qs, err := collect(q)
-		stSpan.End()
-		if err != nil {
-			c.fail(e, algo, s, err)
-			return nil, Info{Epoch: epoch, Shared: shared}, err
-		}
-		st = qs
-		snap := qs.Remap(canon.PatternOf, canon.CanonVar)
-		e.mu.Lock()
-		if e.valid && e.epoch == epoch && e.cstats == nil {
-			e.cstats = snap
-		}
-		e.mu.Unlock()
+	st, err := collectTraced(tr, collect, q)
+	if err != nil {
+		c.fail(e, algo, s, err)
+		return nil, Info{Epoch: epoch, Shared: shared}, err
 	}
 
 	enumSpan := tr.Span("enumerate")
@@ -508,42 +469,15 @@ func (c *Cache) fail(e *entry, algo opt.Algorithm, s *slot, err error) {
 	e.mu.Unlock()
 }
 
-// StatsFor returns per-pattern statistics for q at the given epoch,
-// remapping the fingerprint's cached snapshot when one exists and
-// collecting (and caching) fresh ones otherwise. Unlike Optimize it
-// does not singleflight: concurrent first collections of one
-// fingerprint may duplicate work, and the last snapshot stored wins —
-// snapshots for the same (fingerprint, epoch) are interchangeable.
-func (c *Cache) StatsFor(q *sparql.Query, epoch uint64, collect CollectFunc) (*stats.Stats, bool, error) {
-	canon, err := querygraph.Canonicalize(q)
-	if err != nil {
-		return nil, false, err
-	}
-	e := c.entryFor(canon)
-	if e == nil {
-		c.statsMisses.Add(1)
-		st, err := collect(q)
-		return st, false, err
-	}
-	e.mu.Lock()
-	e.syncEpoch(epoch, c, q)
-	if e.cstats != nil {
-		st := e.cstats.Remap(canon.CanonOf, canon.VarOf)
-		e.mu.Unlock()
-		c.statsHits.Add(1)
-		return st, true, nil
-	}
-	e.mu.Unlock()
-	c.statsMisses.Add(1)
+// collectTraced runs collect under a "stats" span that records how
+// many patterns needed a snapshot scan.
+func collectTraced(tr *obs.Trace, collect CollectFunc, q *sparql.Query) (*stats.Stats, error) {
+	sp := tr.Span("stats")
+	defer sp.End()
 	st, err := collect(q)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	snap := st.Remap(canon.PatternOf, canon.CanonVar)
-	e.mu.Lock()
-	if e.valid && e.epoch == epoch && e.cstats == nil {
-		e.cstats = snap
-	}
-	e.mu.Unlock()
-	return st, false, nil
+	sp.SetAttrInt("scanned", int64(st.Scanned))
+	return st, nil
 }

@@ -95,7 +95,7 @@ func TestHitMissAndStatsReuse(t *testing.T) {
 		t.Fatalf("stats collected %d times, want 1", n)
 	}
 	got := c.Counters()
-	if got.Hits != 1 || got.Misses != 1 || got.StatsMisses != 1 {
+	if got.Hits != 1 || got.Misses != 1 {
 		t.Fatalf("counters %+v", got)
 	}
 }
@@ -396,37 +396,6 @@ func TestLookupErrorWraps(t *testing.T) {
 	}
 	if le.Error() == "" || le.Error() == cause.Error() {
 		t.Fatalf("Error() = %q, want wrapped message", le.Error())
-	}
-}
-
-func TestStatsForSnapshots(t *testing.T) {
-	h := &harness{ds: testDataset()}
-	c := New(64)
-	q := sparql.MustParse(chainQuery)
-	st1, hit, err := c.StatsFor(q, 1, h.collect)
-	if err != nil || hit {
-		t.Fatalf("first StatsFor: hit=%v err=%v", hit, err)
-	}
-	// Isomorphic query with renamed vars: snapshot is remapped into
-	// its own variable names.
-	q2 := sparql.MustParse(`SELECT * WHERE { ?b <http://worksFor> ?c . ?a <http://knows> ?b . }`)
-	st2, hit, err := c.StatsFor(q2, 1, h.collect)
-	if err != nil || !hit {
-		t.Fatalf("second StatsFor: hit=%v err=%v", hit, err)
-	}
-	if h.collects.Load() != 1 {
-		t.Fatalf("collected %d times, want 1", h.collects.Load())
-	}
-	// q2's pattern 0 (?b worksFor ?c) must match q's pattern 1.
-	if st2.Patterns[0].Card != st1.Patterns[1].Card {
-		t.Fatalf("remapped card %v, want %v", st2.Patterns[0].Card, st1.Patterns[1].Card)
-	}
-	if _, ok := st2.Patterns[0].Bindings["b"]; !ok {
-		t.Fatalf("remapped bindings %v lack q2's variable b", st2.Patterns[0].Bindings)
-	}
-	// Epoch move invalidates the snapshot.
-	if _, hit, _ := c.StatsFor(q, 2, h.collect); hit {
-		t.Fatal("stale stats served across epochs")
 	}
 }
 

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -224,6 +225,64 @@ func TestAddBatchDelta(t *testing.T) {
 	ds.Add("g", "q", "h")
 	if len(got) != 1 {
 		t.Fatal("hook fired after unregister")
+	}
+}
+
+// TestSnapshotsAreSets pins the invariant the statistics tracker's
+// count shortcut relies on: no sequence of Add, AddTriple, AddBatch and
+// Dedup publishes a snapshot that holds a triple twice, and a commit's
+// delta holds exactly the triples the snapshot before it lacked.
+func TestSnapshotsAreSets(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	isSet := func(ts []Triple) bool {
+		seen := make(map[Triple]bool, len(ts))
+		for _, tr := range ts {
+			if seen[tr] {
+				return false
+			}
+			seen[tr] = true
+		}
+		return true
+	}
+	for trial := 0; trial < 20; trial++ {
+		ds := NewDataset()
+		term := func() string { return fmt.Sprintf("t%d", r.Intn(5)) }
+		triple := func() Triple {
+			return Triple{ds.Dict.Intern(term()), ds.Dict.Intern(term()), ds.Dict.Intern(term())}
+		}
+		before := ds.Snapshot()
+		ds.OnCommit(func(wd WriteDelta) {
+			if !isSet(wd.Snap.Triples()) {
+				t.Fatalf("trial %d: a commit published a duplicate triple", trial)
+			}
+			if !isSet(append(append([]Triple(nil), before.Triples()...), wd.Triples...)) ||
+				wd.Snap.Len() != before.Len()+len(wd.Triples) {
+				t.Fatalf("trial %d: delta of %d triples is not what the commit added to %d", trial, len(wd.Triples), before.Len())
+			}
+		})
+		for op := 0; op < 60; op++ {
+			switch r.Intn(4) {
+			case 0:
+				ds.Add(term(), term(), term())
+			case 1:
+				ds.AddTriple(triple())
+			case 2:
+				batch := make([]Triple, r.Intn(6))
+				for i := range batch {
+					batch[i] = triple()
+				}
+				if len(batch) > 0 {
+					batch = append(batch, batch[r.Intn(len(batch))])
+				}
+				ds.AddBatch(batch)
+			case 3:
+				ds.Dedup()
+			}
+			before = ds.Snapshot()
+			if !isSet(before.Triples()) {
+				t.Fatalf("trial %d op %d: snapshot holds a duplicate triple", trial, op)
+			}
+		}
 	}
 }
 

@@ -33,10 +33,12 @@ type PatternStats struct {
 // Stats aligns one PatternStats with each pattern of a query.
 type Stats struct {
 	Patterns []PatternStats
-	// Epoch is the dataset mutation counter observed by Collect.
-	// Caches keyed on query shape compare it against the live
-	// dataset's Epoch() to detect stale snapshots.
+	// Epoch is the epoch of the snapshot the statistics describe.
 	Epoch uint64
+	// Scanned is the number of patterns whose statistics took a pass
+	// over the snapshot's triples; the others were answered by a
+	// Tracker or by a constant the dictionary does not hold.
+	Scanned int
 }
 
 // Collect scans the dataset once per pattern and computes exact
@@ -49,43 +51,56 @@ func Collect(ds *rdf.Dataset, q *sparql.Query) (*Stats, error) {
 
 // CollectSnapshot computes exact statistics over one pinned immutable
 // snapshot, so collection is consistent (and race-free) under
-// concurrent ingest.
+// concurrent ingest. It is the reference CollectTracked must equal.
 func CollectSnapshot(snap *rdf.Snapshot, q *sparql.Query) (*Stats, error) {
 	s := &Stats{Patterns: make([]PatternStats, len(q.Patterns)), Epoch: snap.Epoch()}
 	for i, tp := range q.Patterns {
-		ps, err := collectPattern(snap.Dict(), snap.Triples(), tp)
-		if err != nil {
-			return nil, fmt.Errorf("pattern %d: %w", i, err)
-		}
-		s.Patterns[i] = ps
+		s.scanPattern(i, snap, tp)
 	}
 	return s, nil
 }
 
-func collectPattern(dict *rdf.Dict, triples []rdf.Triple, tp sparql.TriplePattern) (PatternStats, error) {
+// scanPattern sets pattern i's statistics from a pass over the
+// snapshot's triples, counting the pass in Scanned.
+func (s *Stats) scanPattern(i int, snap *rdf.Snapshot, tp sparql.TriplePattern) {
+	ps, scanned := collectPattern(snap.Dict(), snap.Triples(), tp)
+	s.Patterns[i] = ps
+	if scanned {
+		s.Scanned++
+	}
+}
+
+// lookup resolves one pattern term: a variable is not constant; a
+// constant is known when the dictionary holds it.
+func lookup(dict *rdf.Dict, t sparql.Term) (id rdf.TermID, isConst, known bool) {
+	if t.IsVar() {
+		return 0, false, true
+	}
+	id, known = dict.Lookup(t.Value)
+	return id, true, known
+}
+
+// unknownStats is the statistics of a pattern with a constant the
+// dictionary does not hold: zero matches, every binding at the floor 1.
+func unknownStats(tp sparql.TriplePattern) PatternStats {
 	ps := PatternStats{Bindings: map[string]float64{}}
-	// Resolve constant terms; an unknown constant matches nothing.
-	resolve := func(t sparql.Term) (rdf.TermID, bool, error) {
-		if t.IsVar() {
-			return 0, false, nil
-		}
-		id, ok := dict.Lookup(t.Value)
-		if !ok {
-			return 0, true, errUnknown
-		}
-		return id, true, nil
+	for _, v := range tp.Vars() {
+		ps.Bindings[v] = 1
 	}
-	sid, sConst, errS := resolve(tp.S)
-	pid, pConst, errP := resolve(tp.P)
-	oid, oConst, errO := resolve(tp.O)
-	if errS != nil || errP != nil || errO != nil {
-		// Constant not in dictionary: zero matches, one binding floor.
-		for _, v := range tp.Vars() {
-			ps.Bindings[v] = 1
-		}
-		ps.Card = 0
-		return ps, nil
+	return ps
+}
+
+// collectPattern computes one pattern's statistics by scanning
+// triples; scanned is false when an unknown constant made the scan
+// unnecessary.
+func collectPattern(dict *rdf.Dict, triples []rdf.Triple, tp sparql.TriplePattern) (ps PatternStats, scanned bool) {
+	sid, sConst, sKnown := lookup(dict, tp.S)
+	pid, pConst, pKnown := lookup(dict, tp.P)
+	oid, oConst, oKnown := lookup(dict, tp.O)
+	if !sKnown || !pKnown || !oKnown {
+		return unknownStats(tp), false
 	}
+	ps.Bindings = map[string]float64{}
 	distinct := map[string]map[rdf.TermID]struct{}{}
 	for _, v := range tp.Vars() {
 		distinct[v] = map[rdf.TermID]struct{}{}
@@ -117,31 +132,7 @@ func collectPattern(dict *rdf.Dict, triples []rdf.Triple, tp sparql.TriplePatter
 		}
 		ps.Bindings[v] = b
 	}
-	return ps, nil
-}
-
-var errUnknown = fmt.Errorf("unknown constant")
-
-// Remap returns a copy of s with its patterns reordered and its
-// variables renamed: output pattern i is s.Patterns[perm[i]], and
-// every binding key v becomes rename[v] (keys absent from rename are
-// kept). The plan cache uses it to move a snapshot between a query's
-// own pattern/variable space and the canonical template space shared
-// by all queries of one fingerprint.
-func (s *Stats) Remap(perm []int, rename map[string]string) *Stats {
-	out := &Stats{Patterns: make([]PatternStats, len(perm)), Epoch: s.Epoch}
-	for i, from := range perm {
-		ps := s.Patterns[from]
-		cp := PatternStats{Card: ps.Card, Bindings: make(map[string]float64, len(ps.Bindings))}
-		for v, b := range ps.Bindings {
-			if nv, ok := rename[v]; ok {
-				v = nv
-			}
-			cp.Bindings[v] = b
-		}
-		out.Patterns[i] = cp
-	}
-	return out
+	return ps, true
 }
 
 // Estimator computes and memoizes subquery cardinalities for one

@@ -235,37 +235,6 @@ func TestQuickEstimatorStable(t *testing.T) {
 	}
 }
 
-func TestRemap(t *testing.T) {
-	ds := buildDataset()
-	q := sparql.MustParse(`SELECT * WHERE { ?p <worksFor> ?c . ?c <name> ?n . }`)
-	s, err := Collect(ds, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := s.Remap([]int{1, 0}, map[string]string{"p": "a", "c": "b", "n": "d"})
-	if out.Epoch != s.Epoch {
-		t.Errorf("epoch %d, want %d", out.Epoch, s.Epoch)
-	}
-	if out.Patterns[0].Card != s.Patterns[1].Card || out.Patterns[1].Card != s.Patterns[0].Card {
-		t.Errorf("cards not permuted: %+v vs %+v", out.Patterns, s.Patterns)
-	}
-	// Pattern 0 of the remapped stats is the old pattern 1 (?c name ?n),
-	// so it must carry renamed bindings for b and d.
-	if out.Patterns[0].Bindings["b"] != s.Patterns[1].Bindings["c"] {
-		t.Errorf("binding b = %v, want %v", out.Patterns[0].Bindings["b"], s.Patterns[1].Bindings["c"])
-	}
-	if out.Patterns[0].Bindings["d"] != s.Patterns[1].Bindings["n"] {
-		t.Errorf("binding d = %v, want %v", out.Patterns[0].Bindings["d"], s.Patterns[1].Bindings["n"])
-	}
-	if _, ok := out.Patterns[0].Bindings["c"]; ok {
-		t.Error("unrenamed binding key leaked through Remap")
-	}
-	// The source stats are untouched.
-	if _, ok := s.Patterns[1].Bindings["c"]; !ok {
-		t.Error("Remap mutated its receiver")
-	}
-}
-
 // oracleEntry is an estimate of the map-based estimator this package
 // had before binding counts became dense vectors, plus the most
 // variables any one of its folds shared.

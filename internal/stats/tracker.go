@@ -1,21 +1,26 @@
 package stats
 
 import (
-	"fmt"
 	"sync"
 
 	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/sparql"
 )
 
-// Tracker maintains per-predicate statistics — cardinality and
-// distinct subject/object counts — incrementally under ingest. It is
-// seeded with one full scan of a snapshot and then folds each
-// committed WriteDelta in O(|delta|), so the serving path can answer
-// the dominant (?s <p> ?o) pattern-stats shape without rescanning the
-// dataset per query. Patterns the tracker cannot answer exactly
-// (variable predicates, constant subjects/objects, repeated
-// variables) fall back to a snapshot scan in CollectTracked.
+// Tracker maintains per-predicate statistics incrementally under
+// ingest: each predicate's cardinality, and how many of its triples
+// have each subject and each object. It is seeded with one full scan
+// of a snapshot and then folds each committed WriteDelta in
+// O(|delta|), so the serving path answers every constant-predicate
+// pattern — (?s <p> ?o), (<s> <p> ?o) and (?s <p> <o>) — in O(1)
+// instead of scanning the dataset per query.
+//
+// The two constant-position shapes rely on a snapshot being a set:
+// every write path of rdf.Dataset deduplicates, so the triples with
+// (s, p) have distinct objects and count(s, p) is both |tp| and
+// B(tp, ?o). Patterns the tracker cannot answer (a variable
+// predicate, a repeated variable, an all-constant pattern) fall back
+// to a snapshot scan in CollectTracked.
 type Tracker struct {
 	mu    sync.RWMutex
 	epoch uint64
@@ -23,10 +28,11 @@ type Tracker struct {
 	preds map[rdf.TermID]*predAgg
 }
 
+// predAgg aggregates one predicate p.
 type predAgg struct {
 	card     int64
-	subjects map[rdf.TermID]struct{}
-	objects  map[rdf.TermID]struct{}
+	subjects map[rdf.TermID]uint32 // s → triples with (s, p)
+	objects  map[rdf.TermID]uint32 // o → triples with (p, o)
 }
 
 // NewTracker seeds a tracker with one pass over the snapshot.
@@ -42,18 +48,19 @@ func NewTracker(snap *rdf.Snapshot) *Tracker {
 func (t *Tracker) fold(tr rdf.Triple) {
 	g := t.preds[tr.P]
 	if g == nil {
-		g = &predAgg{subjects: make(map[rdf.TermID]struct{}), objects: make(map[rdf.TermID]struct{})}
+		g = &predAgg{subjects: make(map[rdf.TermID]uint32), objects: make(map[rdf.TermID]uint32)}
 		t.preds[tr.P] = g
 	}
 	g.card++
-	g.subjects[tr.S] = struct{}{}
-	g.objects[tr.O] = struct{}{}
+	g.subjects[tr.S]++
+	g.objects[tr.O]++
 }
 
 // Apply folds one committed write delta and advances the tracker to
-// its epoch. Deltas must be applied in commit order. A nil/empty
-// delta just advances the epoch — the hook for epoch-only bumps
-// (placement migrations) that change no triples.
+// its epoch. Deltas must be applied in commit order and hold only the
+// triples the commit inserted (WriteDelta.Triples). A nil/empty delta
+// just advances the epoch — the hook for epoch-only bumps (placement
+// migrations) that change no triples.
 func (t *Tracker) Apply(delta []rdf.Triple, epoch uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -80,64 +87,75 @@ func (t *Tracker) Total() int64 {
 	return t.total
 }
 
-// PredCard returns the cardinality and distinct subject/object counts
-// of one predicate.
-func (t *Tracker) PredCard(p rdf.TermID) (card, subjects, objects int64) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	g := t.preds[p]
-	if g == nil {
-		return 0, 0, 0
-	}
-	return g.card, int64(len(g.subjects)), int64(len(g.objects))
-}
-
 // CollectTracked computes pattern statistics for q at the snapshot,
-// answering (variable-S, constant-P, variable-O) patterns from the
-// tracker's aggregates in O(1) and scanning the snapshot only for the
-// shapes the tracker does not cover. The tracker must be exactly at
-// the snapshot's epoch; when it is not (a lagging pending-write queue,
-// or the tracker already ahead of an older pinned snapshot), the call
-// degrades to a plain CollectSnapshot so the statistics always
-// describe the pinned snapshot.
+// bit for bit what CollectSnapshot computes. Every pattern patternFast
+// answers costs O(1); the rest are scanned, and Stats.Scanned counts
+// them. The tracker must be exactly at the snapshot's epoch; when it
+// is not (a lagging pending-write queue, or the tracker already ahead
+// of an older pinned snapshot), every pattern with known constants is
+// scanned, so the statistics always describe the pinned snapshot.
 func CollectTracked(t *Tracker, snap *rdf.Snapshot, q *sparql.Query) (*Stats, error) {
-	if t == nil || t.Epoch() != snap.Epoch() {
+	if t == nil {
 		return CollectSnapshot(snap, q)
 	}
 	s := &Stats{Patterns: make([]PatternStats, len(q.Patterns)), Epoch: snap.Epoch()}
+	t.mu.RLock()
+	if t.epoch == snap.Epoch() {
+		for i, tp := range q.Patterns {
+			s.Patterns[i], _ = t.patternFast(snap.Dict(), tp)
+		}
+	}
+	t.mu.RUnlock()
+	// A pattern left unanswered has nil Bindings. The scans run after
+	// the lock is released, so they never hold up Apply.
 	for i, tp := range q.Patterns {
-		if ps, ok := t.patternFast(snap.Dict(), tp); ok {
-			s.Patterns[i] = ps
-			continue
+		if s.Patterns[i].Bindings == nil {
+			s.scanPattern(i, snap, tp)
 		}
-		ps, err := collectPattern(snap.Dict(), snap.Triples(), tp)
-		if err != nil {
-			return nil, fmt.Errorf("pattern %d: %w", i, err)
-		}
-		s.Patterns[i] = ps
 	}
 	return s, nil
 }
 
-// patternFast answers one pattern from the aggregates if its shape is
-// (distinct variable S, constant P, distinct variable O).
+// patternFast answers one pattern from the aggregates; the caller
+// holds t.mu. It answers a pattern with a constant the dictionary does
+// not hold (card 0, every binding 1), and every constant-predicate
+// pattern with at least one variable position and no repeated
+// variable:
+//
+//	(?s <p> ?o): |tp| = card(p), B(?s) = #subjects(p), B(?o) = #objects(p)
+//	(<s> <p> ?o): |tp| = B(?o) = count(s, p)
+//	(?s <p> <o>): |tp| = B(?s) = count(p, o)
+//
+// each binding floored at 1, as the scan floors it.
 func (t *Tracker) patternFast(dict *rdf.Dict, tp sparql.TriplePattern) (PatternStats, bool) {
-	if !tp.S.IsVar() || tp.P.IsVar() || !tp.O.IsVar() || tp.S.Value == tp.O.Value {
+	sid, sConst, sKnown := lookup(dict, tp.S)
+	pid, pConst, pKnown := lookup(dict, tp.P)
+	oid, oConst, oKnown := lookup(dict, tp.O)
+	switch {
+	case !sKnown || !pKnown || !oKnown:
+		return unknownStats(tp), true
+	case !pConst || sConst && oConst || !sConst && !oConst && tp.S.Value == tp.O.Value:
 		return PatternStats{}, false
 	}
-	pid, ok := dict.Lookup(tp.P.Value)
-	if !ok {
-		// Unknown predicate constant: zero matches, one binding floor —
-		// the same convention as the scanning collector.
-		return PatternStats{Card: 0, Bindings: map[string]float64{tp.S.Value: 1, tp.O.Value: 1}}, true
+	var card, bs, bo int64
+	if g := t.preds[pid]; g != nil {
+		switch {
+		case sConst:
+			card = int64(g.subjects[sid])
+			bo = card
+		case oConst:
+			card = int64(g.objects[oid])
+			bs = card
+		default:
+			card, bs, bo = g.card, int64(len(g.subjects)), int64(len(g.objects))
+		}
 	}
-	card, subj, obj := t.PredCard(pid)
-	bs, bo := float64(subj), float64(obj)
-	if bs < 1 {
-		bs = 1
+	ps := PatternStats{Card: float64(card), Bindings: make(map[string]float64, 2)}
+	if !sConst {
+		ps.Bindings[tp.S.Value] = float64(max(bs, 1))
 	}
-	if bo < 1 {
-		bo = 1
+	if !oConst {
+		ps.Bindings[tp.O.Value] = float64(max(bo, 1))
 	}
-	return PatternStats{Card: float64(card), Bindings: map[string]float64{tp.S.Value: bs, tp.O.Value: bo}}, true
+	return ps, true
 }

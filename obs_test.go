@@ -210,6 +210,10 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		if outcome, _ := tr.Find("cache_lookup").Attr("outcome"); outcome != "miss" {
 			t.Errorf("%s: first run cache_lookup outcome = %q, want miss", name, outcome)
 		}
+		// The tracker answers every pattern of L1–L10: nothing scans.
+		if scanned, _ := tr.Find("stats").Attr("scanned"); scanned != "0" {
+			t.Errorf("%s: stats span scanned = %q, want 0", name, scanned)
+		}
 		// Per-operator spans carry estimated and actual cardinalities.
 		exec := tr.Find("execute")
 		ops := 0
@@ -277,6 +281,17 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		if e.Err == "" && e.Duration <= 0 {
 			t.Errorf("slow-query entry %q has non-positive duration", e.Query)
 		}
+	}
+
+	// A variable predicate is a shape the tracker cannot answer: the
+	// stats span shows the scan it paid.
+	var scan *Trace
+	varPred := `SELECT * WHERE { ?x ?p <http://www.University0.edu> . ?x <http://swat.cse.lehigh.edu/onto/univ-bench.owl#name> ?n . }`
+	if _, err := sys.Run(ctx, varPred, WithTraceSink(func(t *Trace) { scan = t })); err != nil {
+		t.Fatal(err)
+	}
+	if scanned, _ := scan.Find("stats").Attr("scanned"); scanned != "1" {
+		t.Errorf("variable-predicate query: stats span scanned = %q, want 1:\n%s", scanned, scan.Format())
 	}
 }
 

@@ -3,8 +3,11 @@ package sparqlopt
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
+
+	"sparqlopt/internal/workload/lubm"
 )
 
 // cacheDataset builds a small social graph with enough predicate and
@@ -276,8 +279,47 @@ func TestPlanCacheAllAlgorithms(t *testing.T) {
 		sameRows(t, fmt.Sprintf("%v cold", algo), cold, want)
 		sameRows(t, fmt.Sprintf("%v warm", algo), warm, want)
 	}
-	// One stats snapshot serves all four algorithms.
-	if st := sys.CacheStats(); st.StatsMisses != 1 {
-		t.Errorf("%d stats collections for one fingerprint, want 1", st.StatsMisses)
+}
+
+// TestPlanCacheStatsPerConstant: two queries of one canonical shape
+// that differ only in a constant are each optimized under their own
+// statistics. The shape has its subject/object constants lifted out,
+// so statistics kept per shape would cost the second query with the
+// first one's counts: here, an advisor that exists, then one that does
+// not (card 0).
+func TestPlanCacheStatsPerConstant(t *testing.T) {
+	ds := lubm.Generate(lubm.Config{Universities: 2, Seed: 1})
+	cached, err := Open(ds, WithPlanCache(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Open(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(prof string) string {
+		return `PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
+SELECT * WHERE { ?x ub:takesCourse ?c . ?x ub:advisor <http://www.Department0.University0.edu/` + prof + `> . }`
+	}
+	ctx := context.Background()
+	if _, err := cached.Optimize(ctx, query("FullProfessor0")); err != nil {
+		t.Fatal(err)
+	}
+	missing := query("FullProfessor999")
+	got, err := cached.Optimize(ctx, missing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Optimize(ctx, missing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Plan.Card != 0 {
+		t.Fatalf("uncached card %v for an advisor that does not exist, want 0", want.Plan.Card)
+	}
+	if math.Float64bits(got.Plan.Cost) != math.Float64bits(want.Plan.Cost) ||
+		math.Float64bits(got.Plan.Card) != math.Float64bits(want.Plan.Card) {
+		t.Fatalf("cached: cost %v card %v; uncached: cost %v card %v",
+			got.Plan.Cost, got.Plan.Card, want.Plan.Cost, want.Plan.Card)
 	}
 }

@@ -817,9 +817,8 @@ func (s *System) Optimize(ctx context.Context, query string, opts ...RunOption) 
 }
 
 // OptimizeQuery optimizes an already-parsed query (default TD-Auto).
-// When the plan cache is enabled, statistics snapshots are reused
-// across queries of the same fingerprint and epoch (the full plan
-// cache applies only to Run, the serving path).
+// It never consults the plan cache, which applies only to Run, the
+// serving path.
 func (s *System) OptimizeQuery(ctx context.Context, q *Query, opts ...RunOption) (res *OptimizeResult, err error) {
 	set := opt.NewRunSettings(opts)
 	ctx, cancel := withDeadline(ctx, set.Deadline)
@@ -849,6 +848,7 @@ func (s *System) optimizeTraced(ctx context.Context, q *Query, algo Algorithm, s
 	if err != nil {
 		return nil, err
 	}
+	sp.SetAttrInt("scanned", int64(st.Scanned))
 	in, err := s.inputWithStats(q, st, set, g)
 	if err != nil {
 		return nil, err
@@ -865,24 +865,10 @@ func (s *System) optimizeTraced(ctx context.Context, q *Query, algo Algorithm, s
 }
 
 // collect gathers per-pattern statistics for q over the pinned
-// snapshot, going through the cache's snapshot layer when caching is
-// enabled. Collection answers the dominant (?s <p> ?o) shapes from the
-// incremental tracker in O(1) when the tracker is current at the
-// snapshot's epoch; tracker-uncoverable shapes scan the pinned
-// snapshot.
+// snapshot. The incremental tracker answers every constant-predicate
+// pattern in O(1) when it is current at the snapshot's epoch; the
+// other shapes scan the pinned snapshot.
 func (s *System) collect(q *Query, snap *engine.Snap) (*stats.Stats, error) {
-	if s.cache == nil {
-		return s.collectRaw(q, snap)
-	}
-	st, _, err := s.cache.StatsFor(q, snap.Data().Epoch(), func(q *sparql.Query) (*stats.Stats, error) {
-		return s.collectRaw(q, snap)
-	})
-	return st, err
-}
-
-// collectRaw is collection without the cache's snapshot layer — the
-// callback handed to the cache machinery, which must not re-enter it.
-func (s *System) collectRaw(q *Query, snap *engine.Snap) (*stats.Stats, error) {
 	return stats.CollectTracked(s.tracker, snap.Data(), q)
 }
 
@@ -1326,7 +1312,7 @@ func (s *System) plan(ctx context.Context, q *Query, set opt.RunSettings, g *res
 	}
 	res, info, err := s.cache.Optimize(ctx, q, set.Algorithm, snap.Data().Epoch(),
 		func(q *sparql.Query) (*stats.Stats, error) {
-			return s.collectRaw(q, snap)
+			return s.collect(q, snap)
 		},
 		func(ctx context.Context, q *sparql.Query, st *stats.Stats) (*opt.Result, error) {
 			in, err := s.inputWithStats(q, st, set, g)
