@@ -1,11 +1,11 @@
 # Development targets. `make check` is the full gate used before
 # merging: lint (gofmt + vet), build, the race-instrumented test suite,
 # a doubled run of the parallel-determinism tests (the most schedule-
-# sensitive ones, covering both the optimizer and the execution
-# engine), the observability, chaos and HTTP serving gates, smoke
-# passes over the root benchmarks, the kept benchrunner experiments and
-# the benchmark spine so none of them can bit-rot, and short fuzzing
-# passes. Timing tests that the race detector distorts skip themselves
+# sensitive ones, in the execution engine) and a GOMAXPROCS sweep of
+# the served plans' exact counts, the observability, chaos and HTTP
+# serving gates, smoke passes over the root benchmarks, the kept
+# benchrunner experiments and the benchmark spine so none of them can
+# bit-rot, and short fuzzing passes. Timing tests that the race detector distorts skip themselves
 # (see internal/race). Measuring is not part of the gate: performance
 # is `bash benchmark/run.sh`, the paper's tables are `make paper`.
 
@@ -36,20 +36,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The determinism tests compare parallel plan costs / search-space
-# counters against the sequential enumerator, and parallel execution
-# results / metrics against the sequential engine; -count=2 reruns
-# them to shake out schedule-dependent flakiness. The engine's fragment-
-# read table tests (TestDeterminismFragmentRead: concurrent per-node
-# reads in permutation order, TestDeterminismFragmentProbe: the same
-# leaves looked up by a set of bindings — both against a brute-force
-# oracle; TestDeterminismScanDeadSet: deaths a scan discovers itself,
-# all known before any failover read), the per-node helper's table
-# (TestFanOut), the repeated-run memo check (TestMemoDeterminism,
-# whose claims hit the parallel memo's lock-free path) and the memo
-# table's own race (TestMemoTableClaims) ride the same run.
+# The determinism tests compare parallel execution results / metrics
+# against the sequential engine; -count=2 reruns them to shake out
+# schedule-dependent flakiness. The engine's fragment-read table tests
+# (TestDeterminismFragmentRead: concurrent per-node reads in
+# permutation order, TestDeterminismFragmentProbe: the same leaves
+# looked up by a set of bindings — both against a brute-force oracle;
+# TestDeterminismScanDeadSet: deaths a scan discovers itself, all known
+# before any failover read) and the per-node helper's table
+# (TestFanOut) ride the same run. The second line pins the served plan
+# end to end: the exact scan, transfer and join counts of L1–L10 and
+# two point reads must not move with GOMAXPROCS.
 determinism:
-	$(GO) test -run 'TestDeterminism|TestMemo|TestFanOut' -race -count=2 ./internal/opt/... ./internal/engine/...
+	$(GO) test -run 'TestDeterminism|TestFanOut' -race -count=2 ./internal/engine/...
+	$(GO) test -run 'TestProbedJoinsKeepCounts$$' -count=20 -cpu 1,2,4 .
 
 # The observability layer's own gate: vet plus a doubled, race-
 # instrumented run of the registry/trace/slow-log suites and the
@@ -82,7 +82,9 @@ bench:
 # P2 through RunStream, with allocations — a regression in what a point
 # read pays beyond its rows shows here without the spine), of cold
 # planning (L7, L9 and L10 through Run with no plan cache, with
-# allocations — the enumerator's allocation diet shows here), of
+# allocations — the enumerator's allocation diet shows here), of plan
+# enumeration alone (random tree, dense and cycle join graphs and L10
+# under 2f on LUBM-10 statistics, with allocations), of
 # statistics collection (L3–L10 through the tracker, with allocations —
 # a pattern that falls back to a scan shows here) and of the
 # store build (LUBM-10 under hash-so through engine.New, with
@@ -96,6 +98,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkExecute -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkPointRead -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkColdPlan -benchtime=1x .
+	$(GO) test -run='^$$' -bench='^BenchmarkOptimize$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkCollectTracked -benchtime=1x ./internal/stats
 	$(GO) test -run='^$$' -bench=BenchmarkStoreBuild -benchtime=1x ./internal/engine
 	$(GO) run ./cmd/benchrunner -experiment adaptive -quick

@@ -110,12 +110,11 @@ func BenchmarkFig7_OptTimeBySize(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizeParallel measures the parallel enumerator's
-// speedup over the sequential path on the largest WatDiv/Fig.7-style
-// join graphs, sweeping the parallelism knob. Compare ns/op across
-// P=1/P=4 sub-benchmarks for the speedup; allocs/op tracks the hot
-// path's allocation diet.
-func BenchmarkOptimizeParallel(b *testing.B) {
+// BenchmarkOptimize measures cold plan enumeration: unpruned TD-CMD on
+// the largest WatDiv/Fig.7-style random join graphs, and TD-Auto on
+// L10 under 2f with LUBM-10 statistics (the cold-plan spine workload's
+// costliest plan). allocs/op tracks the hot path's allocation diet.
+func BenchmarkOptimize(b *testing.B) {
 	shapes := []struct {
 		name  string
 		class querygraph.Class
@@ -138,28 +137,40 @@ func BenchmarkOptimizeParallel(b *testing.B) {
 			{"cycle14", querygraph.Cycle, 14},
 		}
 	}
-	parallelisms := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
+	run := func(name string, in *opt.Input, algo opt.Algorithm) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := opt.Optimize(context.Background(), in, algo); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, sh := range shapes {
 		q, s := randquery.Generate(sh.class, sh.n, 11)
 		views, err := querygraph.Build(q)
 		if err != nil {
 			b.Fatal(err)
 		}
-		est := mustEstimator(b, q, s)
-		for _, p := range parallelisms {
-			b.Run(fmt.Sprintf("%s/P=%d", sh.name, p), func(b *testing.B) {
-				in := &opt.Input{Query: q, Views: views, Est: est,
-					Params: sparqlopt.DefaultCostParams(), Method: partition.HashSO{}, Parallelism: p}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := opt.Optimize(context.Background(), in, opt.TDCMD); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+		run(sh.name, &opt.Input{Query: q, Views: views, Est: mustEstimator(b, q, s),
+			Params: sparqlopt.DefaultCostParams(), Method: partition.HashSO{}}, opt.TDCMD)
 	}
+	q := lubm.Query("L10")
+	st, err := stats.Collect(lubm.Generate(lubm.Config{Universities: 10, Seed: 1}), q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	views, err := querygraph.Build(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := sparqlopt.PartitionMethod("2f")
+	if err != nil {
+		b.Fatal(err)
+	}
+	run("L10-2f", &opt.Input{Query: q, Views: views, Est: mustEstimator(b, q, st),
+		Params: sparqlopt.DefaultCostParams(), Method: m}, opt.TDAuto)
 }
 
 // BenchmarkAblation_PruningRules runs the TD-CMDP rule ablation

@@ -36,9 +36,9 @@
 //	-quick       shrink datasets and instance counts for a fast pass
 //	-nodes       simulated cluster size (default 10, as in the paper)
 //	-seed        generator seed (default 1)
-//	-parallelism optimizer and engine worker goroutines (0 = all
-//	             cores, 1 = sequential; identical plan costs and
-//	             execution results either way)
+//	-parallelism engine worker goroutines (0 = all cores,
+//	             1 = sequential; identical execution results either
+//	             way)
 //	-csv         also write plot-ready CSV files into this directory
 //	             (figures only)
 //
@@ -87,7 +87,7 @@ func main() {
 		quick      = flag.Bool("quick", false, "small datasets and instance counts")
 		nodes      = flag.Int("nodes", 0, "simulated cluster size (0 = 10)")
 		seed       = flag.Int64("seed", 1, "generator seed")
-		parallel   = flag.Int("parallelism", 0, "optimizer and engine worker goroutines (0 = all cores, 1 = sequential)")
+		parallel   = flag.Int("parallelism", 0, "engine worker goroutines (0 = all cores, 1 = sequential)")
 		csvDir     = flag.String("csv", "", "also write plot-ready CSV files into this directory (figures only)")
 	)
 	flag.Parse()

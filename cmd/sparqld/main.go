@@ -17,7 +17,7 @@
 //	-algorithm  default optimization algorithm for requests that do not
 //	            send ?algorithm=: td-cmd | td-cmdp | hgr-td-cmd |
 //	            td-auto | greedy (default td-auto)
-//	-parallelism  optimizer and engine worker goroutines (0 = all cores)
+//	-parallelism  engine worker goroutines (0 = all cores)
 //	-plancache  plan-cache capacity in query fingerprints (0 = disabled)
 //	-share      coalesce concurrent identical in-flight reads onto one
 //	            execution (duplicate requests replay its broadcast)
@@ -74,7 +74,7 @@ func main() {
 		partName     = flag.String("partition", "hash-so", "data partitioning method")
 		nodes        = flag.Int("nodes", 10, "simulated cluster size")
 		algorithm    = flag.String("algorithm", "td-auto", "default optimization algorithm")
-		parallel     = flag.Int("parallelism", 0, "optimizer and engine worker goroutines (0 = all cores)")
+		parallel     = flag.Int("parallelism", 0, "engine worker goroutines (0 = all cores)")
 		planCache    = flag.Int("plancache", 0, "plan cache capacity in query fingerprints (0 = disabled)")
 		share        = flag.Bool("share", false, "coalesce concurrent identical reads onto one execution")
 		maxConc      = flag.Int("max-concurrent", 0, "admission control: max concurrently served queries (0 = unlimited)")

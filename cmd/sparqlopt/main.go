@@ -18,9 +18,9 @@
 //	-dot        print the plan in Graphviz dot syntax
 //	-repl       interactive mode: read ';'-terminated queries from stdin
 //	-timeout    optimization cap (default 600s)
-//	-parallelism  optimizer and engine worker goroutines (0 = all
-//	              cores, 1 = sequential; parallel runs find plans of
-//	              identical cost and identical execution results)
+//	-parallelism  engine worker goroutines (0 = all cores,
+//	              1 = sequential; identical execution results either
+//	              way)
 //	-plancache  capacity of the serving-path plan cache in query
 //	            fingerprints (0 = disabled). Repeated query shapes in
 //	            -repl mode are then served from cached plan templates
@@ -94,7 +94,7 @@ func main() {
 		explain   = flag.Bool("explain", false, "with -execute: print the per-operator execution trace")
 		dot       = flag.Bool("dot", false, "print the plan in Graphviz dot syntax")
 		timeout   = flag.Duration("timeout", 600*time.Second, "optimization cap")
-		parallel  = flag.Int("parallelism", 0, "optimizer and engine worker goroutines (0 = all cores, 1 = sequential)")
+		parallel  = flag.Int("parallelism", 0, "engine worker goroutines (0 = all cores, 1 = sequential)")
 		planCache = flag.Int("plancache", 0, "serving-path plan cache capacity in query fingerprints (0 = disabled)")
 		trace     = flag.Bool("trace", false, "print the query-lifecycle trace tree after each query")
 		metrics   = flag.Bool("metrics", false, "dump the Prometheus metrics exposition on exit")
@@ -348,7 +348,7 @@ func runBaseline(cfg runConfig, ds *rdf.Dataset, method partition.Method, q *spa
 	if err != nil {
 		return err
 	}
-	in := &opt.Input{Query: q, Views: views, Est: est, Method: method, Params: cost.Default, Parallelism: cfg.parallelism}
+	in := &opt.Input{Query: q, Views: views, Est: est, Method: method, Params: cost.Default}
 	in.Params.Nodes = cfg.nodes
 
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
@@ -528,7 +528,7 @@ func replBaseline(cfg runConfig, ds *rdf.Dataset, e *engine.Engine, method parti
 	}
 	params := cost.Default
 	params.Nodes = cfg.nodes
-	in := &opt.Input{Query: q, Views: views, Est: est, Method: method, Params: params, Parallelism: cfg.parallelism}
+	in := &opt.Input{Query: q, Views: views, Est: est, Method: method, Params: params}
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
 	defer cancel()
 	start := time.Now()

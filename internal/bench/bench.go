@@ -49,10 +49,9 @@ type Config struct {
 	// CSVDir, when set, makes the figure experiments additionally
 	// write plot-ready CSV files into this directory.
 	CSVDir string
-	// Parallelism is the optimizer and engine worker count (0 = all
-	// cores, 1 = sequential). Parallel runs find plans of identical
-	// cost and execute to identical results and metrics, so it only
-	// changes wall time, never table contents.
+	// Parallelism is the engine worker goroutine count (0 = all cores,
+	// 1 = sequential). Parallel runs execute to identical results and
+	// metrics, so it only changes wall time, never table contents.
 	Parallelism int
 }
 
@@ -230,7 +229,7 @@ func makeInput(cfg Config, q *sparql.Query, s *stats.Stats, m partition.Method) 
 	if err != nil {
 		return nil, err
 	}
-	return &opt.Input{Query: q, Views: views, Est: est, Params: cfg.params(), Method: m, Parallelism: cfg.Parallelism}, nil
+	return &opt.Input{Query: q, Views: views, Est: est, Params: cfg.params(), Method: m}, nil
 }
 
 // dataInput assembles an optimizer input with statistics collected

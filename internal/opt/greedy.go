@@ -20,9 +20,9 @@ import (
 // is deterministic.
 //
 // It deliberately has none of the enumerator's machinery — no memo, no
-// worker pool, no budget or fault sites — because its job is to be the
-// rung of the degradation ladder that cannot fail the way the rungs
-// above it failed: O(n²) time, O(n) space, no goroutines to panic.
+// budget or fault sites — because its job is to be the rung of the
+// degradation ladder that cannot fail the way the rungs above it
+// failed: O(n²) time, O(n) space.
 func runGreedy(ctx context.Context, in *Input) (*Result, error) {
 	jg := in.Views.Join
 	all := jg.All()

@@ -63,18 +63,16 @@ func runHGR(ctx context.Context, in *Input) (*Result, error) {
 			}
 			return checker.IsLocal(origSet(units))
 		},
-		counter: &counters{},
-		params:  in.Params,
-		opt:     Options{Parallelism: in.Parallelism},
-		inst:    in.Inst,
-		gauge:   in.Gauge,
-		faults:  in.Faults,
+		params: in.Params,
+		inst:   in.Inst,
+		gauge:  in.Gauge,
+		faults: in.Faults,
 	}
 	p, err := sp.run()
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Plan: p, Counter: sp.counter.snapshot(), Used: HGRTDCMD, Groups: groups}, nil
+	return &Result{Plan: p, Counter: sp.counter, Used: HGRTDCMD, Groups: groups}, nil
 }
 
 // groupPlan builds the leaf plan of one reduction group: a scan for a

@@ -8,19 +8,16 @@ import (
 )
 
 // Instruments is the optimizer's metrics bundle. It is deliberately
-// separate from Counter: Counter is part of the determinism contract
-// (parallel and sequential runs must produce identical Counters),
-// while memo hit/miss splits and pruning tallies depend on goroutine
-// scheduling. Those live here, as monotonic process-wide metrics.
+// separate from Counter: Counter describes one run and is pinned by
+// the golden plans, while memo hit/miss splits and pruning tallies
+// live here, as monotonic process-wide metrics.
 //
 // A nil *Instruments disables everything: the recording methods are
 // nil-receiver no-ops and the enumerator guards its only per-run
 // time.Now calls behind one nil check.
 type Instruments struct {
 	// MemoHits / MemoMisses count memo-table lookups during plan
-	// enumeration. Their sum is schedule-invariant (one per subquery
-	// visit) but the split is not: in parallel runs, whichever worker
-	// claims a subquery first takes the miss.
+	// enumeration: one per subquery visit, a miss the first time.
 	MemoHits   *obs.Counter
 	MemoMisses *obs.Counter
 	// LocalShortcuts counts subqueries finalized by pruning Rule 3
@@ -33,8 +30,8 @@ type Instruments struct {
 	CMDs       *obs.Counter
 	Plans      *obs.Counter
 	Subqueries *obs.Counter
-	// PanicsRecovered counts enumerator worker panics converted into
-	// typed errors. Registered under the shared resilience family, so
+	// PanicsRecovered counts enumerator panics converted into typed
+	// errors. Registered under the shared resilience family, so
 	// the optimizer's, the engine's and the serving path's recoveries
 	// accumulate into one process-wide series.
 	PanicsRecovered *obs.Counter

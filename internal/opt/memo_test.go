@@ -1,50 +1,89 @@
 package opt
 
 import (
-	"math/rand"
-	"sync"
-	"sync/atomic"
+	"context"
 	"testing"
 
 	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/plan"
+	"sparqlopt/internal/resilience"
 )
 
-// TestMemoTableClaims races goroutines claiming overlapping subqueries
-// in different orders, through several generations of table growth:
-// every set must get exactly one owner, and every claimant — a hit on
-// a resolved future or a waiter on an unresolved one — must read that
-// owner's plan.
-func TestMemoTableClaims(t *testing.T) {
-	const sets, workers = 3000, 8
-	keys := make([]bitset.TPSet, sets)
-	for i := range keys {
-		keys[i] = bitset.TPSet(uint64(i+1) * 0x9e3779b97f4a7c15) // never 0
-	}
-	tab := newMemoTable()
-	var owners [sets]atomic.Int32
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			for _, i := range rand.New(rand.NewSource(seed)).Perm(sets) {
-				f, owner := tab.claim(keys[i])
-				if owner {
-					owners[i].Add(1)
-					f.resolve(&plan.Node{Set: keys[i]})
-					continue
-				}
-				if p := f.wait(); p == nil || p.Set != keys[i] {
-					t.Errorf("claim of set %d read %v", i, p)
-				}
-			}
-		}(int64(w))
-	}
-	wg.Wait()
-	for i := range owners {
-		if n := owners[i].Load(); n != 1 {
-			t.Fatalf("set %d had %d owners", i, n)
+// TestMemoTable fills a memo that starts at 8 slots: keys that share a
+// home slot probe past each other, every insert that would fill more
+// than half the table doubles it first, and every key stored so far
+// reads back its own plan after each growth. Absent keys miss, even
+// ones that share a stored key's home slot.
+func TestMemoTable(t *testing.T) {
+	const slots = 8
+	m := newMemo(slots)
+	home := bitset.TPSet(1).Hash() & (slots - 1)
+	var colliding, others []bitset.TPSet
+	for k := bitset.TPSet(1); len(colliding) < 4 || len(others) < 200; k++ {
+		if k.Hash()&(slots-1) == home && len(colliding) < 4 {
+			colliding = append(colliding, k)
+		} else {
+			others = append(others, k)
 		}
+	}
+	// The first three colliding keys fit without growth; the fourth
+	// stays absent.
+	var stored []bitset.TPSet
+	for _, k := range colliding[:3] {
+		m.put(k, &plan.Node{Set: k})
+		stored = append(stored, k)
+	}
+	if len(m.keys) != slots {
+		t.Fatalf("three inserts grew the table to %d slots", len(m.keys))
+	}
+	check := func() {
+		t.Helper()
+		for _, k := range stored {
+			if p, ok := m.get(k); !ok || p.Set != k {
+				t.Fatalf("get(%v) = %v, %v after %d inserts into %d slots", k, p, ok, m.n, len(m.keys))
+			}
+		}
+		if p, ok := m.get(colliding[3]); ok {
+			t.Fatalf("absent colliding key read %v", p)
+		}
+	}
+	check()
+	for _, k := range others {
+		before := len(m.keys)
+		m.put(k, &plan.Node{Set: k})
+		stored = append(stored, k)
+		if 2*m.n > len(m.keys) {
+			t.Fatalf("%d keys in %d slots: more than half full", m.n, len(m.keys))
+		}
+		if len(m.keys) != before && len(m.keys) != 2*before {
+			t.Fatalf("table went from %d to %d slots", before, len(m.keys))
+		}
+		check()
+	}
+	if m.n != len(stored) {
+		t.Fatalf("memo counts %d keys, stored %d", m.n, len(stored))
+	}
+}
+
+// TestMemoChargesOncePerInsert: every planned subquery is memoized
+// once, and each insert reserves exactly one memo entry, all of which
+// the run returns when it ends.
+func TestMemoChargesOncePerInsert(t *testing.T) {
+	n := 8
+	in := makeInput(t, chainQuery(n), 5, nil)
+	in.Gauge = resilience.NewBudget(1<<30, 0).NewGauge()
+	res, err := Optimize(context.Background(), in, TDCMD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A chain of n patterns has n(n+1)/2 connected subqueries.
+	if want := int64(n * (n + 1) / 2); res.Counter.Subqueries != want {
+		t.Fatalf("planned %d subqueries, want %d", res.Counter.Subqueries, want)
+	}
+	if got, want := in.Gauge.Peak(), res.Counter.Subqueries*memoEntryBytes; got != want {
+		t.Fatalf("memo reserved %d bytes at peak, want %d (one entry per subquery)", got, want)
+	}
+	if got := in.Gauge.Used(); got != 0 {
+		t.Fatalf("gauge still holds %d bytes after the run", got)
 	}
 }

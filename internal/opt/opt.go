@@ -76,15 +76,9 @@ type Input struct {
 	// queries. When nil, no subquery is considered local except single
 	// patterns (pure distributed execution).
 	Method partition.Method
-	// Parallelism bounds the optimizer's worker goroutines. 0 means
-	// runtime.GOMAXPROCS(0); <= 1 forces the sequential enumerator.
-	// Parallel runs are deterministic: plan cost and search-space
-	// counters match the sequential run exactly. Options.Parallelism,
-	// when set, takes precedence (OptimizeWithOptions callers).
-	Parallelism int
 	// Inst, when non-nil, receives run metrics (per-algorithm timing,
-	// memo hit rate, pruning tallies). Unlike Counter, its values are
-	// schedule-dependent; nil disables recording entirely.
+	// memo hit rate, pruning tallies), accumulated across runs; nil
+	// disables recording entirely.
 	Inst *Instruments
 	// Gauge, when non-nil, charges the enumerator's memo growth against
 	// the query's memory budget; a trip fails the run with a typed
@@ -212,19 +206,15 @@ func identitySpace(ctx context.Context, in *Input, o Options) *space {
 			}
 			return checker.IsLocal(s)
 		},
-		params:  in.Params,
-		opt:     o,
-		counter: &counters{},
-		inst:    in.Inst,
-		gauge:   in.Gauge,
-		faults:  in.Faults,
+		params: in.Params,
+		opt:    o,
+		inst:   in.Inst,
+		gauge:  in.Gauge,
+		faults: in.Faults,
 	}
 }
 
 func runTD(ctx context.Context, in *Input, o Options) (*Result, error) {
-	if o.Parallelism == 0 {
-		o.Parallelism = in.Parallelism
-	}
 	sp := identitySpace(ctx, in, o)
 	p, err := sp.run()
 	if err != nil {
@@ -234,7 +224,7 @@ func runTD(ctx context.Context, in *Input, o Options) (*Result, error) {
 	if o.PruneCCMD || o.BinaryBroadcastOnly || o.LocalShortcut {
 		used = TDCMDP
 	}
-	return &Result{Plan: p, Counter: sp.counter.snapshot(), Used: used}, nil
+	return &Result{Plan: p, Counter: sp.counter, Used: used}, nil
 }
 
 // runAuto implements the decision tree of Fig. 5: for join graphs with

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"sparqlopt/internal/partition"
 	"sparqlopt/internal/resilience"
@@ -67,7 +68,6 @@ func TestGreedyNeverBeatenByTDCMD(t *testing.T) {
 
 func TestOptPanicRecoveredSequential(t *testing.T) {
 	in := makeInput(t, chainQuery(6), 11, nil)
-	in.Parallelism = 1
 	in.Faults = faultinject.New(1)
 	in.Faults.Arm(faultinject.OptPanic, 1)
 	_, err := Optimize(context.Background(), in, TDCMD)
@@ -83,26 +83,8 @@ func TestOptPanicRecoveredSequential(t *testing.T) {
 	}
 }
 
-// The parallel enumerator's future memo must survive an owner panic:
-// the owner resolves its future while unwinding, so waiters wake up
-// instead of deadlocking, and the run fails with the typed error.
-func TestOptPanicRecoveredParallel(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		in := makeInput(t, chainQuery(10), 11, nil)
-		in.Parallelism = 4
-		in.Faults = faultinject.New(seed)
-		in.Faults.Arm(faultinject.OptPanic, 50)
-		_, err := Optimize(context.Background(), in, TDCMD)
-		var pe *resilience.PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("seed %d: err = %v (%T), want *resilience.PanicError", seed, err, err)
-		}
-	}
-}
-
 func TestOptBudgetTrip(t *testing.T) {
 	in := makeInput(t, chainQuery(10), 13, nil)
-	in.Parallelism = 1
 	in.Gauge = resilience.NewBudget(4*memoEntryBytes, 0).NewGauge()
 	_, err := Optimize(context.Background(), in, TDCMD)
 	if !errors.Is(err, resilience.ErrBudgetExceeded) {
@@ -120,7 +102,6 @@ func TestOptBudgetTrip(t *testing.T) {
 
 func TestOptBudgetFaultWithoutGauge(t *testing.T) {
 	in := makeInput(t, chainQuery(6), 17, nil)
-	in.Parallelism = 2
 	in.Faults = faultinject.New(2)
 	in.Faults.Arm(faultinject.OptBudget, 10)
 	_, err := Optimize(context.Background(), in, TDCMD)
@@ -131,7 +112,6 @@ func TestOptBudgetFaultWithoutGauge(t *testing.T) {
 
 func TestOptBudgetEnoughForSmallQuery(t *testing.T) {
 	in := makeInput(t, chainQuery(5), 19, nil)
-	in.Parallelism = 1
 	in.Gauge = resilience.NewBudget(1<<20, 0).NewGauge()
 	res, err := Optimize(context.Background(), in, TDCMD)
 	if err != nil {
@@ -142,5 +122,39 @@ func TestOptBudgetEnoughForSmallQuery(t *testing.T) {
 	}
 	if got := in.Gauge.Used(); got != 0 {
 		t.Fatalf("gauge holds %d bytes after successful run (memo must be released)", got)
+	}
+}
+
+// TestParallelCancellationExpired asserts a run refuses an
+// already-expired context before any work.
+func TestParallelCancellationExpired(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	in := makeInput(t, starQuery(14), 1, nil)
+	start := time.Now()
+	_, err := Optimize(ctx, in, TDCMD)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("expired context took %v to be honored", d)
+	}
+}
+
+// TestParallelCancellationDeadline asserts a deadline that expires
+// mid-enumeration stops the run. Star-16 under unpruned TD-CMD
+// enumerates billions of cmds — it can only return quickly by
+// cancellation.
+func TestParallelCancellationDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	in := makeInput(t, starQuery(16), 1, nil)
+	start := time.Now()
+	_, err := Optimize(ctx, in, TDCMD)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("deadline took %v to stop the run", d)
 	}
 }

@@ -59,7 +59,7 @@ func (h *harness) optimize(ctx context.Context, q *sparql.Query, st *stats.Stats
 	if err != nil {
 		return nil, err
 	}
-	return opt.Optimize(ctx, &opt.Input{Query: q, Views: views, Est: est, Parallelism: 1}, opt.TDCMD)
+	return opt.Optimize(ctx, &opt.Input{Query: q, Views: views, Est: est}, opt.TDCMD)
 }
 
 func (h *harness) serve(t *testing.T, c *Cache, src string, epoch uint64) (*opt.Result, Info) {

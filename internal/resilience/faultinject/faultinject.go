@@ -44,8 +44,7 @@ type Site string
 
 // The serving path's instrumented sites.
 const (
-	// OptPanic panics inside the optimizer's CMD-costing loop — on a
-	// pool worker goroutine when the enumerator runs parallel.
+	// OptPanic panics inside the optimizer's CMD-costing loop.
 	OptPanic Site = "opt/panic"
 	// OptBudget forces a memory-budget trip when the optimizer's memo
 	// reserves its next entry.

@@ -143,10 +143,9 @@ func collectPattern(dict *rdf.Dict, triples []rdf.Triple, tp sparql.TriplePatter
 // shared-variable denominator in variable-index order, so an estimate
 // is a bit-reproducible function of the set.
 //
-// It is safe for concurrent use: the parallel plan enumerator calls it
-// from every worker. Two workers missing on the same set may both
-// compute it; they store bit-identical values, so which store wins is
-// unobservable.
+// It is safe for concurrent use. Two callers missing on the same set
+// may both compute it; they store bit-identical values, so which store
+// wins is unobservable.
 type Estimator struct {
 	// vars maps a variable name to its index in every binding vector.
 	vars map[string]int

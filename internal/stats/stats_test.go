@@ -432,9 +432,9 @@ func TestEstimatorIndependentOfMapOrder(t *testing.T) {
 	}
 }
 
-// TestEstimatorConcurrent: workers sharing one estimator, as the
-// parallel enumerator's do, each asking for every subset in its own
-// order, read exactly what a sequential estimator computes.
+// TestEstimatorConcurrent: workers sharing one estimator, each asking
+// for every subset in its own order, read exactly what a sequential
+// estimator computes.
 func TestEstimatorConcurrent(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE { ?s <p> ?o . ?o <q> ?x . ?x ?p ?s . ?s ?p ?o . ?x <r> ?y . ?y <s> ?s . ?o <t> ?y . }`)
 	r := rand.New(rand.NewSource(7))

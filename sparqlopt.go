@@ -308,16 +308,15 @@ func WithLimit(n int64) RunOption {
 // System is a partitioned dataset ready to optimize and execute
 // queries — the in-process analogue of the paper's prototype cluster.
 type System struct {
-	ds          *Dataset
-	method      Method
-	params      CostParams
-	parallelism int
-	placement   *partition.Placement
-	engine      *engine.Engine
-	cache       *plancache.Cache      // nil = caching disabled
-	share       *plancache.ShareTable // nil = execution sharing disabled
-	obs         *obsState             // nil = observability disabled
-	optInst     *opt.Instruments      // nil when observability is disabled
+	ds        *Dataset
+	method    Method
+	params    CostParams
+	placement *partition.Placement
+	engine    *engine.Engine
+	cache     *plancache.Cache      // nil = caching disabled
+	share     *plancache.ShareTable // nil = execution sharing disabled
+	obs       *obsState             // nil = observability disabled
+	optInst   *opt.Instruments      // nil when observability is disabled
 
 	adm     *resilience.Admission   // nil = admission control disabled
 	budget  *resilience.Budget      // nil = memory budgets disabled
@@ -384,11 +383,11 @@ func WithNodes(n int) Option { return func(c *openConfig) { c.nodes = n } }
 // WithCostParams overrides the cost-model constants.
 func WithCostParams(p CostParams) Option { return func(c *openConfig) { c.params = p } }
 
-// WithParallelism bounds the worker goroutines of both the optimizer
-// (plan enumeration) and the execution engine (independent join
-// subtrees, shuffle scatters): 0 means GOMAXPROCS, 1 forces the
-// sequential paths. Plans, results and metrics are identical at every
-// setting — the knob only changes wall time.
+// WithParallelism bounds the engine worker goroutines (independent
+// join subtrees, shuffle scatters): 0 means GOMAXPROCS, 1 forces the
+// sequential path. Plan enumeration always runs on the calling
+// goroutine. Results and metrics are identical at every setting — the
+// knob only changes wall time.
 func WithParallelism(p int) Option { return func(c *openConfig) { c.parallelism = p } }
 
 // WithFactorization sets the factorized-execution fanout gate: a root
@@ -614,7 +613,6 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 		ds:          ds,
 		method:      cfg.method,
 		params:      cfg.params,
-		parallelism: cfg.parallelism,
 		placement:   placement,
 		engine:      eng,
 		cache:       plancache.New(cfg.planCache),
@@ -888,7 +886,7 @@ func (s *System) inputWithStats(q *Query, st *stats.Stats, set opt.RunSettings, 
 	}
 	return &opt.Input{
 		Query: q, Views: views, Est: est,
-		Params: s.params, Method: s.method, Parallelism: s.parallelism,
+		Params: s.params, Method: s.method,
 		Inst: s.optInst, Gauge: g, Faults: set.Faults,
 	}, nil
 }
