@@ -19,8 +19,6 @@
 //	            td-auto | greedy (default td-auto)
 //	-parallelism  engine worker goroutines (0 = all cores)
 //	-plancache  plan-cache capacity in query fingerprints (0 = disabled)
-//	-share      coalesce concurrent identical in-flight reads onto one
-//	            execution (duplicate requests replay its broadcast)
 //	-max-concurrent / -max-queued  admission control; overflow is
 //	            rejected with 503 and a Retry-After hint
 //	-mem-budget per-query memory budget in bytes (0 = unlimited);
@@ -76,7 +74,6 @@ func main() {
 		algorithm    = flag.String("algorithm", "td-auto", "default optimization algorithm")
 		parallel     = flag.Int("parallelism", 0, "engine worker goroutines (0 = all cores)")
 		planCache    = flag.Int("plancache", 0, "plan cache capacity in query fingerprints (0 = disabled)")
-		share        = flag.Bool("share", false, "coalesce concurrent identical reads onto one execution")
 		maxConc      = flag.Int("max-concurrent", 0, "admission control: max concurrently served queries (0 = unlimited)")
 		maxQueued    = flag.Int("max-queued", 0, "admission control: max queries queued for a slot")
 		memBudget    = flag.Int64("mem-budget", 0, "per-query memory budget in bytes (0 = unlimited)")
@@ -94,7 +91,7 @@ func main() {
 	if err := run(serveConfig{
 		addr: *addr, dataPath: *dataPath, demo: *demo, universities: *universities,
 		partName: *partName, nodes: *nodes, algorithm: *algorithm,
-		parallelism: *parallel, planCache: *planCache, share: *share,
+		parallelism: *parallel, planCache: *planCache,
 		maxConcurrent: *maxConc, maxQueued: *maxQueued, memBudget: *memBudget,
 		timeout: *timeout, maxTimeout: *maxTimeout, limit: *limit, maxLimit: *maxLimit,
 		slowlog: *slowlog, adaptive: *adaptive, decayHalfLife: *decay,
@@ -110,7 +107,6 @@ type serveConfig struct {
 	demo                                bool
 	universities, nodes                 int
 	parallelism, planCache              int
-	share                               bool
 	maxConcurrent, maxQueued            int
 	memBudget                           int64
 	timeout, maxTimeout                 time.Duration
@@ -143,9 +139,6 @@ func run(cfg serveConfig) error {
 	}
 	if cfg.planCache > 0 {
 		opts = append(opts, sparqlopt.WithPlanCache(cfg.planCache))
-	}
-	if cfg.share {
-		opts = append(opts, sparqlopt.WithExecutionSharing())
 	}
 	if cfg.maxConcurrent > 0 {
 		opts = append(opts, sparqlopt.WithAdmissionControl(cfg.maxConcurrent, cfg.maxQueued))

@@ -190,7 +190,7 @@ func run(cfg runConfig) error {
 	if err != nil {
 		return err
 	}
-	algo, served := optAlgo(algorithm)
+	algo, served := sparqlopt.AlgorithmByName(algorithm)
 	if cfg.observing() && !served {
 		fmt.Fprintf(os.Stderr, "note: -trace/-metrics/-slowlog apply to the td-* algorithms, not %q\n", algorithm)
 	}
@@ -336,30 +336,12 @@ func finishObserved(cfg runConfig, sys *sparqlopt.System) error {
 // runBaseline optimizes with one of the baseline algorithms (outside
 // the serving path) and optionally executes the plan directly.
 func runBaseline(cfg runConfig, ds *rdf.Dataset, method partition.Method, q *sparql.Query) error {
-	st, err := stats.Collect(ds, q)
-	if err != nil {
-		return err
-	}
-	views, err := querygraph.Build(q)
-	if err != nil {
-		return err
-	}
-	est, err := stats.NewEstimator(q, st)
-	if err != nil {
-		return err
-	}
-	in := &opt.Input{Query: q, Views: views, Est: est, Method: method, Params: cost.Default}
-	in.Params.Nodes = cfg.nodes
-
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
-	defer cancel()
-	start := time.Now()
-	res, err := optimize(ctx, in, cfg.algorithm)
+	res, optDur, err := optimizeBaseline(cfg, ds, method, q)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\noptimized with %s in %v: %s\n\nplan:\n%s",
-		cfg.algorithm, time.Since(start).Round(time.Microsecond), res, res.Plan.Format())
+		cfg.algorithm, optDur.Round(time.Microsecond), res, res.Plan.Format())
 	if cfg.dot {
 		fmt.Printf("\n%s", res.Plan.DOT())
 	}
@@ -374,7 +356,7 @@ func runBaseline(cfg runConfig, ds *rdf.Dataset, method partition.Method, q *spa
 	fmt.Printf("replication factor: %.2f\n", placement.ReplicationFactor(ds.Len()))
 	e := engine.New(ds.Dict, placement)
 	e.SetParallelism(cfg.parallelism)
-	start = time.Now()
+	start := time.Now()
 	out, err := e.Execute(context.Background(), res.Plan, q)
 	if err != nil {
 		return err
@@ -405,27 +387,36 @@ func printRows(ds *rdf.Dataset, rows [][]rdf.TermID, limit int) {
 	}
 }
 
-func optimize(ctx context.Context, in *opt.Input, algorithm string) (*opt.Result, error) {
-	switch algorithm {
+// optimizeBaseline runs one of the baseline algorithms (msc,
+// dp-bushy, binary-dp) on q outside the serving path, with statistics
+// collected over ds, under the -timeout cap. It returns the time the
+// optimization took.
+func optimizeBaseline(cfg runConfig, ds *rdf.Dataset, method partition.Method, q *sparql.Query) (*opt.Result, time.Duration, error) {
+	st, err := stats.Collect(ds, q)
+	if err != nil {
+		return nil, 0, err
+	}
+	est, err := stats.NewEstimator(q, st)
+	if err != nil {
+		return nil, 0, err
+	}
+	in := &opt.Input{Query: q, Est: est, Method: method, Params: cost.Default}
+	in.Params.Nodes = cfg.nodes
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
+	defer cancel()
+	start := time.Now()
+	var res *opt.Result
+	switch cfg.algorithm {
 	case "msc":
-		return baseline.MSC(ctx, in)
+		res, err = baseline.MSC(ctx, in)
 	case "dp-bushy":
-		return baseline.DPBushy(ctx, in)
+		res, err = baseline.DPBushy(ctx, in)
 	case "binary-dp":
-		return baseline.BinaryDP(ctx, in)
+		res, err = baseline.BinaryDP(ctx, in)
+	default:
+		err = fmt.Errorf("unknown algorithm %q", cfg.algorithm)
 	}
-	if algo, ok := optAlgo(algorithm); ok {
-		return opt.Optimize(ctx, in, algo)
-	}
-	return nil, fmt.Errorf("unknown algorithm %q", algorithm)
-}
-
-// optAlgo maps a CLI algorithm name to the optimizer's enum; baseline
-// algorithms (msc, dp-bushy, binary-dp) run outside the serving path.
-// The served names are the library's — identical across this CLI,
-// sparqld and the HTTP endpoint.
-func optAlgo(name string) (opt.Algorithm, bool) {
-	return sparqlopt.AlgorithmByName(name)
+	return res, time.Since(start), err
 }
 
 // replLoop reads SPARQL queries from stdin (terminated by a line
@@ -514,30 +505,11 @@ func replBaseline(cfg runConfig, ds *rdf.Dataset, e *engine.Engine, method parti
 	if err != nil {
 		return err
 	}
-	st, err := stats.Collect(ds, q)
+	res, optDur, err := optimizeBaseline(cfg, ds, method, q)
 	if err != nil {
 		return err
 	}
-	views, err := querygraph.Build(q)
-	if err != nil {
-		return err
-	}
-	est, err := stats.NewEstimator(q, st)
-	if err != nil {
-		return err
-	}
-	params := cost.Default
-	params.Nodes = cfg.nodes
-	in := &opt.Input{Query: q, Views: views, Est: est, Method: method, Params: params}
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
-	defer cancel()
 	start := time.Now()
-	res, err := optimize(ctx, in, cfg.algorithm)
-	if err != nil {
-		return err
-	}
-	optDur := time.Since(start)
-	start = time.Now()
 	out, err := e.Execute(context.Background(), res.Plan, q)
 	if err != nil {
 		return err

@@ -18,9 +18,10 @@ import (
 // usage comment names must exist in the tree — the experiment in
 // benchrunner's table, the artifact checked in at the repo root, the
 // option declared in the root package. The usage comment must also
-// list every experiment the table holds. sparqld is held the same way:
-// every flag its usage comment or a `sparqld -flag …` command line in
-// the docs names must be defined, and every defined flag listed.
+// list every experiment the table holds. sparqld and sparqlopt are held
+// the same way: every flag a command's usage comment or a `sparqld
+// -flag …` command line in the docs names must be defined, and every
+// defined flag listed.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	const runner = "cmd/benchrunner/main.go"
 	fset := token.NewFileSet()
@@ -88,7 +89,9 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 		docs[name] = string(data)
 	}
-	checkDaemonFlags(t, fset, docs)
+	for _, cmd := range []string{"sparqld", "sparqlopt"} {
+		checkCommandFlags(t, fset, cmd, docs)
+	}
 	for name, text := range docs {
 		for _, line := range strings.Split(text, "\n") {
 			for _, m := range experimentRE.FindAllStringSubmatch(line, -1) {
@@ -135,10 +138,11 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 }
 
-// checkDaemonFlags is the sparqld half of TestDocsNameOnlyWhatExists.
-func checkDaemonFlags(t *testing.T, fset *token.FileSet, docs map[string]string) {
-	const daemon = "cmd/sparqld/main.go"
-	main, err := parser.ParseFile(fset, daemon, nil, parser.ParseComments)
+// checkCommandFlags is the command-line half of
+// TestDocsNameOnlyWhatExists, for the command cmd/<cmd>.
+func checkCommandFlags(t *testing.T, fset *token.FileSet, cmd string, docs map[string]string) {
+	path := "cmd/" + cmd + "/main.go"
+	main, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +170,7 @@ func checkDaemonFlags(t *testing.T, fset *token.FileSet, docs map[string]string)
 		return true
 	})
 	if len(defined) == 0 {
-		t.Fatalf("found no flag definitions in %s", daemon)
+		t.Fatalf("found no flag definitions in %s", path)
 	}
 
 	// Listed: any -name at the start of a word of the usage comment
@@ -177,19 +181,18 @@ func checkDaemonFlags(t *testing.T, fset *token.FileSet, docs map[string]string)
 	}
 	for name := range listed {
 		if !defined[name] {
-			t.Errorf("%s usage names -%s, which sparqld does not define", daemon, name)
+			t.Errorf("%s usage names -%s, which %s does not define", path, name, cmd)
 		}
 	}
 	for name := range defined {
 		if !listed[name] {
-			t.Errorf("%s usage does not list -%s", daemon, name)
+			t.Errorf("%s usage does not list -%s", path, name)
 		}
 	}
 
-	// A sparqld command line in the docs: the words after the name, up
-	// to the end of the line or of the code span, continuation lines
-	// joined.
-	cmdRE := regexp.MustCompile("sparqld((?:[ \\t]+[^\\s`]+)+)")
+	// A command line in the docs: the words after the name, up to the
+	// end of the line or of the code span, continuation lines joined.
+	cmdRE := regexp.MustCompile(`\b` + cmd + "((?:[ \\t]+[^\\s`]+)+)")
 	for name, text := range docs {
 		for _, m := range cmdRE.FindAllStringSubmatch(strings.ReplaceAll(text, "\\\n", " "), -1) {
 			for _, word := range strings.Fields(m[1]) {
@@ -198,7 +201,7 @@ func checkDaemonFlags(t *testing.T, fset *token.FileSet, docs map[string]string)
 				}
 				flagName, _, _ := strings.Cut(strings.TrimRight(word[1:], ".,;:)"), "=")
 				if !defined[flagName] {
-					t.Errorf("%s names sparqld -%s, which sparqld does not define", name, flagName)
+					t.Errorf("%s names %s -%s, which %s does not define", name, cmd, flagName, cmd)
 				}
 			}
 		}

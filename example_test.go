@@ -78,8 +78,7 @@ func Example_serving() {
 
 	sys, err := sparqlopt.Open(ds,
 		sparqlopt.WithNodes(2),
-		sparqlopt.WithPlanCache(64),      // repeated shapes skip optimization
-		sparqlopt.WithExecutionSharing(), // identical in-flight reads share one execution
+		sparqlopt.WithPlanCache(64), // repeated shapes skip optimization
 		sparqlopt.WithAdmissionControl(8, 16),
 		sparqlopt.WithObservability())
 	if err != nil {

@@ -61,11 +61,6 @@ type CacheInfo struct {
 	// Shared reports that the run blocked on another goroutine's
 	// in-flight optimization of the same fingerprint (singleflight).
 	Shared bool
-	// SharedExec reports that the run did not execute its own plan at
-	// all: it subscribed to an identical in-flight query's execution
-	// and replayed that leader's result stream (see the root package's
-	// WithExecutionSharing).
-	SharedExec bool
 	// Epoch is the dataset epoch the served plan was derived under.
 	Epoch uint64
 }
@@ -174,9 +169,6 @@ func (r *Result) String() string {
 			state += "+shared"
 		}
 		fmt.Fprintf(&b, " cache=%s", state)
-	}
-	if r.CacheInfo.SharedExec {
-		b.WriteString(" exec=shared")
 	}
 	if len(r.Degraded) > 0 {
 		fmt.Fprintf(&b, " DEGRADED[%s]", strings.Join(r.Degraded, "; "))

@@ -330,6 +330,8 @@ func writeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &pe):
 		http.Error(w, "malformed query: "+pe.Error(), http.StatusBadRequest)
+	case errors.Is(err, sparqlopt.ErrUnsupportedQuery):
+		http.Error(w, err.Error(), http.StatusBadRequest)
 	case errors.As(err, &oe):
 		secs := int(oe.RetryAfter / time.Second)
 		if secs < 1 {

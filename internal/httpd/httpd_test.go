@@ -236,6 +236,29 @@ func TestProtocolErrors(t *testing.T) {
 			t.Fatalf("%s: %d, want 400", bad, resp.StatusCode)
 		}
 	}
+
+	// Well-formed queries the optimizer cannot plan are the client's
+	// fault too: a disconnected BGP and one over 64 patterns.
+	var chain strings.Builder
+	chain.WriteString("SELECT * WHERE {")
+	for i := 0; i < 65; i++ {
+		fmt.Fprintf(&chain, " ?v%d <worksFor> ?v%d .", i, i+1)
+	}
+	chain.WriteString(" }")
+	for name, q := range map[string]string{
+		"disconnected": `SELECT * WHERE { ?a <worksFor> ?b . ?c <inCity> ?d . }`,
+		"65 patterns":  chain.String(),
+	} {
+		r, err := http.Post(srv.URL+"/sparql", "application/sparql-query", strings.NewReader(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(r.Body)
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "unsupported query") {
+			t.Fatalf("%s: %d %s, want 400 unsupported query", name, r.StatusCode, body)
+		}
+	}
 }
 
 // TestRequestParameters: limit and algorithm shape the execution.
@@ -549,7 +572,6 @@ func TestServeSmoke(t *testing.T) {
 	}
 	sys, err := sparqlopt.Open(ds, sparqlopt.WithNodes(4),
 		sparqlopt.WithPlanCache(32),
-		sparqlopt.WithExecutionSharing(),
 		sparqlopt.WithAdmissionControl(2, 2),
 		sparqlopt.WithObservability())
 	if err != nil {

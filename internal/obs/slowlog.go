@@ -36,9 +36,6 @@ type SlowQueryEntry struct {
 	ShuffledBytes int64
 	// CacheHit reports that the plan came from the plan cache.
 	CacheHit bool
-	// Shared reports that the call never executed: it replayed another
-	// identical in-flight call's broadcast (execution sharing).
-	Shared bool
 	// Err is the failure that ended the run, "" for a slow success.
 	// Cancellations carry their query phase and cause (deadline vs.
 	// manual cancel) via the engine's PhaseError annotations.
@@ -77,9 +74,6 @@ func (e SlowQueryEntry) String() string {
 	}
 	if e.CacheHit {
 		b.WriteString(" cache=hit")
-	}
-	if e.Shared {
-		b.WriteString(" exec=shared")
 	}
 	if len(e.Degraded) > 0 {
 		fmt.Fprintf(&b, " DEGRADED[%s]", strings.Join(e.Degraded, "; "))

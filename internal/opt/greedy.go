@@ -27,7 +27,7 @@ func runGreedy(ctx context.Context, in *Input) (*Result, error) {
 	jg := in.Views.Join
 	all := jg.All()
 	if !jg.Connected(all) {
-		return nil, fmt.Errorf("opt: query is disconnected; a Cartesian-product-free plan does not exist")
+		return nil, errDisconnected
 	}
 	if err := obs.Canceled(ctx, "optimize"); err != nil {
 		return nil, err

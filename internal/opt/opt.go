@@ -16,6 +16,10 @@ import (
 	"sparqlopt/internal/stats"
 )
 
+// errDisconnected is the failure of TD-CMD (and every algorithm built
+// on it) and of Greedy on a query whose join graph is disconnected.
+var errDisconnected = fmt.Errorf("opt: query is disconnected; a Cartesian-product-free plan does not exist: %w", querygraph.ErrUnsupported)
+
 // Algorithm selects one of the paper's optimization algorithms.
 type Algorithm uint8
 

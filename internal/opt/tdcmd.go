@@ -112,7 +112,7 @@ func (sp *space) fail(err error) {
 func (sp *space) run() (*plan.Node, error) {
 	all := sp.jg.All()
 	if !sp.jg.Connected(all) {
-		return nil, fmt.Errorf("opt: query is disconnected; a Cartesian-product-free plan does not exist")
+		return nil, errDisconnected
 	}
 	if err := obs.Canceled(sp.ctx, "optimize"); err != nil {
 		return nil, err // honor already-expired contexts before any work

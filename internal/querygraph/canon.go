@@ -76,7 +76,7 @@ func Canonicalize(q *sparql.Query) (*Canon, error) {
 		return nil, fmt.Errorf("querygraph: query has no triple patterns")
 	}
 	if n > bitset.MaxPatterns {
-		return nil, fmt.Errorf("querygraph: query has %d triple patterns, maximum is %d", n, bitset.MaxPatterns)
+		return nil, tooManyPatterns(n)
 	}
 
 	// Variable occurrence lists: for each variable, the (pattern,

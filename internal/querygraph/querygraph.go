@@ -15,12 +15,19 @@
 package querygraph
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
 	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/sparql"
 )
+
+// ErrUnsupported matches (errors.Is) every query the optimizer cannot
+// plan: one with more than bitset.MaxPatterns triple patterns, or one
+// whose join graph is disconnected (no Cartesian-product-free plan
+// exists). It is the client's query that is at fault, not the system.
+var ErrUnsupported = errors.New("unsupported query")
 
 // Class is the structural class of a query's join graph (§II-B).
 type Class uint8
@@ -88,7 +95,7 @@ func NewJoinGraph(q *sparql.Query) (*JoinGraph, error) {
 		return nil, fmt.Errorf("querygraph: query has no triple patterns")
 	}
 	if n > bitset.MaxPatterns {
-		return nil, fmt.Errorf("querygraph: query has %d triple patterns, maximum is %d", n, bitset.MaxPatterns)
+		return nil, tooManyPatterns(n)
 	}
 	jg := &JoinGraph{
 		Query:    q,
@@ -120,6 +127,12 @@ func NewJoinGraph(q *sparql.Query) (*JoinGraph, error) {
 	}
 	jg.link()
 	return jg, nil
+}
+
+// tooManyPatterns is the failure of a query over bitset.MaxPatterns
+// patterns.
+func tooManyPatterns(n int) error {
+	return fmt.Errorf("querygraph: query has %d triple patterns, maximum is %d: %w", n, bitset.MaxPatterns, ErrUnsupported)
 }
 
 // NewJoinGraphFromVarSets builds a join graph over abstract units:

@@ -25,7 +25,6 @@ import (
 	"sparqlopt/internal/engine"
 	"sparqlopt/internal/obs"
 	"sparqlopt/internal/opt"
-	"sparqlopt/internal/plancache"
 	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/resilience"
 	"sparqlopt/internal/sparql"
@@ -33,10 +32,6 @@ import (
 
 // TermID is a dictionary-encoded RDF term (see System.Term).
 type TermID = rdf.TermID
-
-// ShareCounters is a snapshot of the execution-sharing layer's
-// cumulative counters (see WithExecutionSharing, System.ShareStats).
-type ShareCounters = plancache.ShareCounters
 
 // Rows is a cursor over one query's result stream. It is
 // single-consumer and must be Closed (Close is idempotent and safe
@@ -59,9 +54,10 @@ type Rows struct {
 	sys *System
 	ctx context.Context
 	fin *finalizer
-	be  rowsBackend
+	q   *Query
+	st  *engine.Stream
+	sp  *obs.Span // the open "execute" span; ended at finish
 
-	vars      []string
 	limit     int64
 	delivered int64
 
@@ -69,27 +65,12 @@ type Rows struct {
 	i     int
 	row   []rdf.TermID
 
-	res    *ExecResult
 	err    error
 	closed bool
 }
 
-// rowsBackend produces the raw chunk stream behind a Rows cursor —
-// either this call's own engine execution or another in-flight
-// identical call's broadcast.
-type rowsBackend interface {
-	// next returns the next chunk (valid until the following call) or
-	// nil at the end of the stream.
-	next(ctx context.Context) ([][]rdf.TermID, error)
-	// close finalizes the execution exactly once. terminal is the error
-	// that ended the stream (nil for a clean end or an abandon),
-	// complete reports that the consumer saw the whole logical result
-	// (exhaustion, or its row limit), delivered how many rows it got.
-	close(terminal error, delivered int64, complete bool) *ExecResult
-}
-
 // Vars names the stream's output columns.
-func (r *Rows) Vars() []string { return r.vars }
+func (r *Rows) Vars() []string { return r.st.Vars() }
 
 // Next advances to the next result row, fetching the next chunk from
 // the execution when the current one is drained. It returns false at
@@ -101,8 +82,8 @@ func (r *Rows) Next() bool {
 	}
 	if r.limit > 0 && r.delivered >= r.limit {
 		// The cap is part of the call's contract (WithLimit): reaching
-		// it is a complete result, not an abandon.
-		r.finish(nil, true)
+		// it is a clean end, not an error.
+		r.finish(nil)
 		return false
 	}
 	for {
@@ -112,13 +93,9 @@ func (r *Rows) Next() bool {
 			r.delivered++
 			return true
 		}
-		chunk, err := r.be.next(r.ctx)
-		if err != nil {
-			r.finish(err, false)
-			return false
-		}
-		if chunk == nil {
-			r.finish(nil, true)
+		chunk, err := r.st.NextChunk(r.ctx)
+		if err != nil || chunk == nil {
+			r.finish(err)
 			return false
 		}
 		r.chunk, r.i = chunk, 0
@@ -151,10 +128,10 @@ func (r *Rows) Err() error { return r.err }
 
 // Close releases the call's resources (admission slot, memory gauge)
 // and finalizes its observability. Closing an unexhausted cursor
-// abandons the stream: what did happen is recorded, and any followers
-// sharing this execution are cut loose. Idempotent; returns Err.
+// abandons the stream: what did happen is recorded. Idempotent;
+// returns Err.
 func (r *Rows) Close() error {
-	r.finish(nil, false)
+	r.finish(nil)
 	return r.err
 }
 
@@ -162,18 +139,32 @@ func (r *Rows) Close() error {
 // trace, cache info, Returned — available once the stream has ended
 // (nil before then). Rows is nil on it: the rows went through the
 // cursor.
-func (r *Rows) Result() *ExecResult { return r.res }
+func (r *Rows) Result() *ExecResult {
+	if !r.closed {
+		return nil
+	}
+	return r.st.Result()
+}
 
-// finish ends the stream exactly once: backend teardown, then the
-// call-level finalizer.
-func (r *Rows) finish(err error, complete bool) {
+// finish ends the stream exactly once: the engine stream's statistics
+// and the "execute" span, adaptive feedback for a run that did not
+// fail, then the call-level finalizer.
+func (r *Rows) finish(err error) {
 	if r.closed {
 		return
 	}
 	r.closed = true
 	r.err = err
-	r.res = r.be.close(err, r.delivered, complete)
-	r.fin.finish(r.res, err)
+	r.st.Finish()
+	res := r.st.Result()
+	res.Returned = r.delivered
+	r.sp.SetAttrInt("rows", r.delivered)
+	r.sp.End()
+	res.Trace.AttachSpans(r.sp)
+	if err == nil {
+		r.sys.observeAdaptive(r.q, res)
+	}
+	r.fin.finish(res, err)
 }
 
 // finalizer is one serving call's deferred bookkeeping, detached from
@@ -221,7 +212,6 @@ func (f *finalizer) finish(res *ExecResult, err error) {
 				e.Rows = int(res.RowCount())
 				e.FlatRows = res.FlatRowCount()
 				e.Factorized = res.Factorized
-				e.Shared = res.CacheInfo.SharedExec
 				e.ShuffledRows = res.ShuffledRows()
 				e.ShuffledBytes = res.ShuffledBytes()
 				e.CacheHit = res.CacheInfo.Hit
@@ -245,141 +235,6 @@ func (f *finalizer) finish(res *ExecResult, err error) {
 	f.cancel()
 }
 
-// engineBackend streams this call's own engine execution, publishing
-// each chunk to bc when the call leads a shared execution.
-type engineBackend struct {
-	sys  *System
-	q    *Query
-	st   *engine.Stream
-	bc   *plancache.Broadcast // nil when not sharing
-	g    *resilience.Gauge
-	sp   *obs.Span // the open "execute" span; ended at close
-	res  *ExecResult
-	vars []string
-	// drained marks that the engine stream itself ended (as opposed to
-	// a limit cut, where published chunks already cover every sharer's
-	// identical limit).
-	drained     bool
-	shareFailed bool
-	closed      bool
-}
-
-// broadcastRowBytes is the reservation per published row: the row
-// payload plus its slice header, mirroring the log's own accounting.
-const broadcastRowBytes = 24
-
-func (b *engineBackend) next(ctx context.Context) ([][]rdf.TermID, error) {
-	rows, err := b.st.NextChunk(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if rows == nil {
-		b.drained = true
-		return nil, nil
-	}
-	if b.bc != nil && !b.shareFailed {
-		// The broadcast log retains a copy of every chunk for followers
-		// that join mid-stream; the retention is charged to the leader's
-		// own gauge. A trip cuts the followers loose — the leader's
-		// stream is unaffected.
-		need := int64(len(rows)) * (int64(len(b.vars))*4 + broadcastRowBytes)
-		if cerr := b.g.Reserve("share", need); cerr != nil {
-			b.bc.Abort()
-			b.shareFailed = true
-		} else {
-			b.bc.Publish(rows)
-		}
-	}
-	return rows, nil
-}
-
-func (b *engineBackend) close(terminal error, delivered int64, complete bool) *ExecResult {
-	if b.closed {
-		return b.res
-	}
-	b.closed = true
-	b.st.Finish()
-	res := b.res
-	res.Returned = delivered
-	b.sp.SetAttrInt("rows", delivered)
-	b.sp.End()
-	res.Trace.AttachSpans(b.sp)
-	if b.bc != nil && !b.shareFailed {
-		switch {
-		case terminal != nil:
-			b.bc.Finish(nil, terminal)
-		case complete:
-			// Followers must not alias the result the caller may still
-			// mutate (Run attaches sorted rows to it).
-			cp := *res
-			cp.Rows = nil
-			b.bc.Finish(&cp, nil)
-		default:
-			// Abandoned mid-stream: the log will never be complete.
-			b.bc.Abort()
-		}
-	}
-	if terminal == nil {
-		b.sys.observeAdaptive(b.q, res)
-	}
-	return res
-}
-
-// followerBackend replays an in-flight identical execution's broadcast
-// log. A follower that loses its leader before consuming anything
-// falls back to its own execution transparently.
-type followerBackend struct {
-	sys      *System
-	bc       *plancache.Broadcast
-	cursor   int
-	fallback func(ctx context.Context) (*engineBackend, error)
-	eng      *engineBackend // non-nil after a fallback
-}
-
-func (f *followerBackend) next(ctx context.Context) ([][]rdf.TermID, error) {
-	if f.eng != nil {
-		return f.eng.next(ctx)
-	}
-	chunk, end, err := f.bc.Next(ctx, f.cursor)
-	if err != nil {
-		if f.cursor == 0 && ctx.Err() == nil && f.fallback != nil {
-			// The leader failed before this follower consumed anything:
-			// nothing was delivered, so re-executing is transparent.
-			f.sys.share.Fallback()
-			eng, ferr := f.fallback(ctx)
-			if ferr != nil {
-				return nil, ferr
-			}
-			f.eng = eng
-			return f.eng.next(ctx)
-		}
-		return nil, err
-	}
-	if end {
-		return nil, nil
-	}
-	f.cursor++
-	return chunk, nil
-}
-
-func (f *followerBackend) close(terminal error, delivered int64, complete bool) *ExecResult {
-	if f.eng != nil {
-		res := f.eng.close(terminal, delivered, complete)
-		res.CacheInfo.SharedExec = false
-		return res
-	}
-	res := &ExecResult{}
-	if lr := f.bc.Result(); lr != nil {
-		// The leader's stats result is immutable after Finish; the
-		// shallow copy shares its trace and plan read-only.
-		*res = *lr
-	}
-	res.Rows = nil
-	res.Returned = delivered
-	res.CacheInfo.SharedExec = true
-	return res
-}
-
 // RunStream optimizes and executes a query, returning a row cursor
 // instead of a materialized result — the streaming serving path. The
 // full serving stack applies exactly as in Run (admission control,
@@ -396,35 +251,12 @@ func (s *System) RunStreamQuery(ctx context.Context, q *Query, opts ...RunOption
 	return s.stream(ctx, "", q, opt.NewRunSettings(opts))
 }
 
-// shareEligible reports whether one call may join the execution-
-// sharing table: deterministic fault injection and per-call tracing
-// are private to a call (a follower would observe the wrong
-// lifecycle).
-func shareEligible(set opt.RunSettings) bool {
-	return set.Faults == nil && set.TraceSink == nil
-}
-
-// shareKey is the identity of one shared execution. The canonical
-// fingerprint is NOT enough — it collapses constants, which share a
-// plan but not results — so the key is the rendered query text plus
-// everything else that changes the row stream: algorithm (plans may
-// differ), snapshot epoch (data may differ) and row limit.
-func shareKey(q *Query, set opt.RunSettings, snap *engine.Snap) string {
-	epoch := uint64(0)
-	if d := snap.Data(); d != nil {
-		epoch = d.Epoch()
-	}
-	return fmt.Sprintf("%s\x00%d\x00%d\x00%s", set.Algorithm, epoch, set.Limit, q.String())
-}
-
 // stream is the serving pipeline behind RunStream, Run and the HTTP
 // endpoint. Exactly one of src and q is set by the caller. It admits,
 // parses, pins the serving snapshot, plans down the degradation
-// ladder and opens the engine's chunk stream — or, when execution
-// sharing is on and an identical read is already in flight, subscribes
-// to that read's broadcast instead of executing at all. Everything
-// after the returned cursor is the stream's problem: the finalizer
-// runs at its end, not at this function's return.
+// ladder and opens the engine's chunk stream. Everything after the
+// returned cursor is the stream's problem: the finalizer runs at its
+// end, not at this function's return.
 func (s *System) stream(ctx context.Context, src string, q *Query, set opt.RunSettings) (*Rows, error) {
 	ctx, cancel := withDeadline(ctx, set.Deadline)
 	fin := &finalizer{s: s, set: set, cancel: cancel}
@@ -461,79 +293,34 @@ func (s *System) stream(ctx context.Context, src string, q *Query, set opt.RunSe
 	fin.g = g
 	// Pin the serving snapshot once: one atomic load fixes the store
 	// view, the ingest delta, the dataset snapshot and its epoch for
-	// the whole query — statistics, cache lookup, the sharing key and
-	// execution all see the same committed state no matter how many
-	// writes land mid-run.
+	// the whole query — statistics, cache lookup and execution all see
+	// the same committed state no matter how many writes land mid-run.
 	snap := s.engine.Snapshot()
-
-	// lead plans and opens this call's own execution, feeding bc (which
-	// may be nil) — used by the leader path and by follower fallback.
-	lead := func(ctx context.Context, bc *plancache.Broadcast) (*engineBackend, error) {
-		res, info, degraded, err := s.planLadder(ctx, q, set, g, fin.tr, snap)
-		if err != nil {
-			bc.Finish(nil, err)
-			return nil, err
-		}
-		sp := fin.tr.Span("execute")
-		st, err := s.engine.ExecuteStream(ctx, res.Plan, q, engine.ExecEnv{Gauge: g, Faults: set.Faults, Snap: snap})
-		if err != nil {
-			sp.End()
-			bc.Finish(nil, err)
-			return nil, err
-		}
-		out := st.Result()
-		out.Opt = res
-		out.CacheInfo = info
-		// The ladder's own degradations come first, then any failover
-		// notes the engine recorded (node died, served from replicas).
-		out.Degraded = append(degraded, out.Degraded...)
-		if len(out.Degraded) > 0 {
-			s.resInst.QueryDegraded()
-		}
-		bc.SetVars(st.Vars())
-		return &engineBackend{sys: s, q: q, st: st, bc: bc, g: g, sp: sp, res: out, vars: st.Vars()}, nil
+	res, info, degraded, err := s.planLadder(ctx, q, set, g, fin.tr, snap)
+	if err != nil {
+		return fail(err)
 	}
-
-	var be rowsBackend
-	var vars []string
-	if s.share != nil && shareEligible(set) {
-		bc, leader := s.share.Join(shareKey(q, set, snap))
-		if leader {
-			eb, err := lead(ctx, bc)
-			if err != nil {
-				return fail(err)
-			}
-			be, vars = eb, eb.vars
-		} else {
-			hvars, herr := bc.Header(ctx)
-			if herr != nil || hvars == nil {
-				if ctx.Err() != nil {
-					return fail(obs.Canceled(ctx, "share_wait"))
-				}
-				// The leader died before announcing anything; nothing was
-				// consumed, so run the query ourselves.
-				s.share.Fallback()
-				eb, err := lead(ctx, nil)
-				if err != nil {
-					return fail(err)
-				}
-				be, vars = eb, eb.vars
-			} else {
-				be = &followerBackend{sys: s, bc: bc, fallback: func(ctx context.Context) (*engineBackend, error) {
-					return lead(ctx, nil)
-				}}
-				vars = hvars
-			}
-		}
-	} else {
-		eb, err := lead(ctx, nil)
-		if err != nil {
-			return fail(err)
-		}
-		be, vars = eb, eb.vars
+	sp := fin.tr.Span("execute")
+	st, err := s.engine.ExecuteStream(ctx, res.Plan, q, engine.ExecEnv{Gauge: g, Faults: set.Faults, Snap: snap})
+	if err != nil {
+		sp.End()
+		return fail(err)
 	}
-	return &Rows{sys: s, ctx: ctx, fin: fin, be: be, vars: vars, limit: set.Limit}, nil
+	out := st.Result()
+	out.Opt = res
+	out.CacheInfo = info
+	// The ladder's own degradations come first, then any failover
+	// notes the engine recorded (node died, served from replicas).
+	out.Degraded = append(degraded, out.Degraded...)
+	if len(out.Degraded) > 0 {
+		s.resInst.QueryDegraded()
+	}
+	return &Rows{sys: s, ctx: ctx, fin: fin, q: q, st: st, sp: sp, limit: set.Limit}, nil
 }
+
+// rowHeaderBytes is the per-row overhead charged beside the payload:
+// one slice header.
+const rowHeaderBytes = 24
 
 // collectChargeStep batches the materializing path's output-arena
 // reservations, so collection doesn't hit the budget atomics per row.
@@ -546,15 +333,15 @@ const collectChargeStep = 64 * 1024
 // semantics: a result too big for the per-query budget fails with a
 // *BudgetError even though the stream underneath would have coped.
 func (r *Rows) collect() (*ExecResult, error) {
-	width := len(r.vars)
-	rowBytes := int64(width)*4 + broadcastRowBytes
+	width := len(r.Vars())
+	rowBytes := int64(width)*4 + rowHeaderBytes
 	var rows [][]rdf.TermID
 	var charged int64
 	for r.Next() {
 		need := int64(len(rows)+1) * rowBytes
 		if need-charged >= collectChargeStep {
 			if err := r.fin.g.Reserve("flatten", need-charged); err != nil {
-				r.finish(err, false)
+				r.finish(err)
 				return nil, err
 			}
 			charged = need

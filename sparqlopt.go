@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,7 +141,7 @@ const (
 	NodeHalfOpen = health.HalfOpen
 )
 
-// Typed-failure sentinels of the resilient serving path, for errors.Is.
+// Typed-failure sentinels of the serving path, for errors.Is.
 var (
 	// ErrOverloaded matches admission-control rejections.
 	ErrOverloaded = resilience.ErrOverloaded
@@ -149,6 +150,10 @@ var (
 	// ErrUnavailable matches queries failed fast because a dead node's
 	// fragment had no live replica.
 	ErrUnavailable = resilience.ErrUnavailable
+	// ErrUnsupportedQuery matches queries the optimizer cannot plan: a
+	// basic graph pattern whose join graph is disconnected, or one with
+	// more than 64 triple patterns.
+	ErrUnsupportedQuery = querygraph.ErrUnsupported
 )
 
 // NewFaultSet returns a deterministic fault-injection plan seeded with
@@ -220,7 +225,7 @@ func WriteNTriples(w io.Writer, ds *Dataset) error { return ntriples.Write(w, ds
 func ParseQuery(src string) (*Query, error) { return sparql.Parse(src) }
 
 // PartitionMethod returns a built-in partitioning method by name:
-// "hash-so", "2f", "path-bmc" or "un-1hop".
+// "hash-so", "2f", "2fb", "path-bmc" or "un-1hop".
 func PartitionMethod(name string) (Method, error) { return partition.ByName(name) }
 
 // DefaultCostParams returns the calibrated constants of Table II on a
@@ -251,8 +256,8 @@ func AlgorithmByName(name string) (Algorithm, bool) {
 //   - Option configures a System for its lifetime and is passed to
 //     Open: data placement (WithMethod, WithNodes), execution shape
 //     (WithParallelism, WithFactorization, WithCostParams), serving
-//     infrastructure (WithPlanCache, WithExecutionSharing,
-//     WithAdmissionControl, WithMemoryBudget, WithAdaptivePartitioning)
+//     infrastructure (WithPlanCache, WithAdmissionControl,
+//     WithMemoryBudget, WithAdaptivePartitioning)
 //     and observability (WithObservability, WithWriteFaultInjection).
 //
 //   - RunOption configures one serving call and is passed to Run,
@@ -299,8 +304,7 @@ func WithFaultInjection(f *FaultSet) RunOption {
 // deterministic emission order — the order RunStream yields — before
 // Run's final sort, so streaming and materializing calls agree on
 // which rows a limit keeps. Reaching the limit is a clean end of the
-// stream, not an error, and it is part of a call's identity for
-// execution sharing.
+// stream, not an error.
 func WithLimit(n int64) RunOption {
 	return opt.RunOptionFunc(func(s *opt.RunSettings) { s.Limit = n })
 }
@@ -313,10 +317,9 @@ type System struct {
 	params    CostParams
 	placement *partition.Placement
 	engine    *engine.Engine
-	cache     *plancache.Cache      // nil = caching disabled
-	share     *plancache.ShareTable // nil = execution sharing disabled
-	obs       *obsState             // nil = observability disabled
-	optInst   *opt.Instruments      // nil when observability is disabled
+	cache     *plancache.Cache // nil = caching disabled
+	obs       *obsState        // nil = observability disabled
+	optInst   *opt.Instruments // nil when observability is disabled
 
 	adm     *resilience.Admission   // nil = admission control disabled
 	budget  *resilience.Budget      // nil = memory budgets disabled
@@ -361,7 +364,6 @@ type openConfig struct {
 	maxQueued     int
 	memPerQuery   int64
 	memTotal      int64
-	execSharing   bool
 	obs           *obsConfig
 	adaptive      *AdaptiveConfig
 	writeFaults   *FaultSet
@@ -414,21 +416,6 @@ func WithFactorization(fanout float64) Option {
 // suboptimal for a query whose constants are much more or less
 // selective than those of the run that produced the template.
 func WithPlanCache(n int) Option { return func(c *openConfig) { c.planCache = n } }
-
-// WithExecutionSharing deduplicates identical in-flight reads: when N
-// concurrent calls ask the same query (same text, algorithm, snapshot
-// epoch and limit) while one of them is still streaming, exactly one
-// engine execution runs — the first call leads and broadcasts its
-// chunk stream; the others replay it. This extends the plan cache's
-// singleflight (one optimization per shape) one level down to one
-// execution per identical read, and it is what makes a thundering herd
-// of one hot query cost one execution instead of N. Calls that ask for
-// per-call isolation (WithTraceSink, WithFaultInjection)
-// never share. The broadcast log is charged to the leader's memory
-// budget; a trip cuts the followers loose (they fall back to their own
-// execution if they consumed nothing yet). Counters are read back with
-// System.ShareStats. Off by default.
-func WithExecutionSharing() Option { return func(c *openConfig) { c.execSharing = true } }
 
 // WithAdmissionControl gates the serving path (Run/RunQuery): at most
 // maxConcurrent queries execute at once, up to maxQueued more wait
@@ -631,9 +618,6 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 	if cfg.maxConcurrent > 0 {
 		s.adm = resilience.NewAdmission(cfg.maxConcurrent, cfg.maxQueued)
 	}
-	if cfg.execSharing {
-		s.share = plancache.NewShareTable()
-	}
 	if cfg.adaptive != nil {
 		s.advisor = adaptive.New(adaptive.Config{
 			MinBytes:          cfg.adaptive.MinShuffledBytes,
@@ -695,17 +679,6 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 		s.resInst = resilience.NewInstruments(r)
 		s.resInst.ObserveAdmission(s.adm)
 		s.resInst.ObserveBudget(s.budget)
-		if s.share != nil {
-			tbl := s.share
-			r.GaugeFunc("exec_share_leads_total", "Executions that led a shared-execution broadcast.",
-				func() float64 { return float64(tbl.Counters().Leads) })
-			r.GaugeFunc("exec_share_follows_total", "Calls served by replaying another in-flight execution.",
-				func() float64 { return float64(tbl.Counters().Follows) })
-			r.GaugeFunc("exec_share_fallbacks_total", "Followers that lost their leader and re-executed.",
-				func() float64 { return float64(tbl.Counters().Fallbacks) })
-			r.GaugeFunc("exec_share_aborted_total", "Broadcasts cut off by the leader's memory budget.",
-				func() float64 { return float64(tbl.Counters().Aborted) })
-		}
 		if s.advisor != nil {
 			adv := s.advisor
 			r.GaugeFunc("adaptive_migrations_total", "Migration rounds the adaptive advisor applied.",
@@ -1334,37 +1307,31 @@ func (s *System) CacheStats() CacheCounters {
 	return s.cache.Counters()
 }
 
-// ShareStats returns the execution-sharing layer's cumulative
-// counters; the zero snapshot when sharing is disabled (see
-// WithExecutionSharing).
-func (s *System) ShareStats() ShareCounters {
-	return s.share.Counters()
-}
-
 // Term resolves a result value back to its term string.
 func (s *System) Term(id rdf.TermID) string { return s.ds.Dict.Term(id) }
 
 // FormatResult renders an execution result as tab-separated lines
 // with a header row.
 func (s *System) FormatResult(res *ExecResult) string {
-	out := ""
+	var b strings.Builder
 	for i, v := range res.Vars {
 		if i > 0 {
-			out += "\t"
+			b.WriteByte('\t')
 		}
-		out += "?" + v
+		b.WriteByte('?')
+		b.WriteString(v)
 	}
-	out += "\n"
+	b.WriteByte('\n')
 	for _, row := range res.Rows {
 		for i, id := range row {
 			if i > 0 {
-				out += "\t"
+				b.WriteByte('\t')
 			}
-			out += s.ds.Dict.Term(id)
+			b.WriteString(s.ds.Dict.Term(id))
 		}
-		out += "\n"
+		b.WriteByte('\n')
 	}
-	return out
+	return b.String()
 }
 
 // Reference executes the query on a single node over the unpartitioned

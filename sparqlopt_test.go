@@ -2,6 +2,8 @@ package sparqlopt
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -168,6 +170,44 @@ func TestWithCostParams(t *testing.T) {
 		t.Error("repartition join chosen despite prohibitive cost")
 	}
 	_ = opt.TDCMD // facade aliases the internal enum
+}
+
+// TestUnsupportedQueryTyped pins the typed failure of well-formed
+// queries the optimizer cannot plan — a disconnected BGP and one over
+// 64 patterns — through Run and RunStream, for every serving
+// algorithm, with the plan cache off and on.
+func TestUnsupportedQueryTyped(t *testing.T) {
+	var chain strings.Builder
+	chain.WriteString("SELECT * WHERE {")
+	for i := 0; i < 65; i++ {
+		fmt.Fprintf(&chain, " ?v%d <http://knows> ?v%d .", i, i+1)
+	}
+	chain.WriteString(" }")
+	queries := map[string]string{
+		"disconnected": `SELECT * WHERE { ?x <http://knows> ?y . ?o <http://inCity> ?c . }`,
+		"65 patterns":  chain.String(),
+	}
+	for _, cache := range []int{0, 16} {
+		sys, err := Open(tinyDataset(), WithNodes(3), WithPlanCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, src := range queries {
+			for _, algo := range []Algorithm{TDCMD, TDCMDP, HGRTDCMD, TDAuto, Greedy} {
+				if _, err := sys.Run(context.Background(), src, algo); !errors.Is(err, ErrUnsupportedQuery) {
+					t.Errorf("cache=%d %s %v: Run error %v, want ErrUnsupportedQuery", cache, name, algo, err)
+				}
+				rows, err := sys.RunStream(context.Background(), src, algo)
+				if err == nil {
+					rows.Close()
+				}
+				if !errors.Is(err, ErrUnsupportedQuery) {
+					t.Errorf("cache=%d %s %v: RunStream error %v, want ErrUnsupportedQuery", cache, name, algo, err)
+				}
+			}
+		}
+		sys.Close()
+	}
 }
 
 func TestConcurrentQueries(t *testing.T) {

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"sparqlopt/internal/querygraph"
 	"sparqlopt/internal/workload/lubm"
@@ -153,114 +151,6 @@ func TestRunStreamMatchesRunFactorized(t *testing.T) {
 	}
 	if !sawFactorized {
 		t.Error("no query took the factorized path; the gate is not exercising lazy flattening")
-	}
-}
-
-// TestExecutionSharingSingleExecution is the sharing acceptance test:
-// with a leader mid-stream, N concurrent identical calls produce
-// exactly one engine execution, and every caller gets the same rows.
-func TestExecutionSharingSingleExecution(t *testing.T) {
-	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1, Compact: true})
-	sys, err := Open(ds, WithNodes(4), WithExecutionSharing())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	const src = `PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
-		SELECT ?x ?y WHERE { ?x ub:advisor ?y . }`
-
-	leader, err := sys.RunStream(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The entry is in flight until the leader's stream ends; followers
-	// joining now must not execute.
-	const followers = 4
-	var wg sync.WaitGroup
-	results := make([]*ExecResult, followers)
-	errs := make([]error, followers)
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = sys.Run(context.Background(), src)
-		}(i)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.ShareStats().Follows < followers {
-		if time.Now().After(deadline) {
-			t.Fatalf("followers never joined: %+v", sys.ShareStats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	want := drainSorted(t, leader)
-	wg.Wait()
-
-	for i := 0; i < followers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("follower %d: %v", i, errs[i])
-		}
-		if !equalRowSets(results[i].Rows, want) {
-			t.Fatalf("follower %d rows differ from leader", i)
-		}
-		if !results[i].CacheInfo.SharedExec {
-			t.Errorf("follower %d not marked SharedExec: %s", i, results[i])
-		}
-		if !strings.Contains(results[i].String(), "exec=shared") {
-			t.Errorf("follower %d String() misses exec=shared: %s", i, results[i])
-		}
-	}
-	st := sys.ShareStats()
-	if st.Leads != 1 || st.Follows != followers || st.Fallbacks != 0 || st.Aborted != 0 {
-		t.Fatalf("share counters = %+v, want 1 lead / %d follows", st, followers)
-	}
-}
-
-// TestExecutionSharingFallback: a follower whose leader errors out
-// before publishing anything silently re-executes.
-func TestExecutionSharingFallback(t *testing.T) {
-	ds := NewDataset()
-	for i := 0; i < 50; i++ {
-		ds.Add(fmt.Sprintf("s%d", i), "p", fmt.Sprintf("o%d", i%7))
-	}
-	sys, err := Open(ds, WithNodes(2), WithExecutionSharing())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	const src = `SELECT * WHERE { ?s <p> ?o . }`
-	leader, err := sys.RunStream(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan *ExecResult, 1)
-	go func() {
-		res, err := sys.Run(context.Background(), src)
-		if err != nil {
-			t.Errorf("fallback Run: %v", err)
-		}
-		done <- res
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.ShareStats().Follows < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never joined: %+v", sys.ShareStats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Abandon the leader before it publishes a single chunk: the
-	// follower consumed nothing, so it must fall back, not fail.
-	leader.Close()
-	select {
-	case res := <-done:
-		if res != nil && res.CacheInfo.SharedExec {
-			t.Error("fallback result still marked SharedExec")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("follower never completed after leader abandon")
-	}
-	if st := sys.ShareStats(); st.Fallbacks != 1 {
-		t.Fatalf("share counters = %+v, want 1 fallback", st)
 	}
 }
 
