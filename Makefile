@@ -41,7 +41,9 @@ race:
 # schedule-dependent flakiness. The engine's fragment-read table tests
 # (TestDeterminismFragmentRead: concurrent per-node reads in
 # permutation order, TestDeterminismFragmentProbe: the same leaves
-# looked up by a set of bindings — both against a brute-force oracle;
+# looked up by a set of bindings, TestDeterminismFragmentMerge: local
+# stars merging the leaves' sorted ranges — all against a brute-force
+# oracle;
 # TestDeterminismScanDeadSet: deaths a scan discovers itself, all known
 # before any failover read) and the per-node helper's table
 # (TestFanOut) ride the same run. The second line pins the served plan
@@ -88,7 +90,9 @@ bench:
 # statistics collection (L3–L10 through the tracker, with allocations —
 # a pattern that falls back to a scan shows here) and of the
 # store build (LUBM-10 under hash-so through engine.New, with
-# allocations — a build-time regression shows here too) plus a quick pass
+# allocations — a build-time regression shows here too), of the local
+# star joins (L7's and L8's ?x stars at LUBM-10, merged and folded, with
+# allocations) plus a quick pass
 # of the adaptive-repartitioning and node-failover experiments: catches
 # compile or runtime breakage in the bench harnesses without measuring
 # anything (their output shows whether every round stayed bit-identical
@@ -101,6 +105,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkOptimize$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkCollectTracked -benchtime=1x ./internal/stats
 	$(GO) test -run='^$$' -bench=BenchmarkStoreBuild -benchtime=1x ./internal/engine
+	$(GO) test -run='^$$' -bench=BenchmarkStarJoin -benchtime=1x ./internal/engine
 	$(GO) run ./cmd/benchrunner -experiment adaptive -quick
 	$(GO) run ./cmd/benchrunner -experiment failover -quick
 

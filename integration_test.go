@@ -2,10 +2,13 @@ package sparqlopt
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"sparqlopt/internal/engine"
+	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
+	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/workload/lubm"
 	"sparqlopt/internal/workload/uniprot"
 )
@@ -113,12 +116,13 @@ func TestPathPartitioningMakesBenchmarksLocal(t *testing.T) {
 	}
 }
 
-// TestProbedJoinsKeepCounts pins what joins that probe the index
-// changed and what where work runs may not change. The table holds
-// L1–L10 and the spine's two point reads under hash-so and 2f (LUBM-1,
-// seed 1, 4 nodes): the rows joined, moved and flattened are properties
-// of the plan; the postings touched are what the probing joins read,
-// next to what reading every leaf in full touched before them. Every
+// TestProbedJoinsKeepCounts pins what joins that probe the index and
+// local stars that merge sorted ranges changed and what where work runs
+// may not change. The table holds L1–L10 and the spine's two point reads
+// under hash-so and 2f (LUBM-1, seed 1, 4 nodes): the rows joined, moved
+// and flattened are properties of the plan; the postings touched are
+// what the merging and probing joins read, next to what the joins
+// touched before stars merged and before joins probed. Every
 // count is exact — which nodes get a goroutine decides where the work
 // runs, never how much there is. P2's matches live on the advisor
 // triple's two homes, so its join runs on at most two nodes.
@@ -143,32 +147,33 @@ func TestProbedJoinsKeepCounts(t *testing.T) {
 	for _, c := range []struct {
 		method, query                       string
 		joined, moved, bytes, flat, scanned int64
-		scannedBefore                       int64 // postings touched when every leaf was read in full
+		scannedProbed                       int64 // postings touched before local stars merged
+		scannedRead                         int64 // postings touched when every leaf was read in full
 	}{
-		{"hash-so", "L1", 9, 0, 0, 9, 18, 310},
-		{"hash-so", "L2", 536, 0, 0, 536, 564, 994},
-		{"hash-so", "L3", 12, 16, 112, 6, 16, 3696},
-		{"hash-so", "L4", 312, 64, 256, 148, 866, 1254},
-		{"hash-so", "L5", 455, 20, 128, 2, 548, 6704},
-		{"hash-so", "L6", 26, 20, 240, 2, 102, 10368},
-		{"hash-so", "L7", 690, 68, 528, 329, 2514, 2669},
-		{"hash-so", "L8", 2069, 1536, 10240, 145, 5318, 7177},
-		{"hash-so", "L9", 1459, 1024, 6144, 0, 4221, 14815},
-		{"hash-so", "L10", 3328, 3292, 52160, 0, 5646, 16500},
-		{"hash-so", "P1", 0, 0, 0, 3, 3, 10},
-		{"hash-so", "P2", 2, 0, 0, 2, 4, 789},
-		{"2f", "L1", 5, 0, 0, 5, 10, 259},
-		{"2f", "L2", 1443, 0, 0, 1443, 1507, 1612},
-		{"2f", "L3", 12, 16, 112, 5, 18, 2728},
-		{"2f", "L4", 465, 0, 0, 465, 2036, 2141},
-		{"2f", "L5", 1469, 20, 128, 8, 1693, 6111},
-		{"2f", "L6", 77, 20, 240, 1, 244, 8207},
-		{"2f", "L7", 343, 0, 0, 343, 1713, 1818},
-		{"2f", "L8", 137, 0, 0, 137, 7577, 7577},
-		{"2f", "L9", 199, 0, 0, 0, 6986, 12592},
-		{"2f", "L10", 199, 0, 0, 0, 8110, 13720},
-		{"2f", "P1", 0, 0, 0, 4, 4, 12},
-		{"2f", "P2", 2, 0, 0, 2, 4, 1455},
+		{"hash-so", "L1", 9, 0, 0, 9, 18, 18, 310},
+		{"hash-so", "L2", 536, 0, 0, 536, 564, 564, 994},
+		{"hash-so", "L3", 12, 16, 112, 6, 13, 16, 3696},
+		{"hash-so", "L4", 312, 64, 256, 148, 328, 866, 1254},
+		{"hash-so", "L5", 455, 20, 128, 2, 487, 548, 6704},
+		{"hash-so", "L6", 26, 20, 240, 2, 42, 102, 10368},
+		{"hash-so", "L7", 690, 68, 528, 329, 1021, 2514, 2669},
+		{"hash-so", "L8", 2069, 1536, 10240, 145, 2839, 5318, 7177},
+		{"hash-so", "L9", 1459, 1024, 6144, 0, 2467, 4221, 14815},
+		{"hash-so", "L10", 3328, 3292, 52160, 0, 3289, 5646, 16500},
+		{"hash-so", "P1", 0, 0, 0, 3, 3, 3, 10},
+		{"hash-so", "P2", 2, 0, 0, 2, 4, 4, 789},
+		{"2f", "L1", 5, 0, 0, 5, 10, 10, 259},
+		{"2f", "L2", 1443, 0, 0, 1443, 1507, 1507, 1612},
+		{"2f", "L3", 12, 16, 112, 5, 14, 18, 2728},
+		{"2f", "L4", 465, 0, 0, 465, 2036, 2036, 2141},
+		{"2f", "L5", 1469, 20, 128, 8, 1587, 1693, 6111},
+		{"2f", "L6", 77, 20, 240, 1, 138, 244, 8207},
+		{"2f", "L7", 343, 0, 0, 343, 1713, 1713, 1818},
+		{"2f", "L8", 137, 0, 0, 137, 7577, 7577, 7577},
+		{"2f", "L9", 199, 0, 0, 0, 6986, 6986, 12592},
+		{"2f", "L10", 199, 0, 0, 0, 8110, 8110, 13720},
+		{"2f", "P1", 0, 0, 0, 4, 4, 4, 12},
+		{"2f", "P2", 2, 0, 0, 2, 4, 4, 1455},
 	} {
 		m, err := PartitionMethod(c.method)
 		if err != nil {
@@ -186,11 +191,88 @@ func TestProbedJoinsKeepCounts(t *testing.T) {
 		got := res.Metrics
 		want := engine.Metrics{ScannedTriples: c.scanned, TransferredRows: c.moved, TransferredBytes: c.bytes, JoinedRows: c.joined}
 		if got != want || res.FlatRowCount() != c.flat {
-			t.Errorf("%s/%s: metrics %+v flat %d, want %+v flat %d (%d postings before joins probed)",
-				c.method, c.query, got, res.FlatRowCount(), want, c.flat, c.scannedBefore)
+			t.Errorf("%s/%s: metrics %+v flat %d, want %+v flat %d (%d postings before stars merged, %d before joins probed)",
+				c.method, c.query, got, res.FlatRowCount(), want, c.flat, c.scannedProbed, c.scannedRead)
 		}
 		if c.method == "hash-so" && c.query == "P2" && (res.Trace.Alg == plan.Scan || res.Trace.BusyNodes > 2) {
 			t.Errorf("hash-so/P2: root %v ran on %d/%d nodes, want a join on at most 2", res.Trace.Alg, res.Trace.BusyNodes, res.Trace.Nodes)
+		}
+	}
+}
+
+// TestPlacementAliasesStores: Open keeps the engine's sorted base
+// fragments as its placement — the method's triple sets, not another
+// copy of them — capped so that an append copies, and a migration builds
+// fresh arrays for the nodes it touches instead of writing into the
+// aliased ones.
+func TestPlacementAliasesStores(t *testing.T) {
+	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1})
+	const nodes = 4
+	method := partition.HashSO{}
+	want, err := method.Partition(ds, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := Open(ds, WithMethod(method), WithNodes(nodes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	pl := sys.currentPlacement()
+	stores := sys.engine.Fragments()
+	asSet := func(ts []rdf.Triple) []rdf.Triple {
+		out := slices.Clone(ts)
+		slices.SortFunc(out, func(a, b rdf.Triple) int {
+			switch {
+			case a.Less(b):
+				return -1
+			case b.Less(a):
+				return 1
+			}
+			return 0
+		})
+		return out
+	}
+	before := make([][]rdf.Triple, nodes)
+	for node, ts := range pl.Triples {
+		if len(ts) == 0 || &ts[0] != &stores[node][0] || cap(ts) != len(ts) {
+			t.Fatalf("node %d: placement fragment (len %d cap %d) is not the engine's capped copy", node, len(ts), cap(ts))
+		}
+		if !slices.Equal(asSet(ts), asSet(want.Triples[node])) {
+			t.Errorf("node %d: placement holds %d triples, the method placed %d others", node, len(ts), len(want.Triples[node]))
+		}
+		before[node] = slices.Clone(ts)
+	}
+	if rf := sys.ReplicationFactor(); rf != want.ReplicationFactor(ds.Len()) {
+		t.Errorf("replication factor %v, the method's is %v", rf, want.ReplicationFactor(ds.Len()))
+	}
+
+	// Node 0 gains a triple it lacks, plus one it already holds.
+	var missing rdf.Triple
+	for _, tr := range pl.Triples[1] {
+		if !pl.HasTriple(0, tr) {
+			missing = tr
+			break
+		}
+	}
+	adds := make([][]rdf.Triple, nodes)
+	adds[0] = []rdf.Triple{missing, pl.Triples[0][0]}
+	next, err := pl.Migrate(&partition.Migration{Adds: adds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := next.Triples[0]; len(got) != len(before[0])+1 || &got[0] == &pl.Triples[0][0] || !next.HasTriple(0, missing) {
+		t.Errorf("migrated node 0 holds %d triples (want %d) in the aliased array=%v", len(got), len(before[0])+1, &got[0] == &pl.Triples[0][0])
+	}
+	if grown := append(pl.Triples[2], missing); &grown[0] == &pl.Triples[2][0] {
+		t.Error("an append wrote into the engine's store")
+	}
+	for node, ts := range pl.Triples {
+		if !slices.Equal(ts, before[node]) || !slices.Equal(stores[node], before[node]) {
+			t.Errorf("node %d: the aliased fragment changed", node)
+		}
+		if node > 0 && &next.Triples[node][0] != &ts[0] {
+			t.Errorf("node %d: an untouched fragment was copied", node)
 		}
 	}
 }

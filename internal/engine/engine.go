@@ -297,6 +297,20 @@ func New(dict *rdf.Dict, placement *partition.Placement) *Engine {
 	return e
 }
 
+// Fragments returns every node's base fragment as the engine holds it:
+// the store's SPO copy, capped at its length so that an append copies
+// it. The base stores are never rebuilt or written, so a caller keeping
+// a placement may alias these instead of the method's unsorted lists —
+// the same triple sets, one copy fewer — provided it only reads them.
+func (e *Engine) Fragments() [][]rdf.Triple {
+	stores := e.snap.Load().stores
+	out := make([][]rdf.Triple, len(stores))
+	for i, st := range stores {
+		out[i] = st.spo[:len(st.spo):len(st.spo)]
+	}
+	return out
+}
+
 // buildStores sorts every node's fragment into its store, as many at a
 // time as there are processors: the builds are independent, and sorting
 // is the whole cost of opening an engine.
@@ -964,8 +978,11 @@ type foldInputs struct {
 }
 
 // joinOp runs one k-way join operator the flat way: per-node inputs
-// from joinInputs, then a hash-join fold on every node, materializing
-// each node's result as a flat row arena.
+// from joinInputs, then a join on every node, materializing each node's
+// result as a flat row arena. A local join whose inputs are all scan
+// leaves orderable on its variable merges their sorted ranges on every
+// node where none of them was read (starMerge); every other node and
+// operator folds hash joins (joinAll).
 func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time) ([]*Relation, error) {
 	in, err := e.joinInputs(ctx, p, q, env, m, tr, start, true)
 	if err != nil {
@@ -980,6 +997,10 @@ func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env 
 		}
 	}
 	order, schema := foldOrder(vars, in.sizes)
+	var merge *starMerge
+	if p.Alg == plan.LocalJoin {
+		merge = newStarMerge(in.leaves, order, schema, p.JoinVar)
+	}
 	site := opName(p.Alg)
 	out := make([]*Relation, len(env.Snap.stores))
 	var joined int64
@@ -993,7 +1014,13 @@ func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env 
 	tr.Nodes = len(out)
 	tr.BusyNodes, err = e.fanOut(len(out), busy, func(node int) error {
 		env.Faults.PanicIf(faultinject.EnginePanic)
-		r, err := joinAll(ctx, env.Gauge, site, node, in.rels[node], in.leaves, order, schema)
+		var r *Relation
+		var err error
+		if merge != nil && merge.unread(node) {
+			r, err = merge.join(ctx, env.Gauge, site, node)
+		} else {
+			r, err = joinAll(ctx, env.Gauge, site, node, in.rels[node], in.leaves, order, schema)
+		}
 		if err != nil {
 			return err
 		}

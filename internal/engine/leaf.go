@@ -21,7 +21,8 @@ import (
 // exact size of its read is taken from the candidate ranges' lengths,
 // but no row is copied until the parent's fold on that node asks for
 // the relation (read) — and it may never ask, looking the rows it
-// already holds up in the index instead (probe).
+// already holds up in the index instead (probe), or intersecting the
+// leaf's sorted ranges with its siblings' (merge; see starMerge).
 type scanLeaf struct {
 	snap  *Snap
 	bp    boundPattern
@@ -40,10 +41,10 @@ type scanLeaf struct {
 	deltaRows [][]rdf.TermID
 	deltaErr  error
 
-	// scanned counts the postings touched by reads and probes alike;
-	// bindings the rows that probed, on the nodes that chose to.
+	// scanned counts the postings touched by reads, probes and merges
+	// alike; bindings the rows that probed, on the nodes that chose to.
 	scanned, bindings atomic.Int64
-	probed            atomic.Bool
+	probed, merged    atomic.Bool
 }
 
 // scan opens the Scan plan node p: one fragment read per node (see
@@ -294,5 +295,6 @@ func (l *scanLeaf) settle(m *Metrics) {
 	l.tr.Postings = l.scanned.Load()
 	l.tr.Bindings = l.bindings.Load()
 	l.tr.Probed = l.probed.Load()
+	l.tr.Merged = l.merged.Load()
 	m.ScannedTriples += l.tr.Postings
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"sparqlopt/internal/cost"
@@ -550,4 +553,269 @@ func varsAt(vars []string, cols []int) []string {
 		out = append(out, vars[c])
 	}
 	return out
+}
+
+// randomMergeFixture draws a three-node snapshot over six entities and
+// two predicates: base fragments holding every triple on two or three
+// nodes (so one death is always covered and two may leave a hole), and
+// deltas delta chunks of triples new to the whole dataset.
+func randomMergeFixture(r *rand.Rand, deltas int) *readFixture {
+	d := rdf.NewDict()
+	var ents, preds []rdf.TermID
+	for i := 0; i < 6; i++ {
+		ents = append(ents, d.Intern(fmt.Sprintf("e%d", i)))
+	}
+	preds = append(preds, d.Intern("p"), d.Intern("q"))
+	var universe []rdf.Triple
+	for _, s := range ents {
+		for _, p := range preds {
+			for _, o := range ents {
+				universe = append(universe, rdf.Triple{S: s, P: p, O: o})
+			}
+		}
+	}
+	r.Shuffle(len(universe), func(i, j int) { universe[i], universe[j] = universe[j], universe[i] })
+	const nodes = 3
+	fx := &readFixture{dict: d, base: make([][]rdf.Triple, nodes), overlay: make([][]rdf.Triple, nodes)}
+	next := 0
+	for ; next < 30+r.Intn(20); next++ {
+		t := universe[next]
+		skip := -1 // the node without a copy; -1 puts one on every node
+		if r.Intn(3) > 0 {
+			skip = r.Intn(nodes)
+		}
+		for node := 0; node < nodes; node++ {
+			if node != skip {
+				fx.base[node] = append(fx.base[node], t)
+			}
+		}
+	}
+	for c := 0; c < deltas; c++ {
+		size := 1 + r.Intn(6)
+		fx.delta = append(fx.delta, universe[next:next+size])
+		next += size
+	}
+	return fx
+}
+
+// TestDeterminismFragmentMerge is the oracle for the third way a join
+// consumes leaves: a local join on ?x whose inputs are all lazily opened
+// leaves merges them. Over random fragments with 0–3 delta chunks, for
+// every pair of pattern shapes — each orderable shape with ?x at the
+// subject and at the object, the fall-backs (<s> ?p ?x, a repeated
+// variable, an unknown constant), pairs sharing a second variable and a
+// three-leaf triangle — × {healthy, every single and double dead set}:
+// the merge must be chosen exactly when every input is orderable on ?x,
+// take exactly the nodes no read failed over on, and return on each node
+// the multiset the hash fold over the node's reads returns, under the
+// same schema; its postings must be, per leaf, the candidates whose ?x
+// occurs in every leaf's read on the node. Nodes it does not take fold
+// hash joins to the same rows, and the whole operator run through eval
+// returns them too.
+func TestDeterminismFragmentMerge(t *testing.T) {
+	orderable := []string{
+		`?x <p> ?a%d`, `?x <p> <e1>`, `?x ?pa%d <e2>`, `?x ?pa%d ?a%d`,
+		`<e1> <p> ?x`, `?a%d <q> ?x`, `?a%d ?pa%d ?x`,
+	}
+	fallback := []string{`<e1> ?pa%d ?x`, `?x <p> ?x`, `?x <q> <nowhere>`}
+	shape := func(src string, tag int) string {
+		return strings.ReplaceAll(src, "%d", fmt.Sprint(tag))
+	}
+	type star struct {
+		src   string
+		merge bool
+	}
+	var stars []star
+	all := append(append([]string{}, orderable...), fallback...)
+	for i, a := range all {
+		for j, b := range all {
+			stars = append(stars, star{shape(a, 1) + ` . ` + shape(b, 2), i < len(orderable) && j < len(orderable)})
+		}
+	}
+	stars = append(stars,
+		star{`?x <p> ?y . ?y <q> ?x`, true},
+		star{`?x <p> ?y . ?x <q> ?y`, true},
+		star{`?x ?pa ?y . ?y <p> ?x . ?x <q> ?z`, true},
+		star{`?x <p> ?a1 . ?x <q> ?a2 . ?a3 <p> ?x`, true},
+	)
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(30))
+	var sawMerge, sawFallback, sawHit, sawDelta, sawCheck bool
+	for round := 0; round < 8; round++ {
+		fx := randomMergeFixture(r, round%4)
+		snap := fx.snap()
+		n := len(fx.base)
+		eng := &Engine{dict: fx.dict, fo: &FailoverPolicy{}}
+		eng.snap.Store(snap)
+		deadSets := [][]int{nil}
+		for i := 0; i < n; i++ {
+			deadSets = append(deadSets, []int{i}, []int{i, (i + 1) % n})
+		}
+		for _, st := range stars {
+			q := sparql.MustParse(`SELECT * WHERE { ` + st.src + ` . }`)
+			ors := make([]*oracle, len(q.Patterns))
+			for i, tp := range q.Patterns {
+				ors[i] = newOracle(fx, tp)
+			}
+			for _, deadList := range deadSets {
+				id := fmt.Sprintf("round %d: %s/dead=%v", round, st.src, deadList)
+				dead := map[int]bool{}
+				markDead := func() *failoverState {
+					fo := &failoverState{}
+					for _, d := range deadList {
+						fo.markDead(d, "scan")
+					}
+					return fo
+				}
+				for _, d := range deadList {
+					dead[d] = true
+				}
+				hole := false
+				for _, or := range ors {
+					for node := 0; node < n; node++ {
+						if _, _, missing := or.read(node, -1, dead); missing > 0 {
+							hole = true
+						}
+					}
+				}
+				if hole {
+					continue
+				}
+				env := ExecEnv{Snap: snap, fo: markDead()}
+				var m Metrics
+				leaves := make([]*scanLeaf, len(q.Patterns))
+				vars := make([][]string, len(q.Patterns))
+				sizes := make([]int64, len(q.Patterns))
+				for i := range q.Patterns {
+					_, leaf, tr, err := eng.eval(ctx, plan.NewScan(i, 1, cost.Default), q, env, &m, "", true)
+					if err != nil {
+						t.Fatalf("%s: tp%d: %v", id, i+1, err)
+					}
+					leaves[i], vars[i], sizes[i] = leaf, leaf.bp.vars, tr.OutputRows
+				}
+				order, schema := foldOrder(vars, sizes)
+				merge := newStarMerge(leaves, order, schema, "x")
+				if (merge != nil) != st.merge {
+					t.Fatalf("%s: merge chosen = %v, want %v", id, merge != nil, st.merge)
+				}
+				want := make([][]string, n)
+				for node := 0; node < n; node++ {
+					// The hash fold over the node's reads, in fold order.
+					reads := make([]*Relation, len(ors))
+					keys := make([]map[rdf.TermID]bool, len(ors))
+					xcol := make([]int, len(ors))
+					for i, or := range ors {
+						rows, _, _ := or.read(node, -1, dead)
+						reads[i] = &Relation{Vars: or.vars, Rows: rows}
+						xcol[i] = slices.Index(or.vars, "x")
+						keys[i] = map[rdf.TermID]bool{}
+						for _, row := range rows {
+							keys[i][row[xcol[i]]] = true
+						}
+					}
+					fold := reads[order[0]]
+					for _, i := range order[1:] {
+						var err error
+						if fold, err = hashJoin(ctx, fold, reads[i]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if !slices.Equal(fold.Vars, schema) {
+						t.Fatalf("%s: the hash fold's schema %v is not foldOrder's %v", id, fold.Vars, schema)
+					}
+					want[node] = sortedKeys(fold)
+
+					var got *Relation
+					var err error
+					if merge != nil && merge.unread(node) {
+						if dead[node] {
+							t.Errorf("%s: the merge took node %d, whose reads failed over", id, node)
+						}
+						// Postings: every candidate whose ?x is in all leaves' reads.
+						var wantPostings int64
+						for i, or := range ors {
+							lists := append([][]rdf.Triple{fx.base[node]}, fx.delta...)
+							for _, ts := range lists {
+								for _, tr := range or.candidates(ts) {
+									in := true
+									for _, k := range keys {
+										in = in && k[or.row(tr)[xcol[i]]]
+									}
+									if in {
+										wantPostings++
+									}
+								}
+							}
+						}
+						var before int64
+						for _, l := range leaves {
+							before += l.scanned.Load()
+						}
+						got, err = merge.join(ctx, nil, "local join", node)
+						var after int64
+						for _, l := range leaves {
+							after += l.scanned.Load()
+						}
+						if after-before != wantPostings {
+							t.Errorf("%s: node %d merge touched %d postings, want %d", id, node, after-before, wantPostings)
+						}
+						sawMerge = true
+						sawHit = sawHit || len(want[node]) > 0
+						sawDelta = sawDelta || len(fx.delta) > 0 && len(want[node]) > 0
+						sawCheck = sawCheck || len(q.Patterns) == 3 && len(want[node]) > 0
+					} else {
+						if merge != nil && !dead[node] {
+							t.Errorf("%s: the merge left healthy node %d", id, node)
+						}
+						sawFallback = true
+						rels := make([]*Relation, len(leaves))
+						for i, l := range leaves {
+							rels[i] = l.rels[node]
+						}
+						got, err = joinAll(ctx, nil, "local join", node, rels, leaves, order, schema)
+					}
+					if err != nil {
+						t.Errorf("%s: node %d: %v", id, node, err)
+						continue
+					}
+					if !slices.Equal(got.Vars, schema) || !slices.Equal(sortedKeys(got), want[node]) {
+						t.Errorf("%s: node %d joined to %v %v, want %v %v", id, node, got.Vars, sortedKeys(got), schema, want[node])
+					}
+				}
+
+				// The operator end to end: the same rows per node, every leaf
+				// marked merged exactly when some node merged.
+				scans := make([]*plan.Node, len(q.Patterns))
+				for i := range scans {
+					scans[i] = plan.NewScan(i, 1, cost.Default)
+				}
+				var om Metrics
+				oenv := ExecEnv{Snap: snap, fo: markDead()}
+				out, _, tr, err := eng.eval(ctx, plan.NewJoin(plan.LocalJoin, "x", scans, 1, cost.Default), q, oenv, &om, "", true)
+				if err != nil {
+					t.Errorf("%s: operator: %v", id, err)
+					continue
+				}
+				var joined int64
+				for node := 0; node < n; node++ {
+					joined += int64(len(want[node]))
+					if !slices.Equal(out[node].Vars, schema) || !slices.Equal(sortedKeys(out[node]), want[node]) {
+						t.Errorf("%s: operator node %d produced %v %v, want %v", id, node, out[node].Vars, sortedKeys(out[node]), want[node])
+					}
+				}
+				if om.JoinedRows != joined {
+					t.Errorf("%s: operator JoinedRows = %d, want %d", id, om.JoinedRows, joined)
+				}
+				merged := st.merge && len(deadList) < n
+				for i, ch := range tr.Children {
+					if ch.Merged != merged {
+						t.Errorf("%s: tp%d trace Merged = %v, want %v", id, i+1, ch.Merged, merged)
+					}
+				}
+			}
+		}
+	}
+	if !sawMerge || !sawFallback || !sawHit || !sawDelta || !sawCheck {
+		t.Errorf("table degenerate: merge=%v fallback=%v hit=%v delta=%v three-leaf=%v", sawMerge, sawFallback, sawHit, sawDelta, sawCheck)
+	}
 }

@@ -12,9 +12,11 @@
 // executor provides the ground truth for integration tests.
 //
 // The data plane is columnar-adjacent: a relation's rows live in one
-// flat TermID arena (row i is a slice of it), and all hashing —
+// flat TermID arena (row i is a slice of it), and all hashing — hash
 // joins, dedup, projection — runs on 64-bit integer hashes with
-// collision verification, never on materialized string keys.
+// collision verification, never on materialized string keys. A local
+// star over scan leaves hashes nothing: it merges the leaves' sorted
+// ranges (see starMerge).
 package engine
 
 import (

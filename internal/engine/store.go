@@ -10,14 +10,16 @@ import (
 	"sparqlopt/internal/sparql"
 )
 
-// store is one node's local triple fragment held as three sorted copies
-// — the SPO, POS and OSP permutations — standing in for the per-node
-// RDF-3X instance of the paper's prototype. Every combination of
-// constant positions is a prefix of one of the three orders, so a
-// pattern's candidates are one binary-searched range with nothing left
-// to filter, and membership is one binary search.
+// store is one node's local triple fragment held as four sorted copies
+// — the SPO, POS, OSP and PSO permutations — standing in for the
+// per-node RDF-3X instance of the paper's prototype. Every combination
+// of constant positions is a prefix of one of the first three orders,
+// so a pattern's candidates are one binary-searched range with nothing
+// left to filter, and membership is one binary search. PSO adds the
+// one order a star on a subject needs that those three lack: the range
+// of ?x <p> ?o sorted on ?x (see orderedOn).
 type store struct {
-	spo, pos, osp []rdf.Triple
+	spo, pos, osp, pso []rdf.Triple
 }
 
 // perm names a sort order by the triple component it compares first.
@@ -27,6 +29,7 @@ const (
 	permSPO perm = iota
 	permPOS
 	permOSP
+	permPSO
 )
 
 // key returns t's components in p's comparison order.
@@ -36,8 +39,36 @@ func (p perm) key(t rdf.Triple) (a, b, c rdf.TermID) {
 		return t.P, t.O, t.S
 	case permOSP:
 		return t.O, t.S, t.P
+	case permPSO:
+		return t.P, t.S, t.O
 	}
 	return t.S, t.P, t.O
+}
+
+// comps returns p's comparison order as triple components.
+func (p perm) comps() [3]int {
+	switch p {
+	case permPOS:
+		return [3]int{compP, compO, compS}
+	case permOSP:
+		return [3]int{compO, compS, compP}
+	case permPSO:
+		return [3]int{compP, compS, compO}
+	}
+	return [3]int{compS, compP, compO}
+}
+
+// in returns s's copy sorted under p.
+func (p perm) in(s *store) []rdf.Triple {
+	switch p {
+	case permPOS:
+		return s.pos
+	case permOSP:
+		return s.osp
+	case permPSO:
+		return s.pso
+	}
+	return s.spo
 }
 
 // prefixCmp compares the first k components of t under p with (a, b, c).
@@ -104,7 +135,7 @@ func (p perm) prefixRange(ts []rdf.Triple, k int, a, b, c rdf.TermID) []rdf.Trip
 // comparison sort (ingest chunks are a few dozen triples).
 const radixMin = 256
 
-// newStore sorts a copy of triples into the three permutations. The
+// newStore sorts a copy of triples into the four permutations. The
 // input is left untouched: placements and write deltas stay their
 // owners'.
 func newStore(triples []rdf.Triple) *store {
@@ -117,14 +148,12 @@ func newStore(triples []rdf.Triple) *store {
 // allocates it once.
 func buildStore(triples []rdf.Triple, tmp *[]rdf.Triple) *store {
 	n := len(triples)
-	s := &store{spo: make([]rdf.Triple, n), pos: make([]rdf.Triple, n), osp: make([]rdf.Triple, n)}
+	s := &store{spo: make([]rdf.Triple, n), pos: make([]rdf.Triple, n), osp: make([]rdf.Triple, n), pso: make([]rdf.Triple, n)}
 	if n < radixMin {
-		for _, o := range []struct {
-			dst []rdf.Triple
-			p   perm
-		}{{s.spo, permSPO}, {s.pos, permPOS}, {s.osp, permOSP}} {
-			copy(o.dst, triples)
-			slices.SortFunc(o.dst, o.p.cmp)
+		for _, p := range []perm{permSPO, permPOS, permOSP, permPSO} {
+			dst := p.in(s)
+			copy(dst, triples)
+			slices.SortFunc(dst, p.cmp)
 		}
 		return s
 	}
@@ -132,10 +161,12 @@ func buildStore(triples []rdf.Triple, tmp *[]rdf.Triple) *store {
 		*tmp = make([]rdf.Triple, n)
 	}
 	// Each order is one stable pass away from another: SPO re-sorted on
-	// O is OSP, OSP re-sorted on P is POS. Five component sorts, not nine.
+	// O is OSP, OSP re-sorted on P is POS, SPO re-sorted on P is PSO. Six
+	// component sorts, not twelve.
 	radixSort(s.spo, (*tmp)[:n], triples, compO, compP, compS)
 	radixSort(s.osp, (*tmp)[:n], s.spo, compO)
 	radixSort(s.pos, (*tmp)[:n], s.osp, compP)
+	radixSort(s.pso, (*tmp)[:n], s.spo, compP)
 	return s
 }
 
@@ -226,6 +257,7 @@ func mergeStores(a, b *store) *store {
 		spo: mergeSorted(permSPO, a.spo, b.spo),
 		pos: mergeSorted(permPOS, a.pos, b.pos),
 		osp: mergeSorted(permOSP, a.osp, b.osp),
+		pso: mergeSorted(permPSO, a.pso, b.pso),
 	}
 }
 
@@ -325,6 +357,74 @@ func (s *store) candidates(bp *boundPattern) []rdf.Triple {
 		return permOSP.prefixRange(s.osp, 1, bp.o, 0, 0)
 	}
 	return s.spo
+}
+
+// orderedOn picks the permutation whose range for bp's constants is
+// sorted on the position holding variable column col, and returns it
+// with that position (compS or compO): PSO for ?x <p> ?o, POS for
+// ?x <p> <o> and ?s <p> ?x, SPO for <s> <p> ?x, OSP for ?x ?p <o>, and
+// the SPO or OSP copy itself for an all-variable pattern. ok is false
+// when no order serves: the variable at the predicate or at two
+// positions, <s> ?p ?x (its SPO range is sorted on ?p first), or a
+// constant missing from the dictionary.
+func (bp *boundPattern) orderedOn(col int) (p perm, comp int, ok bool) {
+	switch {
+	case bp.unknown || bp.repeated || col < 0:
+		return 0, 0, false
+	case bp.sVar == col:
+		comp = compS
+	case bp.oVar == col:
+		comp = compO
+	default:
+		return 0, 0, false
+	}
+	consts := 0
+	for c := range 3 {
+		if bp.isConst(c) {
+			consts++
+		}
+	}
+	// The range is sorted on the component right after the constants,
+	// provided every constant leads the order.
+	for _, p := range []perm{permSPO, permPOS, permOSP, permPSO} {
+		if k := bp.leadingConsts(p); k == consts && k < 3 && p.comps()[k] == comp {
+			return p, comp, true
+		}
+	}
+	return 0, 0, false
+}
+
+// isConst reports whether triple component c of bp is a constant.
+func (bp *boundPattern) isConst(c int) bool {
+	switch c {
+	case compS:
+		return bp.sConst
+	case compP:
+		return bp.pConst
+	}
+	return bp.oConst
+}
+
+// leadingConsts returns how many of p's components, from the first, are
+// constants of bp: the length of bp's prefix under p.
+func (bp *boundPattern) leadingConsts(p perm) int {
+	order := p.comps()
+	k := 0
+	for k < 3 && bp.isConst(order[k]) {
+		k++
+	}
+	return k
+}
+
+// rangeIn returns bp's candidates as the prefix range of permutation p,
+// which must lead with every constant of bp (see orderedOn).
+func (s *store) rangeIn(bp *boundPattern, p perm) []rdf.Triple {
+	k := bp.leadingConsts(p)
+	if k == 0 {
+		return p.in(s)
+	}
+	a, b, c := p.key(rdf.Triple{S: bp.s, P: bp.p, O: bp.o})
+	return p.prefixRange(p.in(s), k, a, b, c)
 }
 
 // match reads the pattern's candidate range and appends one row per

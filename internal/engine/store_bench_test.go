@@ -6,14 +6,17 @@ import (
 	"math/rand"
 	"testing"
 
+	"sparqlopt/internal/cost"
 	"sparqlopt/internal/partition"
+	"sparqlopt/internal/plan"
 	"sparqlopt/internal/rdf"
+	"sparqlopt/internal/sparql"
 	"sparqlopt/internal/workload/lubm"
 )
 
 // BenchmarkStoreBuild times engine.New over the spine's dataset and
 // placement — LUBM-10 under hash-so on ten nodes — which is all sorting:
-// three permutations per node. `make bench-smoke` runs it once, so a
+// four permutations per node. `make bench-smoke` runs it once, so a
 // build-time regression shows without the spine.
 func BenchmarkStoreBuild(b *testing.B) {
 	ds := lubm.Generate(lubm.Config{Universities: 10, Seed: 1})
@@ -72,6 +75,76 @@ func BenchmarkProbeVsRead(b *testing.B) {
 					}
 					if out, err := hashJoin(ctx, cur, rel); err != nil || len(out.Rows) != len(cur.Rows) {
 						b.Fatal(len(out.Rows), err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkStarJoin times the local joins that own the spine's
+// percentiles — L7's and L8's stars on ?x, LUBM-10 under hash-so on ten
+// nodes — both ways a node can join them: merging the leaves' sorted
+// ranges (starMerge) and the hash fold that reads, hashes and probes
+// them (joinAll). Every iteration opens the leaves afresh, as a query
+// does, and joins on every node.
+func BenchmarkStarJoin(b *testing.B) {
+	ds := lubm.Generate(lubm.Config{Universities: 10, Seed: 1})
+	placement, err := partition.HashSO{}.Partition(ds, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := New(ds.Dict, placement)
+	env := ExecEnv{Snap: e.Snapshot()}
+	ctx := context.Background()
+	const prefixes = "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\nPREFIX ub: <" + lubm.UB + ">\n"
+	for _, star := range []struct{ name, src string }{
+		{"L7", `?x rdf:type ub:GraduateStudent . ?x ub:memberOf ?z . ?x ub:undergraduateDegreeFrom ?y`},
+		{"L8", `?x ub:takesCourse ?z . ?x rdf:type ub:UndergraduateStudent . ?x ub:advisor ?y`},
+	} {
+		q := sparql.MustParse(prefixes + "SELECT * WHERE { " + star.src + " . }")
+		open := func() (leaves []*scanLeaf, order []int, schema []string) {
+			vars := make([][]string, len(q.Patterns))
+			sizes := make([]int64, len(q.Patterns))
+			leaves = make([]*scanLeaf, len(q.Patterns))
+			for i := range q.Patterns {
+				var m Metrics
+				_, leaf, tr, err := e.eval(ctx, plan.NewScan(i, 1, cost.Default), q, env, &m, "", true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				leaves[i], vars[i], sizes[i] = leaf, leaf.bp.vars, tr.OutputRows
+			}
+			order, schema = foldOrder(vars, sizes)
+			return leaves, order, schema
+		}
+		ways := map[string]func(leaves []*scanLeaf, order []int, schema []string, node int) (*Relation, error){
+			"merge": func(leaves []*scanLeaf, order []int, schema []string, node int) (*Relation, error) {
+				return newStarMerge(leaves, order, schema, "x").join(ctx, nil, "local join", node)
+			},
+			"fold": func(leaves []*scanLeaf, order []int, schema []string, node int) (*Relation, error) {
+				rels := make([]*Relation, len(leaves))
+				return joinAll(ctx, nil, "local join", node, rels, leaves, order, schema)
+			},
+		}
+		want := -1
+		for _, way := range []string{"merge", "fold"} {
+			b.Run(star.name+"/"+way, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					leaves, order, schema := open()
+					rows := 0
+					for node := range leaves[0].rels {
+						out, err := ways[way](leaves, order, schema, node)
+						if err != nil {
+							b.Fatal(err)
+						}
+						rows += len(out.Rows)
+					}
+					if want < 0 {
+						want = rows
+					} else if rows != want {
+						b.Fatalf("%s joined %d rows, the other way %d", way, rows, want)
 					}
 				}
 			})

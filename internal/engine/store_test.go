@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -29,12 +30,23 @@ func randomFragment(r *rand.Rand, n int, wide bool) []rdf.Triple {
 }
 
 // TestStoreRanges holds the sorted-permutation store to linear scans of
-// the triple list it was built from: the three permutations against a
-// comparison sort (on both sides of radixMin), every constant mask's
+// the triple list it was built from: the four permutations against a
+// comparison sort (on both sides of radixMin, so the radix and the
+// comparison builds are both held to it), every constant mask's
 // candidate range and match's rows — ?x ?p ?x included — against a
-// filter, has against a search, and a merge against a rebuild.
+// filter, its ordered range for a variable at the subject and at the
+// object — served exactly for the shapes a permutation sorts on it,
+// sorted on it and a permutation of the candidates — has against a
+// search, and a merge of all four orders against a rebuild. A constant
+// missing from the dictionary has no ordered range.
 func TestStoreRanges(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
+	// {constant mask, position of the variable} → the permutation whose
+	// range is sorted on it; the shapes missing here have none.
+	orderedBy := map[[2]int]perm{
+		{0b010, compS}: permPSO, {0b110, compS}: permPOS, {0b100, compS}: permOSP, {0b000, compS}: permSPO,
+		{0b011, compO}: permSPO, {0b010, compO}: permPOS, {0b000, compO}: permOSP,
+	}
 	for trial := 0; trial < 60; trial++ {
 		n := []int{0, 1, 7, radixMin - 1, radixMin, 3 * radixMin}[trial%6]
 		ts := randomFragment(r, n, trial%2 == 1)
@@ -47,7 +59,7 @@ func TestStoreRanges(t *testing.T) {
 			name string
 			got  []rdf.Triple
 			p    perm
-		}{{"spo", st.spo, permSPO}, {"pos", st.pos, permPOS}, {"osp", st.osp, permOSP}} {
+		}{{"spo", st.spo, permSPO}, {"pos", st.pos, permPOS}, {"osp", st.osp, permOSP}, {"pso", st.pso, permPSO}} {
 			want := slices.Clone(ts)
 			slices.SortFunc(want, o.p.cmp)
 			if !slices.Equal(o.got, want) {
@@ -116,13 +128,46 @@ func TestStoreRanges(t *testing.T) {
 					if !slices.Equal(sortedKeys(rel), sortedKeys(&Relation{Rows: want})) {
 						t.Fatalf("trial %d: mask %03b repeat=%v of %v matched %v, want %v", trial, mask, repeat, c, rel.Rows, want)
 					}
+					for _, comp := range []int{compS, compO} {
+						col := bp.sVar
+						if comp == compO {
+							col = bp.oVar
+						}
+						p, gotComp, ok := bp.orderedOn(col)
+						wantPerm, wantOK := orderedBy[[2]int{mask, comp}]
+						wantOK = wantOK && !bp.repeated
+						if ok != wantOK || ok && (p != wantPerm || gotComp != comp) {
+							t.Fatalf("mask %03b repeat=%v position %d: orderedOn = (%d, %d, %v), want (%d, %d, %v)", mask, repeat, comp, p, gotComp, ok, wantPerm, comp, wantOK)
+						}
+						if !ok {
+							continue
+						}
+						got := st.rangeIn(&bp, p)
+						if !slices.IsSortedFunc(got, func(a, b rdf.Triple) int { return cmp.Compare(component(a, comp), component(b, comp)) }) {
+							t.Fatalf("trial %d: mask %03b of %v: range not sorted on position %d: %v", trial, mask, c, comp, got)
+						}
+						if cands := st.candidates(&bp); !slices.Equal(sortedTriples(got), sortedTriples(cands)) {
+							t.Fatalf("trial %d: mask %03b of %v: ordered range %v is not a permutation of candidates %v", trial, mask, c, got, cands)
+						}
+					}
+
 				}
 			}
 		}
+		unknown := boundPattern{vars: []string{"x", "o"}, sVar: 0, pVar: -1, oVar: 1, pConst: true, unknown: true}
+		if _, _, ok := unknown.orderedOn(0); ok {
+			t.Fatalf("trial %d: orderedOn served an unknown constant", trial)
+		}
 		other := randomFragment(r, r.Intn(2*radixMin), trial%2 == 0)
 		merged, rebuilt := mergeStores(st, newStore(other)), newStore(append(slices.Clone(ts), other...))
-		if !slices.Equal(merged.spo, rebuilt.spo) || !slices.Equal(merged.pos, rebuilt.pos) || !slices.Equal(merged.osp, rebuilt.osp) {
+		if !slices.Equal(merged.spo, rebuilt.spo) || !slices.Equal(merged.pos, rebuilt.pos) || !slices.Equal(merged.osp, rebuilt.osp) || !slices.Equal(merged.pso, rebuilt.pso) {
 			t.Fatalf("trial %d: merging two stores differs from building their union", trial)
 		}
 	}
+}
+
+func sortedTriples(ts []rdf.Triple) []rdf.Triple {
+	out := slices.Clone(ts)
+	slices.SortFunc(out, permSPO.cmp)
+	return out
 }

@@ -61,6 +61,11 @@ type TraceNode struct {
 	// not a count of rows produced.
 	Probed   bool
 	Bindings int64
+	// Merged marks a scan whose parent local join, on at least one node,
+	// intersected its sorted ranges with its siblings' on the join
+	// variable instead of reading the fragment (see starMerge); Postings
+	// then counts the entries of the key groups the merge matched.
+	Merged bool
 	// ScatterRows/ScatterBytes attribute a parent repartition join's
 	// shuffle to the child that fed it — the rows of THIS operator's
 	// output that landed on a different node (0 for an aligned child).
@@ -122,8 +127,13 @@ func (tr *TraceNode) Format() string {
 				aligned = " aligned"
 			}
 			read := fmt.Sprintf("rows=%d postings=%d", t.OutputRows, t.Postings)
-			if t.Probed {
+			switch {
+			case t.Probed && t.Merged:
+				read = fmt.Sprintf("merged and probed, %d bindings, %d postings (range %d)", t.Bindings, t.Postings, t.OutputRows)
+			case t.Probed:
 				read = fmt.Sprintf("probed, %d bindings, %d postings (range %d)", t.Bindings, t.Postings, t.OutputRows)
+			case t.Merged:
+				read = fmt.Sprintf("merged, %d postings (range %d)", t.Postings, t.OutputRows)
 			}
 			fmt.Fprintf(&b, "%sscan tp%d: %s (est %.4g) max/node=%d %s time=%v%s\n",
 				indent, t.TP+1, read, t.EstimatedCard, t.MaxNodeRows, spread, t.Elapsed.Round(time.Microsecond), aligned)
@@ -224,6 +234,9 @@ func (tr *TraceNode) AttachSpans(parent *obs.Span) {
 		s.SetAttrInt("postings", tr.Postings)
 		if tr.Probed {
 			s.SetAttrInt("probe_bindings", tr.Bindings)
+		}
+		if tr.Merged {
+			s.SetAttr("merged", "true")
 		}
 	} else {
 		s.SetAttr("join_var", tr.JoinVar)

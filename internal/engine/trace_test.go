@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"sparqlopt/internal/cost"
 	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
 	"sparqlopt/internal/rdf"
@@ -86,11 +87,14 @@ func TestTraceRowCountsAreExact(t *testing.T) {
 	}
 }
 
-// TestTraceSaysHowLeafWasRead: a point read's big leaf is looked up,
-// not read, and the trace says so — the probed leaf reports its
-// bindings and postings, keeps the full read's size as OutputRows so
-// the estimate still has something to be compared with, and the
-// leaves' postings add up to the run's ScannedTriples.
+// TestTraceSaysHowLeafWasRead: a point read's star is merged — both
+// leaves are intersected on ?f, neither is read — and the same big leaf
+// left in place by a broadcast join is looked up, not read. The trace
+// says which: a merged leaf reports the postings of the key groups it
+// matched, a probed one its bindings and postings, both keep the full
+// read's size as OutputRows so the estimate still has something to be
+// compared with, and the leaves' postings add up to the run's
+// ScannedTriples.
 func TestTraceSaysHowLeafWasRead(t *testing.T) {
 	ds := rdf.NewDataset()
 	ds.Add("s0", "advisor", "f7")
@@ -103,15 +107,6 @@ func TestTraceSaysHowLeafWasRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(ds.Dict, placement)
-	res := optimizeFor(t, ds, q, m, 0)
-	got, err := e.Execute(context.Background(), res.Plan, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rows) != 1 || got.Trace.Alg != plan.LocalJoin {
-		t.Fatalf("want one row from a local join, got %d from %v", len(got.Rows), got.Trace.Alg)
-	}
 	// Hash-SO keeps up to two copies of a triple; the leaf's size is the
 	// copies the placement holds, read or not.
 	worksFor, _ := ds.Dict.Lookup("worksFor")
@@ -123,19 +118,60 @@ func TestTraceSaysHowLeafWasRead(t *testing.T) {
 			}
 		}
 	}
-	small, big := got.Trace.Children[0], got.Trace.Children[1]
-	if small.Probed || small.Postings != small.OutputRows || small.OutputRows < 1 {
-		t.Errorf("the selective leaf should be read in full: %+v", small)
+	e := New(ds.Dict, placement)
+	res := optimizeFor(t, ds, q, m, 0)
+	got, err := e.Execute(context.Background(), res.Plan, q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Every advisor row looks ?f up; the node holding ?f's own triples
-	// finds the one worksFor triple there.
-	if !big.Probed || big.Bindings != small.OutputRows || big.Postings < 1 || big.Postings > big.Bindings || big.OutputRows != copies {
-		t.Errorf("the big leaf should be probed, %d copies: %+v", copies, big)
+	if len(got.Rows) != 1 || got.Trace.Alg != plan.LocalJoin {
+		t.Fatalf("want one row from a local join, got %d from %v", len(got.Rows), got.Trace.Alg)
+	}
+	small, big := got.Trace.Children[0], got.Trace.Children[1]
+	// A node joins the advisor triple when it holds f7's worksFor triple
+	// too: one posting of each leaf, and one joined row, per such node.
+	if !small.Merged || small.Probed || small.Postings < 1 || small.Postings > small.OutputRows {
+		t.Errorf("the selective leaf should be merged: %+v", small)
+	}
+	if !big.Merged || big.Probed || big.Postings != small.Postings || big.OutputRows != copies || got.Trace.OutputRows != small.Postings {
+		t.Errorf("the big leaf should be merged, %d copies: %+v (join produced %d rows)", copies, big, got.Trace.OutputRows)
 	}
 	if sum := small.Postings + big.Postings; sum != got.Metrics.ScannedTriples {
 		t.Errorf("leaves touched %d postings, metrics say %d", sum, got.Metrics.ScannedTriples)
 	}
 	out := got.Trace.Format()
+	for _, want := range []string{
+		fmt.Sprintf("scan tp1: merged, %d postings (range %d)", small.Postings, small.OutputRows),
+		fmt.Sprintf("scan tp2: merged, %d postings (range %d)", big.Postings, copies),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("trace format lacks %q:\n%s", want, out)
+		}
+	}
+
+	// A broadcast join ships the advisor leaf and leaves the big one in
+	// place: every node folds the one gathered row first and looks ?f up.
+	bcast := plan.NewJoin(plan.BroadcastJoin, "f",
+		[]*plan.Node{plan.NewScan(0, 1, cost.Default), plan.NewScan(1, 300, cost.Default)}, 1, cost.Default)
+	got, err = e.Execute(context.Background(), bcast, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != 1 {
+		t.Fatalf("broadcast join: want one row, got %d", len(got.Rows))
+	}
+	small, big = got.Trace.Children[0], got.Trace.Children[1]
+	if small.Merged || small.Probed || small.Postings != small.OutputRows || small.OutputRows < 1 {
+		t.Errorf("the shipped leaf should be read in full: %+v", small)
+	}
+	// The node holding ?f's own triples finds the one worksFor triple.
+	if !big.Probed || big.Merged || big.Bindings != int64(got.Trace.Nodes) || big.Postings < 1 || big.Postings > big.Bindings || big.OutputRows != copies {
+		t.Errorf("the big leaf should be probed on every node, %d copies: %+v", copies, big)
+	}
+	if sum := small.Postings + big.Postings; sum != got.Metrics.ScannedTriples {
+		t.Errorf("leaves touched %d postings, metrics say %d", sum, got.Metrics.ScannedTriples)
+	}
+	out = got.Trace.Format()
 	for _, want := range []string{
 		fmt.Sprintf("scan tp1: rows=%d postings=%d", small.OutputRows, small.Postings),
 		fmt.Sprintf("scan tp2: probed, %d bindings, %d postings (range %d)", big.Bindings, big.Postings, copies),

@@ -31,7 +31,11 @@ func (m *Migration) AddCount() int {
 // The receiver is unchanged — placements published to an engine are
 // immutable, so in-flight queries keep a consistent snapshot while
 // the background migration builds the next one. Node fragments stay
-// deduplicated: an add that already exists on its node is dropped.
+// deduplicated: an add that already exists on its node is dropped. A
+// touched node's fragment is a fresh array; an untouched one is shared
+// with the receiver. Neither is ever written through, so a fragment may
+// alias storage its owner reads elsewhere (System keeps the engine's
+// sorted base copies).
 func (p *Placement) Migrate(m *Migration) (*Placement, error) {
 	if m == nil {
 		return p, nil

@@ -50,7 +50,9 @@ type Method interface {
 type Placement struct {
 	// Nodes is the cluster size.
 	Nodes int
-	// Triples holds each node's local fragment.
+	// Triples holds each node's local fragment, as a set: its order is
+	// the producer's (a method's placement order, or sorted when it aliases
+	// an engine's stores), and readers must not write into it.
 	Triples [][]rdf.Triple
 }
 

@@ -593,6 +593,11 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 		return nil, err
 	}
 	eng := engine.New(ds.Dict, placement)
+	// The method's fragments are now sorted into the engine's stores; the
+	// placement keeps the stores' SPO copies, which hold the same sets, so
+	// the unsorted lists are not kept alive beside them. Its readers
+	// (Migrate, the advisor, ReplicationFactor) treat a fragment as a set.
+	placement = &partition.Placement{Nodes: placement.Nodes, Triples: eng.Fragments()}
 	eng.SetParallelism(cfg.parallelism)
 	snap := ds.Snapshot()
 	eng.SetData(snap)
