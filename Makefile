@@ -126,13 +126,14 @@ serve-smoke:
 	$(GO) test -race -count=1 ./internal/httpd
 	$(GO) test -race -run TestServeSmoke -count=2 ./internal/httpd
 
-# Short fuzzing passes over the parser, the plan-cache fingerprinter
-# and the result encoder (held to encoding/json byte for byte), seeded
-# from the checked-in corpora and the tests' own seeds. 5 s each:
-# enough to replay the corpus and mutate a little, fast enough for the
-# gate.
+# Short fuzzing passes over the SPARQL parser, the N-Triples reader,
+# the plan-cache fingerprinter and the result encoder (held to
+# encoding/json byte for byte), seeded from the checked-in corpora and
+# the tests' own seeds. 5 s each: enough to replay the corpus and
+# mutate a little, fast enough for the gate.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=5s ./internal/sparql
+	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=5s ./internal/ntriples
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalize$$' -fuzztime=5s ./internal/querygraph
 	$(GO) test -run='^$$' -fuzz='^FuzzEncodeTerm$$' -fuzztime=5s ./internal/httpd
 

@@ -2,6 +2,7 @@ package sparqlopt
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -273,6 +274,75 @@ func TestPlacementAliasesStores(t *testing.T) {
 		}
 		if node > 0 && &next.Triples[node][0] != &ts[0] {
 			t.Errorf("node %d: an untouched fragment was copied", node)
+		}
+	}
+}
+
+// TestEdgeShapesMatchReference runs the query shapes the benchmarks
+// never exercise — unbound predicates, a bound subject or object with
+// everything else free, chains through a variable predicate — over an
+// empty dataset and a small one with a self-loop, under every
+// partitioning method at parallelism 1 and 4, through both Run and
+// RunStream. Every answer must equal the single-node reference.
+func TestEdgeShapesMatchReference(t *testing.T) {
+	small := NewDataset()
+	for _, tr := range [][3]string{
+		{"http://a", "http://q", "http://b"},
+		{"http://b", "http://q", "http://c"},
+		{"http://c", "http://r", "http://a"},
+		{"http://a", "http://q", "http://a"}, // self-loop
+		{"http://b", "http://r", "http://d"},
+		{"http://d", "http://q", "http://a"},
+	} {
+		small.Add(tr[0], tr[1], tr[2])
+	}
+	datasets := []struct {
+		name string
+		ds   *Dataset
+	}{{"empty", NewDataset()}, {"self-loop", small}}
+	queries := []string{
+		`SELECT * WHERE { ?s ?p ?o . }`,
+		`SELECT * WHERE { <http://a> ?p ?o . }`,
+		`SELECT * WHERE { ?s ?p <http://a> . }`,
+		`SELECT * WHERE { ?x ?p ?y . ?y <http://q> ?z . }`,
+		`SELECT * WHERE { ?x ?p ?y . ?y ?r ?z . }`,
+	}
+	ctx := context.Background()
+	for _, d := range datasets {
+		for _, methodName := range []string{"hash-so", "2f", "2fb", "path-bmc", "un-1hop"} {
+			m, err := PartitionMethod(methodName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, par := range []int{1, 4} {
+				sys, err := Open(d.ds, WithMethod(m), WithNodes(3), WithParallelism(par))
+				if err != nil {
+					t.Fatalf("%s/%s P=%d: %v", d.name, methodName, par, err)
+				}
+				for _, src := range queries {
+					label := fmt.Sprintf("%s/%s P=%d %s", d.name, methodName, par, src)
+					want, err := Reference(d.ds, mustParse(t, src))
+					if err != nil {
+						t.Fatalf("%s: reference: %v", label, err)
+					}
+					if d.ds == small && len(want.Rows) == 0 {
+						t.Fatalf("%s: reference is empty; the dataset no longer exercises the shape", label)
+					}
+					got, err := sys.Run(ctx, src)
+					if err != nil {
+						t.Fatalf("%s: Run: %v", label, err)
+					}
+					sameRows(t, label+" Run", got, want)
+					rows, err := sys.RunStream(ctx, src)
+					if err != nil {
+						t.Fatalf("%s: RunStream: %v", label, err)
+					}
+					if streamed := drainSorted(t, rows); !equalRowSets(streamed, want.Rows) {
+						t.Errorf("%s: RunStream returned %d rows, reference %d", label, len(streamed), len(want.Rows))
+					}
+				}
+				sys.Close()
+			}
 		}
 	}
 }

@@ -116,14 +116,12 @@ func (c Config) params() cost.Params {
 
 // Meta is the metadata block every BENCH_*.json report embeds, so
 // bench trajectories stay comparable across PRs: the dataset knobs
-// plus the engine representation (flat vs factorized) and the
-// parallelism setting the run used.
+// plus the parallelism setting the run used.
 type Meta struct {
-	Quick       bool   `json:"quick"`
-	Nodes       int    `json:"nodes"`
-	Seed        int64  `json:"seed"`
-	Parallelism int    `json:"parallelism"` // 0 = GOMAXPROCS
-	Engine      string `json:"engine"`      // "flat" or "factorized"
+	Quick       bool  `json:"quick"`
+	Nodes       int   `json:"nodes"`
+	Seed        int64 `json:"seed"`
+	Parallelism int   `json:"parallelism"` // 0 = GOMAXPROCS
 	// Adaptive records the advisor configuration of an adaptive-
 	// repartitioning run; nil for every other experiment.
 	Adaptive *AdaptiveMeta `json:"adaptive,omitempty"`
@@ -141,16 +139,9 @@ type AdaptiveMeta struct {
 	Synchronous       bool    `json:"synchronous"`
 }
 
-// meta describes this run's configuration. The engine representation
-// is "factorized" when the cost model's factorization gate is armed —
-// result-heavy roots run on the answer-graph path — and "flat" when
-// the gate is disabled.
+// meta describes this run's configuration.
 func (c Config) meta() Meta {
-	eng := "flat"
-	if c.params().FactorizeFanout > 0 {
-		eng = "factorized"
-	}
-	return Meta{Quick: c.Quick, Nodes: c.nodes(), Seed: c.seed(), Parallelism: c.Parallelism, Engine: eng}
+	return Meta{Quick: c.Quick, Nodes: c.nodes(), Seed: c.seed(), Parallelism: c.Parallelism}
 }
 
 // writeReport saves a full-scale run's report as BENCH_<experiment>.json

@@ -21,42 +21,18 @@ type Params struct {
 	GammaL, GammaB, GammaR float64
 	// Nodes is the cluster size n.
 	Nodes int
-	// FactorizeFanout gates factorized (answer-graph) execution: a join
-	// operator whose estimated output exceeds FactorizeFanout times the
-	// sum of its input cardinalities is annotated for the engine's
-	// factorizing hash-join path (see plan.Node.Factorize). The
-	// annotation never changes the operator's cost — plans, join orders
-	// and costs are identical with the gate on or off — it only selects
-	// the physical representation of the operator's result. 0 disables
-	// factorization.
-	FactorizeFanout float64
-}
-
-// ShouldFactorize reports whether a join with the given input-sum and
-// output cardinalities clears the factorization gate: the estimated
-// fanout out/sumIn is above FactorizeFanout, meaning the flattened
-// result is so much larger than its inputs that an answer-graph
-// representation (shared column groups + link vectors) is worth the
-// indirection.
-func (p Params) ShouldFactorize(sumIn, out float64) bool {
-	return p.FactorizeFanout > 0 && sumIn > 0 && out > p.FactorizeFanout*sumIn
 }
 
 // Default holds the parameters of Table II with the paper's 10-node
 // cluster: α=0.02, β_B=0.05, β_R=0.1, γ_L=0.004, γ_B=0.008, γ_R=0.005.
-// Factorized execution is on by default for joins whose estimated
-// fanout exceeds 4: the answer-graph representation only wins when the
-// output is a clear multiple of its inputs, and below that the flat
-// path's simplicity is free.
 var Default = Params{
-	Alpha:           0.02,
-	BetaB:           0.05,
-	BetaR:           0.1,
-	GammaL:          0.004,
-	GammaB:          0.008,
-	GammaR:          0.005,
-	Nodes:           10,
-	FactorizeFanout: 4,
+	Alpha:  0.02,
+	BetaB:  0.05,
+	BetaR:  0.1,
+	GammaL: 0.004,
+	GammaB: 0.008,
+	GammaR: 0.005,
+	Nodes:  10,
 }
 
 // Scan returns the cost of scanning the bindings of a single triple

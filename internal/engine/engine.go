@@ -95,12 +95,6 @@ type Result struct {
 	// partitions re-homed off a dead node. 0 on a healthy run; every
 	// failover also appends a Degraded note.
 	Failovers int64
-	// Factorized reports that the root operator ran the factorizing
-	// hash-join path: its intermediate was an answer graph (column
-	// groups + link vectors) flattened only at projection, instead of
-	// a flat row arena. Rows and Metrics are bit-identical either way;
-	// only the representation — and its memory footprint — differs.
-	Factorized bool
 	// Returned counts the distinct result rows the call delivered.
 	// Equal to len(Rows) on a materializing Run; on a streamed call
 	// Rows stays nil and Returned is the stream's delivered row count
@@ -108,15 +102,13 @@ type Result struct {
 	Returned int64
 	// flatRows is the root operator's logical output size: the number
 	// of flat rows the final gather held before deduplication and
-	// projection. On a factorized run it is counted from the answer
-	// graph without flattening (saturating at MaxInt64).
+	// projection.
 	flatRows int64
 }
 
 // FlatRowCount returns the logical (pre-dedup, pre-projection) row
-// count of the root operator's distributed output. For a factorized
-// run this is the flattened size the engine never materialized — the
-// gap between it and RowCount is the work factorization skipped.
+// count of the root operator's distributed output; the gap between it
+// and RowCount is what deduplication and projection removed.
 func (r *Result) FlatRowCount() int64 { return r.flatRows }
 
 // RowCount returns the number of distinct result rows the call
@@ -157,9 +149,6 @@ func (r *Result) String() string {
 	}
 	fmt.Fprintf(&b, " scanned=%d shuffled=%d rows/%d B joined=%d",
 		r.Metrics.ScannedTriples, r.Metrics.TransferredRows, r.Metrics.TransferredBytes, r.Metrics.JoinedRows)
-	if r.Factorized {
-		fmt.Fprintf(&b, " factorized(flat_rows=%d)", r.flatRows)
-	}
 	if r.CacheInfo.Enabled {
 		state := "miss"
 		if r.CacheInfo.Hit {
@@ -527,8 +516,7 @@ func projectResult(rel *Relation, q *sparql.Query) (*Result, error) {
 
 // opGate is the prologue every operator evaluation passes: the
 // cancellation poll and the injected-fault sites (slow operator,
-// budget trip). It is shared by the flat and factorized paths so the
-// chaos suite exercises both identically.
+// budget trip).
 func (e *Engine) opGate(ctx context.Context, p *plan.Node, env ExecEnv) error {
 	if err := obs.Canceled(ctx, "execute"); err != nil {
 		return err
@@ -795,23 +783,21 @@ func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query
 // complete match is co-located, Definition 2), gather+replicate of the
 // k−1 smaller inputs for broadcast, a hash scatter on the join
 // variable for repartition — returning per node the list of relations
-// that node's join consumes. Transfer accounting lands in m and tr
-// exactly as the flat operators always reported it, so the flat and
-// factorized execution paths are metric-identical.
+// that node's join consumes. Transfer accounting lands in m and in the
+// operator's trace tr.
 //
-// With lazy set (the flat path), the Scan children of a local join and
-// the Scan child a broadcast join leaves in place are opened but not
-// read: they come back in leaves, with nil relations on the nodes still
-// unread, for the fold to read or probe (see joinAll). A child that has
-// to move is read in full first, so data movement is what it always was.
-func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time, lazy bool) (foldInputs, error) {
+// The Scan children of a local join and the Scan child a broadcast join
+// leaves in place are opened but not read: they come back in leaves,
+// with nil relations on the nodes still unread, for the fold to read,
+// probe or merge (see joinAll and starMerge). A child that has to move
+// is read in full first, so data movement is what it always was.
+func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time) (foldInputs, error) {
 	var in foldInputs
 	var hints []string
 	if p.Alg == plan.RepartitionJoin {
 		hints = e.alignHints(p, q, env)
-		lazy = false
 	}
-	children, leaves, err := e.evalChildren(ctx, p, q, env, m, tr, start, hints, lazy)
+	children, leaves, err := e.evalChildren(ctx, p, q, env, m, tr, start, hints, p.Alg != plan.RepartitionJoin)
 	if err != nil {
 		return in, err
 	}
@@ -977,14 +963,14 @@ type foldInputs struct {
 	sizes  []int64
 }
 
-// joinOp runs one k-way join operator the flat way: per-node inputs
+// joinOp runs one k-way join operator: per-node inputs
 // from joinInputs, then a join on every node, materializing each node's
 // result as a flat row arena. A local join whose inputs are all scan
 // leaves orderable on its variable merges their sorted ranges on every
 // node where none of them was read (starMerge); every other node and
 // operator folds hash joins (joinAll).
 func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time) ([]*Relation, error) {
-	in, err := e.joinInputs(ctx, p, q, env, m, tr, start, true)
+	in, err := e.joinInputs(ctx, p, q, env, m, tr, start)
 	if err != nil {
 		return nil, err
 	}
@@ -1039,63 +1025,6 @@ func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env 
 	}
 	m.JoinedRows += joined
 	return out, nil
-}
-
-// evalFactorizedRoot runs the root join operator on the factorizing
-// path: the same joinInputs movement as the flat path (children are
-// evaluated flat — their results cross node boundaries and would have
-// to be flattened anyway), then a per-node factorize instead of a
-// per-node joinAll. The trace and JoinedRows report the operator's
-// logical (flattened) output, counted from the answer graph without
-// materializing it, so estimate-vs-actual comparison keeps working.
-func (e *Engine) evalFactorizedRoot(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics) ([]*FactorizedRelation, *TraceNode, error) {
-	if err := e.opGate(ctx, p, env); err != nil {
-		return nil, nil, err
-	}
-	tr := newTrace(p)
-	start := time.Now()
-	in, err := e.joinInputs(ctx, p, q, env, m, tr, &start, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	inputs := in.rels
-	site := opName(p.Alg)
-	out := make([]*FactorizedRelation, len(env.Snap.stores))
-	counts := make([]int64, len(out))
-	busy := func(node int) bool {
-		return slices.ContainsFunc(inputs[node], func(r *Relation) bool { return len(r.Rows) > 0 })
-	}
-	tr.Nodes = len(out)
-	tr.BusyNodes, err = e.fanOut(len(out), busy, func(node int) error {
-		env.Faults.PanicIf(faultinject.EnginePanic)
-		f, err := factorize(ctx, env.Gauge, site, inputs[node])
-		if err != nil {
-			return err
-		}
-		out[node] = f
-		counts[node] = f.flatCount()
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	// Fold the per-node logical counts in node order (saturating), so
-	// the reported totals are schedule-invariant.
-	var joined int64
-	for _, c := range counts {
-		joined = satAdd(joined, c)
-		if c > tr.MaxNodeRows {
-			tr.MaxNodeRows = c
-		}
-	}
-	m.JoinedRows = satAdd(m.JoinedRows, joined)
-	tr.Elapsed = time.Since(start)
-	tr.OutputRows = joined
-	tr.Factorized = true
-	if e.inst != nil {
-		e.inst.recordOp(p.Alg, tr.Elapsed, tr.OutputRows)
-	}
-	return out, tr, nil
 }
 
 // scatter hashes one input's rows to their destination nodes. A first

@@ -40,13 +40,6 @@ type Instruments struct {
 	TransferredRows  *obs.Counter
 	TransferredBytes *obs.Counter
 	JoinedRows       *obs.Counter
-	// FactorizedJoins counts executions whose root ran the factorizing
-	// path; FactorizedFlattened/FactorizedDeferred split those runs'
-	// logical output rows into the candidates projection actually
-	// enumerated and the fanout the answer graph never materialized.
-	FactorizedJoins     *obs.Counter
-	FactorizedFlattened *obs.Counter
-	FactorizedDeferred  *obs.Counter
 	// ParallelTasks/InlineTasks split how subtree tasks actually ran —
 	// on a borrowed semaphore slot vs. inline on the submitting
 	// goroutine — the engine's parallelism-utilization signal.
@@ -80,15 +73,10 @@ func NewInstruments(r *obs.Registry) *Instruments {
 		TransferredRows:  r.Counter("engine_transferred_rows_total", "Rows moved across node boundaries."),
 		TransferredBytes: r.Counter("engine_transferred_bytes_total", "Bytes moved across node boundaries."),
 		JoinedRows:       r.Counter("engine_joined_rows_total", "Rows produced by join operators."),
-		FactorizedJoins:  r.Counter("engine_factorized_joins_total", "Executions run on the factorized (answer-graph) path."),
-		FactorizedFlattened: r.Counter("engine_factorized_flattened_rows_total",
-			"Candidate rows enumerated when flattening factorized results at projection."),
-		FactorizedDeferred: r.Counter("engine_factorized_deferred_rows_total",
-			"Logical rows factorized execution never materialized."),
-		Failovers:       r.Counter("engine_failover_total", "Node operations served via failover (replica scans, re-homed shuffles)."),
-		ParallelTasks:   r.Counter("engine_parallel_tasks_total", "Subtree tasks run on a parallel worker."),
-		InlineTasks:     r.Counter("engine_inline_tasks_total", "Subtree tasks run inline (semaphore saturated)."),
-		PanicsRecovered: r.Counter("resilience_panics_recovered_total", resilience.PanicsRecoveredHelp),
+		Failovers:        r.Counter("engine_failover_total", "Node operations served via failover (replica scans, re-homed shuffles)."),
+		ParallelTasks:    r.Counter("engine_parallel_tasks_total", "Subtree tasks run on a parallel worker."),
+		InlineTasks:      r.Counter("engine_inline_tasks_total", "Subtree tasks run inline (semaphore saturated)."),
+		PanicsRecovered:  r.Counter("resilience_panics_recovered_total", resilience.PanicsRecoveredHelp),
 	}
 	for a := plan.Scan; a <= plan.RepartitionJoin; a++ {
 		lbl := obs.Label{Key: "operator", Value: opName(a)}
@@ -124,20 +112,6 @@ func (i *Instruments) recordExecute(d time.Duration, rows int, m Metrics) {
 	i.TransferredRows.Add(m.TransferredRows)
 	i.TransferredBytes.Add(m.TransferredBytes)
 	i.JoinedRows.Add(m.JoinedRows)
-}
-
-// recordFactorized folds one factorized execution into the metrics:
-// flat is the root's logical output, flattened the candidates the
-// projection enumerated.
-func (i *Instruments) recordFactorized(flat, flattened int64) {
-	if i == nil {
-		return
-	}
-	i.FactorizedJoins.Inc()
-	i.FactorizedFlattened.Add(flattened)
-	if d := flat - flattened; d > 0 {
-		i.FactorizedDeferred.Add(d)
-	}
 }
 
 // recordFailovers folds one execution's failover count in.

@@ -14,8 +14,8 @@ import (
 )
 
 // scanLeaf is one Scan operator's fragment reads, one per node. A scan
-// the engine needs in full — a root scan, a child of a repartition join
-// or of a factorized root, any node's read that must fail over — reads
+// the engine needs in full — a root scan, a child of a repartition join,
+// any node's read that must fail over — reads
 // every fragment when it is opened. A Scan child of a local or
 // broadcast join is opened lazily instead: every node is gated and the
 // exact size of its read is taken from the candidate ranges' lengths,

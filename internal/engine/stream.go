@@ -1,12 +1,9 @@
 // Chunked result emission. ExecuteStream is the streaming twin of
-// ExecuteEnv: the plan below the root evaluates exactly as before (same
-// operators, same shuffles, same metrics), but the final
-// gather/dedup/projection is demand-driven — the root's distributed
-// output (flat per-node arenas or factorized answer graphs) is
-// enumerated into fixed-size row chunks as the consumer pulls, instead
-// of materializing one projected output arena. A factorized root
-// flattens lazily, chunk by chunk, never holding more than one chunk
-// of flat rows.
+// ExecuteEnv: the plan evaluates exactly as before (same operators,
+// same shuffles, same metrics), but the final gather/dedup/projection
+// is demand-driven — the root's per-node row arenas are enumerated into
+// fixed-size row chunks as the consumer pulls, instead of materializing
+// one projected output arena.
 //
 // Distinctness across chunks is exact. Emitted chunks are recycled, so
 // the stream keeps its own copy of every distinct row it has emitted in
@@ -44,17 +41,12 @@ const streamChunkRows = 1024
 // does not hit the shared budget atomics on every insert.
 const dedupChargeStep = 64 * 1024
 
-// rowEnum yields candidate result rows one at a time. The returned
-// slice is a scratch buffer valid only until the next call; nil marks
-// the end. Enumeration is pure — cancellation polling and
-// deduplication belong to the Stream driving it.
-type rowEnum interface {
-	next() []rdf.TermID
-}
-
 // flatEnum enumerates the projection of per-node flat relations, in
 // node order then row order — the deterministic gather order of the
-// materializing path.
+// materializing path. The returned slice is a scratch buffer valid only
+// until the next call; nil marks the end. Enumeration is pure —
+// cancellation polling and deduplication belong to the Stream driving
+// it.
 type flatEnum struct {
 	parts   []*Relation
 	cols    []int
@@ -74,125 +66,6 @@ func (e *flatEnum) next() []rdf.TermID {
 		e.ri++
 		for i, c := range e.cols {
 			e.scratch[i] = row[c]
-		}
-		return e.scratch
-	}
-	return nil
-}
-
-// multiEnum chains per-node enumerators in node order.
-type multiEnum struct {
-	enums []rowEnum
-	i     int
-}
-
-func (e *multiEnum) next() []rdf.TermID {
-	for e.i < len(e.enums) {
-		if row := e.enums[e.i].next(); row != nil {
-			return row
-		}
-		e.i++
-	}
-	return nil
-}
-
-// factEnum enumerates the projections of one answer graph's flat rows
-// — the flatten-at-projection step — as explicit state: a cursor over
-// spine rows plus an odometer over the kept satellites' match lists.
-// Making the state explicit is what lets the flatten be demand-driven:
-// the stream pulls one candidate at a time instead of the graph
-// pushing every candidate through a callback.
-type factEnum struct {
-	f       *FactorizedRelation
-	groups  []int // per projected var: -1 = spine, else satellite index
-	cols    []int // column within the group's exposed columns
-	ki      []int // per projected var with a satellite group: odometer position of that group
-	kept    []int // satellite indices the projection enumerates
-	idx     []int64
-	scratch []rdf.TermID
-	i       int
-	live    bool // the odometer holds a valid position for spine row i
-}
-
-// newFactEnum resolves each projected variable to its group and keeps
-// only the satellites that contribute a projected column — ignored
-// groups affect multiplicity alone, which DISTINCT erases, so their
-// fanout is never walked. Unbound variables must have been rejected by
-// the caller.
-func newFactEnum(f *FactorizedRelation, vars []string) *factEnum {
-	e := &factEnum{
-		f:       f,
-		groups:  make([]int, len(vars)),
-		cols:    make([]int, len(vars)),
-		ki:      make([]int, len(vars)),
-		scratch: make([]rdf.TermID, len(vars)),
-	}
-	keptSet := map[int]bool{}
-	for i, v := range vars {
-		g, c := f.colRef(v)
-		if c < 0 {
-			continue
-		}
-		e.groups[i], e.cols[i] = g, c
-		if g >= 0 {
-			keptSet[g] = true
-		}
-	}
-	for si := range f.sats {
-		if keptSet[si] {
-			e.kept = append(e.kept, si)
-		}
-	}
-	e.idx = make([]int64, len(e.kept))
-	for vi, g := range e.groups {
-		if g >= 0 {
-			for k, si := range e.kept {
-				if si == g {
-					e.ki[vi] = k
-					break
-				}
-			}
-		}
-	}
-	return e
-}
-
-func (e *factEnum) next() []rdf.TermID {
-	for e.i < len(e.f.spine.Rows) {
-		if !e.live {
-			row := e.f.spine.Rows[e.i]
-			for vi, g := range e.groups {
-				if g == -1 {
-					e.scratch[vi] = row[e.cols[vi]]
-				}
-			}
-			for k := range e.idx {
-				e.idx[k] = 0
-			}
-			e.live = true
-		} else {
-			// Advance the odometer; overflow moves to the next spine row.
-			k := len(e.kept) - 1
-			for k >= 0 {
-				e.idx[k]++
-				if e.idx[k] < e.f.sats[e.kept[k]].count(e.i) {
-					break
-				}
-				e.idx[k] = 0
-				k--
-			}
-			if k < 0 {
-				e.live = false
-				e.i++
-				continue
-			}
-		}
-		for vi, g := range e.groups {
-			if g >= 0 {
-				s := e.f.sats[g]
-				srow := s.rel.Rows[s.sel[int64(s.offs[e.i])+e.idx[e.ki[vi]]]]
-				e.scratch[vi] = srow[s.cols[e.cols[vi]]]
-			}
 		}
 		return e.scratch
 	}
@@ -317,7 +190,7 @@ type Stream struct {
 	eng *Engine
 	env ExecEnv
 	res *Result
-	src rowEnum
+	src *flatEnum
 
 	seen        *rowSet // nil on the dedup-free fast path
 	seenCharged int64
@@ -325,22 +198,16 @@ type Stream struct {
 	ops         int
 
 	execStart time.Time
-	trace     *TraceNode
-	// enumerated counts candidate rows pulled from the source — for a
-	// factorized root this is the partial flatten's size, surfaced as
-	// TraceNode.FlattenedRows.
-	enumerated int64
-	done       bool
-	finished   bool
+	done      bool
+	finished  bool
 }
 
 // ExecuteStream runs the plan for q and returns a Stream over the
 // distinct projected results. All join work — child evaluation, data
 // movement, the root join itself — happens before ExecuteStream
-// returns; only the final gather/dedup/projection (and, for a
-// factorized root, the flatten) is deferred to NextChunk. Metrics,
-// trace and flat-row counts are identical to ExecuteEnv's; only
-// FlattenedRows accrues as the stream drains.
+// returns; only the final gather/dedup/projection is deferred to
+// NextChunk. Metrics, trace and flat-row counts are identical to
+// ExecuteEnv's.
 func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv) (st *Stream, err error) {
 	defer resilience.CatchPanic(&err, e.inst.panicRecovered)
 	if env.Snap == nil {
@@ -368,48 +235,25 @@ func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Quer
 	vars = append([]string{}, vars...)
 	st = &Stream{eng: e, env: env, execStart: execStart}
 	var m Metrics
-	var schema []string
-	if p.Factorize && p.Alg != plan.Scan {
-		// The cost model marked the root join result-heavy: build the
-		// per-node answer graphs and flatten them lazily per chunk.
-		parts, trace, err := e.evalFactorizedRoot(ctx, p, q, env, &m)
-		if err != nil {
-			return nil, err
-		}
-		schema = parts[0].Vars()
-		if err := validateVars(vars, schema); err != nil {
-			return nil, err
-		}
-		enums := make([]rowEnum, len(parts))
-		for i, f := range parts {
-			enums[i] = newFactEnum(f, vars)
-		}
-		st.src = &multiEnum{enums: enums}
-		st.trace = trace
-		st.res = &Result{Vars: vars, Metrics: m, Trace: trace, Factorized: true, flatRows: trace.OutputRows}
-		st.res.Failovers, st.res.Degraded = env.fo.summary()
-	} else {
-		parts, _, trace, err := e.eval(ctx, p, q, env, &m, "", false)
-		if err != nil {
-			return nil, err
-		}
-		schema = parts[0].Vars
-		if err := validateVars(vars, schema); err != nil {
-			return nil, err
-		}
-		var flat int64
-		for _, r := range parts {
-			flat += int64(len(r.Rows))
-		}
-		cols := make([]int, len(vars))
-		for i, v := range vars {
-			cols[i] = parts[0].colIndex(v)
-		}
-		st.src = &flatEnum{parts: parts, cols: cols, scratch: make([]rdf.TermID, len(vars))}
-		st.trace = trace
-		st.res = &Result{Vars: vars, Metrics: m, Trace: trace, flatRows: flat}
-		st.res.Failovers, st.res.Degraded = env.fo.summary()
+	parts, _, trace, err := e.eval(ctx, p, q, env, &m, "", false)
+	if err != nil {
+		return nil, err
 	}
+	schema := parts[0].Vars
+	if err := validateVars(vars, schema); err != nil {
+		return nil, err
+	}
+	var flat int64
+	for _, r := range parts {
+		flat += int64(len(r.Rows))
+	}
+	cols := make([]int, len(vars))
+	for i, v := range vars {
+		cols[i] = parts[0].colIndex(v)
+	}
+	st.src = &flatEnum{parts: parts, cols: cols, scratch: make([]rdf.TermID, len(vars))}
+	st.res = &Result{Vars: vars, Metrics: m, Trace: trace, flatRows: flat}
+	st.res.Failovers, st.res.Degraded = env.fo.summary()
 	if !dedupFree(p, len(env.Snap.stores), vars, schema) {
 		st.seen = newRowSet(len(vars), hashRow)
 	}
@@ -448,7 +292,7 @@ func (s *Stream) NextChunk(ctx context.Context) (rows [][]rdf.TermID, err error)
 	}
 	// One upfront check per chunk keeps small streams responsive to
 	// cancellation (a disconnected consumer stops within one call); the
-	// in-loop poll below bounds the latency within huge flattens.
+	// in-loop poll below bounds the latency within huge results.
 	if err := obs.Canceled(ctx, "flatten"); err != nil {
 		return nil, err
 	}
@@ -460,7 +304,6 @@ func (s *Stream) NextChunk(ctx context.Context) (rows [][]rdf.TermID, err error)
 			s.done = true
 			break
 		}
-		s.enumerated++
 		if s.ops++; s.ops&(cancelEvery-1) == 0 {
 			if err := obs.Canceled(ctx, "flatten"); err != nil {
 				return nil, err
@@ -495,27 +338,16 @@ func (s *Stream) NextChunk(ctx context.Context) (rows [][]rdf.TermID, err error)
 	return s.chunk.Rows, nil
 }
 
-// Finish finalizes the execution's statistics — the factorized trace's
-// flatten counters and the engine instruments. It runs automatically
-// when the source drains; callers abandoning a stream early call it to
-// record what did happen. Idempotent.
+// Finish records the execution in the engine instruments. It runs
+// automatically when the source drains; callers abandoning a stream
+// early call it to record what did happen. Idempotent.
 func (s *Stream) Finish() {
 	if s.finished {
 		return
 	}
 	s.finished = true
-	if s.res.Factorized && s.trace != nil {
-		s.trace.FlattenedRows = s.enumerated
-		s.trace.DeferredFanout = s.trace.OutputRows - s.enumerated
-		if s.trace.DeferredFanout < 0 {
-			s.trace.DeferredFanout = 0
-		}
-	}
 	if s.eng.inst != nil {
 		s.eng.inst.recordExecute(time.Since(s.execStart), int(s.res.Returned), s.res.Metrics)
-		if s.res.Factorized {
-			s.eng.inst.recordFactorized(s.res.flatRows, s.enumerated)
-		}
 		s.eng.inst.recordFailovers(s.res.Failovers)
 	}
 }
@@ -523,5 +355,5 @@ func (s *Stream) Finish() {
 // Result returns the execution's statistics result (Rows is nil — the
 // rows went through NextChunk; Returned counts them). Metrics, trace
 // and plan information are valid as soon as ExecuteStream returns;
-// flatten counters and instruments are final once the stream ended.
+// Returned and the instruments are final once the stream ended.
 func (s *Stream) Result() *Result { return s.res }

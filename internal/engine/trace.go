@@ -42,10 +42,6 @@ type TraceNode struct {
 	// EstimatedCard is the optimizer's cardinality estimate, kept for
 	// estimate-vs-actual comparison.
 	EstimatedCard float64
-	// Factorized marks an operator that produced its result as an
-	// answer graph instead of flat rows. OutputRows then counts the
-	// logical (flattened) size, computed without materializing it.
-	Factorized bool
 	// Aligned marks a scan that emitted each row directly on its
 	// repartition destination (the triple group was migrated by the
 	// adaptive advisor), so the parent's scatter for this child was
@@ -73,12 +69,6 @@ type TraceNode struct {
 	// TransferredRows/Bytes remain the sum over its children.
 	ScatterRows  int64
 	ScatterBytes int64
-	// FlattenedRows is the number of candidate rows the projection
-	// actually enumerated from the answer graph (factorized root only).
-	FlattenedRows int64
-	// DeferredFanout = OutputRows − FlattenedRows: the flat rows
-	// factorization never materialized.
-	DeferredFanout int64
 	// Children mirror the plan's inputs, always in plan child order —
 	// parallel child evaluation attaches traces by index, never in
 	// completion order.
@@ -138,13 +128,9 @@ func (tr *TraceNode) Format() string {
 			fmt.Fprintf(&b, "%sscan tp%d: %s (est %.4g) max/node=%d %s time=%v%s\n",
 				indent, t.TP+1, read, t.EstimatedCard, t.MaxNodeRows, spread, t.Elapsed.Round(time.Microsecond), aligned)
 		default:
-			mark := ""
-			if t.Factorized {
-				mark = fmt.Sprintf(" factorized(deferred=%d)", t.DeferredFanout)
-			}
-			fmt.Fprintf(&b, "%s%s on ?%s: rows=%d (est %.4g) max/node=%d %s moved=%d (%dB) time=%v%s\n",
+			fmt.Fprintf(&b, "%s%s on ?%s: rows=%d (est %.4g) max/node=%d %s moved=%d (%dB) time=%v\n",
 				indent, t.Alg, t.JoinVar, t.OutputRows, t.EstimatedCard, t.MaxNodeRows, spread,
-				t.TransferredRows, t.TransferredBytes, t.Elapsed.Round(time.Microsecond), mark)
+				t.TransferredRows, t.TransferredBytes, t.Elapsed.Round(time.Microsecond))
 		}
 		for _, ch := range t.Children {
 			walk(ch, indent+"  ")
@@ -251,11 +237,6 @@ func (tr *TraceNode) AttachSpans(parent *obs.Span) {
 	}
 	if tr.Aligned {
 		s.SetAttr("aligned", "true")
-	}
-	if tr.Factorized {
-		s.SetAttr("factorized", "true")
-		s.SetAttrInt("flattened_rows", tr.FlattenedRows)
-		s.SetAttrInt("deferred_fanout", tr.DeferredFanout)
 	}
 	parent.Attach(s)
 	for _, ch := range tr.Children {

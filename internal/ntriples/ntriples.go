@@ -88,7 +88,16 @@ func parseTerm(s string) (term, rest string, err error) {
 		if end < 0 {
 			return "", "", fmt.Errorf("unterminated IRI")
 		}
-		return s[1:end], s[end+1:], nil
+		iri := s[1:end]
+		// Dictionary terms tell literals by their leading quote, so an
+		// IRI holding one would be written back as a literal. The other
+		// characters N-Triples forbids in an IRI are let through: this
+		// reader is a pragmatic subset, and a full check would cost a
+		// scalar pass over every IRI of a load.
+		if strings.IndexByte(iri, '"') >= 0 {
+			return "", "", fmt.Errorf("IRI contains '\"'")
+		}
+		return iri, s[end+1:], nil
 	case '"':
 		i := 1
 		for i < len(s) {

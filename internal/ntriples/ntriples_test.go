@@ -67,6 +67,7 @@ func TestReadErrors(t *testing.T) {
 	}{
 		{"missing dot", `<a> <p> <b>`},
 		{"unterminated iri", `<a <p> <b> .`},
+		{"quote in iri", `<a> <p> <"b> .`},
 		{"unterminated literal", `<a> <p> "oops .`},
 		{"garbage term", `<a> <p> ??? .`},
 		{"too few terms", `<a> <p> .`},

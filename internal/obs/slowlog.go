@@ -20,14 +20,10 @@ type SlowQueryEntry struct {
 	Duration time.Duration
 	// Rows is the result size (0 on error).
 	Rows int
-	// FlatRows is the root operator's logical (pre-dedup, pre-
-	// projection) output size; on a factorized run it was counted, not
-	// materialized. A large FlatRows/Rows ratio flags the result-heavy
-	// queries factorization targets.
+	// FlatRows is the root operator's (pre-dedup, pre-projection)
+	// output size. A large FlatRows/Rows ratio flags a query whose
+	// root materializes many rows that deduplication then drops.
 	FlatRows int64
-	// Factorized reports that the run used the factorized
-	// (answer-graph) execution path.
-	Factorized bool
 	// ShuffledRows is the run's total cross-node row movement;
 	// ShuffledBytes its wire volume. Surfaced here (not only as trace
 	// span attrs) so operators and the adaptive-repartitioning advisor
@@ -64,10 +60,7 @@ func (e SlowQueryEntry) String() string {
 	case e.Err != "":
 		fmt.Fprintf(&b, " ERROR %q", e.Err)
 	default:
-		fmt.Fprintf(&b, " rows=%d", e.Rows)
-	}
-	if e.Factorized {
-		fmt.Fprintf(&b, " factorized(flat_rows=%d)", e.FlatRows)
+		fmt.Fprintf(&b, " rows=%d flat_rows=%d", e.Rows, e.FlatRows)
 	}
 	if e.Err == "" {
 		fmt.Fprintf(&b, " shuffled=%d rows/%d B", e.ShuffledRows, e.ShuffledBytes)

@@ -9,14 +9,13 @@ import (
 
 // jsonNode is the serialized form of a plan operator.
 type jsonNode struct {
-	Alg       string      `json:"alg"`
-	TP        *int        `json:"tp,omitempty"`
-	JoinVar   string      `json:"joinVar,omitempty"`
-	Card      float64     `json:"card"`
-	Factorize bool        `json:"factorize,omitempty"`
-	OpCost    float64     `json:"opCost"`
-	Cost      float64     `json:"cost"`
-	Children  []*jsonNode `json:"children,omitempty"`
+	Alg      string      `json:"alg"`
+	TP       *int        `json:"tp,omitempty"`
+	JoinVar  string      `json:"joinVar,omitempty"`
+	Card     float64     `json:"card"`
+	OpCost   float64     `json:"opCost"`
+	Cost     float64     `json:"cost"`
+	Children []*jsonNode `json:"children,omitempty"`
 }
 
 var algNames = map[Algorithm]string{
@@ -34,12 +33,11 @@ func (n *Node) MarshalJSON() ([]byte, error) {
 
 func toJSON(n *Node) *jsonNode {
 	j := &jsonNode{
-		Alg:       algNames[n.Alg],
-		JoinVar:   n.JoinVar,
-		Card:      n.Card,
-		Factorize: n.Factorize,
-		OpCost:    n.OpCost,
-		Cost:      n.Cost,
+		Alg:     algNames[n.Alg],
+		JoinVar: n.JoinVar,
+		Card:    n.Card,
+		OpCost:  n.OpCost,
+		Cost:    n.Cost,
 	}
 	if n.Alg == Scan {
 		tp := n.TP
@@ -78,7 +76,7 @@ func fromJSON(j *jsonNode) (*Node, error) {
 	if !found {
 		return nil, fmt.Errorf("plan: unknown algorithm %q", j.Alg)
 	}
-	n := &Node{Alg: alg, JoinVar: j.JoinVar, Card: j.Card, Factorize: j.Factorize, OpCost: j.OpCost, Cost: j.Cost}
+	n := &Node{Alg: alg, JoinVar: j.JoinVar, Card: j.Card, OpCost: j.OpCost, Cost: j.Cost}
 	if alg == Scan {
 		if j.TP == nil {
 			return nil, fmt.Errorf("plan: scan without tp")

@@ -61,14 +61,6 @@ type Node struct {
 	Children []*Node
 	// Card is the estimated output cardinality.
 	Card float64
-	// Factorize marks a join whose estimated fanout cleared the cost
-	// model's factorization gate (cost.Params.ShouldFactorize): the
-	// engine represents its result as a factorized answer graph —
-	// shared column groups with link vectors — instead of flattened
-	// rows. Advisory only: it never changes Cost or Card, and the
-	// engine applies it where the representation pays (the plan root,
-	// whose result feeds projection).
-	Factorize bool
 	// OpCost is the cost of this operator alone (Eq. 4).
 	OpCost float64
 	// Cost is the cumulative plan cost (Eq. 3):
@@ -95,11 +87,10 @@ func NewJoin(alg Algorithm, joinVar string, children []*Node, card float64, p co
 	}
 	var set bitset.TPSet
 	inputs := make([]float64, len(children))
-	maxChild, sumIn := 0.0, 0.0
+	maxChild := 0.0
 	for i, ch := range children {
 		set = set.Union(ch.Set)
 		inputs[i] = ch.Card
-		sumIn += ch.Card
 		if ch.Cost > maxChild {
 			maxChild = ch.Cost
 		}
@@ -114,14 +105,13 @@ func NewJoin(alg Algorithm, joinVar string, children []*Node, card float64, p co
 		op = p.Repartition(inputs, card)
 	}
 	return &Node{
-		Set:       set,
-		Alg:       alg,
-		JoinVar:   joinVar,
-		Children:  children,
-		Card:      card,
-		Factorize: p.ShouldFactorize(sumIn, card),
-		OpCost:    op,
-		Cost:      maxChild + op,
+		Set:      set,
+		Alg:      alg,
+		JoinVar:  joinVar,
+		Children: children,
+		Card:     card,
+		OpCost:   op,
+		Cost:     maxChild + op,
 	}
 }
 

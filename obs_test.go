@@ -182,7 +182,8 @@ func metricValue(t *testing.T, text, name string) float64 {
 // — metrics, tracing, slow-query log and the plan cache — and checks
 // every artifact: the exposition parses and counts the runs, each
 // trace covers the serving phases down to per-operator cardinalities,
-// and the slow-query log retains per-phase timings for every query.
+// and the slow-query log retains per-phase timings and the root's
+// flat-row count for every query.
 func TestObservabilityEndToEnd(t *testing.T) {
 	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1, Compact: true})
 	sys, err := Open(ds, WithNodes(4), WithPlanCache(64),
@@ -191,12 +192,15 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	// flat[i] is run i's root flat-row count, for the slow-log check.
+	var flat []int64
 	for _, name := range lubm.QueryNames {
 		var tr *Trace
 		out, err := sys.Run(ctx, lubm.QueryText(name), WithTraceSink(func(t *Trace) { tr = t }))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		flat = append(flat, out.FlatRowCount())
 		if tr == nil {
 			t.Fatalf("%s: no trace delivered", name)
 		}
@@ -243,9 +247,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	// Warm repeat: served from the cache, trace says so.
 	var warm *Trace
-	if _, err := sys.Run(ctx, lubm.QueryText("L2"), WithTraceSink(func(t *Trace) { warm = t })); err != nil {
+	out, err := sys.Run(ctx, lubm.QueryText("L2"), WithTraceSink(func(t *Trace) { warm = t }))
+	if err != nil {
 		t.Fatal(err)
 	}
+	flat = append(flat, out.FlatRowCount())
 	if outcome, _ := warm.Find("cache_lookup").Attr("outcome"); outcome != "hit" {
 		t.Errorf("warm run cache_lookup outcome = %q, want hit", outcome)
 	}
@@ -274,12 +280,20 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if len(entries) != int(runs) {
 		t.Fatalf("slow-query log has %d entries, want %g", len(entries), runs)
 	}
-	for _, e := range entries {
+	for i, e := range entries {
 		if len(e.Phases) == 0 {
 			t.Errorf("slow-query entry %q has no phase timings", e.Query)
 		}
 		if e.Err == "" && e.Duration <= 0 {
 			t.Errorf("slow-query entry %q has non-positive duration", e.Query)
+		}
+		// Entries come newest first; the log line carries the flat count.
+		want := flat[len(flat)-1-i]
+		if e.FlatRows != want {
+			t.Errorf("slow-query entry %q: flat rows %d, result counted %d", e.Query, e.FlatRows, want)
+		}
+		if s := e.String(); !strings.Contains(s, fmt.Sprintf(" flat_rows=%d", want)) {
+			t.Errorf("slow-query line lacks flat_rows=%d: %s", want, s)
 		}
 	}
 
@@ -292,6 +306,58 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	if scanned, _ := scan.Find("stats").Attr("scanned"); scanned != "1" {
 		t.Errorf("variable-predicate query: stats span scanned = %q, want 1:\n%s", scanned, scan.Format())
+	}
+}
+
+// TestFactorizedServingPath serves L2 through the full serving stack on
+// the one flat path, which now carries every root join, including those
+// the removed answer-graph root would have deferred. With the slow log
+// on, the rows must equal the reference, the flat-row count must match
+// a plain system's and bound the distinct rows, and the slow-log entry
+// must record that count and print it.
+func TestFactorizedServingPath(t *testing.T) {
+	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1, Compact: true})
+	plain, err := Open(ds, WithNodes(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged, err := Open(ds, WithNodes(4), WithObservability(WithSlowQueryLog(64, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	src := lubm.QueryText("L2")
+
+	want, err := plain.Run(ctx, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := logged.Run(ctx, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Reference(ds, mustParse(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, "L2 with slow log", got, ref)
+	if got.FlatRowCount() < int64(len(got.Rows)) {
+		t.Errorf("flat count %d below distinct rows %d", got.FlatRowCount(), len(got.Rows))
+	}
+	if got.FlatRowCount() != want.FlatRowCount() {
+		t.Errorf("flat count %d with slow log, %d without", got.FlatRowCount(), want.FlatRowCount())
+	}
+
+	entries := logged.SlowQueries()
+	if len(entries) == 0 {
+		t.Fatal("slow-query log empty")
+	}
+	e := entries[0]
+	if e.FlatRows != got.FlatRowCount() {
+		t.Errorf("slow-log flat rows %d, result counted %d", e.FlatRows, got.FlatRowCount())
+	}
+	if s := e.String(); !strings.Contains(s, fmt.Sprintf(" flat_rows=%d", got.FlatRowCount())) {
+		t.Errorf("slow-log line lacks flat_rows=%d: %s", got.FlatRowCount(), s)
 	}
 }
 

@@ -211,7 +211,6 @@ func (f *finalizer) finish(res *ExecResult, err error) {
 			} else {
 				e.Rows = int(res.RowCount())
 				e.FlatRows = res.FlatRowCount()
-				e.Factorized = res.Factorized
 				e.ShuffledRows = res.ShuffledRows()
 				e.ShuffledBytes = res.ShuffledBytes()
 				e.CacheHit = res.CacheInfo.Hit
@@ -328,8 +327,8 @@ const collectChargeStep = 64 * 1024
 
 // collect drains the cursor into a materialized, lexicographically
 // sorted row set — Run's epilogue. The retained rows are charged to
-// the call's gauge under "flatten" (the site the materializing
-// factorized path always used), so Run keeps its memory-budget
+// the call's gauge under "flatten" (the site engine.ExecuteEnv charges
+// too), so Run keeps its memory-budget
 // semantics: a result too big for the per-query budget fails with a
 // *BudgetError even though the stream underneath would have coped.
 func (r *Rows) collect() (*ExecResult, error) {

@@ -255,7 +255,7 @@ func AlgorithmByName(name string) (Algorithm, bool) {
 //
 //   - Option configures a System for its lifetime and is passed to
 //     Open: data placement (WithMethod, WithNodes), execution shape
-//     (WithParallelism, WithFactorization, WithCostParams), serving
+//     (WithParallelism, WithCostParams), serving
 //     infrastructure (WithPlanCache, WithAdmissionControl,
 //     WithMemoryBudget, WithAdaptivePartitioning)
 //     and observability (WithObservability, WithWriteFaultInjection).
@@ -391,18 +391,6 @@ func WithCostParams(p CostParams) Option { return func(c *openConfig) { c.params
 // goroutine. Results and metrics are identical at every setting — the
 // knob only changes wall time.
 func WithParallelism(p int) Option { return func(c *openConfig) { c.parallelism = p } }
-
-// WithFactorization sets the factorized-execution fanout gate: a root
-// join whose estimated output exceeds fanout times the sum of its
-// input cardinalities runs on the factorized (answer-graph) path,
-// which represents the result as shared column groups with link
-// vectors and flattens only at projection. Results, plans and metrics
-// are identical either way; only the intermediate representation (and
-// its memory footprint) changes. fanout <= 0 disables factorization;
-// the default is cost.Default's gate (4).
-func WithFactorization(fanout float64) Option {
-	return func(c *openConfig) { c.params.FactorizeFanout = fanout }
-}
 
 // WithPlanCache enables the serving-path plan cache with capacity for
 // (at least) n query fingerprints; n <= 0 (the default) disables

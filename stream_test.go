@@ -120,40 +120,6 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunStreamMatchesRunFactorized repeats the bit-identity check
-// with an aggressive factorization gate, so the stream's lazy
-// flattening of answer-graph roots is on the line.
-func TestRunStreamMatchesRunFactorized(t *testing.T) {
-	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1, Compact: true})
-	sys, err := Open(ds, WithNodes(4), WithFactorization(0.25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	var sawFactorized bool
-	for _, name := range lubm.QueryNames {
-		q := lubm.Query(name)
-		want, err := sys.RunQuery(context.Background(), q)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		rows, err := sys.RunStreamQuery(context.Background(), q)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got := drainSorted(t, rows)
-		if !equalRowSets(got, want.Rows) {
-			t.Errorf("%s: factorized stream and Run disagree (%d vs %d rows)", name, len(got), len(want.Rows))
-		}
-		if res := rows.Result(); res != nil && res.Factorized {
-			sawFactorized = true
-		}
-	}
-	if !sawFactorized {
-		t.Error("no query took the factorized path; the gate is not exercising lazy flattening")
-	}
-}
-
 // TestStreamBoundedMemory is the memory acceptance test: a result too
 // big for the per-query budget fails the materializing path with a
 // typed budget error, and streams to completion on RunStream under the
