@@ -45,7 +45,9 @@ race:
 # stars merging the leaves' sorted ranges — all against a brute-force
 # oracle;
 # TestDeterminismScanDeadSet: deaths a scan discovers itself, all known
-# before any failover read) and the per-node helper's table
+# before any failover read; TestDeterminismBroadcastMerge: broadcast and
+# repartition joins merging sorted inputs, against the hash fold over
+# the same inputs) and the per-node helper's table
 # (TestFanOut) ride the same run. The second line pins the served plan
 # end to end: the exact scan, transfer and join counts of L1–L10 and
 # two point reads must not move with GOMAXPROCS.
@@ -92,7 +94,8 @@ bench:
 # store build (LUBM-10 under hash-so through engine.New, with
 # allocations — a build-time regression shows here too), of the local
 # star joins (L7's and L8's ?x stars at LUBM-10, merged and folded, with
-# allocations) plus a quick pass
+# allocations), of the broadcast joins (L8's two and L10's on ?z at
+# LUBM-10, merged and folded, with allocations) plus a quick pass
 # of the adaptive-repartitioning and node-failover experiments: catches
 # compile or runtime breakage in the bench harnesses without measuring
 # anything (their output shows whether every round stayed bit-identical
@@ -106,6 +109,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkCollectTracked -benchtime=1x ./internal/stats
 	$(GO) test -run='^$$' -bench=BenchmarkStoreBuild -benchtime=1x ./internal/engine
 	$(GO) test -run='^$$' -bench=BenchmarkStarJoin -benchtime=1x ./internal/engine
+	$(GO) test -run='^$$' -bench=BenchmarkBroadcastJoin -benchtime=1x ./internal/engine
 	$(GO) run ./cmd/benchrunner -experiment adaptive -quick
 	$(GO) run ./cmd/benchrunner -experiment failover -quick
 
@@ -127,15 +131,18 @@ serve-smoke:
 	$(GO) test -race -run TestServeSmoke -count=2 ./internal/httpd
 
 # Short fuzzing passes over the SPARQL parser, the N-Triples reader,
-# the plan-cache fingerprinter and the result encoder (held to
-# encoding/json byte for byte), seeded from the checked-in corpora and
-# the tests' own seeds. 5 s each: enough to replay the corpus and
+# the plan-cache fingerprinter, the result encoder (held to
+# encoding/json byte for byte) and the HTTP request decoder (methods,
+# media types, Accept headers, parameters and bodies: a typed rejection
+# or a request bounded exactly as asked), seeded from the checked-in
+# corpora and the tests' own seeds. 5 s each: enough to replay the corpus and
 # mutate a little, fast enough for the gate.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=5s ./internal/sparql
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=5s ./internal/ntriples
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalize$$' -fuzztime=5s ./internal/querygraph
 	$(GO) test -run='^$$' -fuzz='^FuzzEncodeTerm$$' -fuzztime=5s ./internal/httpd
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=5s ./internal/httpd
 
 # The paper reproduction at full scale: Tables III–VII, Figs. 6–8, the
 # pruning-rule ablation and the two cost-model checks, under the

@@ -784,12 +784,15 @@ func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query
 // k−1 smaller inputs for broadcast, a hash scatter on the join
 // variable for repartition — returning per node the list of relations
 // that node's join consumes. Transfer accounting lands in m and in the
-// operator's trace tr.
+// operator's trace tr. Every input that moves arrives deduplicated and
+// sorted on the join variable: a broadcast's gathered inputs are sorted
+// once and shared read-only by every node, and a scatter's buckets are
+// sorted as they are deduplicated.
 //
 // The Scan children of a local join and the Scan child a broadcast join
 // leaves in place are opened but not read: they come back in leaves,
-// with nil relations on the nodes still unread, for the fold to read,
-// probe or merge (see joinAll and starMerge). A child that has to move
+// with nil relations on the nodes still unread, for the join to read,
+// probe or merge (see joinAll and sortedJoin). A child that has to move
 // is read in full first, so data movement is what it always was.
 func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time) (foldInputs, error) {
 	var in foldInputs
@@ -823,16 +826,20 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 	case plan.BroadcastJoin:
 		// Find the largest input by total row count.
 		largest, largestSize := 0, int64(-1)
+		cols := make([]int, len(children))
 		for i := range children {
 			if sizes[i] > largestSize {
 				largest, largestSize = i, sizes[i]
 			}
+			if cols[i] = slices.Index(inputVars(children[i][0], leaves[i]), p.JoinVar); cols[i] < 0 {
+				return in, fmt.Errorf("engine: broadcast variable ?%s missing from input %d", p.JoinVar, i)
+			}
 		}
-		// Gather and dedupe each small input (replicated fragments may
-		// hold the same row on several nodes). The gathers are
-		// independent per child, so they run under the subtree-
-		// parallelism bound; the transfer accounting is summed in child
-		// order afterwards.
+		// Gather each small input, then deduplicate it by sorting it on the
+		// join column (replicated fragments may hold the same row on
+		// several nodes). The gathers are independent per child, so they
+		// run under the subtree-parallelism bound; the transfer accounting
+		// is summed in child order afterwards.
 		gathered := make([]*Relation, len(children))
 		moved := make([]int64, len(children))
 		var order []int
@@ -856,7 +863,7 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 			for _, f := range frags {
 				g.Rows = append(g.Rows, f.Rows...)
 			}
-			g.dedup()
+			g.dedupOn(cols[i])
 			// Every row ships to every node holding the largest input.
 			gathered[i] = g
 			moved[i] = int64(len(g.Rows)) * int64(n)
@@ -868,7 +875,7 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 				return in, err
 			}
 		}
-		// The fold sees the largest input first, then the replicated ones
+		// The join sees the largest input first, then the replicated ones
 		// — each present in full on every node.
 		small := make([]*Relation, 0, len(children)-1)
 		in.leaves = make([]*scanLeaf, len(children))
@@ -952,7 +959,16 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 	return in, nil
 }
 
-// foldInputs is what a join operator's per-node folds consume, input by
+// inputVars returns an input's variables: its scan leaf's, or those of
+// its relation on node 0.
+func inputVars(rel *Relation, leaf *scanLeaf) []string {
+	if leaf != nil {
+		return leaf.bp.vars
+	}
+	return rel.Vars
+}
+
+// foldInputs is what a join operator's per-node joins consume, input by
 // input in one order on every node: rels[node] are the node's input
 // relations, nil where leaves holds the input's scan leaf and that
 // node's read has not been performed; sizes are the inputs' cluster-
@@ -965,10 +981,12 @@ type foldInputs struct {
 
 // joinOp runs one k-way join operator: per-node inputs
 // from joinInputs, then a join on every node, materializing each node's
-// result as a flat row arena. A local join whose inputs are all scan
-// leaves orderable on its variable merges their sorted ranges on every
-// node where none of them was read (starMerge); every other node and
-// operator folds hash joins (joinAll).
+// result as a flat row arena. Broadcast and repartition joins merge their
+// sorted inputs on every node (sortedJoin). So does a local join whose
+// inputs are all scan leaves orderable on its variable, on every node
+// where none of them was read; every other node and local join folds
+// hash joins (joinAll): mostly local subqueries joining on several
+// variables at once; DESIGN.md §8 says why those still fold.
 func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time) ([]*Relation, error) {
 	in, err := e.joinInputs(ctx, p, q, env, m, tr, start)
 	if err != nil {
@@ -976,17 +994,11 @@ func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env 
 	}
 	vars := make([][]string, len(in.sizes))
 	for i, r := range in.rels[0] {
-		if in.leaves[i] != nil {
-			vars[i] = in.leaves[i].bp.vars
-		} else {
-			vars[i] = r.Vars
-		}
+		vars[i] = inputVars(r, in.leaves[i])
 	}
 	order, schema := foldOrder(vars, in.sizes)
-	var merge *starMerge
-	if p.Alg == plan.LocalJoin {
-		merge = newStarMerge(in.leaves, order, schema, p.JoinVar)
-	}
+	local := p.Alg == plan.LocalJoin
+	merge := newSortedJoin(vars, in.leaves, order, schema, p.JoinVar, local)
 	site := opName(p.Alg)
 	out := make([]*Relation, len(env.Snap.stores))
 	var joined int64
@@ -1002,8 +1014,8 @@ func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env 
 		env.Faults.PanicIf(faultinject.EnginePanic)
 		var r *Relation
 		var err error
-		if merge != nil && merge.unread(node) {
-			r, err = merge.join(ctx, env.Gauge, site, node)
+		if merge != nil && (!local || merge.unread(node)) {
+			r, err = merge.join(ctx, env.Gauge, site, node, in.rels[node])
 		} else {
 			r, err = joinAll(ctx, env.Gauge, site, node, in.rels[node], in.leaves, order, schema)
 		}
@@ -1029,7 +1041,8 @@ func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env 
 
 // scatter hashes one input's rows to their destination nodes. A first
 // counting pass sizes each bucket's arena exactly, the second copies
-// rows; every bucket is deduplicated before the join. Bucket arenas
+// rows; every bucket is deduplicated by sorting it on the join column,
+// so it reaches the join in key order. Bucket arenas
 // are charged to the query's gauge before the copy, so a shuffle that
 // would blow the budget fails before materializing.
 func (e *Engine) scatter(ctx context.Context, frags []*Relation, col int, env ExecEnv) ([]*Relation, int64, error) {
@@ -1077,7 +1090,7 @@ func (e *Engine) scatter(ctx context.Context, frags []*Relation, col int, env Ex
 		}
 	}
 	for b := range buckets {
-		buckets[b].dedup()
+		buckets[b].dedupOn(col)
 	}
 	return buckets, moved, nil
 }

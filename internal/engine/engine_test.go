@@ -115,7 +115,7 @@ func equalResults(t *testing.T, got, want *Result, label string) {
 }
 
 // optimizeFor builds a plan for q over ds with real collected stats.
-func optimizeFor(t *testing.T, ds *rdf.Dataset, q *sparql.Query, m partition.Method, algo opt.Algorithm) *opt.Result {
+func optimizeFor(t testing.TB, ds *rdf.Dataset, q *sparql.Query, m partition.Method, algo opt.Algorithm) *opt.Result {
 	t.Helper()
 	views, err := querygraph.Build(q)
 	if err != nil {

@@ -20,9 +20,10 @@ import (
 // broadcast join is opened lazily instead: every node is gated and the
 // exact size of its read is taken from the candidate ranges' lengths,
 // but no row is copied until the parent's fold on that node asks for
-// the relation (read) — and it may never ask, looking the rows it
-// already holds up in the index instead (probe), or intersecting the
-// leaf's sorted ranges with its siblings' (merge; see starMerge).
+// the relation (read) — and it may never ask, intersecting the leaf's
+// sorted ranges with its siblings' (merge; see sortedJoin), or, in a
+// local join that folds, looking the rows it already holds up in the
+// index instead (probe).
 type scanLeaf struct {
 	snap  *Snap
 	bp    boundPattern

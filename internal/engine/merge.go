@@ -10,69 +10,98 @@ import (
 	"sparqlopt/internal/resilience"
 )
 
-// starMerge is a local join over scan leaves answered the way RDF-3X
-// answers a star: every leaf's candidates are taken as ranges sorted on
-// the join variable — its base range and one per delta chunk — and the
-// leaves are intersected on that variable by galloping seeks, leapfrog
-// style, instead of being read into arenas, hashed and probed. For each
-// key present in every leaf the join emits the cross product of the
-// leaves' key groups, checking any other variable two leaves share for
-// equality, in foldOrder's schema: the node's output is the multiset the
-// hash fold over its reads returns.
+// sortedJoin is a join operator's per-node join over inputs sorted on its
+// join variable, answered the way RDF-3X answers a join: the inputs are
+// intersected on that variable by galloping seeks, leapfrog style, and
+// nothing is hashed. An input is walked as one of two kinds of sorted
+// run. A scan leaf that can be ordered on the variable (see orderedOn)
+// is never read: its runs are its candidate ranges, its base range and
+// one per delta chunk. A relation — a broadcast's gathered input, a
+// scatter bucket, a merge's output — is a run when it is sorted on the
+// variable (see Relation.sortedOn).
 //
-// Postings are counted the way a probe counts them — the entries of the
-// ranges the join takes rows from, not the ones a search steps over: a
-// merge touches, per leaf, the entries of the key groups whose key
-// occurs in every leaf's runs on the node.
-type starMerge struct {
-	inputs []mergeInput // in fold order
+// At most one input per node may be out of key order: a relation not
+// sorted on the variable, or a leaf that had to be read (a pattern no
+// permutation orders on it, a read that failed over). That input drives:
+// each of its rows looks its key up in the other, sorted inputs. Any
+// further unordered input is sorted on the node first.
+//
+// For each key present in every input the join emits the cross product
+// of the inputs' key groups, checking any other variable two inputs share
+// for equality, in foldOrder's schema: the node's output is the multiset
+// the hash fold over the same inputs returns. Without a driver it comes
+// out sorted on the join variable.
+//
+// A leaf's postings are counted the way a probe counts them — the entries
+// of the ranges the join takes rows from, not the ones a search steps
+// over: a leapfrog touches, per leaf, the entries of the key groups whose
+// key occurs in every input on the node.
+type sortedJoin struct {
+	inputs []joinInput // in fold order
 	schema []string
+	key    string
 }
 
-// mergeInput is one leaf as the merge walks it.
-type mergeInput struct {
-	leaf *scanLeaf
-	p    perm
-	comp int // where the join variable stands: compS or compO
+// joinInput is one input as the join walks it.
+type joinInput struct {
+	idx  int       // the input's index in the operator's inputs
+	leaf *scanLeaf // the input's scan leaf, nil for a relation
+	// ranges marks a leaf walked through its sorted ranges: permutation p
+	// orders them on triple component comp (compS or compO).
+	ranges bool
+	p      perm
+	comp   int
 	// delta is the leaf's range in every delta chunk holding candidates;
 	// the chunks are on every node, so it is shared by all of them.
 	delta [][]rdf.Triple
-	// set lists the schema columns the leaf binds first, check the ones an
-	// earlier leaf bound and the leaf's triple must agree with.
+	// col is the join variable's column in the input's rows.
+	col int
+	// set lists the schema columns the input binds first, check the ones
+	// an earlier input bound and the input's rows must agree with, each
+	// with the input's column that binds it; comps maps those columns to
+	// triple components when the input's ranges are walked.
 	set, check []colComp
+	comps      [3]int
 }
 
-// colComp maps a schema column to the triple component that binds it.
+// colComp maps a schema column to the input column that binds it.
 type colComp struct{ col, comp int }
 
-// newStarMerge returns the merge for a local join on joinVar over leaves
-// (folded in order, under schema; see foldOrder), or nil when an input is
-// not a lazily opened leaf or its pattern cannot be ordered on joinVar
-// (see orderedOn). The choice follows from structure alone.
-func newStarMerge(leaves []*scanLeaf, order []int, schema []string, joinVar string) *starMerge {
-	m := &starMerge{inputs: make([]mergeInput, len(order)), schema: schema}
+// newSortedJoin returns the join on key over inputs with the given
+// variables (folded in order, under schema; see foldOrder), where
+// leaves[i] is input i's lazily opened scan leaf or nil. It returns nil
+// when an input lacks key, or with leavesOnly when an input is not a leaf
+// orderable on key — a local join merges only then. The choice follows
+// from structure alone.
+func newSortedJoin(vars [][]string, leaves []*scanLeaf, order []int, schema []string, key string, leavesOnly bool) *sortedJoin {
+	s := &sortedJoin{inputs: make([]joinInput, len(order)), schema: schema, key: key}
 	bound := make([]bool, len(schema))
 	for d, i := range order {
-		l := leaves[i]
-		if l == nil {
+		in := joinInput{idx: i, leaf: leaves[i], col: slices.Index(vars[i], key)}
+		if in.col < 0 {
 			return nil
 		}
-		bp := &l.bp
-		p, comp, ok := bp.orderedOn(slices.Index(bp.vars, joinVar))
-		if !ok {
+		if l := in.leaf; l != nil {
+			in.p, in.comp, in.ranges = l.bp.orderedOn(in.col)
+		}
+		if leavesOnly && !in.ranges {
 			return nil
 		}
-		in := mergeInput{leaf: l, p: p, comp: comp}
-		for _, st := range l.snap.delta {
-			if r := st.rangeIn(bp, p); len(r) > 0 {
-				in.delta = append(in.delta, r)
+		if in.ranges {
+			for _, st := range in.leaf.snap.delta {
+				if r := st.rangeIn(&in.leaf.bp, in.p); len(r) > 0 {
+					in.delta = append(in.delta, r)
+				}
+			}
+			for j := range vars[i] {
+				in.comps[j] = varComp(&in.leaf.bp, j)
 			}
 		}
-		for j, v := range bp.vars {
-			c := colComp{col: slices.Index(schema, v), comp: varComp(bp, j)}
+		for j, v := range vars[i] {
+			c := colComp{col: slices.Index(schema, v), comp: j}
 			switch {
-			case v == joinVar && d > 0:
-				// Equal by construction: every leaf sits on the same key.
+			case v == key && d > 0:
+				// Equal by construction: every input sits on the same key.
 			case bound[c.col]:
 				in.check = append(in.check, c)
 			default:
@@ -80,9 +109,9 @@ func newStarMerge(leaves []*scanLeaf, order []int, schema []string, joinVar stri
 				in.set = append(in.set, c)
 			}
 		}
-		m.inputs[d] = in
+		s.inputs[d] = in
 	}
-	return m
+	return s
 }
 
 // varComp returns the triple component binding variable column j of bp
@@ -97,10 +126,10 @@ func varComp(bp *boundPattern, j int) int {
 	return compO
 }
 
-// unread reports whether every input is still unread on node — no read
-// failed over there — which is when the merge takes the node.
-func (m *starMerge) unread(node int) bool {
-	for _, in := range m.inputs {
+// unread reports whether every leaf is still unread on node — no read
+// failed over there — which is when a local join merges the node.
+func (s *sortedJoin) unread(node int) bool {
+	for _, in := range s.inputs {
 		if in.leaf.rels[node] != nil {
 			return false
 		}
@@ -108,19 +137,35 @@ func (m *starMerge) unread(node int) bool {
 	return true
 }
 
-// mergeCursor walks one input's sorted runs on one node.
+// mergeCursor walks one input's sorted runs on one node: a leaf's triple
+// ranges, or a relation's rows.
 type mergeCursor struct {
-	in *mergeInput
-	// runs holds the unvisited rest of each run, none of them empty.
-	runs [][]rdf.Triple
-	// group holds the current key's entries, one part per run.
-	group    [][]rdf.Triple
-	postings int64
+	in *joinInput
+	// runs holds the unvisited rest of each triple range, none of them
+	// empty; group the current key's entries, one part per range.
+	runs, group [][]rdf.Triple
+	// rows is the unvisited rest of a relation's rows and keys their join
+	// column, contiguous so that a search reads no row; rowGroup is the
+	// current key's rows.
+	rows, rowGroup [][]rdf.TermID
+	keys           []rdf.TermID
+	ranges         bool
+	postings       int64
 }
 
 // seek drops every entry keyed below k and returns the smallest key
-// left; ok is false once the runs are exhausted.
+// left; ok is false once the input is exhausted.
 func (c *mergeCursor) seek(k rdf.TermID) (head rdf.TermID, ok bool) {
+	if !c.ranges {
+		if k > 0 {
+			n := firstKeyAbove(c.keys, k-1)
+			c.rows, c.keys = c.rows[n:], c.keys[n:]
+		}
+		if len(c.keys) == 0 {
+			return 0, false
+		}
+		return c.keys[0], true
+	}
 	live := c.runs[:0]
 	for _, r := range c.runs {
 		if k > 0 {
@@ -138,8 +183,13 @@ func (c *mergeCursor) seek(k rdf.TermID) (head rdf.TermID, ok bool) {
 	return head, ok
 }
 
-// take moves the entries keyed k from the runs into group.
+// take moves the entries keyed k from the runs into the group.
 func (c *mergeCursor) take(k rdf.TermID) {
+	if !c.ranges {
+		n := firstKeyAbove(c.keys, k)
+		c.rowGroup, c.rows, c.keys = c.rows[:n], c.rows[n:], c.keys[n:]
+		return
+	}
 	c.group = c.group[:0]
 	live := c.runs[:0]
 	for _, r := range c.runs {
@@ -153,6 +203,32 @@ func (c *mergeCursor) take(k rdf.TermID) {
 		}
 	}
 	c.runs = live
+}
+
+// lookup sets the group to the entries keyed k, searching the whole of
+// every run — a driver's keys come in no order — and reports whether
+// there are any.
+func (c *mergeCursor) lookup(k rdf.TermID) bool {
+	if !c.ranges {
+		lo := lowerBound(c.keys, k)
+		hi := lo
+		for hi < len(c.keys) && c.keys[hi] == k {
+			hi++
+		}
+		c.rowGroup = c.rows[lo:hi]
+		return hi > lo
+	}
+	c.group = c.group[:0]
+	for _, r := range c.runs {
+		if k > 0 {
+			r = r[firstAbove(r, c.in.comp, k-1):]
+		}
+		if n := firstAbove(r, c.in.comp, k); n > 0 {
+			c.group = append(c.group, r[:n])
+			c.postings += int64(n)
+		}
+	}
+	return len(c.group) > 0
 }
 
 // firstAbove returns the index of the first entry of ts — sorted on comp
@@ -183,35 +259,124 @@ func firstAbove(ts []rdf.Triple, comp int, k rdf.TermID) int {
 	return hi
 }
 
-// join merges node's runs of every input, charging the output to g
-// under site as it grows and polling ctx every cancelEvery seeks and
-// rows. An input without candidates on the node ends it at once — on a
-// point read, that is every node but the one or two holding the
-// constant.
-func (m *starMerge) join(ctx context.Context, g *resilience.Gauge, site string, node int) (*Relation, error) {
+// firstKeyAbove is firstAbove over a sorted key column.
+func firstKeyAbove(keys []rdf.TermID, k rdf.TermID) int {
+	if len(keys) == 0 || keys[0] > k {
+		return 0
+	}
+	lo, hi, step := 0, len(keys), 1
+	for lo+step < len(keys) {
+		if keys[lo+step] > k {
+			hi = lo + step
+			break
+		}
+		lo += step
+		step *= 2
+	}
+	for lo+1 < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keys[mid] > k {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// lowerBound returns the index of the first key not below k. The halving
+// step is arithmetic, with no data-dependent branch: a driver's keys come
+// in random order, and a mispredicted branch per halving costs more than
+// the comparison.
+func lowerBound(keys []rdf.TermID, k rdf.TermID) int {
+	base, n := 0, len(keys)
+	for n > 1 {
+		half := n >> 1
+		below := int(uint64(int64(keys[base+half-1])-int64(k)) >> 63) // 1 when the key is below k
+		base += half & -below
+		n -= half
+	}
+	if n == 1 && keys[base] < k {
+		base++
+	}
+	return base
+}
+
+// join joins node's inputs — rels[i] is input i's relation on the node,
+// nil for a leaf not read there — charging the output to g under site as
+// it grows and polling ctx every cancelEvery seeks and rows. An input
+// without rows on the node ends it at once: on a point read, that is
+// every node but the one or two holding the constant.
+func (s *sortedJoin) join(ctx context.Context, g *resilience.Gauge, site string, node int, rels []*Relation) (*Relation, error) {
+	// Every input's size on the node is known before anything is read.
 	hint := math.MaxInt
-	for _, in := range m.inputs {
-		in.leaf.merged.Store(true)
+	for _, in := range s.inputs {
+		if rel := rels[in.idx]; rel != nil {
+			hint = min(hint, len(rel.Rows))
+			continue
+		}
+		if in.ranges {
+			in.leaf.merged.Store(true)
+		}
 		hint = min(hint, in.leaf.size[node])
 	}
 	if hint == 0 {
-		return &Relation{Vars: m.schema}, nil
+		return &Relation{Vars: s.schema, sortedOn: s.key}, nil
 	}
-	j := mergeJoin{ctx: ctx, cursors: make([]mergeCursor, len(m.inputs)),
-		out: newRelation(m.schema, hint), row: make([]rdf.TermID, len(m.schema))}
-	for d := range m.inputs {
-		in := &m.inputs[d]
+	j := mergeJoin{ctx: ctx, cursors: make([]mergeCursor, len(s.inputs)), row: make([]rdf.TermID, len(s.schema))}
+	driver := -1
+	for d := range s.inputs {
+		in := &s.inputs[d]
 		c := &j.cursors[d]
 		c.in = in
-		c.runs = make([][]rdf.Triple, 0, 1+len(in.delta))
-		if r := in.leaf.snap.stores[node].rangeIn(&in.leaf.bp, in.p); len(r) > 0 {
-			c.runs = append(c.runs, r)
+		rel := rels[in.idx]
+		if in.ranges && rel == nil {
+			c.ranges = true
+			c.runs = make([][]rdf.Triple, 0, 1+len(in.delta))
+			if r := in.leaf.snap.stores[node].rangeIn(&in.leaf.bp, in.p); len(r) > 0 {
+				c.runs = append(c.runs, r)
+			}
+			c.runs = append(c.runs, in.delta...)
+			continue
 		}
-		c.runs = append(c.runs, in.delta...)
+		if rel == nil {
+			var err error
+			if rel, err = in.leaf.read(node); err != nil {
+				return nil, err
+			}
+		}
+		c.rows = rel.Rows
+		if rel.sortedOn == s.key {
+			if c.keys = rel.keys; c.keys == nil {
+				c.keys = column(c.rows, in.col)
+			}
+			continue
+		}
+		// Out of key order: the largest such input drives, the others are
+		// sorted here.
+		switch {
+		case driver < 0:
+			driver = d
+		case len(c.rows) > len(j.cursors[driver].rows):
+			prev := &j.cursors[driver]
+			prev.rows, prev.keys = keyOrder(prev.rows, prev.in.col)
+			driver = d
+		default:
+			c.rows, c.keys = keyOrder(c.rows, in.col)
+		}
 	}
-	err := j.run(g, site)
+	j.out = newRelation(s.schema, hint)
+	var err error
+	if driver < 0 {
+		j.out.sortedOn = s.key
+		err = j.leapfrog(g, site)
+	} else {
+		err = j.drive(g, site, driver)
+	}
 	for d := range j.cursors {
-		j.cursors[d].in.leaf.scanned.Add(j.cursors[d].postings)
+		if c := &j.cursors[d]; c.ranges {
+			c.in.leaf.scanned.Add(c.postings)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -219,7 +384,16 @@ func (m *starMerge) join(ctx context.Context, g *resilience.Gauge, site string, 
 	return j.out, nil
 }
 
-// mergeJoin is one node's merge in progress.
+// column returns column col of rows.
+func column(rows [][]rdf.TermID, col int) []rdf.TermID {
+	out := make([]rdf.TermID, len(rows))
+	for i, row := range rows {
+		out[i] = row[col]
+	}
+	return out
+}
+
+// mergeJoin is one node's join in progress.
 type mergeJoin struct {
 	ctx         context.Context
 	cursors     []mergeCursor // in fold order
@@ -228,9 +402,9 @@ type mergeJoin struct {
 	ops, polled int
 }
 
-// run is the leapfrog: seek every cursor to the largest key any of them
-// is on until they all agree, then emit that key's rows and step past it.
-func (j *mergeJoin) run(g *resilience.Gauge, site string) error {
+// leapfrog seeks every cursor to the largest key any of them is on until
+// they all agree, then emits that key's rows and steps past it.
+func (j *mergeJoin) leapfrog(g *resilience.Gauge, site string) error {
 	key := rdf.TermID(0)
 	for {
 		match := true
@@ -266,6 +440,34 @@ func (j *mergeJoin) run(g *resilience.Gauge, site string) error {
 	}
 }
 
+// drive walks the driver's rows in their own order, looking each row's
+// key up in every other input and emitting the row's matches.
+func (j *mergeJoin) drive(g *resilience.Gauge, site string, driver int) error {
+	drv := &j.cursors[driver]
+	rows, col := drv.rows, drv.in.col
+rows:
+	for i, row := range rows {
+		j.ops += len(j.cursors)
+		if err := j.poll(); err != nil {
+			return err
+		}
+		k := row[col]
+		for d := range j.cursors {
+			if d != driver && !j.cursors[d].lookup(k) {
+				continue rows
+			}
+		}
+		drv.rowGroup = rows[i : i+1]
+		if err := j.emit(0); err != nil {
+			return err
+		}
+		if err := j.out.chargeTo(g, site); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // emit appends the cross product of the key groups of cursors d and
 // beyond, extending the row the earlier cursors bound.
 func (j *mergeJoin) emit(d int) error {
@@ -274,21 +476,36 @@ func (j *mergeJoin) emit(d int) error {
 		j.ops++
 		return j.poll()
 	}
-	in := j.cursors[d].in
-	for _, part := range j.cursors[d].group {
+	c := &j.cursors[d]
+	in := c.in
+	for _, part := range c.group {
 	entries:
 		for _, t := range part {
-			for _, c := range in.check {
-				if component(t, c.comp) != j.row[c.col] {
+			for _, cc := range in.check {
+				if component(t, in.comps[cc.comp]) != j.row[cc.col] {
 					continue entries
 				}
 			}
-			for _, c := range in.set {
-				j.row[c.col] = component(t, c.comp)
+			for _, cc := range in.set {
+				j.row[cc.col] = component(t, in.comps[cc.comp])
 			}
 			if err := j.emit(d + 1); err != nil {
 				return err
 			}
+		}
+	}
+rows:
+	for _, r := range c.rowGroup {
+		for _, cc := range in.check {
+			if r[cc.comp] != j.row[cc.col] {
+				continue rows
+			}
+		}
+		for _, cc := range in.set {
+			j.row[cc.col] = r[cc.comp]
+		}
+		if err := j.emit(d + 1); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"sparqlopt/internal/cost"
+	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
 	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/resilience"
@@ -694,7 +695,7 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 					leaves[i], vars[i], sizes[i] = leaf, leaf.bp.vars, tr.OutputRows
 				}
 				order, schema := foldOrder(vars, sizes)
-				merge := newStarMerge(leaves, order, schema, "x")
+				merge := newSortedJoin(vars, leaves, order, schema, "x", true)
 				if (merge != nil) != st.merge {
 					t.Fatalf("%s: merge chosen = %v, want %v", id, merge != nil, st.merge)
 				}
@@ -727,6 +728,10 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 
 					var got *Relation
 					var err error
+					rels := make([]*Relation, len(leaves))
+					for i, l := range leaves {
+						rels[i] = l.rels[node]
+					}
 					if merge != nil && merge.unread(node) {
 						if dead[node] {
 							t.Errorf("%s: the merge took node %d, whose reads failed over", id, node)
@@ -751,7 +756,7 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 						for _, l := range leaves {
 							before += l.scanned.Load()
 						}
-						got, err = merge.join(ctx, nil, "local join", node)
+						got, err = merge.join(ctx, nil, "local join", node, rels)
 						var after int64
 						for _, l := range leaves {
 							after += l.scanned.Load()
@@ -768,10 +773,6 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 							t.Errorf("%s: the merge left healthy node %d", id, node)
 						}
 						sawFallback = true
-						rels := make([]*Relation, len(leaves))
-						for i, l := range leaves {
-							rels[i] = l.rels[node]
-						}
 						got, err = joinAll(ctx, nil, "local join", node, rels, leaves, order, schema)
 					}
 					if err != nil {
@@ -817,5 +818,287 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 	}
 	if !sawMerge || !sawFallback || !sawHit || !sawDelta || !sawCheck {
 		t.Errorf("table degenerate: merge=%v fallback=%v hit=%v delta=%v three-leaf=%v", sawMerge, sawFallback, sawHit, sawDelta, sawCheck)
+	}
+}
+
+// foldOracle is what a broadcast or repartition join on ?x computed
+// before it merged: every node's hash fold (joinAll) over the node's
+// inputs, with the gathered inputs and the scatter buckets deduplicated
+// by a set of printed rows and a broadcast's largest leaf left in place
+// for the fold to read or probe.
+type foldOracle struct {
+	rows     [][]string // per node, sorted
+	schema   []string
+	postings int64
+	joined   int64     // the rows the inputs' own joins produced
+	largest  int       // a broadcast's in-place input
+	leaf     *scanLeaf // the in-place input's leaf, when it is a scan
+	dups     bool      // a gathered input held one row several times
+}
+
+func newFoldOracle(ctx context.Context, e *Engine, p *plan.Node, q *sparql.Query, env ExecEnv) (*foldOracle, error) {
+	n := len(env.Snap.stores)
+	k := len(p.Children)
+	var hints []string
+	if p.Alg == plan.RepartitionJoin {
+		hints = e.alignHints(p, q, env)
+	}
+	kids := make([][]*Relation, k)
+	sizes := make([]int64, k)
+	postings := make([]int64, k)
+	var joined int64
+	for i, c := range p.Children {
+		hint := ""
+		if hints != nil {
+			hint = hints[i]
+		}
+		var m Metrics
+		rels, _, tr, err := e.eval(ctx, c, q, env, &m, hint, false)
+		if err != nil {
+			return nil, err
+		}
+		kids[i], sizes[i], postings[i] = rels, tr.OutputRows, m.ScannedTriples
+		joined += m.JoinedRows
+	}
+	o := &foldOracle{rows: make([][]string, n), joined: joined}
+	dedup := func(rows [][]rdf.TermID) [][]rdf.TermID {
+		var out [][]rdf.TermID
+		seen := map[string]bool{}
+		for _, row := range rows {
+			if key := fmt.Sprint(row); !seen[key] {
+				seen[key] = true
+				out = append(out, row)
+			}
+		}
+		return out
+	}
+	inputs := make([][]*Relation, n) // [node][input]
+	leaves := make([]*scanLeaf, k)
+	var vars [][]string
+	var in []int64
+	var leafMetrics Metrics
+	switch p.Alg {
+	case plan.BroadcastJoin:
+		for i := range sizes {
+			if sizes[i] > sizes[o.largest] {
+				o.largest = i
+			}
+		}
+		vars, in = [][]string{kids[o.largest][0].Vars}, []int64{sizes[o.largest]}
+		var gathered []*Relation
+		for i := range kids {
+			if i == o.largest {
+				continue
+			}
+			o.postings += postings[i]
+			var all [][]rdf.TermID
+			for _, r := range kids[i] {
+				all = append(all, r.Rows...)
+			}
+			g := &Relation{Vars: kids[i][0].Vars, Rows: dedup(all)}
+			o.dups = o.dups || len(g.Rows) < len(all)
+			gathered = append(gathered, g)
+			vars, in = append(vars, g.Vars), append(in, int64(len(g.Rows)*n))
+		}
+		if p.Children[o.largest].Alg == plan.Scan {
+			var err error
+			if _, o.leaf, _, err = e.eval(ctx, p.Children[o.largest], q, env, &leafMetrics, "", true); err != nil {
+				return nil, err
+			}
+			leaves[0] = o.leaf
+		} else {
+			o.postings += postings[o.largest]
+		}
+		for node := range inputs {
+			inputs[node] = append([]*Relation{kids[o.largest][node]}, gathered...)
+			if o.leaf != nil {
+				inputs[node][0] = o.leaf.rels[node]
+			}
+		}
+	case plan.RepartitionJoin:
+		in = sizes
+		for node := range inputs {
+			inputs[node] = make([]*Relation, k)
+		}
+		for i := range kids {
+			o.postings += postings[i]
+			vars = append(vars, kids[i][0].Vars)
+			col := slices.Index(kids[i][0].Vars, "x")
+			for node := range inputs {
+				if hints != nil && hints[i] != "" {
+					inputs[node][i] = kids[i][node]
+					continue
+				}
+				var bucket [][]rdf.TermID
+				for _, r := range kids[i] {
+					for _, row := range r.Rows {
+						if int(row[col])%n == node {
+							bucket = append(bucket, row)
+						}
+					}
+				}
+				inputs[node][i] = &Relation{Vars: kids[i][0].Vars, Rows: dedup(bucket)}
+			}
+		}
+	}
+	order, schema := foldOrder(vars, in)
+	o.schema = schema
+	for node := range inputs {
+		got, err := joinAll(ctx, nil, "oracle", node, inputs[node], leaves, order, schema)
+		if err != nil {
+			return nil, err
+		}
+		o.rows[node] = sortedKeys(got)
+	}
+	if o.leaf != nil {
+		o.leaf.settle(&leafMetrics)
+		o.postings += leafMetrics.ScannedTriples
+	}
+	return o, nil
+}
+
+// TestDeterminismBroadcastMerge is the oracle for the joins that move
+// data. Over random fragments with 0–3 delta chunks — every triple on two
+// or three nodes, so a gathered input holds rows several nodes shipped —
+// it runs broadcast joins on ?x with k ∈ {2, 3} inputs whose largest is
+// an orderable leaf, an unorderable one (<s> ?p ?x, a repeated
+// variable), a local join merged on ?x (a relation in key order) or on
+// another variable (out of it), and repartition joins on ?x over
+// scattered children and, under an alignment of both predicates on both
+// positions, aligned ones; pairs of inputs share a second variable. For
+// the healthy cluster and every single and double dead set, every node's
+// rows must be the multiset the hash fold over the same inputs returns
+// under the same schema (see foldOracle), the postings no more than the
+// fold's but for the delta chunks (a merge walks them on every node), no
+// leaf may be probed, and an orderable leaf left in place must be
+// merged.
+func TestDeterminismBroadcastMerge(t *testing.T) {
+	scan := func(tp int) *plan.Node { return plan.NewScan(tp, 1, cost.Default) }
+	join := func(alg plan.Algorithm, v string, children ...*plan.Node) *plan.Node {
+		return plan.NewJoin(alg, v, children, 1, cost.Default)
+	}
+	bcast := func(children ...*plan.Node) *plan.Node { return join(plan.BroadcastJoin, "x", children...) }
+	repart := func(children ...*plan.Node) *plan.Node { return join(plan.RepartitionJoin, "x", children...) }
+	cases := []struct {
+		src  string
+		plan *plan.Node
+	}{
+		{`?x ?pa ?a1 . <e1> <p> ?x`, bcast(scan(0), scan(1))},
+		{`?x ?pa ?a1 . <e1> <p> ?x . ?x <q> ?a2`, bcast(scan(0), scan(1), scan(2))},
+		{`<e1> ?pa ?x . ?x <q> <e2>`, bcast(scan(0), scan(1))},
+		{`?x ?pa ?x . <e1> <q> ?x`, bcast(scan(0), scan(1))},
+		{`?x <p> ?a1 . ?x ?pa ?a2 . <e2> <q> ?x`, bcast(join(plan.LocalJoin, "x", scan(0), scan(1)), scan(2))},
+		{`?x <p> ?a . ?a ?pa ?b . ?x <q> <e1>`, bcast(join(plan.LocalJoin, "a", scan(0), scan(1)), scan(2))},
+		{`?x <p> ?y . ?y <q> ?x`, bcast(scan(0), scan(1))},
+		{`?x ?pa ?a1 . ?x <p> ?y . ?y <q> ?x`, bcast(scan(0), scan(1), scan(2))},
+		{`?x <p> ?a1 . ?x ?pa ?a2 . ?x <p> ?y . ?y <q> ?x`, bcast(join(plan.LocalJoin, "x", scan(0), scan(1)), scan(2), scan(3))},
+		{`?x <p> ?a1 . ?a2 <q> ?x`, repart(scan(0), scan(1))},
+		{`?x <p> ?y . ?y <q> ?x`, repart(scan(0), scan(1))},
+		{`?x <p> ?a1 . ?x <q> ?a2 . ?a3 <p> ?x`, repart(scan(0), scan(1), scan(2))},
+		{`?x <p> ?a1 . ?x ?pa ?a2 . ?a3 <q> ?x`, repart(join(plan.LocalJoin, "x", scan(0), scan(1)), scan(2))},
+		{`?x ?pa ?a1 . <e1> <p> ?x`, repart(scan(0), scan(1))},
+	}
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(32))
+	saw := map[string]bool{}
+	for round := 0; round < 8; round++ {
+		fx := randomMergeFixture(r, round%4)
+		plain := fx.snap()
+		n := len(fx.base)
+		aligned := *plain
+		for _, pred := range []string{"p", "q"} {
+			id, _ := fx.dict.Lookup(pred)
+			aligned.align = aligned.align.With(partition.GroupKey{Pred: id, Pos: partition.PosS}, partition.GroupKey{Pred: id, Pos: partition.PosO})
+		}
+		deadSets := [][]int{nil}
+		for i := 0; i < n; i++ {
+			deadSets = append(deadSets, []int{i}, []int{i, (i + 1) % n})
+		}
+		for _, c := range cases {
+			q := sparql.MustParse(`SELECT * WHERE { ` + c.src + ` . }`)
+			snaps := []*Snap{plain}
+			if c.plan.Alg == plan.RepartitionJoin {
+				snaps = append(snaps, &aligned)
+			}
+			for si, snap := range snaps {
+				eng := &Engine{dict: fx.dict, fo: &FailoverPolicy{}}
+				eng.snap.Store(snap)
+				for _, deadList := range deadSets {
+					id := fmt.Sprintf("round %d: %v %s/aligned=%v/dead=%v", round, c.plan.Alg, c.src, si > 0, deadList)
+					markDead := func() *failoverState {
+						fo := &failoverState{}
+						for _, d := range deadList {
+							fo.markDead(d, "scan")
+						}
+						return fo
+					}
+					want, oerr := newFoldOracle(ctx, eng, c.plan, q, ExecEnv{Snap: snap, fo: markDead()})
+					var m Metrics
+					out, _, tr, err := eng.eval(ctx, c.plan, q, ExecEnv{Snap: snap, fo: markDead()}, &m, "", false)
+					var ue *resilience.UnavailableError
+					if errors.As(oerr, &ue) {
+						if !errors.As(err, &ue) {
+							t.Errorf("%s: err = %v, want *UnavailableError", id, err)
+						}
+						continue
+					}
+					if oerr != nil || err != nil {
+						t.Fatalf("%s: oracle: %v, join: %v", id, oerr, err)
+					}
+					joined := want.joined
+					for node := 0; node < n; node++ {
+						joined += int64(len(want.rows[node]))
+						if !slices.Equal(out[node].Vars, want.schema) || !slices.Equal(sortedKeys(out[node]), want.rows[node]) {
+							t.Errorf("%s: node %d joined to %v %v, want %v %v", id, node, out[node].Vars, sortedKeys(out[node]), want.schema, want.rows[node])
+						}
+						saw["check"] = saw["check"] || strings.Contains(c.src, "?y <q> ?x") && len(want.rows[node]) > 0
+					}
+					if m.JoinedRows != joined {
+						t.Errorf("%s: JoinedRows = %d, want %d", id, m.JoinedRows, joined)
+					}
+					// A merge walks the delta chunks' key groups on every node, where
+					// a read matches the delta once per operator: on top of the
+					// fold's postings it may touch the in-place leaf's delta
+					// candidates once more per further node.
+					bound := want.postings
+					if l := want.leaf; l != nil {
+						for _, st := range l.snap.delta {
+							bound += int64((n - 1) * len(st.candidates(&l.bp)))
+						}
+					}
+					if m.ScannedTriples > bound {
+						t.Errorf("%s: the join touched %d postings, the hash fold %d (bound %d)", id, m.ScannedTriples, want.postings, bound)
+					}
+					for i, ch := range tr.Children {
+						if ch.Probed {
+							t.Errorf("%s: input %d was probed", id, i+1)
+						}
+					}
+					saw["dups"] = saw["dups"] || want.dups
+					saw["aligned"] = saw["aligned"] || si > 0 && slices.ContainsFunc(tr.Children, func(ch *TraceNode) bool { return ch.Aligned })
+					if c.plan.Alg != plan.BroadcastJoin {
+						continue
+					}
+					if l := want.leaf; l != nil {
+						_, _, orderable := l.bp.orderedOn(slices.Index(l.bp.vars, "x"))
+						if merged := tr.Children[want.largest].Merged; merged != (orderable && len(deadList) < n) {
+							t.Errorf("%s: in-place leaf merged = %v, orderable %v", id, merged, orderable)
+						}
+						saw["ordered leaf"] = saw["ordered leaf"] || orderable
+						saw["unordered leaf"] = saw["unordered leaf"] || !orderable && !l.bp.repeated
+						saw["repeated leaf"] = saw["repeated leaf"] || l.bp.repeated
+						saw["failover leaf"] = saw["failover leaf"] || orderable && len(deadList) > 0 && joined > want.joined
+					} else {
+						key := c.plan.Children[want.largest].JoinVar
+						saw["relation on "+key] = true
+					}
+				}
+			}
+		}
+	}
+	for _, what := range []string{"check", "dups", "aligned", "ordered leaf", "unordered leaf", "repeated leaf", "failover leaf", "relation on x", "relation on a"} {
+		if !saw[what] {
+			t.Errorf("table degenerate: no case with %s", what)
+		}
 	}
 }

@@ -12,17 +12,18 @@
 // executor provides the ground truth for integration tests.
 //
 // The data plane is columnar-adjacent: a relation's rows live in one
-// flat TermID arena (row i is a slice of it), and all hashing — hash
-// joins, dedup, projection — runs on 64-bit integer hashes with
-// collision verification, never on materialized string keys. A local
-// star over scan leaves hashes nothing: it merges the leaves' sorted
-// ranges (see starMerge).
+// flat TermID arena (row i is a slice of it). Joins that move data and
+// local stars over scan leaves hash nothing: their inputs arrive sorted
+// on the join variable — leaves as sorted permutation ranges, shipped
+// relations deduplicated by a sort — and are merged (see sortedJoin).
+// What still hashes — the local folds, projection, the root's seen-set —
+// runs on 64-bit integer hashes with collision verification, never on
+// materialized string keys.
 package engine
 
 import (
 	"context"
 	"slices"
-	"sort"
 
 	"sparqlopt/internal/obs"
 	"sparqlopt/internal/rdf"
@@ -47,6 +48,17 @@ type Relation struct {
 	// reserved against a memory gauge, so repeated charges (before and
 	// after an append loop grows the arena) only pay the delta.
 	charged int64
+
+	// sortedOn names the variable the rows are ordered on, "" when no
+	// order is known: a gathered or scattered input deduplicated on its
+	// join column, or a merge's output, which comes out in key order. A
+	// parent join on that variable walks the rows as a sorted run instead
+	// of sorting or driving them (see sortedJoin).
+	sortedOn string
+	// keys is that variable's column, kept by the sort that deduplicated
+	// the rows, so that the nodes sharing a gathered input do not each
+	// read it out of the rows again; nil when no sort kept it.
+	keys []rdf.TermID
 }
 
 // chargeTo reserves this relation's storage footprint — the arena
@@ -422,7 +434,8 @@ func foldOrder(vars [][]string, sizes []int64) (order []int, schema []string) {
 const probeRatio = 8
 
 // joinAll folds node's multiway natural join in the given order (see
-// foldOrder, which also gives the output schema). An input whose
+// foldOrder, which also gives the output schema): the per-node join of a
+// local join that cannot merge (see joinOp). An input whose
 // relation is nil is a scan leaf the operator opened but did not read
 // (see scanLeaf); the fold reads it only if looking the accumulated
 // rows up in its index would not be cheaper, and once no row is left —
@@ -464,40 +477,66 @@ func joinAll(ctx context.Context, g *resilience.Gauge, site string, node int, re
 	return cur, nil
 }
 
-// dedup removes duplicate rows in place (order is canonicalized).
+// dedup removes duplicate rows and puts the rest in lexicographic order:
+// dedupOn the first column, which orders on the whole row.
 func (r *Relation) dedup() {
-	seen := make(map[uint64][]int32, len(r.Rows))
-	out := r.Rows[:0]
-	for _, row := range r.Rows {
-		h := hashRow(row)
-		dup := false
-		for _, i := range seen[h] {
-			if equalRows(out[i], row) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		seen[h] = append(seen[h], int32(len(out)))
-		out = append(out, row)
+	if len(r.Vars) == 0 {
+		// Rows without columns are all equal.
+		r.Rows = r.Rows[:min(len(r.Rows), 1)]
+		return
 	}
-	r.Rows = out
-	r.sortRows()
+	r.dedupOn(0)
 }
 
-// sortRows orders rows lexicographically for deterministic output.
-func (r *Relation) sortRows() {
-	sort.Slice(r.Rows, func(i, j int) bool {
-		a, b := r.Rows[i], r.Rows[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
+// dedupOn removes duplicate rows and orders the rest on column col, then
+// on the whole row, so that copies are neighbours and one compare with
+// the last row kept drops them. The relation is then sorted on col's
+// variable, which a parent join merging on it relies on (see sortedOn).
+func (r *Relation) dedupOn(col int) {
+	rows, keys := keyOrder(r.Rows, col)
+	n := 0 // rows kept, compacted in place
+	for lo := 0; lo < len(rows); {
+		hi := lo + 1
+		for hi < len(rows) && keys[hi] == keys[lo] {
+			hi++
+		}
+		run := rows[lo:hi]
+		if len(run) > 1 {
+			slices.SortFunc(run, slices.Compare)
+		}
+		for _, row := range run {
+			if n == 0 || !equalRows(rows[n-1], row) {
+				rows[n], keys[n] = row, keys[lo]
+				n++
 			}
 		}
-		return false
-	})
+		lo = hi
+	}
+	r.Rows, r.keys, r.sortedOn = rows[:n], keys[:n], r.Vars[col]
+}
+
+// keyOrder returns rows stably ordered on column col, and that column. It
+// sorts one integer per row — the key in the high half, the row's index
+// in the low one — instead of comparing rows, so the sort moves eight
+// bytes and calls no comparator.
+func keyOrder(rows [][]rdf.TermID, col int) ([][]rdf.TermID, []rdf.TermID) {
+	order := make([]uint64, len(rows))
+	for i, row := range rows {
+		order[i] = uint64(row[col])<<32 | uint64(i)
+	}
+	slices.Sort(order)
+	out := make([][]rdf.TermID, len(rows))
+	keys := make([]rdf.TermID, len(rows))
+	for i, o := range order {
+		out[i], keys[i] = rows[uint32(o)], rdf.TermID(o>>32)
+	}
+	return out, keys
+}
+
+// sortRows orders rows lexicographically for deterministic output. Rows
+// have equal width, so slices.Compare is the lexicographic order.
+func (r *Relation) sortRows() {
+	slices.SortFunc(r.Rows, slices.Compare)
 }
 
 // project returns the relation restricted to the named variables,

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"sparqlopt/internal/cost"
+	"sparqlopt/internal/opt"
 	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
 	"sparqlopt/internal/rdf"
@@ -85,7 +87,7 @@ func BenchmarkProbeVsRead(b *testing.B) {
 // BenchmarkStarJoin times the local joins that own the spine's
 // percentiles — L7's and L8's stars on ?x, LUBM-10 under hash-so on ten
 // nodes — both ways a node can join them: merging the leaves' sorted
-// ranges (starMerge) and the hash fold that reads, hashes and probes
+// ranges (sortedJoin) and the hash fold that reads, hashes and probes
 // them (joinAll). Every iteration opens the leaves afresh, as a query
 // does, and joins on every node.
 func BenchmarkStarJoin(b *testing.B) {
@@ -103,8 +105,8 @@ func BenchmarkStarJoin(b *testing.B) {
 		{"L8", `?x ub:takesCourse ?z . ?x rdf:type ub:UndergraduateStudent . ?x ub:advisor ?y`},
 	} {
 		q := sparql.MustParse(prefixes + "SELECT * WHERE { " + star.src + " . }")
-		open := func() (leaves []*scanLeaf, order []int, schema []string) {
-			vars := make([][]string, len(q.Patterns))
+		open := func() (leaves []*scanLeaf, vars [][]string, order []int, schema []string) {
+			vars = make([][]string, len(q.Patterns))
 			sizes := make([]int64, len(q.Patterns))
 			leaves = make([]*scanLeaf, len(q.Patterns))
 			for i := range q.Patterns {
@@ -116,13 +118,14 @@ func BenchmarkStarJoin(b *testing.B) {
 				leaves[i], vars[i], sizes[i] = leaf, leaf.bp.vars, tr.OutputRows
 			}
 			order, schema = foldOrder(vars, sizes)
-			return leaves, order, schema
+			return leaves, vars, order, schema
 		}
-		ways := map[string]func(leaves []*scanLeaf, order []int, schema []string, node int) (*Relation, error){
-			"merge": func(leaves []*scanLeaf, order []int, schema []string, node int) (*Relation, error) {
-				return newStarMerge(leaves, order, schema, "x").join(ctx, nil, "local join", node)
+		ways := map[string]func(leaves []*scanLeaf, vars [][]string, order []int, schema []string, node int) (*Relation, error){
+			"merge": func(leaves []*scanLeaf, vars [][]string, order []int, schema []string, node int) (*Relation, error) {
+				rels := make([]*Relation, len(leaves))
+				return newSortedJoin(vars, leaves, order, schema, "x", true).join(ctx, nil, "local join", node, rels)
 			},
-			"fold": func(leaves []*scanLeaf, order []int, schema []string, node int) (*Relation, error) {
+			"fold": func(leaves []*scanLeaf, vars [][]string, order []int, schema []string, node int) (*Relation, error) {
 				rels := make([]*Relation, len(leaves))
 				return joinAll(ctx, nil, "local join", node, rels, leaves, order, schema)
 			},
@@ -132,10 +135,10 @@ func BenchmarkStarJoin(b *testing.B) {
 			b.Run(star.name+"/"+way, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					leaves, order, schema := open()
+					leaves, vars, order, schema := open()
 					rows := 0
 					for node := range leaves[0].rels {
-						out, err := ways[way](leaves, order, schema, node)
+						out, err := ways[way](leaves, vars, order, schema, node)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -148,6 +151,85 @@ func BenchmarkStarJoin(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkBroadcastJoin times the broadcast joins that own warm-mix's
+// tail — L8's two and L10's on ?z, LUBM-10 under hash-so on ten nodes,
+// in the plans TD-Auto picks — both ways a node can join them: merging
+// the sorted inputs (sortedJoin) and the hash fold over the same inputs
+// (joinAll). Every iteration evaluates the join's children and gathers
+// its small inputs afresh with the timer stopped, as a query does, then
+// joins on every node.
+func BenchmarkBroadcastJoin(b *testing.B) {
+	ds := lubm.Generate(lubm.Config{Universities: 10, Seed: 1})
+	placement, err := partition.HashSO{}.Partition(ds, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := New(ds.Dict, placement)
+	env := ExecEnv{Snap: e.Snapshot()}
+	ctx := context.Background()
+	for _, name := range []string{"L8", "L10"} {
+		q := lubm.Query(name)
+		var joins []*plan.Node
+		var walk func(p *plan.Node)
+		walk = func(p *plan.Node) {
+			if p.Alg == plan.BroadcastJoin && (name == "L8" || p.JoinVar == "z") {
+				joins = append(joins, p)
+			}
+			for _, c := range p.Children {
+				walk(c)
+			}
+		}
+		walk(optimizeFor(b, ds, q, partition.HashSO{}, opt.TDAuto).Plan)
+		for _, p := range joins {
+			open := func() (in foldInputs, vars [][]string, order []int, schema []string) {
+				var m Metrics
+				start := time.Now()
+				in, err := e.joinInputs(ctx, p, q, env, &m, newTrace(p), &start)
+				if err != nil {
+					b.Fatal(err)
+				}
+				vars = make([][]string, len(in.sizes))
+				for i, r := range in.rels[0] {
+					vars[i] = inputVars(r, in.leaves[i])
+				}
+				order, schema = foldOrder(vars, in.sizes)
+				return in, vars, order, schema
+			}
+			want := -1
+			for _, way := range []string{"merge", "fold"} {
+				b.Run(fmt.Sprintf("%s/on_%s/%s", name, p.JoinVar, way), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						in, vars, order, schema := open()
+						b.StartTimer()
+						merge := newSortedJoin(vars, in.leaves, order, schema, p.JoinVar, false)
+						rows := 0
+						for node, rels := range in.rels {
+							var out *Relation
+							var err error
+							if way == "merge" {
+								out, err = merge.join(ctx, nil, "broadcast join", node, rels)
+							} else {
+								out, err = joinAll(ctx, nil, "broadcast join", node, rels, in.leaves, order, schema)
+							}
+							if err != nil {
+								b.Fatal(err)
+							}
+							rows += len(out.Rows)
+						}
+						if want < 0 {
+							want = rows
+						} else if rows != want {
+							b.Fatalf("%s joined %d rows, the other way %d", way, rows, want)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -50,16 +50,17 @@ type TraceNode struct {
 	// Postings is the index postings a scan touched: the lengths of the
 	// candidate ranges it read or looked up.
 	Postings int64
-	// Probed marks a scan whose parent join, on at least one node, looked
-	// the rows it held up in the index instead of reading the fragment;
+	// Probed marks a scan whose parent local join folded on at least one
+	// node (see joinAll) and looked the rows it held up in the index
+	// instead of reading the fragment;
 	// Bindings counts the rows that were looked up. OutputRows is then
 	// still the size of the full read — what the estimate predicted —
 	// not a count of rows produced.
 	Probed   bool
 	Bindings int64
-	// Merged marks a scan whose parent local join, on at least one node,
+	// Merged marks a scan whose parent join, on at least one node,
 	// intersected its sorted ranges with its siblings' on the join
-	// variable instead of reading the fragment (see starMerge); Postings
+	// variable instead of reading the fragment (see sortedJoin); Postings
 	// then counts the entries of the key groups the merge matched.
 	Merged bool
 	// ScatterRows/ScatterBytes attribute a parent repartition join's

@@ -88,13 +88,14 @@ func TestTraceRowCountsAreExact(t *testing.T) {
 }
 
 // TestTraceSaysHowLeafWasRead: a point read's star is merged — both
-// leaves are intersected on ?f, neither is read — and the same big leaf
-// left in place by a broadcast join is looked up, not read. The trace
-// says which: a merged leaf reports the postings of the key groups it
-// matched, a probed one its bindings and postings, both keep the full
-// read's size as OutputRows so the estimate still has something to be
-// compared with, and the leaves' postings add up to the run's
-// ScannedTriples.
+// leaves are intersected on ?f, neither is read — and so is the same big
+// leaf left in place by a broadcast join, against the one gathered row.
+// Only a local join that has to fold still looks a leaf up: there the
+// leaf is probed. The trace says which: a merged leaf reports the
+// postings of the key groups it matched, a probed one its bindings and
+// postings, both keep the full read's size as OutputRows so the estimate
+// still has something to be compared with, and the leaves' postings add
+// up to the run's ScannedTriples.
 func TestTraceSaysHowLeafWasRead(t *testing.T) {
 	ds := rdf.NewDataset()
 	ds.Add("s0", "advisor", "f7")
@@ -150,7 +151,8 @@ func TestTraceSaysHowLeafWasRead(t *testing.T) {
 	}
 
 	// A broadcast join ships the advisor leaf and leaves the big one in
-	// place: every node folds the one gathered row first and looks ?f up.
+	// place: every node merges the one gathered row with the big leaf's
+	// range on ?f, and finds f7's worksFor triple where a copy of it is.
 	bcast := plan.NewJoin(plan.BroadcastJoin, "f",
 		[]*plan.Node{plan.NewScan(0, 1, cost.Default), plan.NewScan(1, 300, cost.Default)}, 1, cost.Default)
 	got, err = e.Execute(context.Background(), bcast, q)
@@ -164,9 +166,41 @@ func TestTraceSaysHowLeafWasRead(t *testing.T) {
 	if small.Merged || small.Probed || small.Postings != small.OutputRows || small.OutputRows < 1 {
 		t.Errorf("the shipped leaf should be read in full: %+v", small)
 	}
-	// The node holding ?f's own triples finds the one worksFor triple.
-	if !big.Probed || big.Merged || big.Bindings != int64(got.Trace.Nodes) || big.Postings < 1 || big.Postings > big.Bindings || big.OutputRows != copies {
-		t.Errorf("the big leaf should be probed on every node, %d copies: %+v", copies, big)
+	if !big.Merged || big.Probed || big.Bindings != 0 || big.Postings < 1 || big.Postings != got.Trace.OutputRows || big.OutputRows != copies {
+		t.Errorf("the big leaf should be merged, %d copies: %+v (join produced %d rows)", copies, big, got.Trace.OutputRows)
+	}
+	if sum := small.Postings + big.Postings; sum != got.Metrics.ScannedTriples {
+		t.Errorf("leaves touched %d postings, metrics say %d", sum, got.Metrics.ScannedTriples)
+	}
+	out = got.Trace.Format()
+	for _, want := range []string{
+		fmt.Sprintf("scan tp1: rows=%d postings=%d", small.OutputRows, small.Postings),
+		fmt.Sprintf("scan tp2: merged, %d postings (range %d)", big.Postings, copies),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("trace format lacks %q:\n%s", want, out)
+		}
+	}
+
+	// <s0> ?p ?f cannot be ordered on ?f (its range is sorted on ?p), so a
+	// local join over it folds: the selective leaf is read, and every node
+	// holding the advisor triple looks ?f up in the big leaf.
+	q = sparql.MustParse(`SELECT * WHERE { <s0> ?p ?f . ?f <worksFor> ?d . }`)
+	local := plan.NewJoin(plan.LocalJoin, "f",
+		[]*plan.Node{plan.NewScan(0, 1, cost.Default), plan.NewScan(1, 300, cost.Default)}, 1, cost.Default)
+	got, err = e.Execute(context.Background(), local, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != 1 {
+		t.Fatalf("folded local join: want one row, got %d", len(got.Rows))
+	}
+	small, big = got.Trace.Children[0], got.Trace.Children[1]
+	if small.Merged || small.Probed || small.Postings != small.OutputRows || small.OutputRows < 1 {
+		t.Errorf("the unorderable leaf should be read in full: %+v", small)
+	}
+	if !big.Probed || big.Merged || big.Bindings != small.OutputRows || big.Postings < 1 || big.Postings > big.Bindings || big.OutputRows != copies {
+		t.Errorf("the big leaf should be probed with every advisor copy, %d copies: %+v", copies, big)
 	}
 	if sum := small.Postings + big.Postings; sum != got.Metrics.ScannedTriples {
 		t.Errorf("leaves touched %d postings, metrics say %d", sum, got.Metrics.ScannedTriples)

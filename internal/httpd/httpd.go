@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -140,11 +141,30 @@ var encodeBufs = sync.Pool{New: func() any {
 	return &buf
 }}
 
-// request is one decoded protocol request.
+// request is one decoded protocol request: the query text, the
+// negotiated encoder and the run's bounds — a deadline and a row limit,
+// each 0 when none applies — and algorithm (nil: the system's default).
 type request struct {
-	query string
-	opts  []sparqlopt.RunOption
-	enc   encoder
+	query   string
+	enc     encoder
+	timeout time.Duration
+	limit   int64
+	algo    *sparqlopt.Algorithm
+}
+
+// opts returns the request's per-run options.
+func (req *request) opts() []sparqlopt.RunOption {
+	var opts []sparqlopt.RunOption
+	if req.timeout > 0 {
+		opts = append(opts, sparqlopt.WithDeadline(req.timeout))
+	}
+	if req.limit > 0 {
+		opts = append(opts, sparqlopt.WithLimit(req.limit))
+	}
+	if req.algo != nil {
+		opts = append(opts, sparqlopt.WithAlgorithm(*req.algo))
+	}
+	return opts
 }
 
 // handleSPARQL is the protocol query endpoint.
@@ -153,7 +173,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rows, err := s.sys.RunStream(r.Context(), req.query, req.opts...)
+	rows, err := s.sys.RunStream(r.Context(), req.query, req.opts()...)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -215,20 +235,17 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (request,
 	}
 	req.enc = enc
 
-	timeout := s.cfg.DefaultTimeout
+	req.timeout = s.cfg.DefaultTimeout
 	if v := first(params, "timeout"); v != "" {
-		secs, err := strconv.ParseFloat(v, 64)
-		if err != nil || secs <= 0 {
+		timeout, ok := parseTimeout(v)
+		if !ok {
 			http.Error(w, fmt.Sprintf("invalid timeout %q: want seconds > 0", v), http.StatusBadRequest)
 			return req, false
 		}
-		timeout = time.Duration(secs * float64(time.Second))
+		req.timeout = timeout
 	}
-	if s.cfg.MaxTimeout > 0 && (timeout <= 0 || timeout > s.cfg.MaxTimeout) {
-		timeout = s.cfg.MaxTimeout
-	}
-	if timeout > 0 {
-		req.opts = append(req.opts, sparqlopt.WithDeadline(timeout))
+	if s.cfg.MaxTimeout > 0 && (req.timeout <= 0 || req.timeout > s.cfg.MaxTimeout) {
+		req.timeout = s.cfg.MaxTimeout
 	}
 
 	limit := s.cfg.DefaultLimit
@@ -243,21 +260,31 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (request,
 	if s.cfg.MaxLimit > 0 && (limit <= 0 || limit > s.cfg.MaxLimit) {
 		limit = s.cfg.MaxLimit
 	}
-	if limit > 0 {
-		req.opts = append(req.opts, sparqlopt.WithLimit(limit))
-	}
+	req.limit = max(limit, 0)
 
+	req.algo = s.cfg.DefaultAlgorithm
 	if v := first(params, "algorithm"); v != "" {
 		algo, ok := sparqlopt.AlgorithmByName(v)
 		if !ok {
 			http.Error(w, fmt.Sprintf("unknown algorithm %q", v), http.StatusBadRequest)
 			return req, false
 		}
-		req.opts = append(req.opts, sparqlopt.WithAlgorithm(algo))
-	} else if s.cfg.DefaultAlgorithm != nil {
-		req.opts = append(req.opts, sparqlopt.WithAlgorithm(*s.cfg.DefaultAlgorithm))
+		req.algo = &algo
 	}
 	return req, true
+}
+
+// parseTimeout reads a ?timeout= value in seconds. Only a value that
+// converts to a positive time.Duration is one: NaN, infinities, values
+// past the Duration range and values below a nanosecond would otherwise
+// turn into no deadline at all.
+func parseTimeout(v string) (time.Duration, bool) {
+	secs, err := strconv.ParseFloat(v, 64)
+	if err != nil || !(secs > 0) || secs >= float64(math.MaxInt64/int64(time.Second)) {
+		return 0, false
+	}
+	d := time.Duration(secs * float64(time.Second))
+	return d, d > 0
 }
 
 func first(params map[string][]string, key string) string {

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -230,7 +232,11 @@ func TestProtocolErrors(t *testing.T) {
 		t.Fatalf("turtle POST: %d, want 415", r3.StatusCode)
 	}
 
-	for _, bad := range []string{"limit=0", "limit=abc", "timeout=-1", "algorithm=quantum"} {
+	// A timeout that does not convert to a positive time.Duration — NaN,
+	// an infinity, one past the Duration range, one below a nanosecond —
+	// would otherwise run with no deadline at all.
+	for _, bad := range []string{"limit=0", "limit=abc", "timeout=-1", "algorithm=quantum",
+		"timeout=NaN", "timeout=Inf", "timeout=1e300", "timeout=1e-10"} {
 		resp, _ := get(t, srv.URL+"/sparql?"+bad+"&query="+url.QueryEscape(orgQuery))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: %d, want 400", bad, resp.StatusCode)
@@ -259,6 +265,91 @@ func TestProtocolErrors(t *testing.T) {
 			t.Fatalf("%s: %d %s, want 400 unsupported query", name, r.StatusCode, body)
 		}
 	}
+}
+
+// FuzzDecodeRequest drives the request decoder with arbitrary methods,
+// media types, Accept headers, query strings and bodies under five
+// server configurations. It must never panic; a rejection is one of the
+// protocol's statuses; an accepted request runs under a deadline exactly
+// when a timeout was sent (and then it was a positive duration) or the
+// server has a default or a cap, and under a row limit exactly when one
+// was sent or the server has a default or a cap.
+func FuzzDecodeRequest(f *testing.F) {
+	q := url.QueryEscape(orgQuery)
+	for _, seed := range []struct{ method, ct, accept, rawQuery, body string }{
+		{http.MethodGet, "", "", "query=" + q, ""},
+		{http.MethodGet, "", ctTSV, "query=" + q + "&limit=2&timeout=2", ""},
+		{http.MethodGet, "", "*/*", "query=" + q + "&algorithm=greedy", ""},
+		{http.MethodGet, "", "application/rdf+xml", "query=" + q, ""},
+		{http.MethodGet, "", "", "", ""},
+		{http.MethodPost, ctForm, "", "", "query=" + q + "&timeout=0.5"},
+		{http.MethodPost, ctSPARQLQuery + "; charset=utf-8", "", "limit=7", orgQuery},
+		{http.MethodPost, "text/turtle", "", "", orgQuery},
+		{http.MethodPut, "", "", "query=" + q, ""},
+		{http.MethodGet, "", "", "query=" + q + "&limit=0", ""},
+		{http.MethodGet, "", "", "query=" + q + "&limit=abc", ""},
+		{http.MethodGet, "", "", "query=" + q + "&timeout=-1", ""},
+		{http.MethodGet, "", "", "query=" + q + "&timeout=NaN", ""},
+		{http.MethodGet, "", "", "query=" + q + "&timeout=Inf", ""},
+		{http.MethodGet, "", "", "query=" + q + "&timeout=1e300", ""},
+		{http.MethodGet, "", "", "query=" + q + "&timeout=1e-10", ""},
+		{http.MethodGet, "", "", "query=" + q + "&algorithm=quantum", ""},
+	} {
+		for cfg := uint8(0); cfg < 5; cfg++ {
+			f.Add(seed.method, seed.ct, seed.accept, seed.rawQuery, []byte(seed.body), cfg)
+		}
+	}
+	f.Fuzz(func(t *testing.T, method, ct, accept, rawQuery string, body []byte, cfgSel uint8) {
+		cfg := []Config{{}, {DefaultTimeout: 5 * time.Second}, {MaxTimeout: 2 * time.Second},
+			{DefaultLimit: 10}, {MaxLimit: 5}}[cfgSel%5]
+		r, err := http.NewRequest(method, "http://localhost/sparql?"+rawQuery, strings.NewReader(string(body)))
+		if err != nil {
+			t.Skip("not a request the server can receive")
+		}
+		if ct != "" {
+			r.Header.Set("Content-Type", ct)
+		}
+		if accept != "" {
+			r.Header.Set("Accept", accept)
+		}
+		w := httptest.NewRecorder()
+		req, ok := (&Server{cfg: cfg}).decodeRequest(w, r)
+		if !ok {
+			switch w.Code {
+			case http.StatusBadRequest, http.StatusMethodNotAllowed, http.StatusNotAcceptable, http.StatusUnsupportedMediaType:
+			default:
+				t.Fatalf("rejected with %d %q", w.Code, w.Body)
+			}
+			return
+		}
+		if w.Code != http.StatusOK || w.Body.Len() > 0 {
+			t.Fatalf("accepted, but wrote %d %q", w.Code, w.Body)
+		}
+		// The parameters the decoder read: the parsed form for a form
+		// post, the URL's query string otherwise.
+		params := r.URL.Query()
+		if r.Form != nil {
+			params = r.Form
+		}
+		timeout, limit := first(params, "timeout"), first(params, "limit")
+		if timeout != "" {
+			if secs, err := strconv.ParseFloat(timeout, 64); err != nil || math.IsInf(secs, 0) || !(secs*float64(time.Second) >= 1) {
+				t.Fatalf("accepted timeout %q", timeout)
+			}
+		}
+		if want := timeout != "" || cfg.DefaultTimeout > 0 || cfg.MaxTimeout > 0; (req.timeout > 0) != want {
+			t.Fatalf("timeout %q under %+v: deadline %v, want one: %v", timeout, cfg, req.timeout, want)
+		}
+		if cfg.MaxTimeout > 0 && req.timeout > cfg.MaxTimeout {
+			t.Fatalf("deadline %v past the cap %v", req.timeout, cfg.MaxTimeout)
+		}
+		if want := limit != "" || cfg.DefaultLimit > 0 || cfg.MaxLimit > 0; (req.limit > 0) != want {
+			t.Fatalf("limit %q under %+v: limit %d, want one: %v", limit, cfg, req.limit, want)
+		}
+		if strings.TrimSpace(req.query) == "" || req.enc == nil {
+			t.Fatalf("accepted %+v", req)
+		}
+	})
 }
 
 // TestRequestParameters: limit and algorithm shape the execution.
