@@ -1,7 +1,7 @@
 # Development targets. `make check` is the full gate used before
 # merging: lint (gofmt + vet), build, the race-instrumented test suite,
-# a doubled run of the parallel-determinism tests (the most schedule-
-# sensitive ones, in the execution engine) and a GOMAXPROCS sweep of
+# a doubled GOMAXPROCS sweep of the determinism tests (the most
+# schedule-sensitive ones, in the execution engine) and one of
 # the served plans' exact counts, the observability, chaos and HTTP
 # serving gates, smoke passes over the root benchmarks, the kept
 # benchrunner experiments and the benchmark spine so none of them can
@@ -36,8 +36,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The determinism tests compare parallel execution results / metrics
-# against the sequential engine; -count=2 reruns them to shake out
+# The determinism tests hold execution results to the single-node
+# reference and compare the metrics and trace shape of two runs. The
+# engine's one source of concurrency is its per-node workers (fanOut),
+# whose schedule GOMAXPROCS varies, so the engine line runs at -cpu
+# 1,2,4, and -count=2 reruns each setting to shake out
 # schedule-dependent flakiness. The engine's fragment-read table tests
 # (TestDeterminismFragmentRead: concurrent per-node reads in
 # permutation order, TestDeterminismFragmentProbe: the same leaves
@@ -52,7 +55,7 @@ race:
 # end to end: the exact scan, transfer and join counts of L1–L10 and
 # two point reads must not move with GOMAXPROCS.
 determinism:
-	$(GO) test -run 'TestDeterminism|TestFanOut' -race -count=2 ./internal/engine/...
+	$(GO) test -run 'TestDeterminism|TestFanOut' -race -count=2 -cpu 1,2,4 ./internal/engine/...
 	$(GO) test -run 'TestProbedJoinsKeepCounts$$' -count=20 -cpu 1,2,4 .
 
 # The observability layer's own gate: vet plus a doubled, race-

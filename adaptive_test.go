@@ -3,6 +3,7 @@ package sparqlopt
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"sparqlopt/internal/partition"
@@ -22,6 +23,15 @@ func lubmDataset(tb testing.TB) *Dataset {
 	tb.Helper()
 	ds := lubm.Generate(lubm.Config{Universities: 5, Seed: 7})
 	return ds
+}
+
+// withProcs runs the rest of the test at GOMAXPROCS n — the setting
+// that varies how the engine's per-node workers are scheduled — and
+// restores the previous value when it ends. Tests that call it must not
+// run in parallel with others.
+func withProcs(tb testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func mustMethod(tb testing.TB, name string) Method {
@@ -119,7 +129,7 @@ func TestAdaptiveShuffleElimination(t *testing.T) {
 }
 
 // TestAdaptiveMigrationProperty is the migration soundness sweep:
-// under every partitioning method and parallelism setting, a workload
+// under every partitioning method and GOMAXPROCS setting, a workload
 // aggressive enough to trigger migrations keeps returning rows
 // bit-identical to the reference evaluator before, during and after
 // each migration, and the total replication stays within the
@@ -148,13 +158,12 @@ func TestAdaptiveMigrationProperty(t *testing.T) {
 	}
 	const budget = 0.6
 	for _, method := range []string{"hash-so", "2f", "path-bmc", "un-1hop"} {
-		for _, par := range []int{1, 2, 4, 8} {
-			t.Run(fmt.Sprintf("%s/p%d", method, par), func(t *testing.T) {
-				t.Parallel()
+		for _, procs := range []int{1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("%s/p%d", method, procs), func(t *testing.T) {
+				withProcs(t, procs)
 				sys, err := Open(ds,
 					WithMethod(mustMethod(t, method)),
 					WithNodes(10),
-					WithParallelism(par),
 					WithPlanCache(32),
 					WithAdaptivePartitioning(AdaptiveConfig{
 						MinShuffledBytes:  1,

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"testing"
 	"time"
 
@@ -254,10 +253,9 @@ func BenchmarkLocalCheck(b *testing.B) {
 
 // BenchmarkExecute measures plan execution alone — optimization runs
 // once outside the timed loop — on LUBM L1–L10 and bound WatDiv
-// templates, sweeping the engine parallelism knob P ∈ {1, GOMAXPROCS}.
-// ReportAllocs tracks the data plane's allocation diet (integer-hash
-// joins + arena-backed relations); compare ns/op across P for the
-// intra-query speedup.
+// templates. ReportAllocs tracks the data plane's allocation diet
+// (integer-hash joins + arena-backed relations); run with -cpu 1,N to
+// see what the per-node workers gain from N cores.
 func BenchmarkExecute(b *testing.B) {
 	type workload struct {
 		tag string
@@ -297,30 +295,24 @@ func BenchmarkExecute(b *testing.B) {
 		}
 	}
 	loads = append(loads, ww)
-	sweep := []int{1, runtime.GOMAXPROCS(0)}
-	if sweep[1] == 1 {
-		sweep = sweep[:1] // single-core machine: P=GOMAXPROCS duplicates P=1
-	}
-	for _, p := range sweep {
-		for _, wl := range loads {
-			sys, err := sparqlopt.Open(wl.ds, sparqlopt.WithNodes(4), sparqlopt.WithParallelism(p))
+	for _, wl := range loads {
+		sys, err := sparqlopt.Open(wl.ds, sparqlopt.WithNodes(4))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, bq := range wl.qs {
+			res, err := sys.OptimizeQuery(context.Background(), bq.q, sparqlopt.WithAlgorithm(sparqlopt.TDAuto))
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, bq := range wl.qs {
-				res, err := sys.OptimizeQuery(context.Background(), bq.q, sparqlopt.WithAlgorithm(sparqlopt.TDAuto))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Run(fmt.Sprintf("%s/%s/P=%d", wl.tag, bq.name, p), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := sys.Execute(context.Background(), res.Plan, bq.q); err != nil {
-							b.Fatal(err)
-						}
+			b.Run(wl.tag+"/"+bq.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := sys.Execute(context.Background(), res.Plan, bq.q); err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

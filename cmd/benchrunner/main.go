@@ -36,9 +36,6 @@
 //	-quick       shrink datasets and instance counts for a fast pass
 //	-nodes       simulated cluster size (default 10, as in the paper)
 //	-seed        generator seed (default 1)
-//	-parallelism engine worker goroutines (0 = all cores,
-//	             1 = sequential; identical execution results either
-//	             way)
 //	-csv         also write plot-ready CSV files into this directory
 //	             (figures only)
 //
@@ -87,19 +84,17 @@ func main() {
 		quick      = flag.Bool("quick", false, "small datasets and instance counts")
 		nodes      = flag.Int("nodes", 0, "simulated cluster size (0 = 10)")
 		seed       = flag.Int64("seed", 1, "generator seed")
-		parallel   = flag.Int("parallelism", 0, "engine worker goroutines (0 = all cores, 1 = sequential)")
 		csvDir     = flag.String("csv", "", "also write plot-ready CSV files into this directory (figures only)")
 	)
 	flag.Parse()
 
 	cfg := bench.Config{
-		Out:         os.Stdout,
-		Timeout:     *timeout,
-		Quick:       *quick,
-		Nodes:       *nodes,
-		Seed:        *seed,
-		CSVDir:      *csvDir,
-		Parallelism: *parallel,
+		Out:     os.Stdout,
+		Timeout: *timeout,
+		Quick:   *quick,
+		Nodes:   *nodes,
+		Seed:    *seed,
+		CSVDir:  *csvDir,
 	}
 
 	run := func(name string) {

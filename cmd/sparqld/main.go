@@ -17,7 +17,6 @@
 //	-algorithm  default optimization algorithm for requests that do not
 //	            send ?algorithm=: td-cmd | td-cmdp | hgr-td-cmd |
 //	            td-auto | greedy (default td-auto)
-//	-parallelism  engine worker goroutines (0 = all cores)
 //	-plancache  plan-cache capacity in query fingerprints (0 = disabled)
 //	-max-concurrent / -max-queued  admission control; overflow is
 //	            rejected with 503 and a Retry-After hint
@@ -72,7 +71,6 @@ func main() {
 		partName     = flag.String("partition", "hash-so", "data partitioning method")
 		nodes        = flag.Int("nodes", 10, "simulated cluster size")
 		algorithm    = flag.String("algorithm", "td-auto", "default optimization algorithm")
-		parallel     = flag.Int("parallelism", 0, "engine worker goroutines (0 = all cores)")
 		planCache    = flag.Int("plancache", 0, "plan cache capacity in query fingerprints (0 = disabled)")
 		maxConc      = flag.Int("max-concurrent", 0, "admission control: max concurrently served queries (0 = unlimited)")
 		maxQueued    = flag.Int("max-queued", 0, "admission control: max queries queued for a slot")
@@ -90,8 +88,7 @@ func main() {
 	flag.Parse()
 	if err := run(serveConfig{
 		addr: *addr, dataPath: *dataPath, demo: *demo, universities: *universities,
-		partName: *partName, nodes: *nodes, algorithm: *algorithm,
-		parallelism: *parallel, planCache: *planCache,
+		partName: *partName, nodes: *nodes, algorithm: *algorithm, planCache: *planCache,
 		maxConcurrent: *maxConc, maxQueued: *maxQueued, memBudget: *memBudget,
 		timeout: *timeout, maxTimeout: *maxTimeout, limit: *limit, maxLimit: *maxLimit,
 		slowlog: *slowlog, adaptive: *adaptive, decayHalfLife: *decay,
@@ -106,7 +103,7 @@ type serveConfig struct {
 	addr, dataPath, partName, algorithm string
 	demo                                bool
 	universities, nodes                 int
-	parallelism, planCache              int
+	planCache                           int
 	maxConcurrent, maxQueued            int
 	memBudget                           int64
 	timeout, maxTimeout                 time.Duration
@@ -135,7 +132,6 @@ func run(cfg serveConfig) error {
 	opts := []sparqlopt.Option{
 		sparqlopt.WithMethod(method),
 		sparqlopt.WithNodes(cfg.nodes),
-		sparqlopt.WithParallelism(cfg.parallelism),
 	}
 	if cfg.planCache > 0 {
 		opts = append(opts, sparqlopt.WithPlanCache(cfg.planCache))

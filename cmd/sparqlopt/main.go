@@ -18,9 +18,6 @@
 //	-dot        print the plan in Graphviz dot syntax
 //	-repl       interactive mode: read ';'-terminated queries from stdin
 //	-timeout    optimization cap (default 600s)
-//	-parallelism  engine worker goroutines (0 = all cores,
-//	              1 = sequential; identical execution results either
-//	              way)
 //	-plancache  capacity of the serving-path plan cache in query
 //	            fingerprints (0 = disabled). Repeated query shapes in
 //	            -repl mode are then served from cached plan templates
@@ -94,7 +91,6 @@ func main() {
 		explain   = flag.Bool("explain", false, "with -execute: print the per-operator execution trace")
 		dot       = flag.Bool("dot", false, "print the plan in Graphviz dot syntax")
 		timeout   = flag.Duration("timeout", 600*time.Second, "optimization cap")
-		parallel  = flag.Int("parallelism", 0, "engine worker goroutines (0 = all cores, 1 = sequential)")
 		planCache = flag.Int("plancache", 0, "serving-path plan cache capacity in query fingerprints (0 = disabled)")
 		trace     = flag.Bool("trace", false, "print the query-lifecycle trace tree after each query")
 		metrics   = flag.Bool("metrics", false, "dump the Prometheus metrics exposition on exit")
@@ -113,7 +109,7 @@ func main() {
 		dataPath: *dataPath, queryPath: *queryPath, algorithm: *algorithm,
 		partName: *partName, nodes: *nodes, execute: *execute,
 		explain: *explain, dot: *dot, timeout: *timeout, demo: *demo,
-		repl: *repl, parallelism: *parallel, planCache: *planCache,
+		repl: *repl, planCache: *planCache,
 		trace: *trace, metrics: *metrics, slowlog: *slowlog,
 		maxConcurrent: *maxConc, maxQueued: *maxQueued, memBudget: *memBudget,
 		limit: *limit, adaptive: *adaptive, decayHalfLife: *decay,
@@ -126,7 +122,6 @@ func main() {
 type runConfig struct {
 	dataPath, queryPath, algorithm, partName string
 	nodes                                    int
-	parallelism                              int
 	planCache                                int
 	execute, explain, dot, demo, repl        bool
 	trace, metrics                           bool
@@ -258,7 +253,6 @@ func openSystem(cfg runConfig, ds *rdf.Dataset, method partition.Method) (*sparq
 	opts := []sparqlopt.Option{
 		sparqlopt.WithMethod(method),
 		sparqlopt.WithNodes(cfg.nodes),
-		sparqlopt.WithParallelism(cfg.parallelism),
 	}
 	if cfg.planCache > 0 {
 		opts = append(opts, sparqlopt.WithPlanCache(cfg.planCache))
@@ -355,7 +349,6 @@ func runBaseline(cfg runConfig, ds *rdf.Dataset, method partition.Method, q *spa
 	}
 	fmt.Printf("replication factor: %.2f\n", placement.ReplicationFactor(ds.Len()))
 	e := engine.New(ds.Dict, placement)
-	e.SetParallelism(cfg.parallelism)
 	start := time.Now()
 	out, err := e.Execute(context.Background(), res.Plan, q)
 	if err != nil {
@@ -448,7 +441,6 @@ func replLoop(cfg runConfig, ds *rdf.Dataset, method partition.Method, algo opt.
 			return err
 		}
 		e = engine.New(ds.Dict, placement)
-		e.SetParallelism(cfg.parallelism)
 	}
 	fmt.Println("enter a SPARQL query followed by a line containing only ';' (ctrl-D to quit):")
 	sc := bufio.NewScanner(os.Stdin)

@@ -89,8 +89,7 @@ func TestFailoverProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sys, err := Open(ds, WithMethod(m), WithNodes(nodes),
-					WithParallelism(2), WithNodeFailover(failoverBreakerOff))
+				sys, err := Open(ds, WithMethod(m), WithNodes(nodes), WithNodeFailover(failoverBreakerOff))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -169,7 +168,7 @@ func TestFailoverProperty(t *testing.T) {
 		const src = `SELECT * WHERE { ?x <http://knows> ?y . ?z <http://knows> ?y . }`
 		ds := failoverDataset()
 		sys, err := Open(ds, WithMethod(mustMethod(t, "2f")), WithNodes(4),
-			WithParallelism(2), WithNodeFailover(failoverBreakerOff),
+			WithNodeFailover(failoverBreakerOff),
 			WithAdaptivePartitioning(AdaptiveConfig{
 				MinShuffledBytes: 1, MinQueries: 1, ReplicationBudget: 4, Synchronous: true,
 			}))
@@ -409,7 +408,6 @@ func TestChaosFailover(t *testing.T) {
 	before := runtime.NumGoroutine()
 	sys, err := Open(failoverDataset(),
 		WithNodes(4),
-		WithParallelism(2),
 		WithPlanCache(64),
 		WithAdmissionControl(128, 64),
 		WithNodeFailover(NodeFailoverConfig{

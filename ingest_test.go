@@ -128,7 +128,7 @@ func isoPair(ds *Dataset, j int) []rdf.Triple {
 // writer commits pairs of triples (each pair atomically adds exactly
 // one result row), concurrent readers on a cached system must each
 // observe some committed prefix — never a torn pair, never a blocked
-// read — across every partitioning method and parallelism level.
+// read — across every partitioning method and GOMAXPROCS setting.
 // Row sets are compared bit-for-bit against per-prefix references.
 func TestIngestSnapshotIsolation(t *testing.T) {
 	// expected[k] is the exact row set after k committed pairs.
@@ -150,13 +150,13 @@ func TestIngestSnapshotIsolation(t *testing.T) {
 	}
 
 	for _, method := range []string{"hash-so", "2f", "path-bmc", "un-1hop"} {
-		for _, par := range []int{1, 2, 4, 8} {
-			t.Run(fmt.Sprintf("%s/p%d", method, par), func(t *testing.T) {
+		for _, procs := range []int{1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("%s/p%d", method, procs), func(t *testing.T) {
+				withProcs(t, procs)
 				ds := isoDataset(0)
 				sys, err := Open(ds,
 					WithMethod(mustMethod(t, method)),
 					WithNodes(4),
-					WithParallelism(par),
 					WithPlanCache(16),
 				)
 				if err != nil {

@@ -125,7 +125,6 @@ func AdaptiveBench(cfg Config) error {
 		return []sparqlopt.Option{
 			sparqlopt.WithMethod(method),
 			sparqlopt.WithNodes(cfg.nodes()),
-			sparqlopt.WithParallelism(cfg.Parallelism),
 			sparqlopt.WithPlanCache(64),
 		}
 	}

@@ -49,10 +49,6 @@ type Config struct {
 	// CSVDir, when set, makes the figure experiments additionally
 	// write plot-ready CSV files into this directory.
 	CSVDir string
-	// Parallelism is the engine worker goroutine count (0 = all cores,
-	// 1 = sequential). Parallel runs execute to identical results and
-	// metrics, so it only changes wall time, never table contents.
-	Parallelism int
 }
 
 // csvFile opens a CSV output file, or returns nil when CSVDir is
@@ -116,12 +112,11 @@ func (c Config) params() cost.Params {
 
 // Meta is the metadata block every BENCH_*.json report embeds, so
 // bench trajectories stay comparable across PRs: the dataset knobs
-// plus the parallelism setting the run used.
+// the run used.
 type Meta struct {
-	Quick       bool  `json:"quick"`
-	Nodes       int   `json:"nodes"`
-	Seed        int64 `json:"seed"`
-	Parallelism int   `json:"parallelism"` // 0 = GOMAXPROCS
+	Quick bool  `json:"quick"`
+	Nodes int   `json:"nodes"`
+	Seed  int64 `json:"seed"`
 	// Adaptive records the advisor configuration of an adaptive-
 	// repartitioning run; nil for every other experiment.
 	Adaptive *AdaptiveMeta `json:"adaptive,omitempty"`
@@ -141,7 +136,7 @@ type AdaptiveMeta struct {
 
 // meta describes this run's configuration.
 func (c Config) meta() Meta {
-	return Meta{Quick: c.Quick, Nodes: c.nodes(), Seed: c.seed(), Parallelism: c.Parallelism}
+	return Meta{Quick: c.Quick, Nodes: c.nodes(), Seed: c.seed()}
 }
 
 // writeReport saves a full-scale run's report as BENCH_<experiment>.json

@@ -93,7 +93,6 @@ func FailoverBench(cfg Config) error {
 	}
 	withFO, err := sparqlopt.Open(ds,
 		sparqlopt.WithNodes(cfg.nodes()),
-		sparqlopt.WithParallelism(cfg.Parallelism),
 		sparqlopt.WithPlanCache(64),
 		sparqlopt.WithNodeFailover(foCfg),
 		sparqlopt.WithAdaptivePartitioning(sparqlopt.AdaptiveConfig{
@@ -106,7 +105,6 @@ func FailoverBench(cfg Config) error {
 	}
 	withoutFO, err := sparqlopt.Open(ds,
 		sparqlopt.WithNodes(cfg.nodes()),
-		sparqlopt.WithParallelism(cfg.Parallelism),
 		sparqlopt.WithPlanCache(64),
 	)
 	if err != nil {

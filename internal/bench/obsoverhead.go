@@ -62,7 +62,6 @@ func obsOverhead(cfg Config) (obsOverheadReport, error) {
 	open := func(observed bool) (*sparqlopt.System, error) {
 		opts := []sparqlopt.Option{
 			sparqlopt.WithNodes(cfg.nodes()),
-			sparqlopt.WithParallelism(cfg.Parallelism),
 		}
 		if observed {
 			opts = append(opts, sparqlopt.WithObservability(sparqlopt.WithSlowQueryLog(64, 0)))

@@ -82,7 +82,6 @@ func OverloadBench(cfg Config) error {
 	baseOpts := func() []sparqlopt.Option {
 		return []sparqlopt.Option{
 			sparqlopt.WithNodes(cfg.nodes()),
-			sparqlopt.WithParallelism(1), // per-query parallelism off: concurrency comes from clients
 			sparqlopt.WithPlanCache(64),
 		}
 	}

@@ -124,9 +124,7 @@ func Table5(cfg Config) error {
 			if err != nil {
 				return err
 			}
-			e := engine.New(ds.Dict, placement)
-			e.SetParallelism(cfg.Parallelism)
-			engines[r.part.Name()][ds] = e
+			engines[r.part.Name()][ds] = engine.New(ds.Dict, placement)
 		}
 	}
 	w := tabwriter.NewWriter(cfg.out(), 2, 4, 2, ' ', 0)

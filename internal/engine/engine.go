@@ -36,15 +36,6 @@ type Metrics struct {
 	JoinedRows int64
 }
 
-// add accumulates o into m. Child metrics are merged in child order,
-// so parallel runs report totals identical to sequential ones.
-func (m *Metrics) add(o Metrics) {
-	m.ScannedTriples += o.ScannedTriples
-	m.TransferredRows += o.TransferredRows
-	m.TransferredBytes += o.TransferredBytes
-	m.JoinedRows += o.JoinedRows
-}
-
 // termIDBytes is the wire size of one bound term (TermID is a uint32).
 const termIDBytes = 4
 
@@ -254,8 +245,9 @@ func (s *Snap) DeltaLen() int {
 }
 
 // Engine executes plans over a partitioned dataset, one goroutine per
-// simulated computing node that has rows to handle (see fanOut), plus
-// bounded intra-query parallelism across independent plan subtrees.
+// simulated computing node that has rows to handle (see fanOut). The
+// operators of a plan run one after another, in plan order, on the
+// calling goroutine.
 type Engine struct {
 	dict *rdf.Dict
 	// mu serializes snapshot swaps (migrations, ingest commits,
@@ -264,10 +256,6 @@ type Engine struct {
 	// snap is the current store snapshot; swapped whole under mu,
 	// never mutated in place.
 	snap atomic.Pointer[Snap]
-	// sem is the subtree-parallelism semaphore: nil means sequential
-	// child evaluation, otherwise it holds parallelism-1 slots (the
-	// submitting goroutine is the extra worker).
-	sem chan struct{}
 	// inst is the optional metrics bundle; nil disables recording.
 	inst *Instruments
 	// fo is the node-failover policy; nil disables the failover ladder
@@ -277,12 +265,9 @@ type Engine struct {
 
 // New builds an engine over the placement produced by a partitioning
 // method. The dictionary must be the one that encoded the triples.
-// The engine defaults to full intra-query parallelism (GOMAXPROCS);
-// see SetParallelism.
 func New(dict *rdf.Dict, placement *partition.Placement) *Engine {
 	e := &Engine{dict: dict}
 	e.snap.Store(&Snap{stores: buildStores(placement.Triples)})
-	e.SetParallelism(0)
 	return e
 }
 
@@ -431,22 +416,6 @@ func (e *Engine) ApplyMigration(m *partition.Migration, align *partition.Alignme
 // migration has run).
 func (e *Engine) Alignment() *partition.Alignment { return e.snap.Load().align }
 
-// SetParallelism bounds how many independent plan subtrees and
-// shuffle scatters run concurrently: 0 means GOMAXPROCS, any value
-// ≤ 1 evaluates children strictly in order. Results and metrics are
-// identical at every setting. It must not be called concurrently
-// with Execute.
-func (e *Engine) SetParallelism(p int) {
-	if p == 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p <= 1 {
-		e.sem = nil
-		return
-	}
-	e.sem = make(chan struct{}, p-1)
-}
-
 // Nodes returns the cluster size.
 func (e *Engine) Nodes() int { return len(e.snap.Load().stores) }
 
@@ -463,8 +432,8 @@ func (e *Engine) Execute(ctx context.Context, p *plan.Node, q *sparql.Query) (*R
 // ExecuteEnv is Execute with the query's resilience environment: a
 // memory gauge charged by relation materialization and an optional
 // fault-injection set. A panic anywhere in the execution — the calling
-// goroutine, a per-node worker, a subtree task — is recovered into a
-// typed *resilience.PanicError failing this query only.
+// goroutine or a per-node worker — is recovered into a typed
+// *resilience.PanicError failing this query only.
 //
 // It is the materializing form of ExecuteStream: drain the stream into
 // one arena (charged to the gauge as "flatten"), then sort — Rows is
@@ -582,52 +551,6 @@ func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 	return out, leaf, tr, nil
 }
 
-// forEachBounded runs f(i) for i in [0, n), concurrently up to the
-// engine's parallelism. A task whose slot cannot be acquired runs
-// inline on the submitting goroutine, so recursion through nested
-// operators can never deadlock on the semaphore. A panicking task —
-// spawned or inline — is recovered into a typed error; the
-// lowest-index error is returned, deterministically.
-func (e *Engine) forEachBounded(n int, f func(i int)) error {
-	run := func(i int) (err error) {
-		defer resilience.CatchPanic(&err, e.inst.panicRecovered)
-		f(i)
-		return nil
-	}
-	if e.sem == nil || n <= 1 {
-		for i := 0; i < n; i++ {
-			if err := run(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		select {
-		case e.sem <- struct{}{}:
-			e.inst.parallelTask()
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-e.sem }()
-				errs[i] = run(i)
-			}(i)
-		default:
-			e.inst.inlineTask()
-			errs[i] = run(i)
-		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // fanOut runs f once for every one of n simulated computing nodes and
 // returns how many of them were busy and the lowest-numbered node's
 // error, deterministically. Work runs where the data is: busy(node) —
@@ -730,50 +653,29 @@ func (e *Engine) alignHints(p *plan.Node, q *sparql.Query, env ExecEnv) []string
 	return hints
 }
 
-// evalChildren evaluates the children of p — concurrently when the
-// parallelism knob allows, since the subtrees of a k-way join are
-// independent, and on the calling goroutine when all of them are Scans
-// opened lazily — attaching their traces to tr in child order and
-// restarting the parent's own-time clock. Every child accumulates
-// into its own Metrics; the merge happens in child order, so totals
-// are independent of the schedule. A non-empty hints[i] names the join
-// variable child i should align-scan on (see alignHints); hints may be
-// nil when no child qualifies. With lazy set, Scan children are opened
-// lazily and come back in leaves (nil entries for the other children).
+// evalChildren evaluates the children of p in plan order, attaching
+// their traces to tr and restarting the parent's own-time clock, so an
+// operator's own time never includes its children's. A non-empty
+// hints[i] names the join variable child i should align-scan on (see
+// alignHints); hints may be nil when no child qualifies. With lazy set,
+// Scan children are opened lazily and come back in leaves (nil entries
+// for the other children).
 func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time, hints []string, lazy bool) ([][]*Relation, []*scanLeaf, error) {
 	n := len(p.Children)
 	children := make([][]*Relation, n)
 	leaves := make([]*scanLeaf, n)
-	traces := make([]*TraceNode, n)
-	metrics := make([]Metrics, n)
-	errs := make([]error, n)
-	child := func(i int) {
+	for i, c := range p.Children {
 		hint := ""
 		if hints != nil {
 			hint = hints[i]
 		}
-		children[i], leaves[i], traces[i], errs[i] = e.eval(ctx, p.Children[i], q, env, &metrics[i], hint, lazy)
-	}
-	if lazy && !slices.ContainsFunc(p.Children, func(c *plan.Node) bool { return c.Alg != plan.Scan }) {
-		// Lazily opened leaves only gate and size their nodes, a binary
-		// search each: less work than handing them to other goroutines.
-		// (A leaf that has to read at once still spreads its reads over
-		// the nodes that hold rows; see scan.)
-		for i := range n {
-			child(i)
-		}
-	} else if err := e.forEachBounded(n, child); err != nil {
-		return nil, nil, err
-	}
-	for _, err := range errs {
+		rels, leaf, ctr, err := e.eval(ctx, c, q, env, m, hint, lazy)
 		if err != nil {
 			return nil, nil, err
 		}
+		children[i], leaves[i] = rels, leaf
+		tr.Children = append(tr.Children, ctr)
 	}
-	for i := range metrics {
-		m.add(metrics[i])
-	}
-	tr.Children = append(tr.Children, traces...)
 	*start = time.Now()
 	return children, leaves, nil
 }
@@ -837,27 +739,23 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 		}
 		// Gather each small input, then deduplicate it by sorting it on the
 		// join column (replicated fragments may hold the same row on
-		// several nodes). The gathers are independent per child, so they
-		// run under the subtree-parallelism bound; the transfer accounting
-		// is summed in child order afterwards.
-		gathered := make([]*Relation, len(children))
-		moved := make([]int64, len(children))
-		var order []int
-		for i := range children {
-			if i != largest {
-				order = append(order, i)
+		// several nodes). The join sees the largest input first, then the
+		// replicated ones — each present in full on every node.
+		small := make([]*Relation, 0, len(children)-1)
+		in.leaves = make([]*scanLeaf, len(children))
+		in.leaves[0] = leaves[largest]
+		in.sizes = append(make([]int64, 0, len(children)), sizes[largest])
+		for i, frags := range children {
+			if i == largest {
+				continue
 			}
-		}
-		errs := make([]error, len(children))
-		if err := e.forEachBounded(len(order), func(oi int) {
-			i := order[oi]
 			if leaves[i] != nil {
 				// A leaf that ships is needed whole.
-				if errs[i] = leaves[i].readAll(e); errs[i] != nil {
-					return
+				if err := leaves[i].readAll(e); err != nil {
+					return in, err
 				}
+				leaves[i].settle(m)
 			}
-			frags := children[i]
 			// The gather shares the fragments' row storage; no arena copy.
 			g := &Relation{Vars: frags[0].Vars, Rows: make([][]rdf.TermID, 0, sizes[i])}
 			for _, f := range frags {
@@ -865,33 +763,14 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 			}
 			g.dedupOn(cols[i])
 			// Every row ships to every node holding the largest input.
-			gathered[i] = g
-			moved[i] = int64(len(g.Rows)) * int64(n)
-		}); err != nil {
-			return in, err
-		}
-		for _, err := range errs {
-			if err != nil {
-				return in, err
-			}
-		}
-		// The join sees the largest input first, then the replicated ones
-		// — each present in full on every node.
-		small := make([]*Relation, 0, len(children)-1)
-		in.leaves = make([]*scanLeaf, len(children))
-		in.leaves[0] = leaves[largest]
-		in.sizes = append(make([]int64, 0, len(children)), sizes[largest])
-		for _, i := range order {
-			if leaves[i] != nil {
-				leaves[i].settle(m)
-			}
-			bytes := moved[i] * termIDBytes * int64(len(gathered[i].Vars))
-			m.TransferredRows += moved[i]
+			moved := int64(len(g.Rows)) * int64(n)
+			bytes := moved * termIDBytes * int64(len(g.Vars))
+			m.TransferredRows += moved
 			m.TransferredBytes += bytes
-			tr.TransferredRows += moved[i]
+			tr.TransferredRows += moved
 			tr.TransferredBytes += bytes
-			small = append(small, gathered[i])
-			in.sizes = append(in.sizes, moved[i])
+			small = append(small, g)
+			in.sizes = append(in.sizes, moved)
 		}
 		for node := 0; node < n; node++ {
 			rels := make([]*Relation, 0, len(children))
@@ -900,11 +779,11 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 			inputs[node] = rels
 		}
 	case plan.RepartitionJoin:
-		// Resolve the join column of every input up front (deterministic
-		// error reporting regardless of schedule). Rows arriving at a
-		// node are deduplicated by scatter, collapsing replicas shipped
-		// from different source nodes; each scatter polls ctx so huge
-		// shuffles stay cancellable.
+		// Resolve the join column of every input before any scatter runs,
+		// so a missing one fails the join before rows move. Rows arriving
+		// at a node are deduplicated by scatter, collapsing replicas
+		// shipped from different source nodes; each scatter polls ctx so
+		// huge shuffles stay cancellable.
 		cols := make([]int, len(children))
 		for i, frags := range children {
 			cols[i] = frags[0].colIndex(p.JoinVar)
@@ -913,35 +792,28 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 			}
 		}
 		shuffled := make([][]*Relation, len(children)) // [child][node]
-		moved := make([]int64, len(children))
-		errs := make([]error, len(children))
-		if err := e.forEachBounded(len(children), func(i int) {
+		for i := range children {
 			if hints != nil && hints[i] != "" {
 				// Aligned scan already emitted every row on its scatter
 				// destination (row[col] % n == node), so the shuffle is
 				// the identity: nothing moves, nothing is rebuilt.
-				shuffled[i], moved[i] = children[i], 0
-				return
+				shuffled[i] = children[i]
+				continue
 			}
-			shuffled[i], moved[i], errs[i] = e.scatter(ctx, children[i], cols[i], env)
-		}); err != nil {
-			return in, err
-		}
-		for _, err := range errs {
-			if err != nil {
+			var moved int64
+			var err error
+			if shuffled[i], moved, err = e.scatter(ctx, children[i], cols[i], env); err != nil {
 				return in, err
 			}
-		}
-		for i := range children {
-			bytes := moved[i] * termIDBytes * int64(len(children[i][0].Vars))
-			m.TransferredRows += moved[i]
+			bytes := moved * termIDBytes * int64(len(children[i][0].Vars))
+			m.TransferredRows += moved
 			m.TransferredBytes += bytes
-			tr.TransferredRows += moved[i]
+			tr.TransferredRows += moved
 			tr.TransferredBytes += bytes
 			// Attribute the scatter to the child that fed it, so the
 			// adaptive advisor can mine exact per-pattern shuffle volume
 			// from completed-query traces.
-			tr.Children[i].ScatterRows = moved[i]
+			tr.Children[i].ScatterRows = moved
 			tr.Children[i].ScatterBytes = bytes
 		}
 		for node := 0; node < n; node++ {

@@ -40,11 +40,6 @@ type Instruments struct {
 	TransferredRows  *obs.Counter
 	TransferredBytes *obs.Counter
 	JoinedRows       *obs.Counter
-	// ParallelTasks/InlineTasks split how subtree tasks actually ran —
-	// on a borrowed semaphore slot vs. inline on the submitting
-	// goroutine — the engine's parallelism-utilization signal.
-	ParallelTasks *obs.Counter
-	InlineTasks   *obs.Counter
 	// Failovers counts node operations served via failover (replica
 	// scans of a dead node's fragment, re-homed scatter partitions).
 	Failovers *obs.Counter
@@ -74,8 +69,6 @@ func NewInstruments(r *obs.Registry) *Instruments {
 		TransferredBytes: r.Counter("engine_transferred_bytes_total", "Bytes moved across node boundaries."),
 		JoinedRows:       r.Counter("engine_joined_rows_total", "Rows produced by join operators."),
 		Failovers:        r.Counter("engine_failover_total", "Node operations served via failover (replica scans, re-homed shuffles)."),
-		ParallelTasks:    r.Counter("engine_parallel_tasks_total", "Subtree tasks run on a parallel worker."),
-		InlineTasks:      r.Counter("engine_inline_tasks_total", "Subtree tasks run inline (semaphore saturated)."),
 		PanicsRecovered:  r.Counter("resilience_panics_recovered_total", resilience.PanicsRecoveredHelp),
 	}
 	for a := plan.Scan; a <= plan.RepartitionJoin; a++ {
@@ -120,20 +113,6 @@ func (i *Instruments) recordFailovers(n int64) {
 		return
 	}
 	i.Failovers.Add(n)
-}
-
-func (i *Instruments) parallelTask() {
-	if i == nil {
-		return
-	}
-	i.ParallelTasks.Inc()
-}
-
-func (i *Instruments) inlineTask() {
-	if i == nil {
-		return
-	}
-	i.InlineTasks.Inc()
 }
 
 func (i *Instruments) panicRecovered() {

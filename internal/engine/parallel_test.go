@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sparqlopt/internal/obs"
 	"sparqlopt/internal/opt"
 	"sparqlopt/internal/partition"
 	"sparqlopt/internal/querygraph"
@@ -46,11 +47,11 @@ func datasetFor(r *rand.Rand, q *sparql.Query, entities int) *rdf.Dataset {
 
 // TestDeterminismParallelExecution is the execution-side analogue of
 // the optimizer's determinism suite: random queries of every class,
-// executed across all partitioning methods with parallel subtree
-// evaluation enabled, must return exactly the sequential engine's
-// rows AND metrics, which in turn must match the single-node
-// reference. Run under -race this also shakes out data races in the
-// concurrent operators.
+// executed across all partitioning methods, must return exactly the
+// single-node reference's rows, and a second execution on a fresh
+// engine must report the same metrics and trace shape. The per-node
+// workers are what varies between the runs (and with GOMAXPROCS); run
+// under -race this also shakes out data races in them.
 func TestDeterminismParallelExecution(t *testing.T) {
 	trials := 10
 	entities := 12
@@ -82,37 +83,31 @@ func TestDeterminismParallelExecution(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := optimizeFor(t, ds, q, m, algo)
-		seqEngine := New(ds.Dict, placement)
-		seqEngine.SetParallelism(1)
-		seq, err := seqEngine.Execute(context.Background(), res.Plan, q)
+		label := fmt.Sprintf("trial %d (%s, %s, %v)", trial, class, m.Name(), algo)
+		first, err := New(ds.Dict, placement).Execute(context.Background(), res.Plan, q)
 		if err != nil {
-			t.Fatalf("trial %d sequential: %v", trial, err)
+			t.Fatalf("%s: %v", label, err)
 		}
-		equalResults(t, seq, want, fmt.Sprintf("trial %d (%s, %s) sequential vs reference", trial, class, m.Name()))
-		for _, p := range []int{2, 4, 8} {
-			par := New(ds.Dict, placement)
-			par.SetParallelism(p)
-			got, err := par.Execute(context.Background(), res.Plan, q)
-			if err != nil {
-				t.Fatalf("trial %d P=%d: %v", trial, p, err)
-			}
-			label := fmt.Sprintf("trial %d (%s, %s, %v) P=%d", trial, class, m.Name(), algo, p)
-			equalResults(t, got, seq, label)
-			if got.Metrics != seq.Metrics {
-				t.Errorf("%s: metrics diverge: parallel %+v vs sequential %+v", label, got.Metrics, seq.Metrics)
-			}
-			if got.Trace.Operators() != seq.Trace.Operators() {
-				t.Errorf("%s: trace shape diverges: %d vs %d operators", label, got.Trace.Operators(), seq.Trace.Operators())
-			}
-			if got.Trace.TotalTransferred() != seq.Trace.TotalTransferred() {
-				t.Errorf("%s: trace transfer diverges: %d vs %d", label, got.Trace.TotalTransferred(), seq.Trace.TotalTransferred())
-			}
+		equalResults(t, first, want, label+" vs reference")
+		got, err := New(ds.Dict, placement).Execute(context.Background(), res.Plan, q)
+		if err != nil {
+			t.Fatalf("%s rerun: %v", label, err)
+		}
+		equalResults(t, got, first, label+" rerun")
+		if got.Metrics != first.Metrics {
+			t.Errorf("%s: metrics diverge: %+v vs %+v", label, got.Metrics, first.Metrics)
+		}
+		if got.Trace.Operators() != first.Trace.Operators() {
+			t.Errorf("%s: trace shape diverges: %d vs %d operators", label, got.Trace.Operators(), first.Trace.Operators())
+		}
+		if got.Trace.TotalTransferred() != first.Trace.TotalTransferred() {
+			t.Errorf("%s: trace transfer diverges: %d vs %d", label, got.Trace.TotalTransferred(), first.Trace.TotalTransferred())
 		}
 	}
 }
 
-// TestDeterminismParallelBenchQuery pins the parallel engine against
-// the hand-checked social-graph queries at every parallelism level.
+// TestDeterminismParallelBenchQuery pins the engine's per-node workers
+// against the hand-checked social-graph queries.
 func TestDeterminismParallelBenchQuery(t *testing.T) {
 	ds := socialDataset()
 	for _, src := range testQueries {
@@ -127,15 +122,11 @@ func TestDeterminismParallelBenchQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := optimizeFor(t, ds, q, m, opt.TDAuto)
-		for _, p := range []int{1, 2, 4, 8} {
-			e := New(ds.Dict, placement)
-			e.SetParallelism(p)
-			got, err := e.Execute(context.Background(), res.Plan, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			equalResults(t, got, want, fmt.Sprintf("%s P=%d", src[:15], p))
+		got, err := New(ds.Dict, placement).Execute(context.Background(), res.Plan, q)
+		if err != nil {
+			t.Fatal(err)
 		}
+		equalResults(t, got, want, src[:15])
 	}
 }
 
@@ -227,18 +218,24 @@ func TestFanOut(t *testing.T) {
 }
 
 // TestJoinCancelled: a degenerate cross-product join must notice a
-// cancelled context long before materializing its output.
+// cancelled context long before materializing its output, whichever
+// side it builds on, and report the join phase.
 func TestJoinCancelled(t *testing.T) {
-	a := newRelation([]string{"x"}, 5000)
-	b := newRelation([]string{"y"}, 5000)
-	for i := 0; i < 5000; i++ {
-		a.appendCopy([]rdf.TermID{rdf.TermID(i)})
-		b.appendCopy([]rdf.TermID{rdf.TermID(i)})
+	rel := func(v string, n int) *Relation {
+		r := newRelation([]string{v}, n)
+		for i := 0; i < n; i++ {
+			r.appendCopy([]rdf.TermID{rdf.TermID(i)})
+		}
+		return r
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := hashJoin(ctx, a, b); err == nil {
-		t.Fatal("cancelled cross product ran to completion")
+	for _, sizes := range [][2]int{{6000, 5000}, {5000, 6000}} {
+		_, err := hashJoin(ctx, rel("x", sizes[0]), rel("y", sizes[1]))
+		var pe *obs.PhaseError
+		if !errors.As(err, &pe) || pe.Phase != "join" || !errors.Is(err, context.Canceled) {
+			t.Errorf("|a|=%d |b|=%d: err = %v, want a join PhaseError wrapping context.Canceled", sizes[0], sizes[1], err)
+		}
 	}
 }
 

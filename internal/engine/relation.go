@@ -305,50 +305,36 @@ func hashJoin(ctx context.Context, a, b *Relation) (*Relation, error) {
 			bExtra = append(bExtra, j)
 		}
 	}
-	small := len(a.Rows)
-	if len(b.Rows) < small {
-		small = len(b.Rows)
+	// Build on the smaller side and probe with the other; either way a
+	// match emits a's row merged with b's. ops counts probe steps and
+	// emitted rows so even a degenerate cross product polls ctx
+	// regularly.
+	build, probe := a, b
+	buildCols, probeCols := aCols, bCols
+	probeA := len(a.Rows) > len(b.Rows)
+	if probeA {
+		build, probe = b, a
+		buildCols, probeCols = bCols, aCols
 	}
-	out := newRelation(outVars, small)
-	// Build on the smaller side; ops counts probe steps and emitted
-	// rows so even a degenerate cross product polls ctx regularly.
+	out := newRelation(outVars, len(build.Rows))
+	index := newRowTable(build.Rows, buildCols)
 	ops := 0
-	if len(a.Rows) > len(b.Rows) {
-		index := newRowTable(b.Rows, bCols)
-		for _, arow := range a.Rows {
-			for _, bi := range index.buckets[hashCols(arow, aCols)] {
-				if ops++; ops&(cancelEvery-1) == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				brow := b.Rows[bi]
-				if !equalOn(arow, aCols, brow, bCols) {
-					continue
-				}
-				out.appendMerged(arow, brow, bExtra)
-			}
+	for _, prow := range probe.Rows {
+		for _, bi := range index.buckets[hashCols(prow, probeCols)] {
 			if ops++; ops&(cancelEvery-1) == 0 {
 				if err := obs.Canceled(ctx, "join"); err != nil {
 					return nil, err
 				}
 			}
-		}
-		return out, nil
-	}
-	index := newRowTable(a.Rows, aCols)
-	for _, brow := range b.Rows {
-		for _, ai := range index.buckets[hashCols(brow, bCols)] {
-			if ops++; ops&(cancelEvery-1) == 0 {
-				if err := obs.Canceled(ctx, "join"); err != nil {
-					return nil, err
-				}
-			}
-			arow := a.Rows[ai]
-			if !equalOn(brow, bCols, arow, aCols) {
+			hit := build.Rows[bi]
+			if !equalOn(prow, probeCols, hit, buildCols) {
 				continue
 			}
-			out.appendMerged(arow, brow, bExtra)
+			if probeA {
+				out.appendMerged(prow, hit, bExtra)
+			} else {
+				out.appendMerged(hit, prow, bExtra)
+			}
 		}
 		if ops++; ops&(cancelEvery-1) == 0 {
 			if err := obs.Canceled(ctx, "join"); err != nil {

@@ -35,9 +35,9 @@ type TraceNode struct {
 	// TransferredBytes is the wire volume of TransferredRows.
 	TransferredBytes int64
 	// Elapsed is the operator's own wall time, excluding children.
-	// Sibling operators may be evaluated concurrently (the engine's
-	// intra-query parallelism), so sibling Elapsed values can overlap
-	// in wall time; their sum can exceed the query's wall time.
+	// Operators run one after another, so the own-time intervals of a
+	// trace are disjoint and their sum never exceeds the execution's
+	// wall time.
 	Elapsed time.Duration
 	// EstimatedCard is the optimizer's cardinality estimate, kept for
 	// estimate-vs-actual comparison.

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"sparqlopt/internal/cost"
+	"sparqlopt/internal/opt"
 	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
 	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/sparql"
+	"sparqlopt/internal/workload/lubm"
 )
 
 func TestTraceMirrorsPlan(t *testing.T) {
@@ -212,6 +215,46 @@ func TestTraceSaysHowLeafWasRead(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace format lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestTraceOwnTimesAddUp: the operators of a plan run one after another,
+// so their own times are disjoint slices of the execution and sum to no
+// more than its wall time. A per-layer time budget relies on this.
+func TestTraceOwnTimesAddUp(t *testing.T) {
+	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1})
+	var ownTime func(tr *TraceNode) time.Duration
+	ownTime = func(tr *TraceNode) time.Duration {
+		d := tr.Elapsed
+		for _, c := range tr.Children {
+			d += ownTime(c)
+		}
+		return d
+	}
+	for _, name := range []string{"hash-so", "2f"} {
+		m, err := partition.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		placement, err := m.Partition(ds, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(ds.Dict, placement)
+		for _, qn := range lubm.QueryNames {
+			q := lubm.Query(qn)
+			p := optimizeFor(t, ds, q, m, opt.TDAuto).Plan
+			start := time.Now()
+			st, err := e.ExecuteStream(context.Background(), p, q, ExecEnv{})
+			wall := time.Since(start)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, qn, err)
+			}
+			st.Finish()
+			if sum := ownTime(st.Result().Trace); sum > wall {
+				t.Errorf("%s/%s: operators' own times add up to %v, more than the execution's %v", name, qn, sum, wall)
+			}
 		}
 	}
 }

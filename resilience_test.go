@@ -163,7 +163,6 @@ func TestChaosServing(t *testing.T) {
 	seed := chaosSeed(t)
 	sys, err := Open(tinyDataset(),
 		WithNodes(3),
-		WithParallelism(2),
 		WithPlanCache(64),
 		WithAdmissionControl(64, 64),
 		WithMemoryBudget(1<<28, 0),

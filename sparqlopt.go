@@ -254,10 +254,9 @@ func AlgorithmByName(name string) (Algorithm, bool) {
 // The package has three option families, one per configuration scope:
 //
 //   - Option configures a System for its lifetime and is passed to
-//     Open: data placement (WithMethod, WithNodes), execution shape
-//     (WithParallelism, WithCostParams), serving
+//     Open: data placement (WithMethod, WithNodes), serving
 //     infrastructure (WithPlanCache, WithAdmissionControl,
-//     WithMemoryBudget, WithAdaptivePartitioning)
+//     WithMemoryBudget, WithAdaptivePartitioning, WithNodeFailover)
 //     and observability (WithObservability, WithWriteFaultInjection).
 //
 //   - RunOption configures one serving call and is passed to Run,
@@ -356,9 +355,7 @@ type Option func(*openConfig)
 
 type openConfig struct {
 	method        Method
-	params        CostParams
 	nodes         int
-	parallelism   int
 	planCache     int
 	maxConcurrent int
 	maxQueued     int
@@ -381,16 +378,6 @@ func WithMethod(m Method) Option { return func(c *openConfig) { c.method = m } }
 // WithNodes sets the simulated cluster size (default 10, as in the
 // paper's testbed).
 func WithNodes(n int) Option { return func(c *openConfig) { c.nodes = n } }
-
-// WithCostParams overrides the cost-model constants.
-func WithCostParams(p CostParams) Option { return func(c *openConfig) { c.params = p } }
-
-// WithParallelism bounds the engine worker goroutines (independent
-// join subtrees, shuffle scatters): 0 means GOMAXPROCS, 1 forces the
-// sequential path. Plan enumeration always runs on the calling
-// goroutine. Results and metrics are identical at every setting — the
-// knob only changes wall time.
-func WithParallelism(p int) Option { return func(c *openConfig) { c.parallelism = p } }
 
 // WithPlanCache enables the serving-path plan cache with capacity for
 // (at least) n query fingerprints; n <= 0 (the default) disables
@@ -568,14 +555,15 @@ func WithObservability(opts ...ObsOption) Option {
 
 // Open partitions the dataset and builds the execution engine.
 func Open(ds *Dataset, opts ...Option) (*System, error) {
-	cfg := openConfig{method: partition.HashSO{}, params: cost.Default, nodes: cost.Default.Nodes}
+	cfg := openConfig{method: partition.HashSO{}, nodes: cost.Default.Nodes}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.nodes <= 0 {
 		return nil, fmt.Errorf("sparqlopt: cluster size must be positive")
 	}
-	cfg.params.Nodes = cfg.nodes
+	params := cost.Default
+	params.Nodes = cfg.nodes
 	placement, err := cfg.method.Partition(ds, cfg.nodes)
 	if err != nil {
 		return nil, err
@@ -586,13 +574,12 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 	// the unsorted lists are not kept alive beside them. Its readers
 	// (Migrate, the advisor, ReplicationFactor) treat a fragment as a set.
 	placement = &partition.Placement{Nodes: placement.Nodes, Triples: eng.Fragments()}
-	eng.SetParallelism(cfg.parallelism)
 	snap := ds.Snapshot()
 	eng.SetData(snap)
 	s := &System{
 		ds:          ds,
 		method:      cfg.method,
-		params:      cfg.params,
+		params:      params,
 		placement:   placement,
 		engine:      eng,
 		cache:       plancache.New(cfg.planCache),

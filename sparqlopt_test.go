@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"sparqlopt/internal/opt"
 	"sparqlopt/internal/sparql"
 	"sparqlopt/internal/stats"
 )
@@ -141,35 +140,6 @@ func TestReplicationFactor(t *testing.T) {
 	if sys.Method().Name() != "Hash-SO" {
 		t.Errorf("default method = %s", sys.Method().Name())
 	}
-}
-
-func TestWithCostParams(t *testing.T) {
-	p := DefaultCostParams()
-	p.BetaR = 99 // make repartition prohibitively expensive
-	sys, err := Open(tinyDataset(), WithCostParams(p), WithNodes(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Optimize(context.Background(),
-		`SELECT * WHERE { ?x <http://knows> ?y . ?y <http://knows> ?z . }`, WithAlgorithm(TDCMD))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawRepartition bool
-	var walk func(n *Plan)
-	walk = func(n *Plan) {
-		if n.Alg.String() == "⋈R" {
-			sawRepartition = true
-		}
-		for _, ch := range n.Children {
-			walk(ch)
-		}
-	}
-	walk(res.Plan)
-	if sawRepartition {
-		t.Error("repartition join chosen despite prohibitive cost")
-	}
-	_ = opt.TDCMD // facade aliases the internal enum
 }
 
 // TestUnsupportedQueryTyped pins the typed failure of well-formed

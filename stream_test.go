@@ -51,8 +51,8 @@ func equalRowSets(a, b [][]TermID) bool {
 }
 
 // TestRunStreamMatchesRun is the redesign's bit-identity gate: for
-// every LUBM and bound-WatDiv benchmark query, at parallelism 1 and 4,
-// the sorted stream and the materialized result are identical.
+// every LUBM and bound-WatDiv benchmark query, the sorted stream and
+// the materialized result are identical.
 func TestRunStreamMatchesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline sweep")
@@ -91,32 +91,30 @@ func TestRunStreamMatchesRun(t *testing.T) {
 		}
 	}
 	for _, wl := range []workload{{"lubm", lds, lqs}, {"watdiv", wds, wqs}} {
-		for _, par := range []int{1, 4} {
-			sys, err := Open(wl.ds, WithNodes(4), WithParallelism(par))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, nq := range wl.queries {
-				want, err := sys.RunQuery(context.Background(), nq.q)
-				if err != nil {
-					t.Fatalf("%s/%s P=%d: Run: %v", wl.label, nq.name, par, err)
-				}
-				rows, err := sys.RunStreamQuery(context.Background(), nq.q)
-				if err != nil {
-					t.Fatalf("%s/%s P=%d: RunStream: %v", wl.label, nq.name, par, err)
-				}
-				got := drainSorted(t, rows)
-				if !equalRowSets(got, want.Rows) {
-					t.Errorf("%s/%s P=%d: stream and Run disagree (%d vs %d rows)",
-						wl.label, nq.name, par, len(got), len(want.Rows))
-				}
-				if res := rows.Result(); res == nil || res.Returned != int64(len(want.Rows)) {
-					t.Errorf("%s/%s P=%d: stream Result.Returned = %v, want %d",
-						wl.label, nq.name, par, res, len(want.Rows))
-				}
-			}
-			sys.Close()
+		sys, err := Open(wl.ds, WithNodes(4))
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, nq := range wl.queries {
+			want, err := sys.RunQuery(context.Background(), nq.q)
+			if err != nil {
+				t.Fatalf("%s/%s: Run: %v", wl.label, nq.name, err)
+			}
+			rows, err := sys.RunStreamQuery(context.Background(), nq.q)
+			if err != nil {
+				t.Fatalf("%s/%s: RunStream: %v", wl.label, nq.name, err)
+			}
+			got := drainSorted(t, rows)
+			if !equalRowSets(got, want.Rows) {
+				t.Errorf("%s/%s: stream and Run disagree (%d vs %d rows)",
+					wl.label, nq.name, len(got), len(want.Rows))
+			}
+			if res := rows.Result(); res == nil || res.Returned != int64(len(want.Rows)) {
+				t.Errorf("%s/%s: stream Result.Returned = %v, want %d",
+					wl.label, nq.name, res, len(want.Rows))
+			}
+		}
+		sys.Close()
 	}
 }
 
