@@ -365,3 +365,52 @@ func TestAdaptiveMemoryBudgetIsolation(t *testing.T) {
 		t.Fatal("rows diverged after recovered migration")
 	}
 }
+
+// TestMigrationAccountsEngineCopies: with writes applied before the
+// migration round, the advisor counts — and charges to the replication
+// budget — exactly the copies the engine's overlays gain, never a copy
+// of an ingested triple. ReplicationFactor reads the serving snapshot:
+// at Open it is the method's own factor, after the round the view's
+// stored copies over the dataset's size.
+func TestMigrationAccountsEngineCopies(t *testing.T) {
+	ds := migDataset()
+	const nodes = 4
+	method := mustPartition(t, "2f", ds, nodes)
+	sys, err := Open(ds,
+		WithMethod(mustMethod(t, "2f")),
+		WithNodes(nodes),
+		WithAdaptivePartitioning(AdaptiveConfig{MinShuffledBytes: 1, MinQueries: 1, Synchronous: true}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if got, want := sys.ReplicationFactor(), method.ReplicationFactor(ds.Len()); got != want {
+		t.Errorf("replication factor at Open %v, the method's is %v", got, want)
+	}
+	addMigWrites(ds)
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		if _, err := sys.Run(ctx, migHot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := sys.AdvisorStats()
+	if st.Migrations == 0 {
+		t.Fatalf("no migration ran: %+v", st)
+	}
+	view := sys.engine.Snapshot().View()
+	var overlaid int64
+	for _, ts := range view.Overlay {
+		overlaid += int64(len(ts))
+	}
+	if st.MigratedTriples != overlaid {
+		t.Errorf("the advisor counts %d copies, the engine's overlays gained %d", st.MigratedTriples, overlaid)
+	}
+	if st.AlignedGroups != view.Align.Len() {
+		t.Errorf("AlignedGroups %d, the snapshot aligns %d", st.AlignedGroups, view.Align.Len())
+	}
+	if got, want := sys.ReplicationFactor(), float64(view.Copies())/float64(ds.Len()); got != want {
+		t.Errorf("replication factor %v, the view stores %v", got, want)
+	}
+}

@@ -39,20 +39,22 @@ var failoverQueries = []string{
 	`SELECT * WHERE { ?x <http://knows> ?y . ?x <http://worksFor> ?o . ?o <http://inCity> ?c . }`,
 }
 
-// nodeCovered reports whether every triple of the node's fragment has
-// a live copy on some other node — the condition under which killing
-// the node must be invisible to query results.
-func nodeCovered(pl *partition.Placement, node int) bool {
-	for _, tr := range pl.Triples[node] {
-		ok := false
-		for j := 0; j < pl.Nodes; j++ {
-			if j != node && pl.HasTriple(j, tr) {
-				ok = true
-				break
+// nodeCovered reports whether every triple the node holds has a copy
+// on some other node — the condition under which killing the node must
+// be invisible to query results.
+func nodeCovered(v *partition.View, node int) bool {
+	for _, ts := range v.Fragment(node) {
+		for _, tr := range ts {
+			ok := false
+			for j := 0; j < v.Nodes(); j++ {
+				if j != node && v.Holds(j, tr) {
+					ok = true
+					break
+				}
 			}
-		}
-		if !ok {
-			return false
+			if !ok {
+				return false
+			}
 		}
 	}
 	return true
@@ -93,10 +95,10 @@ func TestFailoverProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pl := sys.currentPlacement()
+				view := sys.engine.Snapshot().View()
 				covered := make([]bool, nodes)
 				for i := range covered {
-					covered[i] = nodeCovered(pl, i)
+					covered[i] = nodeCovered(view, i)
 				}
 				for qi, src := range failoverQueries {
 					ref, err := sys.Run(context.Background(), src)
@@ -264,10 +266,10 @@ func TestFailoverRecoveryReplicates(t *testing.T) {
 	}
 	// Find a node whose fragment is NOT fully covered (a self-loop
 	// landed there under hash-so) and a query that needs its triples.
-	pl := sys.currentPlacement()
+	view := sys.engine.Snapshot().View()
 	dead := -1
-	for i := 0; i < pl.Nodes; i++ {
-		if !nodeCovered(pl, i) {
+	for i := 0; i < view.Nodes(); i++ {
+		if !nodeCovered(view, i) {
 			dead = i
 			break
 		}

@@ -3,13 +3,10 @@ package sparqlopt
 import (
 	"context"
 	"fmt"
-	"slices"
 	"testing"
 
 	"sparqlopt/internal/engine"
-	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
-	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/workload/lubm"
 	"sparqlopt/internal/workload/uniprot"
 )
@@ -197,83 +194,6 @@ func TestProbedJoinsKeepCounts(t *testing.T) {
 		}
 		if c.method == "hash-so" && c.query == "P2" && (res.Trace.Alg == plan.Scan || res.Trace.BusyNodes > 2) {
 			t.Errorf("hash-so/P2: root %v ran on %d/%d nodes, want a join on at most 2", res.Trace.Alg, res.Trace.BusyNodes, res.Trace.Nodes)
-		}
-	}
-}
-
-// TestPlacementAliasesStores: Open keeps the engine's sorted base
-// fragments as its placement — the method's triple sets, not another
-// copy of them — capped so that an append copies, and a migration builds
-// fresh arrays for the nodes it touches instead of writing into the
-// aliased ones.
-func TestPlacementAliasesStores(t *testing.T) {
-	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1})
-	const nodes = 4
-	method := partition.HashSO{}
-	want, err := method.Partition(ds, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := Open(ds, WithMethod(method), WithNodes(nodes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	pl := sys.currentPlacement()
-	stores := sys.engine.Fragments()
-	asSet := func(ts []rdf.Triple) []rdf.Triple {
-		out := slices.Clone(ts)
-		slices.SortFunc(out, func(a, b rdf.Triple) int {
-			switch {
-			case a.Less(b):
-				return -1
-			case b.Less(a):
-				return 1
-			}
-			return 0
-		})
-		return out
-	}
-	before := make([][]rdf.Triple, nodes)
-	for node, ts := range pl.Triples {
-		if len(ts) == 0 || &ts[0] != &stores[node][0] || cap(ts) != len(ts) {
-			t.Fatalf("node %d: placement fragment (len %d cap %d) is not the engine's capped copy", node, len(ts), cap(ts))
-		}
-		if !slices.Equal(asSet(ts), asSet(want.Triples[node])) {
-			t.Errorf("node %d: placement holds %d triples, the method placed %d others", node, len(ts), len(want.Triples[node]))
-		}
-		before[node] = slices.Clone(ts)
-	}
-	if rf := sys.ReplicationFactor(); rf != want.ReplicationFactor(ds.Len()) {
-		t.Errorf("replication factor %v, the method's is %v", rf, want.ReplicationFactor(ds.Len()))
-	}
-
-	// Node 0 gains a triple it lacks, plus one it already holds.
-	var missing rdf.Triple
-	for _, tr := range pl.Triples[1] {
-		if !pl.HasTriple(0, tr) {
-			missing = tr
-			break
-		}
-	}
-	adds := make([][]rdf.Triple, nodes)
-	adds[0] = []rdf.Triple{missing, pl.Triples[0][0]}
-	next, err := pl.Migrate(&partition.Migration{Adds: adds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := next.Triples[0]; len(got) != len(before[0])+1 || &got[0] == &pl.Triples[0][0] || !next.HasTriple(0, missing) {
-		t.Errorf("migrated node 0 holds %d triples (want %d) in the aliased array=%v", len(got), len(before[0])+1, &got[0] == &pl.Triples[0][0])
-	}
-	if grown := append(pl.Triples[2], missing); &grown[0] == &pl.Triples[2][0] {
-		t.Error("an append wrote into the engine's store")
-	}
-	for node, ts := range pl.Triples {
-		if !slices.Equal(ts, before[node]) || !slices.Equal(stores[node], before[node]) {
-			t.Errorf("node %d: the aliased fragment changed", node)
-		}
-		if node > 0 && &next.Triples[node][0] != &ts[0] {
-			t.Errorf("node %d: an untouched fragment was copied", node)
 		}
 	}
 }

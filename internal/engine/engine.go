@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -271,20 +272,6 @@ func New(dict *rdf.Dict, placement *partition.Placement) *Engine {
 	return e
 }
 
-// Fragments returns every node's base fragment as the engine holds it:
-// the store's SPO copy, capped at its length so that an append copies
-// it. The base stores are never rebuilt or written, so a caller keeping
-// a placement may alias these instead of the method's unsorted lists —
-// the same triple sets, one copy fewer — provided it only reads them.
-func (e *Engine) Fragments() [][]rdf.Triple {
-	stores := e.snap.Load().stores
-	out := make([][]rdf.Triple, len(stores))
-	for i, st := range stores {
-		out[i] = st.spo[:len(st.spo):len(st.spo)]
-	}
-	return out
-}
-
 // buildStores sorts every node's fragment into its store, as many at a
 // time as there are processors: the builds are independent, and sorting
 // is the whole cost of opening an engine.
@@ -358,63 +345,63 @@ func (e *Engine) ApplyIngest(delta []rdf.Triple, data *rdf.Snapshot) {
 	e.snap.Store(&Snap{stores: old.stores, overlays: old.overlays, align: old.align, delta: chunks, data: data})
 }
 
+// View returns the snapshot's placement for migration planning: the
+// stores' own SPO arrays, nothing copied (see partition.View).
+func (s *Snap) View() *partition.View {
+	n := len(s.stores)
+	v := &partition.View{Base: make([][]rdf.Triple, n), Overlay: make([][]rdf.Triple, n), Align: s.align, Data: s.data}
+	for node, st := range s.stores {
+		v.Base[node] = st.spo
+		if ov := s.overlay(node); ov != nil {
+			v.Overlay[node] = ov.spo
+		}
+	}
+	for _, st := range s.delta {
+		v.Delta = append(v.Delta, st.spo)
+	}
+	return v
+}
+
 // ApplyMigration swaps in a new store snapshot with the migration's
-// per-node adds indexed as overlays and the given alignment table. The
-// base stores are never rebuilt — normal scans keep reading exactly the
-// pre-migration fragments, so queries outside the migrated patterns see
-// zero cost from the added replicas; only aligned scans read the
-// overlays. Touched nodes get a fresh overlay merging the previous
-// one with the new adds (deduplicated against the base fragment);
-// untouched overlays are shared with the previous snapshot. Queries
-// already executing keep their captured snapshot — the swap never
-// blocks or tears an in-flight run. The returned value is the
-// rebuilt-triple count (the transient build cost the caller charged
-// its memory gauge for).
-func (e *Engine) ApplyMigration(m *partition.Migration, align *partition.Alignment) int {
+// per-node adds indexed as overlays and the given groups added to the
+// alignment table. from is the snapshot the migration was planned
+// from; if another migration has replaced its overlays or alignment
+// since, nothing is applied and an error is returned. Ingest commits
+// since then are kept: they change only the delta, which no plan
+// copies. The base stores are never rebuilt — normal scans keep
+// reading exactly the pre-migration fragments, so queries outside the
+// migrated patterns see zero cost from the added replicas; only
+// aligned scans read the overlays. Touched nodes get a fresh overlay
+// merging the previous one with the adds, which must be distinct and
+// absent from the node's fragment and overlay, as partition.View plans
+// them; untouched overlays are shared with the previous snapshot.
+// Queries already executing keep their captured snapshot — the swap
+// never blocks or tears an in-flight run.
+func (e *Engine) ApplyMigration(from *Snap, m *partition.Migration, keys []partition.GroupKey) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	old := e.snap.Load()
-	overlays := make([]*store, len(old.stores))
-	if old.overlays != nil {
-		copy(overlays, old.overlays)
+	if old.align != from.align || !slices.Equal(old.overlays, from.overlays) {
+		return errors.New("engine: the placement changed since the migration was planned")
 	}
-	rebuilt := 0
+	if len(m.Adds) != len(old.stores) {
+		return fmt.Errorf("engine: migration has %d node lists, the engine has %d nodes", len(m.Adds), len(old.stores))
+	}
+	overlays := make([]*store, len(old.stores))
+	copy(overlays, old.overlays)
 	for node, adds := range m.Adds {
 		if len(adds) == 0 {
 			continue
 		}
-		// An add the node's base fragment or previous overlay already
-		// holds is a duplicate. So is one that arrived through ingest: it
-		// lives in the broadcast delta, which aligned scans already read
-		// on every node, and an overlay copy would make them emit it
-		// twice. The stores answer both by binary search.
-		held := append([]*store{old.stores[node]}, old.delta...)
-		if overlays[node] != nil {
-			held = append(held, overlays[node])
-		}
-		fresh := make([]rdf.Triple, 0, len(adds))
-		for _, t := range adds {
-			if !slices.ContainsFunc(held, func(st *store) bool { return st.has(t) }) {
-				fresh = append(fresh, t)
-			}
-		}
-		// Adds may repeat a triple among themselves; sorted, the copies
-		// are neighbours.
-		slices.SortFunc(fresh, permSPO.cmp)
-		added := newStore(slices.Compact(fresh))
+		added := newStore(adds)
 		if overlays[node] != nil {
 			added = mergeStores(overlays[node], added)
 		}
 		overlays[node] = added
-		rebuilt += len(added.spo)
 	}
-	e.snap.Store(&Snap{stores: old.stores, overlays: overlays, align: align, delta: old.delta, data: old.data})
-	return rebuilt
+	e.snap.Store(&Snap{stores: old.stores, overlays: overlays, align: old.align.With(keys...), delta: old.delta, data: old.data})
+	return nil
 }
-
-// Alignment returns the engine's current alignment table (nil when no
-// migration has run).
-func (e *Engine) Alignment() *partition.Alignment { return e.snap.Load().align }
 
 // Nodes returns the cluster size.
 func (e *Engine) Nodes() int { return len(e.snap.Load().stores) }

@@ -173,8 +173,8 @@ func (l *scanLeaf) readAt(node, alignCol int, dead []int) (missing int, err erro
 		// Ingested triples are replicated to every node via the delta,
 		// so the align filter keeps each of them exactly on its scatter
 		// destination — the alignment guarantee holds for them without
-		// any overlay copy (ApplyMigration excludes delta triples from
-		// overlays for the same reason).
+		// any overlay copy (a migration never copies a delta triple, for
+		// the same reason).
 		n := len(l.rels)
 		for _, row := range l.deltaRows {
 			if int(uint64(row[alignCol])%uint64(n)) == node {

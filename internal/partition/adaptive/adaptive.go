@@ -13,15 +13,18 @@
 // pattern cannot blow up a node.
 //
 // The loop is: Observe (per completed query) → PlanMigration (when a
-// group crosses the trigger) → caller applies the proposal to the live
-// placement and engine → Commit. Plan and Commit are split so a failed
-// application (e.g. a memory-budget trip while rebuilding stores)
-// leaves the advisor's accounting untouched and the proposal can be
-// retried or dropped.
+// group crosses the trigger) from a partition.View of the engine
+// snapshot → caller applies the proposal to that snapshot → Commit.
+// The advisor keeps no placement or alignment of its own: the engine's
+// snapshot is the one record of who holds what. Plan and Commit are
+// split so a failed application (e.g. a memory-budget trip while
+// rebuilding stores) leaves the advisor's accounting untouched and the
+// proposal can be retried or dropped.
 package adaptive
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -96,7 +99,9 @@ type Stats struct {
 	// currently tracked. Without decay this only grows; with decay,
 	// groups that cool below one query's worth are expired.
 	TrackedGroups int
-	// AlignedGroups counts groups migrated so far.
+	// AlignedGroups counts the groups the serving snapshot has aligned.
+	// The advisor keeps no alignment, so its own Stats leave it zero;
+	// System.AdvisorStats reads it from the engine's snapshot.
 	AlignedGroups int
 	// AlignedHits counts observations served by an aligned scan — the
 	// shuffles the migrations eliminated.
@@ -124,10 +129,10 @@ type Stats struct {
 }
 
 // Proposal is one planned migration round, to be applied by the caller
-// (placement + engine) and then Commit-ed back to the advisor.
+// to the engine snapshot it was planned from and then Commit-ed back to
+// the advisor.
 type Proposal struct {
 	Migration *partition.Migration
-	Alignment *partition.Alignment
 	// Keys are the groups the proposal aligns, hottest first. Empty for
 	// a recovery proposal (recovery copies restore availability, they
 	// do not align any group).
@@ -154,13 +159,12 @@ type groupAcc struct {
 // Advisor accumulates shuffle observations and plans bounded
 // migrations. All methods are safe for concurrent use.
 type Advisor struct {
-	mu      sync.Mutex
-	cfg     Config
-	acc     map[partition.GroupKey]*groupAcc
-	aligned *partition.Alignment
-	added   int64 // copies committed so far, against the replication budget
-	clock   int64 // observed-query count, the decay time base
-	stats   Stats
+	mu    sync.Mutex
+	cfg   Config
+	acc   map[partition.GroupKey]*groupAcc
+	added int64 // copies committed so far, against the replication budget
+	clock int64 // observed-query count, the decay time base
+	stats Stats
 }
 
 // New returns an advisor with the given bounds (zero fields take
@@ -171,14 +175,6 @@ func New(cfg Config) *Advisor {
 
 // Config returns the advisor's effective (defaulted) configuration.
 func (a *Advisor) Config() Config { return a.cfg }
-
-// Alignment returns the advisor's committed alignment snapshot (nil
-// before the first migration).
-func (a *Advisor) Alignment() *partition.Alignment {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.aligned
-}
 
 // Stats returns a snapshot of the advisor's counters.
 func (a *Advisor) Stats() Stats {
@@ -191,8 +187,10 @@ func (a *Advisor) Stats() Stats {
 }
 
 // Observe folds one completed query's alignable shuffles into the
-// accumulators and reports whether some unaligned group now crosses
-// the migration trigger — the caller's cue to PlanMigration.
+// accumulators and reports whether some group the query saw unaligned
+// now crosses the migration trigger — the caller's cue to
+// PlanMigration, which skips the group if a migration has aligned it
+// since the query's snapshot.
 func (a *Advisor) Observe(obs []Observation) bool {
 	if len(obs) == 0 {
 		return false
@@ -216,7 +214,7 @@ func (a *Advisor) Observe(obs []Observation) bool {
 		g.rows += float64(o.Rows)
 		g.bytes += float64(o.Bytes)
 		g.queries++
-		if !a.aligned.Aligned(o.Key.Pred, o.Key.Pos) && a.qualifies(g) {
+		if a.qualifies(g) {
 			hot = true
 		}
 	}
@@ -262,19 +260,21 @@ func (a *Advisor) qualifies(g *groupAcc) bool {
 	return g.bytes >= float64(a.cfg.MinBytes) && g.queries >= float64(a.cfg.MinQueries)
 }
 
-// PlanMigration computes the next migration round: the hottest
-// qualifying groups — by accumulated observed shuffle bytes, with a
-// deterministic tie-break — whose full alignment fits the remaining
-// replication budget and the balance factor. For every accepted group
-// it adds, per node, the group triples that node is missing: after the
-// migration EVERY triple with the group's predicate has a copy on
-// AlignNode of its key term, which is the all-or-nothing guarantee the
-// engine's aligned scan relies on. Returns nil when no group
-// qualifies or fits.
+// PlanMigration computes the next migration round from v: the hottest
+// qualifying groups v has not aligned — by accumulated observed
+// shuffle bytes, with a deterministic tie-break — whose full alignment
+// fits the remaining replication budget and the balance factor. For
+// every accepted group it adds, per node, the group triples that node
+// is missing: after the migration EVERY fragment triple with the
+// group's predicate has a copy on AlignNode of its key term, which is
+// the all-or-nothing guarantee the engine's aligned scan relies on.
+// Delta triples need no copy (every node serves the delta), and a
+// triple the engine has not applied yet is in no fragment, so neither
+// is ever proposed. Returns nil when no group qualifies or fits.
 //
 // The advisor's own accounting is NOT advanced here; the caller
 // applies the proposal and then calls Commit (or RecordFailure).
-func (a *Advisor) PlanMigration(ds *rdf.Dataset, p *partition.Placement) *Proposal {
+func (a *Advisor) PlanMigration(v *partition.View) *Proposal {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	type cand struct {
@@ -284,7 +284,7 @@ func (a *Advisor) PlanMigration(ds *rdf.Dataset, p *partition.Placement) *Propos
 	var cands []cand
 	for k, g := range a.acc {
 		a.decayLocked(g)
-		if a.aligned.Aligned(k.Pred, k.Pos) || !a.qualifies(g) {
+		if v.Align.Aligned(k.Pred, k.Pos) || !a.qualifies(g) {
 			continue
 		}
 		cands = append(cands, cand{k, int64(g.bytes)})
@@ -301,53 +301,46 @@ func (a *Advisor) PlanMigration(ds *rdf.Dataset, p *partition.Placement) *Propos
 		}
 		return cands[i].key.Pos < cands[j].key.Pos
 	})
-	n := p.Nodes
-	// Index which candidate-predicate triples each node already holds,
-	// so adds are counted net of existing copies (replicating methods
-	// like 2f may have placed many group members correctly already).
-	preds := make(map[rdf.TermID]bool, len(cands))
-	for _, c := range cands {
-		preds[c.key.Pred] = true
+	n := v.Nodes()
+	nodeSizes := make([]int64, n)
+	for node := range nodeSizes {
+		nodeSizes[node] = int64(v.Size(node))
 	}
+	// The copies groups accepted earlier in this round add, so a later
+	// group over the same triples counts net of them too.
 	type nodeTriple struct {
 		node int
 		t    rdf.Triple
 	}
-	present := make(map[nodeTriple]bool)
-	nodeSizes := make([]int64, n)
-	for node, ts := range p.Triples {
-		nodeSizes[node] = int64(len(ts))
-		for _, t := range ts {
-			if preds[t.P] {
-				present[nodeTriple{node, t}] = true
-			}
-		}
-	}
-	// Plan against a pinned snapshot: concurrent ingest must not change
-	// the triple set mid-plan (triples committed after the pin are
-	// covered by the engine's broadcast delta, not by placements).
-	snap := ds.Snapshot()
-	budget := int64(a.cfg.ReplicationBudget*float64(snap.Len())) - a.added
+	planned := make(map[nodeTriple]bool)
+	budget := int64(a.cfg.ReplicationBudget*float64(v.Data.Len())) - a.added
 	adds := make([][]rdf.Triple, n)
 	var accepted []partition.GroupKey
 	var addCount int64
 	for _, c := range cands {
 		group := make([][]rdf.Triple, n)
+		for node, ts := range v.Base {
+			for _, t := range ts {
+				if t.P != c.key.Pred {
+					continue
+				}
+				key := t.S
+				if c.key.Pos == partition.PosO {
+					key = t.O
+				}
+				to := partition.AlignNode(key, n)
+				if to != node && !v.Holds(to, t) && !planned[nodeTriple{to, t}] {
+					group[to] = append(group[to], t)
+				}
+			}
+		}
+		// A triple placed on several nodes, none of them its align node,
+		// was met once per copy; sorted, the copies are neighbours.
 		var count int64
-		for _, t := range snap.Triples() {
-			if t.P != c.key.Pred {
-				continue
-			}
-			key := t.S
-			if c.key.Pos == partition.PosO {
-				key = t.O
-			}
-			node := partition.AlignNode(key, n)
-			if present[nodeTriple{node, t}] {
-				continue
-			}
-			group[node] = append(group[node], t)
-			count++
+		for node := range group {
+			slices.SortFunc(group[node], rdf.Triple.Compare)
+			group[node] = slices.Compact(group[node])
+			count += int64(len(group[node]))
 		}
 		if count > budget {
 			a.stats.SkippedBudget++
@@ -376,12 +369,10 @@ func (a *Advisor) PlanMigration(ds *rdf.Dataset, p *partition.Placement) *Propos
 		budget -= count
 		addCount += count
 		for node := range group {
-			if len(group[node]) > 0 {
-				adds[node] = append(adds[node], group[node]...)
-				nodeSizes[node] += int64(len(group[node]))
-				for _, t := range group[node] {
-					present[nodeTriple{node, t}] = true
-				}
+			adds[node] = append(adds[node], group[node]...)
+			nodeSizes[node] += int64(len(group[node]))
+			for _, t := range group[node] {
+				planned[nodeTriple{node, t}] = true
 			}
 		}
 		accepted = append(accepted, c.key)
@@ -391,72 +382,67 @@ func (a *Advisor) PlanMigration(ds *rdf.Dataset, p *partition.Placement) *Propos
 	}
 	return &Proposal{
 		Migration: &partition.Migration{Adds: adds},
-		Alignment: a.aligned.With(accepted...),
 		Keys:      accepted,
 		AddCount:  addCount,
 	}
 }
 
-// PlanRecovery computes a re-replication round after sustained node
-// failure: every triple whose placement copies ALL live on dead nodes
-// (an uncovered fragment — queries matching it fail with a typed
-// unavailability error) gets one new copy on a healthy node. Uncovered
-// triples are packed by predicate, hottest observed shuffle volume
-// first with a deterministic tie-break, and accepted while they fit
-// the remaining replication budget; each accepted group lands on the
-// healthy node with the smallest projected fragment. The hard balance
-// rejection of PlanMigration is deliberately not applied — during an
-// outage availability beats balance, and the smallest-fragment target
-// is the balance-aware placement. Returns nil when nothing is
-// uncovered, no healthy node remains, or nothing fits the budget.
+// PlanRecovery computes a re-replication round from v after sustained
+// node failure: every triple whose fragment and overlay copies ALL
+// live on dead nodes (an uncovered fragment — queries matching it fail
+// with a typed unavailability error) gets one new copy on a healthy
+// node. Delta triples are served by every node and never stranded.
+// Uncovered triples are packed by predicate, hottest observed shuffle
+// volume first with a deterministic tie-break, and accepted while they
+// fit the remaining replication budget; each accepted group lands on
+// the healthy node with the smallest projected fragment. The hard
+// balance rejection of PlanMigration is deliberately not applied —
+// during an outage availability beats balance, and the
+// smallest-fragment target is the balance-aware placement. Returns nil
+// when nothing is uncovered, no healthy node remains, or nothing fits
+// the budget.
 //
 // Like PlanMigration, the advisor's accounting is not advanced here;
 // the caller applies the proposal and then calls Commit (or
 // RecordFailure).
-func (a *Advisor) PlanRecovery(ds *rdf.Dataset, p *partition.Placement, dead []int) *Proposal {
+func (a *Advisor) PlanRecovery(v *partition.View, dead []int) *Proposal {
 	if len(dead) == 0 {
 		return nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := p.Nodes
+	n := v.Nodes()
 	isDead := make([]bool, n)
 	for _, d := range dead {
 		if d >= 0 && d < n {
 			isDead[d] = true
 		}
 	}
-	healthy := 0
-	for node := 0; node < n; node++ {
+	var live []int
+	nodeSizes := make([]int64, n)
+	for node := range nodeSizes {
+		nodeSizes[node] = int64(v.Size(node))
 		if !isDead[node] {
-			healthy++
+			live = append(live, node)
 		}
 	}
-	if healthy == 0 {
+	if len(live) == 0 {
 		return nil
 	}
-	// covered = triples with at least one copy on a healthy node; also
-	// reused below to deduplicate uncovered triples seen on several dead
-	// nodes.
-	covered := make(map[rdf.Triple]bool)
-	nodeSizes := make([]int64, n)
-	for node, ts := range p.Triples {
-		nodeSizes[node] = int64(len(ts))
-		if isDead[node] {
-			continue
-		}
-		for _, t := range ts {
-			covered[t] = true
-		}
-	}
+	// The dead nodes' triples without a copy on a live node, each once
+	// however many dead nodes held it.
+	stranded := make(map[rdf.Triple]bool)
 	groups := make(map[rdf.TermID][]rdf.Triple)
-	for node, ts := range p.Triples {
+	for node := range isDead {
 		if !isDead[node] {
 			continue
 		}
-		for _, t := range ts {
-			if !covered[t] {
-				covered[t] = true
+		for _, ts := range v.Fragment(node) {
+			for _, t := range ts {
+				if stranded[t] || slices.ContainsFunc(live, func(l int) bool { return v.Holds(l, t) }) {
+					continue
+				}
+				stranded[t] = true
 				groups[t.P] = append(groups[t.P], t)
 			}
 		}
@@ -486,7 +472,7 @@ func (a *Advisor) PlanRecovery(ds *rdf.Dataset, p *partition.Placement, dead []i
 		}
 		return cands[i].pred < cands[j].pred
 	})
-	budget := int64(a.cfg.ReplicationBudget*float64(ds.Snapshot().Len())) - a.added
+	budget := int64(a.cfg.ReplicationBudget*float64(v.Data.Len())) - a.added
 	adds := make([][]rdf.Triple, n)
 	var addCount int64
 	for _, c := range cands {
@@ -495,12 +481,9 @@ func (a *Advisor) PlanRecovery(ds *rdf.Dataset, p *partition.Placement, dead []i
 			a.stats.SkippedBudget++
 			continue
 		}
-		target := -1
-		for node := 0; node < n; node++ {
-			if isDead[node] {
-				continue
-			}
-			if target < 0 || nodeSizes[node] < nodeSizes[target] {
+		target := live[0]
+		for _, node := range live[1:] {
+			if nodeSizes[node] < nodeSizes[target] {
 				target = node
 			}
 		}
@@ -514,23 +497,20 @@ func (a *Advisor) PlanRecovery(ds *rdf.Dataset, p *partition.Placement, dead []i
 	}
 	return &Proposal{
 		Migration: &partition.Migration{Adds: adds},
-		Alignment: a.aligned,
 		AddCount:  addCount,
 		Recovery:  true,
 	}
 }
 
-// Commit records a successfully applied proposal: the alignment
-// snapshot advances, the replication budget is spent, and future
-// Observe/PlanMigration calls treat the groups as aligned.
+// Commit records a successfully applied proposal: the replication
+// budget is spent. The groups it aligned are the engine snapshot's
+// record, which later plans read through their View.
 func (a *Advisor) Commit(p *Proposal) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.aligned = p.Alignment
 	a.added += p.AddCount
 	a.stats.Migrations++
 	a.stats.MigratedTriples += p.AddCount
-	a.stats.AlignedGroups = a.aligned.Len()
 	if p.Recovery {
 		a.stats.RecoveryMigrations++
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sparqlopt/internal/engine"
 	"sparqlopt/internal/partition"
 	"sparqlopt/internal/rdf"
 )
@@ -29,6 +30,33 @@ func hotKey(tb testing.TB, ds *rdf.Dataset) partition.GroupKey {
 	return partition.GroupKey{Pred: pred, Pos: partition.PosO}
 }
 
+// serve builds an engine over the placement, as System does, so the
+// advisor plans from the view the engine serves.
+func serve(ds *rdf.Dataset, p *partition.Placement) *engine.Engine {
+	e := engine.New(ds.Dict, p)
+	e.SetData(ds.Snapshot())
+	return e
+}
+
+// apply applies a proposal to the snapshot it was planned from and
+// returns the view of the engine's new snapshot.
+func apply(tb testing.TB, e *engine.Engine, from *engine.Snap, prop *Proposal) *partition.View {
+	tb.Helper()
+	if err := e.ApplyMigration(from, prop.Migration, prop.Keys); err != nil {
+		tb.Fatal(err)
+	}
+	return e.Snapshot().View()
+}
+
+// overlaid counts the copies the view's overlays hold.
+func overlaid(v *partition.View) int64 {
+	var n int64
+	for _, ts := range v.Overlay {
+		n += int64(len(ts))
+	}
+	return n
+}
+
 func observeHot(a *Advisor, key partition.GroupKey, times int) bool {
 	hot := false
 	for i := 0; i < times; i++ {
@@ -38,8 +66,8 @@ func observeHot(a *Advisor, key partition.GroupKey, times int) bool {
 }
 
 // TestObserveTrigger: the trigger fires only once a group crosses BOTH
-// thresholds (bytes and distinct queries), and never for groups already
-// aligned — those count as hits instead.
+// thresholds (bytes and distinct queries), and never for observations
+// of aligned scans — those count as hits instead.
 func TestObserveTrigger(t *testing.T) {
 	ds := hotDataset()
 	key := hotKey(t, ds)
@@ -55,7 +83,6 @@ func TestObserveTrigger(t *testing.T) {
 		t.Fatalf("stats after 3 observations: %+v", st)
 	}
 	// Aligned observations are hits, not candidates, and never trigger.
-	a.aligned = a.aligned.With(key)
 	if a.Observe([]Observation{{Key: key, Aligned: true}}) {
 		t.Fatal("aligned observation fired the trigger")
 	}
@@ -71,7 +98,8 @@ func TestObserveTrigger(t *testing.T) {
 // TestPlanMigrationAllOrNothing: an accepted group's migration places a
 // copy of EVERY group triple on the align node of its key term — the
 // invariant the engine's aligned scan depends on — while preserving
-// full dataset coverage and the base placement verbatim.
+// the base placement verbatim, and the engine's overlays gain exactly
+// the copies the proposal counts.
 func TestPlanMigrationAllOrNothing(t *testing.T) {
 	ds := hotDataset()
 	key := hotKey(t, ds)
@@ -82,43 +110,42 @@ func TestPlanMigrationAllOrNothing(t *testing.T) {
 	}
 	a := New(Config{MinBytes: 1, MinQueries: 1})
 	observeHot(a, key, 1)
-	prop := a.PlanMigration(ds, base)
+	e := serve(ds, base)
+	snap := e.Snapshot()
+	prop := a.PlanMigration(snap.View())
 	if prop == nil {
 		t.Fatal("no proposal for a qualifying group")
 	}
 	if len(prop.Keys) != 1 || prop.Keys[0] != key {
 		t.Fatalf("proposal keys = %v, want [%v]", prop.Keys, key)
 	}
-	if !prop.Alignment.Aligned(key.Pred, key.Pos) {
-		t.Fatal("proposal alignment does not cover the accepted group")
-	}
-	next, err := base.Migrate(prop.Migration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !next.Covers(ds) {
-		t.Fatal("migrated placement lost coverage")
+	next := apply(t, e, snap, prop)
+	if !next.Align.Aligned(key.Pred, key.Pos) {
+		t.Fatal("the engine's alignment does not cover the accepted group")
 	}
 	for _, tr := range ds.Triples {
 		if tr.P != key.Pred {
 			continue
 		}
 		node := partition.AlignNode(tr.O, nodes)
-		if !next.HasTriple(node, tr) {
+		if !next.Holds(node, tr) {
 			t.Fatalf("group triple %v missing from its align node %d", ds.String(tr), node)
 		}
 	}
 	// The base placement is untouched: migration builds a new snapshot.
 	for node := range base.Triples {
 		for _, tr := range base.Triples[node] {
-			if !next.HasTriple(node, tr) {
+			if !next.Holds(node, tr) {
 				t.Fatalf("base copy %v on node %d dropped by migration", ds.String(tr), node)
 			}
 		}
 	}
-	// AddCount matches what the migration actually carries.
+	// AddCount matches what the migration carries and the engine added.
 	if got := int64(prop.Migration.AddCount()); got != prop.AddCount {
 		t.Fatalf("AddCount %d != migration adds %d", prop.AddCount, got)
+	}
+	if got := overlaid(next); got != prop.AddCount {
+		t.Fatalf("the overlays gained %d copies, the proposal counts %d", got, prop.AddCount)
 	}
 }
 
@@ -134,7 +161,8 @@ func TestPlanMigrationBudget(t *testing.T) {
 	}
 	a := New(Config{MinBytes: 1, MinQueries: 1, ReplicationBudget: 1e-9})
 	observeHot(a, key, 1)
-	if prop := a.PlanMigration(ds, base); prop != nil {
+	view := serve(ds, base).Snapshot().View()
+	if prop := a.PlanMigration(view); prop != nil {
 		t.Fatalf("zero budget still produced a proposal: %+v", prop)
 	}
 	if got := a.Stats().SkippedBudget; got == 0 {
@@ -142,7 +170,7 @@ func TestPlanMigrationBudget(t *testing.T) {
 	}
 	// Same accumulators, workable budget: accepted.
 	a.cfg.ReplicationBudget = 2
-	if prop := a.PlanMigration(ds, base); prop == nil {
+	if prop := a.PlanMigration(view); prop == nil {
 		t.Fatal("workable budget produced no proposal")
 	}
 }
@@ -168,7 +196,7 @@ func TestPlanMigrationBalance(t *testing.T) {
 	}
 	a := New(Config{MinBytes: 1, MinQueries: 1, BalanceFactor: 1.05, ReplicationBudget: 10})
 	observeHot(a, key, 1)
-	if prop := a.PlanMigration(ds, base); prop != nil {
+	if prop := a.PlanMigration(serve(ds, base).Snapshot().View()); prop != nil {
 		t.Fatalf("skew-concentrating migration passed the balance check: %+v", prop)
 	}
 	if got := a.Stats().SkippedBudget; got == 0 {
@@ -176,8 +204,11 @@ func TestPlanMigrationBalance(t *testing.T) {
 	}
 }
 
-// TestCommitVsFailure: Commit retires the group (no re-proposal, budget
-// spent); RecordFailure leaves it a live candidate for the next round.
+// TestCommitVsFailure: an applied and committed proposal retires the
+// group (no re-proposal, budget spent); RecordFailure leaves it a live
+// candidate for the next round. A proposal planned from a snapshot a
+// migration has since replaced is refused, and so is one shaped for
+// another cluster size.
 func TestCommitVsFailure(t *testing.T) {
 	ds := hotDataset()
 	key := hotKey(t, ds)
@@ -187,39 +218,49 @@ func TestCommitVsFailure(t *testing.T) {
 	}
 	a := New(Config{MinBytes: 1, MinQueries: 1})
 	observeHot(a, key, 1)
-	prop := a.PlanMigration(ds, base)
+	e := serve(ds, base)
+	snap := e.Snapshot()
+	prop := a.PlanMigration(snap.View())
 	if prop == nil {
 		t.Fatal("no proposal")
 	}
 	// A failed application changes nothing: the plan can be recomputed.
 	a.RecordFailure()
-	if st := a.Stats(); st.FailedMigrations != 1 || st.Migrations != 0 || st.AlignedGroups != 0 {
+	if st := a.Stats(); st.FailedMigrations != 1 || st.Migrations != 0 {
 		t.Fatalf("stats after failure: %+v", st)
 	}
-	again := a.PlanMigration(ds, base)
+	again := a.PlanMigration(snap.View())
 	if again == nil {
 		t.Fatal("failed group no longer proposed")
 	}
 	if again.AddCount != prop.AddCount {
 		t.Fatalf("re-plan diverged: %d vs %d adds", again.AddCount, prop.AddCount)
 	}
-	// Commit retires it.
+	// Applying and committing retires it.
+	next := apply(t, e, snap, again)
 	a.Commit(again)
 	st := a.Stats()
-	if st.Migrations != 1 || st.MigratedTriples != again.AddCount || st.AlignedGroups != 1 {
+	if st.Migrations != 1 || st.MigratedTriples != again.AddCount {
 		t.Fatalf("stats after commit: %+v", st)
 	}
-	if !a.Alignment().Aligned(key.Pred, key.Pos) {
+	if !next.Align.Aligned(key.Pred, key.Pos) {
 		t.Fatal("committed group not aligned")
 	}
-	if prop := a.PlanMigration(ds, base); prop != nil {
+	if prop := a.PlanMigration(next); prop != nil {
 		t.Fatalf("aligned group proposed again: %+v", prop)
+	}
+	if err := e.ApplyMigration(snap, prop.Migration, prop.Keys); err == nil {
+		t.Fatal("a proposal planned from a replaced snapshot was applied")
+	}
+	if err := e.ApplyMigration(e.Snapshot(), &partition.Migration{Adds: make([][]rdf.Triple, 3)}, nil); err == nil {
+		t.Fatal("a migration for 3 nodes was applied to 4")
 	}
 }
 
-// TestPlanMigrationNetOfExisting: adds are counted net of copies the
-// base placement already holds — re-planning against a placement that
-// already aligns the group proposes zero-add work, i.e. nothing.
+// TestPlanMigrationNetOfExisting: adds are counted net of the copies
+// the fragments and overlays already hold — re-planning against
+// overlays that already place every group triple, but an alignment
+// that does not name the group, proposes zero-add work.
 func TestPlanMigrationNetOfExisting(t *testing.T) {
 	ds := hotDataset()
 	key := hotKey(t, ds)
@@ -229,19 +270,20 @@ func TestPlanMigrationNetOfExisting(t *testing.T) {
 	}
 	a := New(Config{MinBytes: 1, MinQueries: 1})
 	observeHot(a, key, 1)
-	prop := a.PlanMigration(ds, base)
+	e := serve(ds, base)
+	snap := e.Snapshot()
+	prop := a.PlanMigration(snap.View())
 	if prop == nil {
 		t.Fatal("no proposal")
 	}
-	migrated, err := base.Migrate(prop.Migration)
-	if err != nil {
+	if err := e.ApplyMigration(snap, prop.Migration, nil); err != nil {
 		t.Fatal(err)
 	}
-	// A fresh advisor over the already-migrated placement finds nothing
-	// left to add for the group.
+	// A fresh advisor over the migrated overlays finds nothing left to
+	// add for the group.
 	b := New(Config{MinBytes: 1, MinQueries: 1})
 	observeHot(b, key, 1)
-	p2 := b.PlanMigration(ds, migrated)
+	p2 := b.PlanMigration(e.Snapshot().View())
 	if p2 != nil && p2.AddCount > 0 {
 		t.Fatalf("re-plan against aligned placement wants %d more copies", p2.AddCount)
 	}
@@ -260,7 +302,9 @@ func TestPlanRecoveryCoversDeadNode(t *testing.T) {
 	}
 	a := New(Config{})
 	const dead = 1
-	prop := a.PlanRecovery(ds, base, []int{dead})
+	e := serve(ds, base)
+	snap := e.Snapshot()
+	prop := a.PlanRecovery(snap.View(), []int{dead})
 	if prop == nil {
 		t.Fatal("no recovery proposal for a dead unreplicated node")
 	}
@@ -270,14 +314,11 @@ func TestPlanRecoveryCoversDeadNode(t *testing.T) {
 	if len(prop.Migration.Adds[dead]) != 0 {
 		t.Fatal("recovery placed copies on the dead node")
 	}
-	next, err := base.Migrate(prop.Migration)
-	if err != nil {
-		t.Fatal(err)
-	}
+	next := apply(t, e, snap, prop)
 	for _, tr := range base.Triples[dead] {
 		found := false
 		for node := 0; node < nodes; node++ {
-			if node != dead && next.HasTriple(node, tr) {
+			if node != dead && next.Holds(node, tr) {
 				found = true
 				break
 			}
@@ -292,14 +333,14 @@ func TestPlanRecoveryCoversDeadNode(t *testing.T) {
 		t.Fatalf("stats after recovery commit: %+v", st)
 	}
 	// Already-covered state plans nothing more.
-	if again := a.PlanRecovery(ds, next, []int{dead}); again != nil {
+	if again := a.PlanRecovery(next, []int{dead}); again != nil {
 		t.Fatalf("recovered placement proposed %d more copies", again.AddCount)
 	}
 	// Degenerate inputs: no dead nodes, or no survivors.
-	if a.PlanRecovery(ds, base, nil) != nil {
+	if a.PlanRecovery(snap.View(), nil) != nil {
 		t.Fatal("empty dead set produced a proposal")
 	}
-	if a.PlanRecovery(ds, base, []int{0, 1, 2, 3}) != nil {
+	if a.PlanRecovery(snap.View(), []int{0, 1, 2, 3}) != nil {
 		t.Fatal("all-dead cluster produced a proposal")
 	}
 }
@@ -333,7 +374,8 @@ func TestPlanRecoveryBudgetAndHeat(t *testing.T) {
 	// Budget exactly one hot group: heat must pick "hot" over "cold".
 	a := New(Config{ReplicationBudget: (float64(hotStranded) + 0.5) / float64(ds.Snapshot().Len())})
 	observeHot(a, key, 3)
-	prop := a.PlanRecovery(ds, base, []int{dead})
+	view := serve(ds, base).Snapshot().View()
+	prop := a.PlanRecovery(view, []int{dead})
 	if prop == nil {
 		t.Fatal("no proposal with budget for the hot group")
 	}
@@ -352,7 +394,7 @@ func TestPlanRecoveryBudgetAndHeat(t *testing.T) {
 	}
 	// Budget below any group: nothing fits.
 	b := New(Config{ReplicationBudget: 1e-9})
-	if prop := b.PlanRecovery(ds, base, []int{dead}); prop != nil {
+	if prop := b.PlanRecovery(view, []int{dead}); prop != nil {
 		t.Fatalf("zero budget still proposed %d copies", prop.AddCount)
 	}
 }

@@ -1,7 +1,7 @@
 package partition
 
 import (
-	"fmt"
+	"slices"
 
 	"sparqlopt/internal/rdf"
 )
@@ -12,13 +12,13 @@ import (
 // the optimizer derives from it) is preserved verbatim, and coverage
 // can never regress. The replication cost is what the advisor budgets.
 type Migration struct {
-	// Adds holds, per node, the triples to append (deduplicated
-	// against the node's existing fragment by Placement.Migrate).
+	// Adds holds, per node, the triples to add: distinct, and net of
+	// what the View the migration was planned from already places on
+	// the node.
 	Adds [][]rdf.Triple
 }
 
-// AddCount returns the total triples the migration adds (before
-// per-node dedup against existing fragments).
+// AddCount returns the total triples the migration adds.
 func (m *Migration) AddCount() int {
 	n := 0
 	for _, ts := range m.Adds {
@@ -27,52 +27,63 @@ func (m *Migration) AddCount() int {
 	return n
 }
 
-// Migrate returns a new placement with the migration's adds applied.
-// The receiver is unchanged — placements published to an engine are
-// immutable, so in-flight queries keep a consistent snapshot while
-// the background migration builds the next one. Node fragments stay
-// deduplicated: an add that already exists on its node is dropped. A
-// touched node's fragment is a fresh array; an untouched one is shared
-// with the receiver. Neither is ever written through, so a fragment may
-// alias storage its owner reads elsewhere (System keeps the engine's
-// sorted base copies).
-func (p *Placement) Migrate(m *Migration) (*Placement, error) {
-	if m == nil {
-		return p, nil
+// View is a read-only look at the placement one engine snapshot
+// serves — the one record of who holds what. Migrations are planned
+// from it and applied to the snapshot it came from. Every array is the
+// engine's own, sorted by (S, P, O); callers must not write to them.
+type View struct {
+	// Base holds each node's fragment as the partitioning method placed
+	// it.
+	Base [][]rdf.Triple
+	// Overlay holds the copies migrations added to each node, nil for a
+	// node with none. They are copies of fragment triples.
+	Overlay [][]rdf.Triple
+	// Delta holds the ingest chunks. Every node serves all of them, so
+	// a delta triple is never stranded and never needs a copy; none of
+	// them is in a fragment or an overlay.
+	Delta [][]rdf.Triple
+	// Align is the alignment the snapshot's placement guarantees.
+	Align *Alignment
+	// Data is the dataset snapshot the engine snapshot was built from.
+	Data *rdf.Snapshot
+}
+
+// Nodes returns the cluster size.
+func (v *View) Nodes() int { return len(v.Base) }
+
+// Fragment returns node's placed arrays: its base fragment and its
+// overlay (nil when it has none). The two are disjoint.
+func (v *View) Fragment(node int) [][]rdf.Triple {
+	return [][]rdf.Triple{v.Base[node], v.Overlay[node]}
+}
+
+// Size returns how many triples node's fragment and overlay hold.
+func (v *View) Size(node int) int { return len(v.Base[node]) + len(v.Overlay[node]) }
+
+// Holds reports whether node's fragment or overlay holds t: a binary
+// search in each.
+func (v *View) Holds(node int, t rdf.Triple) bool {
+	_, inBase := slices.BinarySearchFunc(v.Base[node], t, rdf.Triple.Compare)
+	_, inOverlay := slices.BinarySearchFunc(v.Overlay[node], t, rdf.Triple.Compare)
+	return inBase || inOverlay
+}
+
+// Copies returns the triples the snapshot stores: every fragment and
+// overlay copy, and each delta triple once.
+func (v *View) Copies() int {
+	n := 0
+	for node := range v.Base {
+		n += v.Size(node)
 	}
-	if len(m.Adds) != p.Nodes {
-		return nil, fmt.Errorf("partition: migration has %d node lists, placement has %d nodes", len(m.Adds), p.Nodes)
+	for _, ts := range v.Delta {
+		n += len(ts)
 	}
-	next := &Placement{Nodes: p.Nodes, Triples: make([][]rdf.Triple, p.Nodes)}
-	for node := range next.Triples {
-		old := p.Triples[node]
-		adds := m.Adds[node]
-		if len(adds) == 0 {
-			next.Triples[node] = old
-			continue
-		}
-		seen := make(map[rdf.Triple]struct{}, len(old)+len(adds))
-		for _, t := range old {
-			seen[t] = struct{}{}
-		}
-		merged := make([]rdf.Triple, len(old), len(old)+len(adds))
-		copy(merged, old)
-		for _, t := range adds {
-			if _, dup := seen[t]; dup {
-				continue
-			}
-			seen[t] = struct{}{}
-			merged = append(merged, t)
-		}
-		next.Triples[node] = merged
-	}
-	return next, nil
+	return n
 }
 
 // Covers reports whether every triple of the dataset is stored on at
-// least one node — the migration coverage invariant. (Base methods
-// establish it at Partition time; Migrate can only add copies, so it
-// is preserved by construction. The property tests assert it anyway.)
+// least one node — the coverage invariant base methods establish at
+// Partition time.
 func (p *Placement) Covers(ds *rdf.Dataset) bool {
 	stored := make(map[rdf.Triple]struct{})
 	for _, ts := range p.Triples {
@@ -86,15 +97,4 @@ func (p *Placement) Covers(ds *rdf.Dataset) bool {
 		}
 	}
 	return true
-}
-
-// HasTriple reports whether node holds the triple. Fragment scans are
-// linear; this is a test/advisor helper, not a serving-path call.
-func (p *Placement) HasTriple(node int, t rdf.Triple) bool {
-	for _, u := range p.Triples[node] {
-		if u == t {
-			return true
-		}
-	}
-	return false
 }

@@ -6,75 +6,6 @@ import (
 	"sparqlopt/internal/rdf"
 )
 
-func tripleOf(ds *rdf.Dataset, s, p, o string) rdf.Triple {
-	si, _ := ds.Dict.Lookup(s)
-	pi, _ := ds.Dict.Lookup(p)
-	oi, _ := ds.Dict.Lookup(o)
-	return rdf.Triple{S: si, P: pi, O: oi}
-}
-
-func TestMigrateAddsAndDedups(t *testing.T) {
-	ds := chainDataset()
-	base, err := HashSO{}.Partition(ds, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab := tripleOf(ds, "a", "p", "b")
-	bc := tripleOf(ds, "b", "p", "c")
-	// Find a node that has ab but not bc: adding both must keep exactly
-	// one copy of ab (dedup) and append bc.
-	node := -1
-	for n := 0; n < base.Nodes; n++ {
-		if base.HasTriple(n, ab) && !base.HasTriple(n, bc) {
-			node = n
-			break
-		}
-	}
-	if node < 0 {
-		t.Skip("no node separates ab from bc under this hash; dataset too small")
-	}
-	adds := make([][]rdf.Triple, base.Nodes)
-	adds[node] = []rdf.Triple{ab, bc, bc} // duplicate adds collapse too
-	next, err := base.Migrate(&Migration{Adds: adds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(next.Triples[node]) != len(base.Triples[node])+1 {
-		t.Fatalf("node %d grew by %d, want 1 (dedup failed)",
-			node, len(next.Triples[node])-len(base.Triples[node]))
-	}
-	if !next.HasTriple(node, bc) {
-		t.Fatal("added triple missing")
-	}
-	if !next.Covers(ds) {
-		t.Fatal("migration broke coverage")
-	}
-	// Receiver untouched — published placements are immutable.
-	if base.HasTriple(node, bc) {
-		t.Fatal("Migrate mutated the receiver")
-	}
-	// Untouched nodes share the original backing slice (no copy cost).
-	for n := 0; n < base.Nodes; n++ {
-		if n != node && len(next.Triples[n]) != len(base.Triples[n]) {
-			t.Fatalf("untouched node %d changed size", n)
-		}
-	}
-}
-
-func TestMigrateNilAndShapeChecks(t *testing.T) {
-	ds := chainDataset()
-	base, err := HashSO{}.Partition(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next, err := base.Migrate(nil); err != nil || next != base {
-		t.Fatalf("nil migration: got (%v, %v), want identity", next, err)
-	}
-	if _, err := base.Migrate(&Migration{Adds: make([][]rdf.Triple, 3)}); err == nil {
-		t.Fatal("node-count mismatch accepted")
-	}
-}
-
 func TestMigrationAddCount(t *testing.T) {
 	m := &Migration{Adds: [][]rdf.Triple{{{}, {}}, nil, {{}}}}
 	if got := m.AddCount(); got != 3 {

@@ -38,6 +38,18 @@ func (t Triple) Less(u Triple) bool {
 	return t.O < u.O
 }
 
+// Compare orders triples like Less, as slices.SortFunc and
+// slices.BinarySearchFunc expect: negative, zero or positive.
+func (t Triple) Compare(u Triple) int {
+	switch {
+	case t.Less(u):
+		return -1
+	case u.Less(t):
+		return 1
+	}
+	return 0
+}
+
 // Dict interns term strings and assigns dense TermIDs. The zero value
 // is ready to use. Interning serializes against lookups, so terms can
 // be added while the serving path resolves query constants.

@@ -19,7 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sparqlopt/internal/engine"
@@ -350,15 +350,7 @@ func (r *Rows) collect() (*ExecResult, error) {
 	if err := r.Close(); err != nil {
 		return nil, err
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(rows, slices.Compare)
 	res := r.Result()
 	res.Rows = rows
 	return res, nil

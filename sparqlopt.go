@@ -311,14 +311,13 @@ func WithLimit(n int64) RunOption {
 // System is a partitioned dataset ready to optimize and execute
 // queries — the in-process analogue of the paper's prototype cluster.
 type System struct {
-	ds        *Dataset
-	method    Method
-	params    CostParams
-	placement *partition.Placement
-	engine    *engine.Engine
-	cache     *plancache.Cache // nil = caching disabled
-	obs       *obsState        // nil = observability disabled
-	optInst   *opt.Instruments // nil when observability is disabled
+	ds      *Dataset
+	method  Method
+	params  CostParams
+	engine  *engine.Engine
+	cache   *plancache.Cache // nil = caching disabled
+	obs     *obsState        // nil = observability disabled
+	optInst *opt.Instruments // nil when observability is disabled
 
 	adm     *resilience.Admission   // nil = admission control disabled
 	budget  *resilience.Budget      // nil = memory budgets disabled
@@ -326,7 +325,6 @@ type System struct {
 
 	advisor      *adaptive.Advisor // nil = adaptive repartitioning disabled
 	adaptiveSync bool              // apply migrations on the serving goroutine
-	placeMu      sync.RWMutex      // guards placement once migrations can swap it
 	migMu        sync.Mutex        // serializes migration rounds
 	migWG        sync.WaitGroup    // tracks in-flight background migrations
 
@@ -568,19 +566,15 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The engine's snapshot is the one record of the placement from here
+	// on: the method's unsorted fragments are not kept.
 	eng := engine.New(ds.Dict, placement)
-	// The method's fragments are now sorted into the engine's stores; the
-	// placement keeps the stores' SPO copies, which hold the same sets, so
-	// the unsorted lists are not kept alive beside them. Its readers
-	// (Migrate, the advisor, ReplicationFactor) treat a fragment as a set.
-	placement = &partition.Placement{Nodes: placement.Nodes, Triples: eng.Fragments()}
 	snap := ds.Snapshot()
 	eng.SetData(snap)
 	s := &System{
 		ds:          ds,
 		method:      cfg.method,
 		params:      params,
-		placement:   placement,
 		engine:      eng,
 		cache:       plancache.New(cfg.planCache),
 		budget:      resilience.NewBudget(cfg.memPerQuery, cfg.memTotal),
@@ -666,7 +660,7 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 			r.GaugeFunc("adaptive_migrated_triples_total", "Triple copies added by adaptive migrations.",
 				func() float64 { return float64(adv.Stats().MigratedTriples) })
 			r.GaugeFunc("adaptive_aligned_groups", "Triple groups currently aligned by the advisor.",
-				func() float64 { return float64(adv.Stats().AlignedGroups) })
+				func() float64 { return float64(s.AdvisorStats().AlignedGroups) })
 			if s.health != nil {
 				r.GaugeFunc("adaptive_recovery_migrations_total", "Recovery rounds re-replicating dead nodes' triples.",
 					func() float64 { return float64(adv.Stats().RecoveryMigrations) })
@@ -708,22 +702,13 @@ func (s *System) Method() Method { return s.method }
 
 // ReplicationFactor reports how much the partitioning replicated the
 // data across nodes — including any copies added by adaptive
-// migrations.
+// migrations: the triples the serving snapshot stores (each ingested
+// triple once) over the dataset's size.
 func (s *System) ReplicationFactor() float64 {
-	return s.currentPlacement().ReplicationFactor(s.ds.Len())
-}
-
-// currentPlacement returns the live placement; migrations swap it.
-func (s *System) currentPlacement() *partition.Placement {
-	s.placeMu.RLock()
-	defer s.placeMu.RUnlock()
-	return s.placement
-}
-
-func (s *System) setPlacement(p *partition.Placement) {
-	s.placeMu.Lock()
-	s.placement = p
-	s.placeMu.Unlock()
+	if s.ds.Len() == 0 {
+		return 0
+	}
+	return float64(s.engine.Snapshot().View().Copies()) / float64(s.ds.Len())
 }
 
 // MetricsRegistry returns the system's metrics registry, nil when
@@ -939,8 +924,8 @@ func (s *System) observeAdaptive(q *Query, out *ExecResult) {
 }
 
 // migrationTripleBytes is the reservation estimate per triple a
-// migration touches while rebuilding node stores: the triple itself
-// (3 TermIDs) plus three index postings and their map overhead.
+// migration writes while rebuilding a node's overlay: the triple itself
+// (3 TermIDs) in each of the store's four sorted permutations.
 const migrationTripleBytes = 48
 
 // migrate plans and applies one migration round. Rounds are
@@ -953,47 +938,43 @@ func (s *System) migrate() {
 	var err error
 	func() {
 		defer resilience.CatchPanic(&err, nil)
-		err = s.migrateLocked()
+		err = s.applyRoundLocked("migration", s.advisor.PlanMigration)
 	}()
 	if err != nil {
 		s.advisor.RecordFailure()
 	}
 }
 
-func (s *System) migrateLocked() error {
-	prop := s.advisor.PlanMigration(s.ds, s.currentPlacement())
-	return s.applyProposalLocked("migration", prop)
-}
-
-// applyProposalLocked applies one advisor proposal (an adaptive
-// migration or a recovery round) to the placement, the engine and the
-// epoch machinery. Caller holds migMu; a nil proposal is a no-op.
-func (s *System) applyProposalLocked(what string, prop *adaptive.Proposal) error {
+// applyRoundLocked runs one advisor round (an adaptive migration or a
+// recovery): it plans from a view of the engine's current snapshot and
+// applies the proposal to that same snapshot and to the epoch
+// machinery. Caller holds migMu; a nil proposal is a no-op.
+func (s *System) applyRoundLocked(what string, plan func(*partition.View) *adaptive.Proposal) error {
+	snap := s.engine.Snapshot()
+	view := snap.View()
+	prop := plan(view)
 	if prop == nil {
 		return nil
 	}
-	placement := s.currentPlacement()
-	// The transient store rebuilds are charged against the shared
-	// memory budget exactly like query arenas, so a migration can never
-	// OOM a serving node: if queries hold the memory, the round fails
-	// and is retried when a later query re-triggers it.
+	// The overlay rebuilds — each touched node's previous overlay plus
+	// its adds — are charged against the shared memory budget exactly
+	// like query arenas, so a migration can never OOM a serving node: if
+	// queries hold the memory, the round fails and is retried when a
+	// later query re-triggers it.
 	g := s.budget.NewGauge()
 	defer g.Reset()
 	var touched int64
 	for node, adds := range prop.Migration.Adds {
 		if len(adds) > 0 {
-			touched += int64(len(placement.Triples[node])) + int64(len(adds))
+			touched += int64(len(view.Overlay[node]) + len(adds))
 		}
 	}
 	if err := g.Reserve(what, touched*migrationTripleBytes); err != nil {
 		return err
 	}
-	next, err := placement.Migrate(prop.Migration)
-	if err != nil {
+	if err := s.engine.ApplyMigration(snap, prop.Migration, prop.Keys); err != nil {
 		return err
 	}
-	s.engine.ApplyMigration(prop.Migration, prop.Alignment)
-	s.setPlacement(next)
 	s.advisor.Commit(prop)
 	// Flip the epoch, attributed to the migrated predicates: cached
 	// plans whose shapes touch them were costed under the old placement
@@ -1080,20 +1061,25 @@ func (s *System) recoverRound(dead []int) {
 	var err error
 	func() {
 		defer resilience.CatchPanic(&err, nil)
-		err = s.applyProposalLocked("recovery", s.advisor.PlanRecovery(s.ds, s.currentPlacement(), dead))
+		err = s.applyRoundLocked("recovery", func(v *partition.View) *adaptive.Proposal {
+			return s.advisor.PlanRecovery(v, dead)
+		})
 	}()
 	if err != nil {
 		s.advisor.RecordFailure()
 	}
 }
 
-// AdvisorStats returns the adaptive advisor's counters; the zero
-// snapshot when adaptive repartitioning is disabled.
+// AdvisorStats returns the adaptive advisor's counters, with the
+// aligned groups read from the serving snapshot; the zero snapshot when
+// adaptive repartitioning is disabled.
 func (s *System) AdvisorStats() AdvisorStats {
 	if s.advisor == nil {
 		return AdvisorStats{}
 	}
-	return s.advisor.Stats()
+	st := s.advisor.Stats()
+	st.AlignedGroups = s.engine.Snapshot().View().Align.Len()
+	return st
 }
 
 // AdvisorConfig returns the advisor's effective configuration — zero
