@@ -337,7 +337,7 @@ func TestAdaptiveMemoryBudgetIsolation(t *testing.T) {
 	if err := hold.Reserve("test-hold", 64<<20-1024); err != nil {
 		t.Fatal(err)
 	}
-	sys.migrate()
+	sys.runRound("migration", sys.advisor.PlanMigration)
 	st := sys.AdvisorStats()
 	if st.Migrations != 0 {
 		t.Fatalf("migration applied despite exhausted memory budget: %+v", st)
@@ -346,7 +346,7 @@ func TestAdaptiveMemoryBudgetIsolation(t *testing.T) {
 		t.Fatalf("budget-tripped round was not recorded: %+v", st)
 	}
 	hold.Reset()
-	sys.migrate()
+	sys.runRound("migration", sys.advisor.PlanMigration)
 	st = sys.AdvisorStats()
 	if st.Migrations == 0 {
 		t.Fatalf("migration never recovered after budget release: %+v", st)

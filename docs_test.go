@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"sparqlopt/internal/resilience/faultinject"
 )
 
 // TestDocsNameOnlyWhatExists keeps the prose from outliving the code:
@@ -21,7 +23,8 @@ import (
 // list every experiment the table holds. sparqld and sparqlopt are held
 // the same way: every flag a command's usage comment or a `sparqld
 // -flag …` command line in the docs names must be defined, and every
-// defined flag listed.
+// defined flag listed. DESIGN.md's fault-site table must hold exactly
+// the sites faultinject registers.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	const runner = "cmd/benchrunner/main.go"
 	fset := token.NewFileSet()
@@ -92,6 +95,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	for _, cmd := range []string{"sparqld", "sparqlopt"} {
 		checkCommandFlags(t, fset, cmd, docs)
 	}
+	checkFaultSiteTable(t, docs["DESIGN.md"])
 	for name, text := range docs {
 		for _, line := range strings.Split(text, "\n") {
 			for _, m := range experimentRE.FindAllStringSubmatch(line, -1) {
@@ -204,6 +208,44 @@ func checkCommandFlags(t *testing.T, fset *token.FileSet, cmd string, docs map[s
 					t.Errorf("%s names %s -%s, which %s does not define", name, cmd, flagName, cmd)
 				}
 			}
+		}
+	}
+}
+
+// checkFaultSiteTable is the fault-site half of
+// TestDocsNameOnlyWhatExists: the rows of the table under DESIGN.md's
+// "Fault-site registry" paragraph name exactly the sites of
+// faultinject.Sites().
+func checkFaultSiteTable(t *testing.T, design string) {
+	_, table, ok := strings.Cut(design, "**Fault-site registry**")
+	if !ok {
+		t.Fatal("DESIGN.md has no fault-site registry table")
+	}
+	registered := map[string]bool{}
+	for _, info := range faultinject.Sites() {
+		registered[string(info.Site)] = true
+	}
+	rowRE := regexp.MustCompile("^\\| `([^`]+)` \\|")
+	listed := map[string]bool{}
+	inTable := false
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		if m := rowRE.FindStringSubmatch(line); m != nil {
+			listed[m[1]] = true
+			if !registered[m[1]] {
+				t.Errorf("DESIGN.md's fault-site table lists %s, which faultinject does not register", m[1])
+			}
+		}
+	}
+	for site := range registered {
+		if !listed[site] {
+			t.Errorf("DESIGN.md's fault-site table does not list %s", site)
 		}
 	}
 }

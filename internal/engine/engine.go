@@ -300,8 +300,9 @@ func buildStores(fragments [][]rdf.Triple) []*store {
 func (e *Engine) Snapshot() *Snap { return e.snap.Load() }
 
 // SetData attaches the dataset snapshot the current store view was
-// built from (see Snap.Data). Called once at open, and again after
-// epoch-only bumps (migrations) publish a fresh dataset snapshot.
+// built from (see Snap.Data). Called once at open; after that every
+// epoch arrives through ApplyIngest, an epoch-only bump (a migration's)
+// with an empty delta.
 func (e *Engine) SetData(data *rdf.Snapshot) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -316,8 +317,9 @@ func (e *Engine) SetData(data *rdf.Snapshot) {
 // count passes maxDeltaChunks, so scan overhead stays O(1) in commit
 // count; the merge keeps the accumulated chunk's sorted permutations
 // and merges the recent commits' into them, so its cost is linear in
-// the delta. Queries in flight keep their captured snapshot — an
-// ingest commit never blocks or tears a running query.
+// the delta. An empty delta (an epoch-only bump) only re-pins data.
+// Queries in flight keep their captured snapshot — an ingest commit
+// never blocks or tears a running query.
 func (e *Engine) ApplyIngest(delta []rdf.Triple, data *rdf.Snapshot) {
 	if len(delta) == 0 {
 		if data != nil {

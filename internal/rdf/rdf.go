@@ -127,9 +127,9 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 // Len returns the number of triples in the snapshot.
 func (s *Snapshot) Len() int { return len(s.triples) }
 
-// WriteDelta describes one committed write: the triples that were
-// actually inserted (duplicates are filtered out before commit), the
-// epoch the commit published, and the snapshot that includes it.
+// WriteDelta describes one published epoch: the triples the commit
+// actually inserted (duplicates are filtered out before commit; none
+// for an epoch-only bump), the epoch, and the snapshot it published.
 type WriteDelta struct {
 	Triples []Triple
 	Epoch   uint64
@@ -178,7 +178,8 @@ func (c ChangeSet) Touches(preds map[TermID]struct{}, wildcard bool) bool {
 // Writes go through Add/AddTriple/AddBatch, which deduplicate at
 // insert (re-adding a present triple is a no-op: no epoch bump, no
 // invalidation), publish a fresh immutable Snapshot, and fire OnCommit
-// hooks. Readers call Snapshot() once and use it for the whole query.
+// hooks; BumpEpochPreds and Dedup publish through the same path.
+// Readers call Snapshot() once and use it for the whole query.
 // Code that appends to Triples directly bypasses all of this; it is
 // only legal before the dataset starts serving.
 type Dataset struct {
@@ -218,7 +219,7 @@ func (ds *Dataset) AddTriple(t Triple) {
 	if !ds.insertLocked(t) {
 		return
 	}
-	ds.publishLocked([]Triple{t})
+	ds.publishLocked([]Triple{t}, nil, false)
 }
 
 // AddBatch inserts a batch of triples under one commit: one epoch
@@ -236,7 +237,7 @@ func (ds *Dataset) AddBatch(ts []Triple) int {
 	if len(delta) == 0 {
 		return 0
 	}
-	ds.publishLocked(delta)
+	ds.publishLocked(delta, nil, false)
 	return len(delta)
 }
 
@@ -256,11 +257,13 @@ func (ds *Dataset) insertLocked(t Triple) bool {
 	return true
 }
 
-// publishLocked commits a write: bumps the epoch, records the touched
-// predicates, publishes the new snapshot, and fires the commit hooks
-// (synchronously, still under ds.mu, so hooks observe commits in
-// order). Caller holds ds.mu.
-func (ds *Dataset) publishLocked(delta []Triple) {
+// publishLocked publishes the next epoch: it records what changed —
+// the predicates of delta and preds, or, with all, an unattributable
+// change — stores the new snapshot, and fires the commit hooks
+// (synchronously, still under ds.mu, so hooks observe every epoch in
+// order). Every epoch the dataset publishes goes through here. Caller
+// holds ds.mu.
+func (ds *Dataset) publishLocked(delta []Triple, preds []TermID, all bool) uint64 {
 	epoch := ds.epoch.Add(1)
 	ds.modMu.Lock()
 	if ds.predLastMod == nil {
@@ -268,6 +271,12 @@ func (ds *Dataset) publishLocked(delta []Triple) {
 	}
 	for _, t := range delta {
 		ds.predLastMod[t.P] = epoch
+	}
+	for _, p := range preds {
+		ds.predLastMod[p] = epoch
+	}
+	if all {
+		ds.wildcard = epoch
 	}
 	ds.modMu.Unlock()
 	snap := &Snapshot{dict: ds.Dict, triples: ds.Triples[:len(ds.Triples):len(ds.Triples)], epoch: epoch}
@@ -278,6 +287,7 @@ func (ds *Dataset) publishLocked(delta []Triple) {
 			h(wd)
 		}
 	}
+	return epoch
 }
 
 // Snapshot returns the most recently published immutable snapshot. For
@@ -291,10 +301,10 @@ func (ds *Dataset) Snapshot() *Snapshot {
 	return &Snapshot{dict: ds.Dict, triples: ds.Triples[:len(ds.Triples):len(ds.Triples)], epoch: ds.epoch.Load()}
 }
 
-// OnCommit registers a hook fired after every committed write, in
-// commit order, with the dataset's writer lock held (hooks must not
-// call back into mutation methods). The returned function unregisters
-// the hook.
+// OnCommit registers a hook fired for every epoch the dataset
+// publishes — writes, epoch-only bumps and Dedup — in epoch order,
+// with the dataset's writer lock held (hooks must not call back into
+// mutation methods). The returned function unregisters the hook.
 func (ds *Dataset) OnCommit(h func(WriteDelta)) func() {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -316,41 +326,17 @@ func (ds *Dataset) OnCommit(h func(WriteDelta)) func() {
 // statistics or plans derived in between are still valid.
 func (ds *Dataset) Epoch() uint64 { return ds.epoch.Load() }
 
-// BumpEpoch advances the epoch without changing the triples — the
-// invalidation hook for consumers whose cached artifacts depend on
-// more than the triple set (e.g. plans costed under a data placement
-// that a background migration just changed). The change is recorded as
-// unattributable: every predicate-scoped artifact is considered
-// touched. Safe to call concurrently with readers.
-func (ds *Dataset) BumpEpoch() uint64 {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	epoch := ds.epoch.Add(1)
-	ds.modMu.Lock()
-	ds.wildcard = epoch
-	ds.modMu.Unlock()
-	ds.snap.Store(&Snapshot{dict: ds.Dict, triples: ds.Triples[:len(ds.Triples):len(ds.Triples)], epoch: epoch})
-	return epoch
-}
-
-// BumpEpochPreds advances the epoch like BumpEpoch but attributes the
-// change to the given predicates, so cached artifacts over disjoint
-// predicate sets survive. Used by placement migrations, which move
-// whole predicate groups.
+// BumpEpochPreds advances the epoch without changing the triples,
+// attributed to the given predicates, so cached artifacts over
+// disjoint predicate sets survive — the invalidation hook for
+// consumers whose artifacts depend on more than the triple set (plans
+// costed under a data placement that a migration just changed). The
+// commit hooks see the bump as a WriteDelta with no Triples. Safe to
+// call concurrently with readers.
 func (ds *Dataset) BumpEpochPreds(preds ...TermID) uint64 {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	epoch := ds.epoch.Add(1)
-	ds.modMu.Lock()
-	if ds.predLastMod == nil {
-		ds.predLastMod = make(map[TermID]uint64)
-	}
-	for _, p := range preds {
-		ds.predLastMod[p] = epoch
-	}
-	ds.modMu.Unlock()
-	ds.snap.Store(&Snapshot{dict: ds.Dict, triples: ds.Triples[:len(ds.Triples):len(ds.Triples)], epoch: epoch})
-	return epoch
+	return ds.publishLocked(nil, preds, false)
 }
 
 // ChangedBetween summarizes what changed in the epoch span (from, to].
@@ -388,7 +374,9 @@ func (ds *Dataset) Len() int {
 
 // Dedup sorts the triples and removes exact duplicates. The sorted set
 // is built copy-on-write so previously published snapshots keep their
-// rows; the reorder is recorded as an unattributable change.
+// rows; the reorder is recorded as an unattributable change and
+// reaches the commit hooks with no Triples. Duplicates only arise from
+// appending to Triples directly, which is legal only before serving.
 func (ds *Dataset) Dedup() {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -408,11 +396,7 @@ func (ds *Dataset) Dedup() {
 			ds.index[t] = struct{}{}
 		}
 	}
-	epoch := ds.epoch.Add(1)
-	ds.modMu.Lock()
-	ds.wildcard = epoch
-	ds.modMu.Unlock()
-	ds.snap.Store(&Snapshot{dict: ds.Dict, triples: ds.Triples[:len(ds.Triples):len(ds.Triples)], epoch: epoch})
+	ds.publishLocked(nil, nil, true)
 }
 
 // String renders a triple using the dataset's dictionary, for debugging.

@@ -337,9 +337,9 @@ func TestChangedBetween(t *testing.T) {
 		t.Error("wildcard artifacts are always touched")
 	}
 	// An unattributable bump poisons the whole span.
-	ds.BumpEpoch() // epoch 3
+	ds.Dedup() // epoch 3
 	if cs := ds.ChangedBetween(1, 3); !cs.All {
-		t.Fatalf("span across BumpEpoch = %+v, want All", cs)
+		t.Fatalf("span across Dedup = %+v, want All", cs)
 	}
 	// A predicate-attributed bump does not.
 	ds.BumpEpochPreds(p) // epoch 4
@@ -349,5 +349,43 @@ func TestChangedBetween(t *testing.T) {
 	}
 	if _, ok := cs.Preds[p]; !ok {
 		t.Fatalf("span (3,4] missed predicate p: %+v", cs)
+	}
+}
+
+// TestOnCommitSeesEveryEpoch: every epoch the dataset publishes — a
+// batch, an epoch-only bump, a Dedup — reaches the commit hooks once,
+// in epoch order, carrying the snapshot Snapshot() returns right after.
+func TestOnCommitSeesEveryEpoch(t *testing.T) {
+	ds := NewDataset()
+	ds.Add("a", "p", "b") // before the hook: epoch 1
+	var got []WriteDelta
+	ds.OnCommit(func(wd WriteDelta) { got = append(got, wd) })
+	p := ds.Dict.Intern("p")
+	batch := []Triple{{ds.Dict.Intern("c"), p, ds.Dict.Intern("d")}, {ds.Dict.Intern("e"), p, ds.Dict.Intern("f")}}
+	steps := []struct {
+		name    string
+		publish func()
+		triples int
+	}{
+		{"AddBatch", func() { ds.AddBatch(batch) }, 2},
+		{"BumpEpochPreds", func() { ds.BumpEpochPreds(p) }, 0},
+		{"Dedup", ds.Dedup, 0},
+		{"Add", func() { ds.Add("g", "p", "h") }, 1},
+	}
+	for i, st := range steps {
+		st.publish()
+		if len(got) != i+1 {
+			t.Fatalf("after %s: the hook fired %d times, want %d", st.name, len(got), i+1)
+		}
+		wd := got[i]
+		if want := uint64(i + 2); wd.Epoch != want || ds.Epoch() != want {
+			t.Errorf("%s: delta epoch %d, dataset epoch %d, want %d", st.name, wd.Epoch, ds.Epoch(), want)
+		}
+		if len(wd.Triples) != st.triples {
+			t.Errorf("%s: delta holds %d triples, want %d", st.name, len(wd.Triples), st.triples)
+		}
+		if wd.Snap != ds.Snapshot() || wd.Snap.Epoch() != wd.Epoch {
+			t.Errorf("%s: the delta's snapshot is not the one Snapshot() returns after it", st.name)
+		}
 	}
 }

@@ -22,7 +22,6 @@
 //	engine/slow        armed delay inside an engine operator
 //	engine/budget      memory-budget trip at an engine operator
 //	plancache/lookup   failed plan-cache lookup (degrades to bypass)
-//	rdf/snapshot       panic while applying a committed write delta
 //	node/<i>/scan      node i fails fragment scans (node death, reads)
 //	node/<i>/shuffle   node i fails to accept scatter partitions
 //
@@ -59,12 +58,6 @@ const (
 	// CacheLookup fails the serving path's plan-cache lookup, which
 	// must degrade to a cache bypass, not a query failure.
 	CacheLookup Site = "plancache/lookup"
-	// RdfSnapshot panics while a committed write delta is applied to
-	// the serving snapshot (stats tracker + engine ingest delta). The
-	// commit itself is durable; the apply must be deferred and
-	// re-driven, never lost, and serving must continue on the previous
-	// snapshot meanwhile.
-	RdfSnapshot Site = "rdf/snapshot"
 )
 
 // NodeScan returns the node-scoped fault site of node's fragment-scan

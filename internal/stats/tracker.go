@@ -91,9 +91,12 @@ func (t *Tracker) Total() int64 {
 // bit for bit what CollectSnapshot computes. Every pattern patternFast
 // answers costs O(1); the rest are scanned, and Stats.Scanned counts
 // them. The tracker must be exactly at the snapshot's epoch; when it
-// is not (a lagging pending-write queue, or the tracker already ahead
-// of an older pinned snapshot), every pattern with known constants is
-// scanned, so the statistics always describe the pinned snapshot.
+// is not (a query that pinned the engine's snapshot between the commit
+// hook's two applies, or the tracker already ahead of an older pinned
+// snapshot), every pattern with known constants is scanned, so the
+// statistics always describe the pinned snapshot. Epoch-only bumps
+// reach the tracker through the same hook, so they never leave it
+// behind.
 func CollectTracked(t *Tracker, snap *rdf.Snapshot, q *sparql.Query) (*Stats, error) {
 	if t == nil {
 		return CollectSnapshot(snap, q)

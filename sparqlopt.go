@@ -176,10 +176,6 @@ const (
 	// FaultCacheLookup fails the plan-cache lookup (the serving path
 	// degrades to a cache bypass).
 	FaultCacheLookup = faultinject.CacheLookup
-	// FaultRdfSnapshot panics while a committed write is applied to the
-	// serving snapshot; the apply is deferred (see System.FlushWrites),
-	// never lost, and serving continues on the previous snapshot.
-	FaultRdfSnapshot = faultinject.RdfSnapshot
 )
 
 // FaultNodeScan returns the node-scoped site "node/<i>/scan": while
@@ -257,7 +253,7 @@ func AlgorithmByName(name string) (Algorithm, bool) {
 //     Open: data placement (WithMethod, WithNodes), serving
 //     infrastructure (WithPlanCache, WithAdmissionControl,
 //     WithMemoryBudget, WithAdaptivePartitioning, WithNodeFailover)
-//     and observability (WithObservability, WithWriteFaultInjection).
+//     and observability (WithObservability).
 //
 //   - RunOption configures one serving call and is passed to Run,
 //     RunStream, Optimize and friends: WithAlgorithm (or a bare
@@ -331,11 +327,8 @@ type System struct {
 	health    *health.Tracker // nil = node failover disabled
 	recFlight atomic.Bool     // collapses concurrent recovery triggers into one round
 
-	tracker     *stats.Tracker // incremental per-predicate statistics
-	writeMu     sync.Mutex     // serializes write-delta applies onto the serving snapshot
-	pending     []rdf.WriteDelta
-	writeFaults *FaultSet // nil outside chaos tests
-	unhook      func()    // unregisters the dataset commit hook
+	tracker *stats.Tracker // incremental per-predicate statistics
+	unhook  func()         // unregisters the dataset commit hook
 }
 
 // obsState bundles the observability wiring of one System: the metrics
@@ -361,7 +354,6 @@ type openConfig struct {
 	memTotal      int64
 	obs           *obsConfig
 	adaptive      *AdaptiveConfig
-	writeFaults   *FaultSet
 	failover      *NodeFailoverConfig
 }
 
@@ -421,15 +413,6 @@ func WithMemoryBudget(perQuery, total int64) Option {
 		c.memTotal = total
 	}
 }
-
-// WithWriteFaultInjection arms deterministic fault injection on the
-// write-apply path: the hook that folds each committed write into the
-// incremental statistics and the engine's ingest delta (site
-// FaultRdfSnapshot). An injected fault defers the apply — the commit
-// is never lost — and serving continues on the previous snapshot until
-// FlushWrites (or a later successful write) re-drives it. Chaos
-// testing only; nil is a no-op.
-func WithWriteFaultInjection(f *FaultSet) Option { return func(c *openConfig) { c.writeFaults = f } }
 
 // NodeFailoverConfig configures node health tracking and failover.
 // Zero fields take defaults: 3 attempts, 1ms base / 50ms cap backoff,
@@ -572,22 +555,22 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 	snap := ds.Snapshot()
 	eng.SetData(snap)
 	s := &System{
-		ds:          ds,
-		method:      cfg.method,
-		params:      params,
-		engine:      eng,
-		cache:       plancache.New(cfg.planCache),
-		budget:      resilience.NewBudget(cfg.memPerQuery, cfg.memTotal),
-		tracker:     stats.NewTracker(snap),
-		writeFaults: cfg.writeFaults,
+		ds:      ds,
+		method:  cfg.method,
+		params:  params,
+		engine:  eng,
+		cache:   plancache.New(cfg.planCache),
+		budget:  resilience.NewBudget(cfg.memPerQuery, cfg.memTotal),
+		tracker: stats.NewTracker(snap),
 	}
 	if s.cache != nil {
 		s.cache.SetInvalidation(ds.Dict.Lookup, ds.ChangedBetween)
 	}
-	// Every committed write is folded into the serving snapshot —
-	// incremental statistics plus the engine's ingest delta — while the
-	// commit hook holds the dataset's writer lock, so applies happen in
-	// commit order and readers only ever see fully-published snapshots.
+	// Every epoch the dataset publishes — a write or an epoch-only bump —
+	// is folded into the serving snapshot (incremental statistics plus
+	// the engine's ingest delta) while the commit hook holds the
+	// dataset's writer lock, so applies happen in epoch order and
+	// readers only ever see fully-published snapshots.
 	s.unhook = ds.OnCommit(s.applyWrite)
 	if cfg.maxConcurrent > 0 {
 		s.adm = resilience.NewAdmission(cfg.maxConcurrent, cfg.maxQueued)
@@ -648,8 +631,6 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 		s.optInst = opt.NewInstruments(r)
 		eng.SetInstruments(engine.NewInstruments(r))
 		s.cache.RegisterMetrics(r)
-		r.GaugeFunc("ingest_pending_writes", "Committed write deltas not yet applied to the serving snapshot.",
-			func() float64 { return float64(s.PendingWrites()) })
 		s.resInst = resilience.NewInstruments(r)
 		s.resInst.ObserveAdmission(s.adm)
 		s.resInst.ObserveBudget(s.budget)
@@ -703,12 +684,14 @@ func (s *System) Method() Method { return s.method }
 // ReplicationFactor reports how much the partitioning replicated the
 // data across nodes — including any copies added by adaptive
 // migrations: the triples the serving snapshot stores (each ingested
-// triple once) over the dataset's size.
+// triple once) over the size of the dataset snapshot it pins.
 func (s *System) ReplicationFactor() float64 {
-	if s.ds.Len() == 0 {
+	snap := s.engine.Snapshot()
+	n := snap.Data().Len()
+	if n == 0 {
 		return 0
 	}
-	return float64(s.engine.Snapshot().View().Copies()) / float64(s.ds.Len())
+	return float64(snap.View().Copies()) / float64(n)
 }
 
 // MetricsRegistry returns the system's metrics registry, nil when
@@ -912,14 +895,20 @@ func (s *System) observeAdaptive(q *Query, out *ExecResult) {
 	if !s.advisor.Observe(obsv) {
 		return
 	}
+	s.startRound(func() { s.runRound("migration", s.advisor.PlanMigration) })
+}
+
+// startRound runs round on the serving goroutine when the advisor is
+// synchronous, in the background (tracked by migWG) otherwise.
+func (s *System) startRound(round func()) {
 	if s.adaptiveSync {
-		s.migrate()
+		round()
 		return
 	}
 	s.migWG.Add(1)
 	go func() {
 		defer s.migWG.Done()
-		s.migrate()
+		round()
 	}()
 }
 
@@ -928,17 +917,19 @@ func (s *System) observeAdaptive(q *Query, out *ExecResult) {
 // (3 TermIDs) in each of the store's four sorted permutations.
 const migrationTripleBytes = 48
 
-// migrate plans and applies one migration round. Rounds are
-// serialized; a failure (memory-budget trip, placement mismatch,
-// recovered panic) is isolated to the round — serving continues on the
-// old placement and the advisor keeps the groups as candidates.
-func (s *System) migrate() {
+// runRound plans and applies one advisor round: an adaptive migration
+// or a recovery. Rounds are serialized; a failure (memory-budget trip,
+// placement mismatch, recovered panic) is isolated to the round —
+// serving continues on the old placement (failover still covers
+// whatever replicas exist), the advisor keeps the groups as candidates
+// and a later trigger retries.
+func (s *System) runRound(what string, plan func(*partition.View) *adaptive.Proposal) {
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
 	var err error
 	func() {
 		defer resilience.CatchPanic(&err, nil)
-		err = s.applyRoundLocked("migration", s.advisor.PlanMigration)
+		err = s.applyRoundLocked(what, plan)
 	}()
 	if err != nil {
 		s.advisor.RecordFailure()
@@ -1000,11 +991,9 @@ func (s *System) applyRoundLocked(what string, plan func(*partition.View) *adapt
 			}
 		}
 	}
-	epoch := s.ds.BumpEpochPreds(preds...)
-	// The triple set did not change: advance the tracker and republish
-	// the engine's dataset snapshot so serving pins the new epoch.
-	s.tracker.Apply(nil, epoch)
-	s.engine.SetData(s.ds.Snapshot())
+	// The triple set did not change; the bump reaches the tracker and
+	// the engine through the commit hook, in epoch order with writes.
+	s.ds.BumpEpochPreds(preds...)
 	return nil
 }
 
@@ -1039,35 +1028,12 @@ func (s *System) maybeRecover(err error) {
 	if !s.recFlight.CompareAndSwap(false, true) {
 		return
 	}
-	if s.adaptiveSync {
-		s.recoverRound(dead)
-		return
-	}
-	s.migWG.Add(1)
-	go func() {
-		defer s.migWG.Done()
-		s.recoverRound(dead)
-	}()
-}
-
-// recoverRound plans and applies one recovery migration. Failures are
-// isolated exactly like adaptive migration rounds: serving continues
-// on the old placement (failover still covers whatever replicas
-// exist) and a later trigger retries.
-func (s *System) recoverRound(dead []int) {
-	defer s.recFlight.Store(false)
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	var err error
-	func() {
-		defer resilience.CatchPanic(&err, nil)
-		err = s.applyRoundLocked("recovery", func(v *partition.View) *adaptive.Proposal {
+	s.startRound(func() {
+		defer s.recFlight.Store(false)
+		s.runRound("recovery", func(v *partition.View) *adaptive.Proposal {
 			return s.advisor.PlanRecovery(v, dead)
 		})
-	}()
-	if err != nil {
-		s.advisor.RecordFailure()
-	}
+	})
 }
 
 // AdvisorStats returns the adaptive advisor's counters, with the
@@ -1105,62 +1071,23 @@ func (s *System) AdvisorConfig() AdaptiveConfig {
 // a quiesced system; serving never requires it.
 func (s *System) WaitForMigrations() { s.migWG.Wait() }
 
-// applyWrite is the dataset commit hook: it folds one committed write
-// delta into the serving snapshot — the incremental statistics tracker
-// and the engine's ingest delta — in commit order. A failed apply
-// (only injected faults and bugs can fail it; there is no I/O here) is
-// deferred, not dropped: serving continues on the previous snapshot,
-// consistently lagging the commit, until a later write or FlushWrites
-// re-drives the queue.
+// applyWrite is the dataset commit hook: it folds one published epoch
+// — a write's delta, or none for an epoch-only bump — into the engine
+// and the incremental statistics tracker before the commit returns,
+// under the dataset's writer lock, so both follow the dataset's epochs
+// in order. Both applies are in-memory; a panic here is a bug and
+// reaches the writer, as one in rdf.Dataset would.
 func (s *System) applyWrite(wd rdf.WriteDelta) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	s.pending = append(s.pending, wd)
-	s.drainLocked(s.writeFaults)
-}
-
-// drainLocked applies queued write deltas in order, stopping at the
-// first failure (the failed delta stays queued). Caller holds writeMu.
-func (s *System) drainLocked(faults *FaultSet) {
-	for len(s.pending) > 0 {
-		if err := s.applyOne(s.pending[0], faults); err != nil {
-			return
-		}
-		s.pending = s.pending[1:]
-	}
-}
-
-// applyOne folds one delta into the tracker and the engine, recovering
-// panics (injected or real) into an error so a poisoned delta can
-// never take down the writer.
-func (s *System) applyOne(wd rdf.WriteDelta, faults *FaultSet) (err error) {
-	defer resilience.CatchPanic(&err, nil)
-	faults.PanicIf(faultinject.RdfSnapshot)
 	s.engine.ApplyIngest(wd.Triples, wd.Snap)
 	s.tracker.Apply(wd.Triples, wd.Epoch)
-	return nil
 }
 
-// PendingWrites reports how many committed write deltas have not yet
-// been applied to the serving snapshot. Non-zero only after a faulted
-// apply (see WithWriteFaultInjection); the committed triples are
-// durable in the dataset either way, they are just not visible to new
-// queries yet.
-func (s *System) PendingWrites() int {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	return len(s.pending)
-}
-
-// FlushWrites re-drives any deferred write applies, without fault
-// injection, and reports whether the queue drained. Tests call it
-// after a chaos phase to verify nothing was lost.
-func (s *System) FlushWrites() bool {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	s.drainLocked(nil)
-	return len(s.pending) == 0
-}
+// FlushWrites reports whether the serving snapshot pins the dataset's
+// current epoch. Every commit applies before it returns, so it is
+// false only after Close detached the system from later writes.
+//
+// Deprecated: there is nothing to flush; this is only that check.
+func (s *System) FlushWrites() bool { return s.engine.Snapshot().Data().Epoch() == s.ds.Epoch() }
 
 // Close detaches the system from its dataset's commit hook. Writes
 // committed after Close are still durable in the dataset but no longer
