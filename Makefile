@@ -98,7 +98,9 @@ bench:
 # allocations — a build-time regression shows here too), of the local
 # star joins (L7's and L8's ?x stars at LUBM-10, merged and folded, with
 # allocations), of the broadcast joins (L8's two and L10's on ?z at
-# LUBM-10, merged and folded, with allocations) plus a quick pass
+# LUBM-10, merged and folded, with allocations), of the result
+# encoders (LUBM-1 rows shaped like S2 and J1 in JSON and TSV, with
+# encode ns/row and body B/row) plus a quick pass
 # of the adaptive-repartitioning and node-failover experiments: catches
 # compile or runtime breakage in the bench harnesses without measuring
 # anything (their output shows whether every round stayed bit-identical
@@ -113,6 +115,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkStoreBuild -benchtime=1x ./internal/engine
 	$(GO) test -run='^$$' -bench=BenchmarkStarJoin -benchtime=1x ./internal/engine
 	$(GO) test -run='^$$' -bench=BenchmarkBroadcastJoin -benchtime=1x ./internal/engine
+	$(GO) test -run='^$$' -bench=BenchmarkEncodeRows -benchtime=1x ./internal/httpd
 	$(GO) run ./cmd/benchrunner -experiment adaptive -quick
 	$(GO) run ./cmd/benchrunner -experiment failover -quick
 

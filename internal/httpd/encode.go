@@ -3,8 +3,11 @@ package httpd
 // Result encoders. A response is built by appending to one byte slice —
 // header, rows in arrival order, footer — which the handler writes out
 // whenever it passes flushBytes. Nothing on the per-row path allocates:
-// column names are escaped once per response, and each term is
-// classified and escaped in a single pass over the dictionary's string.
+// column names are escaped once per response, and each cell is one
+// lock-free dictionary read of the term's text and class
+// (System.TermEntry). The class, recorded when the term was interned,
+// picks the term object; a plain term's text is copied whole, and only
+// the rest goes through appendEscaped, the one escaping pass.
 //
 // The JSON encoder is byte-compatible with what encoding/json produces
 // for the same values with HTML escaping on (Marshal's default): the
@@ -20,6 +23,7 @@ import (
 	"unicode/utf8"
 
 	"sparqlopt"
+	"sparqlopt/internal/rdf"
 )
 
 // encoder appends one result representation. An encoder serves a
@@ -61,8 +65,8 @@ func (e *jsonEncoder) row(dst []byte, sys *sparqlopt.System, row []sparqlopt.Ter
 	}
 	dst = append(dst, '{')
 	for j, id := range row {
-		dst = append(dst, e.cols[j]...)
-		dst = appendJSONTerm(dst, sys.Term(id))
+		term, class := sys.TermEntry(id)
+		dst = appendJSONTerm(append(dst, e.cols[j]...), term, class)
 	}
 	return append(dst, '}')
 }
@@ -71,29 +75,46 @@ func (*jsonEncoder) footer(dst []byte) []byte { return append(dst, "]}}\n"...) }
 
 // appendJSONTerm appends a dictionary term as a SPARQL 1.1 Query
 // Results JSON term object (§3.2.2). The dictionary stores N-Triples
-// lexical forms: a leading quote marks a literal, "_:" a blank node,
-// everything else is an IRI.
-func appendJSONTerm(dst []byte, term string) []byte {
-	switch {
-	case strings.HasPrefix(term, `"`):
-		dst = append(dst, `{"type":"literal","value":"`...)
-		dst, suffix := appendEscaped(dst, term[1:], true)
-		switch {
-		case len(suffix) > 1 && suffix[0] == '@':
-			dst = append(dst, `","xml:lang":"`...)
-			dst = appendJSONChars(dst, suffix[1:])
-		case len(suffix) > 4 && strings.HasPrefix(suffix, "^^<") && suffix[len(suffix)-1] == '>':
-			dst = append(dst, `","datatype":"`...)
-			dst = appendJSONChars(dst, suffix[3:len(suffix)-1])
+// lexical forms and has classified them: a literal keeps its quotes and
+// any suffix, a blank node its "_:", an IRI is bare. A plain term's
+// value is its text, or for a literal the text inside the quotes,
+// copied as is.
+func appendJSONTerm(dst []byte, term string, class sparqlopt.TermClass) []byte {
+	var value string
+	switch class.Kind() {
+	case rdf.Literal:
+		if !class.Plain() {
+			return appendJSONLiteral(dst, term)
 		}
-		return append(dst, `"}`...)
-	case strings.HasPrefix(term, "_:"):
-		dst = append(dst, `{"type":"bnode","value":"`...)
-		return append(appendJSONChars(dst, term[2:]), `"}`...)
+		dst, value = append(dst, `{"type":"literal","value":"`...), term[1:len(term)-1]
+	case rdf.BlankNode:
+		dst, value = append(dst, `{"type":"bnode","value":"`...), term[2:]
 	default:
-		dst = append(dst, `{"type":"uri","value":"`...)
-		return append(appendJSONChars(dst, term), `"}`...)
+		dst, value = append(dst, `{"type":"uri","value":"`...), term
 	}
+	if class.Plain() {
+		dst = append(dst, value...)
+	} else {
+		dst = appendJSONChars(dst, value)
+	}
+	return append(dst, `"}`...)
+}
+
+// appendJSONLiteral appends a literal that is not plain: its body is
+// unescaped from N-Triples and escaped for JSON in one pass, and an
+// @lang or ^^<datatype> suffix becomes a member of its own.
+func appendJSONLiteral(dst []byte, term string) []byte {
+	dst = append(dst, `{"type":"literal","value":"`...)
+	dst, suffix := appendEscaped(dst, term[1:], true)
+	switch {
+	case len(suffix) > 1 && suffix[0] == '@':
+		dst = append(dst, `","xml:lang":"`...)
+		dst = appendJSONChars(dst, suffix[1:])
+	case len(suffix) > 4 && strings.HasPrefix(suffix, "^^<") && suffix[len(suffix)-1] == '>':
+		dst = append(dst, `","datatype":"`...)
+		dst = appendJSONChars(dst, suffix[3:len(suffix)-1])
+	}
+	return append(dst, `"}`...)
 }
 
 // jsonSafe marks the ASCII bytes encoding/json copies through
@@ -247,11 +268,11 @@ func (tsvEncoder) row(dst []byte, sys *sparqlopt.System, row []sparqlopt.TermID)
 		if j > 0 {
 			dst = append(dst, '\t')
 		}
-		term := sys.Term(id)
-		if strings.HasPrefix(term, `"`) || strings.HasPrefix(term, "_:") {
-			dst = append(dst, term...)
-		} else {
+		term, class := sys.TermEntry(id)
+		if class.Kind() == rdf.IRI {
 			dst = append(append(append(dst, '<'), term...), '>')
+		} else {
+			dst = append(dst, term...)
 		}
 	}
 	return append(dst, '\n')

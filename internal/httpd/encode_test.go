@@ -1,18 +1,20 @@
 package httpd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
 	"testing"
 	"unicode/utf8"
 
 	"sparqlopt"
+	"sparqlopt/internal/rdf"
+	"sparqlopt/internal/workload/lubm"
 )
 
 // marshalCell is the oracle: the term object as the replaced encoder
@@ -52,6 +54,15 @@ func ntLiteral(value string, uchar bool) string {
 	return b.String()
 }
 
+// encodeTerm interns term into a fresh dictionary and appends its JSON
+// term object as the encoder does for a result cell: the class the
+// dictionary recorded picks the path.
+func encodeTerm(dst []byte, term string) []byte {
+	d := rdf.NewDict()
+	text, class := d.Entry(d.Intern(term))
+	return appendJSONTerm(dst, text, class)
+}
+
 // nasty is every class of byte the escaper treats specially.
 const nasty = "q\"uo\\te <b>&amp; \x00\x01\b\f\n\r\t\x1f\x7f \u00e9 \U0001F600 \u2028\u2029 \xff\xc3( end"
 
@@ -87,13 +98,30 @@ func TestEncodeTerm(t *testing.T) {
 		{`"`, marshalCell("literal", "")},
 		{`"a"junk`, marshalCell("literal", "a")},
 		{`"a"@`, marshalCell("literal", "a")},
+		// Each byte that keeps a term from being plain, alone in an
+		// otherwise plain term, and the plain forms next to them.
+		{"http://example.org/a&b", ""},
+		{"http://example.org/<a>", ""},
+		{"http://example.org/a>b", ""},
+		{`http://example.org/a\b`, ""},
+		{"http://example.org/a\x7fb", ""},
+		{"http://example.org/a\x01b", ""},
+		{"http://example.org/caf\u00e9", ""},
+		{"http://example.org/a\u2028b", ""},
+		{`"A"`, marshalCell("literal", "A")},
+		{`"x"@en`, `{"type":"literal","value":"x","xml:lang":"en"}`},
+		{`"1"^^<http://www.w3.org/2001/XMLSchema#int>`, `{"type":"literal","value":"1","datatype":"http://www.w3.org/2001/XMLSchema#int"}`},
+		{`"a&b"`, marshalCell("literal", "a&b")},
+		{"\"a\x7fb\"", marshalCell("literal", "a\x7fb")},
+		{"_:b\u00e9", marshalCell("bnode", "b\u00e9")},
+		{"_:<b>", marshalCell("bnode", "<b>")},
 	}
 	for _, c := range cases {
 		want := c.want
 		if want == "" {
 			want = marshalCell("uri", c.term)
 		}
-		got := string(appendJSONTerm([]byte("prefix"), c.term))
+		got := string(encodeTerm([]byte("prefix"), c.term))
 		if got != "prefix"+want {
 			t.Errorf("term %q\n got %s\nwant %s", c.term, got[len("prefix"):], want)
 		}
@@ -104,8 +132,9 @@ func TestEncodeTerm(t *testing.T) {
 }
 
 // FuzzEncodeTerm holds the encoder to encoding/json on arbitrary IRI,
-// blank-node and plain-literal text: the appended bytes are exactly the
-// replaced encoder's cell.
+// blank-node and plain-literal text, each interned so the dictionary's
+// class picks the path: the appended bytes are exactly the replaced
+// encoder's cell.
 func FuzzEncodeTerm(f *testing.F) {
 	for kind := uint8(0); kind < 4; kind++ {
 		for _, s := range []string{"", "http://example.org/a", "b0", nasty, `A`, "\xf0\x9f", `"@en`} {
@@ -125,28 +154,36 @@ func FuzzEncodeTerm(f *testing.F) {
 		default:
 			term, want = ntLiteral(s, kind%4 == 3), marshalCell("literal", s)
 		}
-		if got := string(appendJSONTerm(nil, term)); got != want {
+		if got := string(encodeTerm(nil, term)); got != want {
 			t.Fatalf("term %q\n got %s\nwant %s", term, got, want)
 		}
 	})
 }
 
-// awkwardSystem serves a graph whose terms need every kind of escaping.
-func awkwardSystem(t *testing.T) (*sparqlopt.System, map[string]map[string]string) {
+// awkwardSystem serves a graph whose terms need every kind of escaping,
+// and the plain terms beside them. It returns each object term with
+// its JSON term object as encoding/json renders it.
+func awkwardSystem(t *testing.T) (*sparqlopt.System, map[string]string) {
 	t.Helper()
-	// What a JSON client reads back: each invalid byte became U+FFFD.
-	var nastyRead string
-	quoted, _ := json.Marshal(nasty)
-	json.Unmarshal(quoted, &nastyRead)
-	objects := map[string]map[string]string{
-		"http://example.org/<o>&":       {"type": "uri", "value": "http://example.org/<o>&"},
-		"_:b1":                          {"type": "bnode", "value": "b1"},
-		`"plain"`:                       {"type": "literal", "value": "plain"},
-		`""`:                            {"type": "literal", "value": ""},
-		`"chat"@fr`:                     {"type": "literal", "value": "chat", "xml:lang": "fr"},
-		`"1"^^<http://example.org/int>`: {"type": "literal", "value": "1", "datatype": "http://example.org/int"},
-		ntLiteral(nasty, false):         {"type": "literal", "value": nastyRead},
-		ntLiteral("tab\there", true):    {"type": "literal", "value": "tab\there"},
+	const xsdInt = "http://www.w3.org/2001/XMLSchema#int"
+	objects := map[string]string{
+		"_:b0":                          marshalCell("bnode", "b0"),
+		"_:b1&":                         marshalCell("bnode", "b1&"),
+		`"plain"`:                       marshalCell("literal", "plain"),
+		`"A"`:                           marshalCell("literal", "A"),
+		`""`:                            marshalCell("literal", ""),
+		`"a\"b"`:                        marshalCell("literal", `a"b`),
+		`"abc`:                          marshalCell("literal", "abc"),
+		`"chat"@fr`:                     marshalCell("literal", "chat", "xml:lang", "fr"),
+		`"x"@en`:                        marshalCell("literal", "x", "xml:lang", "en"),
+		`"1"^^<` + xsdInt + `>`:         marshalCell("literal", "1", "datatype", xsdInt),
+		`"1"^^<http://example.org/int>`: marshalCell("literal", "1", "datatype", "http://example.org/int"),
+		ntLiteral(nasty, false):         marshalCell("literal", nasty),
+		ntLiteral("tab\there", true):    marshalCell("literal", "tab\there"),
+	}
+	for _, iri := range []string{"plain", "<o>&", "a\x7fb", "a\x01b", "caf\u00e9", "a\u2028b"} {
+		iri = "http://example.org/" + iri
+		objects[iri] = marshalCell("uri", iri)
 	}
 	ds := sparqlopt.NewDataset()
 	for o := range objects {
@@ -160,8 +197,9 @@ func awkwardSystem(t *testing.T) (*sparqlopt.System, map[string]map[string]strin
 	return sys, objects
 }
 
-// TestEncodeBody: a whole response parses with encoding/json into the
-// terms that went in, and the TSV body carries the raw terms.
+// TestEncodeBody: a whole response is JSON, byte for byte what
+// encoding/json makes of the terms that went in, and the TSV body
+// carries the raw terms.
 func TestEncodeBody(t *testing.T) {
 	sys, objects := awkwardSystem(t)
 	srv := newServer(t, sys, Config{})
@@ -171,29 +209,22 @@ func TestEncodeBody(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("%d %s", resp.StatusCode, body)
 	}
-	var out struct {
-		Head    struct{ Vars []string }
-		Results struct {
-			Bindings []map[string]map[string]string
+	if !json.Valid(body) {
+		t.Fatalf("body is not JSON:\n%s", body)
+	}
+	// Rows arrive in engine order, so hold the body to the cells as a
+	// multiset: each binding present, and nothing else in the body.
+	const head, foot = `{"head":{"vars":["o"]},"results":{"bindings":[`, "]}}\n"
+	size := len(head) + len(foot) + len(objects) - 1
+	for o, cell := range objects {
+		binding := `{"o":` + cell + `}`
+		if !bytes.Contains(body, []byte(binding)) {
+			t.Errorf("JSON body lacks %s for the term %q", binding, o)
 		}
+		size += len(binding)
 	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatalf("body is not JSON: %v\n%s", err, body)
-	}
-	if len(out.Head.Vars) != 1 || out.Head.Vars[0] != "o" {
-		t.Fatalf("vars = %v", out.Head.Vars)
-	}
-	var got, want []string
-	for _, b := range out.Results.Bindings {
-		got = append(got, fmt.Sprint(b["o"]))
-	}
-	for _, o := range objects {
-		want = append(want, fmt.Sprint(o))
-	}
-	sort.Strings(got)
-	sort.Strings(want)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("decoded bindings\n got %q\nwant %q", got, want)
+	if !bytes.HasPrefix(body, []byte(head)) || !bytes.HasSuffix(body, []byte(foot)) || len(body) != size {
+		t.Fatalf("JSON body is %d bytes, want %d between the head and the foot:\n%s", len(body), size, body)
 	}
 
 	req, _ := http.NewRequest(http.MethodGet, reqURL, nil)
@@ -207,20 +238,20 @@ func TestEncodeBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rows arrive in engine order and raw terms may hold newlines, so
-	// compare as a multiset of lines-with-terminator.
-	size := len("?o\n")
+	// Raw terms may hold newlines, so compare as a multiset of
+	// lines-with-terminator.
+	size = len("?o\n")
 	for o, cell := range objects {
 		line := o + "\n"
-		if cell["type"] == "uri" {
+		if strings.HasPrefix(cell, `{"type":"uri"`) {
 			line = "<" + o + ">\n"
 		}
-		if !strings.Contains(string(tsv), line) {
+		if !bytes.Contains(tsv, []byte(line)) {
 			t.Errorf("TSV body lacks the raw term %q:\n%s", line, tsv)
 		}
 		size += len(line)
 	}
-	if !strings.HasPrefix(string(tsv), "?o\n") || len(tsv) != size {
+	if !bytes.HasPrefix(tsv, []byte("?o\n")) || len(tsv) != size {
 		t.Fatalf("TSV body is %d bytes, want %d starting with the header:\n%s", len(tsv), size, tsv)
 	}
 }
@@ -250,6 +281,61 @@ func TestEncodeRowAllocs(t *testing.T) {
 		})
 		if perBatch != 0 {
 			t.Errorf("%s: %v allocations per %d rows, want 0", enc.contentType(), perBatch, len(batch))
+		}
+	}
+}
+
+// BenchmarkEncodeRows times the row encoders alone, in both formats, on
+// LUBM-1 result rows shaped like the benchmark's result-heavy queries:
+// S2's two IRI columns (every rdf:type triple) and J1's three (students,
+// courses and their teachers). It reports encode time and body bytes
+// per row.
+func BenchmarkEncodeRows(b *testing.B) {
+	const prefixes = `PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
+`
+	sys, err := sparqlopt.Open(lubm.Generate(lubm.Config{Universities: 1, Seed: 1}), sparqlopt.WithNodes(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	for _, q := range []struct{ name, text string }{
+		{"S2", prefixes + `SELECT ?x ?t WHERE { ?x rdf:type ?t . }`},
+		{"J1", prefixes + `SELECT ?x ?c ?f WHERE { ?x ub:takesCourse ?c . ?f ub:teacherOf ?c . }`},
+	} {
+		rows, err := sys.RunStream(context.Background(), q.text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var batch [][]sparqlopt.TermID
+		for rows.Next() {
+			batch = append(batch, append([]sparqlopt.TermID{}, rows.Row()...))
+		}
+		if err := rows.Close(); err != nil || len(batch) == 0 {
+			b.Fatalf("%s: %d rows, %v", q.name, len(batch), err)
+		}
+		for _, f := range []struct {
+			name string
+			enc  func() encoder
+		}{
+			{"json", func() encoder { return &jsonEncoder{} }},
+			{"tsv", func() encoder { return tsvEncoder{} }},
+		} {
+			b.Run(q.name+"/"+f.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var buf []byte
+				for i := 0; i < b.N; i++ {
+					enc := f.enc()
+					buf = enc.header(buf[:0], rows.Vars())
+					for _, row := range batch {
+						buf = enc.row(buf, sys, row)
+					}
+					buf = enc.footer(buf)
+				}
+				perRow := float64(b.N) * float64(len(batch))
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perRow, "ns/row")
+				b.ReportMetric(float64(len(buf))/float64(len(batch)), "B/row")
+			})
 		}
 	}
 }

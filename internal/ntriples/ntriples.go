@@ -139,24 +139,24 @@ func parseTerm(s string) (term, rest string, err error) {
 }
 
 // Write serializes the dataset as N-Triples. IRIs are written in angle
-// brackets; terms that look like literals (leading '"') or blank nodes
-// (leading "_:") are written verbatim.
+// brackets; literals and blank nodes, as the dictionary classed them,
+// are written verbatim.
 func Write(w io.Writer, ds *rdf.Dataset) error {
 	bw := bufio.NewWriter(w)
 	for _, t := range ds.Triples {
 		if _, err := fmt.Fprintf(bw, "%s %s %s .\n",
-			formatTerm(ds.Dict.Term(t.S)),
-			formatTerm(ds.Dict.Term(t.P)),
-			formatTerm(ds.Dict.Term(t.O))); err != nil {
+			formatTerm(ds.Dict.Entry(t.S)),
+			formatTerm(ds.Dict.Entry(t.P)),
+			formatTerm(ds.Dict.Entry(t.O))); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-func formatTerm(term string) string {
-	if strings.HasPrefix(term, `"`) || strings.HasPrefix(term, "_:") {
-		return term
+func formatTerm(term string, class rdf.TermClass) string {
+	if class.Kind() == rdf.IRI {
+		return "<" + term + ">"
 	}
-	return "<" + term + ">"
+	return term
 }

@@ -2,9 +2,11 @@
 // terms, triples, and the directed labeled RDF graph G_R = (V_R, E_R)
 // of paper §II-A.
 //
-// Terms (IRIs and literals) are interned into a Dict, so a triple is
-// three integer IDs. Subjects and objects become graph vertices;
-// predicates become edge labels.
+// Terms (IRIs, literals and blank nodes) are interned into a Dict, so a
+// triple is three integer IDs. Subjects and objects become graph
+// vertices; predicates become edge labels. The Dict keeps its own copy
+// of every term together with a class byte (its kind, and whether its
+// text needs escaping), and resolving an ID takes no lock.
 //
 // A Dataset is multi-version: every committed write publishes a new
 // immutable Snapshot (an append-side delta over a shared backing
@@ -15,8 +17,10 @@ package rdf
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // TermID identifies an interned term. IDs are dense, starting at 0.
@@ -51,31 +55,137 @@ func (t Triple) Compare(u Triple) int {
 }
 
 // Dict interns term strings and assigns dense TermIDs. The zero value
-// is ready to use. Interning serializes against lookups, so terms can
-// be added while the serving path resolves query constants.
+// is ready to use. Reads take no lock: Term, Entry and Len see every
+// term whose Intern has returned, so the serving path resolves result
+// cells while a writer interns. Intern and Lookup serialize on a
+// mutex.
+//
+// Terms live in fixed-size chunks that never move; Intern fills a
+// term's slot and only then publishes the chunk directory and the term
+// count, which readers load atomically.
 type Dict struct {
-	mu    sync.RWMutex
+	mu    sync.RWMutex // serializes Intern against Lookup
 	ids   map[string]TermID
-	terms []string
+	dir   []*dictChunk // the writer's directory; readers load chunks
+	arena []byte       // the unused tail of the block Intern packs into
+
+	chunks atomic.Pointer[[]*dictChunk] // the directory as last published
+	n      atomic.Uint32                // terms published; stored after their slots
+}
+
+const (
+	chunkBits = 10
+	chunkSize = 1 << chunkBits
+
+	// arenaSize is the block Intern packs term text into; a term longer
+	// than an eighth of it gets an allocation of its own.
+	arenaSize = 64 << 10
+)
+
+// dictChunk holds chunkSize consecutive terms and their classes.
+type dictChunk struct {
+	text  [chunkSize]string
+	class [chunkSize]TermClass
+}
+
+// TermClass is what Intern recorded about a term: its kind and whether
+// it is Plain.
+type TermClass uint8
+
+// The kinds of term, as the dictionary tells them from the N-Triples
+// lexical form it stores: a leading quote marks a literal, "_:" a blank
+// node, everything else is an IRI (without angle brackets).
+const (
+	IRI TermClass = iota
+	Literal
+	BlankNode
+
+	// Plain marks a term whose text needs no escaping: an IRI or blank
+	// node all printable ASCII with none of " \ < > &, or a literal
+	// whose body is, with no @lang or ^^datatype suffix.
+	Plain TermClass = 1 << 2
+)
+
+// Kind returns the class without the Plain bit: IRI, Literal or
+// BlankNode.
+func (c TermClass) Kind() TermClass { return c &^ Plain }
+
+// Plain reports whether the term's text needs no escaping.
+func (c TermClass) Plain() bool { return c&Plain != 0 }
+
+// plainByte marks the bytes a Plain term may hold.
+var plainByte = func() (t [256]bool) {
+	for b := ' '; b <= '~'; b++ {
+		t[b] = !strings.ContainsRune(`"\<>&`, b)
+	}
+	return t
+}()
+
+// classify returns term's class.
+func classify(term string) TermClass {
+	kind, body := IRI, term
+	switch {
+	case strings.HasPrefix(term, `"`):
+		if len(term) < 2 || term[len(term)-1] != '"' {
+			return Literal
+		}
+		kind, body = Literal, term[1:len(term)-1]
+	case strings.HasPrefix(term, "_:"):
+		kind = BlankNode
+	}
+	for i := 0; i < len(body); i++ {
+		if !plainByte[body[i]] {
+			return kind
+		}
+	}
+	return kind | Plain
 }
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict { return &Dict{ids: make(map[string]TermID)} }
 
-// Intern returns the ID for term, assigning a fresh one if needed.
+// Intern returns the ID for term, assigning a fresh one if needed. A
+// fresh term is copied into the dictionary — packed after the one
+// interned before it — so the dictionary never pins the caller's
+// string, and classified once.
 func (d *Dict) Intern(term string) TermID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.ids == nil {
-		d.ids = make(map[string]TermID)
-	}
 	if id, ok := d.ids[term]; ok {
 		return id
 	}
-	id := TermID(len(d.terms))
-	d.ids[term] = id
-	d.terms = append(d.terms, term)
+	if d.ids == nil {
+		d.ids = make(map[string]TermID)
+	}
+	n := d.n.Load()
+	id, i := TermID(n), n&(chunkSize-1)
+	if i == 0 {
+		d.dir = append(d.dir, new(dictChunk))
+		dir := d.dir
+		d.chunks.Store(&dir)
+	}
+	text := d.keep(term)
+	c := d.dir[n>>chunkBits]
+	c.text[i], c.class[i] = text, classify(text)
+	d.ids[text] = id
+	d.n.Store(n + 1)
 	return id
+}
+
+// keep returns a copy of term in the dictionary's own memory. Caller
+// holds d.mu.
+func (d *Dict) keep(term string) string {
+	switch {
+	case term == "":
+		return ""
+	case len(term) > arenaSize/8:
+		return strings.Clone(term)
+	case len(term) > cap(d.arena)-len(d.arena):
+		d.arena = make([]byte, 0, arenaSize)
+	}
+	start := len(d.arena)
+	d.arena = append(d.arena, term...)
+	return unsafe.String(&d.arena[start], len(term))
 }
 
 // Lookup returns the ID for term, if it has been interned.
@@ -86,21 +196,24 @@ func (d *Dict) Lookup(term string) (TermID, bool) {
 	return id, ok
 }
 
+// Entry returns the text and class of id. It panics if id was never
+// assigned.
+func (d *Dict) Entry(id TermID) (string, TermClass) {
+	if uint32(id) >= d.n.Load() {
+		panic("rdf: term ID was never assigned")
+	}
+	c := (*d.chunks.Load())[id>>chunkBits]
+	return c.text[id&(chunkSize-1)], c.class[id&(chunkSize-1)]
+}
+
 // Term returns the string for id. It panics if id was never assigned.
 func (d *Dict) Term(id TermID) string {
-	d.mu.RLock()
-	s := d.terms[id]
-	d.mu.RUnlock()
-	return s
+	text, _ := d.Entry(id)
+	return text
 }
 
 // Len returns the number of interned terms.
-func (d *Dict) Len() int {
-	d.mu.RLock()
-	n := len(d.terms)
-	d.mu.RUnlock()
-	return n
-}
+func (d *Dict) Len() int { return int(d.n.Load()) }
 
 // Snapshot is an immutable view of a dataset at one epoch. The triple
 // slice is capped at both length and capacity, so writer appends past
@@ -113,7 +226,7 @@ type Snapshot struct {
 }
 
 // Dict returns the dictionary shared with the dataset. The dictionary
-// is append-only and internally synchronized, so resolving terms
+// is append-only and its reads take no lock, so resolving terms
 // through an old snapshot is always safe.
 func (s *Snapshot) Dict() *Dict { return s.dict }
 

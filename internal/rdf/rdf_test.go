@@ -3,8 +3,12 @@ package rdf
 import (
 	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDictIntern(t *testing.T) {
@@ -36,6 +40,174 @@ func TestDictZeroValue(t *testing.T) {
 	id := d.Intern("x")
 	if d.Term(id) != "x" {
 		t.Error("zero-value Dict unusable")
+	}
+}
+
+func TestTermClass(t *testing.T) {
+	cases := []struct {
+		term string
+		want TermClass
+	}{
+		{"http://example.org/a", IRI | Plain},
+		{"", IRI | Plain},
+		{"http://example.org/a b", IRI | Plain},
+		{"http://example.org/a&b", IRI},
+		{"http://example.org/<a>", IRI},
+		{`http://example.org/a\b`, IRI},
+		{"http://example.org/a\x7fb", IRI},
+		{"http://example.org/a\x1fb", IRI},
+		{"http://example.org/caf\u00e9", IRI},
+		{"http://example.org/a\u2028b", IRI},
+		{"_:b0", BlankNode | Plain},
+		{"_:", BlankNode | Plain},
+		{"_:b&", BlankNode},
+		{"_b0", IRI | Plain},
+		{`""`, Literal | Plain},
+		{`"A"`, Literal | Plain},
+		{`"GraduateStudent12@Department0.University0.edu"`, Literal | Plain},
+		{`"`, Literal},
+		{`"abc`, Literal},
+		{`"a\"b"`, Literal},
+		{`"a"b"`, Literal},
+		{`"a<b"`, Literal},
+		{`"x"@en`, Literal},
+		{`"1"^^<http://www.w3.org/2001/XMLSchema#int>`, Literal},
+		{"\"caf\u00e9\"", Literal},
+	}
+	d := NewDict()
+	for _, c := range cases {
+		text, class := d.Entry(d.Intern(c.term))
+		if text != c.term || class != c.want {
+			t.Errorf("Intern(%q): entry %q class %#x, want class %#x", c.term, text, class, c.want)
+		}
+		if class.Kind() != c.want&^Plain || class.Plain() != (c.want&Plain != 0) {
+			t.Errorf("class %#x: Kind %d Plain %v", class, class.Kind(), class.Plain())
+		}
+	}
+}
+
+// TestDictCopiesTerms: what Intern keeps is a copy, so a term sliced
+// from a longer line does not pin it, whether the copy is packed with
+// other terms or, being long, allocated alone.
+func TestDictCopiesTerms(t *testing.T) {
+	d := NewDict()
+	long := strings.Repeat("x", arenaSize)
+	for _, line := range []string{"<http://example.org/s> <p> <o> .", "<" + long + "> <p> <o> ."} {
+		term := line[1:strings.IndexByte(line, '>')]
+		got := d.Term(d.Intern(term))
+		if got != term {
+			t.Fatalf("Term = %q, want %q", got, term)
+		}
+		p, lo := uintptr(unsafe.Pointer(unsafe.StringData(got))), uintptr(unsafe.Pointer(unsafe.StringData(line)))
+		if p >= lo && p < lo+uintptr(len(line)) {
+			t.Errorf("the interned %d-byte term aliases the caller's line", len(term))
+		}
+		if id, ok := d.Lookup(term); !ok || d.Term(id) != term {
+			t.Errorf("Lookup(%d-byte term) = %d, %v", len(term), id, ok)
+		}
+	}
+}
+
+// TestDictTermPanicsUnassigned: resolving an ID Intern never returned
+// panics, in an empty dictionary, inside the last chunk and at the
+// first ID of a chunk that does not exist yet.
+func TestDictTermPanicsUnassigned(t *testing.T) {
+	mustPanic := func(d *Dict, id TermID) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Term(%d) of a %d-term dictionary did not panic", id, d.Len())
+			}
+		}()
+		d.Term(id)
+	}
+	var zero Dict
+	mustPanic(&zero, 0)
+	d := NewDict()
+	d.Intern("a")
+	mustPanic(d, 1)
+	mustPanic(d, chunkSize-1)
+	for i := 1; i < chunkSize; i++ {
+		d.Intern(fmt.Sprint(i))
+	}
+	mustPanic(d, chunkSize)
+	mustPanic(d, ^TermID(0))
+}
+
+// TestDictConcurrentReads: writers intern several chunks' worth of
+// fresh terms while readers resolve every ID published so far, without
+// a lock, and check its text and class. Run under -race it also holds
+// the publication order to the memory model.
+func TestDictConcurrentReads(t *testing.T) {
+	const writers, perWriter, readers = 2, 2 * chunkSize, 2
+	want := make(map[string]TermClass, writers*perWriter)
+	terms := make([][]string, writers)
+	for w := range terms {
+		for i := 0; i < perWriter; i++ {
+			var term string
+			var class TermClass
+			switch i % 5 {
+			case 0:
+				term, class = fmt.Sprintf("http://example.org/w%d/%d", w, i), IRI|Plain
+			case 1:
+				term, class = fmt.Sprintf("http://example.org/<w%d>/%d", w, i), IRI
+			case 2:
+				term, class = fmt.Sprintf(`"w%d-%d"`, w, i), Literal|Plain
+			case 3:
+				term, class = fmt.Sprintf(`"w%d-%d"@en`, w, i), Literal
+			default:
+				term, class = fmt.Sprintf("_:w%db%d", w, i), BlankNode|Plain
+			}
+			terms[w] = append(terms[w], term)
+			want[term] = class
+		}
+	}
+	d := NewDict()
+	var wg, rg sync.WaitGroup
+	var done atomic.Bool
+	for _, ts := range terms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, term := range ts {
+				d.Intern(term)
+			}
+		}()
+	}
+	errs := make(chan string, readers)
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			seen := 0
+			for last := false; !last; {
+				last = done.Load()
+				n := d.Len()
+				for id := TermID(seen); int(id) < n; id++ {
+					text, class := d.Entry(id)
+					if c, ok := want[text]; !ok || c != class {
+						errs <- fmt.Sprintf("ID %d of %d: %q class %#x, want a written term (class %#x, %v)", id, n, text, class, c, ok)
+						return
+					}
+				}
+				seen = n
+			}
+			if seen != writers*perWriter {
+				errs <- fmt.Sprintf("reader saw %d terms, want %d", seen, writers*perWriter)
+			}
+		}()
+	}
+	wg.Wait()
+	done.Store(true)
+	rg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	for term := range want {
+		if id, ok := d.Lookup(term); !ok || d.Term(id) != term {
+			t.Errorf("Lookup(%q) = %d, %v", term, id, ok)
+		}
 	}
 }
 

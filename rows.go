@@ -33,6 +33,10 @@ import (
 // TermID is a dictionary-encoded RDF term (see System.Term).
 type TermID = rdf.TermID
 
+// TermClass is a term's kind and whether its text needs escaping, as
+// the dictionary recorded it at intern time (see System.TermEntry).
+type TermClass = rdf.TermClass
+
 // Rows is a cursor over one query's result stream. It is
 // single-consumer and must be Closed (Close is idempotent and safe
 // after exhaustion):

@@ -1203,6 +1203,10 @@ func (s *System) CacheStats() CacheCounters {
 // Term resolves a result value back to its term string.
 func (s *System) Term(id rdf.TermID) string { return s.ds.Dict.Term(id) }
 
+// TermEntry resolves a result value to its term string and class in
+// one lock-free read: what a result encoder needs per cell.
+func (s *System) TermEntry(id rdf.TermID) (string, TermClass) { return s.ds.Dict.Entry(id) }
+
 // FormatResult renders an execution result as tab-separated lines
 // with a header row.
 func (s *System) FormatResult(res *ExecResult) string {
