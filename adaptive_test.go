@@ -13,6 +13,12 @@ import (
 
 const ub = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"
 
+// withReplicationBudget sets the advisor's replication budget, which
+// Open otherwise fixes at 0.5. It must follow WithAdaptivePartitioning.
+func withReplicationBudget(b float64) Option {
+	return func(c *openConfig) { c.adaptive.ReplicationBudget = b }
+}
+
 // hotOOQuery is an object-object star: under subject-hash-based
 // partitionings the two patterns' bindings meet only after a
 // repartition on ?c — the shape the adaptive advisor mines for.
@@ -74,7 +80,6 @@ func TestAdaptiveShuffleElimination(t *testing.T) {
 		WithAdaptivePartitioning(AdaptiveConfig{
 			MinShuffledBytes: 1,
 			MinQueries:       2,
-			Synchronous:      true,
 		}),
 	)
 	if err != nil {
@@ -98,6 +103,7 @@ func TestAdaptiveShuffleElimination(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sys.WaitForMigrations()
 		if !equalResultRows(res, want) {
 			t.Fatalf("run %d: rows diverged from reference (%d vs %d rows)", i, len(res.Rows), len(want.Rows))
 		}
@@ -166,11 +172,10 @@ func TestAdaptiveMigrationProperty(t *testing.T) {
 					WithNodes(10),
 					WithPlanCache(32),
 					WithAdaptivePartitioning(AdaptiveConfig{
-						MinShuffledBytes:  1,
-						MinQueries:        1,
-						ReplicationBudget: budget,
-						Synchronous:       true,
+						MinShuffledBytes: 1,
+						MinQueries:       1,
 					}),
+					withReplicationBudget(budget),
 				)
 				if err != nil {
 					t.Fatal(err)
@@ -183,6 +188,7 @@ func TestAdaptiveMigrationProperty(t *testing.T) {
 						if err != nil {
 							t.Fatalf("round %d query %d: %v", round, i, err)
 						}
+						sys.WaitForMigrations()
 						if !equalResultRows(res, want[i].rows) {
 							t.Fatalf("round %d query %d: rows diverged (%d vs %d)",
 								round, i, len(res.Rows), len(want[i].rows.Rows))
@@ -278,11 +284,10 @@ func TestAdaptiveReplicationBudgetBlocks(t *testing.T) {
 		WithMethod(mustMethod(t, "2f")),
 		WithNodes(10),
 		WithAdaptivePartitioning(AdaptiveConfig{
-			MinShuffledBytes:  1,
-			MinQueries:        1,
-			ReplicationBudget: 1e-9,
-			Synchronous:       true,
+			MinShuffledBytes: 1,
+			MinQueries:       1,
 		}),
+		withReplicationBudget(1e-9),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -292,6 +297,7 @@ func TestAdaptiveReplicationBudgetBlocks(t *testing.T) {
 		if _, err := sys.Run(ctx, hotOOQuery); err != nil {
 			t.Fatal(err)
 		}
+		sys.WaitForMigrations()
 	}
 	st := sys.AdvisorStats()
 	if st.Migrations != 0 {
@@ -314,7 +320,6 @@ func TestAdaptiveMemoryBudgetIsolation(t *testing.T) {
 		WithAdaptivePartitioning(AdaptiveConfig{
 			MinShuffledBytes: 1,
 			MinQueries:       1,
-			Synchronous:      true,
 		}),
 	)
 	if err != nil {
@@ -379,7 +384,7 @@ func TestMigrationAccountsEngineCopies(t *testing.T) {
 	sys, err := Open(ds,
 		WithMethod(mustMethod(t, "2f")),
 		WithNodes(nodes),
-		WithAdaptivePartitioning(AdaptiveConfig{MinShuffledBytes: 1, MinQueries: 1, Synchronous: true}),
+		WithAdaptivePartitioning(AdaptiveConfig{MinShuffledBytes: 1, MinQueries: 1}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -394,6 +399,7 @@ func TestMigrationAccountsEngineCopies(t *testing.T) {
 		if _, err := sys.Run(ctx, migHot); err != nil {
 			t.Fatal(err)
 		}
+		sys.WaitForMigrations()
 	}
 	st := sys.AdvisorStats()
 	if st.Migrations == 0 {

@@ -28,12 +28,6 @@
 //	-slowlog    slow-query threshold; queries at or over it (and all
 //	            failures) are printed from the slow-query log on exit
 //	            (0 = disabled)
-//	-max-concurrent  admission control: at most this many queries are
-//	            served at once; excess queries queue (see -max-queued)
-//	            and overflow is rejected with a typed overload error
-//	            carrying a retry-after hint (0 = unlimited)
-//	-max-queued with -max-concurrent: how many queries may wait for a
-//	            serving slot before rejections start (default 0)
 //	-limit      with -execute: stop each query after this many result
 //	            rows (0 = unlimited); the same option every serving
 //	            surface accepts (sparqld and the HTTP ?limit= parameter)
@@ -97,8 +91,6 @@ func main() {
 		slowlog   = flag.Duration("slowlog", 0, "slow-query threshold for the slow-query log (0 = disabled)")
 		demo      = flag.Bool("demo", false, "run the built-in LUBM demo")
 		repl      = flag.Bool("repl", false, "interactive mode: read queries from stdin (use with -data or -demo)")
-		maxConc   = flag.Int("max-concurrent", 0, "admission control: max concurrently served queries (0 = unlimited)")
-		maxQueued = flag.Int("max-queued", 0, "admission control: max queries queued for a slot (with -max-concurrent)")
 		memBudget = flag.Int64("mem-budget", 0, "per-query memory budget in bytes for materialized state (0 = unlimited)")
 		limit     = flag.Int64("limit", 0, "with -execute: stop each query after this many result rows (0 = unlimited)")
 		adaptive  = flag.Bool("adaptive", false, "enable the adaptive repartitioning advisor (migrates hot triple groups as the workload repeats; advisor stats print on exit)")
@@ -111,8 +103,8 @@ func main() {
 		explain: *explain, dot: *dot, timeout: *timeout, demo: *demo,
 		repl: *repl, planCache: *planCache,
 		trace: *trace, metrics: *metrics, slowlog: *slowlog,
-		maxConcurrent: *maxConc, maxQueued: *maxQueued, memBudget: *memBudget,
-		limit: *limit, adaptive: *adaptive, decayHalfLife: *decay,
+		memBudget: *memBudget, limit: *limit, adaptive: *adaptive,
+		decayHalfLife: *decay,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "sparqlopt:", err)
 		os.Exit(1)
@@ -127,7 +119,6 @@ type runConfig struct {
 	trace, metrics                           bool
 	slowlog                                  time.Duration
 	timeout                                  time.Duration
-	maxConcurrent, maxQueued                 int
 	memBudget                                int64
 	limit                                    int64
 	adaptive                                 bool
@@ -256,9 +247,6 @@ func openSystem(cfg runConfig, ds *rdf.Dataset, method partition.Method) (*sparq
 	}
 	if cfg.planCache > 0 {
 		opts = append(opts, sparqlopt.WithPlanCache(cfg.planCache))
-	}
-	if cfg.maxConcurrent > 0 {
-		opts = append(opts, sparqlopt.WithAdmissionControl(cfg.maxConcurrent, cfg.maxQueued))
 	}
 	if cfg.memBudget > 0 {
 		opts = append(opts, sparqlopt.WithMemoryBudget(cfg.memBudget, 0))

@@ -23,8 +23,10 @@ import (
 // list every experiment the table holds. sparqld and sparqlopt are held
 // the same way: every flag a command's usage comment or a `sparqld
 // -flag …` command line in the docs names must be defined, and every
-// defined flag listed. DESIGN.md's fault-site table must hold exactly
-// the sites faultinject registers.
+// defined flag listed. README.md must name every root With… option and
+// every field of NodeFailoverConfig and AdaptiveConfig, and no field
+// they lack. DESIGN.md's fault-site table must hold exactly the sites
+// faultinject registers.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	const runner = "cmd/benchrunner/main.go"
 	fset := token.NewFileSet()
@@ -52,6 +54,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 
 	options := map[string]bool{}
+	fields := map[string]map[string]bool{"NodeFailoverConfig": {}, "AdaptiveConfig": {}}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +72,26 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				options[fd.Name.Name] = true
 			}
 		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || fields[ts.Name.Name] == nil {
+				return true
+			}
+			for _, field := range ts.Type.(*ast.StructType).Fields.List {
+				for _, name := range field.Names {
+					fields[ts.Name.Name][name.Name] = true
+				}
+			}
+			return false
+		})
 	}
 	if len(options) == 0 {
 		t.Fatal("found no With… options in the root package")
+	}
+	for typ, fs := range fields {
+		if len(fs) == 0 {
+			t.Fatalf("found no fields of %s in the root package", typ)
+		}
 	}
 
 	var (
@@ -96,6 +116,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		checkCommandFlags(t, fset, cmd, docs)
 	}
 	checkFaultSiteTable(t, docs["DESIGN.md"])
+	checkReadmeOptions(t, docs["README.md"], options, fields)
 	for name, text := range docs {
 		for _, line := range strings.Split(text, "\n") {
 			for _, m := range experimentRE.FindAllStringSubmatch(line, -1) {
@@ -208,6 +229,39 @@ func checkCommandFlags(t *testing.T, fset *token.FileSet, cmd string, docs map[s
 					t.Errorf("%s names %s -%s, which %s does not define", name, cmd, flagName, cmd)
 				}
 			}
+		}
+	}
+}
+
+// checkReadmeOptions is the option half of TestDocsNameOnlyWhatExists:
+// README.md names every root With… option, and every field of the
+// config structs in fields — as Type.Field, or as a key of a Type{…}
+// literal — and names no field of theirs that is not declared.
+func checkReadmeOptions(t *testing.T, readme string, options map[string]bool, fields map[string]map[string]bool) {
+	for o := range options {
+		if !regexp.MustCompile(`\b` + o + `\b`).MatchString(readme) {
+			t.Errorf("README.md does not name option %s", o)
+		}
+	}
+	named := map[string]bool{}
+	for _, m := range regexp.MustCompile(`\b(NodeFailoverConfig|AdaptiveConfig)\.([A-Z]\w*)`).FindAllStringSubmatch(readme, -1) {
+		named[m[1]+"."+m[2]] = true
+	}
+	for _, m := range regexp.MustCompile(`\b(NodeFailoverConfig|AdaptiveConfig)\{([^}]*)\}`).FindAllStringSubmatch(readme, -1) {
+		for _, key := range regexp.MustCompile(`(\w+)\s*:`).FindAllStringSubmatch(m[2], -1) {
+			named[m[1]+"."+key[1]] = true
+		}
+	}
+	for typ, fs := range fields {
+		for f := range fs {
+			if !named[typ+"."+f] {
+				t.Errorf("README.md does not name %s.%s", typ, f)
+			}
+		}
+	}
+	for n := range named {
+		if typ, f, _ := strings.Cut(n, "."); !fields[typ][f] {
+			t.Errorf("README.md names %s, which the root package does not declare", n)
 		}
 	}
 }

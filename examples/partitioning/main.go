@@ -1,6 +1,6 @@
 // Partitioning model walkthrough: shows how the generic combine /
 // distribute model (paper §II-C) yields maximal local queries and
-// local-query detection for four very different partitioning methods,
+// local-query detection for five very different partitioning methods,
 // using the paper's own running example (Fig. 1).
 package main
 
@@ -39,6 +39,7 @@ func main() {
 	methods := []partition.Method{
 		partition.HashSO{},
 		partition.TwoHopForward{},
+		partition.TwoHopBidirectional{},
 		partition.PathBMC{},
 		partition.UndirectedOneHop{},
 	}

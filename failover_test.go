@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sparqlopt/internal/partition"
+	"sparqlopt/internal/resilience/health"
 )
 
 // failoverDataset is a small social graph with two self-loop triples
@@ -60,17 +61,19 @@ func nodeCovered(v *partition.View, node int) bool {
 	return true
 }
 
-// failoverBreakerOff keeps every breaker closed for the whole test so
-// runs against different dead nodes cannot contaminate each other
-// through shared breaker state; the retry-exhaustion path alone
-// declares nodes dead. Breaker behavior itself is covered by the
-// health package tests and TestChaosFailover.
-var failoverBreakerOff = NodeFailoverConfig{
-	MaxAttempts:        2,
-	RetryBase:          time.Microsecond,
-	RetryCap:           10 * time.Microsecond,
-	BreakerConsecutive: 1 << 30,
-	BreakerMinSamples:  1 << 30,
+// withBreaker sets the failover breakers' configuration, which Open
+// otherwise fixes at the health package's defaults.
+func withBreaker(hc health.Config) Option { return func(c *openConfig) { c.breaker = hc } }
+
+// failoverBreakerOff enables failover with every breaker kept closed
+// for the whole test so runs against different dead nodes cannot
+// contaminate each other through shared breaker state; the
+// retry-exhaustion path alone declares nodes dead. Breaker behavior
+// itself is covered by the health package tests, TestFailoverBreakerRecovers
+// and TestChaosFailover.
+var failoverBreakerOff Option = func(c *openConfig) {
+	WithNodeFailover(NodeFailoverConfig{MaxAttempts: 2, RetryBase: time.Microsecond, RetryCap: 10 * time.Microsecond})(c)
+	withBreaker(health.Config{ConsecutiveFailures: 1 << 30, MinSamples: 1 << 30})(c)
 }
 
 // TestFailoverProperty is the deterministic failover property sweep:
@@ -91,7 +94,7 @@ func TestFailoverProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sys, err := Open(ds, WithMethod(m), WithNodes(nodes), WithNodeFailover(failoverBreakerOff))
+				sys, err := Open(ds, WithMethod(m), WithNodes(nodes), failoverBreakerOff)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -170,10 +173,9 @@ func TestFailoverProperty(t *testing.T) {
 		const src = `SELECT * WHERE { ?x <http://knows> ?y . ?z <http://knows> ?y . }`
 		ds := failoverDataset()
 		sys, err := Open(ds, WithMethod(mustMethod(t, "2f")), WithNodes(4),
-			WithNodeFailover(failoverBreakerOff),
-			WithAdaptivePartitioning(AdaptiveConfig{
-				MinShuffledBytes: 1, MinQueries: 1, ReplicationBudget: 4, Synchronous: true,
-			}))
+			failoverBreakerOff,
+			WithAdaptivePartitioning(AdaptiveConfig{MinShuffledBytes: 1, MinQueries: 1}),
+			withReplicationBudget(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,6 +183,7 @@ func TestFailoverProperty(t *testing.T) {
 			if _, err := sys.Run(context.Background(), src); err != nil {
 				t.Fatal(err)
 			}
+			sys.WaitForMigrations()
 		}
 		if sys.AdvisorStats().Migrations == 0 {
 			t.Fatal("advisor never migrated the <knows> group — configuration no longer reaches aligned scans")
@@ -250,15 +253,16 @@ func TestFailoverWithoutPolicyFailsFast(t *testing.T) {
 // TestFailoverRecoveryReplicates drives the full degraded-placement
 // loop: a dead node strands its unreplicated triples, the first query
 // that needs them fails with UnavailableError, the failure triggers a
-// synchronous recovery round that re-replicates the stranded triples
+// recovery round that re-replicates the stranded triples
 // onto healthy nodes, and the same query then succeeds via failover
 // with rows bit-identical to the healthy run — while the node is still
 // down.
 func TestFailoverRecoveryReplicates(t *testing.T) {
 	ds := failoverDataset()
 	sys, err := Open(ds, WithNodes(4),
-		WithNodeFailover(failoverBreakerOff),
-		WithAdaptivePartitioning(AdaptiveConfig{ReplicationBudget: 4, Synchronous: true}),
+		failoverBreakerOff,
+		WithAdaptivePartitioning(AdaptiveConfig{}),
+		withReplicationBudget(4),
 		WithObservability(WithSlowQueryLog(32, 0)),
 	)
 	if err != nil {
@@ -294,9 +298,10 @@ func TestFailoverRecoveryReplicates(t *testing.T) {
 	if src == "" {
 		t.Fatal("no query needs the uncovered node's stranded triples")
 	}
-	// The failing run above already triggered a synchronous recovery
-	// round. The stranded triples now have live copies, so the same
-	// query succeeds by failover with identical rows, node still dead.
+	// The failing run above triggered a recovery round. Once it lands,
+	// the stranded triples have live copies, so the same query succeeds
+	// by failover with identical rows, node still dead.
+	sys.WaitForMigrations()
 	if got := sys.AdvisorStats().RecoveryMigrations; got != 1 {
 		t.Fatalf("RecoveryMigrations = %d, want 1", got)
 	}
@@ -329,21 +334,16 @@ func TestFailoverRecoveryReplicates(t *testing.T) {
 }
 
 // TestFailoverBreakerRecovers exercises the health lifecycle end to
-// end on a served system: sustained scan failures trip node 1's
-// breaker open (visible in NodeHealth), later healthy runs probe it
-// half-open and close it again, and serving is bit-identical
-// throughout.
+// end on a served system at the breaker's fixed settings (3
+// consecutive failures trip it, it stays open 1s, 2 clean probes close
+// it): sustained scan failures trip node 1's breaker open (visible in
+// NodeHealth), later healthy runs probe it half-open and close it
+// again, and serving is bit-identical throughout.
 func TestFailoverBreakerRecovers(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
 	sys, err := Open(failoverDataset(), WithNodes(2),
-		WithNodeFailover(NodeFailoverConfig{
-			MaxAttempts:        1,
-			BreakerConsecutive: 2,
-			OpenFor:            time.Second,
-			ProbeSuccesses:     1,
-			Clock:              clock,
-		}))
+		WithNodeFailover(NodeFailoverConfig{MaxAttempts: 1, Clock: clock}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,14 +381,17 @@ func TestFailoverBreakerRecovers(t *testing.T) {
 	} else if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("breaker-open run: %v", err)
 	}
-	// After OpenFor the breaker goes half-open; one clean probe closes
-	// it and serving returns to the healthy path.
+	// After the open second the breaker goes half-open; two clean
+	// probes (one per run here) close it and serving returns to the
+	// healthy path.
 	now = now.Add(2 * time.Second)
-	if _, err := sys.Run(context.Background(), src); err != nil {
-		t.Fatalf("probe run: %v", err)
-	}
-	if st := sys.NodeHealth(); st[1].State != NodeHealthy {
-		t.Fatalf("node 1 breaker = %v after clean probe, want healthy", st[1].State)
+	for probe, want := range []NodeState{NodeHalfOpen, NodeHealthy} {
+		if _, err := sys.Run(context.Background(), src); err != nil {
+			t.Fatalf("probe run %d: %v", probe, err)
+		}
+		if st := sys.NodeHealth(); st[1].State != want {
+			t.Fatalf("node 1 breaker = %v after clean probe %d, want %v", st[1].State, probe, want)
+		}
 	}
 	res, err := sys.Run(context.Background(), src)
 	if err != nil {
@@ -415,9 +418,10 @@ func TestChaosFailover(t *testing.T) {
 		WithNodeFailover(NodeFailoverConfig{
 			MaxAttempts: 2,
 			RetryBase:   time.Microsecond,
-			OpenFor:     time.Millisecond,
 		}),
-		WithAdaptivePartitioning(AdaptiveConfig{ReplicationBudget: 4}),
+		withBreaker(health.Config{OpenFor: time.Millisecond}),
+		WithAdaptivePartitioning(AdaptiveConfig{}),
+		withReplicationBudget(4),
 		WithObservability(WithSlowQueryLog(256, 0)),
 	)
 	if err != nil {

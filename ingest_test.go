@@ -329,7 +329,7 @@ func TestChaosServingSnapshotFollowsEpochs(t *testing.T) {
 	sys, err := Open(ds,
 		WithMethod(mustMethod(t, "2f")),
 		WithNodes(nodes),
-		WithAdaptivePartitioning(AdaptiveConfig{Synchronous: true}),
+		WithAdaptivePartitioning(AdaptiveConfig{}),
 	)
 	if err != nil {
 		t.Fatal(err)

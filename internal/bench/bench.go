@@ -123,15 +123,12 @@ type Meta struct {
 }
 
 // AdaptiveMeta is the advisor configuration an adaptive run used —
-// embedded in the report so its trigger and budget knobs travel with
-// the numbers they produced.
+// embedded in the report so its trigger knobs travel with the numbers
+// they produced.
 type AdaptiveMeta struct {
-	Rounds            int     `json:"rounds"`
-	MinShuffledBytes  int64   `json:"min_shuffled_bytes"`
-	MinQueries        int     `json:"min_queries"`
-	ReplicationBudget float64 `json:"replication_budget"`
-	BalanceFactor     float64 `json:"balance_factor"`
-	Synchronous       bool    `json:"synchronous"`
+	Rounds           int   `json:"rounds"`
+	MinShuffledBytes int64 `json:"min_shuffled_bytes"`
+	MinQueries       int   `json:"min_queries"`
 }
 
 // meta describes this run's configuration.

@@ -69,7 +69,8 @@ var failoverQueries = []string{"L1", "L2", "L4", "L5", "L7"}
 
 // FailoverBench kills one node mid-workload and measures what each
 // twin does about it. The failover twin (WithNodeFailover + a
-// synchronous recovery advisor) must keep serving: replica-covered
+// recovery advisor, each round awaited before the next run) must keep
+// serving: replica-covered
 // scans stay bit-identical with p99 within 2x of healthy, stranded
 // fragments fail fast with typed errors until the advisor re-replicates
 // them, and after recovery every query succeeds with the node still
@@ -89,16 +90,12 @@ func FailoverBench(cfg Config) error {
 		MaxAttempts: 2,
 		RetryBase:   100 * time.Microsecond,
 		RetryCap:    time.Millisecond,
-		OpenFor:     time.Second,
 	}
 	withFO, err := sparqlopt.Open(ds,
 		sparqlopt.WithNodes(cfg.nodes()),
 		sparqlopt.WithPlanCache(64),
 		sparqlopt.WithNodeFailover(foCfg),
-		sparqlopt.WithAdaptivePartitioning(sparqlopt.AdaptiveConfig{
-			ReplicationBudget: 0.5,
-			Synchronous:       true,
-		}),
+		sparqlopt.WithAdaptivePartitioning(sparqlopt.AdaptiveConfig{}),
 	)
 	if err != nil {
 		return err
@@ -130,7 +127,7 @@ func FailoverBench(cfg Config) error {
 
 	killStart := time.Now()
 	foKilled := failoverPhase(cfg, withFO, "failover", "killed", rounds, killFO)
-	// The killed phase's typed failures triggered synchronous recovery
+	// The killed phase's typed failures triggered recovery
 	// re-replication, so full service resumed at the last failure; the
 	// recovered phase proves it with the node still dead.
 	report.TimeToRecoverMillis = float64(foKilled.lastFail.Sub(killStart).Milliseconds())
@@ -180,6 +177,8 @@ func failoverPhase(cfg Config, sys *sparqlopt.System, system, phase string, roun
 			start := time.Now()
 			res, err := sys.Run(context.Background(), src, opts...)
 			d := time.Since(start)
+			// A triggered recovery round lands before the next run.
+			sys.WaitForMigrations()
 			rec.Runs++
 			switch {
 			case err == nil:

@@ -463,10 +463,8 @@ func projectResult(rel *Relation, q *sparql.Query) (*Result, error) {
 	if len(vars) == 0 {
 		vars = q.Vars()
 	}
-	for _, v := range vars {
-		if rel.colIndex(v) < 0 {
-			return nil, fmt.Errorf("engine: projected variable ?%s not bound by the query", v)
-		}
+	if err := validateVars(vars, rel.Vars); err != nil {
+		return nil, err
 	}
 	proj := rel.project(vars)
 	return &Result{Vars: proj.Vars, Rows: proj.Rows}, nil

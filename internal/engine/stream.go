@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"sparqlopt/internal/obs"
@@ -261,16 +262,10 @@ func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Quer
 	return st, nil
 }
 
+// validateVars checks that schema binds every projected variable.
 func validateVars(vars, schema []string) error {
 	for _, v := range vars {
-		found := false
-		for _, sv := range schema {
-			if sv == v {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(schema, v) {
 			return fmt.Errorf("engine: projected variable ?%s not bound by the query", v)
 		}
 	}

@@ -757,13 +757,7 @@ func TestUnavailableMapsTo503(t *testing.T) {
 	// typed unavailable failure while its breaker is open.
 	sys := testSystem(t,
 		sparqlopt.WithNodes(1),
-		sparqlopt.WithNodeFailover(sparqlopt.NodeFailoverConfig{
-			MaxAttempts:        1,
-			BreakerConsecutive: 2,
-			OpenFor:            time.Second,
-			ProbeSuccesses:     1,
-			Clock:              clock,
-		}))
+		sparqlopt.WithNodeFailover(sparqlopt.NodeFailoverConfig{MaxAttempts: 1, Clock: clock}))
 	srv := newServer(t, sys, Config{})
 
 	if resp, _ := get(t, srv.URL+"/healthz"); resp.StatusCode != http.StatusOK {
@@ -799,13 +793,15 @@ func TestUnavailableMapsTo503(t *testing.T) {
 		t.Errorf("healthz body %q should report the open breaker", body)
 	}
 
-	// Past the open window the next query is the half-open probe; it
-	// runs clean, closes the breaker and serving returns to 200/ok.
+	// Past the open window the next queries are the half-open probes;
+	// two clean ones close the breaker and serving returns to 200/ok.
 	nanos.Store(int64(2 * time.Second))
-	if resp, body := get(t, srv.URL+"/sparql?query="+url.QueryEscape(orgQuery)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("probe query: %d %s", resp.StatusCode, body)
-	}
-	if resp, body := get(t, srv.URL+"/healthz"); resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "node 0: healthy") {
-		t.Fatalf("healthz after recovery: %d %q", resp.StatusCode, body)
+	for probe, want := range []string{"node 0: half-open", "node 0: healthy"} {
+		if resp, body := get(t, srv.URL+"/sparql?query="+url.QueryEscape(orgQuery)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("probe query %d: %d %s", probe, resp.StatusCode, body)
+		}
+		if resp, body := get(t, srv.URL+"/healthz"); resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Fatalf("healthz after probe %d: %d %q, want 200 naming %q", probe, resp.StatusCode, body, want)
+		}
 	}
 }

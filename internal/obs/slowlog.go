@@ -40,7 +40,7 @@ type SlowQueryEntry struct {
 	// refused to run the query) from queries that ran and failed.
 	Rejected bool
 	// Degraded lists the fallback-ladder steps a successful query took
-	// (cache bypass, algorithm downgrades, node failover); empty for
+	// (algorithm downgrades, node failover); empty for
 	// the healthy path.
 	Degraded []string
 	// Failovers counts node operations this query served via failover

@@ -89,18 +89,6 @@ type Counters struct {
 	Retained int64
 }
 
-// LookupError marks a failure of the cache machinery itself — as
-// opposed to a failure of the optimization it was asked to run. The
-// serving path treats it as degradable: it bypasses the cache and
-// optimizes the query directly instead of failing it.
-type LookupError struct {
-	Cause error
-}
-
-func (e *LookupError) Error() string { return "plancache: lookup failed: " + e.Cause.Error() }
-
-func (e *LookupError) Unwrap() error { return e.Cause }
-
 // Info describes how the cache treated one Optimize call.
 type Info struct {
 	// Hit reports that the plan came from the cache (including plans

@@ -388,17 +388,6 @@ func TestWaiterRetryBounds(t *testing.T) {
 	<-ownerDone
 }
 
-func TestLookupErrorWraps(t *testing.T) {
-	cause := fmt.Errorf("shard offline")
-	le := &LookupError{Cause: cause}
-	if !errors.Is(le, cause) {
-		t.Fatal("LookupError must unwrap to its cause")
-	}
-	if le.Error() == "" || le.Error() == cause.Error() {
-		t.Fatalf("Error() = %q, want wrapped message", le.Error())
-	}
-}
-
 func TestNilForZeroCapacity(t *testing.T) {
 	if New(0) != nil || New(-3) != nil {
 		t.Fatal("New must return nil for non-positive capacity")

@@ -2,7 +2,7 @@
 // injection harness for the serving path. Tools and tests arm a Set
 // with faults at named sites; instrumented code asks Should(site) at
 // each site and misbehaves — panics, trips a budget, sleeps, fails a
-// cache lookup — when the harness says so.
+// node — when the harness says so.
 //
 // Determinism is the point: firing is a pure function of (seed, site,
 // hit count). A chaos run with a given seed injects exactly the same
@@ -21,7 +21,6 @@
 //	engine/panic       panic inside a per-node join worker
 //	engine/slow        armed delay inside an engine operator
 //	engine/budget      memory-budget trip at an engine operator
-//	plancache/lookup   failed plan-cache lookup (degrades to bypass)
 //	node/<i>/scan      node i fails fragment scans (node death, reads)
 //	node/<i>/shuffle   node i fails to accept scatter partitions
 //
@@ -55,9 +54,6 @@ const (
 	EngineSlow Site = "engine/slow"
 	// EngineBudget forces a memory-budget trip at an engine operator.
 	EngineBudget Site = "engine/budget"
-	// CacheLookup fails the serving path's plan-cache lookup, which
-	// must degrade to a cache bypass, not a query failure.
-	CacheLookup Site = "plancache/lookup"
 )
 
 // NodeScan returns the node-scoped fault site of node's fragment-scan

@@ -96,7 +96,7 @@ func TestDelay(t *testing.T) {
 	if d := s.Delay(EngineSlow); d != 5*time.Millisecond {
 		t.Fatalf("delay = %v, want 5ms", d)
 	}
-	if d := s.Delay(CacheLookup); d != 0 {
+	if d := s.Delay(EngineBudget); d != 0 {
 		t.Fatalf("unarmed site delayed %v", d)
 	}
 }
@@ -117,12 +117,12 @@ func TestPanicIfCarriesSite(t *testing.T) {
 
 func TestDisarm(t *testing.T) {
 	s := New(5)
-	s.Arm(CacheLookup, 1)
-	if !s.Should(CacheLookup) {
+	s.Arm(EngineBudget, 1)
+	if !s.Should(EngineBudget) {
 		t.Fatal("armed site did not fire at period 1")
 	}
-	s.Disarm(CacheLookup)
-	if s.Should(CacheLookup) {
+	s.Disarm(EngineBudget)
+	if s.Should(EngineBudget) {
 		t.Fatal("disarmed site fired")
 	}
 }

@@ -25,7 +25,6 @@ var registry = []SiteInfo{
 	{EnginePanic, false, "panics inside a per-node join worker; recovered into a *PanicError"},
 	{EngineSlow, false, "stalls an engine operator for the armed delay (cancellable)"},
 	{EngineBudget, false, "trips the memory budget at an engine operator"},
-	{CacheLookup, false, "fails the plan-cache lookup; degrades to a cache bypass"},
 	{Site("node/<i>/scan"), true, "node <i> fails to serve fragment scans (simulated node death on the read path)"},
 	{Site("node/<i>/shuffle"), true, "node <i> fails to accept repartition-join scatter partitions"},
 }

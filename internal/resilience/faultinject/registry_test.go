@@ -76,7 +76,7 @@ func TestRegistryCoversPackageConstants(t *testing.T) {
 	// as declared constants; a registry row nothing declares is dead.
 	declared := map[Site]bool{
 		OptPanic: true, OptBudget: true, EnginePanic: true, EngineSlow: true,
-		EngineBudget: true, CacheLookup: true,
+		EngineBudget: true,
 	}
 	for _, info := range Sites() {
 		if !info.Family && !declared[info.Site] {

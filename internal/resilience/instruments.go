@@ -18,7 +18,7 @@ type Instruments struct {
 	Admitted *obs.Counter
 	Rejected *obs.Counter
 	// Degraded counts queries served through the fallback ladder
-	// (retry algorithm, greedy baseline or cache bypass).
+	// (retry algorithm, greedy baseline or node failover).
 	Degraded *obs.Counter
 	// PanicsRecovered counts worker panics converted to errors.
 	PanicsRecovered *obs.Counter

@@ -30,9 +30,10 @@ func chaosSeed(tb testing.TB) int64 {
 	return seed
 }
 
-// chaosQueries are the serving mix: every goroutine class gets its own
-// shape so fault classes never share a plan-cache slot and the clean
-// class's assertions stay sharp.
+// chaosQueries are the serving mix; every goroutine class runs each
+// shape in turn. The optimizer-fault classes plan under TD-CMD, a
+// plan-cache slot nothing else fills, so their faults reach the
+// optimizer on every run instead of hitting a cached plan.
 var chaosQueries = []string{
 	`SELECT * WHERE { ?x <http://knows> ?y . ?x <http://worksFor> ?o . ?o <http://inCity> ?c . }`,
 	`SELECT ?x ?y WHERE { ?x <http://knows> ?y . ?y <http://worksFor> ?o . }`,
@@ -52,6 +53,8 @@ type chaosClass struct {
 	mayFail bool
 	// deadline, when set, bounds each run (the slow-operator class).
 	deadline time.Duration
+	// opts are the class's own run options.
+	opts []RunOption
 }
 
 func wantNoError(tb testing.TB, id string, err error) {
@@ -101,12 +104,14 @@ var chaosClasses = []chaosClass{
 		arm:      func(f *FaultSet) { f.Arm(FaultOptPanic, 1) },
 		wantErr:  wantNoError, // degrades down the ladder to greedy
 		wantRows: true,
+		opts:     []RunOption{TDCMD}, // a plan-cache miss: the optimizer runs
 	},
 	{
 		name:     "opt-budget",
 		arm:      func(f *FaultSet) { f.Arm(FaultOptBudget, 1) },
 		wantErr:  wantNoError, // degrades down the ladder to greedy
 		wantRows: true,
+		opts:     []RunOption{TDCMD}, // a plan-cache miss: the optimizer runs
 	},
 	{
 		name:    "engine-panic",
@@ -119,12 +124,6 @@ var chaosClasses = []chaosClass{
 		arm:     func(f *FaultSet) { f.Arm(FaultEngineBudget, 1) },
 		wantErr: wantBudgetError,
 		mayFail: true,
-	},
-	{
-		name:     "cache-fault",
-		arm:      func(f *FaultSet) { f.Arm(FaultCacheLookup, 1) },
-		wantErr:  wantNoError, // degrades to a cache bypass
-		wantRows: true,
 	},
 	{
 		name:     "deadline-slow",
@@ -205,7 +204,7 @@ func TestChaosServing(t *testing.T) {
 	)
 	for i := 0; i < goroutines; i++ {
 		class := chaosClasses[i%len(chaosClasses)]
-		src := chaosQueries[i%len(chaosQueries)]
+		src := chaosQueries[i/len(chaosClasses)%len(chaosQueries)]
 		faults := NewFaultSet(seed*1000 + int64(i))
 		class.arm(faults)
 		mu.Lock()
@@ -216,7 +215,7 @@ func TestChaosServing(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < itersPerGoroutine; iter++ {
 				id := fmt.Sprintf("g%d/%s/iter%d", i, class.name, iter)
-				opts := []RunOption{WithFaultInjection(faults)}
+				opts := append([]RunOption{WithFaultInjection(faults)}, class.opts...)
 				if class.deadline > 0 {
 					opts = append(opts, WithDeadline(class.deadline))
 				}

@@ -165,9 +165,7 @@ func (r *Rows) finish(err error) {
 	r.sp.SetAttrInt("rows", r.delivered)
 	r.sp.End()
 	res.Trace.AttachSpans(r.sp)
-	if err == nil {
-		r.sys.observeAdaptive(r.q, res)
-	}
+	r.fin.migrate = err == nil && r.sys.observeAdaptive(r.q, res)
 	r.fin.finish(res, err)
 }
 
@@ -183,6 +181,7 @@ type finalizer struct {
 	cancel  context.CancelFunc
 	release func()
 	g       *resilience.Gauge
+	migrate bool // the advisor's migration trigger fired on this call
 	done    bool
 }
 
@@ -227,10 +226,9 @@ func (f *finalizer) finish(res *ExecResult, err error) {
 	if f.set.TraceSink != nil {
 		f.set.TraceSink(f.tr)
 	}
-	// Sustained node failure is a repartitioning trigger: an open
-	// breaker (or a typed unavailable failure) kicks off a recovery
-	// round that re-replicates the dead nodes' stranded triples.
-	f.s.maybeRecover(err)
+	// Hot shuffles and sustained node failure (an open breaker or a
+	// typed unavailable failure) are repartitioning triggers.
+	f.s.startRounds(f.migrate, err)
 	if f.release != nil {
 		f.release()
 	}

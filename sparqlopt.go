@@ -9,9 +9,10 @@
 //     and its heuristics TD-CMDP, HGR-TD-CMD and TD-Auto;
 //   - the baseline optimizers MSC (CliqueSquare-style) and DP-Bushy it
 //     is evaluated against, plus a binary-only DP for ablations;
-//   - a generic data partitioning model with four concrete methods
-//     (hash on subject+object, 2-hop forward semantic hash, path
-//     partitioning, undirected one-hop with a graph partitioner);
+//   - a generic data partitioning model with five concrete methods
+//     (hash on subject+object, 2-hop forward and bidirectional semantic
+//     hash, path partitioning, undirected one-hop with a graph
+//     partitioner);
 //   - a simulated shared-nothing cluster that executes the plans with
 //     local, broadcast and repartition joins;
 //   - an observability layer (WithObservability): Prometheus-style
@@ -38,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -173,9 +175,6 @@ const (
 	FaultEngineSlow = faultinject.EngineSlow
 	// FaultEngineBudget forces a budget trip at an engine operator.
 	FaultEngineBudget = faultinject.EngineBudget
-	// FaultCacheLookup fails the plan-cache lookup (the serving path
-	// degrades to a cache bypass).
-	FaultCacheLookup = faultinject.CacheLookup
 )
 
 // FaultNodeScan returns the node-scoped site "node/<i>/scan": while
@@ -319,10 +318,9 @@ type System struct {
 	budget  *resilience.Budget      // nil = memory budgets disabled
 	resInst *resilience.Instruments // nil when observability is disabled
 
-	advisor      *adaptive.Advisor // nil = adaptive repartitioning disabled
-	adaptiveSync bool              // apply migrations on the serving goroutine
-	migMu        sync.Mutex        // serializes migration rounds
-	migWG        sync.WaitGroup    // tracks in-flight background migrations
+	advisor *adaptive.Advisor // nil = adaptive repartitioning disabled
+	migMu   sync.Mutex        // serializes migration rounds
+	migWG   sync.WaitGroup    // tracks in-flight background migrations
 
 	health    *health.Tracker // nil = node failover disabled
 	recFlight atomic.Bool     // collapses concurrent recovery triggers into one round
@@ -353,8 +351,9 @@ type openConfig struct {
 	memPerQuery   int64
 	memTotal      int64
 	obs           *obsConfig
-	adaptive      *AdaptiveConfig
+	adaptive      *adaptive.Config // nil = adaptive repartitioning disabled
 	failover      *NodeFailoverConfig
+	breaker       health.Config // fixed at the health defaults outside tests
 }
 
 type obsConfig struct {
@@ -414,10 +413,11 @@ func WithMemoryBudget(perQuery, total int64) Option {
 	}
 }
 
-// NodeFailoverConfig configures node health tracking and failover.
-// Zero fields take defaults: 3 attempts, 1ms base / 50ms cap backoff,
-// and the health package's breaker defaults (10s window, 5 samples,
-// 50% failure rate, 3 consecutive failures, 1s open, 2 probes).
+// NodeFailoverConfig configures node failover. Zero fields take
+// defaults: 3 attempts, 1ms base / 50ms cap backoff. Each node's
+// breaker is fixed: it opens after 3 consecutive failures (or a 50%
+// failure rate over at least 5 operations in a 10s window), stays open
+// 1s, and closes after 2 successful half-open probes.
 type NodeFailoverConfig struct {
 	// MaxAttempts is how many times a failing node operation is tried
 	// (first try included) before the node is declared dead for the
@@ -427,18 +427,6 @@ type NodeFailoverConfig struct {
 	// between attempts.
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// BreakerWindow, BreakerMinSamples and BreakerFailureRate set the
-	// windowed rate trip of each node's breaker; BreakerConsecutive is
-	// the consecutive-failure fast trip.
-	BreakerWindow      time.Duration
-	BreakerMinSamples  int
-	BreakerFailureRate float64
-	BreakerConsecutive int
-	// OpenFor is how long an open breaker rejects the node before
-	// allowing a half-open probe; ProbeSuccesses consecutive successful
-	// probes close it again.
-	OpenFor        time.Duration
-	ProbeSuccesses int
 	// Clock overrides the breakers' time source — deterministic tests
 	// only; nil means time.Now.
 	Clock func() time.Time
@@ -463,8 +451,10 @@ func WithNodeFailover(fc NodeFailoverConfig) Option {
 }
 
 // AdaptiveConfig configures the adaptive-repartitioning advisor. Zero
-// fields take defaults: 1 MiB trigger, 3 recurring queries, a
-// replication budget of 0.5× the dataset, balance factor 2.
+// fields take defaults: 1 MiB trigger, 3 recurring queries, no decay.
+// The budgets are fixed: all migrations together add at most 0.5× the
+// dataset in copies, and none leaves a node's fragment above twice the
+// mean.
 type AdaptiveConfig struct {
 	// MinShuffledBytes is the per-group trigger: a (predicate,
 	// position) triple group must accumulate this much OBSERVED
@@ -472,12 +462,6 @@ type AdaptiveConfig struct {
 	MinShuffledBytes int64
 	// MinQueries requires the group to recur across this many queries.
 	MinQueries int
-	// ReplicationBudget caps the triple copies all migrations together
-	// may add, as a fraction of the dataset size.
-	ReplicationBudget float64
-	// BalanceFactor rejects a migration that would leave any node's
-	// fragment larger than this factor times the mean fragment size.
-	BalanceFactor float64
 	// DecayHalfLife, when positive, ages the advisor's per-group
 	// accumulators: a group's observed shuffle weight halves every
 	// DecayHalfLife observed queries, so yesterday's hot spot must stay
@@ -485,10 +469,6 @@ type AdaptiveConfig struct {
 	// expired from the tracking table (AdvisorStats.ExpiredGroups). 0
 	// (the default) disables decay: weights accumulate forever.
 	DecayHalfLife int
-	// Synchronous applies migrations on the serving goroutine that
-	// triggered them instead of in the background — deterministic for
-	// tests and benchmarks; production systems leave it false.
-	Synchronous bool
 }
 
 // WithAdaptivePartitioning enables the online repartitioning advisor:
@@ -496,13 +476,16 @@ type AdaptiveConfig struct {
 // advisor, and when a (predicate, join-position) triple group crosses
 // the trigger the advisor migrates the group — adding, within the
 // replication and balance budgets, a copy of each group triple on the
-// node the repartition scatter would send it to. The engine then
-// serves those scans aligned (zero shuffle) and the dataset epoch is
-// bumped so cached plans re-optimize against fresh placement-aware
+// node the repartition scatter would send it to. Rounds run in the
+// background (System.WaitForMigrations waits for them). The engine
+// then serves those scans aligned (zero shuffle) and the dataset epoch
+// is bumped so cached plans re-optimize against fresh placement-aware
 // costs. Migrations only add copies; results stay bit-identical
 // before, during and after (see System.AdvisorStats).
 func WithAdaptivePartitioning(ac AdaptiveConfig) Option {
-	return func(c *openConfig) { c.adaptive = &ac }
+	return func(c *openConfig) {
+		c.adaptive = &adaptive.Config{MinBytes: ac.MinShuffledBytes, MinQueries: ac.MinQueries, DecayHalfLife: ac.DecayHalfLife}
+	}
 }
 
 // ObsOption configures WithObservability.
@@ -576,26 +559,12 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 		s.adm = resilience.NewAdmission(cfg.maxConcurrent, cfg.maxQueued)
 	}
 	if cfg.adaptive != nil {
-		s.advisor = adaptive.New(adaptive.Config{
-			MinBytes:          cfg.adaptive.MinShuffledBytes,
-			MinQueries:        cfg.adaptive.MinQueries,
-			ReplicationBudget: cfg.adaptive.ReplicationBudget,
-			BalanceFactor:     cfg.adaptive.BalanceFactor,
-			DecayHalfLife:     cfg.adaptive.DecayHalfLife,
-		})
-		s.adaptiveSync = cfg.adaptive.Synchronous
+		s.advisor = adaptive.New(*cfg.adaptive)
 	}
 	if cfg.failover != nil {
 		fc := cfg.failover
-		s.health = health.New(cfg.nodes, health.Config{
-			Window:              fc.BreakerWindow,
-			MinSamples:          fc.BreakerMinSamples,
-			FailureRate:         fc.BreakerFailureRate,
-			ConsecutiveFailures: fc.BreakerConsecutive,
-			OpenFor:             fc.OpenFor,
-			ProbeSuccesses:      fc.ProbeSuccesses,
-			Now:                 fc.Clock,
-		})
+		cfg.breaker.Now = fc.Clock
+		s.health = health.New(cfg.nodes, cfg.breaker)
 		attempts := fc.MaxAttempts
 		if attempts <= 0 {
 			attempts = 3
@@ -871,17 +840,15 @@ func (s *System) admit(ctx context.Context) (func(), error) {
 }
 
 // observeAdaptive feeds one completed run's observed repartition
-// shuffles to the advisor and, when a group crosses the migration
-// trigger, kicks off a migration round — on this goroutine when the
-// advisor is synchronous, in the background otherwise (serving is
-// never blocked; in-flight queries keep their store snapshot).
-func (s *System) observeAdaptive(q *Query, out *ExecResult) {
+// shuffles to the advisor and reports whether a group crossed the
+// migration trigger.
+func (s *System) observeAdaptive(q *Query, out *ExecResult) bool {
 	if s.advisor == nil {
-		return
+		return false
 	}
 	groups := s.engine.ShuffleGroups(out, q)
 	if len(groups) == 0 {
-		return
+		return false
 	}
 	obsv := make([]adaptive.Observation, len(groups))
 	for i, g := range groups {
@@ -892,23 +859,31 @@ func (s *System) observeAdaptive(q *Query, out *ExecResult) {
 			Aligned: g.Aligned,
 		}
 	}
-	if !s.advisor.Observe(obsv) {
-		return
-	}
-	s.startRound(func() { s.runRound("migration", s.advisor.PlanMigration) })
+	return s.advisor.Observe(obsv)
 }
 
-// startRound runs round on the serving goroutine when the advisor is
-// synchronous, in the background (tracked by migWG) otherwise.
-func (s *System) startRound(round func()) {
-	if s.adaptiveSync {
-		round()
+// startRounds runs the advisor rounds one serving call triggered, in
+// the background (tracked by migWG) and in this order: a migration
+// when its shuffles crossed the trigger, then a recovery when nodes
+// are down (see deadNodes). Serving is never blocked; in-flight queries
+// keep their store snapshot.
+func (s *System) startRounds(migrate bool, err error) {
+	dead := s.deadNodes(err)
+	if !migrate && dead == nil {
 		return
 	}
 	s.migWG.Add(1)
 	go func() {
 		defer s.migWG.Done()
-		round()
+		if migrate {
+			s.runRound("migration", s.advisor.PlanMigration)
+		}
+		if dead != nil {
+			defer s.recFlight.Store(false)
+			s.runRound("recovery", func(v *partition.View) *adaptive.Proposal {
+				return s.advisor.PlanRecovery(v, dead)
+			})
+		}
 	}()
 }
 
@@ -997,43 +972,31 @@ func (s *System) applyRoundLocked(what string, plan func(*partition.View) *adapt
 	return nil
 }
 
-// maybeRecover is the post-query recovery trigger: when node failover
-// and adaptive partitioning are both enabled and some node's breaker
-// is open (sustained failure) — or a query just failed with a typed
-// UnavailableError naming dead nodes — it kicks off one recovery round
-// that re-replicates the dead nodes' uncovered triples onto healthy
-// nodes, hottest predicates first, within the advisor's replication
-// budget. Concurrent triggers collapse into a single in-flight round.
-func (s *System) maybeRecover(err error) {
+// deadNodes is the recovery trigger: when node failover and adaptive
+// partitioning are both enabled and some node's breaker is open
+// (sustained failure) — or the call just failed with a typed
+// UnavailableError naming dead nodes — it returns those nodes, whose
+// uncovered triples a recovery round re-replicates onto healthy nodes,
+// hottest predicates first, within the advisor's replication budget.
+// Concurrent triggers collapse into one in-flight round: nil while one
+// is pending.
+func (s *System) deadNodes(err error) []int {
 	if s.health == nil || s.advisor == nil {
-		return
+		return nil
 	}
 	dead := s.health.Down()
 	var ue *UnavailableError
 	if errors.As(err, &ue) {
-		seen := make(map[int]bool, len(dead))
-		for _, n := range dead {
-			seen[n] = true
-		}
 		for _, n := range ue.Nodes {
-			if !seen[n] {
-				seen[n] = true
+			if !slices.Contains(dead, n) {
 				dead = append(dead, n)
 			}
 		}
 	}
-	if len(dead) == 0 {
-		return
+	if len(dead) == 0 || !s.recFlight.CompareAndSwap(false, true) {
+		return nil
 	}
-	if !s.recFlight.CompareAndSwap(false, true) {
-		return
-	}
-	s.startRound(func() {
-		defer s.recFlight.Store(false)
-		s.runRound("recovery", func(v *partition.View) *adaptive.Proposal {
-			return s.advisor.PlanRecovery(v, dead)
-		})
-	})
+	return dead
 }
 
 // AdvisorStats returns the adaptive advisor's counters, with the
@@ -1046,24 +1009,6 @@ func (s *System) AdvisorStats() AdvisorStats {
 	st := s.advisor.Stats()
 	st.AlignedGroups = s.engine.Snapshot().View().Align.Len()
 	return st
-}
-
-// AdvisorConfig returns the advisor's effective configuration — zero
-// AdaptiveConfig fields resolved to their defaults — and the zero value
-// when adaptive repartitioning is disabled.
-func (s *System) AdvisorConfig() AdaptiveConfig {
-	if s.advisor == nil {
-		return AdaptiveConfig{}
-	}
-	cfg := s.advisor.Config()
-	return AdaptiveConfig{
-		MinShuffledBytes:  cfg.MinBytes,
-		MinQueries:        cfg.MinQueries,
-		ReplicationBudget: cfg.ReplicationBudget,
-		BalanceFactor:     cfg.BalanceFactor,
-		DecayHalfLife:     cfg.DecayHalfLife,
-		Synchronous:       s.adaptiveSync,
-	}
 }
 
 // WaitForMigrations blocks until every background migration round
@@ -1138,16 +1083,6 @@ func (s *System) planLadder(ctx context.Context, q *Query, set opt.RunSettings, 
 		return res, info, nil, nil
 	}
 	var degraded []string
-	var le *plancache.LookupError
-	if errors.As(err, &le) {
-		// The cache machinery itself failed — the query is fine. Serve
-		// it uncached.
-		degraded = append(degraded, fmt.Sprintf("cache bypass: %v", le.Cause))
-		res, err = s.optimizeTraced(ctx, q, set.Algorithm, set, g, tr, snap)
-		if err == nil {
-			return res, engine.CacheInfo{}, degraded, nil
-		}
-	}
 	prev := set.Algorithm
 	for _, next := range ladderSteps(set.Algorithm) {
 		if !degradable(ctx, err) {
@@ -1170,9 +1105,6 @@ func (s *System) plan(ctx context.Context, q *Query, set opt.RunSettings, g *res
 	if s.cache == nil {
 		res, err := s.optimizeTraced(ctx, q, set.Algorithm, set, g, tr, snap)
 		return res, engine.CacheInfo{}, err
-	}
-	if set.Faults.Should(faultinject.CacheLookup) {
-		return nil, engine.CacheInfo{}, &plancache.LookupError{Cause: faultinject.Injected{Site: faultinject.CacheLookup}}
 	}
 	res, info, err := s.cache.Optimize(ctx, q, set.Algorithm, snap.Data().Epoch(),
 		func(q *sparql.Query) (*stats.Stats, error) {
