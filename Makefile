@@ -90,8 +90,10 @@ bench:
 # read pays beyond its rows shows here without the spine), of cold
 # planning (L7, L9 and L10 through Run with no plan cache, with
 # allocations — the enumerator's allocation diet shows here), of plan
-# enumeration alone (random tree, dense and cycle join graphs and L10
-# under 2f on LUBM-10 statistics, with allocations), of
+# enumeration alone (random tree, dense and cycle join graphs, and L9
+# and L10 under 2f on LUBM-10 statistics, L10 also with GOMAXPROCS
+# concurrent callers, at least two; every case records into one
+# opt.Instruments as sparqld does, with allocations), of
 # statistics collection (L3–L10 through the tracker, with allocations —
 # a pattern that falls back to a scan shows here) and of the
 # store build (LUBM-10 under hash-so through engine.New, with

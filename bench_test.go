@@ -11,12 +11,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
 	"sparqlopt"
 	"sparqlopt/internal/bench"
 	"sparqlopt/internal/bitset"
+	"sparqlopt/internal/obs"
 	"sparqlopt/internal/opt"
 	"sparqlopt/internal/partition"
 	"sparqlopt/internal/querygraph"
@@ -110,9 +112,13 @@ func BenchmarkFig7_OptTimeBySize(b *testing.B) {
 }
 
 // BenchmarkOptimize measures cold plan enumeration: unpruned TD-CMD on
-// the largest WatDiv/Fig.7-style random join graphs, and TD-Auto on
-// L10 under 2f with LUBM-10 statistics (the cold-plan spine workload's
-// costliest plan). allocs/op tracks the hot path's allocation diet.
+// the largest WatDiv/Fig.7-style random join graphs, and TD-Auto on L9
+// and L10 under 2f with LUBM-10 statistics (the cold-plan spine
+// workload's two TD-CMDP plans). Every case records into one
+// opt.Instruments, as sparqld does. L10-2f-parallel has GOMAXPROCS
+// callers (at least two), each with its own estimator, share it, as
+// sparqld's serving goroutines do. allocs/op tracks the hot path's
+// allocation diet.
 func BenchmarkOptimize(b *testing.B) {
 	shapes := []struct {
 		name  string
@@ -136,6 +142,7 @@ func BenchmarkOptimize(b *testing.B) {
 			{"cycle14", querygraph.Cycle, 14},
 		}
 	}
+	inst := opt.NewInstruments(obs.NewRegistry())
 	run := func(name string, in *opt.Input, algo opt.Algorithm) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -153,23 +160,53 @@ func BenchmarkOptimize(b *testing.B) {
 			b.Fatal(err)
 		}
 		run(sh.name, &opt.Input{Query: q, Views: views, Est: mustEstimator(b, q, s),
-			Params: sparqlopt.DefaultCostParams(), Method: partition.HashSO{}}, opt.TDCMD)
-	}
-	q := lubm.Query("L10")
-	st, err := stats.Collect(lubm.Generate(lubm.Config{Universities: 10, Seed: 1}), q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	views, err := querygraph.Build(q)
-	if err != nil {
-		b.Fatal(err)
+			Params: sparqlopt.DefaultCostParams(), Method: partition.HashSO{}, Inst: inst}, opt.TDCMD)
 	}
 	m, err := sparqlopt.PartitionMethod("2f")
 	if err != nil {
 		b.Fatal(err)
 	}
-	run("L10-2f", &opt.Input{Query: q, Views: views, Est: mustEstimator(b, q, st),
-		Params: sparqlopt.DefaultCostParams(), Method: m}, opt.TDAuto)
+	ds := lubm.Generate(lubm.Config{Universities: 10, Seed: 1})
+	lubmInput := func(name string) (*opt.Input, *stats.Stats) {
+		q := lubm.Query(name)
+		st, err := stats.Collect(ds, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		views, err := querygraph.Build(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return &opt.Input{Query: q, Views: views, Est: mustEstimator(b, q, st),
+			Params: sparqlopt.DefaultCostParams(), Method: m, Inst: inst}, st
+	}
+	l9, _ := lubmInput("L9")
+	run("L9-2f", l9, opt.TDAuto)
+	l10, st10 := lubmInput("L10")
+	run("L10-2f", l10, opt.TDAuto)
+	b.Run("L10-2f-parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		if runtime.GOMAXPROCS(0) < 2 {
+			b.SetParallelism(2)
+		}
+		b.RunParallel(func(pb *testing.PB) {
+			// Each caller estimates on its own, as each sparqld request
+			// does; only the Instruments are shared.
+			in := *l10
+			est, err := stats.NewEstimator(in.Query, st10)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			in.Est = est
+			for pb.Next() {
+				if _, err := opt.Optimize(context.Background(), &in, opt.TDAuto); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
 }
 
 // BenchmarkAblation_PruningRules runs the TD-CMDP rule ablation

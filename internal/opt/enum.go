@@ -27,22 +27,34 @@ import (
 // (SQ, q\SQ, v_j) it calls emit(SQ, q\SQ); enumeration stops early if
 // emit returns false. The side passed first always contains the
 // lowest-indexed pattern of N_tp(v_j) ∩ q, which makes each unordered
-// division appear exactly once. It allocates nothing: the components
-// of q − v_j live in an array on the stack and every other step is a
-// bit operation on the join graph's exclusion masks.
+// division appear exactly once. It allocates nothing: each component
+// of q − v_j is found when the first side first reaches into it, and
+// every other step is a bit operation on the join graph's exclusion
+// masks.
 //
 // q must be a connected subquery of jg's query.
 func ConnBinDivision(jg *querygraph.JoinGraph, q bitset.TPSet, vj int, emit func(sq, rest bitset.TPSet) bool) {
+	connBinDivision(jg, q, vj, false, emit)
+}
+
+// connBinDivision is ConnBinDivision; with single set it emits only
+// the cbds whose first side holds one vj-neighbor, in the same order.
+// A first side only grows, so a branch is cut as soon as it would take
+// a second neighbor, and the search never leaves the first neighbor's
+// component of q − v_j.
+func connBinDivision(jg *querygraph.JoinGraph, q bitset.TPSet, vj int, single bool, emit func(sq, rest bitset.TPSet) bool) {
 	neighbors := jg.Ntp[vj].Intersect(q)
 	if neighbors.Len() < 2 {
 		return // both sides need a pattern adjacent to vj
 	}
 	d := binDiv{jg: jg, q: q, vj: vj, neighbors: neighbors}
-	for rest := q; !rest.IsEmpty(); {
-		comp := jg.ReachExcluding(rest, bitset.Single(rest.Min()), vj)
-		d.comps[d.ncomps] = comp
-		d.ncomps++
-		rest = rest.Diff(comp)
+	if single {
+		c := jg.ReachExcluding(q, bitset.Single(neighbors.Min()), vj)
+		if c.Intersect(neighbors).Len() == 1 {
+			emit(c, q.Diff(c)) // an indivisible component is the only side (Lemma 1)
+			return
+		}
+		d.comps[0], d.ncomps, d.cut = c, 1, neighbors
 	}
 	d.rec(0, 0, 0, emit)
 }
@@ -53,9 +65,28 @@ type binDiv struct {
 	q         bitset.TPSet
 	vj        int
 	neighbors bitset.TPSet // N_tp(v_j) ∩ q
-	// comps[:ncomps] are the connected components of q − v_j.
-	comps  [bitset.MaxPatterns]bitset.TPSet
+	// cut holds the patterns no branch below the root may add: the
+	// neighbors when only single-neighbor first sides are wanted.
+	cut bitset.TPSet
+	// comps[:ncomps] are the first components of q − v_j found.
+	comps  [8]bitset.TPSet
 	ncomps int
+}
+
+// component returns tp's connected component of q − v_j, remembering
+// the first eight it finds; a later one is searched for each time.
+func (d *binDiv) component(tp int) bitset.TPSet {
+	for _, c := range d.comps[:d.ncomps] {
+		if c.Has(tp) {
+			return c
+		}
+	}
+	c := d.jg.ReachExcluding(d.q, bitset.Single(tp), d.vj)
+	if d.ncomps < len(d.comps) {
+		d.comps[d.ncomps] = c
+		d.ncomps++
+	}
+	return c
 }
 
 // extension returns the set that must be added to sq together with
@@ -64,13 +95,7 @@ type binDiv struct {
 // that no remaining vj-neighbor reaches without vj (Lemma 2) — when it
 // is divisible.
 func (d *binDiv) extension(sq bitset.TPSet, tp int) bitset.TPSet {
-	var comp bitset.TPSet
-	for _, c := range d.comps[:d.ncomps] {
-		if c.Has(tp) {
-			comp = c
-			break
-		}
-	}
+	comp := d.component(tp)
 	if comp.Intersect(d.neighbors).Len() == 1 {
 		return comp // indivisible component: take it whole
 	}
@@ -90,7 +115,7 @@ func (d *binDiv) rec(sq, x, adj bitset.TPSet, emit func(sq, rest bitset.TPSet) b
 		if !emit(sq, d.q.Diff(sq)) {
 			return false
 		}
-		frontier = adj.Intersect(d.q).Diff(sq).Diff(x)
+		frontier = adj.Intersect(d.q).Diff(sq).Diff(x).Diff(d.cut)
 	}
 	for f := frontier; f != 0; f &= f - 1 {
 		tp := bits.TrailingZeros64(uint64(f))
@@ -131,7 +156,9 @@ var partsPool = sync.Pool{New: func() any { return new([bitset.MaxPatterns]bitse
 //
 // When pruneCCMD is true, only binary divisions and connected
 // complete-multi-divisions (ccmds — every part contains exactly one
-// vj-neighbor) are emitted, implementing Rule 1 of TD-CMDP.
+// vj-neighbor) are emitted, implementing Rule 1 of TD-CMDP. They are
+// generated, not filtered, and come in the order the unpruned
+// enumeration emits them.
 func ConnMultiDivision(jg *querygraph.JoinGraph, q bitset.TPSet, pruneCCMD bool, emit func(cmd CMD) bool) {
 	if q.Len() < 2 {
 		return
@@ -163,10 +190,14 @@ type multiDiv struct {
 func (m *multiDiv) single(s bitset.TPSet) bool { return s.Intersect(m.neighbors).Len() == 1 }
 
 // rec peels cbds of rest on vj, accumulating peeled parts. allSingle
-// tracks whether every accumulated part has exactly one vj-neighbor
-// (required of k>2 divisions under pruning).
+// tracks whether every accumulated part has exactly one vj-neighbor.
+// Under pruning (Rule 1) a k>2 division must be complete, so a peel
+// below the first generates only single-neighbor first sides, and no
+// peel follows a part with several neighbors: neither could end in a
+// ccmd.
 func (m *multiDiv) rec(rest bitset.TPSet, allSingle bool, emit func(cmd CMD) bool) bool {
-	if len(m.parts) > 0 {
+	peeled := len(m.parts) > 0
+	if peeled {
 		if len(m.parts) == 1 || !m.prune || (allSingle && m.single(rest)) {
 			m.parts = append(m.parts, rest)
 			ok := emit(CMD{Parts: m.parts, Var: m.vj})
@@ -176,16 +207,11 @@ func (m *multiDiv) rec(rest bitset.TPSet, allSingle bool, emit func(cmd CMD) boo
 			}
 		}
 	}
-	if m.single(rest) {
+	if m.single(rest) || (m.prune && peeled && !allSingle) {
 		return true
 	}
 	cont := true
-	ConnBinDivision(m.jg, rest, m.vj, func(a, b bitset.TPSet) bool {
-		if m.prune && len(m.parts) >= 1 && !(allSingle && m.single(a)) {
-			// Deeper splits would only yield non-ccmd k>2 divisions;
-			// prune the branch but keep scanning sibling cbds.
-			return true
-		}
+	connBinDivision(m.jg, rest, m.vj, m.prune && peeled, func(a, b bitset.TPSet) bool {
 		m.parts = append(m.parts, a)
 		cont = m.rec(b, allSingle && m.single(a), emit)
 		m.parts = m.parts[:len(m.parts)-1]

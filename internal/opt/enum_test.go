@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,6 +12,8 @@ import (
 	"sparqlopt/internal/race"
 	"sparqlopt/internal/sparql"
 	"sparqlopt/internal/workload/lubm"
+	"sparqlopt/internal/workload/randquery"
+	"sparqlopt/internal/workload/uniprot"
 )
 
 // fig1 and fig4 are the paper's running examples (see querygraph tests).
@@ -441,4 +444,69 @@ func TestDivisionsAllocateNothing(t *testing.T) {
 	if n == 0 {
 		t.Fatal("L10 produced no divisions")
 	}
+}
+
+// TestPrunedIsFilteredUnpruned pins Rule 1's enumeration order beyond
+// the golden plans: on every connected subquery of L1–L10, U1–U5 and
+// random graphs of every class, ConnMultiDivision(prune=true) emits
+// exactly the cmds ConnMultiDivision(prune=false) emits that are
+// binary or complete (every part holds one v_j-neighbour), in the same
+// order. The memo breaks ties between equal-cost plans by that order.
+func TestPrunedIsFilteredUnpruned(t *testing.T) {
+	queries := map[string]*sparql.Query{}
+	for _, name := range lubm.QueryNames {
+		queries[name] = lubm.Query(name)
+	}
+	for _, name := range uniprot.QueryNames {
+		queries[name] = uniprot.Query(name)
+	}
+	for _, class := range []querygraph.Class{querygraph.Star, querygraph.Chain, querygraph.Cycle, querygraph.Tree, querygraph.Dense} {
+		for _, n := range []int{4, 7, 10} {
+			for seed := int64(1); seed <= 5; seed++ {
+				q, _ := randquery.Generate(class, n, seed)
+				queries[fmt.Sprintf("%v%d-s%d", class, n, seed)] = q
+			}
+		}
+	}
+	// flatten appends one cmd to a sequence as its variable, its part
+	// count and its parts.
+	flatten := func(seq []uint64, cmd CMD) []uint64 {
+		seq = append(seq, uint64(cmd.Var), uint64(len(cmd.Parts)))
+		for _, p := range cmd.Parts {
+			seq = append(seq, uint64(p))
+		}
+		return seq
+	}
+	subqueries := 0
+	for name, q := range queries {
+		jg := mustJG(t, q)
+		var want, got []uint64
+		jg.All().Subsets(func(sub bitset.TPSet) bool {
+			if sub.Len() < 2 || !jg.Connected(sub) {
+				return true
+			}
+			subqueries++
+			want, got = want[:0], got[:0]
+			ConnMultiDivision(jg, sub, false, func(cmd CMD) bool {
+				complete := true
+				for _, p := range cmd.Parts {
+					complete = complete && jg.Ntp[cmd.Var].Intersect(p).Len() == 1
+				}
+				if len(cmd.Parts) == 2 || complete {
+					want = flatten(want, cmd)
+				}
+				return true
+			})
+			ConnMultiDivision(jg, sub, true, func(cmd CMD) bool {
+				got = flatten(got, cmd)
+				return true
+			})
+			if !slices.Equal(got, want) {
+				t.Errorf("%s, subquery %v: pruned enumeration is not the filtered unpruned one", name, sub)
+				return false
+			}
+			return true
+		})
+	}
+	t.Logf("%d queries, %d connected subqueries", len(queries), subqueries)
 }

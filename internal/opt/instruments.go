@@ -14,7 +14,9 @@ import (
 //
 // A nil *Instruments disables everything: the recording methods are
 // nil-receiver no-ops and the enumerator guards its only per-run
-// time.Now calls behind one nil check.
+// time.Now calls behind one nil check. A run counts its memo lookups,
+// shortcuts and skipped broadcasts on itself and adds them here once,
+// when it ends, so concurrent runs share no cache line per lookup.
 type Instruments struct {
 	// MemoHits / MemoMisses count memo-table lookups during plan
 	// enumeration: one per subquery visit, a miss the first time.
@@ -64,32 +66,21 @@ func NewInstruments(r *obs.Registry) *Instruments {
 	return inst
 }
 
-func (i *Instruments) memoHit() {
-	if i == nil {
-		return
-	}
-	i.MemoHits.Inc()
+// tally counts one run's per-event metrics on the run itself; the
+// run folds it into the shared counters once, however it ends.
+type tally struct {
+	memoHits, memoMisses, localShortcuts, broadcastsSkipped int64
 }
 
-func (i *Instruments) memoMiss() {
+// fold adds one run's tally to the process-wide counters.
+func (i *Instruments) fold(t tally) {
 	if i == nil {
 		return
 	}
-	i.MemoMisses.Inc()
-}
-
-func (i *Instruments) localShortcut() {
-	if i == nil {
-		return
-	}
-	i.LocalShortcuts.Inc()
-}
-
-func (i *Instruments) broadcastSkipped() {
-	if i == nil {
-		return
-	}
-	i.BroadcastsSkipped.Inc()
+	i.MemoHits.Add(t.memoHits)
+	i.MemoMisses.Add(t.memoMisses)
+	i.LocalShortcuts.Add(t.localShortcuts)
+	i.BroadcastsSkipped.Add(t.broadcastsSkipped)
 }
 
 func (i *Instruments) panicRecovered() {

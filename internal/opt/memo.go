@@ -46,59 +46,68 @@ func (sp *space) releaseMemo() {
 }
 
 // memo maps subquery bitsets to their best plans: an open-addressing
-// hash table on TPSet.Hash, with linear probing, kept at most half
-// full. len(keys) is a power of two. Key 0 marks a free slot: the
+// hash table on TPSet.Hash, with linear probing, kept at most three
+// quarters full. len(slots) is a power of two. Key 0 marks a free slot: the
 // enumerator never memoizes the empty subquery.
 type memo struct {
-	keys  []bitset.TPSet
-	plans []*plan.Node
+	slots []memoSlot
 	n     int // stored subqueries
 }
 
-// memoInitialSlots is the table's first size: enough for the
-// subqueries of a small query without growing.
-const memoInitialSlots = 256
-
-func newMemo(slots int) memo {
-	return memo{keys: make([]bitset.TPSet, slots), plans: make([]*plan.Node, slots)}
+// memoSlot holds one subquery's best plan with the plan's cardinality
+// and cost beside it: costing a cmd reads its children here, in the
+// slot the lookup already loaded, instead of in their nodes.
+type memoSlot struct {
+	key        bitset.TPSet
+	plan       *plan.Node
+	card, cost float64
 }
 
-// get returns the plan stored for s and whether there is one.
-func (m *memo) get(s bitset.TPSet) (*plan.Node, bool) {
-	mask := uint64(len(m.keys) - 1)
+// memoInitialSlots is the table's first size (4 KiB): enough for the
+// subqueries of a small query without growing.
+const memoInitialSlots = 128
+
+func newMemo(slots int) memo {
+	return memo{slots: make([]memoSlot, slots)}
+}
+
+// get returns the slot stored for s and whether there is one.
+func (m *memo) get(s bitset.TPSet) (memoSlot, bool) {
+	mask := uint64(len(m.slots) - 1)
 	for i := s.Hash() & mask; ; i = (i + 1) & mask {
-		switch m.keys[i] {
+		switch m.slots[i].key {
 		case s:
-			return m.plans[i], true
+			return m.slots[i], true
 		case 0:
-			return nil, false
+			return memoSlot{}, false
 		}
 	}
 }
 
-// put stores p for s, which must be absent, doubling the table first
-// when the insert would fill more than half of it.
-func (m *memo) put(s bitset.TPSet, p *plan.Node) {
-	if 2*(m.n+1) > len(m.keys) {
-		grown := newMemo(2 * len(m.keys))
-		for i, k := range m.keys {
-			if k != 0 {
-				grown.insert(k, m.plans[i])
+// put stores slot, whose key must be absent, doubling the table first
+// when the insert would fill more than three quarters of it.
+func (m *memo) put(slot memoSlot) {
+	if 4*(m.n+1) > 3*len(m.slots) {
+		grown := newMemo(2 * len(m.slots))
+		for _, slot := range m.slots {
+			if slot.key != 0 {
+				grown.insert(slot)
 			}
 		}
 		grown.n = m.n
 		*m = grown
 	}
-	m.insert(s, p)
+	m.insert(slot)
 	m.n++
 }
 
-// insert stores p for s in the first free slot of s's probe sequence.
-func (m *memo) insert(s bitset.TPSet, p *plan.Node) {
-	mask := uint64(len(m.keys) - 1)
-	i := s.Hash() & mask
-	for m.keys[i] != 0 {
+// insert stores slot in the first free slot of its key's probe
+// sequence.
+func (m *memo) insert(slot memoSlot) {
+	mask := uint64(len(m.slots) - 1)
+	i := slot.key.Hash() & mask
+	for m.slots[i].key != 0 {
 		i = (i + 1) & mask
 	}
-	m.keys[i], m.plans[i] = s, p
+	m.slots[i] = slot
 }

@@ -11,9 +11,9 @@ import (
 
 // TestMemoTable fills a memo that starts at 8 slots: keys that share a
 // home slot probe past each other, every insert that would fill more
-// than half the table doubles it first, and every key stored so far
-// reads back its own plan after each growth. Absent keys miss, even
-// ones that share a stored key's home slot.
+// than three quarters of the table doubles it first, and every key
+// stored so far reads back its own plan after each growth. Absent keys
+// miss, even ones that share a stored key's home slot.
 func TestMemoTable(t *testing.T) {
 	const slots = 8
 	m := newMemo(slots)
@@ -30,33 +30,33 @@ func TestMemoTable(t *testing.T) {
 	// stays absent.
 	var stored []bitset.TPSet
 	for _, k := range colliding[:3] {
-		m.put(k, &plan.Node{Set: k})
+		m.put(memoSlot{key: k, plan: &plan.Node{Set: k}})
 		stored = append(stored, k)
 	}
-	if len(m.keys) != slots {
-		t.Fatalf("three inserts grew the table to %d slots", len(m.keys))
+	if len(m.slots) != slots {
+		t.Fatalf("three inserts grew the table to %d slots", len(m.slots))
 	}
 	check := func() {
 		t.Helper()
 		for _, k := range stored {
-			if p, ok := m.get(k); !ok || p.Set != k {
-				t.Fatalf("get(%v) = %v, %v after %d inserts into %d slots", k, p, ok, m.n, len(m.keys))
+			if slot, ok := m.get(k); !ok || slot.plan.Set != k {
+				t.Fatalf("get(%v) = %v, %v after %d inserts into %d slots", k, slot.plan, ok, m.n, len(m.slots))
 			}
 		}
-		if p, ok := m.get(colliding[3]); ok {
-			t.Fatalf("absent colliding key read %v", p)
+		if slot, ok := m.get(colliding[3]); ok {
+			t.Fatalf("absent colliding key read %v", slot.plan)
 		}
 	}
 	check()
 	for _, k := range others {
-		before := len(m.keys)
-		m.put(k, &plan.Node{Set: k})
+		before := len(m.slots)
+		m.put(memoSlot{key: k, plan: &plan.Node{Set: k}})
 		stored = append(stored, k)
-		if 2*m.n > len(m.keys) {
-			t.Fatalf("%d keys in %d slots: more than half full", m.n, len(m.keys))
+		if 4*m.n > 3*len(m.slots) {
+			t.Fatalf("%d keys in %d slots: more than three quarters full", m.n, len(m.slots))
 		}
-		if len(m.keys) != before && len(m.keys) != 2*before {
-			t.Fatalf("table went from %d to %d slots", before, len(m.keys))
+		if len(m.slots) != before && len(m.slots) != 2*before {
+			t.Fatalf("table went from %d to %d slots", before, len(m.slots))
 		}
 		check()
 	}

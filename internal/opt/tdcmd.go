@@ -61,6 +61,8 @@ type space struct {
 	params  cost.Params
 	opt     Options
 	counter Counter
+	// tally counts the Instruments' per-event metrics of this run.
+	tally tally
 	// inst is the optional metrics bundle; nil disables recording.
 	inst *Instruments
 	// gauge charges memo growth against the query's memory budget
@@ -130,11 +132,12 @@ func (sp *space) run() (*plan.Node, error) {
 
 // enumerate runs the memoized recursion with the run's panic firewall:
 // a panic while enumerating becomes a typed *resilience.PanicError
-// failing this run only. The memo's budget charges are returned on
-// every exit — the memo dies with the run even though the winning plan
-// survives it.
+// failing this run only. The memo's budget charges are returned and
+// the run's tally is folded into the Instruments on every exit — the
+// memo dies with the run even though the winning plan survives it.
 func (sp *space) enumerate(all bitset.TPSet) (p *plan.Node) {
 	defer sp.releaseMemo()
+	defer func() { sp.inst.fold(sp.tally) }()
 	defer func() {
 		if r := recover(); r != nil {
 			sp.fail(resilience.NewPanicError(r))
@@ -143,7 +146,7 @@ func (sp *space) enumerate(all bitset.TPSet) (p *plan.Node) {
 		}
 	}()
 	sp.memo = newMemo(memoInitialSlots)
-	return sp.best(all, false)
+	return sp.best(all, false).plan
 }
 
 // buildLeaves materializes the per-unit leaf plans once.
@@ -157,20 +160,23 @@ func (sp *space) buildLeaves() {
 // best is GetBestPlan of Algorithm 1: memoized recursion.
 // inheritedLocal is true when an ancestor subquery was already known
 // local (Lemma 4), which lets us skip the check.
-func (sp *space) best(s bitset.TPSet, inheritedLocal bool) *plan.Node {
-	if p, ok := sp.memo.get(s); ok {
-		sp.inst.memoHit()
-		return p
+func (sp *space) best(s bitset.TPSet, inheritedLocal bool) memoSlot {
+	if slot, ok := sp.memo.get(s); ok {
+		sp.tally.memoHits++
+		return slot
 	}
-	sp.inst.memoMiss()
+	sp.tally.memoMisses++
 	if sp.cancelled() {
-		return nil
+		return memoSlot{}
 	}
-	p := sp.bestPlanGen(s, inheritedLocal)
+	slot := memoSlot{key: s, plan: sp.bestPlanGen(s, inheritedLocal)}
+	if slot.plan != nil {
+		slot.card, slot.cost = slot.plan.Card, slot.plan.Cost
+	}
 	if sp.err == nil && sp.chargeMemoEntry() {
-		sp.memo.put(s, p)
+		sp.memo.put(slot)
 	}
-	return p
+	return slot
 }
 
 // bestPlanGen is BestPlanGen of Algorithm 1.
@@ -184,7 +190,7 @@ func (sp *space) bestPlanGen(s bitset.TPSet, inheritedLocal bool) *plan.Node {
 	if local {
 		bPlan = sp.localPlan(s)
 		if sp.opt.LocalShortcut {
-			sp.inst.localShortcut()
+			sp.tally.localShortcuts++
 			return bPlan // Rule 3: the local join plan is final
 		}
 	}
@@ -206,14 +212,16 @@ func (sp *space) bestPlanGen(s bitset.TPSet, inheritedLocal bool) *plan.Node {
 		sp.faults.PanicIf(faultinject.OptPanic)
 		sp.counter.CMDs++
 		cur = cur[:0]
+		var in joinInputs
 		for _, part := range cmd.Parts {
 			ch := sp.best(part, local)
-			if ch == nil {
+			if ch.plan == nil {
 				return false // cancelled
 			}
-			cur = append(cur, ch)
+			cur = append(cur, ch.plan)
+			in.add(ch)
 		}
-		alg, c := sp.bestCandidate(cur, out)
+		alg, c := sp.bestCandidate(len(cur), in, out)
 		if (bPlan == nil && len(win) == 0) || c < winner.cost {
 			winner = candidate{alg: alg, cost: c, vj: cmd.Var}
 			cur, win = win, cur
@@ -236,34 +244,39 @@ type candidate struct {
 	vj   int
 }
 
-// bestCandidate costs the join candidates of one cmd — repartition
-// always, broadcast when Rule 2 allows — and returns the cheaper
-// algorithm with its cumulative cost, preferring repartition on ties.
-// One pass over the children folds Σ|SQ_i|, max|SQ_i| and the largest
-// child cost in the order plan.NewJoin folds them, so the winner's
-// node, built later, carries bit-identical costs. Costing allocates
-// nothing.
-func (sp *space) bestCandidate(children []*plan.Node, out float64) (plan.Algorithm, float64) {
-	var sumIn, maxIn, maxChild float64
-	for _, ch := range children {
-		sumIn += ch.Card
-		if ch.Card > maxIn {
-			maxIn = ch.Card
-		}
-		if ch.Cost > maxChild {
-			maxChild = ch.Cost
-		}
+// joinInputs folds Σ|SQ_i|, max|SQ_i| and the largest child cost of
+// one cmd's children in the order plan.NewJoin folds them, so the
+// winner's node, built later, carries bit-identical costs. It reads
+// the children's memo slots, not their nodes.
+type joinInputs struct {
+	sum, max, maxCost float64
+}
+
+func (in *joinInputs) add(ch memoSlot) {
+	in.sum += ch.card
+	if ch.card > in.max {
+		in.max = ch.card
 	}
+	if ch.cost > in.maxCost {
+		in.maxCost = ch.cost
+	}
+}
+
+// bestCandidate costs the join candidates of one cmd of k parts —
+// repartition always, broadcast when Rule 2 allows — and returns the
+// cheaper algorithm with its cumulative cost, preferring repartition
+// on ties. Costing allocates nothing.
+func (sp *space) bestCandidate(k int, in joinInputs, out float64) (plan.Algorithm, float64) {
 	p := &sp.params
 	sp.counter.Plans++
-	alg, c := plan.RepartitionJoin, maxChild+p.RepartitionFromStats(sumIn, out)
-	if !sp.opt.BinaryBroadcastOnly || len(children) == 2 {
+	alg, c := plan.RepartitionJoin, in.maxCost+p.RepartitionFromStats(in.sum, out)
+	if !sp.opt.BinaryBroadcastOnly || k == 2 {
 		sp.counter.Plans++
-		if bc := maxChild + p.BroadcastFromStats(sumIn, maxIn, out); bc < c {
+		if bc := in.maxCost + p.BroadcastFromStats(in.sum, in.max, out); bc < c {
 			alg, c = plan.BroadcastJoin, bc
 		}
 	} else {
-		sp.inst.broadcastSkipped() // Rule 2 pruned this candidate
+		sp.tally.broadcastsSkipped++ // Rule 2 pruned this candidate
 	}
 	return alg, c
 }

@@ -86,24 +86,10 @@ func NewJoin(alg Algorithm, joinVar string, children []*Node, card float64, p co
 		panic("plan: join needs at least two children")
 	}
 	var set bitset.TPSet
-	inputs := make([]float64, len(children))
-	maxChild := 0.0
-	for i, ch := range children {
+	for _, ch := range children {
 		set = set.Union(ch.Set)
-		inputs[i] = ch.Card
-		if ch.Cost > maxChild {
-			maxChild = ch.Cost
-		}
 	}
-	var op float64
-	switch alg {
-	case LocalJoin:
-		op = p.Local(inputs, card)
-	case BroadcastJoin:
-		op = p.Broadcast(inputs, card)
-	case RepartitionJoin:
-		op = p.Repartition(inputs, card)
-	}
+	op, total := JoinCost(alg, children, card, p)
 	return &Node{
 		Set:      set,
 		Alg:      alg,
@@ -111,16 +97,16 @@ func NewJoin(alg Algorithm, joinVar string, children []*Node, card float64, p co
 		Children: children,
 		Card:     card,
 		OpCost:   op,
-		Cost:     maxChild + op,
+		Cost:     total,
 	}
 }
 
 // JoinCost returns the operator cost (Eq. 4) and cumulative plan cost
 // (Eq. 3) of the k-way join candidate (alg, children, card) without
-// building the Node. The arithmetic matches NewJoin exactly (same
-// fold order over children), so a Node later built from the same
-// candidate carries bit-identical costs. The enumerator's hot path
-// uses it to discard losing candidates allocation-free.
+// building the Node. NewJoin prices its node with it, so a Node later
+// built from the same candidate carries bit-identical costs. The
+// greedy optimizer uses it to discard losing candidates
+// allocation-free.
 func JoinCost(alg Algorithm, children []*Node, card float64, p cost.Params) (op, total float64) {
 	var sumIn, maxIn, maxChild float64
 	for _, ch := range children {

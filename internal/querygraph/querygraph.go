@@ -246,10 +246,11 @@ func (jg *JoinGraph) Neighbors(sub bitset.TPSet) bitset.TPSet {
 
 // reach is the multi-source breadth-first search every connectivity
 // primitive shares: it returns the patterns of s reachable from from∩s,
-// where the neighbours of pattern i are adj[i·stride+off].
+// where the neighbours of pattern i are adj[i·stride+off]. It stops as
+// soon as all of s is reached.
 func reach(adj []bitset.TPSet, stride, off int, s, from bitset.TPSet) bitset.TPSet {
 	reached := from.Intersect(s)
-	for frontier := reached; !frontier.IsEmpty(); {
+	for frontier := reached; !frontier.IsEmpty() && reached != s; {
 		var next bitset.TPSet
 		for f := frontier; f != 0; f &= f - 1 {
 			next |= adj[bits.TrailingZeros64(uint64(f))*stride+off]
