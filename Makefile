@@ -53,10 +53,15 @@ race:
 # the same inputs) and the per-node helper's table
 # (TestFanOut) ride the same run. The second line pins the served plan
 # end to end: the exact scan, transfer and join counts of L1–L10 and
-# two point reads must not move with GOMAXPROCS.
+# two point reads must not move with GOMAXPROCS. The third pins the
+# placements: each method partitions LUBM-1 five times per run to the
+# same fragments (path-bmc and un-1hop seed their walks in vertex
+# order, which must not come from a map range); partitioning runs on
+# one goroutine, so it needs no -race.
 determinism:
 	$(GO) test -run 'TestDeterminism|TestFanOut' -race -count=2 -cpu 1,2,4 ./internal/engine/...
 	$(GO) test -run 'TestProbedJoinsKeepCounts$$' -count=20 -cpu 1,2,4 .
+	$(GO) test -run 'TestPartitionDeterministic$$' -count=2 -cpu 1,2,4 ./internal/partition
 
 # The observability layer's own gate: vet plus a doubled, race-
 # instrumented run of the registry/trace/slow-log suites and the

@@ -5,7 +5,7 @@
 //
 // The package is deliberately self-contained (standard library only)
 // so every layer of the system — optimizer, execution engine, plan
-// cache, the root serving API and both CLIs — can depend on it without
+// cache, the root serving API and sparqld — can depend on it without
 // import cycles or third-party baggage.
 //
 // Design rules:

@@ -1,12 +1,14 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 
 	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/querygraph"
 	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/sparql"
+	"sparqlopt/internal/workload/lubm"
 )
 
 // fig1 is the running example of paper Fig. 1a (indexes 0..6 = tp1..tp7).
@@ -155,6 +157,35 @@ func TestPartitionCoverageAllMethods(t *testing.T) {
 			coverage(t, ds, p)
 			if p.ReplicationFactor(ds.Len()) < 1 {
 				t.Errorf("replication factor %v < 1", p.ReplicationFactor(ds.Len()))
+			}
+		})
+	}
+}
+
+// TestPartitionDeterministic partitions LUBM-1 five times under each
+// method and requires the same fragments, triple for triple, every
+// time. Go randomizes every map range, so a placement that depends on
+// one (path-bmc's start vertices, un-1hop's BFS seeds) differs between
+// runs in one process.
+func TestPartitionDeterministic(t *testing.T) {
+	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1})
+	for _, m := range []Method{HashSO{}, TwoHopForward{}, TwoHopBidirectional{}, PathBMC{}, UndirectedOneHop{}} {
+		t.Run(m.Name(), func(t *testing.T) {
+			first, err := m.Partition(ds, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run := 1; run < 5; run++ {
+				p, err := m.Partition(ds, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for n := range p.Triples {
+					if !slices.Equal(p.Triples[n], first.Triples[n]) {
+						t.Fatalf("run %d: node %d's fragment (%d triples) differs from run 0's (%d)",
+							run, n, len(p.Triples[n]), len(first.Triples[n]))
+					}
+				}
 			}
 		})
 	}

@@ -16,6 +16,7 @@ package rdf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -558,27 +559,34 @@ func (g *Graph) In(v TermID) []Edge { return g.in[v] }
 func (g *Graph) Len() int { return g.n }
 
 // Vertices calls f once for every vertex of the graph (any term that
-// appears as a subject or object). Iteration stops if f returns false.
+// appears as a subject or object), in ascending TermID order, so that
+// a placement seeded by vertex order repeats run to run. Iteration
+// stops if f returns false.
 func (g *Graph) Vertices(f func(v TermID) bool) {
-	seen := make(map[TermID]bool, len(g.out)+len(g.in))
+	vs := make([]TermID, 0, g.NumVertices())
 	for v := range g.out {
-		seen[v] = true
-		if !f(v) {
-			return
-		}
+		vs = append(vs, v)
 	}
 	for v := range g.in {
-		if !seen[v] {
-			if !f(v) {
-				return
-			}
+		if _, ok := g.out[v]; !ok {
+			vs = append(vs, v)
+		}
+	}
+	slices.Sort(vs)
+	for _, v := range vs {
+		if !f(v) {
+			return
 		}
 	}
 }
 
 // NumVertices returns the number of distinct vertices.
 func (g *Graph) NumVertices() int {
-	n := 0
-	g.Vertices(func(TermID) bool { n++; return true })
+	n := len(g.out)
+	for v := range g.in {
+		if _, ok := g.out[v]; !ok {
+			n++
+		}
+	}
 	return n
 }

@@ -229,7 +229,9 @@ func DefaultCostParams() CostParams { return cost.Default }
 
 // AlgorithmByName maps a serving algorithm's CLI name — "td-cmd",
 // "td-cmdp", "hgr-td-cmd", "td-auto", "greedy" — to its Algorithm
-// value. Both CLIs and the HTTP endpoint accept exactly these names.
+// value. sparqld and the HTTP endpoint accept exactly these names;
+// the sparqlopt CLI accepts them plus the baselines msc, dp-bushy and
+// binary-dp, which run outside the serving path.
 func AlgorithmByName(name string) (Algorithm, bool) {
 	switch name {
 	case "td-cmd":
@@ -256,7 +258,7 @@ func AlgorithmByName(name string) (Algorithm, bool) {
 //
 //   - RunOption configures one serving call and is passed to Run,
 //     RunStream, Optimize and friends: WithAlgorithm (or a bare
-//     Algorithm value — both CLIs accept the same names), WithLimit,
+//     Algorithm value; AlgorithmByName maps the names), WithLimit,
 //     WithDeadline, WithTraceSink, WithFaultInjection.
 //
 //   - ObsOption configures the observability layer inside
