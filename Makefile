@@ -44,13 +44,15 @@ race:
 # schedule-dependent flakiness. The engine's fragment-read table tests
 # (TestDeterminismFragmentRead: concurrent per-node reads in
 # permutation order, TestDeterminismFragmentProbe: the same leaves
-# looked up by a set of bindings, TestDeterminismFragmentMerge: local
-# stars merging the leaves' sorted ranges — all against a brute-force
-# oracle;
+# trie-joined with a set of bindings, TestDeterminismFragmentMerge:
+# local joins merging the leaves' sorted ranges — all against a
+# brute-force oracle;
 # TestDeterminismScanDeadSet: deaths a scan discovers itself, all known
 # before any failover read; TestDeterminismBroadcastMerge: broadcast and
-# repartition joins merging sorted inputs, against the hash fold over
-# the same inputs) and the per-node helper's table
+# repartition joins merging sorted inputs, and TestDeterminismTrieJoin:
+# local trie joins over cycles, read leaves, non-leaf inputs and
+# failover reads, both against the test-only hash fold over the same
+# inputs) and the per-node helper's table
 # (TestFanOut) ride the same run. The second line pins the served plan
 # end to end: the exact scan, transfer and join counts of L1–L10 and
 # two point reads must not move with GOMAXPROCS. The third pins the
@@ -104,8 +106,10 @@ bench:
 # store build (LUBM-10 under hash-so through engine.New, with
 # allocations — a build-time regression shows here too), of the local
 # star joins (L7's and L8's ?x stars at LUBM-10, merged and folded, with
-# allocations), of the broadcast joins (L8's two and L10's on ?z at
-# LUBM-10, merged and folded, with allocations), of the result
+# allocations), of 2f's multi-variable local joins (L7–L10's local
+# subqueries at LUBM-10, trie-joined and folded, with allocations), of
+# the broadcast joins (L8's two and L10's on ?z at LUBM-10, merged and
+# folded, with allocations), of the result
 # encoders (LUBM-1 rows shaped like S2 and J1 in JSON and TSV, with
 # encode ns/row and body B/row) plus a quick pass
 # of the adaptive-repartitioning and node-failover experiments: catches
@@ -121,6 +125,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkCollectTracked -benchtime=1x ./internal/stats
 	$(GO) test -run='^$$' -bench=BenchmarkStoreBuild -benchtime=1x ./internal/engine
 	$(GO) test -run='^$$' -bench=BenchmarkStarJoin -benchtime=1x ./internal/engine
+	$(GO) test -run='^$$' -bench=BenchmarkLocalJoin -benchtime=1x ./internal/engine
 	$(GO) test -run='^$$' -bench=BenchmarkBroadcastJoin -benchtime=1x ./internal/engine
 	$(GO) test -run='^$$' -bench=BenchmarkEncodeRows -benchtime=1x ./internal/httpd
 	$(GO) run ./cmd/benchrunner -experiment adaptive -quick

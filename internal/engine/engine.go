@@ -499,9 +499,9 @@ func (e *Engine) opGate(ctx context.Context, p *plan.Node, env ExecEnv) error {
 // non-empty alignVar asks a Scan child of a repartition join to emit
 // its rows aligned on that join variable (see alignHints). lazy lets a
 // Scan child of a local or broadcast join leave its reads to the
-// parent's fold: the open leaf is returned with them, the relations of
+// parent's join: the open leaf is returned with them, the relations of
 // the nodes not read yet are nil, and the parent settles the leaf's
-// accounting when its fold is done (see scanLeaf).
+// accounting when its join is done (see scanLeaf).
 func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, alignVar string, lazy bool) ([]*Relation, *scanLeaf, *TraceNode, error) {
 	if err := e.opGate(ctx, p, env); err != nil {
 		return nil, nil, nil, err
@@ -680,11 +680,11 @@ func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query
 //
 // The Scan children of a local join and the Scan child a broadcast join
 // leaves in place are opened but not read: they come back in leaves,
-// with nil relations on the nodes still unread, for the join to read,
-// probe or merge (see joinAll and sortedJoin). A child that has to move
+// with nil relations on the nodes still unread, for the join to read
+// or merge (see sortedJoin). A child that has to move
 // is read in full first, so data movement is what it always was.
-func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time) (foldInputs, error) {
-	var in foldInputs
+func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time) (opInputs, error) {
+	var in opInputs
 	var hints []string
 	if p.Alg == plan.RepartitionJoin {
 		hints = e.alignHints(p, q, env)
@@ -827,25 +827,22 @@ func inputVars(rel *Relation, leaf *scanLeaf) []string {
 	return rel.Vars
 }
 
-// foldInputs is what a join operator's per-node joins consume, input by
+// opInputs is what a join operator's per-node joins consume, input by
 // input in one order on every node: rels[node] are the node's input
 // relations, nil where leaves holds the input's scan leaf and that
 // node's read has not been performed; sizes are the inputs' cluster-
 // wide row counts.
-type foldInputs struct {
+type opInputs struct {
 	rels   [][]*Relation
 	leaves []*scanLeaf
 	sizes  []int64
 }
 
-// joinOp runs one k-way join operator: per-node inputs
-// from joinInputs, then a join on every node, materializing each node's
-// result as a flat row arena. Broadcast and repartition joins merge their
-// sorted inputs on every node (sortedJoin). So does a local join whose
-// inputs are all scan leaves orderable on its variable, on every node
-// where none of them was read; every other node and local join folds
-// hash joins (joinAll): mostly local subqueries joining on several
-// variables at once; DESIGN.md §8 says why those still fold.
+// joinOp runs one k-way join operator: per-node inputs from joinInputs,
+// then a trie join on every node (sortedJoin), materializing each node's
+// result as a flat row arena. A local join intersects its inputs on
+// every variable two of them share (joinOrder); a broadcast or
+// repartition join on its one join variable.
 func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time) ([]*Relation, error) {
 	in, err := e.joinInputs(ctx, p, q, env, m, tr, start)
 	if err != nil {
@@ -855,29 +852,20 @@ func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env 
 	for i, r := range in.rels[0] {
 		vars[i] = inputVars(r, in.leaves[i])
 	}
-	order, schema := foldOrder(vars, in.sizes)
-	local := p.Alg == plan.LocalJoin
-	merge := newSortedJoin(vars, in.leaves, order, schema, p.JoinVar, local)
+	order := []string{p.JoinVar}
+	if p.Alg == plan.LocalJoin {
+		order = joinOrder(vars, in.sizes)
+	}
+	join := newSortedJoin(vars, in.sizes, in.leaves, order)
 	site := opName(p.Alg)
 	out := make([]*Relation, len(env.Snap.stores))
 	var joined int64
-	// A node whose first fold input is empty joins nothing.
-	busy := func(node int) bool {
-		if r := in.rels[node][order[0]]; r != nil {
-			return len(r.Rows) > 0
-		}
-		return in.leaves[order[0]].size[node] > 0
-	}
+	// A node where some input is empty joins nothing.
+	busy := func(node int) bool { return join.rowsOn(node, in.rels[node]) > 0 }
 	tr.Nodes = len(out)
 	tr.BusyNodes, err = e.fanOut(len(out), busy, func(node int) error {
 		env.Faults.PanicIf(faultinject.EnginePanic)
-		var r *Relation
-		var err error
-		if merge != nil && (!local || merge.unread(node)) {
-			r, err = merge.join(ctx, env.Gauge, site, node, in.rels[node])
-		} else {
-			r, err = joinAll(ctx, env.Gauge, site, node, in.rels[node], in.leaves, order, schema)
-		}
+		r, err := join.join(ctx, env.Gauge, site, node, in.rels[node])
 		if err != nil {
 			return err
 		}
@@ -888,7 +876,7 @@ func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env 
 	if err != nil {
 		return nil, err
 	}
-	// The fold was the last reader of the leaves it was handed.
+	// The join was the last reader of the leaves it was handed.
 	for _, l := range in.leaves {
 		if l != nil {
 			l.settle(m)
@@ -968,7 +956,7 @@ func Reference(ds *rdf.Dataset, q *sparql.Query) (*Result, error) {
 	for _, tp := range q.Patterns {
 		bp := bindPattern(snap.Dict(), tp)
 		rel := &Relation{Vars: bp.vars}
-		st.match(&bp, keepAll, nil, rel, nil, seqCols(len(bp.vars)))
+		st.match(&bp, keepAll, nil, rel)
 		if cur == nil {
 			cur = rel
 		} else {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sparqlopt/internal/obs"
 	"sparqlopt/internal/plan"
 	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/resilience"
@@ -19,18 +18,17 @@ import (
 // every fragment when it is opened. A Scan child of a local or
 // broadcast join is opened lazily instead: every node is gated and the
 // exact size of its read is taken from the candidate ranges' lengths,
-// but no row is copied until the parent's fold on that node asks for
-// the relation (read) — and it may never ask, intersecting the leaf's
-// sorted ranges with its siblings' (merge; see sortedJoin), or, in a
-// local join that folds, looking the rows it already holds up in the
-// index instead (probe).
+// but no row is copied until the parent's join on that node asks for
+// the relation (read) — and it never asks when the leaf's permutation
+// orders it on the join's variables: the join then intersects the
+// leaf's sorted ranges with its siblings' (merge; see sortedJoin).
 type scanLeaf struct {
 	snap  *Snap
 	bp    boundPattern
 	gauge *resilience.Gauge
 	tr    *TraceNode
 	// rels[node] is the node's fragment read; nil while not performed.
-	// Each node's fold touches only its own element.
+	// Each node's join touches only its own element.
 	rels []*Relation
 	// size[node] is the row count of the node's read, known before it is
 	// performed.
@@ -42,10 +40,9 @@ type scanLeaf struct {
 	deltaRows [][]rdf.TermID
 	deltaErr  error
 
-	// scanned counts the postings touched by reads, probes and merges
-	// alike; bindings the rows that probed, on the nodes that chose to.
-	scanned, bindings atomic.Int64
-	probed, merged    atomic.Bool
+	// scanned counts the postings touched by reads and merges alike.
+	scanned atomic.Int64
+	merged  atomic.Bool
 }
 
 // scan opens the Scan plan node p: one fragment read per node (see
@@ -215,87 +212,11 @@ func (l *scanLeaf) readAll(e *Engine) error {
 	return err
 }
 
-// sharesVarWith reports whether r binds a variable of the pattern.
-func (l *scanLeaf) sharesVarWith(r *Relation) bool {
-	for _, v := range l.bp.vars {
-		if r.colIndex(v) >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// probe joins cur with node's fragment of the leaf without reading the
-// fragment: for each row of cur the pattern's shared variables are
-// bound to the row's values and the same fragment read is issued — the
-// node's base store plus the delta chunks — now over the few postings
-// the bound pattern's range holds. The output is what hashJoin(cur,
-// the node's read) returns, up to row order: cur's columns then the
-// pattern's remaining ones. The loop polls ctx every cancelEvery rows
-// and postings.
-func (l *scanLeaf) probe(ctx context.Context, node int, cur *Relation) (*Relation, error) {
-	bp := l.bp // rebound per row; vars is shared read-only
-	sCol, pCol, oCol := -1, -1, -1
-	if bp.sVar >= 0 {
-		sCol = cur.colIndex(bp.vars[bp.sVar])
-	}
-	if bp.pVar >= 0 {
-		pCol = cur.colIndex(bp.vars[bp.pVar])
-	}
-	if bp.oVar >= 0 {
-		oCol = cur.colIndex(bp.vars[bp.oVar])
-	}
-	bp.sConst = bp.sConst || sCol >= 0
-	bp.pConst = bp.pConst || pCol >= 0
-	bp.oConst = bp.oConst || oCol >= 0
-	outVars := append([]string{}, cur.Vars...)
-	var extra []int
-	for j, v := range bp.vars {
-		if cur.colIndex(v) < 0 {
-			outVars = append(outVars, v)
-			extra = append(extra, j)
-		}
-	}
-	out := newRelation(outVars, min(len(cur.Rows), l.size[node]))
-	base := l.snap.stores[node]
-	var scanned int64
-	polled := int64(0)
-	for i, row := range cur.Rows {
-		if at := scanned + int64(i); at-polled >= cancelEvery {
-			polled = at
-			if err := obs.Canceled(ctx, "join"); err != nil {
-				return nil, err
-			}
-		}
-		if sCol >= 0 {
-			bp.s = row[sCol]
-		}
-		if pCol >= 0 {
-			bp.p = row[pCol]
-		}
-		if oCol >= 0 {
-			bp.o = row[oCol]
-		}
-		n, _ := base.match(&bp, keepAll, nil, out, row, extra)
-		scanned += n
-		for _, st := range l.snap.delta {
-			n, _ := st.match(&bp, keepAll, nil, out, row, extra)
-			scanned += n
-		}
-	}
-	l.scanned.Add(scanned)
-	l.bindings.Add(int64(len(cur.Rows)))
-	l.probed.Store(true)
-	return out, nil
-}
-
-// settle closes the leaf's accounting once nothing will read or probe
+// settle closes the leaf's accounting once nothing will read or merge
 // it any more: the postings touched land in the operator's metrics and,
 // with how the leaf was used, in its trace.
 func (l *scanLeaf) settle(m *Metrics) {
 	l.tr.Postings = l.scanned.Load()
-	l.tr.Bindings = l.bindings.Load()
-	l.tr.Probed = l.probed.Load()
 	l.tr.Merged = l.merged.Load()
 	m.ScannedTriples += l.tr.Postings
 }

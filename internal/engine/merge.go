@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"slices"
@@ -10,82 +11,177 @@ import (
 	"sparqlopt/internal/resilience"
 )
 
-// sortedJoin is a join operator's per-node join over inputs sorted on its
-// join variable, answered the way RDF-3X answers a join: the inputs are
-// intersected on that variable by galloping seeks, leapfrog style, and
-// nothing is hashed. An input is walked as one of two kinds of sorted
-// run. A scan leaf that can be ordered on the variable (see orderedOn)
-// is never read: its runs are its candidate ranges, its base range and
-// one per delta chunk. A relation — a broadcast's gathered input, a
-// scatter bucket, a merge's output — is a run when it is sorted on the
-// variable (see Relation.sortedOn).
+// sortedJoin is a join operator's per-node join, answered the way RDF-3X
+// answers a join: by merging sorted inputs, with nothing hashed. It is a
+// trie join (Leapfrog Triejoin, Veldhuizen, ICDT 2014) over an ordered
+// list of variables: the inputs holding the first variable are
+// intersected on it by galloping seeks, leapfrog style; within each key
+// they all hold, the inputs holding the second variable are intersected
+// on it within that key's groups, and so on. A local join runs it with
+// its full variable order (see joinOrder); a broadcast or repartition
+// join with its one join variable, checking any other variable two
+// inputs share for equality as the rows are emitted.
 //
-// At most one input per node may be out of key order: a relation not
-// sorted on the variable, or a leaf that had to be read (a pattern no
-// permutation orders on it, a read that failed over). That input drives:
-// each of its rows looks its key up in the other, sorted inputs. Any
-// further unordered input is sorted on the node first.
+// An input is walked as one of two kinds of sorted run. A scan leaf
+// whose permutation orders its constants first and then its variables in
+// the join's order (see orderedAs) is never read: its runs are its
+// candidate ranges, its base range and one per delta chunk. A relation —
+// a broadcast's gathered input, a scatter bucket, a child join's output,
+// a leaf that had to be read — is one run once it is sorted on its
+// variables in the join's order; a relation already sorted on its one
+// join variable (see Relation.sortedOn) is taken as it is, and any other
+// is sorted on its node.
 //
-// For each key present in every input the join emits the cross product
-// of the inputs' key groups, checking any other variable two inputs share
-// for equality, in foldOrder's schema: the node's output is the multiset
-// the hash fold over the same inputs returns. Without a driver it comes
-// out sorted on the join variable.
+// The one-level join keeps a driver instead: when every input holds the
+// one variable, at most one input per node that is out of key order is
+// walked in its own order, each of its rows looking its key up in the
+// other inputs. Any further unordered input is sorted on the node first.
 //
-// A leaf's postings are counted the way a probe counts them — the entries
-// of the ranges the join takes rows from, not the ones a search steps
-// over: a leapfrog touches, per leaf, the entries of the key groups whose
-// key occurs in every input on the node.
+// Once every variable of the order is bound, the join emits the cross
+// product of the inputs' final groups; a variable only one input holds
+// is bound from that input's group. The node's output is the multiset
+// the hash fold over the same inputs returns, under schema: the order's
+// variables, then every input's others. Without a driver it comes out
+// sorted on the first variable of the order.
+//
+// A leaf's postings are the entries of the final groups it contributes
+// to a match, each group counted once per node: the entries the join
+// takes rows from, not the ones a search steps over.
 type sortedJoin struct {
-	inputs []joinInput // in fold order
+	order  []string
 	schema []string
-	key    string
+	inputs []joinInput // in the operator's input order
+	// emits lists the inputs in the order the cross product of their
+	// final groups nests them, the smallest input outermost.
+	emits []int
+	// at[d] lists the inputs holding order[d], each with its own level
+	// of that variable.
+	at [][]levelRef
+	// drive marks the one-level join, where every input holds the
+	// variable and an unordered input may drive.
+	drive bool
 }
+
+// levelRef names one input's own level at some depth of the order.
+type levelRef struct{ input, level int }
 
 // joinInput is one input as the join walks it.
 type joinInput struct {
-	idx  int       // the input's index in the operator's inputs
 	leaf *scanLeaf // the input's scan leaf, nil for a relation
-	// ranges marks a leaf walked through its sorted ranges: permutation p
-	// orders them on triple component comp (compS or compO).
+	// cols holds the input's columns of its variables in the order, one
+	// per own level.
+	cols []int
+	// ranges marks a leaf walked through its sorted ranges, in
+	// permutation p; comps holds the triple component of each own level.
 	ranges bool
 	p      perm
-	comp   int
+	comps  []int
 	// delta is the leaf's range in every delta chunk holding candidates;
 	// the chunks are on every node, so it is shared by all of them.
 	delta [][]rdf.Triple
-	// col is the join variable's column in the input's rows.
-	col int
-	// set lists the schema columns the input binds first, check the ones
-	// an earlier input bound and the input's rows must agree with, each
-	// with the input's column that binds it; comps maps those columns to
-	// triple components when the input's ranges are walked.
+	// set lists the schema columns of the variables outside the order
+	// the input binds first, check the ones an earlier input bound and
+	// the input's rows must agree with, each with the input's column that
+	// binds it; varComps maps those columns to triple components when
+	// the input's ranges are walked.
 	set, check []colComp
-	comps      [3]int
+	varComps   [3]int
+	// revisit marks a leaf that may reach the same final group under
+	// several matches: one missing a variable of the order.
+	revisit bool
 }
 
 // colComp maps a schema column to the input column that binds it.
 type colComp struct{ col, comp int }
 
-// newSortedJoin returns the join on key over inputs with the given
-// variables (folded in order, under schema; see foldOrder), where
-// leaves[i] is input i's lazily opened scan leaf or nil. It returns nil
-// when an input lacks key, or with leavesOnly when an input is not a leaf
-// orderable on key — a local join merges only then. The choice follows
-// from structure alone.
-func newSortedJoin(vars [][]string, leaves []*scanLeaf, order []int, schema []string, key string, leavesOnly bool) *sortedJoin {
-	s := &sortedJoin{inputs: make([]joinInput, len(order)), schema: schema, key: key}
-	bound := make([]bool, len(schema))
-	for d, i := range order {
-		in := joinInput{idx: i, leaf: leaves[i], col: slices.Index(vars[i], key)}
-		if in.col < 0 {
-			return nil
+// joinOrder returns the variables a local join over inputs with the
+// given variables and cluster-wide sizes intersects on, level by level:
+// every variable two or more inputs hold. The ones shared by the most
+// inputs go first, ties broken by the smallest input holding the
+// variable and then by first appearance; each next variable shares an
+// input with one already ordered whenever any does. It is computed once
+// per operator, never per node, so every node produces one schema.
+func joinOrder(vars [][]string, sizes []int64) []string {
+	inputs, smallest := map[string]int{}, map[string]int64{}
+	var cands, order []string
+	for i, vs := range vars {
+		for _, v := range vs {
+			if inputs[v]++; inputs[v] == 1 {
+				cands, smallest[v] = append(cands, v), sizes[i]
+			}
+			smallest[v] = min(smallest[v], sizes[i])
 		}
-		if l := in.leaf; l != nil {
-			in.p, in.comp, in.ranges = l.bp.orderedOn(in.col)
+	}
+	cands = slices.DeleteFunc(cands, func(v string) bool { return inputs[v] < 2 })
+	// connected reports whether some input holds v and an ordered variable.
+	connected := func(v string) bool {
+		return len(order) == 0 || slices.ContainsFunc(vars, func(vs []string) bool {
+			return slices.Contains(vs, v) && slices.ContainsFunc(vs, func(u string) bool { return slices.Contains(order, u) })
+		})
+	}
+	better := func(v, w string) bool {
+		if cv, cw := connected(v), connected(w); cv != cw {
+			return cv
 		}
-		if leavesOnly && !in.ranges {
-			return nil
+		return inputs[v] > inputs[w] || inputs[v] == inputs[w] && smallest[v] < smallest[w]
+	}
+	for len(cands) > 0 {
+		best := 0
+		for i := range cands {
+			if better(cands[i], cands[best]) {
+				best = i
+			}
+		}
+		order = append(order, cands[best])
+		cands = slices.Delete(cands, best, best+1)
+	}
+	return order
+}
+
+// newSortedJoin returns the join over inputs with the given variables
+// and cluster-wide sizes, intersecting them on order, where leaves[i] is
+// input i's lazily opened scan leaf or nil. Which leaves are walked
+// through their ranges follows from the patterns and the order alone.
+func newSortedJoin(vars [][]string, sizes []int64, leaves []*scanLeaf, order []string) *sortedJoin {
+	s := &sortedJoin{order: order, schema: slices.Clone(order), at: make([][]levelRef, len(order)), inputs: make([]joinInput, len(vars))}
+	s.emits = make([]int, len(vars))
+	for i := range s.emits {
+		s.emits[i] = i
+	}
+	slices.SortStableFunc(s.emits, func(a, b int) int { return cmp.Compare(sizes[a], sizes[b]) })
+	for _, i := range s.emits {
+		vs := vars[i]
+		in := joinInput{leaf: leaves[i]}
+		for j, v := range vs {
+			if slices.Contains(order, v) {
+				continue
+			}
+			if c := slices.Index(s.schema, v); c >= 0 {
+				in.check = append(in.check, colComp{col: c, comp: j})
+			} else {
+				in.set = append(in.set, colComp{col: len(s.schema), comp: j})
+				s.schema = append(s.schema, v)
+			}
+		}
+		s.inputs[i] = in
+	}
+	for i, vs := range vars {
+		in := &s.inputs[i]
+		for d, v := range order {
+			if c := slices.Index(vs, v); c >= 0 {
+				s.at[d] = append(s.at[d], levelRef{input: i, level: len(in.cols)})
+				in.cols = append(in.cols, c)
+			}
+		}
+		if l := in.leaf; l != nil && !l.bp.repeated {
+			for j := range vs {
+				in.varComps[j] = varComp(&l.bp, j)
+			}
+			in.comps = make([]int, len(in.cols))
+			for k, c := range in.cols {
+				in.comps[k] = in.varComps[c]
+			}
+			in.p, in.ranges = l.bp.orderedAs(in.comps)
 		}
 		if in.ranges {
 			for _, st := range in.leaf.snap.delta {
@@ -93,24 +189,22 @@ func newSortedJoin(vars [][]string, leaves []*scanLeaf, order []int, schema []st
 					in.delta = append(in.delta, r)
 				}
 			}
-			for j := range vars[i] {
-				in.comps[j] = varComp(&in.leaf.bp, j)
-			}
+			in.revisit = len(in.cols) < len(order)
 		}
-		for j, v := range vars[i] {
-			c := colComp{col: slices.Index(schema, v), comp: j}
-			switch {
-			case v == key && d > 0:
-				// Equal by construction: every input sits on the same key.
-			case bound[c.col]:
-				in.check = append(in.check, c)
-			default:
-				bound[c.col] = true
-				in.set = append(in.set, c)
-			}
-		}
-		s.inputs[d] = in
 	}
+	// At every depth the inputs a group of an earlier level narrowed go
+	// first, then the others smallest first: the sparsest input sets the
+	// key the others seek to, and a level ends with the first input that
+	// runs out.
+	for _, refs := range s.at {
+		slices.SortStableFunc(refs, func(a, b levelRef) int {
+			if c := cmp.Compare(min(b.level, 1), min(a.level, 1)); c != 0 {
+				return c
+			}
+			return cmp.Compare(sizes[a.input], sizes[b.input])
+		})
+	}
+	s.drive = len(order) == 1 && len(s.at[0]) == len(vars)
 	return s
 }
 
@@ -126,109 +220,153 @@ func varComp(bp *boundPattern, j int) int {
 	return compO
 }
 
-// unread reports whether every leaf is still unread on node — no read
-// failed over there — which is when a local join merges the node.
-func (s *sortedJoin) unread(node int) bool {
-	for _, in := range s.inputs {
-		if in.leaf.rels[node] != nil {
-			return false
-		}
-	}
-	return true
-}
+// span is the half-open index range [lo, hi) of one run.
+type span struct{ lo, hi int }
 
 // mergeCursor walks one input's sorted runs on one node: a leaf's triple
 // ranges, or a relation's rows.
 type mergeCursor struct {
-	in *joinInput
-	// runs holds the unvisited rest of each triple range, none of them
-	// empty; group the current key's entries, one part per range.
-	runs, group [][]rdf.Triple
-	// rows is the unvisited rest of a relation's rows and keys their join
-	// column, contiguous so that a search reads no row; rowGroup is the
-	// current key's rows.
-	rows, rowGroup [][]rdf.TermID
-	keys           []rdf.TermID
-	ranges         bool
-	postings       int64
+	in     *joinInput
+	ranges bool
+	// runs are a leaf's triple ranges; rows a relation's rows and keys[l]
+	// their column of own level l, contiguous so that a search reads no
+	// row.
+	runs [][]rdf.Triple
+	rows [][]rdf.TermID
+	keys [][]rdf.TermID
+	// base backs runs when the base range is the only one (no delta
+	// chunk holds candidates), sparing an allocation.
+	base [1][]rdf.Triple
+	// spans holds, for every own level l, rest(l) — the unvisited part of
+	// the level within the group of level l−1 — and group(l), the current
+	// key's entries, one span per run (a relation has one run). final is
+	// the group the input contributes to a match: the last own level's,
+	// or every entry when it has none.
+	spans []span
+	nruns int
+	final []span
+	// seen marks, for a revisiting leaf, the final groups counted
+	// already, by their first entry; offs[r] is run r's first bit, and
+	// offs[len(runs)] their length.
+	seen     []uint64
+	offs     []int
+	postings int64
 }
 
-// seek drops every entry keyed below k and returns the smallest key
-// left; ok is false once the input is exhausted.
-func (c *mergeCursor) seek(k rdf.TermID) (head rdf.TermID, ok bool) {
+// open starts own level l: its rest is the group of level l−1, or the
+// whole of every run at the first level.
+func (c *mergeCursor) open(l int) {
+	if l > 0 {
+		copy(c.rest(l), c.group(l-1))
+		return
+	}
 	if !c.ranges {
+		c.rest(0)[0] = span{0, len(c.rows)}
+		return
+	}
+	for r, run := range c.runs {
+		c.rest(0)[r] = span{0, len(run)}
+	}
+}
+
+// seek drops every entry of level l keyed below k and returns the
+// smallest key left; ok is false once the level is exhausted.
+func (c *mergeCursor) seek(l int, k rdf.TermID) (head rdf.TermID, ok bool) {
+	if !c.ranges {
+		sp, keys := &c.rest(l)[0], c.keys[l]
 		if k > 0 {
-			n := firstKeyAbove(c.keys, k-1)
-			c.rows, c.keys = c.rows[n:], c.keys[n:]
+			sp.lo += firstKeyAbove(keys[sp.lo:sp.hi], k-1)
 		}
-		if len(c.keys) == 0 {
+		if sp.lo == sp.hi {
 			return 0, false
 		}
-		return c.keys[0], true
+		return keys[sp.lo], true
 	}
-	live := c.runs[:0]
-	for _, r := range c.runs {
-		if k > 0 {
-			r = r[firstAbove(r, c.in.comp, k-1):]
-		}
-		if len(r) == 0 {
+	comp := c.in.comps[l]
+	rest := c.rest(l)
+	for r := range rest {
+		sp := &rest[r]
+		if sp.lo == sp.hi {
 			continue
 		}
-		live = append(live, r)
-		if h := component(r[0], c.in.comp); !ok || h < head {
+		run := c.runs[r][sp.lo:sp.hi]
+		h := component(run[0], comp)
+		if h < k {
+			n := firstAbove(run, comp, k-1)
+			if sp.lo += n; sp.lo == sp.hi {
+				continue
+			}
+			h = component(run[n], comp)
+		}
+		if !ok || h < head {
 			head, ok = h, true
 		}
 	}
-	c.runs = live
 	return head, ok
 }
 
-// take moves the entries keyed k from the runs into the group.
-func (c *mergeCursor) take(k rdf.TermID) {
+// take moves level l's entries keyed k from its rest into its group.
+func (c *mergeCursor) take(l int, k rdf.TermID) {
 	if !c.ranges {
-		n := firstKeyAbove(c.keys, k)
-		c.rowGroup, c.rows, c.keys = c.rows[:n], c.rows[n:], c.keys[n:]
+		sp := &c.rest(l)[0]
+		end := sp.lo + firstKeyAbove(c.keys[l][sp.lo:sp.hi], k)
+		c.group(l)[0], sp.lo = span{sp.lo, end}, end
 		return
 	}
-	c.group = c.group[:0]
-	live := c.runs[:0]
-	for _, r := range c.runs {
-		n := firstAbove(r, c.in.comp, k)
-		if n > 0 {
-			c.group = append(c.group, r[:n])
-			c.postings += int64(n)
-		}
-		if n < len(r) {
-			live = append(live, r[n:])
-		}
+	comp := c.in.comps[l]
+	rest, group := c.rest(l), c.group(l)
+	for r, run := range c.runs {
+		sp := &rest[r]
+		end := sp.lo + firstAbove(run[sp.lo:sp.hi], comp, k)
+		group[r], sp.lo = span{sp.lo, end}, end
 	}
-	c.runs = live
 }
 
-// lookup sets the group to the entries keyed k, searching the whole of
-// every run — a driver's keys come in no order — and reports whether
-// there are any.
+// lookup sets the one level's group to the entries keyed k, searching
+// the whole of every run — a driver's keys come in no order — and
+// reports whether there are any.
 func (c *mergeCursor) lookup(k rdf.TermID) bool {
 	if !c.ranges {
-		lo := lowerBound(c.keys, k)
-		hi := lo
-		for hi < len(c.keys) && c.keys[hi] == k {
-			hi++
-		}
-		c.rowGroup = c.rows[lo:hi]
+		keys := c.keys[0]
+		lo := lowerBound(keys, k)
+		hi := lo + firstKeyAbove(keys[lo:], k)
+		c.group(0)[0] = span{lo, hi}
 		return hi > lo
 	}
-	c.group = c.group[:0]
-	for _, r := range c.runs {
+	found := false
+	comp := c.in.comps[0]
+	for r, run := range c.runs {
+		lo := 0
 		if k > 0 {
-			r = r[firstAbove(r, c.in.comp, k-1):]
+			lo = firstAbove(run, comp, k-1)
 		}
-		if n := firstAbove(r, c.in.comp, k); n > 0 {
-			c.group = append(c.group, r[:n])
-			c.postings += int64(n)
-		}
+		hi := lo + firstAbove(run[lo:], comp, k)
+		c.group(0)[r] = span{lo, hi}
+		c.postings += int64(hi - lo)
+		found = found || hi > lo
 	}
-	return len(c.group) > 0
+	return found
+}
+
+// count adds the leaf's final group to its postings, unless the group
+// was counted under an earlier match.
+func (c *mergeCursor) count() {
+	var n int64
+	first := -1
+	for r, sp := range c.final {
+		if c.seen != nil && sp.lo < sp.hi && first < 0 {
+			first = c.offs[r] + sp.lo
+		}
+		n += int64(sp.hi - sp.lo)
+	}
+	if first >= 0 {
+		w, bit := first>>6, uint64(1)<<(first&63)
+		if c.seen[w]&bit != 0 {
+			return
+		}
+		c.seen[w] |= bit
+	}
+	c.postings += n
 }
 
 // firstAbove returns the index of the first entry of ts — sorted on comp
@@ -308,35 +446,31 @@ func lowerBound(keys []rdf.TermID, k rdf.TermID) int {
 // without rows on the node ends it at once: on a point read, that is
 // every node but the one or two holding the constant.
 func (s *sortedJoin) join(ctx context.Context, g *resilience.Gauge, site string, node int, rels []*Relation) (*Relation, error) {
-	// Every input's size on the node is known before anything is read.
-	hint := math.MaxInt
-	for _, in := range s.inputs {
-		if rel := rels[in.idx]; rel != nil {
-			hint = min(hint, len(rel.Rows))
-			continue
-		}
-		if in.ranges {
-			in.leaf.merged.Store(true)
-		}
-		hint = min(hint, in.leaf.size[node])
-	}
+	hint := s.rowsOn(node, rels)
 	if hint == 0 {
-		return &Relation{Vars: s.schema, sortedOn: s.key}, nil
+		return &Relation{Vars: s.schema}, nil
 	}
-	j := mergeJoin{ctx: ctx, cursors: make([]mergeCursor, len(s.inputs)), row: make([]rdf.TermID, len(s.schema))}
+	j := mergeJoin{ctx: ctx, g: g, site: site, s: s, cursors: make([]mergeCursor, len(s.inputs)), row: make([]rdf.TermID, len(s.schema))}
 	driver := -1
-	for d := range s.inputs {
-		in := &s.inputs[d]
-		c := &j.cursors[d]
+	for i := range s.inputs {
+		in := &s.inputs[i]
+		c := &j.cursors[i]
 		c.in = in
-		rel := rels[in.idx]
+		levels := max(len(in.cols), 1)
+		rel := rels[i]
 		if in.ranges && rel == nil {
+			in.leaf.merged.Store(true)
 			c.ranges = true
-			c.runs = make([][]rdf.Triple, 0, 1+len(in.delta))
-			if r := in.leaf.snap.stores[node].rangeIn(&in.leaf.bp, in.p); len(r) > 0 {
-				c.runs = append(c.runs, r)
+			c.base[0] = in.leaf.snap.stores[node].rangeIn(&in.leaf.bp, in.p)
+			c.runs = append(c.base[:], in.delta...)
+			c.alloc(levels, len(c.runs))
+			if in.revisit {
+				c.offs = make([]int, len(c.runs)+1)
+				for r, run := range c.runs {
+					c.offs[r+1] = c.offs[r] + len(run)
+				}
+				c.seen = make([]uint64, c.offs[len(c.runs)]/64+1)
 			}
-			c.runs = append(c.runs, in.delta...)
 			continue
 		}
 		if rel == nil {
@@ -346,35 +480,39 @@ func (s *sortedJoin) join(ctx context.Context, g *resilience.Gauge, site string,
 			}
 		}
 		c.rows = rel.Rows
-		if rel.sortedOn == s.key {
-			if c.keys = rel.keys; c.keys == nil {
-				c.keys = column(c.rows, in.col)
+		c.alloc(levels, 1)
+		switch {
+		case len(in.cols) == 0:
+		case len(in.cols) == 1 && rel.sortedOn == rel.Vars[in.cols[0]]:
+			if c.keys = [][]rdf.TermID{rel.keys}; rel.keys == nil {
+				c.keys[0] = column(c.rows, in.cols[0])
 			}
-			continue
-		}
+		case !s.drive:
+			c.rows, c.keys = lexOrder(c.rows, in.cols)
 		// Out of key order: the largest such input drives, the others are
 		// sorted here.
-		switch {
 		case driver < 0:
-			driver = d
+			driver = i
 		case len(c.rows) > len(j.cursors[driver].rows):
 			prev := &j.cursors[driver]
-			prev.rows, prev.keys = keyOrder(prev.rows, prev.in.col)
-			driver = d
+			prev.rows, prev.keys = lexOrder(prev.rows, prev.in.cols)
+			driver = i
 		default:
-			c.rows, c.keys = keyOrder(c.rows, in.col)
+			c.rows, c.keys = lexOrder(c.rows, in.cols)
 		}
 	}
 	j.out = newRelation(s.schema, hint)
 	var err error
 	if driver < 0 {
-		j.out.sortedOn = s.key
-		err = j.leapfrog(g, site)
+		if len(s.order) > 0 {
+			j.out.sortedOn = s.order[0]
+		}
+		err = j.level(0)
 	} else {
-		err = j.drive(g, site, driver)
+		err = j.driveFrom(driver)
 	}
-	for d := range j.cursors {
-		if c := &j.cursors[d]; c.ranges {
+	for i := range j.cursors {
+		if c := &j.cursors[i]; c.ranges {
 			c.in.leaf.scanned.Add(c.postings)
 		}
 	}
@@ -382,6 +520,41 @@ func (s *sortedJoin) join(ctx context.Context, g *resilience.Gauge, site string,
 		return nil, err
 	}
 	return j.out, nil
+}
+
+// rowsOn returns the fewest rows any input holds on node, known before
+// anything is read.
+func (s *sortedJoin) rowsOn(node int, rels []*Relation) int {
+	fewest := math.MaxInt
+	for i, in := range s.inputs {
+		if rel := rels[i]; rel != nil {
+			fewest = min(fewest, len(rel.Rows))
+		} else {
+			fewest = min(fewest, in.leaf.size[node])
+		}
+	}
+	return fewest
+}
+
+// alloc sizes the cursor's per-level spans for nruns runs; an input
+// without a level contributes all of its entries to every match.
+func (c *mergeCursor) alloc(levels, nruns int) {
+	c.spans, c.nruns = make([]span, 2*levels*nruns), nruns
+	c.final = c.group(levels - 1)
+	if len(c.in.cols) == 0 {
+		c.open(0)
+		copy(c.final, c.rest(0))
+	}
+}
+
+// rest returns own level l's unvisited spans.
+func (c *mergeCursor) rest(l int) []span {
+	return c.spans[2*l*c.nruns : (2*l+1)*c.nruns]
+}
+
+// group returns own level l's current key's spans.
+func (c *mergeCursor) group(l int) []span {
+	return c.spans[(2*l+1)*c.nruns : (2*l+2)*c.nruns]
 }
 
 // column returns column col of rows.
@@ -393,23 +566,49 @@ func column(rows [][]rdf.TermID, col int) []rdf.TermID {
 	return out
 }
 
+// lexOrder returns rows stably ordered on cols, the first the most
+// significant, and each of those columns in that order: keyOrder from the
+// last column to the first.
+func lexOrder(rows [][]rdf.TermID, cols []int) ([][]rdf.TermID, [][]rdf.TermID) {
+	keys := make([][]rdf.TermID, len(cols))
+	for l := len(cols) - 1; l >= 0; l-- {
+		rows, keys[0] = keyOrder(rows, cols[l])
+	}
+	for l := 1; l < len(cols); l++ {
+		keys[l] = column(rows, cols[l])
+	}
+	return rows, keys
+}
+
 // mergeJoin is one node's join in progress.
 type mergeJoin struct {
 	ctx         context.Context
-	cursors     []mergeCursor // in fold order
+	g           *resilience.Gauge
+	site        string
+	s           *sortedJoin
+	cursors     []mergeCursor // in input order
 	out         *Relation
 	row         []rdf.TermID // the row being built, in the schema's columns
 	ops, polled int
 }
 
-// leapfrog seeks every cursor to the largest key any of them is on until
-// they all agree, then emits that key's rows and steps past it.
-func (j *mergeJoin) leapfrog(g *resilience.Gauge, site string) error {
+// level intersects the inputs holding order[d] within their current
+// groups: it seeks every one to the largest key any of them is on until
+// they all agree, then takes that key's group in each and goes one level
+// deeper, and steps past the key.
+func (j *mergeJoin) level(d int) error {
+	if d == len(j.s.order) {
+		return j.match()
+	}
+	refs := j.s.at[d]
+	for _, ref := range refs {
+		j.cursors[ref.input].open(ref.level)
+	}
 	key := rdf.TermID(0)
 	for {
 		match := true
-		for d := range j.cursors {
-			h, ok := j.cursors[d].seek(key)
+		for _, ref := range refs {
+			h, ok := j.cursors[ref.input].seek(ref.level, key)
 			if !ok {
 				return nil
 			}
@@ -417,20 +616,18 @@ func (j *mergeJoin) leapfrog(g *resilience.Gauge, site string) error {
 				key, match = h, false
 			}
 		}
-		j.ops += len(j.cursors)
+		j.ops += len(refs)
 		if err := j.poll(); err != nil {
 			return err
 		}
 		if !match {
 			continue
 		}
-		for d := range j.cursors {
-			j.cursors[d].take(key)
+		for _, ref := range refs {
+			j.cursors[ref.input].take(ref.level, key)
 		}
-		if err := j.emit(0); err != nil {
-			return err
-		}
-		if err := j.out.chargeTo(g, site); err != nil {
+		j.row[d] = key
+		if err := j.level(d + 1); err != nil {
 			return err
 		}
 		if key == math.MaxUint32 {
@@ -440,11 +637,25 @@ func (j *mergeJoin) leapfrog(g *resilience.Gauge, site string) error {
 	}
 }
 
-// drive walks the driver's rows in their own order, looking each row's
-// key up in every other input and emitting the row's matches.
-func (j *mergeJoin) drive(g *resilience.Gauge, site string, driver int) error {
+// match emits the rows of one binding of the whole order, with every
+// leaf's final group counted.
+func (j *mergeJoin) match() error {
+	for i := range j.cursors {
+		if c := &j.cursors[i]; c.ranges {
+			c.count()
+		}
+	}
+	if err := j.emit(0); err != nil {
+		return err
+	}
+	return j.out.chargeTo(j.g, j.site)
+}
+
+// driveFrom walks the driver's rows in their own order, looking each
+// row's key up in every other input and emitting the row's matches.
+func (j *mergeJoin) driveFrom(driver int) error {
 	drv := &j.cursors[driver]
-	rows, col := drv.rows, drv.in.col
+	rows, col := drv.rows, drv.in.cols[0]
 rows:
 	for i, row := range rows {
 		j.ops += len(j.cursors)
@@ -457,45 +668,50 @@ rows:
 				continue rows
 			}
 		}
-		drv.rowGroup = rows[i : i+1]
+		drv.group(0)[0] = span{i, i + 1}
+		j.row[0] = k
 		if err := j.emit(0); err != nil {
 			return err
 		}
-		if err := j.out.chargeTo(g, site); err != nil {
+		if err := j.out.chargeTo(j.g, j.site); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// emit appends the cross product of the key groups of cursors d and
-// beyond, extending the row the earlier cursors bound.
-func (j *mergeJoin) emit(d int) error {
-	if d == len(j.cursors) {
+// emit appends the cross product of the final groups of the inputs
+// emits[e] and beyond, extending the row the earlier ones bound.
+func (j *mergeJoin) emit(e int) error {
+	if e == len(j.cursors) {
 		j.out.appendCopy(j.row)
 		j.ops++
 		return j.poll()
 	}
-	c := &j.cursors[d]
+	c := &j.cursors[j.s.emits[e]]
 	in := c.in
-	for _, part := range c.group {
-	entries:
-		for _, t := range part {
-			for _, cc := range in.check {
-				if component(t, in.comps[cc.comp]) != j.row[cc.col] {
-					continue entries
+	if c.ranges {
+		for r, sp := range c.final {
+		entries:
+			for _, t := range c.runs[r][sp.lo:sp.hi] {
+				for _, cc := range in.check {
+					if component(t, in.varComps[cc.comp]) != j.row[cc.col] {
+						continue entries
+					}
+				}
+				for _, cc := range in.set {
+					j.row[cc.col] = component(t, in.varComps[cc.comp])
+				}
+				if err := j.emit(e + 1); err != nil {
+					return err
 				}
 			}
-			for _, cc := range in.set {
-				j.row[cc.col] = component(t, in.comps[cc.comp])
-			}
-			if err := j.emit(d + 1); err != nil {
-				return err
-			}
 		}
+		return nil
 	}
+	sp := c.final[0]
 rows:
-	for _, r := range c.rowGroup {
+	for _, r := range c.rows[sp.lo:sp.hi] {
 		for _, cc := range in.check {
 			if r[cc.comp] != j.row[cc.col] {
 				continue rows
@@ -504,7 +720,7 @@ rows:
 		for _, cc := range in.set {
 			j.row[cc.col] = r[cc.comp]
 		}
-		if err := j.emit(d + 1); err != nil {
+		if err := j.emit(e + 1); err != nil {
 			return err
 		}
 	}

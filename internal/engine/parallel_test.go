@@ -217,9 +217,10 @@ func TestFanOut(t *testing.T) {
 	}
 }
 
-// TestJoinCancelled: a degenerate cross-product join must notice a
-// cancelled context long before materializing its output, whichever
-// side it builds on, and report the join phase.
+// TestJoinCancelled: a degenerate cross-product join — Reference's hash
+// join, whichever side it builds on, and the engine's trie join with
+// nothing to intersect on — must notice a cancelled context long before
+// materializing its output, and report the join phase.
 func TestJoinCancelled(t *testing.T) {
 	rel := func(v string, n int) *Relation {
 		r := newRelation([]string{v}, n)
@@ -231,10 +232,16 @@ func TestJoinCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, sizes := range [][2]int{{6000, 5000}, {5000, 6000}} {
-		_, err := hashJoin(ctx, rel("x", sizes[0]), rel("y", sizes[1]))
-		var pe *obs.PhaseError
-		if !errors.As(err, &pe) || pe.Phase != "join" || !errors.Is(err, context.Canceled) {
-			t.Errorf("|a|=%d |b|=%d: err = %v, want a join PhaseError wrapping context.Canceled", sizes[0], sizes[1], err)
+		a, b := rel("x", sizes[0]), rel("y", sizes[1])
+		_, err := hashJoin(ctx, a, b)
+		vars := [][]string{a.Vars, b.Vars}
+		sizes := []int64{int64(sizes[0]), int64(sizes[1])}
+		_, trieErr := newSortedJoin(vars, sizes, make([]*scanLeaf, 2), joinOrder(vars, sizes)).join(ctx, nil, "local join", 0, []*Relation{a, b})
+		for _, err := range []error{err, trieErr} {
+			var pe *obs.PhaseError
+			if !errors.As(err, &pe) || pe.Phase != "join" || !errors.Is(err, context.Canceled) {
+				t.Errorf("|a|=%d |b|=%d: err = %v, want a join PhaseError wrapping context.Canceled", sizes[0], sizes[1], err)
+			}
 		}
 	}
 }

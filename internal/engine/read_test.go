@@ -405,17 +405,20 @@ func TestDeterminismScanDeadSet(t *testing.T) {
 	}
 }
 
-// TestDeterminismFragmentProbe is the same oracle for the other way a
-// join consumes a leaf: for every pattern shape × each of its variables
-// as the bound column × {healthy, one node dead, two nodes dead}, a
-// lazily opened leaf probed with a set of bindings — every term of the
-// fixture, one of them twice — must return, per node, exactly the rows
-// a brute-force filter of the node's read keeps for those bindings
-// (overlays stay invisible, both delta chunks are seen), and count as
-// postings exactly the lengths of the ranges it looked up. A dead
-// node's fragment is not probed: its read failed over when the leaf was
-// opened, and the join falls back to it. Reading the probed leaf
-// afterwards must join to the same rows.
+// TestDeterminismFragmentProbe is the same oracle for a leaf joined
+// with rows in hand: for every pattern shape × each of its variables as
+// the join variable × {healthy, one node dead, two nodes dead} × rows in
+// hand unsorted (they drive, each row looking its binding up in the
+// leaf) or sorted on the binding (the two leapfrog), a lazily opened
+// leaf trie-joined with a set of bindings — every term of the fixture,
+// one of them twice — must return, per node, exactly the rows a
+// brute-force filter of the node's read keeps for those bindings
+// (overlays stay invisible, both delta chunks are seen). A leaf walked
+// through its ranges counts as postings exactly the entries whose
+// binding is in hand, once per row looking it up or once per key
+// group; a leaf the join reads counts its read, and one read when it was
+// opened (a dead node's failover read, a repeated variable) nothing
+// more. Reading the leaf afterwards must join to the same rows.
 func TestDeterminismFragmentProbe(t *testing.T) {
 	fx := newReadFixture()
 	snap := fx.snap()
@@ -428,123 +431,128 @@ func TestDeterminismFragmentProbe(t *testing.T) {
 		deadSets = append(deadSets, []int{i}, []int{i, (i + 1) % n})
 	}
 	const tag = rdf.TermID(99)
-	var sawProbe, sawFallback, sawHit bool
+	saw := map[string]bool{}
 	for _, src := range []string{`?s <p> ?o`, `?s <p> <e1>`, `?x <p> ?x`, `?s ?pp ?o`, `?s <p> <nowhere>`} {
 		q := sparql.MustParse(`SELECT * WHERE { ` + src + ` . }`)
 		or := newOracle(fx, q.Patterns[0])
-		for col, v := range or.vars {
-			// The rows in hand: (binding, tag), the tag proving that a
-			// probe carries the whole row through.
+		for _, v := range or.vars {
+			// The rows in hand: (binding, tag), the tag proving that the
+			// join carries the whole row through.
 			cur := &Relation{Vars: []string{v, "tag"}}
 			for id := 0; id <= fx.dict.Len(); id++ {
 				cur.appendCopy([]rdf.TermID{rdf.TermID(id % fx.dict.Len()), tag})
 			}
-			var extra []int
-			for j := range or.vars {
-				if j != col {
-					extra = append(extra, j)
-				}
-			}
-			for _, deadList := range deadSets {
-				id := fmt.Sprintf("%s/bind=%s/dead=%v", src, v, deadList)
-				dead := map[int]bool{}
-				fo := &failoverState{}
-				for _, d := range deadList {
-					dead[d] = true
-					fo.markDead(d, "scan")
-				}
-				var m Metrics
-				env := ExecEnv{Snap: snap, fo: fo}
-				_, leaf, _, err := eng.eval(ctx, plan.NewScan(0, 1, cost.Default), q, env, &m, "", true)
-				hole := false
-				for node := 0; node < n; node++ {
-					if _, _, missing := or.read(node, -1, dead); missing > 0 {
-						hole = true
+			sorted := &Relation{Vars: cur.Vars, sortedOn: v}
+			sorted.Rows, sorted.keys = keyOrder(cur.Rows, 0)
+			for _, hand := range []*Relation{cur, sorted} {
+				for _, deadList := range deadSets {
+					id := fmt.Sprintf("%s/bind=%s/sorted=%v/dead=%v", src, v, hand == sorted, deadList)
+					dead := map[int]bool{}
+					fo := &failoverState{}
+					for _, d := range deadList {
+						dead[d] = true
+						fo.markDead(d, "scan")
 					}
-				}
-				if hole {
-					var ue *resilience.UnavailableError
-					if !errors.As(err, &ue) {
-						t.Errorf("%s: err = %v, want *UnavailableError", id, err)
-					}
-					continue
-				}
-				if err != nil {
-					t.Errorf("%s: %v", id, err)
-					continue
-				}
-				for node := 0; node < n; node++ {
-					rows, _, _ := or.read(node, -1, dead)
-					var want [][]rdf.TermID
-					var wantPostings int64
-					for _, crow := range cur.Rows {
-						for _, row := range rows {
-							if row[col] != crow[0] {
-								continue
-							}
-							out := append([]rdf.TermID{}, crow...)
-							for _, j := range extra {
-								out = append(out, row[j])
-							}
-							want = append(want, out)
-						}
-						b := or.bound(v, crow[0])
-						wantPostings += int64(len(b.candidates(fx.base[node])))
-						for _, ts := range fx.delta {
-							wantPostings += int64(len(b.candidates(ts)))
+					var m Metrics
+					env := ExecEnv{Snap: snap, fo: fo}
+					_, leaf, _, err := eng.eval(ctx, plan.NewScan(0, 1, cost.Default), q, env, &m, "", true)
+					hole := false
+					for node := 0; node < n; node++ {
+						if _, _, missing := or.read(node, -1, dead); missing > 0 {
+							hole = true
 						}
 					}
-					var got *Relation
-					if dead[node] {
-						sawFallback = true
-						if leaf.rels[node] == nil {
-							t.Errorf("%s: dead node %d was left unread", id, node)
+					if hole {
+						var ue *resilience.UnavailableError
+						if !errors.As(err, &ue) {
+							t.Errorf("%s: err = %v, want *UnavailableError", id, err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Errorf("%s: %v", id, err)
+						continue
+					}
+					join := newSortedJoin([][]string{hand.Vars, leaf.bp.vars}, []int64{int64(len(hand.Rows)), int64(len(cur.Rows))}, []*scanLeaf{nil, leaf}, []string{v})
+					ranged, merged := join.inputs[1].ranges, false
+					var deltaPostings int64
+					for _, ts := range fx.delta {
+						deltaPostings += int64(len(or.candidates(ts)))
+					}
+					for node := 0; node < n; node++ {
+						rows, read, _ := or.read(node, -1, dead)
+						wantRows := &Relation{Vars: or.vars, Rows: rows}
+						want, err := hashJoin(ctx, hand, wantRows)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var wantPostings int64
+						wasRead := leaf.rels[node] != nil
+						switch {
+						case wasRead:
+						case ranged:
+							keys := hand.Rows
+							if hand == sorted {
+								keys = cur.Rows[:fx.dict.Len()] // each key group once
+							}
+							for _, crow := range keys {
+								b := or.bound(v, crow[0])
+								wantPostings += int64(len(b.candidates(fx.base[node])))
+								for _, ts := range fx.delta {
+									wantPostings += int64(len(b.candidates(ts)))
+								}
+							}
+							merged = merged || leaf.size[node] > 0
+						default:
+							wantPostings = read // and the delta's, on the leaf's first read
+						}
+						before := leaf.scanned.Load()
+						got, err := join.join(ctx, nil, "local join", node, []*Relation{hand, leaf.rels[node]})
+						if err != nil {
+							t.Errorf("%s: node %d: %v", id, node, err)
 							continue
 						}
-						got, err = hashJoin(ctx, cur, leaf.rels[node])
-					} else {
-						sawProbe = true
-						before := leaf.scanned.Load()
-						got, err = leaf.probe(ctx, node, cur)
-						if postings := leaf.scanned.Load() - before; postings != wantPostings {
-							t.Errorf("%s: node %d probe touched %d postings, want %d", id, node, postings, wantPostings)
+						postings := leaf.scanned.Load() - before
+						if postings != wantPostings && (wasRead || ranged || postings != wantPostings+deltaPostings) {
+							t.Errorf("%s: node %d touched %d postings, want %d", id, node, postings, wantPostings)
+						}
+						if !slices.Equal(got.Vars, append([]string{v, "tag"}, slices.DeleteFunc(slices.Clone(or.vars), func(u string) bool { return u == v })...)) ||
+							!slices.Equal(canonRows(got), canonRows(want)) {
+							t.Errorf("%s: node %d joined to %v %v, want %v", id, node, got.Vars, got.Rows, want.Rows)
+						}
+						saw["hit"] = saw["hit"] || len(want.Rows) > 0
+						saw["ranged"] = saw["ranged"] || ranged && !dead[node]
+						saw["read"] = saw["read"] || !ranged || dead[node]
+						saw["failover"] = saw["failover"] || ranged && dead[node] && len(want.Rows) > 0
+						if dead[node] {
+							continue
+						}
+						rel, err := leaf.read(node)
+						if err != nil {
+							t.Errorf("%s: node %d: %v", id, node, err)
+							continue
+						}
+						folded, err := hashJoin(ctx, hand, rel)
+						if err != nil {
+							t.Errorf("%s: node %d: %v", id, node, err)
+							continue
+						}
+						if !slices.Equal(canonRows(folded), canonRows(got)) {
+							t.Errorf("%s: node %d read joins to %v, the trie join to %v", id, node, folded.Rows, got.Rows)
 						}
 					}
-					if err != nil {
-						t.Errorf("%s: node %d: %v", id, node, err)
-						continue
+					leaf.settle(&m)
+					if leaf.tr.Merged != merged || leaf.tr.Postings != m.ScannedTriples {
+						t.Errorf("%s: settled trace %+v, metrics %+v", id, leaf.tr, m)
 					}
-					wantKeys := sortedKeys(&Relation{Rows: want})
-					if !reflect.DeepEqual(got.Vars, append([]string{v, "tag"}, varsAt(or.vars, extra)...)) || !reflect.DeepEqual(sortedKeys(got), wantKeys) {
-						t.Errorf("%s: node %d joined to %v %v, want %v", id, node, got.Vars, got.Rows, want)
-					}
-					sawHit = sawHit || len(want) > 0
-					if dead[node] {
-						continue
-					}
-					rel, err := leaf.read(node)
-					if err != nil {
-						t.Errorf("%s: node %d: %v", id, node, err)
-						continue
-					}
-					read, err := hashJoin(ctx, cur, rel)
-					if err != nil {
-						t.Errorf("%s: node %d: %v", id, node, err)
-						continue
-					}
-					if !reflect.DeepEqual(sortedKeys(read), wantKeys) {
-						t.Errorf("%s: node %d read joins to %v, probe to %v", id, node, read.Rows, got.Rows)
-					}
-				}
-				leaf.settle(&m)
-				if !leaf.tr.Probed || leaf.tr.Postings != m.ScannedTriples || leaf.tr.Bindings == 0 {
-					t.Errorf("%s: settled trace %+v, metrics %+v", id, leaf.tr, m)
 				}
 			}
 		}
 	}
-	if !sawProbe || !sawFallback || !sawHit {
-		t.Errorf("table degenerate: probe=%v fallback=%v hit=%v", sawProbe, sawFallback, sawHit)
+	for _, what := range []string{"hit", "ranged", "read", "failover"} {
+		if !saw[what] {
+			t.Errorf("table degenerate: no case %s", what)
+		}
 	}
 }
 
@@ -599,20 +607,21 @@ func randomMergeFixture(r *rand.Rand, deltas int) *readFixture {
 	return fx
 }
 
-// TestDeterminismFragmentMerge is the oracle for the third way a join
-// consumes leaves: a local join on ?x whose inputs are all lazily opened
-// leaves merges them. Over random fragments with 0–3 delta chunks, for
+// TestDeterminismFragmentMerge is the oracle for a local join over
+// lazily opened leaves. Over random fragments with 0–3 delta chunks, for
 // every pair of pattern shapes — each orderable shape with ?x at the
 // subject and at the object, the fall-backs (<s> ?p ?x, a repeated
 // variable, an unknown constant), pairs sharing a second variable and a
 // three-leaf triangle — × {healthy, every single and double dead set}:
-// the merge must be chosen exactly when every input is orderable on ?x,
-// take exactly the nodes no read failed over on, and return on each node
-// the multiset the hash fold over the node's reads returns, under the
-// same schema; its postings must be, per leaf, the candidates whose ?x
-// occurs in every leaf's read on the node. Nodes it does not take fold
-// hash joins to the same rows, and the whole operator run through eval
-// returns them too.
+// a leaf must be walked through its ranges exactly when its permutation
+// orders it on the join's variables and no read failed over on the
+// node, and each node must return the multiset the test-only hash fold
+// over the node's reads returns. A walked leaf's postings must be
+// exactly its candidates whose values of the ordered variables occur
+// together in the node's result, or, when a read input drives, between
+// that and as many times that as the driver has rows; a read leaf's no
+// more than its read.
+// The whole operator run through eval returns the same rows.
 func TestDeterminismFragmentMerge(t *testing.T) {
 	orderable := []string{
 		`?x <p> ?a%d`, `?x <p> <e1>`, `?x ?pa%d <e2>`, `?x ?pa%d ?a%d`,
@@ -623,25 +632,25 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 		return strings.ReplaceAll(src, "%d", fmt.Sprint(tag))
 	}
 	type star struct {
-		src   string
-		merge bool
+		src    string
+		ranged []bool // per leaf, when the pair shares ?x alone
 	}
 	var stars []star
 	all := append(append([]string{}, orderable...), fallback...)
 	for i, a := range all {
 		for j, b := range all {
-			stars = append(stars, star{shape(a, 1) + ` . ` + shape(b, 2), i < len(orderable) && j < len(orderable)})
+			stars = append(stars, star{shape(a, 1) + ` . ` + shape(b, 2), []bool{i < len(orderable), j < len(orderable)}})
 		}
 	}
 	stars = append(stars,
-		star{`?x <p> ?y . ?y <q> ?x`, true},
-		star{`?x <p> ?y . ?x <q> ?y`, true},
-		star{`?x ?pa ?y . ?y <p> ?x . ?x <q> ?z`, true},
-		star{`?x <p> ?a1 . ?x <q> ?a2 . ?a3 <p> ?x`, true},
+		star{`?x <p> ?y . ?y <q> ?x`, nil},
+		star{`?x <p> ?y . ?x <q> ?y`, nil},
+		star{`?x ?pa ?y . ?y <p> ?x . ?x <q> ?z`, nil},
+		star{`?x <p> ?a1 . ?x <q> ?a2 . ?a3 <p> ?x`, nil},
 	)
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(30))
-	var sawMerge, sawFallback, sawHit, sawDelta, sawCheck bool
+	saw := map[string]bool{}
 	for round := 0; round < 8; round++ {
 		fx := randomMergeFixture(r, round%4)
 		snap := fx.snap()
@@ -694,98 +703,91 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 					}
 					leaves[i], vars[i], sizes[i] = leaf, leaf.bp.vars, tr.OutputRows
 				}
-				order, schema := foldOrder(vars, sizes)
-				merge := newSortedJoin(vars, leaves, order, schema, "x", true)
-				if (merge != nil) != st.merge {
-					t.Fatalf("%s: merge chosen = %v, want %v", id, merge != nil, st.merge)
+				join := newSortedJoin(vars, sizes, leaves, joinOrder(vars, sizes))
+				for i, want := range st.ranged {
+					if join.inputs[i].ranges != want {
+						t.Fatalf("%s: tp%d ranged = %v, want %v", id, i+1, join.inputs[i].ranges, want)
+					}
 				}
 				want := make([][]string, n)
+				merged := make([]bool, len(leaves))
 				for node := 0; node < n; node++ {
-					// The hash fold over the node's reads, in fold order.
 					reads := make([]*Relation, len(ors))
-					keys := make([]map[rdf.TermID]bool, len(ors))
-					xcol := make([]int, len(ors))
 					for i, or := range ors {
 						rows, _, _ := or.read(node, -1, dead)
 						reads[i] = &Relation{Vars: or.vars, Rows: rows}
-						xcol[i] = slices.Index(or.vars, "x")
-						keys[i] = map[rdf.TermID]bool{}
-						for _, row := range rows {
-							keys[i][row[xcol[i]]] = true
-						}
 					}
-					fold := reads[order[0]]
-					for _, i := range order[1:] {
-						var err error
-						if fold, err = hashJoin(ctx, fold, reads[i]); err != nil {
-							t.Fatal(err)
-						}
+					fold, err := hashFold(ctx, reads)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if !slices.Equal(fold.Vars, schema) {
-						t.Fatalf("%s: the hash fold's schema %v is not foldOrder's %v", id, fold.Vars, schema)
-					}
-					want[node] = sortedKeys(fold)
-
-					var got *Relation
-					var err error
+					want[node] = canonRows(fold)
 					rels := make([]*Relation, len(leaves))
+					before := make([]int64, len(leaves))
 					for i, l := range leaves {
-						rels[i] = l.rels[node]
+						rels[i], before[i] = l.rels[node], l.scanned.Load()
 					}
-					if merge != nil && merge.unread(node) {
-						if dead[node] {
-							t.Errorf("%s: the merge took node %d, whose reads failed over", id, node)
+					hit := join.rowsOn(node, rels) > 0
+					// The most rows an input read on the node holds: a driver
+					// looks each of its rows' keys up once.
+					driven := 0
+					for i := range leaves {
+						if !join.inputs[i].ranges || rels[i] != nil {
+							rows, _, _ := ors[i].read(node, -1, dead)
+							driven = max(driven, len(rows))
 						}
-						// Postings: every candidate whose ?x is in all leaves' reads.
-						var wantPostings int64
-						for i, or := range ors {
-							lists := append([][]rdf.Triple{fx.base[node]}, fx.delta...)
-							for _, ts := range lists {
-								for _, tr := range or.candidates(ts) {
-									in := true
-									for _, k := range keys {
-										in = in && k[or.row(tr)[xcol[i]]]
-									}
-									if in {
-										wantPostings++
-									}
-								}
-							}
-						}
-						var before int64
-						for _, l := range leaves {
-							before += l.scanned.Load()
-						}
-						got, err = merge.join(ctx, nil, "local join", node, rels)
-						var after int64
-						for _, l := range leaves {
-							after += l.scanned.Load()
-						}
-						if after-before != wantPostings {
-							t.Errorf("%s: node %d merge touched %d postings, want %d", id, node, after-before, wantPostings)
-						}
-						sawMerge = true
-						sawHit = sawHit || len(want[node]) > 0
-						sawDelta = sawDelta || len(fx.delta) > 0 && len(want[node]) > 0
-						sawCheck = sawCheck || len(q.Patterns) == 3 && len(want[node]) > 0
-					} else {
-						if merge != nil && !dead[node] {
-							t.Errorf("%s: the merge left healthy node %d", id, node)
-						}
-						sawFallback = true
-						got, err = joinAll(ctx, nil, "local join", node, rels, leaves, order, schema)
 					}
+					got, err := join.join(ctx, nil, "local join", node, rels)
 					if err != nil {
 						t.Errorf("%s: node %d: %v", id, node, err)
 						continue
 					}
-					if !slices.Equal(got.Vars, schema) || !slices.Equal(sortedKeys(got), want[node]) {
-						t.Errorf("%s: node %d joined to %v %v, want %v %v", id, node, got.Vars, sortedKeys(got), schema, want[node])
+					if !slices.Equal(got.Vars, join.schema) || !slices.Equal(sortedVars(got.Vars), sortedVars(fold.Vars)) ||
+						!slices.Equal(canonRows(got), want[node]) {
+						t.Errorf("%s: node %d joined to %v %v, want %v %v", id, node, got.Vars, canonRows(got), fold.Vars, want[node])
 					}
+					for i, or := range ors {
+						in := &join.inputs[i]
+						postings := leaves[i].scanned.Load() - before[i]
+						lists := append([][]rdf.Triple{fx.base[node]}, fx.delta...)
+						if !in.ranges || rels[i] != nil {
+							var read int64
+							for _, ts := range lists {
+								read += int64(len(or.candidates(ts)))
+							}
+							if postings > read {
+								t.Errorf("%s: node %d read tp%d touching %d postings, more than its %d candidates", id, node, i+1, postings, read)
+							}
+							saw["read"] = saw["read"] || hit
+							continue
+						}
+						// The candidates whose ordered values are a match's.
+						matches := map[string]bool{}
+						for _, row := range fold.Rows {
+							matches[fmt.Sprint(project(row, fold.Vars, join.order, or.vars))] = true
+						}
+						var wantPostings int64
+						for _, ts := range lists {
+							for _, tr := range or.candidates(ts) {
+								if matches[fmt.Sprint(project(or.row(tr), or.vars, join.order, or.vars))] {
+									wantPostings++
+								}
+							}
+						}
+						if postings != wantPostings && (driven == 0 || postings < wantPostings || postings > wantPostings*int64(driven)) {
+							t.Errorf("%s: node %d merged tp%d touching %d postings, want %d (driven by %d rows)", id, node, i+1, postings, wantPostings, driven)
+						}
+						merged[i] = merged[i] || hit
+						saw["merged"] = saw["merged"] || hit
+					}
+					saw["hit"] = saw["hit"] || len(want[node]) > 0
+					saw["delta"] = saw["delta"] || len(fx.delta) > 0 && len(want[node]) > 0
+					saw["three leaves"] = saw["three leaves"] || len(q.Patterns) == 3 && len(want[node]) > 0
+					saw["two levels"] = saw["two levels"] || len(join.order) > 1 && len(want[node]) > 0
 				}
 
 				// The operator end to end: the same rows per node, every leaf
-				// marked merged exactly when some node merged.
+				// marked merged exactly when some node walked its ranges.
 				scans := make([]*plan.Node, len(q.Patterns))
 				for i := range scans {
 					scans[i] = plan.NewScan(i, 1, cost.Default)
@@ -800,35 +802,83 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 				var joined int64
 				for node := 0; node < n; node++ {
 					joined += int64(len(want[node]))
-					if !slices.Equal(out[node].Vars, schema) || !slices.Equal(sortedKeys(out[node]), want[node]) {
-						t.Errorf("%s: operator node %d produced %v %v, want %v", id, node, out[node].Vars, sortedKeys(out[node]), want[node])
+					if !slices.Equal(out[node].Vars, join.schema) || !slices.Equal(canonRows(out[node]), want[node]) {
+						t.Errorf("%s: operator node %d produced %v %v, want %v", id, node, out[node].Vars, canonRows(out[node]), want[node])
 					}
 				}
 				if om.JoinedRows != joined {
 					t.Errorf("%s: operator JoinedRows = %d, want %d", id, om.JoinedRows, joined)
 				}
-				merged := st.merge && len(deadList) < n
 				for i, ch := range tr.Children {
-					if ch.Merged != merged {
-						t.Errorf("%s: tp%d trace Merged = %v, want %v", id, i+1, ch.Merged, merged)
+					if ch.Merged != merged[i] {
+						t.Errorf("%s: tp%d trace Merged = %v, want %v", id, i+1, ch.Merged, merged[i])
 					}
 				}
 			}
 		}
 	}
-	if !sawMerge || !sawFallback || !sawHit || !sawDelta || !sawCheck {
-		t.Errorf("table degenerate: merge=%v fallback=%v hit=%v delta=%v three-leaf=%v", sawMerge, sawFallback, sawHit, sawDelta, sawCheck)
+	for _, what := range []string{"merged", "read", "hit", "delta", "three leaves", "two levels"} {
+		if !saw[what] {
+			t.Errorf("table degenerate: no case with %s", what)
+		}
 	}
 }
 
-// foldOracle is what a broadcast or repartition join on ?x computed
-// before it merged: every node's hash fold (joinAll) over the node's
-// inputs, with the gathered inputs and the scatter buckets deduplicated
-// by a set of printed rows and a broadcast's largest leaf left in place
-// for the fold to read or probe.
+// hashFold is the test-only fold the trie join is held to, an algorithm
+// independent of sortedJoin: hashJoin from the first input on, each time
+// with the first input left that shares a variable with the rows in
+// hand, or the first one left when none does.
+func hashFold(ctx context.Context, rels []*Relation) (*Relation, error) {
+	cur, left := rels[0], slices.Clone(rels[1:])
+	for len(left) > 0 {
+		next := max(0, slices.IndexFunc(left, func(r *Relation) bool { return len(sharedVars(cur, r)) > 0 }))
+		var err error
+		if cur, err = hashJoin(ctx, cur, left[next]); err != nil {
+			return nil, err
+		}
+		left = slices.Delete(left, next, next+1)
+	}
+	return cur, nil
+}
+
+// canonRows prints rel's rows with the columns in name order, sorted,
+// so that the rows of one variable set compare whatever the schema.
+func canonRows(rel *Relation) []string {
+	names := sortedVars(rel.Vars)
+	out := make([]string, len(rel.Rows))
+	for i, row := range rel.Rows {
+		out[i] = fmt.Sprint(project(row, rel.Vars, names, names))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// sortedVars returns a sorted copy of vars.
+func sortedVars(vars []string) []string {
+	out := slices.Clone(vars)
+	slices.Sort(out)
+	return out
+}
+
+// project returns row's values, under schema vars, of the variables of
+// want that keep holds, in want's order.
+func project(row []rdf.TermID, vars, want, keep []string) []rdf.TermID {
+	var out []rdf.TermID
+	for _, v := range want {
+		if slices.Contains(keep, v) {
+			out = append(out, row[slices.Index(vars, v)])
+		}
+	}
+	return out
+}
+
+// foldOracle is the test-only fold of a broadcast or repartition join
+// on ?x: every node's hashFold over the node's inputs, with the gathered
+// inputs and the scatter buckets deduplicated by a set of printed rows
+// and a broadcast's largest leaf left in place and read on every node.
 type foldOracle struct {
-	rows     [][]string // per node, sorted
-	schema   []string
+	rows     [][]string // per node, canonRows
+	schema   []string   // in name order
 	postings int64
 	joined   int64     // the rows the inputs' own joins produced
 	largest  int       // a broadcast's in-place input
@@ -873,10 +923,6 @@ func newFoldOracle(ctx context.Context, e *Engine, p *plan.Node, q *sparql.Query
 		return out
 	}
 	inputs := make([][]*Relation, n) // [node][input]
-	leaves := make([]*scanLeaf, k)
-	var vars [][]string
-	var in []int64
-	var leafMetrics Metrics
 	switch p.Alg {
 	case plan.BroadcastJoin:
 		for i := range sizes {
@@ -884,7 +930,6 @@ func newFoldOracle(ctx context.Context, e *Engine, p *plan.Node, q *sparql.Query
 				o.largest = i
 			}
 		}
-		vars, in = [][]string{kids[o.largest][0].Vars}, []int64{sizes[o.largest]}
 		var gathered []*Relation
 		for i := range kids {
 			if i == o.largest {
@@ -898,31 +943,25 @@ func newFoldOracle(ctx context.Context, e *Engine, p *plan.Node, q *sparql.Query
 			g := &Relation{Vars: kids[i][0].Vars, Rows: dedup(all)}
 			o.dups = o.dups || len(g.Rows) < len(all)
 			gathered = append(gathered, g)
-			vars, in = append(vars, g.Vars), append(in, int64(len(g.Rows)*n))
 		}
+		o.postings += postings[o.largest]
 		if p.Children[o.largest].Alg == plan.Scan {
+			// Opened for its pattern only: the fold reads it in full.
+			var m Metrics
 			var err error
-			if _, o.leaf, _, err = e.eval(ctx, p.Children[o.largest], q, env, &leafMetrics, "", true); err != nil {
+			if _, o.leaf, _, err = e.eval(ctx, p.Children[o.largest], q, env, &m, "", true); err != nil {
 				return nil, err
 			}
-			leaves[0] = o.leaf
-		} else {
-			o.postings += postings[o.largest]
 		}
 		for node := range inputs {
 			inputs[node] = append([]*Relation{kids[o.largest][node]}, gathered...)
-			if o.leaf != nil {
-				inputs[node][0] = o.leaf.rels[node]
-			}
 		}
 	case plan.RepartitionJoin:
-		in = sizes
 		for node := range inputs {
 			inputs[node] = make([]*Relation, k)
 		}
 		for i := range kids {
 			o.postings += postings[i]
-			vars = append(vars, kids[i][0].Vars)
 			col := slices.Index(kids[i][0].Vars, "x")
 			for node := range inputs {
 				if hints != nil && hints[i] != "" {
@@ -941,18 +980,12 @@ func newFoldOracle(ctx context.Context, e *Engine, p *plan.Node, q *sparql.Query
 			}
 		}
 	}
-	order, schema := foldOrder(vars, in)
-	o.schema = schema
 	for node := range inputs {
-		got, err := joinAll(ctx, nil, "oracle", node, inputs[node], leaves, order, schema)
+		got, err := hashFold(ctx, inputs[node])
 		if err != nil {
 			return nil, err
 		}
-		o.rows[node] = sortedKeys(got)
-	}
-	if o.leaf != nil {
-		o.leaf.settle(&leafMetrics)
-		o.postings += leafMetrics.ScannedTriples
+		o.rows[node], o.schema = canonRows(got), sortedVars(got.Vars)
 	}
 	return o, nil
 }
@@ -967,11 +1000,10 @@ func newFoldOracle(ctx context.Context, e *Engine, p *plan.Node, q *sparql.Query
 // scattered children and, under an alignment of both predicates on both
 // positions, aligned ones; pairs of inputs share a second variable. For
 // the healthy cluster and every single and double dead set, every node's
-// rows must be the multiset the hash fold over the same inputs returns
-// under the same schema (see foldOracle), the postings no more than the
-// fold's but for the delta chunks (a merge walks them on every node), no
-// leaf may be probed, and an orderable leaf left in place must be
-// merged.
+// rows must be the multiset the test-only hash fold over the same inputs
+// returns over the same variables (see foldOracle), the postings no more
+// than the fold's but for the delta chunks (a merge walks them on every
+// node), and an orderable leaf left in place must be merged.
 func TestDeterminismBroadcastMerge(t *testing.T) {
 	scan := func(tp int) *plan.Node { return plan.NewScan(tp, 1, cost.Default) }
 	join := func(alg plan.Algorithm, v string, children ...*plan.Node) *plan.Node {
@@ -1048,8 +1080,8 @@ func TestDeterminismBroadcastMerge(t *testing.T) {
 					joined := want.joined
 					for node := 0; node < n; node++ {
 						joined += int64(len(want.rows[node]))
-						if !slices.Equal(out[node].Vars, want.schema) || !slices.Equal(sortedKeys(out[node]), want.rows[node]) {
-							t.Errorf("%s: node %d joined to %v %v, want %v %v", id, node, out[node].Vars, sortedKeys(out[node]), want.schema, want.rows[node])
+						if !slices.Equal(sortedVars(out[node].Vars), want.schema) || !slices.Equal(canonRows(out[node]), want.rows[node]) {
+							t.Errorf("%s: node %d joined to %v %v, want %v %v", id, node, out[node].Vars, canonRows(out[node]), want.schema, want.rows[node])
 						}
 						saw["check"] = saw["check"] || strings.Contains(c.src, "?y <q> ?x") && len(want.rows[node]) > 0
 					}
@@ -1069,18 +1101,13 @@ func TestDeterminismBroadcastMerge(t *testing.T) {
 					if m.ScannedTriples > bound {
 						t.Errorf("%s: the join touched %d postings, the hash fold %d (bound %d)", id, m.ScannedTriples, want.postings, bound)
 					}
-					for i, ch := range tr.Children {
-						if ch.Probed {
-							t.Errorf("%s: input %d was probed", id, i+1)
-						}
-					}
 					saw["dups"] = saw["dups"] || want.dups
 					saw["aligned"] = saw["aligned"] || si > 0 && slices.ContainsFunc(tr.Children, func(ch *TraceNode) bool { return ch.Aligned })
 					if c.plan.Alg != plan.BroadcastJoin {
 						continue
 					}
 					if l := want.leaf; l != nil {
-						_, _, orderable := l.bp.orderedOn(slices.Index(l.bp.vars, "x"))
+						_, orderable := l.bp.orderedAs([]int{varComp(&l.bp, slices.Index(l.bp.vars, "x"))})
 						if merged := tr.Children[want.largest].Merged; merged != (orderable && len(deadList) < n) {
 							t.Errorf("%s: in-place leaf merged = %v, orderable %v", id, merged, orderable)
 						}

@@ -12,13 +12,12 @@
 // executor provides the ground truth for integration tests.
 //
 // The data plane is columnar-adjacent: a relation's rows live in one
-// flat TermID arena (row i is a slice of it). Joins that move data and
-// local stars over scan leaves hash nothing: their inputs arrive sorted
-// on the join variable — leaves as sorted permutation ranges, shipped
-// relations deduplicated by a sort — and are merged (see sortedJoin).
-// What still hashes — the local folds, projection, the root's seen-set —
-// runs on 64-bit integer hashes with collision verification, never on
-// materialized string keys.
+// flat TermID arena (row i is a slice of it). Joins hash nothing: their
+// inputs are walked sorted on the join's variables — leaves as sorted
+// permutation ranges, shipped relations deduplicated by a sort — and are
+// merged (see sortedJoin). What still hashes — Reference's fold,
+// projection, the root's seen-set — runs on 64-bit integer hashes with
+// collision verification, never on materialized string keys.
 package engine
 
 import (
@@ -51,9 +50,10 @@ type Relation struct {
 
 	// sortedOn names the variable the rows are ordered on, "" when no
 	// order is known: a gathered or scattered input deduplicated on its
-	// join column, or a merge's output, which comes out in key order. A
-	// parent join on that variable walks the rows as a sorted run instead
-	// of sorting or driving them (see sortedJoin).
+	// join column, or a merge's output, which comes out in the order of
+	// its first variable. A parent join on that variable alone walks the
+	// rows as a sorted run instead of sorting or driving them (see
+	// sortedJoin).
 	sortedOn string
 	// keys is that variable's column, kept by the sort that deduplicated
 	// the rows, so that the nodes sharing a gathered input do not each
@@ -286,8 +286,9 @@ func newRowTable(rows [][]rdf.TermID, cols []int) *rowTable {
 }
 
 // hashJoin joins two relations on all their shared variables (natural
-// join). With no shared variables it degrades to the cross product.
-// The probe loop polls ctx so runaway joins stay cancellable.
+// join): Reference's fold, an algorithm independent of the engine's
+// sortedJoin. With no shared variables it degrades to the cross
+// product. The probe loop polls ctx so runaway joins stay cancellable.
 func hashJoin(ctx context.Context, a, b *Relation) (*Relation, error) {
 	shared := sharedVars(a, b)
 	aCols := make([]int, len(shared))
@@ -343,124 +344,6 @@ func hashJoin(ctx context.Context, a, b *Relation) (*Relation, error) {
 		}
 	}
 	return out, nil
-}
-
-// foldOrder fixes the order in which a join operator folds its inputs:
-// the smallest first — so that a large scan leaf is met with few rows in
-// hand and can be probed instead of read — then, as the fold always did,
-// the first input in plan order sharing a variable with what has been
-// joined so far, so intermediate cross products are avoided whenever
-// the join graph allows; except that among the inputs joining on those
-// same variables the smallest goes first (two inputs keyed alike extend
-// the same rows, and the smaller one by fewer). Sizes are compared no
-// further than that, because a size is not a selectivity: always taking
-// the smallest connected input next was tried and sent L7 under 2f
-// through a 30 000-row intermediate joined on ?y alone. The order is
-// computed once per operator from the inputs' schemas and cluster-wide
-// sizes — never per node — so every node's output has the same schema,
-// which is returned with it: each input's new variables, in fold order.
-func foldOrder(vars [][]string, sizes []int64) (order []int, schema []string) {
-	order = make([]int, 0, len(vars))
-	used := make([]bool, len(vars))
-	// shared lists the schema's variables input i joins on, in schema
-	// order, so that equal sets compare equal.
-	shared := func(i int) []string {
-		var out []string
-		for _, v := range schema {
-			if slices.Contains(vars[i], v) {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	for len(order) < len(vars) {
-		pick := -1
-		var on []string // what the plan-order choice joins on
-		for i := range vars {
-			if used[i] {
-				continue
-			}
-			if pick < 0 {
-				pick = i // with nothing connected: a cross product
-			}
-			if on = shared(i); len(on) > 0 {
-				pick = i
-				break
-			}
-		}
-		for i := range vars {
-			same := len(order) == 0 || len(on) > 0 && slices.Equal(shared(i), on)
-			if !used[i] && same && sizes[i] < sizes[pick] {
-				pick = i
-			}
-		}
-		used[pick] = true
-		order = append(order, pick)
-		for _, v := range vars[pick] {
-			if !slices.Contains(schema, v) {
-				schema = append(schema, v)
-			}
-		}
-	}
-	return order, schema
-}
-
-// probeRatio decides, per node and per fold, how a scan leaf not read
-// yet joins the rows in hand: by looking each row's bindings up in the
-// sorted permutations when the leaf's candidate range is at least
-// probeRatio times longer than the rows are many, by reading the range
-// and hash-joining otherwise. A lookup costs a binary search per store
-// of the fragment view where a read costs a copy and a hash per
-// candidate. BenchmarkProbeVsRead (lookups in random order, base store
-// only) has the two level at 1 candidate per row and the probe ahead by
-// 1.2–2× at 4 and 3–7× at 16, at 4k, 64k and 512k candidates alike;
-// every delta chunk adds one more search per row, so the constant sits
-// a step above the crossover. Choosing wrong near it costs little
-// either way, which is why it is a constant and not a setting.
-const probeRatio = 8
-
-// joinAll folds node's multiway natural join in the given order (see
-// foldOrder, which also gives the output schema): the per-node join of a
-// local join that cannot merge (see joinOp). An input whose
-// relation is nil is a scan leaf the operator opened but did not read
-// (see scanLeaf); the fold reads it only if looking the accumulated
-// rows up in its index would not be cheaper, and once no row is left —
-// on most nodes of a point read, after the first input — it reads
-// nothing more. Every
-// intermediate it materializes is charged to g under site before the
-// next fold, so a join blowing up mid-chain trips the budget instead
-// of exhausting the process; input relations are never charged here
-// (their producers already did, or they are shared across nodes).
-func joinAll(ctx context.Context, g *resilience.Gauge, site string, node int, rels []*Relation, leaves []*scanLeaf, order []int, schema []string) (*Relation, error) {
-	var cur *Relation
-	for _, i := range order {
-		if cur != nil && len(cur.Rows) == 0 {
-			return &Relation{Vars: schema}, nil
-		}
-		rel := rels[i]
-		var err error
-		if rel == nil && cur != nil && len(cur.Rows)*probeRatio <= leaves[i].size[node] && leaves[i].sharesVarWith(cur) {
-			cur, err = leaves[i].probe(ctx, node, cur)
-		} else {
-			if rel == nil {
-				if rel, err = leaves[i].read(node); err != nil {
-					return nil, err
-				}
-			}
-			if cur == nil {
-				cur = rel
-				continue
-			}
-			cur, err = hashJoin(ctx, cur, rel)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := cur.chargeTo(g, site); err != nil {
-			return nil, err
-		}
-	}
-	return cur, nil
 }
 
 // dedup removes duplicate rows and puts the rest in lexicographic order:

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 
@@ -223,40 +222,5 @@ func TestRelationGrowthGeometric(t *testing.T) {
 	})
 	if allocs > 48 {
 		t.Fatalf("appending %d rows cost %.0f allocations; geometric growth should need ~30", rows, allocs)
-	}
-}
-
-// TestFoldOrder pins the three rules of the join fold's order on the
-// query shapes that motivated them: the smallest input starts; inputs
-// joining on different variables keep plan order whatever their sizes
-// (L7: the degrees must not meet the departments on ?y before memberOf
-// has tied students to departments); inputs joining on the same
-// variables go smallest first (L8's star on ?x). The schema is each
-// input's new variables in that order.
-func TestFoldOrder(t *testing.T) {
-	for _, c := range []struct {
-		name   string
-		vars   [][]string
-		sizes  []int64
-		order  []int
-		schema []string
-	}{
-		{"smallest starts, the big leaf comes last",
-			[][]string{{"x", "y"}, {"y"}}, []int64{4711, 15},
-			[]int{1, 0}, []string{"y", "x"}},
-		{"L7: different keys keep plan order",
-			[][]string{{"z", "y"}, {"y"}, {"z"}, {"x"}, {"x", "z"}, {"x", "y"}}, []int64{150, 10, 150, 2000, 8000, 2000},
-			[]int{1, 0, 2, 4, 3, 5}, []string{"y", "z", "x"}},
-		{"L8: same key, smallest first",
-			[][]string{{"x", "z"}, {"x"}, {"x", "y"}}, []int64{424, 138, 162},
-			[]int{1, 2, 0}, []string{"x", "y", "z"}},
-		{"disconnected inputs fall back to plan order",
-			[][]string{{"a"}, {"b"}, {"c"}}, []int64{3, 2, 1},
-			[]int{2, 0, 1}, []string{"c", "a", "b"}},
-	} {
-		order, schema := foldOrder(c.vars, c.sizes)
-		if !slices.Equal(order, c.order) || !slices.Equal(schema, c.schema) {
-			t.Errorf("%s: order %v schema %v, want %v %v", c.name, order, schema, c.order, c.schema)
-		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // so a pattern's candidates are one binary-searched range with nothing
 // left to filter, and membership is one binary search. PSO adds the
 // one order a star on a subject needs that those three lack: the range
-// of ?x <p> ?o sorted on ?x (see orderedOn).
+// of ?x <p> ?o sorted on ?x (see orderedAs).
 type store struct {
 	spo, pos, osp, pso []rdf.Triple
 }
@@ -359,24 +359,19 @@ func (s *store) candidates(bp *boundPattern) []rdf.Triple {
 	return s.spo
 }
 
-// orderedOn picks the permutation whose range for bp's constants is
-// sorted on the position holding variable column col, and returns it
-// with that position (compS or compO): PSO for ?x <p> ?o, POS for
-// ?x <p> <o> and ?s <p> ?x, SPO for <s> <p> ?x, OSP for ?x ?p <o>, and
-// the SPO or OSP copy itself for an all-variable pattern. ok is false
-// when no order serves: the variable at the predicate or at two
-// positions, <s> ?p ?x (its SPO range is sorted on ?p first), or a
-// constant missing from the dictionary.
-func (bp *boundPattern) orderedOn(col int) (p perm, comp int, ok bool) {
-	switch {
-	case bp.unknown || bp.repeated || col < 0:
-		return 0, 0, false
-	case bp.sVar == col:
-		comp = compS
-	case bp.oVar == col:
-		comp = compO
-	default:
-		return 0, 0, false
+// orderedAs picks the permutation whose range for bp's constants is
+// sorted on the triple components comps, the first the most significant
+// — bp's variables in a join's order — and reports whether there is one:
+// a permutation that puts every constant first and then comps. With
+// SPO/POS/OSP/PSO every constant-predicate shape has one: PSO for
+// ?s <p> ?o with ?s first, POS with ?o first or for ?s <p> <o>, SPO for
+// <s> <p> ?o. There is none for a variable at two positions, for
+// <s> ?p ?o ordered on ?o (its SPO range is sorted on ?p first), for
+// ?s ?p ?o ordered on ?s then ?o, or for a constant missing from the
+// dictionary.
+func (bp *boundPattern) orderedAs(comps []int) (perm, bool) {
+	if bp.unknown || bp.repeated || slices.ContainsFunc(comps, bp.isConst) {
+		return 0, false
 	}
 	consts := 0
 	for c := range 3 {
@@ -384,14 +379,19 @@ func (bp *boundPattern) orderedOn(col int) (p perm, comp int, ok bool) {
 			consts++
 		}
 	}
-	// The range is sorted on the component right after the constants,
-	// provided every constant leads the order.
+perms:
 	for _, p := range []perm{permSPO, permPOS, permOSP, permPSO} {
-		if k := bp.leadingConsts(p); k == consts && k < 3 && p.comps()[k] == comp {
-			return p, comp, true
+		if bp.leadingConsts(p) != consts {
+			continue
 		}
+		for i, c := range comps {
+			if p.comps()[consts+i] != c {
+				continue perms
+			}
+		}
+		return p, true
 	}
-	return 0, 0, false
+	return 0, false
 }
 
 // isConst reports whether triple component c of bp is a constant.
@@ -417,7 +417,7 @@ func (bp *boundPattern) leadingConsts(p perm) int {
 }
 
 // rangeIn returns bp's candidates as the prefix range of permutation p,
-// which must lead with every constant of bp (see orderedOn).
+// which must lead with every constant of bp (see orderedAs).
 func (s *store) rangeIn(bp *boundPattern, p perm) []rdf.Triple {
 	k := bp.leadingConsts(p)
 	if k == 0 {
@@ -428,10 +428,7 @@ func (s *store) rangeIn(bp *boundPattern, p perm) []rdf.Triple {
 }
 
 // match reads the pattern's candidate range and appends one row per
-// matching triple to out: prefix followed by the extra columns of the
-// pattern's own row (a plain scan passes no prefix and every column; a
-// probe passes the row that bound the pattern and the columns it does
-// not already hold). It is the only loop over candidates; every read
+// matching triple to out. It is the only loop over candidates; every read
 // the engine performs is a parameterization of it. A matched row must
 // clear two optional gates, in this order: keep, then live (nil = every
 // copy is live) — the failover coverage check, asked for the row's
@@ -440,7 +437,7 @@ func (s *store) rangeIn(bp *boundPattern, p perm) []rdf.Triple {
 // length; missing counts the kept rows live rejects (rows another node
 // keeps anyway never demand a replica). bp is shared read-only by the
 // concurrent per-node reads of one scan.
-func (s *store) match(bp *boundPattern, keep alignKeep, live func(rdf.Triple) bool, out *Relation, prefix []rdf.TermID, extra []int) (scanned int64, missing int) {
+func (s *store) match(bp *boundPattern, keep alignKeep, live func(rdf.Triple) bool, out *Relation) (scanned int64, missing int) {
 	candidates := s.candidates(bp)
 	out.reserve(len(candidates))
 	var buf [3]rdf.TermID // a triple pattern binds at most 3 variables
@@ -456,7 +453,7 @@ func (s *store) match(bp *boundPattern, keep alignKeep, live func(rdf.Triple) bo
 			missing++
 			continue
 		}
-		out.appendMerged(prefix, row, extra)
+		out.appendCopy(row)
 	}
 	return int64(len(candidates)), missing
 }
@@ -530,13 +527,12 @@ func (s *Snap) read(node int, bp *boundPattern, alignCol int, dead []int) (rel *
 		live = s.liveCopy(dead)
 	}
 	rel = &Relation{Vars: bp.vars}
-	cols := seqCols(len(bp.vars))
-	scanned, missing = s.stores[node].match(bp, keep, live, rel, nil, cols)
+	scanned, missing = s.stores[node].match(bp, keep, live, rel)
 	if ov := s.overlay(node); ov != nil && alignCol >= 0 {
 		// The overlay's copies need live homes too (their base source
 		// could be on another dead node). They land in the same arena, so
 		// the caller's one charge covers them.
-		ovScanned, ovMissing := ov.match(bp, keep, live, rel, nil, cols)
+		ovScanned, ovMissing := ov.match(bp, keep, live, rel)
 		scanned += ovScanned
 		missing += ovMissing
 	}
@@ -580,10 +576,9 @@ func (s *Snap) readDelta(bp *boundPattern, g *resilience.Gauge) ([][]rdf.TermID,
 		return nil, 0, nil
 	}
 	rel := &Relation{Vars: bp.vars}
-	cols := seqCols(len(bp.vars))
 	var scanned int64
 	for _, st := range s.delta {
-		n, _ := st.match(bp, keepAll, nil, rel, nil, cols)
+		n, _ := st.match(bp, keepAll, nil, rel)
 		scanned += n
 	}
 	if err := rel.chargeTo(g, "scan"); err != nil {

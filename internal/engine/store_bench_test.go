@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"sparqlopt/internal/opt"
 	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
-	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/sparql"
 	"sparqlopt/internal/workload/lubm"
 )
@@ -35,61 +33,12 @@ func BenchmarkStoreBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeVsRead is the measurement behind probeRatio: one node's
-// join of rows in hand with a scan leaf (?s <p> ?o over a single-
-// predicate fragment, every row finding one match), done both ways at
-// several ratios of fragment size to rows. Reading costs the same
-// whatever the rows are; probing grows with them.
-func BenchmarkProbeVsRead(b *testing.B) {
-	ctx := context.Background()
-	for _, size := range []int{4 << 10, 64 << 10, 512 << 10} {
-		ts := make([]rdf.Triple, size)
-		for i := range ts {
-			ts[i] = rdf.Triple{S: rdf.TermID(i), P: 1, O: rdf.TermID(size + i%97)}
-		}
-		snap := &Snap{stores: []*store{newStore(ts)}}
-		for _, ratio := range []int{1, 4, 8, 16, 64} {
-			// Lookups spread over the whole fragment, in no order the
-			// index could profit from.
-			cur := newRelation([]string{"s"}, size/ratio)
-			for _, i := range rand.New(rand.NewSource(1)).Perm(size / ratio) {
-				cur.appendCopy([]rdf.TermID{rdf.TermID(i * ratio)})
-			}
-			leaf := func() *scanLeaf {
-				return &scanLeaf{
-					snap: snap, rels: make([]*Relation, 1), size: []int{size},
-					bp: boundPattern{vars: []string{"s", "o"}, sVar: 0, pVar: -1, oVar: 1, pConst: true, p: 1},
-				}
-			}
-			name := fmt.Sprintf("size=%d/ratio=%d", size, ratio)
-			b.Run(name+"/probe", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if out, err := leaf().probe(ctx, 0, cur); err != nil || len(out.Rows) != len(cur.Rows) {
-						b.Fatal(len(out.Rows), err)
-					}
-				}
-			})
-			b.Run(name+"/read", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					rel, err := leaf().read(0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if out, err := hashJoin(ctx, cur, rel); err != nil || len(out.Rows) != len(cur.Rows) {
-						b.Fatal(len(out.Rows), err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkStarJoin times the local joins that own the spine's
 // percentiles — L7's and L8's stars on ?x, LUBM-10 under hash-so on ten
-// nodes — both ways a node can join them: merging the leaves' sorted
-// ranges (sortedJoin) and the hash fold that reads, hashes and probes
-// them (joinAll). Every iteration opens the leaves afresh, as a query
-// does, and joins on every node.
+// nodes — both ways a node can join them: the trie join merging the
+// leaves' sorted ranges (sortedJoin) and the test-only hash fold that
+// reads the leaves and hashes them (foldNode). Every iteration opens the
+// leaves afresh, as a query does, and joins on every node.
 func BenchmarkStarJoin(b *testing.B) {
 	ds := lubm.Generate(lubm.Config{Universities: 10, Seed: 1})
 	placement, err := partition.HashSO{}.Partition(ds, 10)
@@ -98,70 +47,116 @@ func BenchmarkStarJoin(b *testing.B) {
 	}
 	e := New(ds.Dict, placement)
 	env := ExecEnv{Snap: e.Snapshot()}
-	ctx := context.Background()
 	const prefixes = "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\nPREFIX ub: <" + lubm.UB + ">\n"
 	for _, star := range []struct{ name, src string }{
 		{"L7", `?x rdf:type ub:GraduateStudent . ?x ub:memberOf ?z . ?x ub:undergraduateDegreeFrom ?y`},
 		{"L8", `?x ub:takesCourse ?z . ?x rdf:type ub:UndergraduateStudent . ?x ub:advisor ?y`},
 	} {
 		q := sparql.MustParse(prefixes + "SELECT * WHERE { " + star.src + " . }")
-		open := func() (leaves []*scanLeaf, vars [][]string, order []int, schema []string) {
-			vars = make([][]string, len(q.Patterns))
-			sizes := make([]int64, len(q.Patterns))
-			leaves = make([]*scanLeaf, len(q.Patterns))
-			for i := range q.Patterns {
+		scans := make([]*plan.Node, len(q.Patterns))
+		for i := range scans {
+			scans[i] = plan.NewScan(i, 1, cost.Default)
+		}
+		benchLocalJoin(b, e, env, star.name, plan.NewJoin(plan.LocalJoin, "x", scans, 1, cost.Default), q)
+	}
+}
+
+// BenchmarkLocalJoin times the local joins 2f leaves in L7–L10's plans
+// (LUBM-10, ten nodes, TD-Auto's plans): cycles and joins on several
+// variables at once, which the trie join intersects level by level.
+// Both ways, every iteration opens the leaves afresh and joins on every
+// node, against the test-only hash fold over the nodes' reads.
+func BenchmarkLocalJoin(b *testing.B) {
+	ds := lubm.Generate(lubm.Config{Universities: 10, Seed: 1})
+	placement, err := partition.TwoHopForward{}.Partition(ds, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := New(ds.Dict, placement)
+	env := ExecEnv{Snap: e.Snapshot()}
+	for _, name := range []string{"L7", "L8", "L9", "L10"} {
+		q := lubm.Query(name)
+		var local *plan.Node
+		var walk func(p *plan.Node)
+		walk = func(p *plan.Node) {
+			if p.Alg == plan.LocalJoin && (local == nil || p.Set.Len() > local.Set.Len()) {
+				local = p
+			}
+			for _, c := range p.Children {
+				walk(c)
+			}
+		}
+		walk(optimizeFor(b, ds, q, partition.TwoHopForward{}, opt.TDAuto).Plan)
+		benchLocalJoin(b, e, env, fmt.Sprintf("%s/on_%s", name, local.JoinVar), local, q)
+	}
+}
+
+// benchLocalJoin times the local join p both ways, leaves opened inside
+// the timed loop, and fails when the two disagree on the rows.
+func benchLocalJoin(b *testing.B, e *Engine, env ExecEnv, name string, p *plan.Node, q *sparql.Query) {
+	ctx := context.Background()
+	want := -1
+	for _, way := range []string{"merge", "fold"} {
+		b.Run(name+"/"+way, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
 				var m Metrics
-				_, leaf, tr, err := e.eval(ctx, plan.NewScan(i, 1, cost.Default), q, env, &m, "", true)
+				start := time.Now()
+				in, err := e.joinInputs(ctx, p, q, env, &m, newTrace(p), &start)
 				if err != nil {
 					b.Fatal(err)
 				}
-				leaves[i], vars[i], sizes[i] = leaf, leaf.bp.vars, tr.OutputRows
-			}
-			order, schema = foldOrder(vars, sizes)
-			return leaves, vars, order, schema
-		}
-		ways := map[string]func(leaves []*scanLeaf, vars [][]string, order []int, schema []string, node int) (*Relation, error){
-			"merge": func(leaves []*scanLeaf, vars [][]string, order []int, schema []string, node int) (*Relation, error) {
-				rels := make([]*Relation, len(leaves))
-				return newSortedJoin(vars, leaves, order, schema, "x", true).join(ctx, nil, "local join", node, rels)
-			},
-			"fold": func(leaves []*scanLeaf, vars [][]string, order []int, schema []string, node int) (*Relation, error) {
-				rels := make([]*Relation, len(leaves))
-				return joinAll(ctx, nil, "local join", node, rels, leaves, order, schema)
-			},
-		}
-		want := -1
-		for _, way := range []string{"merge", "fold"} {
-			b.Run(star.name+"/"+way, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					leaves, vars, order, schema := open()
-					rows := 0
-					for node := range leaves[0].rels {
-						out, err := ways[way](leaves, vars, order, schema, node)
-						if err != nil {
-							b.Fatal(err)
-						}
-						rows += len(out.Rows)
-					}
-					if want < 0 {
-						want = rows
-					} else if rows != want {
-						b.Fatalf("%s joined %d rows, the other way %d", way, rows, want)
-					}
+				vars := make([][]string, len(in.sizes))
+				for i, r := range in.rels[0] {
+					vars[i] = inputVars(r, in.leaves[i])
 				}
-			})
-		}
+				join := newSortedJoin(vars, in.sizes, in.leaves, joinOrder(vars, in.sizes))
+				rows := 0
+				for node, rels := range in.rels {
+					var out *Relation
+					if way == "merge" {
+						out, err = join.join(ctx, nil, "local join", node, rels)
+					} else {
+						out, err = foldNode(ctx, node, rels, in.leaves)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					rows += len(out.Rows)
+				}
+				if want < 0 {
+					want = rows
+				} else if rows != want {
+					b.Fatalf("%s joined %d rows, the other way %d", way, rows, want)
+				}
+			}
+		})
 	}
+}
+
+// foldNode is the test-only hash fold of one node's join: the node's
+// inputs, leaves read in full, folded by hashJoin in input order.
+func foldNode(ctx context.Context, node int, rels []*Relation, leaves []*scanLeaf) (*Relation, error) {
+	reads := make([]*Relation, len(rels))
+	for i, rel := range rels {
+		if rel == nil {
+			var err error
+			if rel, err = leaves[i].read(node); err != nil {
+				return nil, err
+			}
+		}
+		reads[i] = rel
+	}
+	return hashFold(ctx, reads)
 }
 
 // BenchmarkBroadcastJoin times the broadcast joins that own warm-mix's
 // tail — L8's two and L10's on ?z, LUBM-10 under hash-so on ten nodes,
 // in the plans TD-Auto picks — both ways a node can join them: merging
-// the sorted inputs (sortedJoin) and the hash fold over the same inputs
-// (joinAll). Every iteration evaluates the join's children and gathers
-// its small inputs afresh with the timer stopped, as a query does, then
-// joins on every node.
+// the sorted inputs (sortedJoin) and the test-only hash fold over the
+// same inputs (foldNode). Every iteration evaluates the join's children
+// and gathers its small inputs afresh with the timer stopped, as a query
+// does, then joins on every node.
 func BenchmarkBroadcastJoin(b *testing.B) {
 	ds := lubm.Generate(lubm.Config{Universities: 10, Seed: 1})
 	placement, err := partition.HashSO{}.Partition(ds, 10)
@@ -185,7 +180,7 @@ func BenchmarkBroadcastJoin(b *testing.B) {
 		}
 		walk(optimizeFor(b, ds, q, partition.HashSO{}, opt.TDAuto).Plan)
 		for _, p := range joins {
-			open := func() (in foldInputs, vars [][]string, order []int, schema []string) {
+			open := func() (in opInputs, vars [][]string) {
 				var m Metrics
 				start := time.Now()
 				in, err := e.joinInputs(ctx, p, q, env, &m, newTrace(p), &start)
@@ -196,8 +191,7 @@ func BenchmarkBroadcastJoin(b *testing.B) {
 				for i, r := range in.rels[0] {
 					vars[i] = inputVars(r, in.leaves[i])
 				}
-				order, schema = foldOrder(vars, in.sizes)
-				return in, vars, order, schema
+				return in, vars
 			}
 			want := -1
 			for _, way := range []string{"merge", "fold"} {
@@ -205,9 +199,9 @@ func BenchmarkBroadcastJoin(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						b.StopTimer()
-						in, vars, order, schema := open()
+						in, vars := open()
 						b.StartTimer()
-						merge := newSortedJoin(vars, in.leaves, order, schema, p.JoinVar, false)
+						merge := newSortedJoin(vars, in.sizes, in.leaves, []string{p.JoinVar})
 						rows := 0
 						for node, rels := range in.rels {
 							var out *Relation
@@ -215,7 +209,7 @@ func BenchmarkBroadcastJoin(b *testing.B) {
 							if way == "merge" {
 								out, err = merge.join(ctx, nil, "broadcast join", node, rels)
 							} else {
-								out, err = joinAll(ctx, nil, "broadcast join", node, rels, in.leaves, order, schema)
+								out, err = foldNode(ctx, node, rels, in.leaves)
 							}
 							if err != nil {
 								b.Fatal(err)

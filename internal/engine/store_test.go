@@ -34,9 +34,10 @@ func randomFragment(r *rand.Rand, n int, wide bool) []rdf.Triple {
 // comparison sort (on both sides of radixMin, so the radix and the
 // comparison builds are both held to it), every constant mask's
 // candidate range and match's rows — ?x ?p ?x included — against a
-// filter, its ordered range for a variable at the subject and at the
-// object — served exactly for the shapes a permutation sorts on it,
-// sorted on it and a permutation of the candidates — has against a
+// filter, its ordered range for every order of its free positions —
+// served exactly for the shapes a permutation sorts that way (pinned for
+// a variable at the subject and at the object), sorted so and a
+// permutation of the candidates — has against a
 // search, and a merge of all four orders against a rebuild. A constant
 // missing from the dictionary has no ordered range.
 func TestStoreRanges(t *testing.T) {
@@ -121,7 +122,7 @@ func TestStoreRanges(t *testing.T) {
 						}
 					}
 					rel := &Relation{Vars: bp.vars}
-					scanned, _ := st.match(&bp, keepAll, nil, rel, nil, seqCols(len(bp.vars)))
+					scanned, _ := st.match(&bp, keepAll, nil, rel)
 					if scanned != wantRange {
 						t.Fatalf("trial %d: mask %03b of %v touched %d postings, a filter keeps %d", trial, mask, c, scanned, wantRange)
 					}
@@ -129,34 +130,56 @@ func TestStoreRanges(t *testing.T) {
 						t.Fatalf("trial %d: mask %03b repeat=%v of %v matched %v, want %v", trial, mask, repeat, c, rel.Rows, want)
 					}
 					for _, comp := range []int{compS, compO} {
-						col := bp.sVar
-						if comp == compO {
-							col = bp.oVar
-						}
-						p, gotComp, ok := bp.orderedOn(col)
+						p, ok := bp.orderedAs([]int{comp})
 						wantPerm, wantOK := orderedBy[[2]int{mask, comp}]
 						wantOK = wantOK && !bp.repeated
-						if ok != wantOK || ok && (p != wantPerm || gotComp != comp) {
-							t.Fatalf("mask %03b repeat=%v position %d: orderedOn = (%d, %d, %v), want (%d, %d, %v)", mask, repeat, comp, p, gotComp, ok, wantPerm, comp, wantOK)
+						if ok != wantOK || ok && p != wantPerm {
+							t.Fatalf("mask %03b repeat=%v position %d: orderedAs = (%d, %v), want (%d, %v)", mask, repeat, comp, p, ok, wantPerm, wantOK)
+						}
+					}
+					// Every order of every set of free positions: a range exactly
+					// when some permutation puts the constants first and then
+					// those positions, sorted on them, the first the most
+					// significant.
+					var free []int
+					for comp := range 3 {
+						if !bp.isConst(comp) {
+							free = append(free, comp)
+						}
+					}
+					for _, comps := range orderings(free) {
+						p, ok := bp.orderedAs(comps)
+						wantOK := !bp.repeated && slices.ContainsFunc([]perm{permSPO, permPOS, permOSP, permPSO}, func(q perm) bool {
+							k, order := bp.leadingConsts(q), q.comps()
+							return k == 3-len(free) && slices.Equal(order[k:k+len(comps)], comps)
+						})
+						if ok != wantOK {
+							t.Fatalf("mask %03b repeat=%v: orderedAs(%v) ok = %v, want %v", mask, repeat, comps, ok, wantOK)
 						}
 						if !ok {
 							continue
 						}
 						got := st.rangeIn(&bp, p)
-						if !slices.IsSortedFunc(got, func(a, b rdf.Triple) int { return cmp.Compare(component(a, comp), component(b, comp)) }) {
-							t.Fatalf("trial %d: mask %03b of %v: range not sorted on position %d: %v", trial, mask, c, comp, got)
+						if !slices.IsSortedFunc(got, func(a, b rdf.Triple) int {
+							for _, c := range comps {
+								if d := cmp.Compare(component(a, c), component(b, c)); d != 0 {
+									return d
+								}
+							}
+							return 0
+						}) {
+							t.Fatalf("trial %d: mask %03b of %v: range not sorted on positions %v: %v", trial, mask, c, comps, got)
 						}
 						if cands := st.candidates(&bp); !slices.Equal(sortedTriples(got), sortedTriples(cands)) {
 							t.Fatalf("trial %d: mask %03b of %v: ordered range %v is not a permutation of candidates %v", trial, mask, c, got, cands)
 						}
 					}
-
 				}
 			}
 		}
 		unknown := boundPattern{vars: []string{"x", "o"}, sVar: 0, pVar: -1, oVar: 1, pConst: true, unknown: true}
-		if _, _, ok := unknown.orderedOn(0); ok {
-			t.Fatalf("trial %d: orderedOn served an unknown constant", trial)
+		if _, ok := unknown.orderedAs([]int{compS}); ok {
+			t.Fatalf("trial %d: orderedAs served an unknown constant", trial)
 		}
 		other := randomFragment(r, r.Intn(2*radixMin), trial%2 == 0)
 		merged, rebuilt := mergeStores(st, newStore(other)), newStore(append(slices.Clone(ts), other...))
@@ -164,6 +187,19 @@ func TestStoreRanges(t *testing.T) {
 			t.Fatalf("trial %d: merging two stores differs from building their union", trial)
 		}
 	}
+}
+
+// orderings returns every ordered selection of the elements of set,
+// the empty one included.
+func orderings(set []int) [][]int {
+	out := [][]int{{}}
+	for i, x := range set {
+		rest := slices.Delete(slices.Clone(set), i, i+1)
+		for _, tail := range orderings(rest) {
+			out = append(out, append([]int{x}, tail...))
+		}
+	}
+	return out
 }
 
 func sortedTriples(ts []rdf.Triple) []rdf.Triple {

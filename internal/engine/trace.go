@@ -26,7 +26,7 @@ type TraceNode struct {
 	// MaxNodeRows is the largest per-node output (load skew).
 	MaxNodeRows int64
 	// BusyNodes is how many of the cluster's Nodes the operator had work
-	// on: for a join, the nodes whose first fold input held rows; for a
+	// on: for a join, the nodes where every input held rows; for a
 	// scan, the nodes it read or failed over, or — for a leaf its parent
 	// join reads later — the nodes whose read is non-empty.
 	BusyNodes, Nodes int
@@ -50,18 +50,12 @@ type TraceNode struct {
 	// Postings is the index postings a scan touched: the lengths of the
 	// candidate ranges it read or looked up.
 	Postings int64
-	// Probed marks a scan whose parent local join folded on at least one
-	// node (see joinAll) and looked the rows it held up in the index
-	// instead of reading the fragment;
-	// Bindings counts the rows that were looked up. OutputRows is then
-	// still the size of the full read — what the estimate predicted —
-	// not a count of rows produced.
-	Probed   bool
-	Bindings int64
 	// Merged marks a scan whose parent join, on at least one node,
-	// intersected its sorted ranges with its siblings' on the join
-	// variable instead of reading the fragment (see sortedJoin); Postings
-	// then counts the entries of the key groups the merge matched.
+	// intersected its sorted ranges with its siblings' on the join's
+	// variables instead of reading the fragment (see sortedJoin);
+	// Postings then counts the entries of the groups the merge matched.
+	// OutputRows is still the size of the full read — what the estimate
+	// predicted — not a count of rows produced.
 	Merged bool
 	// ScatterRows/ScatterBytes attribute a parent repartition join's
 	// shuffle to the child that fed it — the rows of THIS operator's
@@ -118,12 +112,7 @@ func (tr *TraceNode) Format() string {
 				aligned = " aligned"
 			}
 			read := fmt.Sprintf("rows=%d postings=%d", t.OutputRows, t.Postings)
-			switch {
-			case t.Probed && t.Merged:
-				read = fmt.Sprintf("merged and probed, %d bindings, %d postings (range %d)", t.Bindings, t.Postings, t.OutputRows)
-			case t.Probed:
-				read = fmt.Sprintf("probed, %d bindings, %d postings (range %d)", t.Bindings, t.Postings, t.OutputRows)
-			case t.Merged:
+			if t.Merged {
 				read = fmt.Sprintf("merged, %d postings (range %d)", t.Postings, t.OutputRows)
 			}
 			fmt.Fprintf(&b, "%sscan tp%d: %s (est %.4g) max/node=%d %s time=%v%s\n",
@@ -219,9 +208,6 @@ func (tr *TraceNode) AttachSpans(parent *obs.Span) {
 	if tr.Alg == plan.Scan {
 		s.SetAttrInt("tp", int64(tr.TP+1))
 		s.SetAttrInt("postings", tr.Postings)
-		if tr.Probed {
-			s.SetAttrInt("probe_bindings", tr.Bindings)
-		}
 		if tr.Merged {
 			s.SetAttr("merged", "true")
 		}

@@ -92,13 +92,13 @@ func TestTraceRowCountsAreExact(t *testing.T) {
 
 // TestTraceSaysHowLeafWasRead: a point read's star is merged — both
 // leaves are intersected on ?f, neither is read — and so is the same big
-// leaf left in place by a broadcast join, against the one gathered row.
-// Only a local join that has to fold still looks a leaf up: there the
-// leaf is probed. The trace says which: a merged leaf reports the
-// postings of the key groups it matched, a probed one its bindings and
-// postings, both keep the full read's size as OutputRows so the estimate
-// still has something to be compared with, and the leaves' postings add
-// up to the run's ScannedTriples.
+// leaf left in place by a broadcast join, against the one gathered row,
+// and the big leaf of a local join whose other leaf cannot be ordered
+// and is read to drive. The trace says which: a merged leaf reports the
+// postings of the key groups it matched, a read one its read; both keep
+// the full read's size as OutputRows so the estimate still has
+// something to be compared with, and the leaves' postings add up to the
+// run's ScannedTriples.
 func TestTraceSaysHowLeafWasRead(t *testing.T) {
 	ds := rdf.NewDataset()
 	ds.Add("s0", "advisor", "f7")
@@ -134,10 +134,10 @@ func TestTraceSaysHowLeafWasRead(t *testing.T) {
 	small, big := got.Trace.Children[0], got.Trace.Children[1]
 	// A node joins the advisor triple when it holds f7's worksFor triple
 	// too: one posting of each leaf, and one joined row, per such node.
-	if !small.Merged || small.Probed || small.Postings < 1 || small.Postings > small.OutputRows {
+	if !small.Merged || small.Postings < 1 || small.Postings > small.OutputRows {
 		t.Errorf("the selective leaf should be merged: %+v", small)
 	}
-	if !big.Merged || big.Probed || big.Postings != small.Postings || big.OutputRows != copies || got.Trace.OutputRows != small.Postings {
+	if !big.Merged || big.Postings != small.Postings || big.OutputRows != copies || got.Trace.OutputRows != small.Postings {
 		t.Errorf("the big leaf should be merged, %d copies: %+v (join produced %d rows)", copies, big, got.Trace.OutputRows)
 	}
 	if sum := small.Postings + big.Postings; sum != got.Metrics.ScannedTriples {
@@ -166,10 +166,10 @@ func TestTraceSaysHowLeafWasRead(t *testing.T) {
 		t.Fatalf("broadcast join: want one row, got %d", len(got.Rows))
 	}
 	small, big = got.Trace.Children[0], got.Trace.Children[1]
-	if small.Merged || small.Probed || small.Postings != small.OutputRows || small.OutputRows < 1 {
+	if small.Merged || small.Postings != small.OutputRows || small.OutputRows < 1 {
 		t.Errorf("the shipped leaf should be read in full: %+v", small)
 	}
-	if !big.Merged || big.Probed || big.Bindings != 0 || big.Postings < 1 || big.Postings != got.Trace.OutputRows || big.OutputRows != copies {
+	if !big.Merged || big.Postings < 1 || big.Postings != got.Trace.OutputRows || big.OutputRows != copies {
 		t.Errorf("the big leaf should be merged, %d copies: %+v (join produced %d rows)", copies, big, got.Trace.OutputRows)
 	}
 	if sum := small.Postings + big.Postings; sum != got.Metrics.ScannedTriples {
@@ -186,8 +186,8 @@ func TestTraceSaysHowLeafWasRead(t *testing.T) {
 	}
 
 	// <s0> ?p ?f cannot be ordered on ?f (its range is sorted on ?p), so a
-	// local join over it folds: the selective leaf is read, and every node
-	// holding the advisor triple looks ?f up in the big leaf.
+	// local join over it reads it and lets it drive: every node holding
+	// the advisor triple looks ?f up in the big leaf's ranges.
 	q = sparql.MustParse(`SELECT * WHERE { <s0> ?p ?f . ?f <worksFor> ?d . }`)
 	local := plan.NewJoin(plan.LocalJoin, "f",
 		[]*plan.Node{plan.NewScan(0, 1, cost.Default), plan.NewScan(1, 300, cost.Default)}, 1, cost.Default)
@@ -196,14 +196,14 @@ func TestTraceSaysHowLeafWasRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got.Rows) != 1 {
-		t.Fatalf("folded local join: want one row, got %d", len(got.Rows))
+		t.Fatalf("driven local join: want one row, got %d", len(got.Rows))
 	}
 	small, big = got.Trace.Children[0], got.Trace.Children[1]
-	if small.Merged || small.Probed || small.Postings != small.OutputRows || small.OutputRows < 1 {
+	if small.Merged || small.Postings != small.OutputRows || small.OutputRows < 1 {
 		t.Errorf("the unorderable leaf should be read in full: %+v", small)
 	}
-	if !big.Probed || big.Merged || big.Bindings != small.OutputRows || big.Postings < 1 || big.Postings > big.Bindings || big.OutputRows != copies {
-		t.Errorf("the big leaf should be probed with every advisor copy, %d copies: %+v", copies, big)
+	if !big.Merged || big.Postings < 1 || big.Postings > small.OutputRows || big.OutputRows != copies {
+		t.Errorf("the big leaf should be looked up once per advisor copy, %d copies: %+v", copies, big)
 	}
 	if sum := small.Postings + big.Postings; sum != got.Metrics.ScannedTriples {
 		t.Errorf("leaves touched %d postings, metrics say %d", sum, got.Metrics.ScannedTriples)
@@ -211,7 +211,7 @@ func TestTraceSaysHowLeafWasRead(t *testing.T) {
 	out = got.Trace.Format()
 	for _, want := range []string{
 		fmt.Sprintf("scan tp1: rows=%d postings=%d", small.OutputRows, small.Postings),
-		fmt.Sprintf("scan tp2: probed, %d bindings, %d postings (range %d)", big.Bindings, big.Postings, copies),
+		fmt.Sprintf("scan tp2: merged, %d postings (range %d)", big.Postings, copies),
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace format lacks %q:\n%s", want, out)

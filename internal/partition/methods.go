@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"slices"
+
 	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/querygraph"
 	"sparqlopt/internal/rdf"
@@ -85,27 +87,40 @@ func (TwoHopBidirectional) CombineQuery(g *querygraph.Graph, v int) bitset.TPSet
 }
 
 // Partition implements Method. A triple (s,p,o) lies within 2
-// undirected hops of s, of o, and of every neighbor of s or o.
+// undirected hops of s, of o, and of every neighbor of s or o: it is
+// placed on the nodes hashing a vertex of s's or o's neighborhood (the
+// vertex and its neighbors). Each vertex's set of nodes is computed once,
+// so a hub — the class of every rdf:type triple naming it — is walked
+// once, not once per triple touching it.
 func (TwoHopBidirectional) Partition(ds *rdf.Dataset, nodes int) (*Placement, error) {
 	if err := checkNodes(nodes); err != nil {
 		return nil, err
 	}
 	g := rdf.NewGraph(ds.Triples)
+	hoods := map[rdf.TermID][]int{}
+	hood := func(v rdf.TermID) []int {
+		h, ok := hoods[v]
+		if !ok {
+			h = []int{hashNode(v, nodes)}
+			for _, e := range g.In(v) {
+				h = append(h, hashNode(e.To, nodes))
+			}
+			for _, e := range g.Out(v) {
+				h = append(h, hashNode(e.To, nodes))
+			}
+			slices.Sort(h)
+			h = slices.Compact(h)
+			hoods[v] = h
+		}
+		return h
+	}
 	c := newCollector(nodes)
 	for _, t := range ds.Triples {
-		c.add(hashNode(t.S, nodes), t)
-		c.add(hashNode(t.O, nodes), t)
-		for _, e := range g.In(t.S) {
-			c.add(hashNode(e.To, nodes), t)
+		for _, n := range hood(t.S) {
+			c.add(n, t)
 		}
-		for _, e := range g.Out(t.S) {
-			c.add(hashNode(e.To, nodes), t)
-		}
-		for _, e := range g.In(t.O) {
-			c.add(hashNode(e.To, nodes), t)
-		}
-		for _, e := range g.Out(t.O) {
-			c.add(hashNode(e.To, nodes), t)
+		for _, n := range hood(t.O) {
+			c.add(n, t)
 		}
 	}
 	return c.placement(), nil

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -188,6 +189,58 @@ func TestPartitionDeterministic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTwoHopBidirectionalPerTriple pins 2fb's placement, which walks
+// each vertex's neighborhood once, to its definition walked per triple:
+// (s,p,o) on the node of s, of o, and of every in- or out-neighbor of s
+// or o. The fragments must be the same triple for triple on a graph with
+// a hub vertex (the object of every second triple, as rdf:type classes
+// are) and on the chain at 1, 4, 10 and 70 nodes, and on LUBM-1, whose
+// per-triple walk is the slow one, at 4 and 70.
+func TestTwoHopBidirectionalPerTriple(t *testing.T) {
+	hub := rdf.NewDataset()
+	for i := 0; i < 500; i++ {
+		v := fmt.Sprintf("v%d", i)
+		hub.Add(v, "type", "Hub")
+		hub.Add(v, "next", fmt.Sprintf("v%d", (i*7+3)%500))
+	}
+	for _, d := range []struct {
+		name  string
+		ds    *rdf.Dataset
+		nodes []int
+	}{
+		{"lubm1", lubm.Generate(lubm.Config{Universities: 1, Seed: 1}), []int{4, 70}},
+		{"hub", hub, []int{1, 4, 10, 70}},
+		{"chain", chainDataset(), []int{1, 4, 10, 70}},
+	} {
+		g := rdf.NewGraph(d.ds.Triples)
+		for _, nodes := range d.nodes {
+			want := newCollector(nodes)
+			for _, tr := range d.ds.Triples {
+				want.add(hashNode(tr.S, nodes), tr)
+				want.add(hashNode(tr.O, nodes), tr)
+				for _, v := range []rdf.TermID{tr.S, tr.O} {
+					for _, e := range g.In(v) {
+						want.add(hashNode(e.To, nodes), tr)
+					}
+					for _, e := range g.Out(v) {
+						want.add(hashNode(e.To, nodes), tr)
+					}
+				}
+			}
+			got, err := TwoHopBidirectional{}.Partition(d.ds, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := range want.triples {
+				if !slices.Equal(got.Triples[n], want.triples[n]) {
+					t.Fatalf("%s at %d nodes: node %d holds %d triples, the per-triple walk %d",
+						d.name, nodes, n, len(got.Triples[n]), len(want.triples[n]))
+				}
+			}
+		}
 	}
 }
 
