@@ -52,10 +52,13 @@ race:
 # repartition joins merging sorted inputs, and TestDeterminismTrieJoin:
 # local trie joins over cycles, read leaves, non-leaf inputs and
 # failover reads, both against the test-only hash fold over the same
-# inputs) and the per-node helper's table
-# (TestFanOut) ride the same run. The second line pins the served plan
-# end to end: the exact scan, transfer and join counts of L1–L10 and
-# two point reads must not move with GOMAXPROCS. The third pins the
+# inputs; TestDeterminismRootHome: root scans and root local joins that
+# emit each answer on its home node only, pairwise disjoint across nodes
+# and together Reference, with 0–3 delta chunks and any node dead) and
+# the per-node helper's table (TestFanOut) ride the same run. The
+# second line pins the served plan end to end: the exact scan, transfer
+# and join counts of L1–L10 and two point reads must not move with
+# GOMAXPROCS. The third pins the
 # placements: each method partitions LUBM-1 five times per run to the
 # same fragments (path-bmc and un-1hop seed their walks in vertex
 # order, which must not come from a map range); partitioning runs on
@@ -109,7 +112,9 @@ bench:
 # allocations), of 2f's multi-variable local joins (L7–L10's local
 # subqueries at LUBM-10, trie-joined and folded, with allocations), of
 # the broadcast joins (L8's two and L10's on ?z at LUBM-10, merged and
-# folded, with allocations), of the result
+# folded, with allocations), of the root's emission (S2, J1, SP and F2
+# at LUBM-10 through ExecuteStream and a full drain, with allocations
+# and the flat and distinct rows per query), of the result
 # encoders (LUBM-1 rows shaped like S2 and J1 in JSON and TSV, with
 # encode ns/row and body B/row) plus a quick pass
 # of the adaptive-repartitioning and node-failover experiments: catches
@@ -127,6 +132,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkStarJoin -benchtime=1x ./internal/engine
 	$(GO) test -run='^$$' -bench=BenchmarkLocalJoin -benchtime=1x ./internal/engine
 	$(GO) test -run='^$$' -bench=BenchmarkBroadcastJoin -benchtime=1x ./internal/engine
+	$(GO) test -run='^$$' -bench=BenchmarkRootEmit -benchtime=1x ./internal/engine
 	$(GO) test -run='^$$' -bench=BenchmarkEncodeRows -benchtime=1x ./internal/httpd
 	$(GO) run ./cmd/benchrunner -experiment adaptive -quick
 	$(GO) run ./cmd/benchrunner -experiment failover -quick

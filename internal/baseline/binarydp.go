@@ -82,7 +82,7 @@ func (b *binaryDP) best(s bitset.TPSet) *plan.Node {
 	}
 	jg := b.in.Views.Join
 	if b.checker != nil && b.checker.IsLocal(s) {
-		result = localPlan(b.in, s)
+		result = localPlan(b.in, s, b.checker)
 		b.counter.Plans++
 	}
 	// Every connected binary division, found by running Algorithm 2 on

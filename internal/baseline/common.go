@@ -3,13 +3,14 @@ package baseline
 import (
 	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/opt"
+	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
 	"sparqlopt/internal/querygraph"
 )
 
 // localPlan builds the k-way local join of every pattern in the local
 // subquery s (or a plain scan for singletons).
-func localPlan(in *opt.Input, s bitset.TPSet) *plan.Node {
+func localPlan(in *opt.Input, s bitset.TPSet, checker *partition.LocalChecker) *plan.Node {
 	if s.Len() == 1 {
 		return plan.NewScan(s.Min(), in.Est.Cardinality(s), in.Params)
 	}
@@ -23,7 +24,9 @@ func localPlan(in *opt.Input, s bitset.TPSet) *plan.Node {
 	if vars := jg.JoinVarsOf(s); len(vars) > 0 {
 		name = jg.Vars[vars[0]]
 	}
-	return plan.NewJoin(plan.LocalJoin, name, children, in.Est.Cardinality(s), in.Params)
+	j := plan.NewJoin(plan.LocalJoin, name, children, in.Est.Cardinality(s), in.Params)
+	j.Anchor = checker.Anchor(s)
+	return j
 }
 
 // sharedVar returns a join variable with neighbors on both sides, or -1.

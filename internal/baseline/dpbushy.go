@@ -114,7 +114,7 @@ func (d *dpBushy) best(s bitset.TPSet) *plan.Node {
 	}
 	jg := d.in.Views.Join
 	if d.checker != nil && d.checker.IsLocal(s) {
-		result = localPlan(d.in, s)
+		result = localPlan(d.in, s, d.checker)
 		d.counter.Plans++
 	}
 	// All binary divisions: every proper subset containing the lowest

@@ -59,7 +59,7 @@ func DPccp(ctx context.Context, in *opt.Input) (*opt.Result, error) {
 		counter.Subqueries++
 		var bPlan *plan.Node
 		if checker != nil && checker.IsLocal(s) {
-			bPlan = localPlan(in, s)
+			bPlan = localPlan(in, s, checker)
 			counter.Plans++
 		}
 		// csg-cmp pairs: every split of s into connected halves that

@@ -243,6 +243,9 @@ func (m *msc) buildLevel(assigned [][]*plan.Node, chosen []clique) []*plan.Node 
 			}
 			m.counter.CMDs++
 			j := plan.NewJoin(alg, jg.Vars[chosen[ci].varIdx], children, m.in.Est.Cardinality(set), m.in.Params)
+			if alg == plan.LocalJoin {
+				j.Anchor = m.checker.Anchor(set)
+			}
 			next = append(next, j)
 		}
 	}

@@ -92,15 +92,17 @@ type Result struct {
 	// Rows stays nil and Returned is the stream's delivered row count
 	// (final once the stream ended).
 	Returned int64
-	// flatRows is the root operator's logical output size: the number
-	// of flat rows the final gather held before deduplication and
+	// flatRows is the root operator's output size: the number of flat
+	// rows the home nodes emitted before the stream's deduplication and
 	// projection.
 	flatRows int64
 }
 
-// FlatRowCount returns the logical (pre-dedup, pre-projection) row
-// count of the root operator's distributed output; the gap between it
-// and RowCount is what deduplication and projection removed.
+// FlatRowCount returns the row count of the root operator's distributed
+// output, before the stream's deduplication and projection: the rows
+// the nodes emitted, each answer once from its home node where the
+// placement names one (see ExecuteStream); the gap between it and
+// RowCount is what deduplication and projection removed.
 func (r *Result) FlatRowCount() int64 { return r.flatRows }
 
 // RowCount returns the number of distinct result rows the call
@@ -206,11 +208,22 @@ const maxDeltaChunks = 16
 // chunk stores, which are logically replicated to every node: scans
 // match the delta once and surface its rows on all nodes, and the
 // engine's set semantics (scatter/gather/root dedup) collapse the
-// copies. Replication preserves every local-join guarantee the
-// optimizer derives from the base placement — a co-located match
-// involving a delta triple is co-located on every node.
+// copies. Replication preserves the local-join guarantee only for
+// methods that place a triple by its own endpoints (hash-so, un-1hop):
+// there a match using a delta triple still lies whole on its anchor's
+// home. Under 2f and 2fb a written edge x→y brings base triples around y
+// into x's element, and x's home need not hold them, so such a match may
+// be found off x's home or nowhere (2f and path-bmc lose such matches
+// today). The root local join's home rule (see Snap.joinHome) is
+// suspended for them while a delta exists, so it drops no match the join
+// found.
 type Snap struct {
 	stores []*store
+	// home is the placement's home function and deltaHomed whether it
+	// survives the delta for local joins (partition.Placement.Home and
+	// DeltaHomed); home is nil when the method has none.
+	home       func(rdf.TermID) int
+	deltaHomed bool
 	// overlays[node] indexes the migration adds on node; nil when the
 	// node has none (and the whole slice is nil before any migration).
 	overlays []*store
@@ -229,6 +242,18 @@ func (s *Snap) overlay(node int) *store {
 		return nil
 	}
 	return s.overlays[node]
+}
+
+// joinHome returns the home function a root local join keeps its
+// matches by: every match of a local join anchored at p.Anchor lies
+// whole on the home of its anchor binding, so emitting it there only
+// drops every cross-node copy and no match. nil when the join has no
+// anchor, the placement no homes, or a delta the homes do not survive.
+func (s *Snap) joinHome(p *plan.Node) func(rdf.TermID) int {
+	if p.Anchor == "" || len(s.delta) > 0 && !s.deltaHomed {
+		return nil
+	}
+	return s.home
 }
 
 // Data returns the dataset snapshot this store view corresponds to
@@ -268,7 +293,7 @@ type Engine struct {
 // method. The dictionary must be the one that encoded the triples.
 func New(dict *rdf.Dict, placement *partition.Placement) *Engine {
 	e := &Engine{dict: dict}
-	e.snap.Store(&Snap{stores: buildStores(placement.Triples)})
+	e.snap.Store(&Snap{stores: buildStores(placement.Triples), home: placement.Home, deltaHomed: placement.DeltaHomed})
 	return e
 }
 
@@ -306,8 +331,9 @@ func (e *Engine) Snapshot() *Snap { return e.snap.Load() }
 func (e *Engine) SetData(data *rdf.Snapshot) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	old := e.snap.Load()
-	e.snap.Store(&Snap{stores: old.stores, overlays: old.overlays, align: old.align, delta: old.delta, data: data})
+	next := *e.snap.Load()
+	next.data = data
+	e.snap.Store(&next)
 }
 
 // ApplyIngest folds one committed write delta into the engine:
@@ -344,7 +370,9 @@ func (e *Engine) ApplyIngest(delta []rdf.Triple, data *rdf.Snapshot) {
 		copy(chunks, old.delta)
 		chunks = append(chunks, newStore(delta))
 	}
-	e.snap.Store(&Snap{stores: old.stores, overlays: old.overlays, align: old.align, delta: chunks, data: data})
+	next := *old
+	next.delta, next.data = chunks, data
+	e.snap.Store(&next)
 }
 
 // View returns the snapshot's placement for migration planning: the
@@ -401,7 +429,9 @@ func (e *Engine) ApplyMigration(from *Snap, m *partition.Migration, keys []parti
 		}
 		overlays[node] = added
 	}
-	e.snap.Store(&Snap{stores: old.stores, overlays: overlays, align: old.align.With(keys...), delta: old.delta, data: old.data})
+	next := *old
+	next.overlays, next.align = overlays, old.align.With(keys...)
+	e.snap.Store(&next)
 	return nil
 }
 
@@ -501,8 +531,9 @@ func (e *Engine) opGate(ctx context.Context, p *plan.Node, env ExecEnv) error {
 // Scan child of a local or broadcast join leave its reads to the
 // parent's join: the open leaf is returned with them, the relations of
 // the nodes not read yet are nil, and the parent settles the leaf's
-// accounting when its join is done (see scanLeaf).
-func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, alignVar string, lazy bool) ([]*Relation, *scanLeaf, *TraceNode, error) {
+// accounting when its join is done (see scanLeaf). A non-nil root makes
+// p the plan's root, which the stream reads (see rootOut).
+func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, alignVar string, lazy bool, root *rootOut) ([]*Relation, *scanLeaf, *TraceNode, error) {
 	if err := e.opGate(ctx, p, env); err != nil {
 		return nil, nil, nil, err
 	}
@@ -513,16 +544,19 @@ func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 	start := time.Now()
 	switch p.Alg {
 	case plan.Scan:
-		if leaf, err = e.scan(ctx, p, q, env, tr, alignVar, lazy); err == nil {
+		if leaf, err = e.scan(ctx, p, q, env, tr, alignVar, lazy, root != nil); err == nil {
 			out = leaf.rels
 			tr.recordSizes(leaf.size)
+			if root != nil {
+				root.scanned(&leaf.bp, env.Snap.home != nil)
+			}
 			if !lazy {
 				leaf.settle(m)
 				leaf = nil
 			}
 		}
 	case plan.LocalJoin, plan.BroadcastJoin, plan.RepartitionJoin:
-		if out, err = e.joinOp(ctx, p, q, env, m, tr, &start); err == nil {
+		if out, err = e.joinOp(ctx, p, q, env, m, tr, &start, root); err == nil {
 			tr.record(out)
 		}
 	default:
@@ -656,7 +690,7 @@ func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query
 		if hints != nil {
 			hint = hints[i]
 		}
-		rels, leaf, ctr, err := e.eval(ctx, c, q, env, m, hint, lazy)
+		rels, leaf, ctr, err := e.eval(ctx, c, q, env, m, hint, lazy, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -842,8 +876,10 @@ type opInputs struct {
 // then a trie join on every node (sortedJoin), materializing each node's
 // result as a flat row arena. A local join intersects its inputs on
 // every variable two of them share (joinOrder); a broadcast or
-// repartition join on its one join variable.
-func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time) ([]*Relation, error) {
+// repartition join on its one join variable. The root join emits only
+// the projected columns, and a root local join with an anchor keeps each
+// match on its anchor's home (see Snap.joinHome).
+func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time, root *rootOut) ([]*Relation, error) {
 	in, err := e.joinInputs(ctx, p, q, env, m, tr, start)
 	if err != nil {
 		return nil, err
@@ -857,6 +893,20 @@ func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env 
 		order = joinOrder(vars, in.sizes)
 	}
 	join := newSortedJoin(vars, in.sizes, in.leaves, order)
+	if root != nil {
+		if root.sets, err = join.project(root.vars); err != nil {
+			return nil, err
+		}
+		switch p.Alg {
+		case plan.RepartitionJoin:
+			// Every row on a node was routed there by its join key.
+			root.keyedOn(p.JoinVar)
+		case plan.LocalJoin:
+			if home := env.Snap.joinHome(p); home != nil && join.homeOn(p.Anchor, home) {
+				root.keyedOn(p.Anchor)
+			}
+		}
+	}
 	site := opName(p.Alg)
 	out := make([]*Relation, len(env.Snap.stores))
 	var joined int64
@@ -956,7 +1006,7 @@ func Reference(ds *rdf.Dataset, q *sparql.Query) (*Result, error) {
 	for _, tp := range q.Patterns {
 		bp := bindPattern(snap.Dict(), tp)
 		rel := &Relation{Vars: bp.vars}
-		st.match(&bp, keepAll, nil, rel)
+		st.match(&bp, keepAll, 0, nil, rel)
 		if cur == nil {
 			cur = rel
 		} else {

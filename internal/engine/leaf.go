@@ -3,9 +3,11 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
 	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/resilience"
@@ -33,6 +35,10 @@ type scanLeaf struct {
 	// size[node] is the row count of the node's read, known before it is
 	// performed.
 	size []int
+	// keep filters every read of an aligned or a root scan (see nodeKeep);
+	// aligned reads also see the migration overlays.
+	keep    nodeKeep
+	aligned bool
 
 	// The delta is matched at most once per operator, by whichever read
 	// comes first, and its rows are shared by every node's relation.
@@ -50,14 +56,17 @@ type scanLeaf struct {
 // every node. A non-empty alignVar makes it the scan of an aligned
 // child (see alignHints): each row is emitted only on the node the
 // parent's repartition scatter would route it to, so the emitted
-// multiset is identical to scan+scatter+dedup with nothing moved. With
+// multiset is identical to scan+scatter+dedup with nothing moved. A
+// root scan under a placement with homes emits each row only on its
+// subject's home, which holds every triple of that subject, delta ones
+// included; a constant subject's home is the only node that reads. With
 // lazy set, healthy nodes' reads are sized but left to the parent join
 // (see scanLeaf); a pattern that repeats a variable filters its
 // candidates, so its ranges are not its sizes and it is read at once.
 // Every node is gated and sized before any read starts; only the reads
 // whose range holds candidates (or that fail over) are spread over
 // goroutines (see fanOut), and the trace records how many those were.
-func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, alignVar string, lazy bool) (*scanLeaf, error) {
+func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, alignVar string, lazy, root bool) (*scanLeaf, error) {
 	snap := env.Snap
 	n := len(snap.stores)
 	l := &scanLeaf{
@@ -67,19 +76,22 @@ func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 		tr:    tr,
 		rels:  make([]*Relation, n),
 		size:  make([]int, n),
+		keep:  keepAll,
 	}
 	bp := &l.bp
-	alignCol := -1
-	if alignVar != "" {
-		for i, v := range bp.vars {
-			if v == alignVar {
-				alignCol = i
-			}
-		}
-		if alignCol < 0 {
+	only := -1 // the one node that reads, -1 when every node does
+	switch {
+	case alignVar != "":
+		col := slices.Index(bp.vars, alignVar)
+		if col < 0 {
 			return nil, fmt.Errorf("engine: aligned-scan variable ?%s missing from tp%d", alignVar, p.TP+1)
 		}
-		tr.Aligned = true
+		l.keep = nodeKeep{col: col, nodeOf: func(v rdf.TermID) int { return partition.AlignNode(v, n) }}
+		l.aligned, tr.Aligned = true, true
+	case root && snap.home != nil && bp.sConst:
+		only = snap.home(bp.s)
+	case root && snap.home != nil:
+		l.keep = nodeKeep{col: bp.sVar, nodeOf: snap.home}
 	}
 	lazy = lazy && !bp.repeated
 	deltaLen := 0
@@ -94,6 +106,9 @@ func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 	// death this scan discovered, whatever the schedule.
 	var down []bool // nil while every node is up
 	for node := 0; node < n; node++ {
+		if only >= 0 && node != only {
+			continue
+		}
 		d, err := e.nodeGate(ctx, node, "scan", env)
 		if err != nil {
 			return nil, err
@@ -105,7 +120,7 @@ func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 			down[node] = true
 		}
 		l.size[node] = len(snap.stores[node].candidates(bp)) + deltaLen
-		if ov := snap.overlay(node); ov != nil && alignCol >= 0 {
+		if ov := snap.overlay(node); ov != nil && l.aligned {
 			l.size[node] += len(ov.candidates(bp))
 		}
 	}
@@ -116,14 +131,18 @@ func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 	isDown := func(node int) bool { return down != nil && down[node] }
 	busy := func(node int) bool { return isDown(node) || !lazy && l.size[node] > 0 }
 	busyNodes, err := e.fanOut(n, busy, func(node int) error {
-		if lazy && !isDown(node) {
+		switch {
+		case only >= 0 && node != only:
+			l.rels[node] = &Relation{Vars: bp.vars}
+			return nil
+		case lazy && !isDown(node):
 			return nil
 		}
 		var deadSet []int
 		if isDown(node) {
 			deadSet = dead
 		}
-		missing, err := l.readAt(node, alignCol, deadSet)
+		missing, err := l.readAt(node, deadSet)
 		if missing > 0 {
 			// Any hole fails fast, typed: never a silent partial result.
 			return e.unavailable(env, "scan", missing)
@@ -151,8 +170,8 @@ func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 // readAt performs node's fragment read and surfaces the delta's rows on
 // it. A failover read that finds kept triples without a live copy
 // reports their count and leaves the node unread.
-func (l *scanLeaf) readAt(node, alignCol int, dead []int) (missing int, err error) {
-	rel, count, missing := l.snap.read(node, &l.bp, alignCol, dead)
+func (l *scanLeaf) readAt(node int, dead []int) (missing int, err error) {
+	rel, count, missing := l.snap.read(node, &l.bp, l.keep, l.aligned, dead)
 	if missing > 0 {
 		return missing, nil
 	}
@@ -164,17 +183,16 @@ func (l *scanLeaf) readAt(node, alignCol int, dead []int) (missing int, err erro
 	if l.deltaErr != nil {
 		return 0, l.deltaErr
 	}
-	if alignCol < 0 {
+	if l.keep.col < 0 {
 		rel.Rows = append(rel.Rows, l.deltaRows...)
 	} else {
 		// Ingested triples are replicated to every node via the delta,
-		// so the align filter keeps each of them exactly on its scatter
-		// destination — the alignment guarantee holds for them without
-		// any overlay copy (a migration never copies a delta triple, for
-		// the same reason).
-		n := len(l.rels)
+		// so the filter keeps each of them exactly on its node — the
+		// alignment guarantee holds for them without any overlay copy (a
+		// migration never copies a delta triple, for the same reason), and
+		// a home read emits each once.
 		for _, row := range l.deltaRows {
-			if int(uint64(row[alignCol])%uint64(n)) == node {
+			if l.keep.keeps(row, node) {
 				rel.Rows = append(rel.Rows, row)
 			}
 		}
@@ -194,7 +212,7 @@ func (l *scanLeaf) read(node int) (*Relation, error) {
 		// Nothing to read, and most nodes of a point read are here.
 		l.rels[node] = &Relation{Vars: l.bp.vars}
 	default:
-		if _, err := l.readAt(node, -1, nil); err != nil {
+		if _, err := l.readAt(node, nil); err != nil {
 			return nil, err
 		}
 	}

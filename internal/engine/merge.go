@@ -3,6 +3,7 @@ package engine
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"math"
 	"slices"
 
@@ -33,9 +34,10 @@ import (
 // is sorted on its node.
 //
 // The one-level join keeps a driver instead: when every input holds the
-// one variable, at most one input per node that is out of key order is
-// walked in its own order, each of its rows looking its key up in the
-// other inputs. Any further unordered input is sorted on the node first.
+// one variable, at most one input per node that is out of key order and
+// not probed is walked in its own order, each of its rows looking its
+// key up in the other inputs. Any further unordered input is sorted on
+// the node first.
 //
 // Once every variable of the order is bound, the join emits the cross
 // product of the inputs' final groups; a variable only one input holds
@@ -47,6 +49,12 @@ import (
 // A leaf's postings are the entries of the final groups it contributes
 // to a match, each group counted once per node: the entries the join
 // takes rows from, not the ones a search steps over.
+//
+// The root join is told two more things. What the query projects (see
+// project): when that drops a column, it emits only the projected ones,
+// and an input that binds none of them and nothing another input checks
+// is probed for one agreeing entry, not enumerated. And, for a root local join, the home rule (see
+// homeOn): a match is emitted only on the home of its anchor's binding.
 type sortedJoin struct {
 	order  []string
 	schema []string
@@ -60,6 +68,19 @@ type sortedJoin struct {
 	// drive marks the one-level join, where every input holds the
 	// variable and an unordered input may drive.
 	drive bool
+
+	// out lists the schema columns the root join emits, nil for every
+	// column, and outVars their variables; probe[i] marks input i as
+	// probed (see project).
+	out     []int
+	outVars []string
+	probe   []bool
+	// home, when non-nil, keeps a match only on the home of its binding of
+	// schema column anchor: a level when anchor < len(order), else the
+	// column input anchorIn sets (see homeOn).
+	home     func(rdf.TermID) int
+	anchor   int
+	anchorIn int
 }
 
 // levelRef names one input's own level at some depth of the order.
@@ -208,6 +229,80 @@ func newSortedJoin(vars [][]string, sizes []int64, leaves []*scanLeaf, order []s
 	return s
 }
 
+// project makes the root join emit only the columns of vars, in that
+// order, and probe every input that sets no projected column and none
+// another input checks: such an input contributes only the existence of
+// an agreeing entry, so one is enough. It reports whether each node's
+// output is still a set, which holds when every column it drops is set
+// by a probed input; a dropped level or enumerated column can bind two
+// matches to one projected row. A projection that drops nothing leaves
+// the join as it is: the stream reorders the columns.
+func (s *sortedJoin) project(vars []string) (sets bool, err error) {
+	for _, v := range vars {
+		if !slices.Contains(s.schema, v) {
+			return false, fmt.Errorf("engine: projected variable ?%s not bound by the query", v)
+		}
+	}
+	drops := false
+	for _, v := range s.schema {
+		drops = drops || !slices.Contains(vars, v)
+	}
+	if !drops {
+		return true, nil
+	}
+	const projected, checked = 1, 2
+	s.out, s.outVars = make([]int, len(vars)), vars
+	use := make([]uint8, len(s.schema))
+	for i, v := range vars {
+		s.out[i] = slices.Index(s.schema, v)
+		use[s.out[i]] |= projected
+	}
+	for _, in := range s.inputs {
+		for _, cc := range in.check {
+			use[cc.col] |= checked
+		}
+	}
+	s.probe = make([]bool, len(s.inputs))
+	sets = true
+	for i, in := range s.inputs {
+		s.probe[i] = true
+		for _, cc := range in.set {
+			s.probe[i] = s.probe[i] && use[cc.col] == 0
+		}
+		for _, cc := range in.set {
+			sets = sets && (s.probe[i] || use[cc.col]&projected != 0)
+		}
+	}
+	for d := range s.order {
+		sets = sets && use[d]&projected != 0
+	}
+	return sets, nil
+}
+
+// homeOn applies the home rule on variable v, which must be a variable
+// of the join's schema, and reports whether it could.
+func (s *sortedJoin) homeOn(v string, home func(rdf.TermID) int) bool {
+	c := slices.Index(s.schema, v)
+	if c < 0 {
+		return false
+	}
+	s.home, s.anchor, s.anchorIn = home, c, -1
+	for i, in := range s.inputs {
+		if slices.ContainsFunc(in.set, func(cc colComp) bool { return cc.col == c }) {
+			s.anchorIn = i
+		}
+	}
+	return true
+}
+
+// vars returns the variables of the join's output.
+func (s *sortedJoin) vars() []string {
+	if s.out == nil {
+		return s.schema
+	}
+	return s.outVars
+}
+
 // varComp returns the triple component binding variable column j of bp
 // (which repeats no variable).
 func varComp(bp *boundPattern, j int) int {
@@ -245,9 +340,9 @@ type mergeCursor struct {
 	spans []span
 	nruns int
 	final []span
-	// seen marks, for a revisiting leaf, the final groups counted
-	// already, by their first entry; offs[r] is run r's first bit, and
-	// offs[len(runs)] their length.
+	// seen marks, for a revisiting or looked-up leaf, the final groups
+	// counted already, by their first entry; offs[r] is run r's first
+	// bit, and offs[len(runs)] their length.
 	seen     []uint64
 	offs     []int
 	postings int64
@@ -324,7 +419,9 @@ func (c *mergeCursor) take(l int, k rdf.TermID) {
 
 // lookup sets the one level's group to the entries keyed k, searching
 // the whole of every run — a driver's keys come in no order — and
-// reports whether there are any.
+// reports whether there are any. The group's postings are counted once
+// the driver row matches (see count), not per lookup: driver rows repeat
+// keys.
 func (c *mergeCursor) lookup(k rdf.TermID) bool {
 	if !c.ranges {
 		keys := c.keys[0]
@@ -342,10 +439,19 @@ func (c *mergeCursor) lookup(k rdf.TermID) bool {
 		}
 		hi := lo + firstAbove(run[lo:], comp, k)
 		c.group(0)[r] = span{lo, hi}
-		c.postings += int64(hi - lo)
 		found = found || hi > lo
 	}
 	return found
+}
+
+// track makes count remember the groups it counted, for a leaf that can
+// reach one group under several matches.
+func (c *mergeCursor) track() {
+	c.offs = make([]int, len(c.runs)+1)
+	for r, run := range c.runs {
+		c.offs[r+1] = c.offs[r] + len(run)
+	}
+	c.seen = make([]uint64, c.offs[len(c.runs)]/64+1)
 }
 
 // count adds the leaf's final group to its postings, unless the group
@@ -448,9 +554,9 @@ func lowerBound(keys []rdf.TermID, k rdf.TermID) int {
 func (s *sortedJoin) join(ctx context.Context, g *resilience.Gauge, site string, node int, rels []*Relation) (*Relation, error) {
 	hint := s.rowsOn(node, rels)
 	if hint == 0 {
-		return &Relation{Vars: s.schema}, nil
+		return &Relation{Vars: s.vars()}, nil
 	}
-	j := mergeJoin{ctx: ctx, g: g, site: site, s: s, cursors: make([]mergeCursor, len(s.inputs)), row: make([]rdf.TermID, len(s.schema))}
+	j := mergeJoin{ctx: ctx, g: g, site: site, s: s, node: node, cursors: make([]mergeCursor, len(s.inputs)), row: make([]rdf.TermID, len(s.schema))}
 	driver := -1
 	for i := range s.inputs {
 		in := &s.inputs[i]
@@ -465,11 +571,7 @@ func (s *sortedJoin) join(ctx context.Context, g *resilience.Gauge, site string,
 			c.runs = append(c.base[:], in.delta...)
 			c.alloc(levels, len(c.runs))
 			if in.revisit {
-				c.offs = make([]int, len(c.runs)+1)
-				for r, run := range c.runs {
-					c.offs[r+1] = c.offs[r] + len(run)
-				}
-				c.seen = make([]uint64, c.offs[len(c.runs)]/64+1)
+				c.track()
 			}
 			continue
 		}
@@ -487,7 +589,9 @@ func (s *sortedJoin) join(ctx context.Context, g *resilience.Gauge, site string,
 			if c.keys = [][]rdf.TermID{rel.keys}; rel.keys == nil {
 				c.keys[0] = column(c.rows, in.cols[0])
 			}
-		case !s.drive:
+		case !s.drive || s.probe != nil && s.probe[i]:
+			// A probed input does not drive: its entries would each be a
+			// driver row of their own, not one group to stop early in.
 			c.rows, c.keys = lexOrder(c.rows, in.cols)
 		// Out of key order: the largest such input drives, the others are
 		// sorted here.
@@ -501,10 +605,19 @@ func (s *sortedJoin) join(ctx context.Context, g *resilience.Gauge, site string,
 			c.rows, c.keys = lexOrder(c.rows, in.cols)
 		}
 	}
-	j.out = newRelation(s.schema, hint)
+	if driver >= 0 {
+		// A driver's rows repeat keys: the leaves it looks them up in count
+		// each group once.
+		for i := range j.cursors {
+			if c := &j.cursors[i]; c.ranges {
+				c.track()
+			}
+		}
+	}
+	j.out = newRelation(s.vars(), hint)
 	var err error
 	if driver < 0 {
-		if len(s.order) > 0 {
+		if len(s.order) > 0 && s.out == nil {
 			j.out.sortedOn = s.order[0]
 		}
 		err = j.level(0)
@@ -586,6 +699,7 @@ type mergeJoin struct {
 	g           *resilience.Gauge
 	site        string
 	s           *sortedJoin
+	node        int
 	cursors     []mergeCursor // in input order
 	out         *Relation
 	row         []rdf.TermID // the row being built, in the schema's columns
@@ -620,6 +734,14 @@ func (j *mergeJoin) level(d int) error {
 		if err := j.poll(); err != nil {
 			return err
 		}
+		if j.offHome(d, key) {
+			// No match under this key is emitted here: no input seeks it.
+			if key == math.MaxUint32 {
+				return nil
+			}
+			key++
+			continue
+		}
 		if !match {
 			continue
 		}
@@ -635,6 +757,12 @@ func (j *mergeJoin) level(d int) error {
 		}
 		key++
 	}
+}
+
+// offHome reports whether key, bound at level d, is the anchor's binding
+// and homed on another node.
+func (j *mergeJoin) offHome(d int, key rdf.TermID) bool {
+	return j.s.home != nil && d == j.s.anchor && j.s.home(key) != j.node
 }
 
 // match emits the rows of one binding of the whole order, with every
@@ -663,9 +791,17 @@ rows:
 			return err
 		}
 		k := row[col]
+		if j.offHome(0, k) {
+			continue
+		}
 		for d := range j.cursors {
 			if d != driver && !j.cursors[d].lookup(k) {
 				continue rows
+			}
+		}
+		for d := range j.cursors {
+			if c := &j.cursors[d]; c.ranges {
+				c.count()
 			}
 		}
 		drv.group(0)[0] = span{i, i + 1}
@@ -684,12 +820,21 @@ rows:
 // emits[e] and beyond, extending the row the earlier ones bound.
 func (j *mergeJoin) emit(e int) error {
 	if e == len(j.cursors) {
-		j.out.appendCopy(j.row)
+		if j.s.out != nil {
+			j.out.appendProjected(j.row, j.s.out)
+		} else {
+			j.out.appendCopy(j.row)
+		}
 		j.ops++
 		return j.poll()
 	}
-	c := &j.cursors[j.s.emits[e]]
+	i := j.s.emits[e]
+	c := &j.cursors[i]
 	in := c.in
+	// A probed input stops at its first agreeing entry; the input that
+	// sets the anchor skips the entries homed elsewhere.
+	probe := j.s.probe != nil && j.s.probe[i]
+	homes := j.s.home != nil && i == j.s.anchorIn
 	if c.ranges {
 		for r, sp := range c.final {
 		entries:
@@ -702,7 +847,10 @@ func (j *mergeJoin) emit(e int) error {
 				for _, cc := range in.set {
 					j.row[cc.col] = component(t, in.varComps[cc.comp])
 				}
-				if err := j.emit(e + 1); err != nil {
+				if homes && j.s.home(j.row[j.s.anchor]) != j.node {
+					continue
+				}
+				if err := j.emit(e + 1); err != nil || probe {
 					return err
 				}
 			}
@@ -720,7 +868,10 @@ rows:
 		for _, cc := range in.set {
 			j.row[cc.col] = r[cc.comp]
 		}
-		if err := j.emit(e + 1); err != nil {
+		if homes && j.s.home(j.row[j.s.anchor]) != j.node {
+			continue
+		}
+		if err := j.emit(e + 1); err != nil || probe {
 			return err
 		}
 	}

@@ -6,10 +6,11 @@
 // intermediate results between nodes (their volume is reported in the
 // execution metrics).
 //
-// Query results follow set semantics: the engine deduplicates rows at
-// the root, which also absorbs the replication that partitioning
-// methods such as Hash-SO and 2f introduce. A single-node reference
-// executor provides the ground truth for integration tests.
+// Query results follow set semantics. The root emits each answer once,
+// from its home node, where the placement names one; elsewhere the
+// stream deduplicates rows, which absorbs the replication that
+// partitioning methods such as Hash-SO and 2f introduce. A single-node
+// reference executor provides the ground truth for integration tests.
 //
 // The data plane is columnar-adjacent: a relation's rows live in one
 // flat TermID arena (row i is a slice of it). Joins hash nothing: their

@@ -327,12 +327,22 @@ func bindPattern(dict *rdf.Dict, tp sparql.TriplePattern) boundPattern {
 	return bp
 }
 
-// alignKeep is the aligned scan's destination filter: a row survives
-// only on the node the parent's repartition scatter would route it to
-// (row[col] % n == node). col < 0 keeps every row.
-type alignKeep struct{ col, n, node int }
+// nodeKeep is the engine's one "keep on node-of(term)" filter: a row
+// survives only on the node nodeOf names for its term at col. An aligned
+// scan keeps each row on the node its parent's repartition scatter would
+// route it to (partition.AlignNode); a root scan keeps it on its
+// subject's home (partition.Placement.Home). col < 0 keeps every row.
+type nodeKeep struct {
+	col    int
+	nodeOf func(rdf.TermID) int
+}
 
-var keepAll = alignKeep{col: -1}
+var keepAll = nodeKeep{col: -1}
+
+// keeps reports whether row stays on node.
+func (k nodeKeep) keeps(row []rdf.TermID, node int) bool {
+	return k.col < 0 || k.nodeOf(row[k.col]) == node
+}
 
 // candidates returns the triples agreeing with every constant of bp:
 // the prefix range of the one permutation whose order starts with the
@@ -430,14 +440,14 @@ func (s *store) rangeIn(bp *boundPattern, p perm) []rdf.Triple {
 // match reads the pattern's candidate range and appends one row per
 // matching triple to out. It is the only loop over candidates; every read
 // the engine performs is a parameterization of it. A matched row must
-// clear two optional gates, in this order: keep, then live (nil = every
+// clear two optional gates, in this order: keep on node, then live (nil = every
 // copy is live) — the failover coverage check, asked for the row's
 // triple when this store stands in for a dead node's placement
 // manifest. scanned is the number of postings touched — the range's
 // length; missing counts the kept rows live rejects (rows another node
 // keeps anyway never demand a replica). bp is shared read-only by the
 // concurrent per-node reads of one scan.
-func (s *store) match(bp *boundPattern, keep alignKeep, live func(rdf.Triple) bool, out *Relation) (scanned int64, missing int) {
+func (s *store) match(bp *boundPattern, keep nodeKeep, node int, live func(rdf.Triple) bool, out *Relation) (scanned int64, missing int) {
 	candidates := s.candidates(bp)
 	out.reserve(len(candidates))
 	var buf [3]rdf.TermID // a triple pattern binds at most 3 variables
@@ -446,7 +456,7 @@ func (s *store) match(bp *boundPattern, keep alignKeep, live func(rdf.Triple) bo
 		if !fillRow(row, bp, t) {
 			continue
 		}
-		if keep.col >= 0 && int(uint64(row[keep.col])%uint64(keep.n)) != keep.node {
+		if !keep.keeps(row, node) {
 			continue
 		}
 		if live != nil && !live(t) {
@@ -495,22 +505,23 @@ func fillRow(row []rdf.TermID, bp *boundPattern, t rdf.Triple) bool {
 }
 
 // read is the engine's one per-node fragment read: the rows of bp
-// visible at node under this snapshot, from the node's base fragment
-// and — on an aligned read only — its migration overlay. (The third
-// part of the fragment view, the broadcast delta, is node-independent;
-// readDelta matches it once per operator.)
+// visible at node under this snapshot that keep leaves on it, from the
+// node's base fragment and — on an aligned read only — its migration
+// overlay. (The third part of the fragment view, the broadcast delta, is
+// node-independent; readDelta matches it once per operator.)
 //
-// alignCol >= 0 makes the read aligned: each row is kept only on the
-// node the parent's repartition scatter would route it to. Migrated
-// copies live only in the overlay, invisible to normal reads; an
-// aligned read must see them — they are exactly the copies the
-// migration placed on this node so the shuffle can be skipped. No
-// dedup is needed, unlike the scatter path: base, overlay and delta
-// are pairwise disjoint per node and each internally deduplicated (the
-// overlay is built net of the base and the delta, the delta net of the
-// whole dataset), and every copy of a triple shares one align node, so
-// each matching row appears exactly once globally — already on its
-// scatter destination.
+// An aligned read keeps each row only on the node the parent's
+// repartition scatter would route it to. Migrated copies live only in
+// the overlay, invisible to normal reads; an aligned read must see them
+// — they are exactly the copies the migration placed on this node so
+// the shuffle can be skipped. No dedup is needed, unlike the scatter
+// path: base, overlay and delta are pairwise disjoint per node and each
+// internally deduplicated (the overlay is built net of the base and the
+// delta, the delta net of the whole dataset), and every copy of a triple
+// shares one align node, so each matching row appears exactly once
+// globally — already on its scatter destination. A root scan's home read
+// is the same filter on the subject's home, which every method holding a
+// home places each triple on.
 //
 // A non-nil dead set (which then contains node) makes the read a
 // failover read: node's stores are walked as the placement manifest of
@@ -520,19 +531,18 @@ func fillRow(row []rdf.TermID, bp *boundPattern, t rdf.Triple) bool {
 // and are replicated everywhere, so they need no check. With missing
 // == 0 the relation is bit-identical to the healthy node's read.
 // scanned is the postings touched on the node's own stores.
-func (s *Snap) read(node int, bp *boundPattern, alignCol int, dead []int) (rel *Relation, scanned int64, missing int) {
-	keep := alignKeep{col: alignCol, n: len(s.stores), node: node}
+func (s *Snap) read(node int, bp *boundPattern, keep nodeKeep, aligned bool, dead []int) (rel *Relation, scanned int64, missing int) {
 	var live func(rdf.Triple) bool
 	if dead != nil {
 		live = s.liveCopy(dead)
 	}
 	rel = &Relation{Vars: bp.vars}
-	scanned, missing = s.stores[node].match(bp, keep, live, rel)
-	if ov := s.overlay(node); ov != nil && alignCol >= 0 {
+	scanned, missing = s.stores[node].match(bp, keep, node, live, rel)
+	if ov := s.overlay(node); ov != nil && aligned {
 		// The overlay's copies need live homes too (their base source
 		// could be on another dead node). They land in the same arena, so
 		// the caller's one charge covers them.
-		ovScanned, ovMissing := ov.match(bp, keep, live, rel)
+		ovScanned, ovMissing := ov.match(bp, keep, node, live, rel)
 		scanned += ovScanned
 		missing += ovMissing
 	}
@@ -578,7 +588,7 @@ func (s *Snap) readDelta(bp *boundPattern, g *resilience.Gauge) ([][]rdf.TermID,
 	rel := &Relation{Vars: bp.vars}
 	var scanned int64
 	for _, st := range s.delta {
-		n, _ := st.match(bp, keepAll, nil, rel)
+		n, _ := st.match(bp, keepAll, 0, nil, rel)
 		scanned += n
 	}
 	if err := rel.chargeTo(g, "scan"); err != nil {

@@ -227,3 +227,52 @@ func BenchmarkBroadcastJoin(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRootEmit times what result-heavy's root-bound kinds cost the
+// engine end to end — S2, J1, SP and F2, LUBM-10 under hash-so on ten
+// nodes, TD-Auto's plans — through ExecuteStream and a full drain of its
+// chunks, as a served query does. Their roots are a scan or a local
+// join, so each answer leaves once, from its home node, and the stream
+// keeps no seen-set; flat/op is the rows the home nodes emitted, rows/op
+// the distinct answers.
+func BenchmarkRootEmit(b *testing.B) {
+	ds := lubm.Generate(lubm.Config{Universities: 10, Seed: 1})
+	placement, err := partition.HashSO{}.Partition(ds, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := New(ds.Dict, placement)
+	const prefixes = "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\nPREFIX ub: <" + lubm.UB + ">\n"
+	ctx := context.Background()
+	for _, kind := range []struct{ name, src string }{
+		{"S2", `SELECT ?x ?t WHERE { ?x rdf:type ?t . }`},
+		{"J1", `SELECT ?x ?c ?f WHERE { ?x ub:takesCourse ?c . ?f ub:teacherOf ?c . }`},
+		{"SP", `SELECT ?p ?a ?n WHERE { ?p ub:publicationAuthor ?a . ?p ub:name ?n . }`},
+		{"F2", `SELECT ?x WHERE { ?x ub:advisor ?f . ?p ub:publicationAuthor ?f . ?f ub:teacherOf ?c . }`},
+	} {
+		q := sparql.MustParse(prefixes + kind.src)
+		p := optimizeFor(b, ds, q, partition.HashSO{}, opt.TDAuto).Plan
+		b.Run(kind.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var flat, rows int64
+			for i := 0; i < b.N; i++ {
+				st, err := e.ExecuteStream(ctx, p, q, ExecEnv{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for {
+					chunk, err := st.NextChunk(ctx)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if chunk == nil {
+						break
+					}
+				}
+				flat, rows = st.Result().FlatRowCount(), st.Result().RowCount()
+			}
+			b.ReportMetric(float64(flat), "flat/op")
+			b.ReportMetric(float64(rows), "rows/op")
+		})
+	}
+}

@@ -122,7 +122,7 @@ func TestStoreRanges(t *testing.T) {
 						}
 					}
 					rel := &Relation{Vars: bp.vars}
-					scanned, _ := st.match(&bp, keepAll, nil, rel)
+					scanned, _ := st.match(&bp, keepAll, 0, nil, rel)
 					if scanned != wantRange {
 						t.Fatalf("trial %d: mask %03b of %v touched %d postings, a filter keeps %d", trial, mask, c, scanned, wantRange)
 					}

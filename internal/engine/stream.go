@@ -5,16 +5,25 @@
 // fixed-size row chunks as the consumer pulls, instead of materializing
 // one projected output arena.
 //
-// Distinctness across chunks is exact. Emitted chunks are recycled, so
-// the stream keeps its own copy of every distinct row it has emitted in
-// a rowSet — an open-addressing table of row indices over one
-// append-only TermID arena — and verifies every hash candidate against
-// the stored row, exactly as the materializing path's hash-plus-row-
-// compare does. A distinct row costs its 4·width payload bytes plus
-// 8–16 bytes of table slots (load factor ¼–½), before the slack of the
-// arena's geometric growth; the set is charged to the query's memory
-// gauge at its allocated size, and it disappears entirely on the
-// dedup-free fast path (see dedupFree).
+// Each answer leaves once, from its home node, wherever the placement
+// can name one: a root scan emits a row only on its subject's home, a
+// root local join a match only on its anchor's home, and a root join
+// whose projection drops a column emits only the projected ones,
+// probing the inputs the projection does not need (see rootOut, Snap.joinHome, sortedJoin.project). Such a
+// root hands the stream no copy, and the stream keeps no seen-set (see
+// dedupFree).
+//
+// Where copies remain — a broadcast root, a placement without homes, a
+// projection that drops an enumerated column — distinctness across
+// chunks is exact. Emitted chunks are recycled, so the stream keeps its
+// own copy of every distinct row it has emitted in a rowSet — an
+// open-addressing table of row indices over one append-only TermID
+// arena — and verifies every hash candidate against the stored row,
+// exactly as the materializing path's hash-plus-row-compare does. A
+// distinct row costs its 4·width payload bytes plus 8–16 bytes of table
+// slots (load factor ¼–½), before the slack of the arena's geometric
+// growth; the set is charged to the query's memory gauge at its
+// allocated size.
 package engine
 
 import (
@@ -147,37 +156,51 @@ func (s *rowSet) bytes() int64 {
 	return int64(cap(s.arena))*termIDBytes + int64(len(s.slots))*4
 }
 
+// rootOut is the stream's contract with the plan's root operator: the
+// variables the query projects, and what the operator reports back
+// about the rows it emitted.
+type rootOut struct {
+	vars []string
+	// sets reports that each node's output holds a projected row at most
+	// once; disjoint, that no projected row is emitted on two nodes.
+	sets, disjoint bool
+}
+
+// scanned records a root scan's report: its nodes' reads are sets, which
+// the projection keeps when it drops no column, and a home read (homed)
+// emits a row only on its subject's home.
+func (r *rootOut) scanned(bp *boundPattern, homed bool) {
+	r.sets = !slices.ContainsFunc(bp.vars, func(v string) bool { return !slices.Contains(r.vars, v) })
+	r.disjoint = homed && (bp.sConst || slices.Contains(r.vars, bp.vars[bp.sVar]))
+}
+
+// keyedOn records that a root join emits every match on one node named
+// by its binding of v: the projected rows are disjoint across nodes when
+// they keep v.
+func (r *rootOut) keyedOn(v string) {
+	r.disjoint = slices.Contains(r.vars, v)
+}
+
 // dedupFree reports whether the root's gathered output is provably
 // duplicate-free, letting the stream skip the seen-set entirely. Two
 // duplicate sources exist: projection (dropping a column can identify
-// previously distinct rows) and cross-node replication (partitioning
-// methods place copies of a triple on several nodes). Projection-
-// induced duplicates are impossible when the projected variables cover
-// the full root schema (any permutation — the map stays injective).
-// Replication-induced duplicates are impossible on a single node, and
-// for a repartition-join root: every input row on node i was routed
-// (by scatter or aligned scan) because its join-key hash lands on i,
-// so the per-node outputs are pairwise disjoint; and each node's
-// output is a set because natural joins of sets are sets (scans are
-// sets — base, overlay and delta are pairwise disjoint and internally
-// deduplicated — and scatter dedups each bucket).
-func dedupFree(p *plan.Node, nodes int, vars, schema []string) bool {
-	if nodes > 1 && p.Alg != plan.RepartitionJoin {
-		return false
-	}
-	for _, v := range schema {
-		found := false
-		for _, pv := range vars {
-			if pv == v {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+// previously distinct rows) and cross-node copies (partitioning methods
+// place copies of a triple on several nodes, and a local join finds a
+// match on every node that holds it whole). Each node's output is a set
+// because natural joins of sets are sets (scans are sets — base,
+// overlay and delta are pairwise disjoint and internally deduplicated —
+// and scatter dedups each bucket), and the projection keeps it one when
+// every column it drops is probed, never enumerated (see
+// sortedJoin.project). Cross-node copies are impossible on a single
+// node, and wherever each match is emitted on one node its binding of a
+// key names, when the projection keeps the key:
+//   - a repartition-join root: every input row on node i was routed (by
+//     scatter or aligned scan) because its join-key hash lands on i;
+//   - a home-filtered root scan: a row is emitted on its subject's home;
+//   - a home-filtered root local join: a match on its anchor's home,
+//     which holds it whole (Definition 2; see Snap.joinHome).
+func dedupFree(nodes int, r *rootOut) bool {
+	return r.sets && (nodes == 1 || r.disjoint)
 }
 
 // Stream is one execution's chunked row emission. It is single-
@@ -236,7 +259,8 @@ func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Quer
 	vars = append([]string{}, vars...)
 	st = &Stream{eng: e, env: env, execStart: execStart}
 	var m Metrics
-	parts, _, trace, err := e.eval(ctx, p, q, env, &m, "", false)
+	root := &rootOut{vars: vars}
+	parts, _, trace, err := e.eval(ctx, p, q, env, &m, "", false, root)
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +279,7 @@ func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Quer
 	st.src = &flatEnum{parts: parts, cols: cols, scratch: make([]rdf.TermID, len(vars))}
 	st.res = &Result{Vars: vars, Metrics: m, Trace: trace, flatRows: flat}
 	st.res.Failovers, st.res.Degraded = env.fo.summary()
-	if !dedupFree(p, len(env.Snap.stores), vars, schema) {
+	if !dedupFree(len(env.Snap.stores), root) {
 		st.seen = newRowSet(len(vars), hashRow)
 	}
 	st.chunk = newRelation(vars, int(min(st.res.flatRows, streamChunkRows)))

@@ -58,7 +58,7 @@ func runGreedy(ctx context.Context, in *Input) (*Result, error) {
 		// leaves beats any chain of distributed joins.
 		counter.Plans = 1
 		counter.Subqueries++
-		return &Result{Plan: localJoinOf(jg, all, leaves, in.Est.Cardinality(all), in.Params),
+		return &Result{Plan: localJoinOf(jg, checker, all, leaves, in.Est.Cardinality(all), in.Params),
 			Counter: counter, Used: Greedy}, nil
 	}
 
@@ -103,6 +103,9 @@ func runGreedy(ctx context.Context, in *Input) (*Result, error) {
 			}
 		}
 		curPlan = plan.NewJoin(best, jg.Vars[joinVar], children, out, in.Params)
+		if best == plan.LocalJoin {
+			curPlan.Anchor = checker.Anchor(cur)
+		}
 		counter.CMDs++
 		counter.Subqueries++
 	}
@@ -121,7 +124,7 @@ func joinVarWith(jg *querygraph.JoinGraph, cur bitset.TPSet, u int) int {
 }
 
 // localJoinOf builds the k-way local join of every unit in s.
-func localJoinOf(jg *querygraph.JoinGraph, s bitset.TPSet, leaves []*plan.Node, card float64, params cost.Params) *plan.Node {
+func localJoinOf(jg *querygraph.JoinGraph, checker *partition.LocalChecker, s bitset.TPSet, leaves []*plan.Node, card float64, params cost.Params) *plan.Node {
 	if s.Len() == 1 {
 		return leaves[s.Min()]
 	}
@@ -134,5 +137,7 @@ func localJoinOf(jg *querygraph.JoinGraph, s bitset.TPSet, leaves []*plan.Node, 
 	if joinVars := jg.JoinVarsOf(s); len(joinVars) > 0 {
 		name = jg.Vars[joinVars[0]]
 	}
-	return plan.NewJoin(plan.LocalJoin, name, children, card, params)
+	j := plan.NewJoin(plan.LocalJoin, name, children, card, params)
+	j.Anchor = checker.Anchor(s)
+	return j
 }

@@ -52,7 +52,7 @@ func runHGR(ctx context.Context, in *Input) (*Result, error) {
 		ctx: ctx,
 		jg:  jg,
 		leaf: func(u int) *plan.Node {
-			return groupPlan(in, origJG, groups[u])
+			return groupPlan(in, origJG, groups[u], checker)
 		},
 		card: func(units bitset.TPSet) float64 {
 			return in.Est.Cardinality(origSet(units))
@@ -62,6 +62,9 @@ func runHGR(ctx context.Context, in *Input) (*Result, error) {
 				return units.Len() <= 1
 			}
 			return checker.IsLocal(origSet(units))
+		},
+		anchor: func(units bitset.TPSet) string {
+			return checker.Anchor(origSet(units))
 		},
 		params: in.Params,
 		inst:   in.Inst,
@@ -78,7 +81,7 @@ func runHGR(ctx context.Context, in *Input) (*Result, error) {
 // groupPlan builds the leaf plan of one reduction group: a scan for a
 // single pattern, a k-way local join of scans otherwise (every group
 // is a local query by construction).
-func groupPlan(in *Input, jg *querygraph.JoinGraph, group bitset.TPSet) *plan.Node {
+func groupPlan(in *Input, jg *querygraph.JoinGraph, group bitset.TPSet, checker *partition.LocalChecker) *plan.Node {
 	if group.Len() == 1 {
 		tp := group.Min()
 		return plan.NewScan(tp, in.Est.Cardinality(group), in.Params)
@@ -92,7 +95,9 @@ func groupPlan(in *Input, jg *querygraph.JoinGraph, group bitset.TPSet) *plan.No
 	if vars := jg.JoinVarsOf(group); len(vars) > 0 {
 		name = jg.Vars[vars[0]]
 	}
-	return plan.NewJoin(plan.LocalJoin, name, children, in.Est.Cardinality(group), in.Params)
+	j := plan.NewJoin(plan.LocalJoin, name, children, in.Est.Cardinality(group), in.Params)
+	j.Anchor = checker.Anchor(group)
+	return j
 }
 
 // ReduceJoinGraph solves the JGR problem greedily: repeatedly pick the

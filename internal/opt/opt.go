@@ -210,6 +210,7 @@ func identitySpace(ctx context.Context, in *Input, o Options) *space {
 			}
 			return checker.IsLocal(s)
 		},
+		anchor: checker.Anchor,
 		params: in.Params,
 		opt:    o,
 		inst:   in.Inst,

@@ -58,6 +58,9 @@ type space struct {
 	leaf    func(unit int) *plan.Node
 	card    func(units bitset.TPSet) float64
 	isLocal func(units bitset.TPSet) bool
+	// anchor names the anchor variable of a local subquery of units (see
+	// partition.LocalChecker.Anchor), "" when there is none.
+	anchor  func(units bitset.TPSet) string
 	params  cost.Params
 	opt     Options
 	counter Counter
@@ -298,5 +301,7 @@ func (sp *space) localPlan(s bitset.TPSet) *plan.Node {
 		name = sp.jg.Vars[joinVars[0]]
 	}
 	sp.counter.Plans++
-	return plan.NewJoin(plan.LocalJoin, name, children, sp.card(s), sp.params)
+	j := plan.NewJoin(plan.LocalJoin, name, children, sp.card(s), sp.params)
+	j.Anchor = sp.anchor(s)
+	return j
 }

@@ -36,7 +36,7 @@ func (HashSO) Partition(ds *rdf.Dataset, nodes int) (*Placement, error) {
 		c.add(hashNode(t.S, nodes), t)
 		c.add(hashNode(t.O, nodes), t)
 	}
-	return c.placement(), nil
+	return c.placement(hashHome(nodes), true), nil
 }
 
 // TwoHopForward is the semantic hash partitioning algorithm "2f" of
@@ -68,7 +68,7 @@ func (TwoHopForward) Partition(ds *rdf.Dataset, nodes int) (*Placement, error) {
 			c.add(hashNode(e.To, nodes), t)
 		}
 	}
-	return c.placement(), nil
+	return c.placement(hashHome(nodes), false), nil
 }
 
 // TwoHopBidirectional is the bidirectional variant of semantic hash
@@ -123,7 +123,7 @@ func (TwoHopBidirectional) Partition(ds *rdf.Dataset, nodes int) (*Placement, er
 			c.add(n, t)
 		}
 	}
-	return c.placement(), nil
+	return c.placement(hashHome(nodes), false), nil
 }
 
 // PathBMC is the path partitioning approach of Wu et al. (paper
@@ -216,7 +216,7 @@ func (PathBMC) Partition(ds *rdf.Dataset, nodes int) (*Placement, error) {
 		}
 		load[best] += len(el.triples)
 	}
-	return c.placement(), nil
+	return c.placement(nil, false), nil
 }
 
 // UndirectedOneHop is the un-one-hop method of Huang et al. (paper
@@ -248,7 +248,15 @@ func (UndirectedOneHop) Partition(ds *rdf.Dataset, nodes int) (*Placement, error
 		c.add(assign[t.S], t)
 		c.add(assign[t.O], t)
 	}
-	return c.placement(), nil
+	// A vertex placed after Open has only delta triples, which are on
+	// every node: any node is its home, and hashing names one.
+	home := func(v rdf.TermID) int {
+		if n, ok := assign[v]; ok {
+			return n
+		}
+		return hashNode(v, nodes)
+	}
+	return c.placement(home, true), nil
 }
 
 // greedyEdgeCut partitions the vertices into balanced BFS-grown

@@ -54,6 +54,19 @@ type Placement struct {
 	// the producer's (a method's placement order, or sorted when it aliases
 	// an engine's stores), and readers must not write into it.
 	Triples [][]rdf.Triple
+	// Home is the method's distribute as a function of a term: the node
+	// that holds every match of a local query anchored at v (Definition
+	// 2), and with it every triple whose subject is v. nil when the method
+	// has no per-vertex home: path-bmc anchors its elements at start
+	// vertices.
+	Home func(v rdf.TermID) int
+	// DeltaHomed reports that Home keeps that meaning for local queries
+	// while broadcast-ingested triples exist: the method places a triple
+	// by its own endpoints (hash-so, un-1hop), so a match that uses a
+	// delta triple still lies whole on its anchor's home. Under 2f and
+	// 2fb a written edge x→y brings base triples around y into x's
+	// element, and x's home need not hold them.
+	DeltaHomed bool
 }
 
 // TotalStored returns the sum of fragment sizes (≥ the dataset size
@@ -81,15 +94,19 @@ func (p *Placement) ReplicationFactor(originalSize int) float64 {
 // per distinct maximal local query.
 type LocalChecker struct {
 	mlqs []bitset.TPSet
+	g    *querygraph.Graph
+	// combines[v] is combine(v, G_Q) of query vertex v.
+	combines []bitset.TPSet
 }
 
 // NewLocalChecker computes the maximal local queries at every vertex
 // of the query graph.
 func NewLocalChecker(m Method, g *querygraph.Graph) *LocalChecker {
 	seen := map[bitset.TPSet]bool{}
-	c := &LocalChecker{}
+	c := &LocalChecker{g: g, combines: make([]bitset.TPSet, len(g.Terms))}
 	for v := range g.Terms {
 		mlq := m.CombineQuery(g, v)
+		c.combines[v] = mlq
 		if mlq.IsEmpty() || seen[mlq] {
 			continue
 		}
@@ -129,6 +146,22 @@ func (c *LocalChecker) IsLocal(s bitset.TPSet) bool {
 		}
 	}
 	return false
+}
+
+// Anchor returns a variable v that some pattern of the local subquery s
+// holds, with combine(v, G_Q) ⊇ s: every match of s then lies whole on
+// the home of v's binding (see Placement.Home). It is the lowest such
+// vertex, "" when no variable of s anchors it or c is nil.
+func (c *LocalChecker) Anchor(s bitset.TPSet) string {
+	if c == nil {
+		return ""
+	}
+	for v, t := range c.g.Terms {
+		if t.IsVar() && c.g.Incident(v).Overlaps(s) && s.SubsetOf(c.combines[v]) {
+			return t.Value
+		}
+	}
+	return ""
 }
 
 // MaximalLocalQueries returns the distinct maximal local queries.
@@ -188,8 +221,16 @@ func (c *collector) add(node int, t rdf.Triple) {
 	c.triples[node] = append(c.triples[node], t)
 }
 
-func (c *collector) placement() *Placement {
-	return &Placement{Nodes: len(c.triples), Triples: c.triples}
+// placement returns the collected fragments with the method's home
+// function (nil when it has none).
+func (c *collector) placement(home func(rdf.TermID) int, deltaHomed bool) *Placement {
+	return &Placement{Nodes: len(c.triples), Triples: c.triples, Home: home, DeltaHomed: deltaHomed}
+}
+
+// hashHome is the home function of the methods that distribute by
+// hashing the anchor vertex.
+func hashHome(nodes int) func(rdf.TermID) int {
+	return func(v rdf.TermID) int { return hashNode(v, nodes) }
 }
 
 func checkNodes(nodes int) error {

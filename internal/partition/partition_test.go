@@ -113,6 +113,78 @@ func TestLocalCheckerKeepsOnlyMaximal(t *testing.T) {
 	}
 }
 
+// TestLocalCheckerAnchor: the anchor of a local subquery is a variable
+// of the subquery whose combine covers it — never a vertex the subquery
+// does not hold, even when its combine covers the subquery too (path-bmc's
+// ?a below), and never a constant.
+func TestLocalCheckerAnchor(t *testing.T) {
+	q := sparql.MustParse(`SELECT * WHERE { ?a <p> ?x . ?x <q> ?y . ?y <r> ?z . <c> <s> ?y . <c> <t> ?w . }`)
+	g := querygraph.NewGraph(q)
+	for _, c := range []struct {
+		m    Method
+		s    bitset.TPSet
+		want string
+	}{
+		{PathBMC{}, bitset.Of(1, 2), "x"},
+		{PathBMC{}, bitset.Of(0, 1, 2), "a"},
+		{TwoHopForward{}, bitset.Of(1, 2), "x"},
+		{HashSO{}, bitset.Of(1, 2), "y"},
+		{HashSO{}, bitset.Of(1, 2, 3), "y"},
+		{HashSO{}, bitset.Of(3, 4), ""}, // anchored at the constant <c> only
+		{HashSO{}, bitset.Of(0, 2), ""}, // not local
+	} {
+		if got := NewLocalChecker(c.m, g).Anchor(c.s); got != c.want {
+			t.Errorf("%s: Anchor(%v) = %q, want %q", c.m.Name(), c.s, got, c.want)
+		}
+	}
+	if got := (*LocalChecker)(nil).Anchor(bitset.Of(0, 1)); got != "" {
+		t.Errorf("a nil checker anchored %q", got)
+	}
+}
+
+// TestPlacementHomeHoldsSubjects: every method with a home places each
+// triple on its subject's home; path-bmc has none, and un-1hop hashes a
+// vertex its placement never saw.
+func TestPlacementHomeHoldsSubjects(t *testing.T) {
+	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1})
+	for _, m := range []Method{HashSO{}, TwoHopForward{}, TwoHopBidirectional{}, UndirectedOneHop{}, PathBMC{}} {
+		p, err := m.Partition(ds, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m.(PathBMC); ok {
+			if p.Home != nil {
+				t.Errorf("%s names a home", m.Name())
+			}
+			continue
+		}
+		held := map[rdf.Triple]map[int]bool{}
+		for n, ts := range p.Triples {
+			for _, tr := range ts {
+				if held[tr] == nil {
+					held[tr] = map[int]bool{}
+				}
+				held[tr][n] = true
+			}
+		}
+		for _, tr := range ds.Triples {
+			if !held[tr][p.Home(tr.S)] {
+				t.Fatalf("%s: %s is not on its subject's home %d", m.Name(), ds.String(tr), p.Home(tr.S))
+			}
+		}
+		_, deltaHomed := m.(HashSO)
+		if _, ok := m.(UndirectedOneHop); ok {
+			deltaHomed = true
+			if unseen := rdf.TermID(ds.Dict.Len() + 7); p.Home(unseen) != hashNode(unseen, 4) {
+				t.Errorf("%s: an unseen vertex is homed on %d, want %d", m.Name(), p.Home(unseen), hashNode(unseen, 4))
+			}
+		}
+		if p.DeltaHomed != deltaHomed {
+			t.Errorf("%s: DeltaHomed = %v", m.Name(), p.DeltaHomed)
+		}
+	}
+}
+
 func TestByName(t *testing.T) {
 	for _, name := range []string{"hash-so", "2f", "2fb", "path-bmc", "un-1hop"} {
 		m, err := ByName(name)

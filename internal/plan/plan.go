@@ -57,6 +57,11 @@ type Node struct {
 	// JoinVar is the common join variable of a join node (the v_j of
 	// the connected multi-division that produced it).
 	JoinVar string
+	// Anchor names, on a local join, a variable v whose combine(v, G_Q)
+	// holds every pattern of Set: each match lies whole on the home of
+	// v's binding, so a root local join emits it there only. "" when the
+	// optimizer named none. Plan text and JSON do not carry it.
+	Anchor string
 	// Children are the k inputs of a join node (nil for scans).
 	Children []*Node
 	// Card is the estimated output cardinality.

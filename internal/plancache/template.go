@@ -8,7 +8,7 @@ import (
 
 // remapPlan clones a plan tree into another pattern-index/variable
 // space: every scan's TP becomes tpMap[TP], pattern sets are rebuilt
-// bottom-up, and join variables are renamed through varMap. Costs and
+// bottom-up, and join and anchor variables are renamed through varMap. Costs and
 // cardinalities are copied unchanged — a remapped template keeps the
 // estimates of the run that produced it. The result satisfies
 // plan.Node.Validate whenever the input does, because tpMap is a
@@ -29,6 +29,9 @@ func remapPlan(n *plan.Node, tpMap []int, varMap map[string]string) *plan.Node {
 	m.Set = set
 	if v, ok := varMap[n.JoinVar]; ok {
 		m.JoinVar = v
+	}
+	if v, ok := varMap[n.Anchor]; ok {
+		m.Anchor = v
 	}
 	return &m
 }

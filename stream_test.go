@@ -229,41 +229,62 @@ func TestStreamCancelMidway(t *testing.T) {
 	}
 }
 
-// TestStreamCrossNodeDuplicates: hash-so places every triple on its
-// subject's node and on its object's, so a scan root hands the stream
-// almost every row twice, from different nodes and different chunks.
-// The seen-set must drop exactly those copies: the stream equals
-// Reference.
+// TestStreamCrossNodeDuplicates: the roots that still hand the stream
+// copies of a row, from different nodes and different chunks, must have
+// the seen-set drop exactly those copies, so the stream equals
+// Reference. Under path-bmc, which names no home, every element holding
+// the hub m holds all of m's 600 out-edges, and the 60 elements fill all
+// four nodes, so a scan root emits each edge on every node. Under
+// hash-so a root scan keeps a row on its subject's home only, but a
+// projection that drops the subject maps the 60 subjects' rows onto one
+// row per object.
 func TestStreamCrossNodeDuplicates(t *testing.T) {
-	ds := NewDataset()
+	hub, grid := NewDataset(), NewDataset()
 	for i := 0; i < 60; i++ {
+		hub.Add(fmt.Sprintf("a%d", i), "n", "m")
 		for j := 0; j < 60; j++ {
-			ds.Add(fmt.Sprintf("a%d", i), "n", fmt.Sprintf("b%d", j))
+			grid.Add(fmt.Sprintf("a%d", i), "n", fmt.Sprintf("b%d", j))
 		}
 	}
-	sys, err := Open(ds, WithNodes(4))
-	if err != nil {
-		t.Fatal(err)
+	for j := 0; j < 600; j++ {
+		hub.Add("m", "n", fmt.Sprintf("c%d", j))
 	}
-	defer sys.Close()
-	q, err := ParseQuery(`SELECT * WHERE { ?a <n> ?b . }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Reference(ds, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := sys.RunStreamQuery(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drainSorted(t, rows)
-	if !equalRowSets(got, want.Rows) {
-		t.Fatalf("stream returned %d rows, Reference %d", len(got), len(want.Rows))
-	}
-	if flat := rows.Result().FlatRowCount(); flat < 3*int64(len(got))/2 {
-		t.Fatalf("root gathered %d rows for %d distinct; the case needs cross-node duplicates", flat, len(got))
+	for _, c := range []struct {
+		method, query string
+		ds            *Dataset
+	}{
+		{"path-bmc", `SELECT * WHERE { ?a <n> ?b . }`, hub},
+		{"hash-so", `SELECT ?b WHERE { ?a <n> ?b . }`, grid},
+	} {
+		ds := c.ds
+		m, err := PartitionMethod(c.method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := Open(ds, WithMethod(m), WithNodes(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := ParseQuery(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Reference(ds, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := sys.RunStreamQuery(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drainSorted(t, rows)
+		sys.Close()
+		if !equalRowSets(got, want.Rows) {
+			t.Fatalf("%s: stream returned %d rows, Reference %d", c.method, len(got), len(want.Rows))
+		}
+		if flat := rows.Result().FlatRowCount(); flat < 3*int64(len(got))/2 {
+			t.Fatalf("%s: root gathered %d rows for %d distinct; the case needs cross-node duplicates", c.method, flat, len(got))
+		}
 	}
 }
 
