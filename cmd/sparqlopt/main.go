@@ -33,7 +33,6 @@ import (
 	"os"
 	"time"
 
-	"sparqlopt"
 	"sparqlopt/internal/baseline"
 	"sparqlopt/internal/cost"
 	"sparqlopt/internal/engine"
@@ -78,31 +77,8 @@ type runConfig struct {
 	timeout                                  time.Duration
 }
 
-// baselines are the optimizers the paper evaluates against. They run
-// outside opt.Optimize and leave opt.Result.Used unset.
-var baselines = map[string]func(context.Context, *opt.Input) (*opt.Result, error){
-	"msc":       baseline.MSC,
-	"dp-bushy":  baseline.DPBushy,
-	"binary-dp": baseline.BinaryDP,
-}
-
-// optimizerByName resolves an -algorithm name: the serving algorithms
-// of sparqlopt.AlgorithmByName through opt.Optimize, then the
-// baselines.
-func optimizerByName(name string) (func(context.Context, *opt.Input) (*opt.Result, error), error) {
-	if algo, ok := sparqlopt.AlgorithmByName(name); ok {
-		return func(ctx context.Context, in *opt.Input) (*opt.Result, error) {
-			return opt.Optimize(ctx, in, algo)
-		}, nil
-	}
-	if run, ok := baselines[name]; ok {
-		return run, nil
-	}
-	return nil, fmt.Errorf("unknown algorithm %q", name)
-}
-
 func run(cfg runConfig, w io.Writer) error {
-	optimize, err := optimizerByName(cfg.algorithm)
+	optimizer, err := baseline.ByName(cfg.algorithm)
 	if err != nil {
 		return err
 	}
@@ -135,12 +111,12 @@ func run(cfg runConfig, w io.Writer) error {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
 	defer cancel()
 	start := time.Now()
-	res, err := optimize(ctx, in)
+	res, err := optimizer.Run(ctx, in)
 	if err != nil {
 		return err
 	}
 	label := cfg.algorithm
-	if algo, _ := sparqlopt.AlgorithmByName(label); algo == opt.TDAuto {
+	if label == "td-auto" {
 		label += " (ran " + res.Used.String() + ")"
 	}
 	fmt.Fprintf(w, "\noptimized with %s in %v: cost=%.4g cmds=%d plans=%d subqueries=%d\n\nplan:\n%s",

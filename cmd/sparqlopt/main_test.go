@@ -1,12 +1,16 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"sparqlopt/internal/engine"
+	"sparqlopt/internal/querygraph"
 	"sparqlopt/internal/workload/lubm"
 )
 
@@ -141,5 +145,25 @@ func TestUnknownAlgorithm(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Errorf("printed %q before rejecting the name", out.String())
+	}
+}
+
+// TestDisconnectedQuery: every -algorithm name rejects a query whose
+// join graph is disconnected with the same typed error.
+func TestDisconnectedQuery(t *testing.T) {
+	dir := t.TempDir()
+	data, query := filepath.Join(dir, "g.nt"), filepath.Join(dir, "q.rq")
+	if err := os.WriteFile(data, []byte("<a> <p> <b> .\n<c> <q> <d> .\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(query, []byte("SELECT * WHERE { ?a <p> ?b . ?c <q> ?d . }"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, algorithm := range []string{"td-auto", "greedy", "msc", "dp-bushy", "binary-dp"} {
+		err := run(runConfig{dataPath: data, queryPath: query, algorithm: algorithm,
+			partName: "hash-so", nodes: 10, timeout: time.Minute}, &strings.Builder{})
+		if !errors.Is(err, querygraph.ErrUnsupported) {
+			t.Errorf("-algorithm %s: err = %v, want querygraph.ErrUnsupported", algorithm, err)
+		}
 	}
 }

@@ -20,27 +20,12 @@ import (
 	"sparqlopt/internal/workload/watdiv"
 )
 
-type algo struct {
-	name string
-	run  func(ctx context.Context, in *opt.Input) (*opt.Result, error)
-}
-
 func main() {
 	templates := flag.Int("templates", 30, "number of templates to use (max 124)")
 	instances := flag.Int("instances", 10, "instances per template")
 	flag.Parse()
 
-	algos := []algo{
-		{"TD-CMD", func(ctx context.Context, in *opt.Input) (*opt.Result, error) { return opt.Optimize(ctx, in, opt.TDCMD) }},
-		{"TD-CMDP", func(ctx context.Context, in *opt.Input) (*opt.Result, error) {
-			return opt.Optimize(ctx, in, opt.TDCMDP)
-		}},
-		{"TD-Auto", func(ctx context.Context, in *opt.Input) (*opt.Result, error) {
-			return opt.Optimize(ctx, in, opt.TDAuto)
-		}},
-		{"MSC", baseline.MSC},
-		{"DP-Bushy", baseline.DPBushy},
-	}
+	algos := baseline.Select("td-cmd", "td-cmdp", "td-auto", "msc", "dp-bushy")
 	totalTime := make([]time.Duration, len(algos))
 	ratios := make([][]float64, len(algos))
 
@@ -66,12 +51,12 @@ func main() {
 				in := &opt.Input{Query: q, Views: views, Est: est,
 					Params: cost.Default, Method: partition.HashSO{}}
 				start := time.Now()
-				res, err := a.run(context.Background(), in)
+				res, err := a.Run(context.Background(), in)
 				if err != nil {
-					log.Fatalf("template %d %s: %v", tpl.ID, a.name, err)
+					log.Fatalf("template %d %s: %v", tpl.ID, a.Name, err)
 				}
 				totalTime[ai] += time.Since(start)
-				if a.name == "TD-CMD" {
+				if a.Name == "TD-CMD" {
 					optimal = res.Plan.Cost
 				} else if optimal > 0 {
 					ratios[ai] = append(ratios[ai], res.Plan.Cost/optimal)
@@ -91,7 +76,7 @@ func main() {
 			med = fmt.Sprintf("%.3f", rs[len(rs)/2])
 			worst = fmt.Sprintf("%.3f", rs[len(rs)-1])
 		}
-		fmt.Printf("%-10s %14v %14s %14s\n", a.name,
+		fmt.Printf("%-10s %14v %14s %14s\n", a.Name,
 			totalTime[ai].Round(time.Millisecond), med, worst)
 	}
 	fmt.Println("\nratios are plan cost relative to TD-CMD's optimum (1.000 = optimal).")

@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"sparqlopt/internal/cost"
+	"sparqlopt/internal/obs"
 	"sparqlopt/internal/opt"
 	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
@@ -147,8 +149,8 @@ func TestDPBushyNeverBeatsTDCMD(t *testing.T) {
 func TestDPBushyDisconnected(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE { ?a <p> ?b . ?c <p> ?d . }`)
 	in := makeInput(t, q, 1, nil)
-	if _, err := DPBushy(context.Background(), in); err == nil {
-		t.Error("disconnected query produced a plan (Cartesian product)")
+	if _, err := DPBushy(context.Background(), in); !errors.Is(err, querygraph.ErrUnsupported) {
+		t.Errorf("disconnected query: err = %v, want querygraph.ErrUnsupported", err)
 	}
 }
 
@@ -283,8 +285,8 @@ func TestMSCNoBroadcastJoins(t *testing.T) {
 func TestMSCDisconnected(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE { ?a <p> ?b . ?c <p> ?d . }`)
 	in := makeInput(t, q, 8, nil)
-	if _, err := MSC(context.Background(), in); err == nil {
-		t.Error("disconnected query accepted")
+	if _, err := MSC(context.Background(), in); !errors.Is(err, querygraph.ErrUnsupported) {
+		t.Errorf("disconnected query: err = %v, want querygraph.ErrUnsupported", err)
 	}
 }
 
@@ -367,9 +369,32 @@ func TestBaselineCancellation(t *testing.T) {
 	cancel2()
 	in2 := makeInput(t, starQuery(12), 10, nil)
 	if _, err := MSC(ctx2, in2); err == nil {
-		// A star's single unique cover may finish before any
-		// cancellation check; only flag when it also took long.
-		t.Log("MSC finished before first cancellation check (acceptable)")
+		t.Error("MSC planned under a cancelled context")
+	}
+}
+
+// TestRejectedBeforeSearch holds every optimizer to one failure shape:
+// a disconnected query matches querygraph.ErrUnsupported, and an
+// already-cancelled context fails with a *obs.PhaseError for phase
+// "optimize" that matches context.Canceled, without searching.
+func TestRejectedBeforeSearch(t *testing.T) {
+	disconnected := sparql.MustParse(`SELECT * WHERE { ?a <p> ?b . ?c <p> ?d . }`)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	runs := append(append([]Optimizer(nil), Optimizers...), Optimizer{CLI: "dpccp", Name: "DPccp", Run: DPccp})
+	for _, o := range runs {
+		t.Run(o.CLI, func(t *testing.T) {
+			in := makeInput(t, disconnected, 1, partition.HashSO{})
+			if _, err := o.Run(context.Background(), in); !errors.Is(err, querygraph.ErrUnsupported) {
+				t.Errorf("disconnected query: err = %v, want querygraph.ErrUnsupported", err)
+			}
+			in = makeInput(t, starQuery(12), 10, partition.HashSO{})
+			_, err := o.Run(cancelled, in)
+			var pe *obs.PhaseError
+			if !errors.Is(err, context.Canceled) || !errors.As(err, &pe) || pe.Phase != "optimize" {
+				t.Errorf("cancelled context: err = %v, want a *obs.PhaseError for optimize matching context.Canceled", err)
+			}
+		})
 	}
 }
 

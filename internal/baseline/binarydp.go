@@ -6,7 +6,6 @@ import (
 
 	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/opt"
-	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
 )
 
@@ -17,20 +16,14 @@ import (
 // multi-way joins — the limitation the paper's §IV discusses. It is
 // used for the multi-way-versus-binary ablation.
 func BinaryDP(ctx context.Context, in *opt.Input) (*opt.Result, error) {
-	if err := opt.NormalizeInput(in); err != nil {
+	k, err := opt.NewKit(ctx, in)
+	if err != nil {
 		return nil, err
 	}
-	jg := in.Views.Join
-	if !jg.Connected(jg.All()) {
-		return nil, fmt.Errorf("baseline: BinaryDP requires a connected query")
-	}
-	b := &binaryDP{ctx: ctx, in: in, memo: make(map[bitset.TPSet]*plan.Node)}
-	if in.Method != nil {
-		b.checker = partition.NewLocalChecker(in.Method, in.Views.Query)
-	}
-	p := b.best(jg.All())
-	if b.err != nil {
-		return nil, b.err
+	b := &binaryDP{Kit: k, memo: make(map[bitset.TPSet]*plan.Node)}
+	p := b.best(k.JG.All())
+	if err := k.Err(); err != nil {
+		return nil, err
 	}
 	if p == nil {
 		return nil, fmt.Errorf("baseline: BinaryDP found no plan")
@@ -39,50 +32,32 @@ func BinaryDP(ctx context.Context, in *opt.Input) (*opt.Result, error) {
 }
 
 type binaryDP struct {
-	ctx     context.Context
-	in      *opt.Input
-	checker *partition.LocalChecker
+	*opt.Kit
 	memo    map[bitset.TPSet]*plan.Node
 	counter opt.Counter
-	steps   int
-	err     error
-}
-
-func (b *binaryDP) cancelled() bool {
-	if b.err != nil {
-		return true
-	}
-	b.steps++
-	if b.steps%cancelCheckInterval == 0 {
-		if err := b.ctx.Err(); err != nil {
-			b.err = err
-			return true
-		}
-	}
-	return false
 }
 
 func (b *binaryDP) best(s bitset.TPSet) *plan.Node {
 	if p, ok := b.memo[s]; ok {
 		return p
 	}
-	if b.cancelled() {
+	if b.Cancelled() {
 		return nil
 	}
 	b.counter.Subqueries++
 	var result *plan.Node
 	defer func() {
-		if b.err == nil {
+		if b.Err() == nil {
 			b.memo[s] = result
 		}
 	}()
 	if s.Len() == 1 {
-		result = plan.NewScan(s.Min(), b.in.Est.Cardinality(s), b.in.Params)
+		result = b.Leaf(s.Min())
 		return result
 	}
-	jg := b.in.Views.Join
-	if b.checker != nil && b.checker.IsLocal(s) {
-		result = localPlan(b.in, s, b.checker)
+	jg := b.JG
+	if b.IsLocal(s) {
+		result = b.LocalJoin(s, b.JoinVar(s), nil)
 		b.counter.Plans++
 	}
 	// Every connected binary division, found by running Algorithm 2 on
@@ -96,26 +71,20 @@ func (b *binaryDP) best(s bitset.TPSet) *plan.Node {
 				return true
 			}
 			seen[a] = true
-			if b.cancelled() {
+			if b.Cancelled() {
 				return false
 			}
 			left := b.best(a)
 			right := b.best(rest)
 			if left == nil || right == nil {
-				return b.err == nil
+				return b.Err() == nil
 			}
 			b.counter.CMDs++
-			out := b.in.Est.Cardinality(s)
-			for _, alg := range []plan.Algorithm{plan.BroadcastJoin, plan.RepartitionJoin} {
-				b.counter.Plans++
-				cand := plan.NewJoin(alg, jg.Vars[vj], []*plan.Node{left, right}, out, b.in.Params)
-				if result == nil || cand.Cost < result.Cost {
-					result = cand
-				}
-			}
+			b.counter.Plans += 2
+			result = b.DistributedJoin(s, jg.Vars[vj], []*plan.Node{left, right}, result)
 			return true
 		})
-		if b.err != nil {
+		if b.Err() != nil {
 			return nil
 		}
 	}

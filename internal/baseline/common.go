@@ -1,32 +1,68 @@
 package baseline
 
 import (
+	"context"
+	"fmt"
+
 	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/opt"
-	"sparqlopt/internal/partition"
-	"sparqlopt/internal/plan"
 	"sparqlopt/internal/querygraph"
 )
 
-// localPlan builds the k-way local join of every pattern in the local
-// subquery s (or a plain scan for singletons).
-func localPlan(in *opt.Input, s bitset.TPSet, checker *partition.LocalChecker) *plan.Node {
-	if s.Len() == 1 {
-		return plan.NewScan(s.Min(), in.Est.Cardinality(s), in.Params)
+// Optimizer is one of the eight optimizers the sparqlopt CLI and the
+// paper's experiments run.
+type Optimizer struct {
+	// CLI is its sparqlopt -algorithm name.
+	CLI string
+	// Name is its name in the paper's tables.
+	Name string
+	// Run optimizes one input.
+	Run func(context.Context, *opt.Input) (*opt.Result, error)
+}
+
+// Optimizers is the one table of the eight: the five algorithms of
+// opt.Optimize, which the serving path runs too
+// (sparqlopt.AlgorithmByName), then the paper's two competitors and the
+// binary ablation.
+var Optimizers = []Optimizer{
+	optimizer("td-cmd", opt.TDCMD),
+	optimizer("td-cmdp", opt.TDCMDP),
+	optimizer("hgr-td-cmd", opt.HGRTDCMD),
+	optimizer("td-auto", opt.TDAuto),
+	optimizer("greedy", opt.Greedy),
+	{"msc", "MSC", MSC},
+	{"dp-bushy", "DP-Bushy", DPBushy},
+	{"binary-dp", "BinaryDP", BinaryDP},
+}
+
+func optimizer(cli string, a opt.Algorithm) Optimizer {
+	return Optimizer{cli, a.String(), func(ctx context.Context, in *opt.Input) (*opt.Result, error) {
+		return opt.Optimize(ctx, in, a)
+	}}
+}
+
+// ByName returns the optimizer whose CLI name is name.
+func ByName(name string) (Optimizer, error) {
+	for _, o := range Optimizers {
+		if o.CLI == name {
+			return o, nil
+		}
 	}
-	jg := in.Views.Join
-	children := make([]*plan.Node, 0, s.Len())
-	s.Each(func(tp int) bool {
-		children = append(children, plan.NewScan(tp, in.Est.Cardinality(bitset.Single(tp)), in.Params))
-		return true
-	})
-	name := ""
-	if vars := jg.JoinVarsOf(s); len(vars) > 0 {
-		name = jg.Vars[vars[0]]
+	return Optimizer{}, fmt.Errorf("unknown algorithm %q", name)
+}
+
+// Select returns the optimizers with the given CLI names, in order. It
+// panics on an unknown name: callers name optimizers in code.
+func Select(names ...string) []Optimizer {
+	out := make([]Optimizer, len(names))
+	for i, name := range names {
+		o, err := ByName(name)
+		if err != nil {
+			panic(err)
+		}
+		out[i] = o
 	}
-	j := plan.NewJoin(plan.LocalJoin, name, children, in.Est.Cardinality(s), in.Params)
-	j.Anchor = checker.Anchor(s)
-	return j
+	return out
 }
 
 // sharedVar returns a join variable with neighbors on both sides, or -1.

@@ -19,11 +19,15 @@
 //
 //   - BinaryDP — a TriAD-style enumerator of connected *binary* bushy
 //     plans (optimal efficiency but binary joins only), used for the
-//     multi-way-vs-binary ablation.
+//     multi-way-vs-binary ablation, and DPccp, its bottom-up
+//     counterpart, which cross-checks it.
 //
-// All three use the same cost model, cardinality estimator and
-// local-query detection as the main optimizer, exactly as in the
-// paper's experimental setup.
+// Each is only its search: it plans through an opt.Kit, so all of them
+// share the main optimizer's cost model, cardinality estimator,
+// local-query detection, scan leaves, anchored local joins, choice of
+// broadcast or repartition join and cancellation, exactly as in the
+// paper's experimental setup. Optimizers is the one table naming the
+// eight optimizers the CLI and the experiments run, these included.
 package baseline
 
 import (
@@ -32,22 +36,19 @@ import (
 
 	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/opt"
-	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
 )
 
-const cancelCheckInterval = 4096
-
 // DPBushy runs the Huang et al. top-down DP on the input.
 func DPBushy(ctx context.Context, in *opt.Input) (*opt.Result, error) {
-	d, err := newDPBushy(ctx, in)
+	k, err := opt.NewKit(ctx, in)
 	if err != nil {
 		return nil, err
 	}
-	all := in.Views.Join.All()
-	p := d.best(all)
-	if d.err != nil {
-		return nil, d.err
+	d := &dpBushy{Kit: k, memo: make(map[bitset.TPSet]*plan.Node)}
+	p := d.best(k.JG.All())
+	if err := k.Err(); err != nil {
+		return nil, err
 	}
 	if p == nil {
 		return nil, fmt.Errorf("baseline: DP-Bushy found no Cartesian-product-free plan")
@@ -56,38 +57,9 @@ func DPBushy(ctx context.Context, in *opt.Input) (*opt.Result, error) {
 }
 
 type dpBushy struct {
-	ctx     context.Context
-	in      *opt.Input
-	checker *partition.LocalChecker
+	*opt.Kit
 	memo    map[bitset.TPSet]*plan.Node
 	counter opt.Counter
-	steps   int
-	err     error
-}
-
-func newDPBushy(ctx context.Context, in *opt.Input) (*dpBushy, error) {
-	if err := opt.NormalizeInput(in); err != nil {
-		return nil, err
-	}
-	d := &dpBushy{ctx: ctx, in: in, memo: make(map[bitset.TPSet]*plan.Node)}
-	if in.Method != nil {
-		d.checker = partition.NewLocalChecker(in.Method, in.Views.Query)
-	}
-	return d, nil
-}
-
-func (d *dpBushy) cancelled() bool {
-	if d.err != nil {
-		return true
-	}
-	d.steps++
-	if d.steps%cancelCheckInterval == 0 {
-		if err := d.ctx.Err(); err != nil {
-			d.err = err
-			return true
-		}
-	}
-	return false
 }
 
 // best returns the cheapest Cartesian-product-free plan for s, or nil
@@ -98,23 +70,23 @@ func (d *dpBushy) best(s bitset.TPSet) *plan.Node {
 	if p, ok := d.memo[s]; ok {
 		return p
 	}
-	if d.cancelled() {
+	if d.Cancelled() {
 		return nil
 	}
 	d.counter.Subqueries++
 	var result *plan.Node
 	defer func() {
-		if d.err == nil {
+		if d.Err() == nil {
 			d.memo[s] = result
 		}
 	}()
 	if s.Len() == 1 {
-		result = plan.NewScan(s.Min(), d.in.Est.Cardinality(s), d.in.Params)
+		result = d.Leaf(s.Min())
 		return result
 	}
-	jg := d.in.Views.Join
-	if d.checker != nil && d.checker.IsLocal(s) {
-		result = localPlan(d.in, s, d.checker)
+	jg := d.JG
+	if d.IsLocal(s) {
+		result = d.LocalJoin(s, d.JoinVar(s), nil)
 		d.counter.Plans++
 	}
 	// All binary divisions: every proper subset containing the lowest
@@ -124,7 +96,7 @@ func (d *dpBushy) best(s bitset.TPSet) *plan.Node {
 		if !a.Has(lo) {
 			return true
 		}
-		if d.cancelled() {
+		if d.Cancelled() {
 			return false
 		}
 		b := s.Diff(a)
@@ -140,7 +112,8 @@ func (d *dpBushy) best(s bitset.TPSet) *plan.Node {
 			return true
 		}
 		d.counter.CMDs++
-		result = d.considerJoin(result, jg.Vars[vj], []*plan.Node{left, right}, s)
+		d.counter.Plans += 2
+		result = d.DistributedJoin(s, jg.Vars[vj], []*plan.Node{left, right}, result)
 		return true
 	})
 	// The single maximal multi-way join: the variable with the most
@@ -158,20 +131,9 @@ func (d *dpBushy) best(s bitset.TPSet) *plan.Node {
 		}
 		if ok {
 			d.counter.CMDs++
-			result = d.considerJoin(result, jg.Vars[vj], children, s)
+			d.counter.Plans += 2
+			result = d.DistributedJoin(s, jg.Vars[vj], children, result)
 		}
 	}
 	return result
-}
-
-func (d *dpBushy) considerJoin(best *plan.Node, vj string, children []*plan.Node, s bitset.TPSet) *plan.Node {
-	out := d.in.Est.Cardinality(s)
-	for _, alg := range []plan.Algorithm{plan.BroadcastJoin, plan.RepartitionJoin} {
-		d.counter.Plans++
-		cand := plan.NewJoin(alg, vj, children, out, d.in.Params)
-		if best == nil || cand.Cost < best.Cost {
-			best = cand
-		}
-	}
-	return best
 }

@@ -7,7 +7,6 @@ import (
 
 	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/opt"
-	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
 	"sparqlopt/internal/querygraph"
 )
@@ -21,45 +20,30 @@ import (
 // cross-check BinaryDP (the top-down variant) and as the second half
 // of the binary-vs-multiway ablation.
 func DPccp(ctx context.Context, in *opt.Input) (*opt.Result, error) {
-	if err := opt.NormalizeInput(in); err != nil {
+	k, err := opt.NewKit(ctx, in)
+	if err != nil {
 		return nil, err
 	}
-	jg := in.Views.Join
-	all := jg.All()
-	if !jg.Connected(all) {
-		return nil, fmt.Errorf("baseline: DPccp requires a connected query")
-	}
-	var checker *partition.LocalChecker
-	if in.Method != nil {
-		checker = partition.NewLocalChecker(in.Method, in.Views.Query)
-	}
+	jg := k.JG
 	counter := opt.Counter{}
 	best := make(map[bitset.TPSet]*plan.Node)
 
 	// Base table: scans.
 	for i := 0; i < jg.NumTP; i++ {
-		best[bitset.Single(i)] = plan.NewScan(i, in.Est.Cardinality(bitset.Single(i)), in.Params)
+		best[bitset.Single(i)] = k.Leaf(i)
 		counter.Subqueries++
 	}
 
 	// Enumerate every connected subgraph, smallest first, seeded with
 	// local plans where the partitioning allows.
-	subs := connectedSubgraphs(jg)
-	steps := 0
-	for _, s := range subs {
+	for _, s := range connectedSubgraphs(jg) {
 		if s.Len() == 1 {
 			continue
 		}
-		steps++
-		if steps%256 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
 		counter.Subqueries++
 		var bPlan *plan.Node
-		if checker != nil && checker.IsLocal(s) {
-			bPlan = localPlan(in, s, checker)
+		if k.IsLocal(s) {
+			bPlan = k.LocalJoin(s, k.JoinVar(s), nil)
 			counter.Plans++
 		}
 		// csg-cmp pairs: every split of s into connected halves that
@@ -69,6 +53,9 @@ func DPccp(ctx context.Context, in *opt.Input) (*opt.Result, error) {
 		s.ProperSubsets(func(a bitset.TPSet) bool {
 			if !a.Has(lo) {
 				return true
+			}
+			if k.Cancelled() {
+				return false
 			}
 			b := s.Diff(a)
 			left, lok := best[a]
@@ -81,19 +68,16 @@ func DPccp(ctx context.Context, in *opt.Input) (*opt.Result, error) {
 				return true
 			}
 			counter.CMDs++
-			out := in.Est.Cardinality(s)
-			for _, alg := range []plan.Algorithm{plan.BroadcastJoin, plan.RepartitionJoin} {
-				counter.Plans++
-				cand := plan.NewJoin(alg, jg.Vars[vj], []*plan.Node{left, right}, out, in.Params)
-				if bPlan == nil || cand.Cost < bPlan.Cost {
-					bPlan = cand
-				}
-			}
+			counter.Plans += 2
+			bPlan = k.DistributedJoin(s, jg.Vars[vj], []*plan.Node{left, right}, bPlan)
 			return true
 		})
+		if err := k.Err(); err != nil {
+			return nil, err
+		}
 		best[s] = bPlan
 	}
-	p := best[all]
+	p := best[jg.All()]
 	if p == nil {
 		return nil, fmt.Errorf("baseline: DPccp found no plan")
 	}

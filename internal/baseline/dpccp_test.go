@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -119,7 +120,7 @@ func TestDPccpDisconnected(t *testing.T) {
 	q.Patterns[1].S.Value = "isolatedA"
 	q.Patterns[1].O.Value = "isolatedB"
 	in := makeInput(t, q, 11, nil)
-	if _, err := DPccp(context.Background(), in); err == nil {
-		t.Error("disconnected query accepted")
+	if _, err := DPccp(context.Background(), in); !errors.Is(err, querygraph.ErrUnsupported) {
+		t.Errorf("disconnected query: err = %v, want querygraph.ErrUnsupported", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/opt"
-	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
 )
 
@@ -18,24 +17,19 @@ import (
 // never broadcast joins — and the exact minimum set cover run at each
 // level makes optimization time grow exponentially with query size.
 func MSC(ctx context.Context, in *opt.Input) (*opt.Result, error) {
-	if err := opt.NormalizeInput(in); err != nil {
+	k, err := opt.NewKit(ctx, in)
+	if err != nil {
 		return nil, err
 	}
-	if !in.Views.Join.Connected(in.Views.Join.All()) {
-		return nil, fmt.Errorf("baseline: MSC requires a connected query")
-	}
-	m := &msc{ctx: ctx, in: in}
-	if in.Method != nil {
-		m.checker = partition.NewLocalChecker(in.Method, in.Views.Query)
-	}
+	m := &msc{Kit: k}
 	// Level 0: one input per triple pattern.
-	inputs := make([]*plan.Node, in.Views.Join.NumTP)
+	inputs := make([]*plan.Node, k.JG.NumTP)
 	for i := range inputs {
-		inputs[i] = plan.NewScan(i, in.Est.Cardinality(bitset.Single(i)), in.Params)
+		inputs[i] = k.Leaf(i)
 	}
 	m.explore(inputs)
-	if m.err != nil {
-		return nil, m.err
+	if err := k.Err(); err != nil {
+		return nil, err
 	}
 	if m.best == nil {
 		return nil, fmt.Errorf("baseline: MSC found no plan")
@@ -44,33 +38,15 @@ func MSC(ctx context.Context, in *opt.Input) (*opt.Result, error) {
 }
 
 type msc struct {
-	ctx     context.Context
-	in      *opt.Input
-	checker *partition.LocalChecker
+	*opt.Kit
 	best    *plan.Node
 	counter opt.Counter
-	steps   int
-	err     error
-}
-
-func (m *msc) cancelled() bool {
-	if m.err != nil {
-		return true
-	}
-	m.steps++
-	if m.steps%cancelCheckInterval == 0 {
-		if err := m.ctx.Err(); err != nil {
-			m.err = err
-			return true
-		}
-	}
-	return false
 }
 
 // explore recursively builds one more plan level for every minimum
 // cover of the current inputs.
 func (m *msc) explore(inputs []*plan.Node) {
-	if m.cancelled() {
+	if m.Cancelled() {
 		return
 	}
 	if len(inputs) == 1 {
@@ -98,9 +74,9 @@ func (m *msc) explore(inputs []*plan.Node) {
 		// explode on dense queries.
 		m.eachAssignment(inputs, chosen, func(groups [][]*plan.Node) bool {
 			m.explore(m.buildLevel(groups, chosen))
-			return m.err == nil
+			return m.Err() == nil
 		})
-		return m.err == nil
+		return m.Err() == nil
 	})
 }
 
@@ -110,7 +86,7 @@ func (m *msc) eachAssignment(inputs []*plan.Node, chosen []clique, f func([][]*p
 	groups := make([][]*plan.Node, len(chosen))
 	var rec func(i int) bool
 	rec = func(i int) bool {
-		if m.cancelled() {
+		if m.Cancelled() {
 			return false
 		}
 		if i == len(inputs) {
@@ -142,7 +118,7 @@ type clique struct {
 // cliques collects one clique per join variable of the current state,
 // deduplicating identical member sets.
 func (m *msc) cliques(inputs []*plan.Node) []clique {
-	jg := m.in.Views.Join
+	jg := m.JG
 	var out []clique
 	seen := map[bitset.TPSet]bool{}
 	for j := range jg.Vars {
@@ -179,7 +155,7 @@ func minCoverSize(cliques []clique, universe bitset.TPSet) int {
 
 // eachMinCover enumerates every cover of exactly the given size.
 func (m *msc) eachMinCover(cliques []clique, universe bitset.TPSet, size int, f func([]clique) bool) {
-	coverDFS(cliques, 0, universe, size, f, m.cancelled)
+	coverDFS(cliques, 0, universe, size, f, m.Cancelled)
 }
 
 // coverDFS enumerates covers of `remaining` using cliques[idx:] with
@@ -222,7 +198,7 @@ func coverDFS(cliques []clique, idx int, remaining bitset.TPSet, budget int, f f
 // buildLevel materializes one plan level from an input-to-clique
 // assignment; cliques assigned one input pass it through unchanged.
 func (m *msc) buildLevel(assigned [][]*plan.Node, chosen []clique) []*plan.Node {
-	jg := m.in.Views.Join
+	jg := m.JG
 	var next []*plan.Node
 	for ci, group := range assigned {
 		switch len(group) {
@@ -237,16 +213,13 @@ func (m *msc) buildLevel(assigned [][]*plan.Node, chosen []clique) []*plan.Node 
 			for _, g := range children {
 				set = set.Union(g.Set)
 			}
-			alg := plan.RepartitionJoin
-			if m.checker != nil && m.checker.IsLocal(set) && allScans(children) {
-				alg = plan.LocalJoin
-			}
+			joinVar := jg.Vars[chosen[ci].varIdx]
 			m.counter.CMDs++
-			j := plan.NewJoin(alg, jg.Vars[chosen[ci].varIdx], children, m.in.Est.Cardinality(set), m.in.Params)
-			if alg == plan.LocalJoin {
-				j.Anchor = m.checker.Anchor(set)
+			if m.IsLocal(set) && allScans(children) {
+				next = append(next, m.LocalJoin(set, joinVar, children))
+			} else {
+				next = append(next, plan.NewJoin(plan.RepartitionJoin, joinVar, children, m.In.Est.Cardinality(set), m.In.Params))
 			}
-			next = append(next, j)
 		}
 	}
 	return next

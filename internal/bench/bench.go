@@ -155,29 +155,6 @@ func (c Config) writeReport(experiment string, report any) error {
 	return nil
 }
 
-// Optimizer names one algorithm under test.
-type Optimizer struct {
-	Name string
-	Run  func(ctx context.Context, in *opt.Input) (*opt.Result, error)
-}
-
-// The paper's algorithms plus the TriAD-style binary ablation.
-var (
-	TDCMD  = Optimizer{"TD-CMD", func(ctx context.Context, in *opt.Input) (*opt.Result, error) { return opt.Optimize(ctx, in, opt.TDCMD) }}
-	TDCMDP = Optimizer{"TD-CMDP", func(ctx context.Context, in *opt.Input) (*opt.Result, error) {
-		return opt.Optimize(ctx, in, opt.TDCMDP)
-	}}
-	HGR = Optimizer{"HGR-TD-CMD", func(ctx context.Context, in *opt.Input) (*opt.Result, error) {
-		return opt.Optimize(ctx, in, opt.HGRTDCMD)
-	}}
-	TDAuto = Optimizer{"TD-Auto", func(ctx context.Context, in *opt.Input) (*opt.Result, error) {
-		return opt.Optimize(ctx, in, opt.TDAuto)
-	}}
-	MSC     = Optimizer{"MSC", baseline.MSC}
-	DPBushy = Optimizer{"DP-Bushy", baseline.DPBushy}
-	Binary  = Optimizer{"BinaryDP", baseline.BinaryDP}
-)
-
 // outcome is one optimizer run.
 type outcome struct {
 	res      *opt.Result
@@ -187,7 +164,7 @@ type outcome struct {
 }
 
 // runOne executes o on in under the configured timeout.
-func runOne(cfg Config, o Optimizer, in *opt.Input) outcome {
+func runOne(cfg Config, o baseline.Optimizer, in *opt.Input) outcome {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout())
 	defer cancel()
 	start := time.Now()

@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"sparqlopt/internal/baseline"
 	"sparqlopt/internal/engine"
 	"sparqlopt/internal/partition"
 	"sparqlopt/internal/rdf"
@@ -20,7 +21,7 @@ import (
 func CostModelCheck(cfg Config) error {
 	lubmDS, uniDS := cfg.datasets()
 	queries := benchQueries(lubmDS, uniDS)
-	algos := []Optimizer{TDAuto, MSC, DPBushy}
+	algos := baseline.Select("td-auto", "msc", "dp-bushy")
 	method := partition.HashSO{}
 
 	engines := map[*rdf.Dataset]*engine.Engine{}

@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"sparqlopt/internal/baseline"
 	"sparqlopt/internal/partition"
 	"sparqlopt/internal/querygraph"
 	"sparqlopt/internal/workload/randquery"
@@ -25,7 +26,7 @@ func Fig6(cfg Config) error {
 		instances = 5
 	}
 	templates := watdiv.Templates(cfg.seed())
-	algos := []Optimizer{TDCMD, TDCMDP, HGR, MSC, DPBushy, TDAuto}
+	algos := baseline.Select("td-cmd", "td-cmdp", "hgr-td-cmd", "msc", "dp-bushy", "td-auto")
 	w := tabwriter.NewWriter(cfg.out(), 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "Figure 6a: WatDiv optimization time per template (mean over %d instances, seconds)\n", instances)
 	header := "Template\t#TP"
@@ -82,7 +83,7 @@ type randGrid struct {
 	classes   []querygraph.Class
 	sizes     []int
 	instances int
-	algos     []Optimizer
+	algos     []baseline.Optimizer
 	// times[class][size][algo] = mean seconds over completed runs (-1 when none).
 	times map[querygraph.Class]map[int][]float64
 	// ratios[class][algo.Name] = cost ratios vs TD-CMD.
@@ -94,7 +95,7 @@ func collectRandGrid(cfg Config) (*randGrid, error) {
 	g := &randGrid{
 		classes:   []querygraph.Class{querygraph.Chain, querygraph.Cycle, querygraph.Tree, querygraph.Dense},
 		instances: 3,
-		algos:     []Optimizer{TDCMD, TDCMDP, HGR, MSC, DPBushy, TDAuto},
+		algos:     baseline.Select("td-cmd", "td-cmdp", "hgr-td-cmd", "msc", "dp-bushy", "td-auto"),
 		times:     map[querygraph.Class]map[int][]float64{},
 		ratios:    map[querygraph.Class]map[string][]float64{},
 	}

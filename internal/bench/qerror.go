@@ -7,6 +7,7 @@ import (
 	"sort"
 	"text/tabwriter"
 
+	"sparqlopt/internal/baseline"
 	"sparqlopt/internal/engine"
 	"sparqlopt/internal/partition"
 	"sparqlopt/internal/rdf"
@@ -39,7 +40,7 @@ func QError(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		o := runOne(cfg, TDAuto, in)
+		o := runOne(cfg, baseline.Select("td-auto")[0], in)
 		if o.res == nil {
 			fmt.Fprintf(w, "%s\tN/A\tN/A\tN/A\n", bq.name)
 			continue

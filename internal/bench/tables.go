@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"sparqlopt/internal/baseline"
 	"sparqlopt/internal/engine"
 	"sparqlopt/internal/opt"
 	"sparqlopt/internal/partition"
@@ -73,7 +74,7 @@ func Table3(cfg Config) error {
 func Table4(cfg Config) error {
 	lubmDS, uniDS := cfg.datasets()
 	queries := benchQueries(lubmDS, uniDS)
-	algos := []Optimizer{TDAuto, MSC, DPBushy}
+	algos := baseline.Select("td-auto", "msc", "dp-bushy")
 	w := tabwriter.NewWriter(cfg.out(), 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Table IV: Query Optimization Time (LUBM and UniProt queries)")
 	header := "Algorithm"
@@ -103,14 +104,15 @@ func Table5(cfg Config) error {
 	queries := benchQueries(lubmDS, uniDS)
 	type rowSpec struct {
 		part partition.Method
-		algo Optimizer
+		algo baseline.Optimizer
 	}
+	algos := baseline.Select("td-auto", "msc", "dp-bushy")
 	rows := []rowSpec{
-		{partition.HashSO{}, TDAuto},
-		{partition.HashSO{}, MSC},
-		{partition.HashSO{}, DPBushy},
-		{partition.TwoHopForward{}, TDAuto},
-		{partition.PathBMC{}, TDAuto},
+		{partition.HashSO{}, algos[0]},
+		{partition.HashSO{}, algos[1]},
+		{partition.HashSO{}, algos[2]},
+		{partition.TwoHopForward{}, algos[0]},
+		{partition.PathBMC{}, algos[0]},
 	}
 	// Partition each dataset once per method.
 	engines := map[string]map[*rdf.Dataset]*engine.Engine{}
@@ -170,7 +172,7 @@ func Table5(cfg Config) error {
 func Table6(cfg Config) error {
 	lubmDS, uniDS := cfg.datasets()
 	queries := benchQueries(lubmDS, uniDS)
-	algos := []Optimizer{TDAuto, MSC, DPBushy}
+	algos := baseline.Select("td-auto", "msc", "dp-bushy")
 	w := tabwriter.NewWriter(cfg.out(), 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Table VI: Estimated cost of the generated query plans")
 	header := "Algorithm"
@@ -213,7 +215,7 @@ func Table7(cfg Config) error {
 			cells = append(cells, cell{cl, n})
 		}
 	}
-	algos := []Optimizer{MSC, DPBushy, TDCMD, TDCMDP, HGR, TDAuto}
+	algos := baseline.Select("msc", "dp-bushy", "td-cmd", "td-cmdp", "hgr-td-cmd", "td-auto")
 	// MSC's search space is the number of complete flat plans explored;
 	// the others count enumerated join operators.
 	countOf := func(name string) func(*opt.Result) int64 {

@@ -114,59 +114,52 @@ func (r *Result) String() string {
 }
 
 // Optimize runs the selected algorithm. ctx bounds the run; on
-// cancellation or deadline the error is ctx.Err() (the paper's
-// experiments cap optimization at 600 s and report "N/A").
+// cancellation or deadline the error is a *obs.PhaseError wrapping
+// ctx's cause (the paper's experiments cap optimization at 600 s and
+// report "N/A").
 func Optimize(ctx context.Context, in *Input, algo Algorithm) (*Result, error) {
-	if err := normalize(in); err != nil {
-		return nil, err
-	}
-	var start time.Time
-	if in.Inst != nil {
-		start = time.Now()
-	}
-	res, err := dispatch(ctx, in, algo)
-	if err == nil && in.Inst != nil {
-		in.Inst.recordRun(res.Used, time.Since(start), res.Counter)
-	}
-	return res, err
+	return run(ctx, in, func(k *Kit) (*Result, error) { return dispatch(k, algo) })
 }
-
-func dispatch(ctx context.Context, in *Input, algo Algorithm) (*Result, error) {
-	switch algo {
-	case TDCMD:
-		return runTD(ctx, in, Options{})
-	case TDCMDP:
-		return runTD(ctx, in, CMDPOptions())
-	case HGRTDCMD:
-		return runHGR(ctx, in)
-	case TDAuto:
-		return runAuto(ctx, in)
-	case Greedy:
-		return runGreedy(ctx, in)
-	}
-	return nil, fmt.Errorf("opt: unknown algorithm %d", algo)
-}
-
-// NormalizeInput validates in and fills defaulted fields (Views from
-// Query, cost.Default parameters). The baseline optimizers share it.
-func NormalizeInput(in *Input) error { return normalize(in) }
 
 // OptimizeWithOptions runs the top-down enumeration with an arbitrary
 // combination of the TD-CMDP pruning rules — used by the ablation
 // study; Optimize's named algorithms cover the paper's combinations.
 func OptimizeWithOptions(ctx context.Context, in *Input, o Options) (*Result, error) {
-	if err := normalize(in); err != nil {
-		return nil, err
-	}
+	return run(ctx, in, func(k *Kit) (*Result, error) { return runTD(k, o) })
+}
+
+// run plans through a new Kit and records the finished run in
+// in.Inst.
+func run(ctx context.Context, in *Input, search func(*Kit) (*Result, error)) (*Result, error) {
 	var start time.Time
 	if in.Inst != nil {
 		start = time.Now()
 	}
-	res, err := runTD(ctx, in, o)
+	k, err := NewKit(ctx, in)
+	if err != nil {
+		return nil, err
+	}
+	res, err := search(k)
 	if err == nil && in.Inst != nil {
 		in.Inst.recordRun(res.Used, time.Since(start), res.Counter)
 	}
 	return res, err
+}
+
+func dispatch(k *Kit, algo Algorithm) (*Result, error) {
+	switch algo {
+	case TDCMD:
+		return runTD(k, Options{})
+	case TDCMDP:
+		return runTD(k, CMDPOptions())
+	case HGRTDCMD:
+		return runHGR(k)
+	case TDAuto:
+		return runAuto(k)
+	case Greedy:
+		return runGreedy(k)
+	}
+	return nil, fmt.Errorf("opt: unknown algorithm %d", algo)
 }
 
 func normalize(in *Input) error {
@@ -189,38 +182,8 @@ func normalize(in *Input) error {
 	return nil
 }
 
-// identitySpace builds the unit space where each unit is one triple
-// pattern.
-func identitySpace(ctx context.Context, in *Input, o Options) *space {
-	jg := in.Views.Join
-	var checker *partition.LocalChecker
-	if in.Method != nil {
-		checker = partition.NewLocalChecker(in.Method, in.Views.Query)
-	}
-	return &space{
-		ctx: ctx,
-		jg:  jg,
-		leaf: func(u int) *plan.Node {
-			return plan.NewScan(u, in.Est.Cardinality(bitset.Single(u)), in.Params)
-		},
-		card: in.Est.Cardinality,
-		isLocal: func(s bitset.TPSet) bool {
-			if checker == nil {
-				return s.Len() <= 1
-			}
-			return checker.IsLocal(s)
-		},
-		anchor: checker.Anchor,
-		params: in.Params,
-		opt:    o,
-		inst:   in.Inst,
-		gauge:  in.Gauge,
-		faults: in.Faults,
-	}
-}
-
-func runTD(ctx context.Context, in *Input, o Options) (*Result, error) {
-	sp := identitySpace(ctx, in, o)
+func runTD(k *Kit, o Options) (*Result, error) {
+	sp := &space{Kit: k, jg: k.JG, opt: o}
 	p, err := sp.run()
 	if err != nil {
 		return nil, err
@@ -238,10 +201,9 @@ func runTD(ctx context.Context, in *Input, o Options) (*Result, error) {
 // for moderate sizes and HGR-TD-CMD for large ones. Join graphs with
 // more join variables than patterns (multiple cycles) use TD-CMD only
 // while small.
-func runAuto(ctx context.Context, in *Input) (*Result, error) {
-	jg := in.Views.Join
-	algo := chooseAuto(jg)
-	res, err := dispatch(ctx, in, algo) // not Optimize: the outer call records the run metrics once
+func runAuto(k *Kit) (*Result, error) {
+	algo := chooseAuto(k.JG)
+	res, err := dispatch(k, algo) // not Optimize: the outer call records the run metrics once
 	if err != nil {
 		return nil, err
 	}

@@ -61,12 +61,6 @@ func NewAdmission(maxConcurrent, maxQueued int) *Admission {
 	}
 }
 
-// MaxConcurrent returns the concurrency limit.
-func (a *Admission) MaxConcurrent() int { return int(a.max) }
-
-// MaxQueued returns the waiter-queue bound.
-func (a *Admission) MaxQueued() int { return int(a.maxQueued) }
-
 // InFlight returns the weight currently admitted.
 func (a *Admission) InFlight() int64 { return a.inFlight.Load() }
 

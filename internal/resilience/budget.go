@@ -40,14 +40,6 @@ func NewBudget(perQuery, total int64) *Budget {
 	return &Budget{perQuery: perQuery, total: total}
 }
 
-// PerQuery returns the per-query limit in bytes (0 = unlimited).
-func (b *Budget) PerQuery() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.perQuery
-}
-
 // Total returns the process-wide limit in bytes (0 = unlimited).
 func (b *Budget) Total() int64 {
 	if b == nil {

@@ -4,10 +4,9 @@ import "sparqlopt/internal/obs"
 
 // PanicsRecoveredHelp is the shared help string for the
 // resilience_panics_recovered_total counter. The opt and engine
-// instrument bundles register the same family (the registry hands all
-// of them the same counter), so every recovery site — optimizer pool
-// workers, engine node goroutines, the serving path — increments one
-// process-wide series.
+// instrument bundles register the same family (the registry hands both
+// the same counter), so the enumerator's and the engine's node
+// goroutines' recoveries increment one process-wide series.
 const PanicsRecoveredHelp = "Worker panics recovered into typed errors."
 
 // Instruments is the serving path's resilience metrics bundle. All
@@ -20,8 +19,6 @@ type Instruments struct {
 	// Degraded counts queries served through the fallback ladder
 	// (retry algorithm, greedy baseline or node failover).
 	Degraded *obs.Counter
-	// PanicsRecovered counts worker panics converted to errors.
-	PanicsRecovered *obs.Counter
 	// BudgetTrips counts memory reservations rejected by a budget.
 	BudgetTrips *obs.Counter
 
@@ -35,12 +32,11 @@ func NewInstruments(r *obs.Registry) *Instruments {
 		return nil
 	}
 	return &Instruments{
-		Admitted:        r.Counter("resilience_admitted_total", "Queries admitted by admission control."),
-		Rejected:        r.Counter("resilience_rejected_total", "Queries rejected by admission control."),
-		Degraded:        r.Counter("resilience_degraded_total", "Queries served through the fallback ladder."),
-		PanicsRecovered: r.Counter("resilience_panics_recovered_total", PanicsRecoveredHelp),
-		BudgetTrips:     r.Counter("resilience_budget_trips_total", "Memory reservations rejected by a budget."),
-		registry:        r,
+		Admitted:    r.Counter("resilience_admitted_total", "Queries admitted by admission control."),
+		Rejected:    r.Counter("resilience_rejected_total", "Queries rejected by admission control."),
+		Degraded:    r.Counter("resilience_degraded_total", "Queries served through the fallback ladder."),
+		BudgetTrips: r.Counter("resilience_budget_trips_total", "Memory reservations rejected by a budget."),
+		registry:    r,
 	}
 }
 
@@ -88,12 +84,4 @@ func (i *Instruments) QueryDegraded() {
 		return
 	}
 	i.Degraded.Inc()
-}
-
-// PanicRecovered records one recovered worker panic.
-func (i *Instruments) PanicRecovered() {
-	if i == nil {
-		return
-	}
-	i.PanicsRecovered.Inc()
 }

@@ -18,9 +18,6 @@ type DataConfig struct {
 	Seed int64
 }
 
-// DefaultDataConfig yields roughly 10^5 triples.
-func DefaultDataConfig() DataConfig { return DataConfig{Scale: 2500, Seed: 1} }
-
 // GenerateData builds a dataset over the same schema graph the query
 // templates are drawn from, so every template matches by construction
 // of the vocabulary (result sizes still vary with the walk).

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"sparqlopt/internal/baseline"
 	"sparqlopt/internal/sparql"
 	"sparqlopt/internal/stats"
 )
@@ -209,5 +210,25 @@ func TestConcurrentQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestAlgorithmNamesMatchTable: the serving names AlgorithmByName
+// accepts are the optimizer table's entries that run through
+// opt.Optimize, under the same algorithm.
+func TestAlgorithmNamesMatchTable(t *testing.T) {
+	serving := 0
+	for _, o := range baseline.Optimizers {
+		algo, ok := AlgorithmByName(o.CLI)
+		if !ok {
+			continue
+		}
+		serving++
+		if algo.String() != o.Name {
+			t.Errorf("%s: AlgorithmByName gives %s, the table %s", o.CLI, algo, o.Name)
+		}
+	}
+	if serving != 5 {
+		t.Errorf("%d of the table's names are serving names, want 5", serving)
 	}
 }
