@@ -79,11 +79,11 @@ obs:
 
 # The resilience gate: a doubled, race-instrumented run of the chaos
 # suite (64 goroutines injecting deterministic faults into a shared
-# System, and a writer racing migration rounds while the serving
+# System, and a writer racing recovery rounds while the serving
 # snapshot must follow every epoch in order) plus a short sweep over
 # extra fault-injection seeds — for the serving mix and for the
 # node-failover storm that kills nodes under cached reads and recovery
-# migrations. The suites read CHAOS_SEED, so a failing seed reproduces
+# rounds. The suites read CHAOS_SEED, so a failing seed reproduces
 # with `CHAOS_SEED=n go test -run TestChaosServing -race .` (or
 # TestChaosFailover).
 chaos:
@@ -117,11 +117,10 @@ bench:
 # and the flat and distinct rows per query), of the result
 # encoders (LUBM-1 rows shaped like S2 and J1 in JSON and TSV, with
 # encode ns/row and body B/row) plus a quick pass
-# of the adaptive-repartitioning and node-failover experiments: catches
-# compile or runtime breakage in the bench harnesses without measuring
-# anything (their output shows whether every round stayed bit-identical
-# to Reference and every failure typed). Quick runs write no JSON
-# artifact.
+# of the node-failover experiment: catches compile or runtime breakage
+# in the bench harness without measuring anything (its output shows
+# whether every failure stayed typed and recovery restored full
+# service). Quick runs write no JSON artifact.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkExecute -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkPointRead -benchtime=1x .
@@ -134,7 +133,6 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkBroadcastJoin -benchtime=1x ./internal/engine
 	$(GO) test -run='^$$' -bench=BenchmarkRootEmit -benchtime=1x ./internal/engine
 	$(GO) test -run='^$$' -bench=BenchmarkEncodeRows -benchtime=1x ./internal/httpd
-	$(GO) run ./cmd/benchrunner -experiment adaptive -quick
 	$(GO) run ./cmd/benchrunner -experiment failover -quick
 
 # The benchmark spine (benchmark/, its own module) compiles against

@@ -1,5 +1,5 @@
 // Command benchrunner regenerates the tables and figures of the
-// paper's evaluation section (§V), and runs the four serving
+// paper's evaluation section (§V), and runs the three serving
 // experiments the benchmark spine (benchmark/) does not cover.
 //
 // Usage:
@@ -15,18 +15,15 @@
 //	             TD-CMDP pruning rules, costcheck and qerror check the
 //	             cost model and the cardinality estimates against
 //	             execution), or one serving experiment, by name only:
-//	             obsoverhead | overload | adaptive | failover
+//	             obsoverhead | overload | failover
 //	             (obsoverhead serves L1–L10 with observability on vs
 //	             off; overload drives client fleets at 1x-8x of
 //	             capacity against a gated system (admission control +
-//	             memory budget) and an ungated one; adaptive drives a
-//	             repeating hot workload through a static and an
-//	             advisor-enabled system, reporting steady-state shuffle
-//	             volume, warm p99, replication cost and cold-query
-//	             regression; failover kills one node mid-workload
-//	             against a failover-enabled system and a twin without
-//	             it, reporting success rate, degraded p99, recovery
-//	             re-replication and time to full service. A full-scale
+//	             memory budget) and an ungated one; failover kills one
+//	             node mid-workload against a failover-enabled system
+//	             and a twin without it, reporting success rate,
+//	             degraded p99, recovery re-replication and time to full
+//	             service. A full-scale
 //	             run of one of these writes BENCH_<experiment>.json in
 //	             the working directory; a -quick run writes no file.)
 //	             Serving latency, throughput and per-layer cost are
@@ -73,13 +70,12 @@ var experiments = map[string]func(bench.Config) error{
 	"qerror":      bench.QError,
 	"obsoverhead": bench.ObsOverheadBench,
 	"overload":    bench.OverloadBench,
-	"adaptive":    bench.AdaptiveBench,
 	"failover":    bench.FailoverBench,
 }
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "table3|table4|table5|table6|table7|fig6|fig7|fig8|fig7and8|ablation|costcheck|qerror|all (= all of those), or obsoverhead|overload|adaptive|failover")
+		experiment = flag.String("experiment", "all", "table3|table4|table5|table6|table7|fig6|fig7|fig8|fig7and8|ablation|costcheck|qerror|all (= all of those), or obsoverhead|overload|failover")
 		timeout    = flag.Duration("timeout", 0, "per-run optimization cap (0 = paper's 600s, or 3s with -quick)")
 		quick      = flag.Bool("quick", false, "small datasets and instance counts")
 		nodes      = flag.Int("nodes", 0, "simulated cluster size (0 = 10)")

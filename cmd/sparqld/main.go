@@ -29,13 +29,11 @@
 //	-max-limit  cap on the client-requested ?limit= (0 = no cap)
 //	-slowlog    slow-query threshold feeding /debug/slowlog (0 with
 //	            -debug logs every query)
-//	-adaptive / -decay-half-life  adaptive repartitioning advisor
 //	-failover   node fault domains: per-node health breakers, retries
 //	            with backoff, replica failover for dead nodes' scans;
 //	            unreplicated dead fragments fail fast as 503 with
 //	            Retry-After, /healthz reports per-node breaker state,
-//	            and with -adaptive sustained failure triggers recovery
-//	            re-replication
+//	            and sustained failure triggers recovery re-replication
 //	-debug      expose /debug/slowlog and /debug/trace
 //
 // Endpoints: /sparql (protocol), /metrics, /healthz, and with -debug
@@ -80,9 +78,7 @@ func main() {
 		limit        = flag.Int64("limit", 0, "default row limit (0 = none)")
 		maxLimit     = flag.Int64("max-limit", 0, "cap on the client-requested limit (0 = no cap)")
 		slowlog      = flag.Duration("slowlog", 0, "slow-query threshold for /debug/slowlog")
-		adaptive     = flag.Bool("adaptive", false, "enable the adaptive repartitioning advisor")
 		failover     = flag.Bool("failover", false, "enable node health tracking and replica failover")
-		decay        = flag.Int("decay-half-life", 0, "advisor accumulator half-life in observed queries (with -adaptive)")
 		debug        = flag.Bool("debug", false, "expose /debug/slowlog and /debug/trace")
 	)
 	flag.Parse()
@@ -91,8 +87,7 @@ func main() {
 		partName: *partName, nodes: *nodes, algorithm: *algorithm, planCache: *planCache,
 		maxConcurrent: *maxConc, maxQueued: *maxQueued, memBudget: *memBudget,
 		timeout: *timeout, maxTimeout: *maxTimeout, limit: *limit, maxLimit: *maxLimit,
-		slowlog: *slowlog, adaptive: *adaptive, decayHalfLife: *decay,
-		failover: *failover, debug: *debug,
+		slowlog: *slowlog, failover: *failover, debug: *debug,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "sparqld:", err)
 		os.Exit(1)
@@ -109,8 +104,6 @@ type serveConfig struct {
 	timeout, maxTimeout                 time.Duration
 	limit, maxLimit                     int64
 	slowlog                             time.Duration
-	adaptive                            bool
-	decayHalfLife                       int
 	failover                            bool
 	debug                               bool
 }
@@ -141,11 +134,6 @@ func run(cfg serveConfig) error {
 	}
 	if cfg.memBudget > 0 {
 		opts = append(opts, sparqlopt.WithMemoryBudget(cfg.memBudget, 0))
-	}
-	if cfg.adaptive {
-		opts = append(opts, sparqlopt.WithAdaptivePartitioning(sparqlopt.AdaptiveConfig{
-			DecayHalfLife: cfg.decayHalfLife,
-		}))
 	}
 	if cfg.failover {
 		opts = append(opts, sparqlopt.WithNodeFailover(sparqlopt.NodeFailoverConfig{}))

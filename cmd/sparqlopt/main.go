@@ -21,8 +21,8 @@
 //	-demo       use a generated LUBM dataset and query L8
 //
 // Serving — many queries, the plan cache, metrics, traces, the
-// slow-query log, memory budgets, row limits and adaptive
-// repartitioning — is sparqld's.
+// slow-query log, memory budgets, row limits and node failover — is
+// sparqld's.
 package main
 
 import (

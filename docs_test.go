@@ -24,8 +24,7 @@ import (
 // the same way: every flag a command's usage comment or a `sparqld
 // -flag …` command line in the docs names must be defined, and every
 // defined flag listed. README.md must name every root With… option and
-// every field of NodeFailoverConfig and AdaptiveConfig, and no field
-// they lack. DESIGN.md's fault-site table must hold exactly the sites
+// every field of NodeFailoverConfig, and no field it lacks. DESIGN.md's fault-site table must hold exactly the sites
 // faultinject registers.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	const runner = "cmd/benchrunner/main.go"
@@ -54,7 +53,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 
 	options := map[string]bool{}
-	fields := map[string]map[string]bool{"NodeFailoverConfig": {}, "AdaptiveConfig": {}}
+	fields := map[string]map[string]bool{"NodeFailoverConfig": {}}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
@@ -244,10 +243,10 @@ func checkReadmeOptions(t *testing.T, readme string, options map[string]bool, fi
 		}
 	}
 	named := map[string]bool{}
-	for _, m := range regexp.MustCompile(`\b(NodeFailoverConfig|AdaptiveConfig)\.([A-Z]\w*)`).FindAllStringSubmatch(readme, -1) {
+	for _, m := range regexp.MustCompile(`\b(NodeFailoverConfig)\.([A-Z]\w*)`).FindAllStringSubmatch(readme, -1) {
 		named[m[1]+"."+m[2]] = true
 	}
-	for _, m := range regexp.MustCompile(`\b(NodeFailoverConfig|AdaptiveConfig)\{([^}]*)\}`).FindAllStringSubmatch(readme, -1) {
+	for _, m := range regexp.MustCompile(`\b(NodeFailoverConfig)\{([^}]*)\}`).FindAllStringSubmatch(readme, -1) {
 		for _, key := range regexp.MustCompile(`(\w+)\s*:`).FindAllStringSubmatch(m[2], -1) {
 			named[m[1]+"."+key[1]] = true
 		}

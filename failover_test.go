@@ -164,29 +164,32 @@ func TestFailoverProperty(t *testing.T) {
 		t.Error("sweep never recorded a failover — replica-serving path untested")
 	}
 
-	// One migrated-then-ingested configuration: the advisor aligns the
-	// <knows> object group, a write lands in the broadcast delta, and
-	// then every node dies in turn — so a dead node is hit by an ALIGNED
-	// scan that must merge overlay copies and delta rows, checked
-	// against the single-node reference over the post-write dataset.
-	t.Run("migrated+ingested/2f/P4", func(t *testing.T) {
+	// One recovered-then-ingested configuration: a node dies and a
+	// recovery round re-replicates its stranded triples into overlays,
+	// writes land in the broadcast delta, and then every node dies in
+	// turn — so a failover read must find the overlay copies while the
+	// delta rows are surfaced, checked against the single-node reference
+	// over the post-write dataset.
+	t.Run("recovered+ingested/2f/P4", func(t *testing.T) {
 		const src = `SELECT * WHERE { ?x <http://knows> ?y . ?z <http://knows> ?y . }`
 		ds := failoverDataset()
 		sys, err := Open(ds, WithMethod(mustMethod(t, "2f")), WithNodes(4),
-			failoverBreakerOff,
-			WithAdaptivePartitioning(AdaptiveConfig{MinShuffledBytes: 1, MinQueries: 1}),
-			withReplicationBudget(4))
+			failoverBreakerOff, WithObservability())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 3 && sys.AdvisorStats().Migrations == 0; i++ {
-			if _, err := sys.Run(context.Background(), src); err != nil {
-				t.Fatal(err)
+		recovered := -1
+		for node := 0; node < 4 && recovered < 0; node++ {
+			if _, err := sys.Run(context.Background(), src, WithFaultInjection(killNode(node))); errors.Is(err, ErrUnavailable) {
+				recovered = node
 			}
-			sys.WaitForMigrations()
 		}
-		if sys.AdvisorStats().Migrations == 0 {
-			t.Fatal("advisor never migrated the <knows> group — configuration no longer reaches aligned scans")
+		if recovered < 0 {
+			t.Fatal("no dead node stranded a <knows> triple — the configuration no longer reaches recovery")
+		}
+		sys.WaitForMigrations()
+		if applied, _ := recoveryRounds(sys); applied != 1 {
+			t.Fatalf("%d recovery rounds applied, want 1", applied)
 		}
 		ds.Add("http://p0", "http://knows", "http://p5")
 		ds.Add("http://new0", "http://knows", "http://p1")
@@ -198,30 +201,19 @@ func TestFailoverProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sawAlignedFailover bool
 		for node := 0; node < 4; node++ {
-			faults := NewFaultSet(seed + int64(node))
-			faults.Arm(FaultNodeScan(node), 1)
-			faults.Arm(FaultNodeShuffle(node), 1)
-			res, err := sys.Run(context.Background(), src, WithFaultInjection(faults))
+			res, err := sys.Run(context.Background(), src, WithFaultInjection(killNode(node)))
 			if err != nil {
 				var ue *UnavailableError
-				if !errors.As(err, &ue) || ue.Missing <= 0 {
-					t.Errorf("node %d: err = %v (%T), want *UnavailableError with a Missing count", node, err, err)
+				if !errors.As(err, &ue) || ue.Missing <= 0 || node == recovered {
+					t.Errorf("node %d: err = %v (%T), want rows, or an *UnavailableError with a Missing count for an unrecovered node", node, err, err)
 				}
 				continue
 			}
 			sameRows(t, fmt.Sprintf("node %d dead", node), res, want)
-			aligned := false
-			for _, ch := range res.Trace.Children {
-				aligned = aligned || ch.Aligned
+			if node == recovered && res.Failovers == 0 {
+				t.Errorf("node %d dead: no failover recorded", node)
 			}
-			if aligned && res.Failovers > 0 {
-				sawAlignedFailover = true
-			}
-		}
-		if !sawAlignedFailover {
-			t.Error("no dead node was served through an aligned scan — the aligned × delta × failover cell is untested")
 		}
 	})
 }
@@ -261,8 +253,6 @@ func TestFailoverRecoveryReplicates(t *testing.T) {
 	ds := failoverDataset()
 	sys, err := Open(ds, WithNodes(4),
 		failoverBreakerOff,
-		WithAdaptivePartitioning(AdaptiveConfig{}),
-		withReplicationBudget(4),
 		WithObservability(WithSlowQueryLog(32, 0)),
 	)
 	if err != nil {
@@ -302,8 +292,8 @@ func TestFailoverRecoveryReplicates(t *testing.T) {
 	// the stranded triples have live copies, so the same query succeeds
 	// by failover with identical rows, node still dead.
 	sys.WaitForMigrations()
-	if got := sys.AdvisorStats().RecoveryMigrations; got != 1 {
-		t.Fatalf("RecoveryMigrations = %d, want 1", got)
+	if applied, failed := recoveryRounds(sys); applied != 1 || failed != 0 {
+		t.Fatalf("%d recovery rounds applied, %d failed; want 1 and 0", applied, failed)
 	}
 	faults := NewFaultSet(chaosSeed(t))
 	faults.Arm(FaultNodeScan(dead), 1)
@@ -404,9 +394,9 @@ func TestFailoverBreakerRecovers(t *testing.T) {
 }
 
 // TestChaosFailover races node-death faults against cached reads and
-// recovery migrations: half the fleet kills nodes on every run while
-// the clean half must keep reading bit-identical rows through replica
-// failover, the advisor re-replicates stranded fragments in the
+// recovery rounds: half the fleet kills nodes on every run while the
+// clean half must keep reading bit-identical rows through replica
+// failover, recovery re-replicates stranded fragments in the
 // background, and the storm must not leak goroutines.
 func TestChaosFailover(t *testing.T) {
 	seed := chaosSeed(t)
@@ -420,8 +410,6 @@ func TestChaosFailover(t *testing.T) {
 			RetryBase:   time.Microsecond,
 		}),
 		withBreaker(health.Config{OpenFor: time.Millisecond}),
-		WithAdaptivePartitioning(AdaptiveConfig{}),
-		withReplicationBudget(4),
 		WithObservability(WithSlowQueryLog(256, 0)),
 	)
 	if err != nil {
@@ -476,6 +464,9 @@ func TestChaosFailover(t *testing.T) {
 		}
 	}
 	sys.WaitForMigrations()
+	if applied, failed := recoveryRounds(sys); applied == 0 || failed != 0 {
+		t.Errorf("%d recovery rounds applied, %d failed; want some and none", applied, failed)
+	}
 
 	// Post-storm: un-faulted serving must return to bit-identical rows
 	// (breakers may need their probe window to close).

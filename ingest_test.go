@@ -2,6 +2,7 @@ package sparqlopt
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,7 +10,6 @@ import (
 	"time"
 
 	"sparqlopt/internal/partition"
-	"sparqlopt/internal/partition/adaptive"
 	"sparqlopt/internal/rdf"
 )
 
@@ -219,23 +219,30 @@ func TestIngestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestIngestRacesMigration interleaves writes, cached reads and
-// adaptive migrations under -race: the advisor repartitions the hot
-// object-object star while a writer keeps growing exactly those
-// predicates. After quiescing, results must match the single-node
-// reference over the final dataset.
+// TestIngestRacesMigration interleaves writes, cached reads and a
+// recovery round under -race: readers serve the object-object star with
+// a node dead, their unavailable failures trigger the round that
+// re-replicates the node's stranded triples, and a writer keeps growing
+// exactly those predicates. After quiescing, results with the node
+// healthy and dead must match the single-node reference over the final
+// dataset.
 func TestIngestRacesMigration(t *testing.T) {
 	ds := migDataset()
 	sys, err := Open(ds,
 		WithMethod(mustMethod(t, "2f")),
 		WithNodes(4),
 		WithPlanCache(64),
-		WithAdaptivePartitioning(AdaptiveConfig{MinShuffledBytes: 1, MinQueries: 2}),
+		failoverBreakerOff,
+		WithObservability(),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	dead := strandedNode(sys)
+	if dead < 0 {
+		t.Fatal("no node holds an unreplicated triple")
+	}
 
 	var readers, writer sync.WaitGroup
 	errc := make(chan error, 4)
@@ -250,10 +257,11 @@ func TestIngestRacesMigration(t *testing.T) {
 	}()
 	for r := 0; r < 3; r++ {
 		readers.Add(1)
-		go func() { // readers: drive the advisor toward migration
+		go func() { // readers: the node's stranded triples trigger recovery
 			defer readers.Done()
+			faults := killNode(dead)
 			for i := 0; i < 30; i++ {
-				if _, err := sys.Run(ctx, migHot); err != nil {
+				if _, err := sys.Run(ctx, migHot, WithFaultInjection(faults)); err != nil && !errors.Is(err, ErrUnavailable) {
 					errc <- err
 					return
 				}
@@ -270,22 +278,28 @@ func TestIngestRacesMigration(t *testing.T) {
 
 	sys.WaitForMigrations()
 	checkQuiesced(t, sys, ds)
+	if applied, failed := recoveryRounds(sys); applied != 1 || failed != 0 {
+		t.Fatalf("%d recovery rounds applied, %d failed; want 1 and 0", applied, failed)
+	}
 	want, err := Reference(ds, mustParse(t, migHot))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sys.Run(ctx, migHot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !chaosRowsEqual(got.Rows, want.Rows) {
-		t.Fatalf("post-migration rows diverge from reference (%d vs %d)", len(got.Rows), len(want.Rows))
+	for _, faults := range []*FaultSet{nil, killNode(dead)} {
+		got, err := sys.Run(ctx, migHot, WithFaultInjection(faults))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !chaosRowsEqual(got.Rows, want.Rows) {
+			t.Fatalf("post-recovery rows (node %d dead: %v) diverge from reference (%d vs %d)",
+				dead, faults != nil, len(got.Rows), len(want.Rows))
+		}
 	}
 }
 
 // migDataset is 120 triples over two predicates that share seven
-// objects, so migHot — their object-object star — repartitions on ?c
-// and the advisor migrates both groups.
+// objects, so migHot — their object-object star — repartitions on ?c.
+// Under 2f every triple is placed on its subject's home alone.
 func migDataset() *Dataset {
 	ds := NewDataset()
 	for i := 0; i < 60; i++ {
@@ -297,7 +311,7 @@ func migDataset() *Dataset {
 
 const migHot = `SELECT * WHERE { ?s <http://mig/p1> ?c . ?t <http://mig/p2> ?c . }`
 
-// addMigWrites commits 80 triples to both migrated predicates, 40 each.
+// addMigWrites commits 80 triples to migDataset's predicates, 40 each.
 func addMigWrites(ds *Dataset) {
 	for i := 0; i < 40; i++ {
 		ds.Add(fmt.Sprintf("http://mig/ws%d", i), "http://mig/p1", fmt.Sprintf("http://mig/o%d", i%7))
@@ -316,7 +330,7 @@ func checkQuiesced(t *testing.T, sys *System, ds *Dataset) {
 }
 
 // TestChaosServingSnapshotFollowsEpochs races a writer against
-// back-to-back migration rounds that add nothing but still bump the
+// back-to-back recovery rounds that add nothing but still bump the
 // epoch. Every engine snapshot a watcher loads must pin a dataset
 // snapshot whose epoch never goes backwards and whose triples are
 // exactly the fragments plus the snapshot's own delta. At quiescence
@@ -329,7 +343,6 @@ func TestChaosServingSnapshotFollowsEpochs(t *testing.T) {
 	sys, err := Open(ds,
 		WithMethod(mustMethod(t, "2f")),
 		WithNodes(nodes),
-		WithAdaptivePartitioning(AdaptiveConfig{}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -342,8 +355,8 @@ func TestChaosServingSnapshotFollowsEpochs(t *testing.T) {
 		big[i] = rdf.Triple{S: ds.Dict.Intern(fmt.Sprintf("http://mig/b%d", i)), P: p, O: ds.Dict.Intern(fmt.Sprintf("http://mig/o%d", i%7))}
 	}
 	ds.AddBatch(big)
-	noop := func(*partition.View) *adaptive.Proposal {
-		return &adaptive.Proposal{Migration: &partition.Migration{Adds: make([][]rdf.Triple, nodes)}}
+	noop := func(*partition.View) *partition.Migration {
+		return &partition.Migration{Adds: make([][]rdf.Triple, nodes)}
 	}
 
 	var stop atomic.Bool
@@ -355,11 +368,11 @@ func TestChaosServingSnapshotFollowsEpochs(t *testing.T) {
 			ds.Add(fmt.Sprintf("http://mig/ws%d", i), "http://mig/p1", fmt.Sprintf("http://mig/o%d", i%7))
 		}
 	}()
-	go func() { // migration rounds
+	go func() { // recovery rounds
 		defer wg.Done()
 		for !stop.Load() {
 			sys.migMu.Lock()
-			err := sys.applyRoundLocked("migration", noop)
+			_, err := sys.applyRoundLocked(noop)
 			sys.migMu.Unlock()
 			if err != nil {
 				t.Error(err)

@@ -117,18 +117,6 @@ type Meta struct {
 	Quick bool  `json:"quick"`
 	Nodes int   `json:"nodes"`
 	Seed  int64 `json:"seed"`
-	// Adaptive records the advisor configuration of an adaptive-
-	// repartitioning run; nil for every other experiment.
-	Adaptive *AdaptiveMeta `json:"adaptive,omitempty"`
-}
-
-// AdaptiveMeta is the advisor configuration an adaptive run used —
-// embedded in the report so its trigger knobs travel with the numbers
-// they produced.
-type AdaptiveMeta struct {
-	Rounds           int   `json:"rounds"`
-	MinShuffledBytes int64 `json:"min_shuffled_bytes"`
-	MinQueries       int   `json:"min_queries"`
 }
 
 // meta describes this run's configuration.

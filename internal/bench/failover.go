@@ -15,7 +15,7 @@ import (
 // FailoverRecord is one (system, phase) cell of the failover
 // experiment: a workload slice against one twin in one health state.
 type FailoverRecord struct {
-	// System is "failover" (WithNodeFailover + recovery advisor) or
+	// System is "failover" (WithNodeFailover, which drives recovery) or
 	// "no-failover" (the twin that shows the raw failure mode).
 	System string `json:"system"`
 	// Phase is "healthy" (before the kill), "killed" (node down,
@@ -44,9 +44,9 @@ type FailoverRecord struct {
 type failoverReport struct {
 	Meta
 	KilledNode int `json:"killed_node"`
-	// RecoveryMigrations is how many recovery rounds the advisor
-	// applied; ReplicationBefore/After bracket their cost against the
-	// replication budget.
+	// RecoveryMigrations is how many recovery rounds applied, read from
+	// the recovery_rounds_total counter; ReplicationBefore/After bracket
+	// their cost against the recovery budget.
 	RecoveryMigrations int64   `json:"recovery_migrations"`
 	ReplicationBefore  float64 `json:"replication_factor_before"`
 	ReplicationAfter   float64 `json:"replication_factor_after"`
@@ -68,13 +68,12 @@ type failoverReport struct {
 var failoverQueries = []string{"L1", "L2", "L4", "L5", "L7"}
 
 // FailoverBench kills one node mid-workload and measures what each
-// twin does about it. The failover twin (WithNodeFailover + a
-// recovery advisor, each round awaited before the next run) must keep
-// serving: replica-covered
-// scans stay bit-identical with p99 within 2x of healthy, stranded
-// fragments fail fast with typed errors until the advisor re-replicates
-// them, and after recovery every query succeeds with the node still
-// dead. The no-failover twin runs the same kill phase and shows the
+// twin does about it. The failover twin (WithNodeFailover, each
+// recovery round awaited before the next run) must keep serving:
+// replica-covered scans stay bit-identical with p99 within 2x of
+// healthy, stranded fragments fail fast with typed errors until a
+// recovery round re-replicates them, and after recovery every query
+// succeeds with the node still dead. The no-failover twin runs the same kill phase and shows the
 // raw failure mode: typed fast failures on every affected query, no
 // replica serving, no recovery. A full-scale run writes
 // BENCH_failover.json.
@@ -95,7 +94,7 @@ func FailoverBench(cfg Config) error {
 		sparqlopt.WithNodes(cfg.nodes()),
 		sparqlopt.WithPlanCache(64),
 		sparqlopt.WithNodeFailover(foCfg),
-		sparqlopt.WithAdaptivePartitioning(sparqlopt.AdaptiveConfig{}),
+		sparqlopt.WithObservability(),
 	)
 	if err != nil {
 		return err
@@ -138,7 +137,7 @@ func FailoverBench(cfg Config) error {
 	nfKilled := failoverPhase(cfg, withoutFO, "no-failover", "killed", rounds, killNF)
 
 	report.Records = []FailoverRecord{foHealthy, foKilled, foRecovered, nfHealthy, nfKilled}
-	report.RecoveryMigrations = withFO.AdvisorStats().RecoveryMigrations
+	report.RecoveryMigrations = withFO.MetricsRegistry().Counter("recovery_rounds_total", "").Value()
 	report.ReplicationAfter = withFO.ReplicationFactor()
 	report.CoveredSuccess = foRecovered.Runs > 0 && foRecovered.Succeeded == foRecovered.Runs
 	report.P99Held = foHealthy.P99Millis > 0 && foKilled.P99Millis <= 2*foHealthy.P99Millis
@@ -151,7 +150,7 @@ func FailoverBench(cfg Config) error {
 			r.System, r.Phase, r.Runs, r.Succeeded, r.Unavailable, r.Failed, r.Failovers,
 			r.P50Millis, r.P99Millis)
 	}
-	fmt.Fprintf(w, "recovery: %d migration(s), replication %.3f -> %.3f, full service after %.1fms\n",
+	fmt.Fprintf(w, "recovery: %d round(s), replication %.3f -> %.3f, full service after %.1fms\n",
 		report.RecoveryMigrations, report.ReplicationBefore, report.ReplicationAfter, report.TimeToRecoverMillis)
 	fmt.Fprintf(w, "covered success after recovery: %v; killed p99 within 2x healthy: %v\n",
 		report.CoveredSuccess, report.P99Held)

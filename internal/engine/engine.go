@@ -116,9 +116,8 @@ func (r *Result) RowCount() int64 {
 	return r.Returned
 }
 
-// ShuffledRows returns the run's total cross-node row movement — the
-// per-query shuffle feed the adaptive advisor and the slow-query log
-// consume without needing a trace sink.
+// ShuffledRows returns the run's total cross-node row movement — what
+// the slow-query log records without needing a trace sink.
 func (r *Result) ShuffledRows() int64 { return r.Metrics.TransferredRows }
 
 // ShuffledBytes returns the wire volume of ShuffledRows.
@@ -171,7 +170,7 @@ type ExecEnv struct {
 	// engine's sites (chaos tests only; nil in production).
 	Faults *faultinject.Set
 	// Snap is the store snapshot this execution reads. ExecuteEnv
-	// captures it once at entry when nil, so a background migration or
+	// captures it once at entry when nil, so a recovery round or
 	// ingest commit swapping the engine's stores mid-query never gives
 	// one query two views. A caller that must coordinate the engine
 	// view with other pinned state (the serving path pins the dataset
@@ -191,18 +190,17 @@ type ExecEnv struct {
 const maxDeltaChunks = 16
 
 // Snap is one immutable view of the partitioned data: the per-node
-// base stores, the per-node migration overlays, the alignment table
-// the current placement guarantees, and the broadcast-ingest delta.
-// Writers (background migrations, ingest commits) build a fresh
+// base stores, the per-node recovery overlays and the broadcast-ingest
+// delta. Writers (recovery rounds, ingest commits) build a fresh
 // snapshot and swap it in atomically; queries in flight keep the one
 // they started with.
 //
 // Base stores hold the partitioning method's original fragments and
-// are NEVER rebuilt: normal scans read only them, so queries outside
-// the migrated patterns cost exactly what they did before any
-// migration. The copies a migration adds live in the overlays, which
-// only aligned scans consult — the one context where those copies can
-// be useful (each is a duplicate of a base triple somewhere else).
+// are NEVER rebuilt: healthy scans read only them, so recovery never
+// changes what a query on a healthy cluster costs. The copies a
+// recovery round adds live in the overlays, which only failover reads
+// consult — the one context where those copies are useful (each is a
+// duplicate of a base triple a dead node holds).
 //
 // Triples ingested after the placement was computed live in the delta
 // chunk stores, which are logically replicated to every node: scans
@@ -224,10 +222,9 @@ type Snap struct {
 	// DeltaHomed); home is nil when the method has none.
 	home       func(rdf.TermID) int
 	deltaHomed bool
-	// overlays[node] indexes the migration adds on node; nil when the
-	// node has none (and the whole slice is nil before any migration).
+	// overlays[node] indexes the recovery adds on node; nil when the
+	// node has none (and the whole slice is nil before any recovery).
 	overlays []*store
-	align    *partition.Alignment
 	// delta holds the broadcast-ingest chunk stores, oldest first.
 	delta []*store
 	// data is the dataset snapshot this store view was built from; the
@@ -236,7 +233,7 @@ type Snap struct {
 	data *rdf.Snapshot
 }
 
-// overlay returns node's migration overlay, nil when it has none.
+// overlay returns node's recovery overlay, nil when it has none.
 func (s *Snap) overlay(node int) *store {
 	if s.overlays == nil {
 		return nil
@@ -276,7 +273,7 @@ func (s *Snap) DeltaLen() int {
 // calling goroutine.
 type Engine struct {
 	dict *rdf.Dict
-	// mu serializes snapshot swaps (migrations, ingest commits,
+	// mu serializes snapshot swaps (recovery rounds, ingest commits,
 	// SetData); readers load snap without it.
 	mu sync.Mutex
 	// snap is the current store snapshot; swapped whole under mu,
@@ -326,8 +323,8 @@ func (e *Engine) Snapshot() *Snap { return e.snap.Load() }
 
 // SetData attaches the dataset snapshot the current store view was
 // built from (see Snap.Data). Called once at open; after that every
-// epoch arrives through ApplyIngest, an epoch-only bump (a migration's)
-// with an empty delta.
+// epoch arrives through ApplyIngest, an epoch-only bump (a recovery
+// round's) with an empty delta.
 func (e *Engine) SetData(data *rdf.Snapshot) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -375,11 +372,11 @@ func (e *Engine) ApplyIngest(delta []rdf.Triple, data *rdf.Snapshot) {
 	e.snap.Store(&next)
 }
 
-// View returns the snapshot's placement for migration planning: the
+// View returns the snapshot's placement for recovery planning: the
 // stores' own SPO arrays, nothing copied (see partition.View).
 func (s *Snap) View() *partition.View {
 	n := len(s.stores)
-	v := &partition.View{Base: make([][]rdf.Triple, n), Overlay: make([][]rdf.Triple, n), Align: s.align, Data: s.data}
+	v := &partition.View{Base: make([][]rdf.Triple, n), Overlay: make([][]rdf.Triple, n), Data: s.data}
 	for node, st := range s.stores {
 		v.Base[node] = st.spo
 		if ov := s.overlay(node); ov != nil {
@@ -393,25 +390,23 @@ func (s *Snap) View() *partition.View {
 }
 
 // ApplyMigration swaps in a new store snapshot with the migration's
-// per-node adds indexed as overlays and the given groups added to the
-// alignment table. from is the snapshot the migration was planned
-// from; if another migration has replaced its overlays or alignment
+// per-node adds indexed as overlays. from is the snapshot the migration
+// was planned from; if another migration has replaced its overlays
 // since, nothing is applied and an error is returned. Ingest commits
 // since then are kept: they change only the delta, which no plan
-// copies. The base stores are never rebuilt — normal scans keep
-// reading exactly the pre-migration fragments, so queries outside the
-// migrated patterns see zero cost from the added replicas; only
-// aligned scans read the overlays. Touched nodes get a fresh overlay
+// copies. The base stores are never rebuilt — healthy scans keep
+// reading exactly the fragments the method placed; only failover
+// reads consult the overlays. Touched nodes get a fresh overlay
 // merging the previous one with the adds, which must be distinct and
 // absent from the node's fragment and overlay, as partition.View plans
 // them; untouched overlays are shared with the previous snapshot.
 // Queries already executing keep their captured snapshot — the swap
 // never blocks or tears an in-flight run.
-func (e *Engine) ApplyMigration(from *Snap, m *partition.Migration, keys []partition.GroupKey) error {
+func (e *Engine) ApplyMigration(from *Snap, m *partition.Migration) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	old := e.snap.Load()
-	if old.align != from.align || !slices.Equal(old.overlays, from.overlays) {
+	if !slices.Equal(old.overlays, from.overlays) {
 		return errors.New("engine: the placement changed since the migration was planned")
 	}
 	if len(m.Adds) != len(old.stores) {
@@ -430,7 +425,7 @@ func (e *Engine) ApplyMigration(from *Snap, m *partition.Migration, keys []parti
 		overlays[node] = added
 	}
 	next := *old
-	next.overlays, next.align = overlays, old.align.With(keys...)
+	next.overlays = overlays
 	e.snap.Store(&next)
 	return nil
 }
@@ -525,15 +520,13 @@ func (e *Engine) opGate(ctx context.Context, p *plan.Node, env ExecEnv) error {
 }
 
 // eval executes p and returns one relation per node (the distributed
-// intermediate result of paper §II-D) plus the operator's trace. A
-// non-empty alignVar asks a Scan child of a repartition join to emit
-// its rows aligned on that join variable (see alignHints). lazy lets a
-// Scan child of a local or broadcast join leave its reads to the
+// intermediate result of paper §II-D) plus the operator's trace. lazy
+// lets a Scan child of a local or broadcast join leave its reads to the
 // parent's join: the open leaf is returned with them, the relations of
 // the nodes not read yet are nil, and the parent settles the leaf's
 // accounting when its join is done (see scanLeaf). A non-nil root makes
 // p the plan's root, which the stream reads (see rootOut).
-func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, alignVar string, lazy bool, root *rootOut) ([]*Relation, *scanLeaf, *TraceNode, error) {
+func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, lazy bool, root *rootOut) ([]*Relation, *scanLeaf, *TraceNode, error) {
 	if err := e.opGate(ctx, p, env); err != nil {
 		return nil, nil, nil, err
 	}
@@ -544,7 +537,7 @@ func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 	start := time.Now()
 	switch p.Alg {
 	case plan.Scan:
-		if leaf, err = e.scan(ctx, p, q, env, tr, alignVar, lazy, root != nil); err == nil {
+		if leaf, err = e.scan(ctx, p, q, env, tr, lazy, root != nil); err == nil {
 			out = leaf.rels
 			tr.recordSizes(leaf.size)
 			if root != nil {
@@ -619,78 +612,17 @@ func (e *Engine) fanOut(n int, busy func(node int) bool, f func(node int) error)
 	return busyNodes, nil
 }
 
-// alignGroup resolves the alignable (predicate, position) triple group
-// of one child of a repartition join on joinVar: the child must be a
-// Scan leaf whose pattern has a constant, known predicate (an unknown
-// one matches nothing; the normal path is fine) with the join variable
-// at the subject or object. Plan nodes and trace nodes both carry
-// (alg, tp), so execution (alignHints) and trace mining
-// (ShuffleGroups) derive the group key the same way.
-func (e *Engine) alignGroup(q *sparql.Query, alg plan.Algorithm, tp int, joinVar string) (pred rdf.TermID, pos partition.Pos, ok bool) {
-	if alg != plan.Scan {
-		return 0, 0, false
-	}
-	pat := q.Patterns[tp]
-	if pat.P.IsVar() {
-		return 0, 0, false
-	}
-	if pred, ok = e.dict.Lookup(pat.P.Value); !ok {
-		return 0, 0, false
-	}
-	switch {
-	case pat.S.IsVar() && pat.S.Value == joinVar:
-		return pred, partition.PosS, true
-	case pat.O.IsVar() && pat.O.Value == joinVar:
-		return pred, partition.PosO, true
-	}
-	return 0, 0, false
-}
-
-// alignHints returns, per child of a repartition join, the join
-// variable that child should align-scan on ("" = evaluate normally;
-// nil when no child qualifies). A child qualifies when it has an
-// alignable triple group (see alignGroup) and the snapshot's alignment
-// table marks that group fully migrated: every triple of the group
-// then has a copy on AlignNode(key term) — exactly the node the
-// repartition scatter would send its rows to — so the scan can emit
-// each matching triple only there and skip the shuffle entirely
-// without changing the joined row set.
-func (e *Engine) alignHints(p *plan.Node, q *sparql.Query, env ExecEnv) []string {
-	a := env.Snap.align
-	if a.Len() == 0 {
-		return nil
-	}
-	var hints []string
-	for i, c := range p.Children {
-		pred, pos, ok := e.alignGroup(q, c.Alg, c.TP, p.JoinVar)
-		if !ok || !a.Aligned(pred, pos) {
-			continue
-		}
-		if hints == nil {
-			hints = make([]string, len(p.Children))
-		}
-		hints[i] = p.JoinVar
-	}
-	return hints
-}
-
 // evalChildren evaluates the children of p in plan order, attaching
 // their traces to tr and restarting the parent's own-time clock, so an
-// operator's own time never includes its children's. A non-empty
-// hints[i] names the join variable child i should align-scan on (see
-// alignHints); hints may be nil when no child qualifies. With lazy set,
+// operator's own time never includes its children's. With lazy set,
 // Scan children are opened lazily and come back in leaves (nil entries
 // for the other children).
-func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time, hints []string, lazy bool) ([][]*Relation, []*scanLeaf, error) {
+func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time, lazy bool) ([][]*Relation, []*scanLeaf, error) {
 	n := len(p.Children)
 	children := make([][]*Relation, n)
 	leaves := make([]*scanLeaf, n)
 	for i, c := range p.Children {
-		hint := ""
-		if hints != nil {
-			hint = hints[i]
-		}
-		rels, leaf, ctr, err := e.eval(ctx, c, q, env, m, hint, lazy, nil)
+		rels, leaf, ctr, err := e.eval(ctx, c, q, env, m, lazy, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -719,11 +651,7 @@ func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query
 // is read in full first, so data movement is what it always was.
 func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time) (opInputs, error) {
 	var in opInputs
-	var hints []string
-	if p.Alg == plan.RepartitionJoin {
-		hints = e.alignHints(p, q, env)
-	}
-	children, leaves, err := e.evalChildren(ctx, p, q, env, m, tr, start, hints, p.Alg != plan.RepartitionJoin)
+	children, leaves, err := e.evalChildren(ctx, p, q, env, m, tr, start, p.Alg != plan.RepartitionJoin)
 	if err != nil {
 		return in, err
 	}
@@ -814,13 +742,6 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 		}
 		shuffled := make([][]*Relation, len(children)) // [child][node]
 		for i := range children {
-			if hints != nil && hints[i] != "" {
-				// Aligned scan already emitted every row on its scatter
-				// destination (row[col] % n == node), so the shuffle is
-				// the identity: nothing moves, nothing is rebuilt.
-				shuffled[i] = children[i]
-				continue
-			}
 			var moved int64
 			var err error
 			if shuffled[i], moved, err = e.scatter(ctx, children[i], cols[i], env); err != nil {
@@ -831,11 +752,6 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 			m.TransferredBytes += bytes
 			tr.TransferredRows += moved
 			tr.TransferredBytes += bytes
-			// Attribute the scatter to the child that fed it, so the
-			// adaptive advisor can mine exact per-pattern shuffle volume
-			// from completed-query traces.
-			tr.Children[i].ScatterRows = moved
-			tr.Children[i].ScatterBytes = bytes
 		}
 		for node := 0; node < n; node++ {
 			rels := make([]*Relation, len(children))

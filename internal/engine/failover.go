@@ -3,7 +3,7 @@ package engine
 // Node failure as a first-class, injectable fault domain.
 //
 // A "node" here is one simulated computing node: a base fragment
-// store, an optional migration overlay, and a share of every shuffle.
+// store, an optional recovery overlay, and a share of every shuffle.
 // The fault-injection sites node/<i>/scan and node/<i>/shuffle stand
 // in for the node's process or link dying: while one fires, every
 // contact with that node on the corresponding path fails.

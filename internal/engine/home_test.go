@@ -142,7 +142,7 @@ func TestDeterminismRootHome(t *testing.T) {
 					}
 					root := &rootOut{vars: ref.Vars}
 					var met Metrics
-					parts, _, _, err := eng.eval(ctx, p, q, ExecEnv{Snap: snap, fo: fo}, &met, "", false, root)
+					parts, _, _, err := eng.eval(ctx, p, q, ExecEnv{Snap: snap, fo: fo}, &met, false, root)
 					var ue *resilience.UnavailableError
 					if errors.As(err, &ue) {
 						continue // the dead node held a triple no other node has

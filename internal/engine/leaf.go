@@ -2,12 +2,9 @@ package engine
 
 import (
 	"context"
-	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
-	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
 	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/resilience"
@@ -35,10 +32,8 @@ type scanLeaf struct {
 	// size[node] is the row count of the node's read, known before it is
 	// performed.
 	size []int
-	// keep filters every read of an aligned or a root scan (see nodeKeep);
-	// aligned reads also see the migration overlays.
-	keep    nodeKeep
-	aligned bool
+	// keep filters every read of a root scan (see nodeKeep).
+	keep nodeKeep
 
 	// The delta is matched at most once per operator, by whichever read
 	// comes first, and its rows are shared by every node's relation.
@@ -53,20 +48,16 @@ type scanLeaf struct {
 
 // scan opens the Scan plan node p: one fragment read per node (see
 // Snap.read) plus the broadcast delta, matched once and surfaced on
-// every node. A non-empty alignVar makes it the scan of an aligned
-// child (see alignHints): each row is emitted only on the node the
-// parent's repartition scatter would route it to, so the emitted
-// multiset is identical to scan+scatter+dedup with nothing moved. A
-// root scan under a placement with homes emits each row only on its
-// subject's home, which holds every triple of that subject, delta ones
-// included; a constant subject's home is the only node that reads. With
-// lazy set, healthy nodes' reads are sized but left to the parent join
+// every node. A root scan under a placement with homes emits each row
+// only on its subject's home, which holds every triple of that subject,
+// delta ones included; a constant subject's home is the only node that
+// reads. With lazy set, healthy nodes' reads are sized but left to the parent join
 // (see scanLeaf); a pattern that repeats a variable filters its
 // candidates, so its ranges are not its sizes and it is read at once.
 // Every node is gated and sized before any read starts; only the reads
 // whose range holds candidates (or that fail over) are spread over
 // goroutines (see fanOut), and the trace records how many those were.
-func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, alignVar string, lazy, root bool) (*scanLeaf, error) {
+func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, lazy, root bool) (*scanLeaf, error) {
 	snap := env.Snap
 	n := len(snap.stores)
 	l := &scanLeaf{
@@ -81,13 +72,6 @@ func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 	bp := &l.bp
 	only := -1 // the one node that reads, -1 when every node does
 	switch {
-	case alignVar != "":
-		col := slices.Index(bp.vars, alignVar)
-		if col < 0 {
-			return nil, fmt.Errorf("engine: aligned-scan variable ?%s missing from tp%d", alignVar, p.TP+1)
-		}
-		l.keep = nodeKeep{col: col, nodeOf: func(v rdf.TermID) int { return partition.AlignNode(v, n) }}
-		l.aligned, tr.Aligned = true, true
 	case root && snap.home != nil && bp.sConst:
 		only = snap.home(bp.s)
 	case root && snap.home != nil:
@@ -120,9 +104,6 @@ func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 			down[node] = true
 		}
 		l.size[node] = len(snap.stores[node].candidates(bp)) + deltaLen
-		if ov := snap.overlay(node); ov != nil && l.aligned {
-			l.size[node] += len(ov.candidates(bp))
-		}
 	}
 	var dead []int
 	if down != nil {
@@ -171,7 +152,7 @@ func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 // it. A failover read that finds kept triples without a live copy
 // reports their count and leaves the node unread.
 func (l *scanLeaf) readAt(node int, dead []int) (missing int, err error) {
-	rel, count, missing := l.snap.read(node, &l.bp, l.keep, l.aligned, dead)
+	rel, count, missing := l.snap.read(node, &l.bp, l.keep, dead)
 	if missing > 0 {
 		return missing, nil
 	}
@@ -187,10 +168,8 @@ func (l *scanLeaf) readAt(node int, dead []int) (missing int, err error) {
 		rel.Rows = append(rel.Rows, l.deltaRows...)
 	} else {
 		// Ingested triples are replicated to every node via the delta,
-		// so the filter keeps each of them exactly on its node — the
-		// alignment guarantee holds for them without any overlay copy (a
-		// migration never copies a delta triple, for the same reason), and
-		// a home read emits each once.
+		// so the filter keeps each of them exactly on its node, and a home
+		// read emits each once.
 		for _, row := range l.deltaRows {
 			if l.keep.keeps(row, node) {
 				rel.Rows = append(rel.Rows, row)

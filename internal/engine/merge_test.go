@@ -164,7 +164,7 @@ func TestDeterminismTrieJoin(t *testing.T) {
 				for node := 0; node < n; node++ {
 					reads := make([]*Relation, len(ors))
 					for i, or := range ors {
-						rows, _, missing := or.read(node, -1, deadSet)
+						rows, _, missing, _ := or.read(node, deadSet)
 						if missing > 0 {
 							t.Fatalf("%s: fixture leaves a hole", id)
 						}

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"sparqlopt/internal/cost"
-	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
 	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/resilience"
@@ -21,7 +20,7 @@ import (
 )
 
 // readFixture is a hand-built three-node snapshot: base fragments with
-// replicated and single-copy triples, migration overlays on nodes 0
+// replicated and single-copy triples, recovery overlays on nodes 0
 // and 2, and two broadcast delta chunks. It respects the fragment-view
 // invariant (base, overlay and delta pairwise disjoint per node).
 type readFixture struct {
@@ -190,59 +189,56 @@ func contains(ts []rdf.Triple, t rdf.Triple) bool {
 	return false
 }
 
-// read is the expected fragment view of node: kept rows in emission
-// order (base, overlay, delta), postings touched on the node's own
-// stores, and kept triples with no live copy.
-func (or *oracle) read(node, alignCol int, dead map[int]bool) (rows [][]rdf.TermID, scanned int64, missing int) {
+// read is the expected fragment view of node: rows in emission order
+// (base, then delta), postings touched on the node's base fragment,
+// matching triples with no live copy in a base fragment or an overlay,
+// and those whose only live copies are overlay ones.
+func (or *oracle) read(node int, dead map[int]bool) (rows [][]rdf.TermID, scanned int64, missing, rescued int) {
 	n := len(or.fx.base)
-	keep := func(row []rdf.TermID) bool {
-		return alignCol < 0 || int(row[alignCol])%n == node
-	}
-	lists := [][]rdf.Triple{or.fx.base[node]}
-	if alignCol >= 0 && or.fx.overlay[node] != nil {
-		lists = append(lists, or.fx.overlay[node])
-	}
-	for _, ts := range lists {
-		cands := or.candidates(ts)
-		scanned += int64(len(cands))
-		for _, t := range cands {
-			row := or.row(t)
-			if row == nil || !keep(row) {
+	cands := or.candidates(or.fx.base[node])
+	scanned = int64(len(cands))
+	for _, t := range cands {
+		row := or.row(t)
+		if row == nil {
+			continue
+		}
+		if dead[node] {
+			inBase, inOverlay := false, false
+			for m := 0; m < n; m++ {
+				if !dead[m] {
+					inBase = inBase || contains(or.fx.base[m], t)
+					inOverlay = inOverlay || contains(or.fx.overlay[m], t)
+				}
+			}
+			if !inBase && !inOverlay {
+				missing++
 				continue
 			}
-			if dead[node] {
-				live := false
-				for m := 0; m < n; m++ {
-					if !dead[m] && (contains(or.fx.base[m], t) || contains(or.fx.overlay[m], t)) {
-						live = true
-					}
-				}
-				if !live {
-					missing++
-					continue
-				}
+			if !inBase {
+				rescued++
 			}
-			rows = append(rows, row)
 		}
+		rows = append(rows, row)
 	}
 	for _, ts := range or.fx.delta {
 		for _, t := range or.candidates(ts) {
-			if row := or.row(t); row != nil && keep(row) {
+			if row := or.row(t); row != nil {
 				rows = append(rows, row)
 			}
 		}
 	}
-	return rows, scanned, missing
+	return rows, scanned, missing, rescued
 }
 
 // TestDeterminismFragmentRead is the one oracle for the one reader:
-// for every pattern shape × {normal, aligned on S, aligned on O} ×
-// {healthy, one node dead, two nodes dead}, the Scan operator's
+// for every pattern shape × {healthy, one node dead, two nodes dead}
+// over a snapshot with recovery overlays, the Scan operator's
 // per-node rows (in order), ScannedTriples and — when a dead node's
 // fragment has a hole — the typed error's Missing count must equal a
-// brute-force filter over the fixture's triple lists. It runs under
-// the determinism gate (-race -count=2): the per-node reads are
-// concurrent.
+// brute-force filter over the fixture's triple lists. A healthy read
+// never sees an overlay; a failover read counts its copies as live. It
+// runs under the determinism gate (-race -count=2): the per-node reads
+// are concurrent.
 func TestDeterminismFragmentRead(t *testing.T) {
 	fx := newReadFixture()
 	snap := fx.snap()
@@ -263,98 +259,82 @@ func TestDeterminismFragmentRead(t *testing.T) {
 	for i := 0; i < n; i++ {
 		deadSets = append(deadSets, []int{i, (i + 1) % n})
 	}
-	var sawCovered, sawHole bool
+	var sawCovered, sawHole, sawRescued bool
 	for _, src := range patterns {
 		q := sparql.MustParse(`SELECT * WHERE { ` + src + ` . }`)
 		tp := q.Patterns[0]
 		or := newOracle(fx, tp)
-		aligns := []string{""}
-		if tp.S.IsVar() {
-			aligns = append(aligns, tp.S.Value)
-		}
-		if tp.O.IsVar() && tp.O.Value != tp.S.Value {
-			aligns = append(aligns, tp.O.Value)
-		}
-		for _, alignVar := range aligns {
-			alignCol := -1
-			for i, v := range or.vars {
-				if v == alignVar {
-					alignCol = i
+		for _, deadList := range deadSets {
+			id := fmt.Sprintf("%s/dead=%v", src, deadList)
+			dead := map[int]bool{}
+			fo := &failoverState{}
+			for _, d := range deadList {
+				dead[d] = true
+				fo.markDead(d, "scan")
+			}
+			wantRows := make([][][]rdf.TermID, n)
+			var wantScanned int64
+			wantMissing, rescued := 0, 0
+			for node := 0; node < n; node++ {
+				rows, scanned, missing, r := or.read(node, dead)
+				rescued += r
+				wantRows[node] = rows
+				wantScanned += scanned
+				if wantMissing == 0 {
+					// The lowest-numbered failing node's error wins.
+					wantMissing = missing
 				}
 			}
-			for _, deadList := range deadSets {
-				id := fmt.Sprintf("%s/align=%q/dead=%v", src, alignVar, deadList)
-				dead := map[int]bool{}
-				fo := &failoverState{}
-				for _, d := range deadList {
-					dead[d] = true
-					fo.markDead(d, "scan")
-				}
-				wantRows := make([][][]rdf.TermID, n)
-				var wantScanned int64
-				wantMissing := 0
-				for node := 0; node < n; node++ {
-					rows, scanned, missing := or.read(node, alignCol, dead)
-					wantRows[node] = rows
-					wantScanned += scanned
-					if wantMissing == 0 {
-						// The lowest-numbered failing node's error wins.
-						wantMissing = missing
-					}
-				}
-				for _, ts := range fx.delta {
-					wantScanned += int64(len(or.candidates(ts)))
-				}
+			for _, ts := range fx.delta {
+				wantScanned += int64(len(or.candidates(ts)))
+			}
 
-				var m Metrics
-				env := ExecEnv{Snap: snap, fo: fo}
-				p := plan.NewScan(0, 1, cost.Default)
-				out, _, tr, err := eng.eval(context.Background(), p, q, env, &m, alignVar, false, nil)
-				if wantMissing > 0 {
-					sawHole = true
-					var ue *resilience.UnavailableError
-					if !errors.As(err, &ue) {
-						t.Errorf("%s: err = %v, want *UnavailableError", id, err)
-						continue
-					}
-					if ue.Missing != wantMissing || ue.Op != "scan" || !reflect.DeepEqual(ue.Nodes, fo.deadNodes()) {
-						t.Errorf("%s: error %+v, want Missing=%d Op=scan Nodes=%v", id, ue, wantMissing, fo.deadNodes())
-					}
+			var m Metrics
+			env := ExecEnv{Snap: snap, fo: fo}
+			p := plan.NewScan(0, 1, cost.Default)
+			out, _, tr, err := eng.eval(context.Background(), p, q, env, &m, false, nil)
+			if wantMissing > 0 {
+				sawHole = true
+				var ue *resilience.UnavailableError
+				if !errors.As(err, &ue) {
+					t.Errorf("%s: err = %v, want *UnavailableError", id, err)
 					continue
 				}
-				if err != nil {
-					t.Errorf("%s: %v", id, err)
+				if ue.Missing != wantMissing || ue.Op != "scan" || !reflect.DeepEqual(ue.Nodes, fo.deadNodes()) {
+					t.Errorf("%s: error %+v, want Missing=%d Op=scan Nodes=%v", id, ue, wantMissing, fo.deadNodes())
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s: %v", id, err)
+				continue
+			}
+			for node := 0; node < n; node++ {
+				got := out[node].Rows
+				if len(got) != len(wantRows[node]) {
+					t.Errorf("%s: node %d has %d rows %v, want %d %v", id, node, len(got), got, len(wantRows[node]), wantRows[node])
 					continue
 				}
-				for node := 0; node < n; node++ {
-					got := out[node].Rows
-					if len(got) != len(wantRows[node]) {
-						t.Errorf("%s: node %d has %d rows %v, want %d %v", id, node, len(got), got, len(wantRows[node]), wantRows[node])
-						continue
+				for i := range got {
+					if !reflect.DeepEqual(got[i], wantRows[node][i]) {
+						t.Errorf("%s: node %d row %d = %v, want %v", id, node, i, got[i], wantRows[node][i])
 					}
-					for i := range got {
-						if !reflect.DeepEqual(got[i], wantRows[node][i]) {
-							t.Errorf("%s: node %d row %d = %v, want %v", id, node, i, got[i], wantRows[node][i])
-						}
-					}
-				}
-				if m.ScannedTriples != wantScanned {
-					t.Errorf("%s: ScannedTriples = %d, want %d", id, m.ScannedTriples, wantScanned)
-				}
-				if tr.Aligned != (alignVar != "") {
-					t.Errorf("%s: trace Aligned = %v", id, tr.Aligned)
-				}
-				if failovers, _ := fo.summary(); failovers != int64(len(deadList)) {
-					t.Errorf("%s: %d failovers recorded, want %d", id, failovers, len(deadList))
-				}
-				if len(deadList) > 0 && tr.OutputRows > 0 {
-					sawCovered = true
 				}
 			}
+			if m.ScannedTriples != wantScanned {
+				t.Errorf("%s: ScannedTriples = %d, want %d", id, m.ScannedTriples, wantScanned)
+			}
+			if failovers, _ := fo.summary(); failovers != int64(len(deadList)) {
+				t.Errorf("%s: %d failovers recorded, want %d", id, failovers, len(deadList))
+			}
+			if len(deadList) > 0 && tr.OutputRows > 0 {
+				sawCovered = true
+			}
+			sawRescued = sawRescued || rescued > 0
 		}
 	}
-	if !sawCovered || !sawHole {
-		t.Errorf("table degenerate: covered=%v hole=%v — the fixture no longer reaches both failover outcomes", sawCovered, sawHole)
+	if !sawCovered || !sawHole || !sawRescued {
+		t.Errorf("table degenerate: covered=%v hole=%v overlay-covered=%v — the fixture no longer reaches every failover outcome", sawCovered, sawHole, sawRescued)
 	}
 }
 
@@ -377,7 +357,7 @@ func TestDeterminismScanDeadSet(t *testing.T) {
 	dead := map[int]bool{0: true, 2: true}
 	wantMissing := 0
 	for node := 0; node < n && wantMissing == 0; node++ {
-		_, _, wantMissing = or.read(node, -1, dead)
+		_, _, wantMissing, _ = or.read(node, dead)
 	}
 	if wantMissing == 0 {
 		t.Fatal("fixture degenerate: nodes 0 and 2 dead leaves no hole")
@@ -393,7 +373,7 @@ func TestDeterminismScanDeadSet(t *testing.T) {
 			faults.Arm(faultinject.NodeScan(2), 1)
 			env := ExecEnv{Snap: snap, Faults: faults, fo: &failoverState{}}
 			var m Metrics
-			_, _, _, err := eng.eval(context.Background(), plan.NewScan(0, 1, cost.Default), q, env, &m, "", lazy, nil)
+			_, _, _, err := eng.eval(context.Background(), plan.NewScan(0, 1, cost.Default), q, env, &m, lazy, nil)
 			var ue *resilience.UnavailableError
 			if !errors.As(err, &ue) {
 				t.Fatalf("run %d lazy=%v: err = %v, want *UnavailableError", run, lazy, err)
@@ -455,10 +435,10 @@ func TestDeterminismFragmentProbe(t *testing.T) {
 					}
 					var m Metrics
 					env := ExecEnv{Snap: snap, fo: fo}
-					_, leaf, _, err := eng.eval(ctx, plan.NewScan(0, 1, cost.Default), q, env, &m, "", true, nil)
+					_, leaf, _, err := eng.eval(ctx, plan.NewScan(0, 1, cost.Default), q, env, &m, true, nil)
 					hole := false
 					for node := 0; node < n; node++ {
-						if _, _, missing := or.read(node, -1, dead); missing > 0 {
+						if _, _, missing, _ := or.read(node, dead); missing > 0 {
 							hole = true
 						}
 					}
@@ -480,7 +460,7 @@ func TestDeterminismFragmentProbe(t *testing.T) {
 						deltaPostings += int64(len(or.candidates(ts)))
 					}
 					for node := 0; node < n; node++ {
-						rows, read, _ := or.read(node, -1, dead)
+						rows, read, _, _ := or.read(node, dead)
 						wantRows := &Relation{Vars: or.vars, Rows: rows}
 						want, err := hashJoin(ctx, hand, wantRows)
 						if err != nil {
@@ -678,7 +658,7 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 				hole := false
 				for _, or := range ors {
 					for node := 0; node < n; node++ {
-						if _, _, missing := or.read(node, -1, dead); missing > 0 {
+						if _, _, missing, _ := or.read(node, dead); missing > 0 {
 							hole = true
 						}
 					}
@@ -692,7 +672,7 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 				vars := make([][]string, len(q.Patterns))
 				sizes := make([]int64, len(q.Patterns))
 				for i := range q.Patterns {
-					_, leaf, tr, err := eng.eval(ctx, plan.NewScan(i, 1, cost.Default), q, env, &m, "", true, nil)
+					_, leaf, tr, err := eng.eval(ctx, plan.NewScan(i, 1, cost.Default), q, env, &m, true, nil)
 					if err != nil {
 						t.Fatalf("%s: tp%d: %v", id, i+1, err)
 					}
@@ -709,7 +689,7 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 				for node := 0; node < n; node++ {
 					reads := make([]*Relation, len(ors))
 					for i, or := range ors {
-						rows, _, _ := or.read(node, -1, dead)
+						rows, _, _, _ := or.read(node, dead)
 						reads[i] = &Relation{Vars: or.vars, Rows: rows}
 					}
 					fold, err := hashFold(ctx, reads)
@@ -780,7 +760,7 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 				}
 				var om Metrics
 				oenv := ExecEnv{Snap: snap, fo: markDead()}
-				out, _, tr, err := eng.eval(ctx, plan.NewJoin(plan.LocalJoin, "x", scans, 1, cost.Default), q, oenv, &om, "", true, nil)
+				out, _, tr, err := eng.eval(ctx, plan.NewJoin(plan.LocalJoin, "x", scans, 1, cost.Default), q, oenv, &om, true, nil)
 				if err != nil {
 					t.Errorf("%s: operator: %v", id, err)
 					continue
@@ -875,21 +855,13 @@ type foldOracle struct {
 func newFoldOracle(ctx context.Context, e *Engine, p *plan.Node, q *sparql.Query, env ExecEnv) (*foldOracle, error) {
 	n := len(env.Snap.stores)
 	k := len(p.Children)
-	var hints []string
-	if p.Alg == plan.RepartitionJoin {
-		hints = e.alignHints(p, q, env)
-	}
 	kids := make([][]*Relation, k)
 	sizes := make([]int64, k)
 	postings := make([]int64, k)
 	var joined int64
 	for i, c := range p.Children {
-		hint := ""
-		if hints != nil {
-			hint = hints[i]
-		}
 		var m Metrics
-		rels, _, tr, err := e.eval(ctx, c, q, env, &m, hint, false, nil)
+		rels, _, tr, err := e.eval(ctx, c, q, env, &m, false, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -935,7 +907,7 @@ func newFoldOracle(ctx context.Context, e *Engine, p *plan.Node, q *sparql.Query
 			// Opened for its pattern only: the fold reads it in full.
 			var m Metrics
 			var err error
-			if _, o.leaf, _, err = e.eval(ctx, p.Children[o.largest], q, env, &m, "", true, nil); err != nil {
+			if _, o.leaf, _, err = e.eval(ctx, p.Children[o.largest], q, env, &m, true, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -950,10 +922,6 @@ func newFoldOracle(ctx context.Context, e *Engine, p *plan.Node, q *sparql.Query
 			o.postings += postings[i]
 			col := slices.Index(kids[i][0].Vars, "x")
 			for node := range inputs {
-				if hints != nil && hints[i] != "" {
-					inputs[node][i] = kids[i][node]
-					continue
-				}
 				var bucket [][]rdf.TermID
 				for _, r := range kids[i] {
 					for _, row := range r.Rows {
@@ -982,10 +950,11 @@ func newFoldOracle(ctx context.Context, e *Engine, p *plan.Node, q *sparql.Query
 // it runs broadcast joins on ?x with k ∈ {2, 3} inputs whose largest is
 // an orderable leaf, an unorderable one (<s> ?p ?x, a repeated
 // variable), a local join merged on ?x (a relation in key order) or on
-// another variable (out of it), and repartition joins on ?x over
-// scattered children and, under an alignment of both predicates on both
-// positions, aligned ones; pairs of inputs share a second variable. For
-// the healthy cluster and every single and double dead set, every node's
+// another variable (out of it), and repartition joins on ?x; pairs of
+// inputs share a second variable. Each case runs over the fragments as
+// placed and again with recovery overlays that give every node a copy of
+// each <p> triple, which failover reads count as live. For the healthy
+// cluster and every single and double dead set, every node's
 // rows must be the multiset the test-only hash fold over the same inputs
 // returns over the same variables (see foldOracle), the postings no more
 // than the fold's but for the delta chunks (a merge walks them on every
@@ -1023,10 +992,17 @@ func TestDeterminismBroadcastMerge(t *testing.T) {
 		fx := randomMergeFixture(r, round%4)
 		plain := fx.snap()
 		n := len(fx.base)
-		aligned := *plain
-		for _, pred := range []string{"p", "q"} {
-			id, _ := fx.dict.Lookup(pred)
-			aligned.align = aligned.align.With(partition.GroupKey{Pred: id, Pos: partition.PosS}, partition.GroupKey{Pred: id, Pos: partition.PosO})
+		overlaid := *fx
+		overlaid.overlay = make([][]rdf.Triple, n)
+		pID, _ := fx.dict.Lookup("p")
+		for node := range overlaid.overlay {
+			for _, ts := range fx.base {
+				for _, t := range ts {
+					if t.P == pID && !contains(fx.base[node], t) && !contains(overlaid.overlay[node], t) {
+						overlaid.overlay[node] = append(overlaid.overlay[node], t)
+					}
+				}
+			}
 		}
 		deadSets := [][]int{nil}
 		for i := 0; i < n; i++ {
@@ -1034,15 +1010,12 @@ func TestDeterminismBroadcastMerge(t *testing.T) {
 		}
 		for _, c := range cases {
 			q := sparql.MustParse(`SELECT * WHERE { ` + c.src + ` . }`)
-			snaps := []*Snap{plain}
-			if c.plan.Alg == plan.RepartitionJoin {
-				snaps = append(snaps, &aligned)
-			}
-			for si, snap := range snaps {
+			unavailable := map[string]bool{} // dead sets the plain snapshot cannot serve
+			for si, snap := range []*Snap{plain, overlaid.snap()} {
 				eng := &Engine{dict: fx.dict, fo: &FailoverPolicy{}}
 				eng.snap.Store(snap)
 				for _, deadList := range deadSets {
-					id := fmt.Sprintf("round %d: %v %s/aligned=%v/dead=%v", round, c.plan.Alg, c.src, si > 0, deadList)
+					id := fmt.Sprintf("round %d: %v %s/overlaid=%v/dead=%v", round, c.plan.Alg, c.src, si > 0, deadList)
 					markDead := func() *failoverState {
 						fo := &failoverState{}
 						for _, d := range deadList {
@@ -1052,17 +1025,19 @@ func TestDeterminismBroadcastMerge(t *testing.T) {
 					}
 					want, oerr := newFoldOracle(ctx, eng, c.plan, q, ExecEnv{Snap: snap, fo: markDead()})
 					var m Metrics
-					out, _, tr, err := eng.eval(ctx, c.plan, q, ExecEnv{Snap: snap, fo: markDead()}, &m, "", false, nil)
+					out, _, tr, err := eng.eval(ctx, c.plan, q, ExecEnv{Snap: snap, fo: markDead()}, &m, false, nil)
 					var ue *resilience.UnavailableError
 					if errors.As(oerr, &ue) {
 						if !errors.As(err, &ue) {
 							t.Errorf("%s: err = %v, want *UnavailableError", id, err)
 						}
+						unavailable[fmt.Sprint(deadList)] = true
 						continue
 					}
 					if oerr != nil || err != nil {
 						t.Fatalf("%s: oracle: %v, join: %v", id, oerr, err)
 					}
+					saw["overlay-covered"] = saw["overlay-covered"] || si > 0 && unavailable[fmt.Sprint(deadList)]
 					joined := want.joined
 					for node := 0; node < n; node++ {
 						joined += int64(len(want.rows[node]))
@@ -1088,7 +1063,6 @@ func TestDeterminismBroadcastMerge(t *testing.T) {
 						t.Errorf("%s: the join touched %d postings, the hash fold %d (bound %d)", id, m.ScannedTriples, want.postings, bound)
 					}
 					saw["dups"] = saw["dups"] || want.dups
-					saw["aligned"] = saw["aligned"] || si > 0 && slices.ContainsFunc(tr.Children, func(ch *TraceNode) bool { return ch.Aligned })
 					if c.plan.Alg != plan.BroadcastJoin {
 						continue
 					}
@@ -1109,7 +1083,7 @@ func TestDeterminismBroadcastMerge(t *testing.T) {
 			}
 		}
 	}
-	for _, what := range []string{"check", "dups", "aligned", "ordered leaf", "unordered leaf", "repeated leaf", "failover leaf", "relation on x", "relation on a"} {
+	for _, what := range []string{"check", "dups", "overlay-covered", "ordered leaf", "unordered leaf", "repeated leaf", "failover leaf", "relation on x", "relation on a"} {
 		if !saw[what] {
 			t.Errorf("table degenerate: no case with %s", what)
 		}

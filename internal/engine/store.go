@@ -328,10 +328,9 @@ func bindPattern(dict *rdf.Dict, tp sparql.TriplePattern) boundPattern {
 }
 
 // nodeKeep is the engine's one "keep on node-of(term)" filter: a row
-// survives only on the node nodeOf names for its term at col. An aligned
-// scan keeps each row on the node its parent's repartition scatter would
-// route it to (partition.AlignNode); a root scan keeps it on its
-// subject's home (partition.Placement.Home). col < 0 keeps every row.
+// survives only on the node nodeOf names for its term at col. A root
+// scan keeps each row on its subject's home (partition.Placement.Home).
+// col < 0 keeps every row.
 type nodeKeep struct {
 	col    int
 	nodeOf func(rdf.TermID) int
@@ -504,48 +503,29 @@ func fillRow(row []rdf.TermID, bp *boundPattern, t rdf.Triple) bool {
 	return put(bp.sVar, t.S) && put(bp.pVar, t.P) && put(bp.oVar, t.O)
 }
 
-// read is the engine's one per-node fragment read: the rows of bp
-// visible at node under this snapshot that keep leaves on it, from the
-// node's base fragment and — on an aligned read only — its migration
-// overlay. (The third part of the fragment view, the broadcast delta, is
-// node-independent; readDelta matches it once per operator.)
-//
-// An aligned read keeps each row only on the node the parent's
-// repartition scatter would route it to. Migrated copies live only in
-// the overlay, invisible to normal reads; an aligned read must see them
-// — they are exactly the copies the migration placed on this node so
-// the shuffle can be skipped. No dedup is needed, unlike the scatter
-// path: base, overlay and delta are pairwise disjoint per node and each
-// internally deduplicated (the overlay is built net of the base and the
-// delta, the delta net of the whole dataset), and every copy of a triple
-// shares one align node, so each matching row appears exactly once
-// globally — already on its scatter destination. A root scan's home read
-// is the same filter on the subject's home, which every method holding a
-// home places each triple on.
+// read is the engine's one per-node fragment read: the rows of bp in
+// node's base fragment that keep leaves on it. (The other part of the
+// fragment view, the broadcast delta, is node-independent; readDelta
+// matches it once per operator.) A root scan's home read keeps each row
+// on its subject's home, which every method with a home places each
+// triple on. The node's recovery overlay is never read: its copies
+// duplicate base triples a dead node holds, and serve only failover.
 //
 // A non-nil dead set (which then contains node) makes the read a
-// failover read: node's stores are walked as the placement manifest of
-// what the node held, and each kept triple must have a copy on a live
-// node's base fragment or overlay, answered by those replicas' own
-// indexes. Delta triples never appear in base fragments or overlays
+// failover read: node's base fragment is walked as the placement
+// manifest of what the node held, and each kept triple must have a copy
+// on a live node's base fragment or overlay, answered by those replicas'
+// own indexes. Delta triples never appear in base fragments or overlays
 // and are replicated everywhere, so they need no check. With missing
 // == 0 the relation is bit-identical to the healthy node's read.
 // scanned is the postings touched on the node's own stores.
-func (s *Snap) read(node int, bp *boundPattern, keep nodeKeep, aligned bool, dead []int) (rel *Relation, scanned int64, missing int) {
+func (s *Snap) read(node int, bp *boundPattern, keep nodeKeep, dead []int) (rel *Relation, scanned int64, missing int) {
 	var live func(rdf.Triple) bool
 	if dead != nil {
 		live = s.liveCopy(dead)
 	}
 	rel = &Relation{Vars: bp.vars}
 	scanned, missing = s.stores[node].match(bp, keep, node, live, rel)
-	if ov := s.overlay(node); ov != nil && aligned {
-		// The overlay's copies need live homes too (their base source
-		// could be on another dead node). They land in the same arena, so
-		// the caller's one charge covers them.
-		ovScanned, ovMissing := ov.match(bp, keep, node, live, rel)
-		scanned += ovScanned
-		missing += ovMissing
-	}
 	return rel, scanned, missing
 }
 

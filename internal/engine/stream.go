@@ -187,15 +187,15 @@ func (r *rootOut) keyedOn(v string) {
 // previously distinct rows) and cross-node copies (partitioning methods
 // place copies of a triple on several nodes, and a local join finds a
 // match on every node that holds it whole). Each node's output is a set
-// because natural joins of sets are sets (scans are sets — base,
-// overlay and delta are pairwise disjoint and internally deduplicated —
-// and scatter dedups each bucket), and the projection keeps it one when
+// because natural joins of sets are sets (scans are sets — a node's
+// base fragment and the delta are disjoint and each deduplicated — and
+// scatter dedups each bucket), and the projection keeps it one when
 // every column it drops is probed, never enumerated (see
 // sortedJoin.project). Cross-node copies are impossible on a single
 // node, and wherever each match is emitted on one node its binding of a
 // key names, when the projection keeps the key:
 //   - a repartition-join root: every input row on node i was routed (by
-//     scatter or aligned scan) because its join-key hash lands on i;
+//     scatter) because its join-key hash lands on i;
 //   - a home-filtered root scan: a row is emitted on its subject's home;
 //   - a home-filtered root local join: a match on its anchor's home,
 //     which holds it whole (Definition 2; see Snap.joinHome).
@@ -236,7 +236,7 @@ func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Quer
 	defer resilience.CatchPanic(&err, e.inst.panicRecovered)
 	if env.Snap == nil {
 		// Capture the store view once: every operator of this run reads
-		// the same snapshot even if a migration or ingest commit swaps
+		// the same snapshot even if a recovery round or ingest commit swaps
 		// e.snap mid-query.
 		env.Snap = e.snap.Load()
 	}
@@ -260,7 +260,7 @@ func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Quer
 	st = &Stream{eng: e, env: env, execStart: execStart}
 	var m Metrics
 	root := &rootOut{vars: vars}
-	parts, _, trace, err := e.eval(ctx, p, q, env, &m, "", false, root)
+	parts, _, trace, err := e.eval(ctx, p, q, env, &m, false, root)
 	if err != nil {
 		return nil, err
 	}

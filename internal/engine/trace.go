@@ -7,10 +7,7 @@ import (
 
 	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/obs"
-	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
-	"sparqlopt/internal/rdf"
-	"sparqlopt/internal/sparql"
 )
 
 // TraceNode is one operator's execution profile — the engine's
@@ -42,11 +39,6 @@ type TraceNode struct {
 	// EstimatedCard is the optimizer's cardinality estimate, kept for
 	// estimate-vs-actual comparison.
 	EstimatedCard float64
-	// Aligned marks a scan that emitted each row directly on its
-	// repartition destination (the triple group was migrated by the
-	// adaptive advisor), so the parent's scatter for this child was
-	// skipped entirely.
-	Aligned bool
 	// Postings is the index postings a scan touched: the lengths of the
 	// candidate ranges it read or looked up.
 	Postings int64
@@ -57,13 +49,6 @@ type TraceNode struct {
 	// OutputRows is still the size of the full read — what the estimate
 	// predicted — not a count of rows produced.
 	Merged bool
-	// ScatterRows/ScatterBytes attribute a parent repartition join's
-	// shuffle to the child that fed it — the rows of THIS operator's
-	// output that landed on a different node (0 for an aligned child).
-	// Set on the children of a repartition join only; the parent's
-	// TransferredRows/Bytes remain the sum over its children.
-	ScatterRows  int64
-	ScatterBytes int64
 	// Children mirror the plan's inputs, always in plan child order —
 	// parallel child evaluation attaches traces by index, never in
 	// completion order.
@@ -107,16 +92,12 @@ func (tr *TraceNode) Format() string {
 		spread := fmt.Sprintf("on %d/%d nodes", t.BusyNodes, t.Nodes)
 		switch t.Alg {
 		case plan.Scan:
-			aligned := ""
-			if t.Aligned {
-				aligned = " aligned"
-			}
 			read := fmt.Sprintf("rows=%d postings=%d", t.OutputRows, t.Postings)
 			if t.Merged {
 				read = fmt.Sprintf("merged, %d postings (range %d)", t.Postings, t.OutputRows)
 			}
-			fmt.Fprintf(&b, "%sscan tp%d: %s (est %.4g) max/node=%d %s time=%v%s\n",
-				indent, t.TP+1, read, t.EstimatedCard, t.MaxNodeRows, spread, t.Elapsed.Round(time.Microsecond), aligned)
+			fmt.Fprintf(&b, "%sscan tp%d: %s (est %.4g) max/node=%d %s time=%v\n",
+				indent, t.TP+1, read, t.EstimatedCard, t.MaxNodeRows, spread, t.Elapsed.Round(time.Microsecond))
 		default:
 			fmt.Fprintf(&b, "%s%s on ?%s: rows=%d (est %.4g) max/node=%d %s moved=%d (%dB) time=%v\n",
 				indent, t.Alg, t.JoinVar, t.OutputRows, t.EstimatedCard, t.MaxNodeRows, spread,
@@ -148,54 +129,6 @@ func (tr *TraceNode) Operators() int {
 	return n
 }
 
-// ShuffleGroup is one alignable (predicate, position) triple group a
-// completed run repartitioned on: a Scan child of a repartition join
-// whose pattern has a constant predicate with the join variable at the
-// subject or object. Rows/Bytes are the OBSERVED shuffle volume that
-// child paid (zero for an already-aligned child) — the adaptive
-// advisor's mining unit.
-type ShuffleGroup struct {
-	Pred    rdf.TermID
-	Pos     partition.Pos
-	TP      int
-	Rows    int64
-	Bytes   int64
-	Aligned bool
-}
-
-// ShuffleGroups mines a completed run's trace for the alignable scan
-// children of its repartition joins. The predicate resolution uses the
-// engine's dictionary, so the returned group keys are directly
-// comparable with partition.GroupKey. A run with no trace (or no
-// repartition joins) yields nil.
-func (e *Engine) ShuffleGroups(res *Result, q *sparql.Query) []ShuffleGroup {
-	if res == nil || res.Trace == nil {
-		return nil
-	}
-	var out []ShuffleGroup
-	var walk func(t *TraceNode)
-	walk = func(t *TraceNode) {
-		if t.Alg == plan.RepartitionJoin {
-			for _, ch := range t.Children {
-				pred, pos, ok := e.alignGroup(q, ch.Alg, ch.TP, t.JoinVar)
-				if !ok {
-					continue
-				}
-				out = append(out, ShuffleGroup{
-					Pred: pred, Pos: pos, TP: ch.TP,
-					Rows: ch.ScatterRows, Bytes: ch.ScatterBytes,
-					Aligned: ch.Aligned,
-				})
-			}
-		}
-		for _, ch := range t.Children {
-			walk(ch)
-		}
-	}
-	walk(res.Trace)
-	return out
-}
-
 // AttachSpans mirrors the execution profile under parent as lifecycle
 // spans — one "op:<name>" span per operator, in plan child order,
 // annotated with estimated vs. actual cardinality and shuffle volume.
@@ -221,9 +154,6 @@ func (tr *TraceNode) AttachSpans(parent *obs.Span) {
 	if tr.Alg == plan.BroadcastJoin || tr.Alg == plan.RepartitionJoin {
 		s.SetAttrInt("shuffled_rows", tr.TransferredRows)
 		s.SetAttrInt("shuffled_bytes", tr.TransferredBytes)
-	}
-	if tr.Aligned {
-		s.SetAttr("aligned", "true")
 	}
 	parent.Attach(s)
 	for _, ch := range tr.Children {

@@ -26,8 +26,8 @@ type SlowQueryEntry struct {
 	FlatRows int64
 	// ShuffledRows is the run's total cross-node row movement;
 	// ShuffledBytes its wire volume. Surfaced here (not only as trace
-	// span attrs) so operators and the adaptive-repartitioning advisor
-	// can see shuffle cost without a trace sink attached.
+	// span attrs) so operators can see shuffle cost without a trace
+	// sink attached.
 	ShuffledRows  int64
 	ShuffledBytes int64
 	// CacheHit reports that the plan came from the plan cache.

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"sparqlopt/internal/rdf"
@@ -37,58 +39,121 @@ func TestCoversDetectsLoss(t *testing.T) {
 	}
 }
 
-func TestAlignmentSnapshots(t *testing.T) {
-	k1 := GroupKey{Pred: 1, Pos: PosS}
-	k2 := GroupKey{Pred: 1, Pos: PosO}
-	k3 := GroupKey{Pred: 2, Pos: PosS}
-	// The nil snapshot is the valid empty alignment.
-	var nilAl *Alignment
-	if nilAl.Aligned(1, PosS) || nilAl.Len() != 0 || nilAl.Keys() != nil {
-		t.Fatal("nil alignment is not empty")
+// recoveryDataset is 40 "hot" and 40 "cold" triples; "hot" is interned
+// first, so its TermID is the lower.
+func recoveryDataset() *rdf.Dataset {
+	ds := rdf.NewDataset()
+	for i := 0; i < 40; i++ {
+		ds.Add(fmt.Sprintf("s%d", i), "hot", fmt.Sprintf("o%d", i%7))
+		ds.Add(fmt.Sprintf("s%d", i), "cold", fmt.Sprintf("c%d", i%5))
 	}
-	a := nilAl.With(k2, k1)
-	if !a.Aligned(1, PosS) || !a.Aligned(1, PosO) || a.Aligned(2, PosS) {
-		t.Fatalf("membership wrong after With: %v", a.Keys())
-	}
-	// With returns a fresh snapshot; the parent is frozen.
-	b := a.With(k3)
-	if a.Aligned(2, PosS) {
-		t.Fatal("With mutated its receiver")
-	}
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", b.Len())
-	}
-	// Keys come back in deterministic (Pred, Pos) order.
-	keys := b.Keys()
-	want := []GroupKey{k1, k2, k3}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("Keys() = %v, want %v", keys, want)
+	ds.Dedup()
+	return ds
+}
+
+// sorted returns a sorted copy of ts, as the engine's stores hold them.
+func sorted(ts []rdf.Triple) []rdf.Triple {
+	out := slices.Clone(ts)
+	slices.SortFunc(out, rdf.Triple.Compare)
+	return out
+}
+
+// placedView is the View an engine serving p over ds with the given
+// per-node overlays (nil for none) would plan from.
+func placedView(ds *rdf.Dataset, p *Placement, overlay [][]rdf.Triple) *View {
+	v := &View{Base: make([][]rdf.Triple, p.Nodes), Overlay: make([][]rdf.Triple, p.Nodes), Data: ds.Snapshot()}
+	for node := range v.Base {
+		v.Base[node] = sorted(p.Triples[node])
+		if overlay != nil {
+			v.Overlay[node] = sorted(overlay[node])
 		}
 	}
-	// Re-adding an existing key is idempotent.
-	if c := b.With(k1); c.Len() != 3 {
-		t.Fatalf("duplicate With grew the snapshot to %d", c.Len())
+	return v
+}
+
+// TestPlanRecoveryCoversDeadNode: recovery gives every triple stranded
+// on a dead node a copy on a live node, never on the dead one, and a
+// recovered view, an empty dead set or an all-dead cluster plans
+// nothing.
+func TestPlanRecoveryCoversDeadNode(t *testing.T) {
+	ds := recoveryDataset()
+	const nodes, dead = 4, 1
+	base, err := HashSO{}.Partition(ds, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := placedView(ds, base, nil)
+	m := PlanRecovery(view, []int{dead})
+	if m == nil {
+		t.Fatal("no recovery for a dead unreplicated node")
+	}
+	if len(m.Adds[dead]) != 0 {
+		t.Fatal("recovery placed copies on the dead node")
+	}
+	next := placedView(ds, base, m.Adds)
+	for _, tr := range base.Triples[dead] {
+		if !slices.ContainsFunc([]int{0, 2, 3}, func(node int) bool { return next.Holds(node, tr) }) {
+			t.Fatalf("stranded triple %v has no live copy after recovery", ds.String(tr))
+		}
+	}
+	if again := PlanRecovery(next, []int{dead}); again != nil {
+		t.Fatalf("recovered placement planned %d more copies", again.AddCount())
+	}
+	if PlanRecovery(view, nil) != nil {
+		t.Fatal("empty dead set planned a recovery")
+	}
+	if PlanRecovery(view, []int{0, 1, 2, 3}) != nil {
+		t.Fatal("all-dead cluster planned a recovery")
 	}
 }
 
-func TestAlignNodeMatchesScatterHash(t *testing.T) {
-	// The alignment contract: AlignNode must equal the engine's scatter
-	// hash (plain modulus). Pin the arithmetic, including large IDs.
-	cases := []struct {
-		key   rdf.TermID
-		nodes int
-		want  int
-	}{{0, 4, 0}, {7, 4, 3}, {8, 4, 0}, {1<<31 + 5, 10, int((uint64(1)<<31 + 5) % 10)}}
-	for _, c := range cases {
-		if got := AlignNode(c.key, c.nodes); got != c.want {
-			t.Errorf("AlignNode(%d, %d) = %d, want %d", c.key, c.nodes, got, c.want)
+// TestPlanRecoveryBudget: the copies the overlays already hold count
+// against RecoveryBudget. A budget left for one predicate's stranded
+// triples recovers the lower TermID's and skips the rest; a spent
+// budget plans nothing.
+func TestPlanRecoveryBudget(t *testing.T) {
+	ds := recoveryDataset()
+	hot, _ := ds.Dict.Lookup("hot")
+	// An unreplicated placement: adjacent hot/cold pairs land together,
+	// so every node holds both predicates and killing one strands both.
+	base := &Placement{Nodes: 4, Triples: make([][]rdf.Triple, 4)}
+	for i, tr := range ds.Triples {
+		base.Triples[(i/2)%4] = append(base.Triples[(i/2)%4], tr)
+	}
+	const dead = 2
+	hotStranded, coldStranded := 0, 0
+	for _, tr := range base.Triples[dead] {
+		if tr.P == hot {
+			hotStranded++
+		} else {
+			coldStranded++
 		}
 	}
-}
-
-func TestPosString(t *testing.T) {
-	if PosS.String() != "S" || PosO.String() != "O" {
-		t.Fatalf("Pos strings: %q %q", PosS.String(), PosO.String())
+	if hotStranded == 0 || coldStranded == 0 {
+		t.Fatalf("fragment %d lacks a mix of predicates (hot=%d cold=%d)", dead, hotStranded, coldStranded)
+	}
+	// withFiller spends all of the budget but left on node 3's overlay,
+	// with copies of nodes 0 and 1's triples (none of them stranded).
+	budget := int(RecoveryBudget * float64(ds.Len()))
+	withFiller := func(left int) *View {
+		filler := append(slices.Clone(base.Triples[0]), base.Triples[1]...)
+		return placedView(ds, base, [][]rdf.Triple{nil, nil, nil, filler[:budget-left]})
+	}
+	m := PlanRecovery(withFiller(hotStranded), []int{dead})
+	if m == nil {
+		t.Fatal("no recovery with budget for the hot group")
+	}
+	if m.AddCount() != hotStranded {
+		t.Fatalf("recovered %d copies, want the %d hot ones", m.AddCount(), hotStranded)
+	}
+	for _, adds := range m.Adds {
+		for _, tr := range adds {
+			if tr.P != hot {
+				t.Fatalf("budgeted recovery copied %v before the hot triples", ds.String(tr))
+			}
+		}
+	}
+	if m := PlanRecovery(withFiller(0), []int{dead}); m != nil {
+		t.Fatalf("a spent budget still planned %d copies", m.AddCount())
 	}
 }

@@ -15,8 +15,7 @@
 //
 // The tracker is fed by the engine's per-node operation outcomes
 // (ReportSuccess / ReportFailure) and consulted by the serving layer
-// for /healthz, the node_health metrics, and the advisor's recovery
-// trigger. The clock is injectable so tests drive the Open→HalfOpen
+// for /healthz, the node_health metrics, and the recovery trigger. The clock is injectable so tests drive the Open→HalfOpen
 // transition deterministically.
 package health
 
@@ -273,7 +272,7 @@ func (t *Tracker) AnyOpen() bool {
 }
 
 // Down returns the nodes whose breakers are not Healthy, ascending —
-// the set the advisor re-replicates around.
+// the set recovery re-replicates around.
 func (t *Tracker) Down() []int {
 	if t == nil {
 		return nil

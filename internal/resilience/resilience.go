@@ -111,7 +111,7 @@ type UnavailableError struct {
 	// breaker rejected the node before any data was consulted).
 	Missing int
 	// RetryAfter hints when a retry could succeed: the earliest time a
-	// dead node's breaker re-probes, or the advisor's re-replication
+	// dead node's breaker re-probes, or the recovery re-replication
 	// horizon. Zero when unknown.
 	RetryAfter time.Duration
 }

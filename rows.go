@@ -11,7 +11,7 @@ package sparqlopt
 //
 // All per-call bookkeeping that used to live in defers around the old
 // materializing pipeline (trace finish, metrics counters, slow-query
-// log, admission release, memory-gauge reset, adaptive feedback) moves
+// log, admission release, memory-gauge reset, the recovery trigger) moves
 // to the end of the stream: it runs when the cursor is exhausted,
 // errors, or is Closed — exactly once.
 
@@ -58,7 +58,6 @@ type Rows struct {
 	sys *System
 	ctx context.Context
 	fin *finalizer
-	q   *Query
 	st  *engine.Stream
 	sp  *obs.Span // the open "execute" span; ended at finish
 
@@ -151,8 +150,7 @@ func (r *Rows) Result() *ExecResult {
 }
 
 // finish ends the stream exactly once: the engine stream's statistics
-// and the "execute" span, adaptive feedback for a run that did not
-// fail, then the call-level finalizer.
+// and the "execute" span, then the call-level finalizer.
 func (r *Rows) finish(err error) {
 	if r.closed {
 		return
@@ -165,7 +163,6 @@ func (r *Rows) finish(err error) {
 	r.sp.SetAttrInt("rows", r.delivered)
 	r.sp.End()
 	res.Trace.AttachSpans(r.sp)
-	r.fin.migrate = err == nil && r.sys.observeAdaptive(r.q, res)
 	r.fin.finish(res, err)
 }
 
@@ -181,7 +178,6 @@ type finalizer struct {
 	cancel  context.CancelFunc
 	release func()
 	g       *resilience.Gauge
-	migrate bool // the advisor's migration trigger fired on this call
 	done    bool
 }
 
@@ -226,9 +222,9 @@ func (f *finalizer) finish(res *ExecResult, err error) {
 	if f.set.TraceSink != nil {
 		f.set.TraceSink(f.tr)
 	}
-	// Hot shuffles and sustained node failure (an open breaker or a
-	// typed unavailable failure) are repartitioning triggers.
-	f.s.startRounds(f.migrate, err)
+	// Sustained node failure (an open breaker or a typed unavailable
+	// failure) triggers recovery.
+	f.s.startRecovery(err)
 	if f.release != nil {
 		f.release()
 	}
@@ -316,7 +312,7 @@ func (s *System) stream(ctx context.Context, src string, q *Query, set opt.RunSe
 	if len(out.Degraded) > 0 {
 		s.resInst.QueryDegraded()
 	}
-	return &Rows{sys: s, ctx: ctx, fin: fin, q: q, st: st, sp: sp, limit: set.Limit}, nil
+	return &Rows{sys: s, ctx: ctx, fin: fin, st: st, sp: sp, limit: set.Limit}, nil
 }
 
 // rowHeaderBytes is the per-row overhead charged beside the payload:

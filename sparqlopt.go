@@ -52,7 +52,6 @@ import (
 	"sparqlopt/internal/obs"
 	"sparqlopt/internal/opt"
 	"sparqlopt/internal/partition"
-	"sparqlopt/internal/partition/adaptive"
 	"sparqlopt/internal/plan"
 	"sparqlopt/internal/plancache"
 	"sparqlopt/internal/querygraph"
@@ -98,9 +97,6 @@ type (
 	Span = obs.Span
 	// SlowQueryEntry is one slow-query log record.
 	SlowQueryEntry = obs.SlowQueryEntry
-	// AdvisorStats is a snapshot of the adaptive-repartitioning
-	// advisor's counters (see System.AdvisorStats).
-	AdvisorStats = adaptive.Stats
 	// ParseError is the typed failure of ParseQuery/Run on malformed
 	// query text; it carries the byte offset of the problem.
 	ParseError = sparql.ParseError
@@ -253,8 +249,8 @@ func AlgorithmByName(name string) (Algorithm, bool) {
 //   - Option configures a System for its lifetime and is passed to
 //     Open: data placement (WithMethod, WithNodes), serving
 //     infrastructure (WithPlanCache, WithAdmissionControl,
-//     WithMemoryBudget, WithAdaptivePartitioning, WithNodeFailover)
-//     and observability (WithObservability).
+//     WithMemoryBudget, WithNodeFailover) and observability
+//     (WithObservability).
 //
 //   - RunOption configures one serving call and is passed to Run,
 //     RunStream, Optimize and friends: WithAlgorithm (or a bare
@@ -320,12 +316,13 @@ type System struct {
 	budget  *resilience.Budget      // nil = memory budgets disabled
 	resInst *resilience.Instruments // nil when observability is disabled
 
-	advisor *adaptive.Advisor // nil = adaptive repartitioning disabled
-	migMu   sync.Mutex        // serializes migration rounds
-	migWG   sync.WaitGroup    // tracks in-flight background migrations
-
 	health    *health.Tracker // nil = node failover disabled
+	migMu     sync.Mutex      // serializes recovery rounds
+	migWG     sync.WaitGroup  // tracks in-flight background recovery rounds
 	recFlight atomic.Bool     // collapses concurrent recovery triggers into one round
+	// recRounds and recFailed count applied and failed recovery rounds;
+	// nil when observability is disabled.
+	recRounds, recFailed *obs.Counter
 
 	tracker *stats.Tracker // incremental per-predicate statistics
 	unhook  func()         // unregisters the dataset commit hook
@@ -353,7 +350,6 @@ type openConfig struct {
 	memPerQuery   int64
 	memTotal      int64
 	obs           *obsConfig
-	adaptive      *adaptive.Config // nil = adaptive repartitioning disabled
 	failover      *NodeFailoverConfig
 	breaker       health.Config // fixed at the health defaults outside tests
 }
@@ -443,51 +439,13 @@ type NodeFailoverConfig struct {
 // whenever every stranded triple has a live copy — and repartition
 // scatter partitions are re-homed onto healthy workers. A query that
 // needs a dead node's unreplicated triples fails fast with a typed
-// *UnavailableError (never a hang or a silent partial result). With
-// WithAdaptivePartitioning also enabled, sustained node failure
-// triggers recovery migrations that re-replicate the dead node's
-// uncovered triples onto healthy nodes, hottest predicates first,
-// under the advisor's replication budget.
+// *UnavailableError (never a hang or a silent partial result). Such a
+// failure, or a node's breaker staying open, triggers a background
+// recovery round that re-replicates the dead nodes' uncovered triples
+// onto healthy nodes, in predicate order, within a fixed budget of 0.5×
+// the dataset in copies (System.WaitForMigrations waits for it).
 func WithNodeFailover(fc NodeFailoverConfig) Option {
 	return func(c *openConfig) { c.failover = &fc }
-}
-
-// AdaptiveConfig configures the adaptive-repartitioning advisor. Zero
-// fields take defaults: 1 MiB trigger, 3 recurring queries, no decay.
-// The budgets are fixed: all migrations together add at most 0.5× the
-// dataset in copies, and none leaves a node's fragment above twice the
-// mean.
-type AdaptiveConfig struct {
-	// MinShuffledBytes is the per-group trigger: a (predicate,
-	// position) triple group must accumulate this much OBSERVED
-	// shuffle volume before it becomes a migration candidate.
-	MinShuffledBytes int64
-	// MinQueries requires the group to recur across this many queries.
-	MinQueries int
-	// DecayHalfLife, when positive, ages the advisor's per-group
-	// accumulators: a group's observed shuffle weight halves every
-	// DecayHalfLife observed queries, so yesterday's hot spot must stay
-	// hot to trigger (or keep) a migration, and groups that go cold are
-	// expired from the tracking table (AdvisorStats.ExpiredGroups). 0
-	// (the default) disables decay: weights accumulate forever.
-	DecayHalfLife int
-}
-
-// WithAdaptivePartitioning enables the online repartitioning advisor:
-// every completed query's observed repartition shuffles feed the
-// advisor, and when a (predicate, join-position) triple group crosses
-// the trigger the advisor migrates the group — adding, within the
-// replication and balance budgets, a copy of each group triple on the
-// node the repartition scatter would send it to. Rounds run in the
-// background (System.WaitForMigrations waits for them). The engine
-// then serves those scans aligned (zero shuffle) and the dataset epoch
-// is bumped so cached plans re-optimize against fresh placement-aware
-// costs. Migrations only add copies; results stay bit-identical
-// before, during and after (see System.AdvisorStats).
-func WithAdaptivePartitioning(ac AdaptiveConfig) Option {
-	return func(c *openConfig) {
-		c.adaptive = &adaptive.Config{MinBytes: ac.MinShuffledBytes, MinQueries: ac.MinQueries, DecayHalfLife: ac.DecayHalfLife}
-	}
 }
 
 // ObsOption configures WithObservability.
@@ -560,9 +518,6 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 	if cfg.maxConcurrent > 0 {
 		s.adm = resilience.NewAdmission(cfg.maxConcurrent, cfg.maxQueued)
 	}
-	if cfg.adaptive != nil {
-		s.advisor = adaptive.New(*cfg.adaptive)
-	}
 	if cfg.failover != nil {
 		fc := cfg.failover
 		cfg.breaker.Now = fc.Clock
@@ -605,20 +560,9 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 		s.resInst = resilience.NewInstruments(r)
 		s.resInst.ObserveAdmission(s.adm)
 		s.resInst.ObserveBudget(s.budget)
-		if s.advisor != nil {
-			adv := s.advisor
-			r.GaugeFunc("adaptive_migrations_total", "Migration rounds the adaptive advisor applied.",
-				func() float64 { return float64(adv.Stats().Migrations) })
-			r.GaugeFunc("adaptive_migrated_triples_total", "Triple copies added by adaptive migrations.",
-				func() float64 { return float64(adv.Stats().MigratedTriples) })
-			r.GaugeFunc("adaptive_aligned_groups", "Triple groups currently aligned by the advisor.",
-				func() float64 { return float64(s.AdvisorStats().AlignedGroups) })
-			if s.health != nil {
-				r.GaugeFunc("adaptive_recovery_migrations_total", "Recovery rounds re-replicating dead nodes' triples.",
-					func() float64 { return float64(adv.Stats().RecoveryMigrations) })
-			}
-		}
 		if s.health != nil {
+			s.recRounds = r.Counter("recovery_rounds_total", "Recovery rounds that re-replicated dead nodes' triples.")
+			s.recFailed = r.Counter("recovery_failed_rounds_total", "Recovery rounds that planned copies but failed to apply them.")
 			hv := s.health
 			for i := 0; i < cfg.nodes; i++ {
 				node := i
@@ -653,9 +597,9 @@ func (s *System) NodeHealth() []NodeStatus {
 func (s *System) Method() Method { return s.method }
 
 // ReplicationFactor reports how much the partitioning replicated the
-// data across nodes — including any copies added by adaptive
-// migrations: the triples the serving snapshot stores (each ingested
-// triple once) over the size of the dataset snapshot it pins.
+// data across nodes — including any copies recovery rounds added: the
+// triples the serving snapshot stores (each ingested triple once) over
+// the size of the dataset snapshot it pins.
 func (s *System) ReplicationFactor() float64 {
 	snap := s.engine.Snapshot()
 	n := snap.Data().Len()
@@ -841,149 +785,107 @@ func (s *System) admit(ctx context.Context) (func(), error) {
 	return release, nil
 }
 
-// observeAdaptive feeds one completed run's observed repartition
-// shuffles to the advisor and reports whether a group crossed the
-// migration trigger.
-func (s *System) observeAdaptive(q *Query, out *ExecResult) bool {
-	if s.advisor == nil {
-		return false
-	}
-	groups := s.engine.ShuffleGroups(out, q)
-	if len(groups) == 0 {
-		return false
-	}
-	obsv := make([]adaptive.Observation, len(groups))
-	for i, g := range groups {
-		obsv[i] = adaptive.Observation{
-			Key:     partition.GroupKey{Pred: g.Pred, Pos: g.Pos},
-			Rows:    g.Rows,
-			Bytes:   g.Bytes,
-			Aligned: g.Aligned,
-		}
-	}
-	return s.advisor.Observe(obsv)
-}
-
-// startRounds runs the advisor rounds one serving call triggered, in
-// the background (tracked by migWG) and in this order: a migration
-// when its shuffles crossed the trigger, then a recovery when nodes
-// are down (see deadNodes). Serving is never blocked; in-flight queries
-// keep their store snapshot.
-func (s *System) startRounds(migrate bool, err error) {
+// startRecovery starts, in the background (tracked by migWG), the
+// recovery round a serving call triggered when nodes are down (see
+// deadNodes). Serving is never blocked; in-flight queries keep their
+// store snapshot.
+func (s *System) startRecovery(err error) {
 	dead := s.deadNodes(err)
-	if !migrate && dead == nil {
+	if dead == nil {
 		return
 	}
 	s.migWG.Add(1)
 	go func() {
 		defer s.migWG.Done()
-		if migrate {
-			s.runRound("migration", s.advisor.PlanMigration)
-		}
-		if dead != nil {
-			defer s.recFlight.Store(false)
-			s.runRound("recovery", func(v *partition.View) *adaptive.Proposal {
-				return s.advisor.PlanRecovery(v, dead)
-			})
-		}
+		defer s.recFlight.Store(false)
+		s.runRound(dead)
 	}()
 }
 
 // migrationTripleBytes is the reservation estimate per triple a
-// migration writes while rebuilding a node's overlay: the triple itself
-// (3 TermIDs) in each of the store's four sorted permutations.
+// recovery round writes while rebuilding a node's overlay: the triple
+// itself (3 TermIDs) in each of the store's four sorted permutations.
 const migrationTripleBytes = 48
 
-// runRound plans and applies one advisor round: an adaptive migration
-// or a recovery. Rounds are serialized; a failure (memory-budget trip,
-// placement mismatch, recovered panic) is isolated to the round —
+// runRound plans and applies one recovery round around the dead nodes.
+// Rounds are serialized; a failure (memory-budget trip, placement
+// mismatch, recovered panic) is isolated to the round and counted —
 // serving continues on the old placement (failover still covers
-// whatever replicas exist), the advisor keeps the groups as candidates
-// and a later trigger retries.
-func (s *System) runRound(what string, plan func(*partition.View) *adaptive.Proposal) {
+// whatever replicas exist) and a later trigger retries.
+func (s *System) runRound(dead []int) {
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
+	var applied bool
 	var err error
 	func() {
 		defer resilience.CatchPanic(&err, nil)
-		err = s.applyRoundLocked(what, plan)
+		applied, err = s.applyRoundLocked(func(v *partition.View) *partition.Migration {
+			return partition.PlanRecovery(v, dead)
+		})
 	}()
-	if err != nil {
-		s.advisor.RecordFailure()
+	switch {
+	case err != nil:
+		s.recFailed.Inc()
+	case applied:
+		s.recRounds.Inc()
 	}
 }
 
-// applyRoundLocked runs one advisor round (an adaptive migration or a
-// recovery): it plans from a view of the engine's current snapshot and
-// applies the proposal to that same snapshot and to the epoch
-// machinery. Caller holds migMu; a nil proposal is a no-op.
-func (s *System) applyRoundLocked(what string, plan func(*partition.View) *adaptive.Proposal) error {
+// applyRoundLocked runs one round: it plans from a view of the engine's
+// current snapshot and applies the migration to that same snapshot and
+// to the epoch machinery. Caller holds migMu; a nil migration is a
+// no-op, and applied reports whether there was one.
+func (s *System) applyRoundLocked(plan func(*partition.View) *partition.Migration) (applied bool, err error) {
 	snap := s.engine.Snapshot()
 	view := snap.View()
-	prop := plan(view)
-	if prop == nil {
-		return nil
+	m := plan(view)
+	if m == nil {
+		return false, nil
 	}
 	// The overlay rebuilds — each touched node's previous overlay plus
 	// its adds — are charged against the shared memory budget exactly
-	// like query arenas, so a migration can never OOM a serving node: if
+	// like query arenas, so a round can never OOM a serving node: if
 	// queries hold the memory, the round fails and is retried when a
 	// later query re-triggers it.
 	g := s.budget.NewGauge()
 	defer g.Reset()
 	var touched int64
-	for node, adds := range prop.Migration.Adds {
+	for node, adds := range m.Adds {
 		if len(adds) > 0 {
 			touched += int64(len(view.Overlay[node]) + len(adds))
 		}
 	}
-	if err := g.Reserve(what, touched*migrationTripleBytes); err != nil {
-		return err
+	if err := g.Reserve("recovery", touched*migrationTripleBytes); err != nil {
+		return false, err
 	}
-	if err := s.engine.ApplyMigration(snap, prop.Migration, prop.Keys); err != nil {
-		return err
+	if err := s.engine.ApplyMigration(snap, m); err != nil {
+		return false, err
 	}
-	s.advisor.Commit(prop)
-	// Flip the epoch, attributed to the migrated predicates: cached
-	// plans whose shapes touch them were costed under the old placement
-	// and re-optimize; shapes over disjoint predicates keep their plans
-	// (a migration only adds copies of the migrated groups — placement
-	// and costs for everything else are unchanged). A recovery proposal
-	// has no group keys; its predicates come from the added copies.
-	seen := make(map[rdf.TermID]bool, len(prop.Keys))
-	preds := make([]rdf.TermID, 0, len(prop.Keys))
-	for _, k := range prop.Keys {
-		if !seen[k.Pred] {
-			seen[k.Pred] = true
-			preds = append(preds, k.Pred)
-		}
-	}
-	if len(prop.Keys) == 0 {
-		for _, adds := range prop.Migration.Adds {
-			for _, t := range adds {
-				if !seen[t.P] {
-					seen[t.P] = true
-					preds = append(preds, t.P)
-				}
+	// Flip the epoch, attributed to the predicates of the added copies:
+	// cached plans whose shapes touch them re-optimize; shapes over other
+	// predicates keep their plans. The triple set did not change; the
+	// bump reaches the tracker and the engine through the commit hook, in
+	// epoch order with writes.
+	var preds []rdf.TermID
+	for _, adds := range m.Adds {
+		for _, t := range adds {
+			if !slices.Contains(preds, t.P) {
+				preds = append(preds, t.P)
 			}
 		}
 	}
-	// The triple set did not change; the bump reaches the tracker and
-	// the engine through the commit hook, in epoch order with writes.
 	s.ds.BumpEpochPreds(preds...)
-	return nil
+	return true, nil
 }
 
-// deadNodes is the recovery trigger: when node failover and adaptive
-// partitioning are both enabled and some node's breaker is open
-// (sustained failure) — or the call just failed with a typed
-// UnavailableError naming dead nodes — it returns those nodes, whose
-// uncovered triples a recovery round re-replicates onto healthy nodes,
-// hottest predicates first, within the advisor's replication budget.
-// Concurrent triggers collapse into one in-flight round: nil while one
-// is pending.
+// deadNodes is the recovery trigger: when node failover is enabled and
+// some node's breaker is open (sustained failure) — or the call just
+// failed with a typed UnavailableError naming dead nodes — it returns
+// those nodes, whose uncovered triples a recovery round re-replicates
+// onto healthy nodes. Concurrent triggers collapse into one in-flight
+// round: nil while one is pending.
 func (s *System) deadNodes(err error) []int {
-	if s.health == nil || s.advisor == nil {
+	if s.health == nil {
 		return nil
 	}
 	dead := s.health.Down()
@@ -1001,19 +903,7 @@ func (s *System) deadNodes(err error) []int {
 	return dead
 }
 
-// AdvisorStats returns the adaptive advisor's counters, with the
-// aligned groups read from the serving snapshot; the zero snapshot when
-// adaptive repartitioning is disabled.
-func (s *System) AdvisorStats() AdvisorStats {
-	if s.advisor == nil {
-		return AdvisorStats{}
-	}
-	st := s.advisor.Stats()
-	st.AlignedGroups = s.engine.Snapshot().View().Align.Len()
-	return st
-}
-
-// WaitForMigrations blocks until every background migration round
+// WaitForMigrations blocks until every background recovery round
 // kicked off so far has finished — for tests and benchmarks that need
 // a quiesced system; serving never requires it.
 func (s *System) WaitForMigrations() { s.migWG.Wait() }
