@@ -79,15 +79,16 @@ obs:
 
 # The resilience gate: a doubled, race-instrumented run of the chaos
 # suite (64 goroutines injecting deterministic faults into a shared
-# System, and a writer racing recovery rounds while the serving
-# snapshot must follow every epoch in order) plus a short sweep over
-# extra fault-injection seeds — for the serving mix and for the
+# System, and a writer racing migrations while the serving snapshot
+# must follow every epoch in order), Open racing a writer (no commit
+# may fall between the placement and the first delta), plus a short
+# sweep over extra fault-injection seeds — for the serving mix and for the
 # node-failover storm that kills nodes under cached reads and recovery
 # rounds. The suites read CHAOS_SEED, so a failing seed reproduces
 # with `CHAOS_SEED=n go test -run TestChaosServing -race .` (or
 # TestChaosFailover).
 chaos:
-	$(GO) test -run 'TestChaos' -race -count=2 .
+	$(GO) test -run 'TestChaos|TestOpenRacesWrites' -race -count=2 .
 	for seed in 2 3 7; do \
 		CHAOS_SEED=$$seed $(GO) test -run 'TestChaosServing|TestChaosFailover' -race . || exit 1; \
 	done

@@ -86,10 +86,13 @@ var failoverBreakerOff Option = func(c *openConfig) {
 func TestFailoverProperty(t *testing.T) {
 	seed := chaosSeed(t)
 	ds := failoverDataset()
+	methods, sizes := []string{"hash-so", "2f", "2fb", "path-bmc", "un-1hop"}, []int{1, 2, 4, 8}
 	var sawUnavailable, sawFailover bool
-	for _, methodName := range []string{"hash-so", "2f", "2fb", "path-bmc", "un-1hop"} {
-		for _, nodes := range []int{1, 2, 4, 8} {
+	ran := 0
+	for _, methodName := range methods {
+		for _, nodes := range sizes {
 			t.Run(fmt.Sprintf("%s/P%d", methodName, nodes), func(t *testing.T) {
+				ran++
 				m, err := PartitionMethod(methodName)
 				if err != nil {
 					t.Fatal(err)
@@ -157,11 +160,15 @@ func TestFailoverProperty(t *testing.T) {
 			})
 		}
 	}
-	if !sawUnavailable {
-		t.Error("sweep never produced an UnavailableError — uncovered-fragment path untested")
-	}
-	if !sawFailover {
-		t.Error("sweep never recorded a failover — replica-serving path untested")
+	// The sweep as a whole must reach both paths; a -run that selects
+	// part of it checks only what it selected.
+	if ran == len(methods)*len(sizes) {
+		if !sawUnavailable {
+			t.Error("sweep never produced an UnavailableError — uncovered-fragment path untested")
+		}
+		if !sawFailover {
+			t.Error("sweep never recorded a failover — replica-serving path untested")
+		}
 	}
 
 	// One recovered-then-ingested configuration: a node dies and a

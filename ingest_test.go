@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -297,6 +298,56 @@ func TestIngestRacesMigration(t *testing.T) {
 	}
 }
 
+// TestOpenRacesWrites opens a System while a writer commits to its
+// dataset: once the writes stop, the serving snapshot pins the
+// dataset's epoch and every triple the dataset holds is in a fragment
+// or in the delta — no write falls between the placement and the first
+// delta.
+func TestOpenRacesWrites(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		ds := failoverDataset()
+		start := ds.Epoch()
+		var stop atomic.Bool
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for j := 0; !stop.Load(); j++ {
+				ds.Add(fmt.Sprintf("http://w%d", j), "http://knows", fmt.Sprintf("http://p%d", j%10))
+			}
+		}()
+		for ds.Epoch() == start {
+			runtime.Gosched()
+		}
+		sys, err := Open(ds, WithNodes(4))
+		stop.Store(true)
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sys.FlushWrites() {
+			t.Fatalf("open %d: the serving snapshot is at epoch %d, the dataset at %d",
+				i, sys.engine.Snapshot().Data().Epoch(), ds.Epoch())
+		}
+		view := sys.engine.Snapshot().View()
+		delta := make(map[rdf.Triple]bool)
+		for _, chunk := range view.Delta {
+			for _, tr := range chunk {
+				delta[tr] = true
+			}
+		}
+		for _, tr := range ds.Snapshot().Triples() {
+			held := delta[tr]
+			for node := 0; node < view.Nodes() && !held; node++ {
+				held = view.Holds(node, tr)
+			}
+			if !held {
+				t.Fatalf("open %d: the committed triple %s is in no fragment and not in the delta", i, ds.String(tr))
+			}
+		}
+		sys.Close()
+	}
+}
+
 // migDataset is 120 triples over two predicates that share seven
 // objects, so migHot — their object-object star — repartitions on ?c.
 // Under 2f every triple is placed on its subject's home alone.
@@ -330,13 +381,13 @@ func checkQuiesced(t *testing.T, sys *System, ds *Dataset) {
 }
 
 // TestChaosServingSnapshotFollowsEpochs races a writer against
-// back-to-back recovery rounds that add nothing but still bump the
-// epoch. Every engine snapshot a watcher loads must pin a dataset
+// back-to-back migrations that add nothing but still swap the engine's
+// snapshot. Every engine snapshot a watcher loads must pin a dataset
 // snapshot whose epoch never goes backwards and whose triples are
 // exactly the fragments plus the snapshot's own delta. At quiescence
 // the engine, the tracker and the dataset are at one epoch. A 50,000-
 // triple delta makes every chunk merge slow, which widens any window
-// in which a round and a commit could publish out of order.
+// in which a migration and a commit could swap out of order.
 func TestChaosServingSnapshotFollowsEpochs(t *testing.T) {
 	ds := migDataset()
 	const nodes = 4
@@ -355,9 +406,7 @@ func TestChaosServingSnapshotFollowsEpochs(t *testing.T) {
 		big[i] = rdf.Triple{S: ds.Dict.Intern(fmt.Sprintf("http://mig/b%d", i)), P: p, O: ds.Dict.Intern(fmt.Sprintf("http://mig/o%d", i%7))}
 	}
 	ds.AddBatch(big)
-	noop := func(*partition.View) *partition.Migration {
-		return &partition.Migration{Adds: make([][]rdf.Triple, nodes)}
-	}
+	noop := &partition.Migration{Adds: make([][]rdf.Triple, nodes)}
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -368,13 +417,10 @@ func TestChaosServingSnapshotFollowsEpochs(t *testing.T) {
 			ds.Add(fmt.Sprintf("http://mig/ws%d", i), "http://mig/p1", fmt.Sprintf("http://mig/o%d", i%7))
 		}
 	}()
-	go func() { // recovery rounds
+	go func() { // migrations
 		defer wg.Done()
 		for !stop.Load() {
-			sys.migMu.Lock()
-			_, err := sys.applyRoundLocked(noop)
-			sys.migMu.Unlock()
-			if err != nil {
+			if err := sys.engine.ApplyMigration(sys.engine.Snapshot(), noop); err != nil {
 				t.Error(err)
 				return
 			}

@@ -62,10 +62,19 @@ type failoverReport struct {
 	Records        []FailoverRecord `json:"records"`
 }
 
-// failoverQueries is the serving mix — the same cheap-to-moderate LUBM
-// shapes as the overload experiment, so per-run latency reflects the
-// failover machinery, not one huge join.
-var failoverQueries = []string{"L1", "L2", "L4", "L5", "L7"}
+// failoverQueries is the serving mix: a wholesale scan of
+// ub:takesCourse, of which the killed node holds triples no other node
+// has, so the mix needs what recovery re-replicates; then the same
+// cheap-to-moderate LUBM shapes as the overload experiment, so per-run
+// latency reflects the failover machinery, not one huge join. The scan
+// runs first in every round: after the kill it fails typed, before the
+// breaker's own trigger could repair the data unseen.
+var failoverQueries = []string{
+	`PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
+SELECT ?x ?c WHERE { ?x ub:takesCourse ?c . }`,
+	lubm.QueryText("L1"), lubm.QueryText("L2"), lubm.QueryText("L4"),
+	lubm.QueryText("L5"), lubm.QueryText("L7"),
+}
 
 // FailoverBench kills one node mid-workload and measures what each
 // twin does about it. The failover twin (WithNodeFailover, each
@@ -129,7 +138,7 @@ func FailoverBench(cfg Config) error {
 	// The killed phase's typed failures triggered recovery
 	// re-replication, so full service resumed at the last failure; the
 	// recovered phase proves it with the node still dead.
-	report.TimeToRecoverMillis = float64(foKilled.lastFail.Sub(killStart).Milliseconds())
+	report.TimeToRecoverMillis = float64(foKilled.lastFail.Sub(killStart)) / float64(time.Millisecond)
 	if foKilled.Unavailable == 0 {
 		report.TimeToRecoverMillis = 0 // nothing was stranded
 	}
@@ -150,7 +159,7 @@ func FailoverBench(cfg Config) error {
 			r.System, r.Phase, r.Runs, r.Succeeded, r.Unavailable, r.Failed, r.Failovers,
 			r.P50Millis, r.P99Millis)
 	}
-	fmt.Fprintf(w, "recovery: %d round(s), replication %.3f -> %.3f, full service after %.1fms\n",
+	fmt.Fprintf(w, "recovery: %d round(s), replication %.3f -> %.3f, full service after %.2fms\n",
 		report.RecoveryMigrations, report.ReplicationBefore, report.ReplicationAfter, report.TimeToRecoverMillis)
 	fmt.Fprintf(w, "covered success after recovery: %v; killed p99 within 2x healthy: %v\n",
 		report.CoveredSuccess, report.P99Held)
@@ -167,8 +176,7 @@ func failoverPhase(cfg Config, sys *sparqlopt.System, system, phase string, roun
 	rec := FailoverRecord{System: system, Phase: phase}
 	var latencies []time.Duration
 	for r := 0; r < rounds; r++ {
-		for _, name := range failoverQueries {
-			src := lubm.QueryText(name)
+		for _, src := range failoverQueries {
 			opts := []sparqlopt.RunOption{sparqlopt.WithDeadline(cfg.execTimeout())}
 			if faults != nil {
 				opts = append(opts, sparqlopt.WithFaultInjection(faults))

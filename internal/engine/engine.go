@@ -323,15 +323,8 @@ func (e *Engine) Snapshot() *Snap { return e.snap.Load() }
 
 // SetData attaches the dataset snapshot the current store view was
 // built from (see Snap.Data). Called once at open; after that every
-// epoch arrives through ApplyIngest, an epoch-only bump (a recovery
-// round's) with an empty delta.
-func (e *Engine) SetData(data *rdf.Snapshot) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	next := *e.snap.Load()
-	next.data = data
-	e.snap.Store(&next)
-}
+// epoch arrives through ApplyIngest.
+func (e *Engine) SetData(data *rdf.Snapshot) { e.ApplyIngest(nil, data) }
 
 // ApplyIngest folds one committed write delta into the engine:
 // the new triples become a broadcast delta chunk (visible on every
@@ -340,35 +333,29 @@ func (e *Engine) SetData(data *rdf.Snapshot) {
 // count passes maxDeltaChunks, so scan overhead stays O(1) in commit
 // count; the merge keeps the accumulated chunk's sorted permutations
 // and merges the recent commits' into them, so its cost is linear in
-// the delta. An empty delta (an epoch-only bump) only re-pins data.
+// the delta. An empty delta (a Dedup's) only re-pins data.
 // Queries in flight keep their captured snapshot — an ingest commit
 // never blocks or tears a running query.
 func (e *Engine) ApplyIngest(delta []rdf.Triple, data *rdf.Snapshot) {
-	if len(delta) == 0 {
-		if data != nil {
-			e.SetData(data)
-		}
-		return
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	old := e.snap.Load()
-	var chunks []*store
-	if len(old.delta) >= maxDeltaChunks {
+	next := *e.snap.Load()
+	next.data = data
+	switch {
+	case len(delta) == 0:
+	case len(next.delta) >= maxDeltaChunks:
 		// The first chunk is the previous merge — everything but the last
 		// few commits. Sort those together and merge the two runs.
 		recent := append([]rdf.Triple{}, delta...)
-		for _, st := range old.delta[1:] {
+		for _, st := range next.delta[1:] {
 			recent = append(recent, st.spo...)
 		}
-		chunks = []*store{mergeStores(old.delta[0], newStore(recent))}
-	} else {
-		chunks = make([]*store, len(old.delta), len(old.delta)+1)
-		copy(chunks, old.delta)
-		chunks = append(chunks, newStore(delta))
+		next.delta = []*store{mergeStores(next.delta[0], newStore(recent))}
+	default:
+		chunks := make([]*store, len(next.delta), len(next.delta)+1)
+		copy(chunks, next.delta)
+		next.delta = append(chunks, newStore(delta))
 	}
-	next := *old
-	next.delta, next.data = chunks, data
 	e.snap.Store(&next)
 }
 
@@ -526,7 +513,7 @@ func (e *Engine) opGate(ctx context.Context, p *plan.Node, env ExecEnv) error {
 // the nodes not read yet are nil, and the parent settles the leaf's
 // accounting when its join is done (see scanLeaf). A non-nil root makes
 // p the plan's root, which the stream reads (see rootOut).
-func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, lazy bool, root *rootOut) ([]*Relation, *scanLeaf, *TraceNode, error) {
+func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, lazy bool, root *rootOut) ([]*Relation, *scanLeaf, *TraceNode, error) {
 	if err := e.opGate(ctx, p, env); err != nil {
 		return nil, nil, nil, err
 	}
@@ -544,12 +531,12 @@ func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 				root.scanned(&leaf.bp, env.Snap.home != nil)
 			}
 			if !lazy {
-				leaf.settle(m)
+				leaf.settle()
 				leaf = nil
 			}
 		}
 	case plan.LocalJoin, plan.BroadcastJoin, plan.RepartitionJoin:
-		if out, err = e.joinOp(ctx, p, q, env, m, tr, &start, root); err == nil {
+		if out, err = e.joinOp(ctx, p, q, env, tr, &start, root); err == nil {
 			tr.record(out)
 		}
 	default:
@@ -617,12 +604,12 @@ func (e *Engine) fanOut(n int, busy func(node int) bool, f func(node int) error)
 // operator's own time never includes its children's. With lazy set,
 // Scan children are opened lazily and come back in leaves (nil entries
 // for the other children).
-func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time, lazy bool) ([][]*Relation, []*scanLeaf, error) {
+func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, start *time.Time, lazy bool) ([][]*Relation, []*scanLeaf, error) {
 	n := len(p.Children)
 	children := make([][]*Relation, n)
 	leaves := make([]*scanLeaf, n)
 	for i, c := range p.Children {
-		rels, leaf, ctr, err := e.eval(ctx, c, q, env, m, lazy, nil)
+		rels, leaf, ctr, err := e.eval(ctx, c, q, env, lazy, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -638,7 +625,7 @@ func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query
 // complete match is co-located, Definition 2), gather+replicate of the
 // k−1 smaller inputs for broadcast, a hash scatter on the join
 // variable for repartition — returning per node the list of relations
-// that node's join consumes. Transfer accounting lands in m and in the
+// that node's join consumes. Transfer accounting lands in the
 // operator's trace tr. Every input that moves arrives deduplicated and
 // sorted on the join variable: a broadcast's gathered inputs are sorted
 // once and shared read-only by every node, and a scatter's buckets are
@@ -649,9 +636,9 @@ func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query
 // with nil relations on the nodes still unread, for the join to read
 // or merge (see sortedJoin). A child that has to move
 // is read in full first, so data movement is what it always was.
-func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time) (opInputs, error) {
+func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, start *time.Time) (opInputs, error) {
 	var in opInputs
-	children, leaves, err := e.evalChildren(ctx, p, q, env, m, tr, start, p.Alg != plan.RepartitionJoin)
+	children, leaves, err := e.evalChildren(ctx, p, q, env, tr, start, p.Alg != plan.RepartitionJoin)
 	if err != nil {
 		return in, err
 	}
@@ -703,7 +690,7 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 				if err := leaves[i].readAll(e); err != nil {
 					return in, err
 				}
-				leaves[i].settle(m)
+				leaves[i].settle()
 			}
 			// The gather shares the fragments' row storage; no arena copy.
 			g := &Relation{Vars: frags[0].Vars, Rows: make([][]rdf.TermID, 0, sizes[i])}
@@ -713,11 +700,8 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 			g.dedupOn(cols[i])
 			// Every row ships to every node holding the largest input.
 			moved := int64(len(g.Rows)) * int64(n)
-			bytes := moved * termIDBytes * int64(len(g.Vars))
-			m.TransferredRows += moved
-			m.TransferredBytes += bytes
 			tr.TransferredRows += moved
-			tr.TransferredBytes += bytes
+			tr.TransferredBytes += moved * termIDBytes * int64(len(g.Vars))
 			small = append(small, g)
 			in.sizes = append(in.sizes, moved)
 		}
@@ -747,11 +731,8 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 			if shuffled[i], moved, err = e.scatter(ctx, children[i], cols[i], env); err != nil {
 				return in, err
 			}
-			bytes := moved * termIDBytes * int64(len(children[i][0].Vars))
-			m.TransferredRows += moved
-			m.TransferredBytes += bytes
 			tr.TransferredRows += moved
-			tr.TransferredBytes += bytes
+			tr.TransferredBytes += moved * termIDBytes * int64(len(children[i][0].Vars))
 		}
 		for node := 0; node < n; node++ {
 			rels := make([]*Relation, len(children))
@@ -795,8 +776,8 @@ type opInputs struct {
 // repartition join on its one join variable. The root join emits only
 // the projected columns, and a root local join with an anchor keeps each
 // match on its anchor's home (see Snap.joinHome).
-func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, m *Metrics, tr *TraceNode, start *time.Time, root *rootOut) ([]*Relation, error) {
-	in, err := e.joinInputs(ctx, p, q, env, m, tr, start)
+func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, start *time.Time, root *rootOut) ([]*Relation, error) {
+	in, err := e.joinInputs(ctx, p, q, env, tr, start)
 	if err != nil {
 		return nil, err
 	}
@@ -825,7 +806,6 @@ func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env 
 	}
 	site := opName(p.Alg)
 	out := make([]*Relation, len(env.Snap.stores))
-	var joined int64
 	// A node where some input is empty joins nothing.
 	busy := func(node int) bool { return join.rowsOn(node, in.rels[node]) > 0 }
 	tr.Nodes = len(out)
@@ -836,7 +816,6 @@ func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env 
 			return err
 		}
 		out[node] = r
-		atomic.AddInt64(&joined, int64(len(r.Rows)))
 		return nil
 	})
 	if err != nil {
@@ -845,10 +824,9 @@ func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env 
 	// The join was the last reader of the leaves it was handed.
 	for _, l := range in.leaves {
 		if l != nil {
-			l.settle(m)
+			l.settle()
 		}
 	}
-	m.JoinedRows += joined
 	return out, nil
 }
 

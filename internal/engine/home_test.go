@@ -141,8 +141,7 @@ func TestDeterminismRootHome(t *testing.T) {
 						fo.markDead(dead, "scan")
 					}
 					root := &rootOut{vars: ref.Vars}
-					var met Metrics
-					parts, _, _, err := eng.eval(ctx, p, q, ExecEnv{Snap: snap, fo: fo}, &met, false, root)
+					parts, _, _, err := eng.eval(ctx, p, q, ExecEnv{Snap: snap, fo: fo}, false, root)
 					var ue *resilience.UnavailableError
 					if errors.As(err, &ue) {
 						continue // the dead node held a triple no other node has

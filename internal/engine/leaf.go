@@ -210,10 +210,9 @@ func (l *scanLeaf) readAll(e *Engine) error {
 }
 
 // settle closes the leaf's accounting once nothing will read or merge
-// it any more: the postings touched land in the operator's metrics and,
-// with how the leaf was used, in its trace.
-func (l *scanLeaf) settle(m *Metrics) {
+// it any more: the postings touched and how the leaf was used land in
+// its trace.
+func (l *scanLeaf) settle() {
 	l.tr.Postings = l.scanned.Load()
 	l.tr.Merged = l.merged.Load()
-	m.ScannedTriples += l.tr.Postings
 }

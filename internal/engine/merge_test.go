@@ -52,9 +52,8 @@ func TestJoinOrder(t *testing.T) {
 		if local == nil {
 			t.Fatalf("%s: no local join under 2f", name)
 		}
-		var m Metrics
 		start := time.Now()
-		in, err := e.joinInputs(context.Background(), local, q, env, &m, newTrace(local), &start)
+		in, err := e.joinInputs(context.Background(), local, q, env, newTrace(local), &start)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,9 +144,8 @@ func TestDeterminismTrieJoin(t *testing.T) {
 					fo.markDead(dead, "scan")
 					deadSet[dead] = true
 				}
-				var m Metrics
 				start := time.Now()
-				in, err := eng.joinInputs(ctx, c.plan, q, ExecEnv{Snap: snap, fo: fo}, &m, newTrace(c.plan), &start)
+				in, err := eng.joinInputs(ctx, c.plan, q, ExecEnv{Snap: snap, fo: fo}, newTrace(c.plan), &start)
 				if err != nil {
 					t.Fatalf("%s: %v", id, err)
 				}

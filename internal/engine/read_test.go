@@ -289,10 +289,9 @@ func TestDeterminismFragmentRead(t *testing.T) {
 				wantScanned += int64(len(or.candidates(ts)))
 			}
 
-			var m Metrics
 			env := ExecEnv{Snap: snap, fo: fo}
 			p := plan.NewScan(0, 1, cost.Default)
-			out, _, tr, err := eng.eval(context.Background(), p, q, env, &m, false, nil)
+			out, _, tr, err := eng.eval(context.Background(), p, q, env, false, nil)
 			if wantMissing > 0 {
 				sawHole = true
 				var ue *resilience.UnavailableError
@@ -321,8 +320,8 @@ func TestDeterminismFragmentRead(t *testing.T) {
 					}
 				}
 			}
-			if m.ScannedTriples != wantScanned {
-				t.Errorf("%s: ScannedTriples = %d, want %d", id, m.ScannedTriples, wantScanned)
+			if tr.Postings != wantScanned {
+				t.Errorf("%s: Postings = %d, want %d", id, tr.Postings, wantScanned)
 			}
 			if failovers, _ := fo.summary(); failovers != int64(len(deadList)) {
 				t.Errorf("%s: %d failovers recorded, want %d", id, failovers, len(deadList))
@@ -372,8 +371,7 @@ func TestDeterminismScanDeadSet(t *testing.T) {
 			faults.Arm(faultinject.NodeScan(0), 1)
 			faults.Arm(faultinject.NodeScan(2), 1)
 			env := ExecEnv{Snap: snap, Faults: faults, fo: &failoverState{}}
-			var m Metrics
-			_, _, _, err := eng.eval(context.Background(), plan.NewScan(0, 1, cost.Default), q, env, &m, lazy, nil)
+			_, _, _, err := eng.eval(context.Background(), plan.NewScan(0, 1, cost.Default), q, env, lazy, nil)
 			var ue *resilience.UnavailableError
 			if !errors.As(err, &ue) {
 				t.Fatalf("run %d lazy=%v: err = %v, want *UnavailableError", run, lazy, err)
@@ -433,9 +431,8 @@ func TestDeterminismFragmentProbe(t *testing.T) {
 						dead[d] = true
 						fo.markDead(d, "scan")
 					}
-					var m Metrics
 					env := ExecEnv{Snap: snap, fo: fo}
-					_, leaf, _, err := eng.eval(ctx, plan.NewScan(0, 1, cost.Default), q, env, &m, true, nil)
+					_, leaf, _, err := eng.eval(ctx, plan.NewScan(0, 1, cost.Default), q, env, true, nil)
 					hole := false
 					for node := 0; node < n; node++ {
 						if _, _, missing, _ := or.read(node, dead); missing > 0 {
@@ -517,9 +514,9 @@ func TestDeterminismFragmentProbe(t *testing.T) {
 							t.Errorf("%s: node %d read joins to %v, the trie join to %v", id, node, folded.Rows, got.Rows)
 						}
 					}
-					leaf.settle(&m)
-					if leaf.tr.Merged != merged || leaf.tr.Postings != m.ScannedTriples {
-						t.Errorf("%s: settled trace %+v, metrics %+v", id, leaf.tr, m)
+					leaf.settle()
+					if leaf.tr.Merged != merged {
+						t.Errorf("%s: settled trace %+v, want Merged=%v", id, leaf.tr, merged)
 					}
 				}
 			}
@@ -667,12 +664,11 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 					continue
 				}
 				env := ExecEnv{Snap: snap, fo: markDead()}
-				var m Metrics
 				leaves := make([]*scanLeaf, len(q.Patterns))
 				vars := make([][]string, len(q.Patterns))
 				sizes := make([]int64, len(q.Patterns))
 				for i := range q.Patterns {
-					_, leaf, tr, err := eng.eval(ctx, plan.NewScan(i, 1, cost.Default), q, env, &m, true, nil)
+					_, leaf, tr, err := eng.eval(ctx, plan.NewScan(i, 1, cost.Default), q, env, true, nil)
 					if err != nil {
 						t.Fatalf("%s: tp%d: %v", id, i+1, err)
 					}
@@ -758,9 +754,8 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 				for i := range scans {
 					scans[i] = plan.NewScan(i, 1, cost.Default)
 				}
-				var om Metrics
 				oenv := ExecEnv{Snap: snap, fo: markDead()}
-				out, _, tr, err := eng.eval(ctx, plan.NewJoin(plan.LocalJoin, "x", scans, 1, cost.Default), q, oenv, &om, true, nil)
+				out, _, tr, err := eng.eval(ctx, plan.NewJoin(plan.LocalJoin, "x", scans, 1, cost.Default), q, oenv, true, nil)
 				if err != nil {
 					t.Errorf("%s: operator: %v", id, err)
 					continue
@@ -772,8 +767,8 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 						t.Errorf("%s: operator node %d produced %v %v, want %v", id, node, out[node].Vars, canonRows(out[node]), want[node])
 					}
 				}
-				if om.JoinedRows != joined {
-					t.Errorf("%s: operator JoinedRows = %d, want %d", id, om.JoinedRows, joined)
+				if tr.OutputRows != joined {
+					t.Errorf("%s: operator JoinedRows = %d, want %d", id, tr.OutputRows, joined)
 				}
 				for i, ch := range tr.Children {
 					if ch.Merged != merged[i] {
@@ -860,11 +855,12 @@ func newFoldOracle(ctx context.Context, e *Engine, p *plan.Node, q *sparql.Query
 	postings := make([]int64, k)
 	var joined int64
 	for i, c := range p.Children {
-		var m Metrics
-		rels, _, tr, err := e.eval(ctx, c, q, env, &m, false, nil)
+		rels, _, tr, err := e.eval(ctx, c, q, env, false, nil)
 		if err != nil {
 			return nil, err
 		}
+		var m Metrics
+		tr.addTo(&m)
 		kids[i], sizes[i], postings[i] = rels, tr.OutputRows, m.ScannedTriples
 		joined += m.JoinedRows
 	}
@@ -905,9 +901,8 @@ func newFoldOracle(ctx context.Context, e *Engine, p *plan.Node, q *sparql.Query
 		o.postings += postings[o.largest]
 		if p.Children[o.largest].Alg == plan.Scan {
 			// Opened for its pattern only: the fold reads it in full.
-			var m Metrics
 			var err error
-			if _, o.leaf, _, err = e.eval(ctx, p.Children[o.largest], q, env, &m, true, nil); err != nil {
+			if _, o.leaf, _, err = e.eval(ctx, p.Children[o.largest], q, env, true, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -1024,8 +1019,7 @@ func TestDeterminismBroadcastMerge(t *testing.T) {
 						return fo
 					}
 					want, oerr := newFoldOracle(ctx, eng, c.plan, q, ExecEnv{Snap: snap, fo: markDead()})
-					var m Metrics
-					out, _, tr, err := eng.eval(ctx, c.plan, q, ExecEnv{Snap: snap, fo: markDead()}, &m, false, nil)
+					out, _, tr, err := eng.eval(ctx, c.plan, q, ExecEnv{Snap: snap, fo: markDead()}, false, nil)
 					var ue *resilience.UnavailableError
 					if errors.As(oerr, &ue) {
 						if !errors.As(err, &ue) {
@@ -1046,6 +1040,8 @@ func TestDeterminismBroadcastMerge(t *testing.T) {
 						}
 						saw["check"] = saw["check"] || strings.Contains(c.src, "?y <q> ?x") && len(want.rows[node]) > 0
 					}
+					var m Metrics
+					tr.addTo(&m)
 					if m.JoinedRows != joined {
 						t.Errorf("%s: JoinedRows = %d, want %d", id, m.JoinedRows, joined)
 					}

@@ -100,9 +100,8 @@ func benchLocalJoin(b *testing.B, e *Engine, env ExecEnv, name string, p *plan.N
 		b.Run(name+"/"+way, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var m Metrics
 				start := time.Now()
-				in, err := e.joinInputs(ctx, p, q, env, &m, newTrace(p), &start)
+				in, err := e.joinInputs(ctx, p, q, env, newTrace(p), &start)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -181,9 +180,8 @@ func BenchmarkBroadcastJoin(b *testing.B) {
 		walk(optimizeFor(b, ds, q, partition.HashSO{}, opt.TDAuto).Plan)
 		for _, p := range joins {
 			open := func() (in opInputs, vars [][]string) {
-				var m Metrics
 				start := time.Now()
-				in, err := e.joinInputs(ctx, p, q, env, &m, newTrace(p), &start)
+				in, err := e.joinInputs(ctx, p, q, env, newTrace(p), &start)
 				if err != nil {
 					b.Fatal(err)
 				}

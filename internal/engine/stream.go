@@ -258,9 +258,8 @@ func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Quer
 	}
 	vars = append([]string{}, vars...)
 	st = &Stream{eng: e, env: env, execStart: execStart}
-	var m Metrics
 	root := &rootOut{vars: vars}
-	parts, _, trace, err := e.eval(ctx, p, q, env, &m, false, root)
+	parts, _, trace, err := e.eval(ctx, p, q, env, false, root)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +276,8 @@ func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Quer
 		cols[i] = parts[0].colIndex(v)
 	}
 	st.src = &flatEnum{parts: parts, cols: cols, scratch: make([]rdf.TermID, len(vars))}
-	st.res = &Result{Vars: vars, Metrics: m, Trace: trace, flatRows: flat}
+	st.res = &Result{Vars: vars, Trace: trace, flatRows: flat}
+	trace.addTo(&st.res.Metrics)
 	st.res.Failovers, st.res.Degraded = env.fo.summary()
 	if !dedupFree(len(env.Snap.stores), root) {
 		st.seen = newRowSet(len(vars), hashRow)

@@ -111,13 +111,20 @@ func (tr *TraceNode) Format() string {
 	return b.String()
 }
 
-// TotalTransferred sums the network traffic over the whole trace.
-func (tr *TraceNode) TotalTransferred() int64 {
-	total := tr.TransferredRows
-	for _, ch := range tr.Children {
-		total += ch.TotalTransferred()
+// addTo adds what the operators of the trace did to m: the postings
+// its scans touched, the rows its joins produced and the rows and
+// bytes its joins moved.
+func (tr *TraceNode) addTo(m *Metrics) {
+	if tr.Alg == plan.Scan {
+		m.ScannedTriples += tr.Postings
+	} else {
+		m.JoinedRows += tr.OutputRows
 	}
-	return total
+	m.TransferredRows += tr.TransferredRows
+	m.TransferredBytes += tr.TransferredBytes
+	for _, ch := range tr.Children {
+		ch.addTo(m)
+	}
 }
 
 // Operators counts the operators in the trace.

@@ -60,7 +60,7 @@ type Node struct {
 	// Anchor names, on a local join, a variable v whose combine(v, G_Q)
 	// holds every pattern of Set: each match lies whole on the home of
 	// v's binding, so a root local join emits it there only. "" when the
-	// optimizer named none. Plan text and JSON do not carry it.
+	// optimizer named none. Plan text does not carry it.
 	Anchor string
 	// Children are the k inputs of a join node (nil for scans).
 	Children []*Node

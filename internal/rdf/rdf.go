@@ -243,7 +243,7 @@ func (s *Snapshot) Len() int { return len(s.triples) }
 
 // WriteDelta describes one published epoch: the triples the commit
 // actually inserted (duplicates are filtered out before commit; none
-// for an epoch-only bump), the epoch, and the snapshot it published.
+// for a Dedup), the epoch, and the snapshot it published.
 type WriteDelta struct {
 	Triples []Triple
 	Epoch   uint64
@@ -251,9 +251,9 @@ type WriteDelta struct {
 }
 
 // ChangeSet summarizes which predicates changed across a span of
-// epochs. All reports a structural change that cannot be attributed to
-// specific predicates (a placement migration, a Dedup reorder);
-// consumers must treat it as touching everything.
+// epochs. All reports a change that cannot be attributed to specific
+// predicates (a Dedup reorder); consumers must treat it as touching
+// everything.
 type ChangeSet struct {
 	All   bool
 	Preds map[TermID]struct{}
@@ -291,8 +291,9 @@ func (c ChangeSet) Touches(preds map[TermID]struct{}, wildcard bool) bool {
 //
 // Writes go through Add/AddTriple/AddBatch, which deduplicate at
 // insert (re-adding a present triple is a no-op: no epoch bump, no
-// invalidation), publish a fresh immutable Snapshot, and fire OnCommit
-// hooks; BumpEpochPreds and Dedup publish through the same path.
+// invalidation), publish a fresh immutable Snapshot, and fire the
+// hooks registered with Subscribe; Dedup publishes through the same
+// path.
 // Readers call Snapshot() once and use it for the whole query.
 // Code that appends to Triples directly bypasses all of this; it is
 // only legal before the dataset starts serving.
@@ -333,11 +334,11 @@ func (ds *Dataset) AddTriple(t Triple) {
 	if !ds.insertLocked(t) {
 		return
 	}
-	ds.publishLocked([]Triple{t}, nil, false)
+	ds.publishLocked([]Triple{t}, false)
 }
 
 // AddBatch inserts a batch of triples under one commit: one epoch
-// bump, one snapshot, one OnCommit delta carrying exactly the triples
+// bump, one snapshot, one commit delta carrying exactly the triples
 // that were new. Returns the number inserted.
 func (ds *Dataset) AddBatch(ts []Triple) int {
 	ds.mu.Lock()
@@ -351,7 +352,7 @@ func (ds *Dataset) AddBatch(ts []Triple) int {
 	if len(delta) == 0 {
 		return 0
 	}
-	ds.publishLocked(delta, nil, false)
+	ds.publishLocked(delta, false)
 	return len(delta)
 }
 
@@ -372,12 +373,11 @@ func (ds *Dataset) insertLocked(t Triple) bool {
 }
 
 // publishLocked publishes the next epoch: it records what changed —
-// the predicates of delta and preds, or, with all, an unattributable
-// change — stores the new snapshot, and fires the commit hooks
-// (synchronously, still under ds.mu, so hooks observe every epoch in
-// order). Every epoch the dataset publishes goes through here. Caller
-// holds ds.mu.
-func (ds *Dataset) publishLocked(delta []Triple, preds []TermID, all bool) uint64 {
+// the predicates of delta, or, with all, an unattributable change —
+// stores the new snapshot, and fires the commit hooks (synchronously,
+// still under ds.mu, so hooks observe every epoch in order). Every
+// epoch the dataset publishes goes through here. Caller holds ds.mu.
+func (ds *Dataset) publishLocked(delta []Triple, all bool) {
 	epoch := ds.epoch.Add(1)
 	ds.modMu.Lock()
 	if ds.predLastMod == nil {
@@ -385,9 +385,6 @@ func (ds *Dataset) publishLocked(delta []Triple, preds []TermID, all bool) uint6
 	}
 	for _, t := range delta {
 		ds.predLastMod[t.P] = epoch
-	}
-	for _, p := range preds {
-		ds.predLastMod[p] = epoch
 	}
 	if all {
 		ds.wildcard = epoch
@@ -401,7 +398,6 @@ func (ds *Dataset) publishLocked(delta []Triple, preds []TermID, all bool) uint6
 			h(wd)
 		}
 	}
-	return epoch
 }
 
 // Snapshot returns the most recently published immutable snapshot. For
@@ -415,13 +411,22 @@ func (ds *Dataset) Snapshot() *Snapshot {
 	return &Snapshot{dict: ds.Dict, triples: ds.Triples[:len(ds.Triples):len(ds.Triples)], epoch: ds.epoch.Load()}
 }
 
-// OnCommit registers a hook fired for every epoch the dataset
-// publishes — writes, epoch-only bumps and Dedup — in epoch order,
-// with the dataset's writer lock held (hooks must not call back into
-// mutation methods). The returned function unregisters the hook.
-func (ds *Dataset) OnCommit(h func(WriteDelta)) func() {
+// Subscribe attaches a consumer to the dataset's commits with no gap
+// between the state it starts from and the first epoch it is told
+// about. Holding the writer lock, it calls build with the current
+// snapshot — for build's duration Triples holds exactly that
+// snapshot's triples — and registers the hook build returns, which
+// then fires for every later epoch the dataset publishes (writes and
+// Dedup), in epoch order, with the writer lock held. Neither build nor
+// the hook may call a mutation method. A nil hook registers nothing.
+// The returned function unregisters the hook.
+func (ds *Dataset) Subscribe(build func(*Snapshot) func(WriteDelta)) (unsubscribe func()) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
+	h := build(ds.Snapshot())
+	if h == nil {
+		return func() {}
+	}
 	if ds.hooks == nil {
 		ds.hooks = make(map[int]func(WriteDelta))
 	}
@@ -439,19 +444,6 @@ func (ds *Dataset) OnCommit(h func(WriteDelta)) func() {
 // the same value bracket a span with no committed mutations, so
 // statistics or plans derived in between are still valid.
 func (ds *Dataset) Epoch() uint64 { return ds.epoch.Load() }
-
-// BumpEpochPreds advances the epoch without changing the triples,
-// attributed to the given predicates, so cached artifacts over
-// disjoint predicate sets survive — the invalidation hook for
-// consumers whose artifacts depend on more than the triple set (plans
-// costed under a data placement that a migration just changed). The
-// commit hooks see the bump as a WriteDelta with no Triples. Safe to
-// call concurrently with readers.
-func (ds *Dataset) BumpEpochPreds(preds ...TermID) uint64 {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return ds.publishLocked(nil, preds, false)
-}
 
 // ChangedBetween summarizes what changed in the epoch span (from, to].
 // A consumer holding an artifact collected at epoch `from` calls this
@@ -510,7 +502,7 @@ func (ds *Dataset) Dedup() {
 			ds.index[t] = struct{}{}
 		}
 	}
-	ds.publishLocked(nil, nil, true)
+	ds.publishLocked(nil, true)
 }
 
 // String renders a triple using the dataset's dictionary, for debugging.

@@ -371,7 +371,7 @@ func TestAddBatchDelta(t *testing.T) {
 	ds := NewDataset()
 	a := ds.Add("a", "p", "b")
 	var got []WriteDelta
-	off := ds.OnCommit(func(wd WriteDelta) { got = append(got, wd) })
+	off := subscribe(ds, func(wd WriteDelta) { got = append(got, wd) })
 	c := Triple{ds.Dict.Intern("c"), ds.Dict.Intern("q"), ds.Dict.Intern("d")}
 	e := Triple{ds.Dict.Intern("e"), ds.Dict.Intern("q"), ds.Dict.Intern("f")}
 	if n := ds.AddBatch([]Triple{a, c, e, c}); n != 2 {
@@ -423,7 +423,7 @@ func TestSnapshotsAreSets(t *testing.T) {
 			return Triple{ds.Dict.Intern(term()), ds.Dict.Intern(term()), ds.Dict.Intern(term())}
 		}
 		before := ds.Snapshot()
-		ds.OnCommit(func(wd WriteDelta) {
+		subscribe(ds, func(wd WriteDelta) {
 			if !isSet(wd.Snap.Triples()) {
 				t.Fatalf("trial %d: a commit published a duplicate triple", trial)
 			}
@@ -513,25 +513,36 @@ func TestChangedBetween(t *testing.T) {
 	if cs := ds.ChangedBetween(1, 3); !cs.All {
 		t.Fatalf("span across Dedup = %+v, want All", cs)
 	}
-	// A predicate-attributed bump does not.
-	ds.BumpEpochPreds(p) // epoch 4
+	// A write after it is attributed again.
+	ds.Add("e", "p", "f") // epoch 4
 	cs = ds.ChangedBetween(3, 4)
 	if cs.All {
-		t.Fatalf("span across BumpEpochPreds = %+v, want attributed", cs)
+		t.Fatalf("span after Dedup = %+v, want attributed", cs)
 	}
 	if _, ok := cs.Preds[p]; !ok {
 		t.Fatalf("span (3,4] missed predicate p: %+v", cs)
 	}
 }
 
-// TestOnCommitSeesEveryEpoch: every epoch the dataset publishes — a
-// batch, an epoch-only bump, a Dedup — reaches the commit hooks once,
-// in epoch order, carrying the snapshot Snapshot() returns right after.
-func TestOnCommitSeesEveryEpoch(t *testing.T) {
+// subscribe registers h for every later commit of ds.
+func subscribe(ds *Dataset, h func(WriteDelta)) func() {
+	return ds.Subscribe(func(*Snapshot) func(WriteDelta) { return h })
+}
+
+// TestSubscribeSeesEveryEpoch: build sees the snapshot Snapshot()
+// returns at that moment, and every epoch the dataset publishes after
+// it — a batch, a Dedup, an Add — reaches the hook once, in epoch
+// order, carrying the snapshot Snapshot() returns right after.
+func TestSubscribeSeesEveryEpoch(t *testing.T) {
 	ds := NewDataset()
 	ds.Add("a", "p", "b") // before the hook: epoch 1
 	var got []WriteDelta
-	ds.OnCommit(func(wd WriteDelta) { got = append(got, wd) })
+	ds.Subscribe(func(snap *Snapshot) func(WriteDelta) {
+		if snap != ds.Snapshot() || snap.Epoch() != 1 || snap.Len() != len(ds.Triples) {
+			t.Errorf("build saw epoch %d with %d triples, want the current snapshot", snap.Epoch(), snap.Len())
+		}
+		return func(wd WriteDelta) { got = append(got, wd) }
+	})
 	p := ds.Dict.Intern("p")
 	batch := []Triple{{ds.Dict.Intern("c"), p, ds.Dict.Intern("d")}, {ds.Dict.Intern("e"), p, ds.Dict.Intern("f")}}
 	steps := []struct {
@@ -540,7 +551,6 @@ func TestOnCommitSeesEveryEpoch(t *testing.T) {
 		triples int
 	}{
 		{"AddBatch", func() { ds.AddBatch(batch) }, 2},
-		{"BumpEpochPreds", func() { ds.BumpEpochPreds(p) }, 0},
 		{"Dedup", ds.Dedup, 0},
 		{"Add", func() { ds.Add("g", "p", "h") }, 1},
 	}
@@ -559,5 +569,11 @@ func TestOnCommitSeesEveryEpoch(t *testing.T) {
 		if wd.Snap != ds.Snapshot() || wd.Snap.Epoch() != wd.Epoch {
 			t.Errorf("%s: the delta's snapshot is not the one Snapshot() returns after it", st.name)
 		}
+	}
+	// A nil hook registers nothing.
+	ds.Subscribe(func(*Snapshot) func(WriteDelta) { return nil })
+	ds.Add("i", "p", "j")
+	if len(got) != len(steps)+1 {
+		t.Errorf("the hook fired %d times, want %d", len(got), len(steps)+1)
 	}
 }

@@ -59,8 +59,7 @@ func (t *Tracker) fold(tr rdf.Triple) {
 // Apply folds one committed write delta and advances the tracker to
 // its epoch. Deltas must be applied in commit order and hold only the
 // triples the commit inserted (WriteDelta.Triples). A nil/empty delta
-// just advances the epoch — the hook for epoch-only bumps (placement
-// migrations) that change no triples.
+// (a Dedup's) just advances the epoch.
 func (t *Tracker) Apply(delta []rdf.Triple, epoch uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -94,9 +93,9 @@ func (t *Tracker) Total() int64 {
 // is not (a query that pinned the engine's snapshot between the commit
 // hook's two applies, or the tracker already ahead of an older pinned
 // snapshot), every pattern with known constants is scanned, so the
-// statistics always describe the pinned snapshot. Epoch-only bumps
-// reach the tracker through the same hook, so they never leave it
-// behind.
+// statistics always describe the pinned snapshot. Every epoch the
+// dataset publishes reaches the tracker through the same hook, so none
+// leaves it behind.
 func CollectTracked(t *Tracker, snap *rdf.Snapshot, q *sparql.Query) (*Stats, error) {
 	if t == nil {
 		return CollectSnapshot(snap, q)

@@ -150,6 +150,17 @@ func TestCollectTrackedShapes(t *testing.T) {
 	checkShapes(t, "random", r, stats.NewTracker(snap), snap, true)
 }
 
+// followed returns a tracker seeded from ds's current snapshot and kept
+// current by applying every later commit of ds.
+func followed(ds *rdf.Dataset) *stats.Tracker {
+	var trk *stats.Tracker
+	ds.Subscribe(func(snap *rdf.Snapshot) func(rdf.WriteDelta) {
+		trk = stats.NewTracker(snap)
+		return func(wd rdf.WriteDelta) { trk.Apply(wd.Triples, wd.Epoch) }
+	})
+	return trk
+}
+
 // TestCollectTrackedAfterIngest: a tracker kept current by Apply from
 // the commit hook, across 50 batches that add new terms and re-add
 // triples already present, answers every shape as the scan does.
@@ -157,8 +168,7 @@ func TestCollectTrackedAfterIngest(t *testing.T) {
 	r := rand.New(rand.NewSource(28))
 	ds := rdf.NewDataset()
 	ds.AddBatch(randomTriples(r, ds.Dict, 40, 12))
-	trk := stats.NewTracker(ds.Snapshot())
-	defer ds.OnCommit(func(wd rdf.WriteDelta) { trk.Apply(wd.Triples, wd.Epoch) })()
+	trk := followed(ds)
 	for batch := 0; batch < 50; batch++ {
 		add := randomTriples(r, ds.Dict, 8, 12+batch)
 		present := ds.Snapshot().Triples()
@@ -186,8 +196,7 @@ func TestCollectTrackedConcurrentIngest(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	ds := rdf.NewDataset()
 	ds.AddBatch(randomTriples(r, ds.Dict, 40, 12))
-	trk := stats.NewTracker(ds.Snapshot())
-	defer ds.OnCommit(func(wd rdf.WriteDelta) { trk.Apply(wd.Triples, wd.Epoch) })()
+	trk := followed(ds)
 	batches := make([][]rdf.Triple, 200)
 	for i := range batches {
 		batches[i] = randomTriples(r, ds.Dict, 4, 12+i/4)
@@ -244,7 +253,9 @@ func TestCollectTrackedFallsBack(t *testing.T) {
 	old := ds.Snapshot()
 	trk := stats.NewTracker(old)
 	var delta rdf.WriteDelta
-	off := ds.OnCommit(func(wd rdf.WriteDelta) { delta = wd })
+	off := ds.Subscribe(func(*rdf.Snapshot) func(rdf.WriteDelta) {
+		return func(wd rdf.WriteDelta) { delta = wd }
+	})
 	ds.AddBatch(randomTriples(r, ds.Dict, 30, 16))
 	off()
 	snap := ds.Snapshot()

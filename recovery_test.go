@@ -190,12 +190,14 @@ func TestAdaptiveMemoryBudgetIsolation(t *testing.T) {
 	if err := hold.Reserve("test-hold", 64<<20-1024); err != nil {
 		t.Fatal(err)
 	}
-	sys.runRound([]int{dead})
+	sys.recovery.trigger(&UnavailableError{Nodes: []int{dead}})
+	sys.WaitForMigrations()
 	if applied, failed := recoveryRounds(sys); applied != 0 || failed != 1 {
 		t.Fatalf("starved round: %d applied, %d failed; want 0 and 1", applied, failed)
 	}
 	hold.Reset()
-	sys.runRound([]int{dead})
+	sys.recovery.trigger(&UnavailableError{Nodes: []int{dead}})
+	sys.WaitForMigrations()
 	if applied, failed := recoveryRounds(sys); applied != 1 || failed != 1 {
 		t.Fatalf("after release: %d applied, %d failed; want 1 and 1", applied, failed)
 	}
@@ -251,7 +253,8 @@ func TestMigrationAccountsEngineCopies(t *testing.T) {
 			stranded++
 		}
 	}
-	sys.runRound([]int{dead})
+	sys.recovery.trigger(&UnavailableError{Nodes: []int{dead}})
+	sys.WaitForMigrations()
 	if applied, failed := recoveryRounds(sys); applied != 1 || failed != 0 {
 		t.Fatalf("%d rounds applied, %d failed; want 1 and 0", applied, failed)
 	}
@@ -274,6 +277,54 @@ func TestMigrationAccountsEngineCopies(t *testing.T) {
 	}
 	if got, want := sys.ReplicationFactor(), float64(view.Copies())/float64(ds.Len()); got != want {
 		t.Errorf("replication factor %v, the view stores %v", got, want)
+	}
+}
+
+// TestRecoveryKeepsCachedPlans: a recovery round changes which nodes
+// hold copies, not the triples, so it keeps every cached plan. A warm
+// shape whose predicate a dead node strands fails as unavailable,
+// triggers the round, and is then served from the cache — with the
+// node healthy and with it dead — with rows equal to the reference.
+func TestRecoveryKeepsCachedPlans(t *testing.T) {
+	ds := failoverDataset()
+	sys, err := Open(ds, WithNodes(4), WithPlanCache(8), failoverBreakerOff, WithObservability())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const src = `SELECT * WHERE { ?x <http://knows> ?y . }`
+	ctx := context.Background()
+	if _, err := sys.Run(ctx, src); err != nil {
+		t.Fatal(err)
+	}
+	dead := -1
+	for node := 0; node < 4 && dead < 0; node++ {
+		if _, err := sys.Run(ctx, src, WithFaultInjection(killNode(node))); errors.Is(err, ErrUnavailable) {
+			dead = node
+		}
+	}
+	if dead < 0 {
+		t.Fatal("no dead node stranded a <knows> triple")
+	}
+	sys.WaitForMigrations()
+	if applied, failed := recoveryRounds(sys); applied != 1 || failed != 0 {
+		t.Fatalf("%d recovery rounds applied, %d failed; want 1 and 0", applied, failed)
+	}
+	want, err := Reference(ds, mustParse(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, faults := range []*FaultSet{nil, killNode(dead)} {
+		res, err := sys.Run(ctx, src, WithFaultInjection(faults))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.CacheInfo.Hit {
+			t.Errorf("node %d dead: %v; the run after the round missed the plan cache", dead, faults != nil)
+		}
+		sameRows(t, fmt.Sprintf("node %d dead: %v", dead, faults != nil), res, want)
+	}
+	if c := sys.CacheStats(); c.Invalidations != 0 || c.Misses != 1 {
+		t.Errorf("cache counters %+v, want one miss and no invalidation", c)
 	}
 }
 

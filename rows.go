@@ -224,7 +224,7 @@ func (f *finalizer) finish(res *ExecResult, err error) {
 	}
 	// Sustained node failure (an open breaker or a typed unavailable
 	// failure) triggers recovery.
-	f.s.startRecovery(err)
+	f.s.recovery.trigger(err)
 	if f.release != nil {
 		f.release()
 	}

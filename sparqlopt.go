@@ -39,11 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sparqlopt/internal/cost"
@@ -316,13 +312,7 @@ type System struct {
 	budget  *resilience.Budget      // nil = memory budgets disabled
 	resInst *resilience.Instruments // nil when observability is disabled
 
-	health    *health.Tracker // nil = node failover disabled
-	migMu     sync.Mutex      // serializes recovery rounds
-	migWG     sync.WaitGroup  // tracks in-flight background recovery rounds
-	recFlight atomic.Bool     // collapses concurrent recovery triggers into one round
-	// recRounds and recFailed count applied and failed recovery rounds;
-	// nil when observability is disabled.
-	recRounds, recFailed *obs.Counter
+	recovery *recovery // nil = node failover disabled
 
 	tracker *stats.Tracker // incremental per-predicate statistics
 	unhook  func()         // unregisters the dataset commit hook
@@ -488,57 +478,42 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 	}
 	params := cost.Default
 	params.Nodes = cfg.nodes
-	placement, err := cfg.method.Partition(ds, cfg.nodes)
+	s := &System{
+		ds:     ds,
+		method: cfg.method,
+		params: params,
+		cache:  plancache.New(cfg.planCache),
+		budget: resilience.NewBudget(cfg.memPerQuery, cfg.memTotal),
+	}
+	// The placement, the engine and the statistics come from one
+	// snapshot under the dataset's writer lock, which registers the
+	// commit hook before it is released: no write falls between the
+	// placement and the first delta, and every later epoch is folded
+	// into the serving snapshot under that lock, in epoch order.
+	var err error
+	s.unhook = ds.Subscribe(func(snap *rdf.Snapshot) func(rdf.WriteDelta) {
+		var placement *partition.Placement
+		if placement, err = cfg.method.Partition(ds, cfg.nodes); err != nil {
+			return nil
+		}
+		// The engine's snapshot is the one record of the placement from
+		// here on: the method's unsorted fragments are not kept.
+		s.engine = engine.New(ds.Dict, placement)
+		s.engine.SetData(snap)
+		s.tracker = stats.NewTracker(snap)
+		return s.applyWrite
+	})
 	if err != nil {
 		return nil, err
-	}
-	// The engine's snapshot is the one record of the placement from here
-	// on: the method's unsorted fragments are not kept.
-	eng := engine.New(ds.Dict, placement)
-	snap := ds.Snapshot()
-	eng.SetData(snap)
-	s := &System{
-		ds:      ds,
-		method:  cfg.method,
-		params:  params,
-		engine:  eng,
-		cache:   plancache.New(cfg.planCache),
-		budget:  resilience.NewBudget(cfg.memPerQuery, cfg.memTotal),
-		tracker: stats.NewTracker(snap),
 	}
 	if s.cache != nil {
 		s.cache.SetInvalidation(ds.Dict.Lookup, ds.ChangedBetween)
 	}
-	// Every epoch the dataset publishes — a write or an epoch-only bump —
-	// is folded into the serving snapshot (incremental statistics plus
-	// the engine's ingest delta) while the commit hook holds the
-	// dataset's writer lock, so applies happen in epoch order and
-	// readers only ever see fully-published snapshots.
-	s.unhook = ds.OnCommit(s.applyWrite)
 	if cfg.maxConcurrent > 0 {
 		s.adm = resilience.NewAdmission(cfg.maxConcurrent, cfg.maxQueued)
 	}
 	if cfg.failover != nil {
-		fc := cfg.failover
-		cfg.breaker.Now = fc.Clock
-		s.health = health.New(cfg.nodes, cfg.breaker)
-		attempts := fc.MaxAttempts
-		if attempts <= 0 {
-			attempts = 3
-		}
-		base := fc.RetryBase
-		if base <= 0 {
-			base = time.Millisecond
-		}
-		retryCap := fc.RetryCap
-		if retryCap <= 0 {
-			retryCap = 50 * time.Millisecond
-		}
-		eng.SetFailover(&engine.FailoverPolicy{
-			Health:      s.health,
-			MaxAttempts: attempts,
-			Backoff:     resilience.Backoff{Base: base, Cap: retryCap, Seed: 0x5eedfa11},
-		})
+		s.recovery = newRecovery(s.engine, s.budget, cfg.nodes, *cfg.failover, cfg.breaker)
 	}
 	if cfg.obs != nil {
 		r := obs.NewRegistry()
@@ -555,42 +530,14 @@ func Open(ds *Dataset, opts ...Option) (*System, error) {
 				func() float64 { return float64(log.Total()) })
 		}
 		s.optInst = opt.NewInstruments(r)
-		eng.SetInstruments(engine.NewInstruments(r))
+		s.engine.SetInstruments(engine.NewInstruments(r))
 		s.cache.RegisterMetrics(r)
 		s.resInst = resilience.NewInstruments(r)
 		s.resInst.ObserveAdmission(s.adm)
 		s.resInst.ObserveBudget(s.budget)
-		if s.health != nil {
-			s.recRounds = r.Counter("recovery_rounds_total", "Recovery rounds that re-replicated dead nodes' triples.")
-			s.recFailed = r.Counter("recovery_failed_rounds_total", "Recovery rounds that planned copies but failed to apply them.")
-			hv := s.health
-			for i := 0; i < cfg.nodes; i++ {
-				node := i
-				r.GaugeFunc("node_health",
-					"Per-node breaker state: 1 healthy, 0.5 half-open (probing), 0 open (dead).",
-					func() float64 {
-						switch hv.State(node) {
-						case health.Open:
-							return 0
-						case health.HalfOpen:
-							return 0.5
-						default:
-							return 1
-						}
-					}, obs.Label{Key: "node", Value: strconv.Itoa(node)})
-			}
-		}
+		s.recovery.register(r)
 	}
 	return s, nil
-}
-
-// NodeHealth reports each simulated node's breaker state (see
-// WithNodeFailover); nil when node failover is disabled.
-func (s *System) NodeHealth() []NodeStatus {
-	if s.health == nil {
-		return nil
-	}
-	return s.health.Status()
 }
 
 // Method returns the partitioning method in use.
@@ -785,131 +732,8 @@ func (s *System) admit(ctx context.Context) (func(), error) {
 	return release, nil
 }
 
-// startRecovery starts, in the background (tracked by migWG), the
-// recovery round a serving call triggered when nodes are down (see
-// deadNodes). Serving is never blocked; in-flight queries keep their
-// store snapshot.
-func (s *System) startRecovery(err error) {
-	dead := s.deadNodes(err)
-	if dead == nil {
-		return
-	}
-	s.migWG.Add(1)
-	go func() {
-		defer s.migWG.Done()
-		defer s.recFlight.Store(false)
-		s.runRound(dead)
-	}()
-}
-
-// migrationTripleBytes is the reservation estimate per triple a
-// recovery round writes while rebuilding a node's overlay: the triple
-// itself (3 TermIDs) in each of the store's four sorted permutations.
-const migrationTripleBytes = 48
-
-// runRound plans and applies one recovery round around the dead nodes.
-// Rounds are serialized; a failure (memory-budget trip, placement
-// mismatch, recovered panic) is isolated to the round and counted —
-// serving continues on the old placement (failover still covers
-// whatever replicas exist) and a later trigger retries.
-func (s *System) runRound(dead []int) {
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	var applied bool
-	var err error
-	func() {
-		defer resilience.CatchPanic(&err, nil)
-		applied, err = s.applyRoundLocked(func(v *partition.View) *partition.Migration {
-			return partition.PlanRecovery(v, dead)
-		})
-	}()
-	switch {
-	case err != nil:
-		s.recFailed.Inc()
-	case applied:
-		s.recRounds.Inc()
-	}
-}
-
-// applyRoundLocked runs one round: it plans from a view of the engine's
-// current snapshot and applies the migration to that same snapshot and
-// to the epoch machinery. Caller holds migMu; a nil migration is a
-// no-op, and applied reports whether there was one.
-func (s *System) applyRoundLocked(plan func(*partition.View) *partition.Migration) (applied bool, err error) {
-	snap := s.engine.Snapshot()
-	view := snap.View()
-	m := plan(view)
-	if m == nil {
-		return false, nil
-	}
-	// The overlay rebuilds — each touched node's previous overlay plus
-	// its adds — are charged against the shared memory budget exactly
-	// like query arenas, so a round can never OOM a serving node: if
-	// queries hold the memory, the round fails and is retried when a
-	// later query re-triggers it.
-	g := s.budget.NewGauge()
-	defer g.Reset()
-	var touched int64
-	for node, adds := range m.Adds {
-		if len(adds) > 0 {
-			touched += int64(len(view.Overlay[node]) + len(adds))
-		}
-	}
-	if err := g.Reserve("recovery", touched*migrationTripleBytes); err != nil {
-		return false, err
-	}
-	if err := s.engine.ApplyMigration(snap, m); err != nil {
-		return false, err
-	}
-	// Flip the epoch, attributed to the predicates of the added copies:
-	// cached plans whose shapes touch them re-optimize; shapes over other
-	// predicates keep their plans. The triple set did not change; the
-	// bump reaches the tracker and the engine through the commit hook, in
-	// epoch order with writes.
-	var preds []rdf.TermID
-	for _, adds := range m.Adds {
-		for _, t := range adds {
-			if !slices.Contains(preds, t.P) {
-				preds = append(preds, t.P)
-			}
-		}
-	}
-	s.ds.BumpEpochPreds(preds...)
-	return true, nil
-}
-
-// deadNodes is the recovery trigger: when node failover is enabled and
-// some node's breaker is open (sustained failure) — or the call just
-// failed with a typed UnavailableError naming dead nodes — it returns
-// those nodes, whose uncovered triples a recovery round re-replicates
-// onto healthy nodes. Concurrent triggers collapse into one in-flight
-// round: nil while one is pending.
-func (s *System) deadNodes(err error) []int {
-	if s.health == nil {
-		return nil
-	}
-	dead := s.health.Down()
-	var ue *UnavailableError
-	if errors.As(err, &ue) {
-		for _, n := range ue.Nodes {
-			if !slices.Contains(dead, n) {
-				dead = append(dead, n)
-			}
-		}
-	}
-	if len(dead) == 0 || !s.recFlight.CompareAndSwap(false, true) {
-		return nil
-	}
-	return dead
-}
-
-// WaitForMigrations blocks until every background recovery round
-// kicked off so far has finished — for tests and benchmarks that need
-// a quiesced system; serving never requires it.
-func (s *System) WaitForMigrations() { s.migWG.Wait() }
-
 // applyWrite is the dataset commit hook: it folds one published epoch
-// — a write's delta, or none for an epoch-only bump — into the engine
+// — a write's delta, or none for a Dedup — into the engine
 // and the incremental statistics tracker before the commit returns,
 // under the dataset's writer lock, so both follow the dataset's epochs
 // in order. Both applies are in-memory; a panic here is a bug and
