@@ -223,10 +223,11 @@ func TestIngestSnapshotIsolation(t *testing.T) {
 // TestIngestRacesMigration interleaves writes, cached reads and a
 // recovery round under -race: readers serve the object-object star with
 // a node dead, their unavailable failures trigger the round that
-// re-replicates the node's stranded triples, and a writer keeps growing
-// exactly those predicates. After quiescing, results with the node
-// healthy and dead must match the single-node reference over the final
-// dataset.
+// re-replicates the node's stranded triples, and a writer grows exactly
+// those predicates, one pair of triples before each query, until the
+// readers finish; some of its writes must land while the round is
+// pending. After quiescing, results with the node healthy and dead
+// must match the single-node reference over the final dataset.
 func TestIngestRacesMigration(t *testing.T) {
 	ds := migDataset()
 	sys, err := Open(ds,
@@ -245,23 +246,36 @@ func TestIngestRacesMigration(t *testing.T) {
 		t.Fatal("no node holds an unreplicated triple")
 	}
 
-	var readers, writer sync.WaitGroup
-	errc := make(chan error, 4)
-	var stop atomic.Bool
-	writer.Add(1)
+	const readerCount, queries = 3, 30
+	var readers sync.WaitGroup
+	errc := make(chan error, readerCount)
+	// The writer commits one pair of triples before each reader query,
+	// so the data grows with the reads, not with the writer's speed.
+	ticks := make(chan chan struct{})
+	pending := 0 // pairs committed before the recovery round applied
+	written := make(chan struct{})
 	go func() { // writer: grows the hot predicates and noise
-		defer writer.Done()
-		for i := 0; !stop.Load(); i++ {
+		defer close(written)
+		i := 0
+		for committed := range ticks {
 			ds.Add(fmt.Sprintf("http://mig/ws%d", i), "http://mig/p1", fmt.Sprintf("http://mig/o%d", i%7))
 			ds.Add(fmt.Sprintf("http://mig/ws%d", i), "http://mig/noise", fmt.Sprintf("\"%d\"", i))
+			if applied, _ := recoveryRounds(sys); applied == 0 {
+				pending++
+			}
+			close(committed)
+			i++
 		}
 	}()
-	for r := 0; r < 3; r++ {
+	for r := 0; r < readerCount; r++ {
 		readers.Add(1)
 		go func() { // readers: the node's stranded triples trigger recovery
 			defer readers.Done()
 			faults := killNode(dead)
-			for i := 0; i < 30; i++ {
+			for i := 0; i < queries; i++ {
+				committed := make(chan struct{})
+				ticks <- committed
+				<-committed
 				if _, err := sys.Run(ctx, migHot, WithFaultInjection(faults)); err != nil && !errors.Is(err, ErrUnavailable) {
 					errc <- err
 					return
@@ -270,11 +284,14 @@ func TestIngestRacesMigration(t *testing.T) {
 		}()
 	}
 	readers.Wait()
-	stop.Store(true)
-	writer.Wait()
+	close(ticks)
+	<-written
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
+	}
+	if pending == 0 {
+		t.Fatal("no write landed while the recovery round was pending")
 	}
 
 	sys.WaitForMigrations()

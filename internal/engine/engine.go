@@ -57,7 +57,10 @@ type CacheInfo struct {
 	Epoch uint64
 }
 
-// Result is the outcome of a query execution.
+// Result is the outcome of a query execution. On a streamed execution
+// (ExecuteStream) Metrics, Trace, FlatRowCount and Returned are complete
+// only once the stream has ended (Stream.Finish): the root operator runs
+// as the stream is read.
 type Result struct {
 	// Vars names the output columns.
 	Vars []string
@@ -102,7 +105,8 @@ type Result struct {
 // output, before the stream's deduplication and projection: the rows
 // the nodes emitted, each answer once from its home node where the
 // placement names one (see ExecuteStream); the gap between it and
-// RowCount is what deduplication and projection removed.
+// RowCount is what deduplication and projection removed. On a stream
+// it counts the nodes whose root step ran, final once the stream ended.
 func (r *Result) FlatRowCount() int64 { return r.flatRows }
 
 // RowCount returns the number of distinct result rows the call
@@ -122,16 +126,6 @@ func (r *Result) ShuffledRows() int64 { return r.Metrics.TransferredRows }
 
 // ShuffledBytes returns the wire volume of ShuffledRows.
 func (r *Result) ShuffledBytes() int64 { return r.Metrics.TransferredBytes }
-
-// EnumeratedJoins is the number of join operators this run's own
-// optimization enumerated — 0 on a plan-cache hit (no enumeration
-// happened), the optimizer's CMD counter otherwise.
-func (r *Result) EnumeratedJoins() int64 {
-	if r.Opt == nil || r.CacheInfo.Hit {
-		return 0
-	}
-	return r.Opt.Counter.CMDs
-}
 
 // String summarizes the execution on one line.
 func (r *Result) String() string {
@@ -506,14 +500,14 @@ func (e *Engine) opGate(ctx context.Context, p *plan.Node, env ExecEnv) error {
 	return nil
 }
 
-// eval executes p and returns one relation per node (the distributed
-// intermediate result of paper §II-D) plus the operator's trace. lazy
-// lets a Scan child of a local or broadcast join leave its reads to the
-// parent's join: the open leaf is returned with them, the relations of
-// the nodes not read yet are nil, and the parent settles the leaf's
-// accounting when its join is done (see scanLeaf). A non-nil root makes
-// p the plan's root, which the stream reads (see rootOut).
-func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, lazy bool, root *rootOut) ([]*Relation, *scanLeaf, *TraceNode, error) {
+// eval executes p below the plan's root and returns one relation per
+// node (the distributed intermediate result of paper §II-D) plus the
+// operator's trace. lazy lets a Scan child of a local or broadcast join
+// leave its reads to the parent's join: the open leaf is returned with
+// them, the relations of the nodes not read yet are nil, and the parent
+// settles the leaf's accounting when its join is done (see scanLeaf).
+// The root itself is opened by openRoot.
+func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, lazy bool) ([]*Relation, *scanLeaf, *TraceNode, error) {
 	if err := e.opGate(ctx, p, env); err != nil {
 		return nil, nil, nil, err
 	}
@@ -524,19 +518,16 @@ func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 	start := time.Now()
 	switch p.Alg {
 	case plan.Scan:
-		if leaf, err = e.scan(ctx, p, q, env, tr, lazy, root != nil); err == nil {
+		if leaf, err = e.scan(ctx, p, q, env, tr, lazy, false); err == nil {
 			out = leaf.rels
 			tr.recordSizes(leaf.size)
-			if root != nil {
-				root.scanned(&leaf.bp, env.Snap.home != nil)
-			}
 			if !lazy {
 				leaf.settle()
 				leaf = nil
 			}
 		}
 	case plan.LocalJoin, plan.BroadcastJoin, plan.RepartitionJoin:
-		if out, err = e.joinOp(ctx, p, q, env, tr, &start, root); err == nil {
+		if out, err = e.joinOp(ctx, p, q, env, tr, &start); err == nil {
 			tr.record(out)
 		}
 	default:
@@ -550,6 +541,128 @@ func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 		e.inst.recordOp(p.Alg, tr.Elapsed, tr.OutputRows)
 	}
 	return out, leaf, tr, nil
+}
+
+// rootOp is the plan's root operator opened for the stream: everything
+// below it has run — children, data movement, every node's gate and
+// sizing, the failover reads of down nodes — and node's share of the
+// root's own work waits for the stream to reach the node (see
+// flatEnum). tr is complete once settle has run: its Elapsed is the
+// open's own time plus the time the stream spent on node steps, its row
+// counts those of the steps that ran.
+type rootOp struct {
+	inst *Instruments
+	tr   *TraceNode
+	work nodeWork
+	// vars are the variables of every node's output.
+	vars []string
+	// busy[node] reports whether the node's step has rows to handle, as
+	// the sizes known at open tell: a root scan's read, every input of a
+	// root join.
+	busy []bool
+}
+
+// nodeWork is an operator's per-node step: a root scan's fragment read
+// (scanLeaf) or a root join's trie join (openedJoin). settle closes the
+// operator's accounting once no step will run any more. Steps of
+// different nodes may run at once.
+type nodeWork interface {
+	step(ctx context.Context, node int) (*Relation, error)
+	settle()
+}
+
+// openRoot opens p as the plan's root, which the stream reads (see
+// rootOut): it evaluates p's children and moves their rows as eval
+// would, and gates, sizes and fails over p's own nodes, but performs no
+// node's step.
+func (e *Engine) openRoot(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, root *rootOut) (*rootOp, error) {
+	if err := e.opGate(ctx, p, env); err != nil {
+		return nil, err
+	}
+	op := &rootOp{inst: e.inst, tr: newTrace(p), busy: make([]bool, len(env.Snap.stores))}
+	start := time.Now()
+	switch p.Alg {
+	case plan.Scan:
+		leaf, err := e.scan(ctx, p, q, env, op.tr, true, true)
+		if err != nil {
+			return nil, err
+		}
+		root.scanned(&leaf.bp, env.Snap.home != nil)
+		op.work, op.vars = leaf, leaf.bp.vars
+		for node, size := range leaf.size {
+			op.busy[node] = size > 0
+		}
+	case plan.LocalJoin, plan.BroadcastJoin, plan.RepartitionJoin:
+		j, err := e.openJoin(ctx, p, q, env, op.tr, &start, root)
+		if err != nil {
+			return nil, err
+		}
+		op.work, op.vars = j, j.join.vars()
+		for node := range op.busy {
+			if op.busy[node] = j.rowsOn(node) > 0; op.busy[node] {
+				op.tr.BusyNodes++
+			}
+		}
+	default:
+		return nil, fmt.Errorf("engine: unknown operator %v", p.Alg)
+	}
+	op.tr.Elapsed = time.Since(start)
+	return op, nil
+}
+
+// run performs node's step now, timing it and counting its rows into
+// the root's trace.
+func (r *rootOp) run(ctx context.Context, node int) (*Relation, error) {
+	start := time.Now()
+	rel, err := r.work.step(ctx, node)
+	return r.record(rel, err, start)
+}
+
+// aheadStep is a root step running on a goroutine of its own.
+type aheadStep struct {
+	node int
+	rel  *Relation
+	err  error
+	done chan struct{}
+}
+
+// start performs node's step on a goroutine of its own. A panic in it
+// is recovered into a typed *resilience.PanicError, as in fanOut.
+func (r *rootOp) start(ctx context.Context, node int) *aheadStep {
+	a := &aheadStep{node: node, done: make(chan struct{})}
+	go func() {
+		defer close(a.done)
+		defer resilience.CatchPanic(&a.err, r.inst.panicRecovered)
+		a.rel, a.err = r.work.step(ctx, node)
+	}()
+	return a
+}
+
+// wait returns the step start began, timing the wait for it and
+// counting its rows into the root's trace.
+func (r *rootOp) wait(a *aheadStep) (*Relation, error) {
+	start := time.Now()
+	<-a.done
+	return r.record(a.rel, a.err, start)
+}
+
+func (r *rootOp) record(rel *Relation, err error, since time.Time) (*Relation, error) {
+	r.tr.Elapsed += time.Since(since)
+	if err != nil {
+		return nil, err
+	}
+	r.tr.recordNode(len(rel.Rows))
+	return rel, nil
+}
+
+// nextBusy returns the first busy node after node, -1 when none is.
+func (r *rootOp) nextBusy(node int) int {
+	for next := node + 1; next < len(r.busy); next++ {
+		if r.busy[next] {
+			return next
+		}
+	}
+	return -1
 }
 
 // fanOut runs f once for every one of n simulated computing nodes and
@@ -609,7 +722,7 @@ func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query
 	children := make([][]*Relation, n)
 	leaves := make([]*scanLeaf, n)
 	for i, c := range p.Children {
-		rels, leaf, ctr, err := e.eval(ctx, c, q, env, lazy, nil)
+		rels, leaf, ctr, err := e.eval(ctx, c, q, env, lazy)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -769,14 +882,45 @@ type opInputs struct {
 	sizes  []int64
 }
 
-// joinOp runs one k-way join operator: per-node inputs from joinInputs,
-// then a trie join on every node (sortedJoin), materializing each node's
-// result as a flat row arena. A local join intersects its inputs on
-// every variable two of them share (joinOrder); a broadcast or
-// repartition join on its one join variable. The root join emits only
-// the projected columns, and a root local join with an anchor keeps each
-// match on its anchor's home (see Snap.joinHome).
-func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, start *time.Time, root *rootOut) ([]*Relation, error) {
+// joinOp runs one k-way join operator below the root: openJoin, then a
+// trie join on every node, each materializing the node's result as a
+// flat row arena.
+func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, start *time.Time) ([]*Relation, error) {
+	j, err := e.openJoin(ctx, p, q, env, tr, start, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Relation, len(j.in.rels))
+	// A node where some input is empty joins nothing.
+	busy := func(node int) bool { return j.rowsOn(node) > 0 }
+	tr.BusyNodes, err = e.fanOut(len(out), busy, func(node int) (err error) {
+		out[node], err = j.step(ctx, node)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	j.settle()
+	return out, nil
+}
+
+// openedJoin is a join operator whose per-node inputs are in place: its
+// step joins one node's (see nodeWork).
+type openedJoin struct {
+	join *sortedJoin
+	in   opInputs
+	env  ExecEnv
+	site string
+}
+
+// openJoin evaluates p's children and moves their rows (joinInputs) and
+// plans the trie join (sortedJoin) that every node runs. A local join
+// intersects its inputs on every variable two of them share
+// (joinOrder); a broadcast or repartition join on its one join
+// variable. A non-nil root makes p the plan's root: the join emits only
+// the projected columns, and a root local join with an anchor keeps
+// each match on its anchor's home (see Snap.joinHome).
+func (e *Engine) openJoin(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, start *time.Time, root *rootOut) (*openedJoin, error) {
 	in, err := e.joinInputs(ctx, p, q, env, tr, start)
 	if err != nil {
 		return nil, err
@@ -804,30 +948,27 @@ func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env 
 			}
 		}
 	}
-	site := opName(p.Alg)
-	out := make([]*Relation, len(env.Snap.stores))
-	// A node where some input is empty joins nothing.
-	busy := func(node int) bool { return join.rowsOn(node, in.rels[node]) > 0 }
-	tr.Nodes = len(out)
-	tr.BusyNodes, err = e.fanOut(len(out), busy, func(node int) error {
-		env.Faults.PanicIf(faultinject.EnginePanic)
-		r, err := join.join(ctx, env.Gauge, site, node, in.rels[node])
-		if err != nil {
-			return err
-		}
-		out[node] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The join was the last reader of the leaves it was handed.
-	for _, l := range in.leaves {
+	tr.Nodes = len(in.rels)
+	return &openedJoin{join: join, in: in, env: env, site: opName(p.Alg)}, nil
+}
+
+// rowsOn returns the fewest rows any input holds on node.
+func (j *openedJoin) rowsOn(node int) int { return j.join.rowsOn(node, j.in.rels[node]) }
+
+// step joins node's inputs.
+func (j *openedJoin) step(ctx context.Context, node int) (*Relation, error) {
+	j.env.Faults.PanicIf(faultinject.EnginePanic)
+	return j.join.join(ctx, j.env.Gauge, j.site, node, j.in.rels[node])
+}
+
+// settle closes the accounting of the leaves the join was handed: it
+// was their last reader.
+func (j *openedJoin) settle() {
+	for _, l := range j.in.leaves {
 		if l != nil {
 			l.settle()
 		}
 	}
-	return out, nil
 }
 
 // scatter hashes one input's rows to their destination nodes. A first

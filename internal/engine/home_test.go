@@ -22,10 +22,10 @@ import (
 // random graph partitioned by every method, with 0–3 delta chunks (some
 // of their vertices in no base triple) and healthy or with any single
 // node dead, it evaluates root scans — variable and constant subjects —
-// and root local joins through eval. Wherever the stream would skip its
-// seen-set (dedupFree), the nodes' outputs must be pairwise disjoint
-// sets whose union is Reference; elsewhere their union must still be
-// Reference. The home rule must hold where it is claimed: every root
+// and root local joins through openRoot and every node's step. Wherever
+// the stream would skip its seen-set (dedupFree), the nodes' outputs
+// must be pairwise disjoint sets whose union is Reference; elsewhere
+// their union must still be Reference. The home rule must hold where it is claimed: every root
 // scan under a method with homes, and every anchored root local join
 // under hash-so and un-1hop, and under 2f and 2fb with no delta. Under
 // 2f and 2fb with a delta the rule is suspended: their local joins can
@@ -141,7 +141,11 @@ func TestDeterminismRootHome(t *testing.T) {
 						fo.markDead(dead, "scan")
 					}
 					root := &rootOut{vars: ref.Vars}
-					parts, _, _, err := eng.eval(ctx, p, q, ExecEnv{Snap: snap, fo: fo}, false, root)
+					op, err := eng.openRoot(ctx, p, q, ExecEnv{Snap: snap, fo: fo}, root)
+					var parts []*Relation
+					if err == nil {
+						parts, err = stepAll(ctx, op)
+					}
 					var ue *resilience.UnavailableError
 					if errors.As(err, &ue) {
 						continue // the dead node held a triple no other node has
@@ -193,4 +197,18 @@ func projectCols(row []rdf.TermID, cols []int) []rdf.TermID {
 		out[i] = row[c]
 	}
 	return out
+}
+
+// stepAll runs every node's root step in node order, as the stream
+// does, and returns the nodes' outputs.
+func stepAll(ctx context.Context, op *rootOp) ([]*Relation, error) {
+	parts := make([]*Relation, op.tr.Nodes)
+	for node := range parts {
+		var err error
+		if parts[node], err = op.run(ctx, node); err != nil {
+			return nil, err
+		}
+	}
+	op.work.settle()
+	return parts, nil
 }

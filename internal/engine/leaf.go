@@ -12,15 +12,16 @@ import (
 )
 
 // scanLeaf is one Scan operator's fragment reads, one per node. A scan
-// the engine needs in full — a root scan, a child of a repartition join,
-// any node's read that must fail over — reads
-// every fragment when it is opened. A Scan child of a local or
-// broadcast join is opened lazily instead: every node is gated and the
-// exact size of its read is taken from the candidate ranges' lengths,
-// but no row is copied until the parent's join on that node asks for
-// the relation (read) — and it never asks when the leaf's permutation
-// orders it on the join's variables: the join then intersects the
-// leaf's sorted ranges with its siblings' (merge; see sortedJoin).
+// the engine needs in full — a child of a repartition join, any node's
+// read that must fail over — reads every fragment when it is opened. A
+// Scan child of a local or broadcast join is opened lazily instead:
+// every node is gated and the exact size of its read is taken from the
+// candidate ranges' lengths, but no row is copied until the parent's
+// join on that node asks for the relation (read) — and it never asks
+// when the leaf's permutation orders it on the join's variables: the
+// join then intersects the leaf's sorted ranges with its siblings'
+// (merge; see sortedJoin). A root scan is opened lazily too, and the
+// stream reads one node at a time (step).
 type scanLeaf struct {
 	snap  *Snap
 	bp    boundPattern
@@ -30,7 +31,7 @@ type scanLeaf struct {
 	// Each node's join touches only its own element.
 	rels []*Relation
 	// size[node] is the row count of the node's read, known before it is
-	// performed.
+	// performed; a root scan's is a bound until the read.
 	size []int
 	// keep filters every read of a root scan (see nodeKeep).
 	keep nodeKeep
@@ -51,9 +52,10 @@ type scanLeaf struct {
 // every node. A root scan under a placement with homes emits each row
 // only on its subject's home, which holds every triple of that subject,
 // delta ones included; a constant subject's home is the only node that
-// reads. With lazy set, healthy nodes' reads are sized but left to the parent join
-// (see scanLeaf); a pattern that repeats a variable filters its
-// candidates, so its ranges are not its sizes and it is read at once.
+// reads. With lazy set, healthy nodes' reads are sized but left to the
+// parent join or, at the root, to the stream (see scanLeaf); a child
+// pattern that repeats a variable filters its candidates, so its ranges
+// are not its sizes and it is read at once.
 // Every node is gated and sized before any read starts; only the reads
 // whose range holds candidates (or that fail over) are spread over
 // goroutines (see fanOut), and the trace records how many those were.
@@ -77,7 +79,7 @@ func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 	case root && snap.home != nil:
 		l.keep = nodeKeep{col: bp.sVar, nodeOf: snap.home}
 	}
-	lazy = lazy && !bp.repeated
+	lazy = lazy && (root || !bp.repeated)
 	deltaLen := 0
 	if lazy {
 		for _, st := range snap.delta {
@@ -196,6 +198,14 @@ func (l *scanLeaf) read(node int) (*Relation, error) {
 		}
 	}
 	return l.rels[node], nil
+}
+
+// step performs node's read for the stream, which owns the relation
+// from then on: the leaf keeps no reference to it.
+func (l *scanLeaf) step(_ context.Context, node int) (*Relation, error) {
+	rel, err := l.read(node)
+	l.rels[node] = nil
+	return rel, err
 }
 
 // readAll performs every read still outstanding, for a parent that

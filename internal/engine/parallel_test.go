@@ -97,8 +97,8 @@ func TestDeterminismParallelExecution(t *testing.T) {
 		if got.Metrics != first.Metrics {
 			t.Errorf("%s: metrics diverge: %+v vs %+v", label, got.Metrics, first.Metrics)
 		}
-		if got.Trace.Operators() != first.Trace.Operators() {
-			t.Errorf("%s: trace shape diverges: %d vs %d operators", label, got.Trace.Operators(), first.Trace.Operators())
+		if traceOps(got.Trace) != traceOps(first.Trace) {
+			t.Errorf("%s: trace shape diverges: %d vs %d operators", label, traceOps(got.Trace), traceOps(first.Trace))
 		}
 	}
 }

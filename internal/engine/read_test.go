@@ -291,7 +291,7 @@ func TestDeterminismFragmentRead(t *testing.T) {
 
 			env := ExecEnv{Snap: snap, fo: fo}
 			p := plan.NewScan(0, 1, cost.Default)
-			out, _, tr, err := eng.eval(context.Background(), p, q, env, false, nil)
+			out, _, tr, err := eng.eval(context.Background(), p, q, env, false)
 			if wantMissing > 0 {
 				sawHole = true
 				var ue *resilience.UnavailableError
@@ -371,7 +371,7 @@ func TestDeterminismScanDeadSet(t *testing.T) {
 			faults.Arm(faultinject.NodeScan(0), 1)
 			faults.Arm(faultinject.NodeScan(2), 1)
 			env := ExecEnv{Snap: snap, Faults: faults, fo: &failoverState{}}
-			_, _, _, err := eng.eval(context.Background(), plan.NewScan(0, 1, cost.Default), q, env, lazy, nil)
+			_, _, _, err := eng.eval(context.Background(), plan.NewScan(0, 1, cost.Default), q, env, lazy)
 			var ue *resilience.UnavailableError
 			if !errors.As(err, &ue) {
 				t.Fatalf("run %d lazy=%v: err = %v, want *UnavailableError", run, lazy, err)
@@ -432,7 +432,7 @@ func TestDeterminismFragmentProbe(t *testing.T) {
 						fo.markDead(d, "scan")
 					}
 					env := ExecEnv{Snap: snap, fo: fo}
-					_, leaf, _, err := eng.eval(ctx, plan.NewScan(0, 1, cost.Default), q, env, true, nil)
+					_, leaf, _, err := eng.eval(ctx, plan.NewScan(0, 1, cost.Default), q, env, true)
 					hole := false
 					for node := 0; node < n; node++ {
 						if _, _, missing, _ := or.read(node, dead); missing > 0 {
@@ -668,7 +668,7 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 				vars := make([][]string, len(q.Patterns))
 				sizes := make([]int64, len(q.Patterns))
 				for i := range q.Patterns {
-					_, leaf, tr, err := eng.eval(ctx, plan.NewScan(i, 1, cost.Default), q, env, true, nil)
+					_, leaf, tr, err := eng.eval(ctx, plan.NewScan(i, 1, cost.Default), q, env, true)
 					if err != nil {
 						t.Fatalf("%s: tp%d: %v", id, i+1, err)
 					}
@@ -755,7 +755,7 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 					scans[i] = plan.NewScan(i, 1, cost.Default)
 				}
 				oenv := ExecEnv{Snap: snap, fo: markDead()}
-				out, _, tr, err := eng.eval(ctx, plan.NewJoin(plan.LocalJoin, "x", scans, 1, cost.Default), q, oenv, true, nil)
+				out, _, tr, err := eng.eval(ctx, plan.NewJoin(plan.LocalJoin, "x", scans, 1, cost.Default), q, oenv, true)
 				if err != nil {
 					t.Errorf("%s: operator: %v", id, err)
 					continue
@@ -855,7 +855,7 @@ func newFoldOracle(ctx context.Context, e *Engine, p *plan.Node, q *sparql.Query
 	postings := make([]int64, k)
 	var joined int64
 	for i, c := range p.Children {
-		rels, _, tr, err := e.eval(ctx, c, q, env, false, nil)
+		rels, _, tr, err := e.eval(ctx, c, q, env, false)
 		if err != nil {
 			return nil, err
 		}
@@ -902,7 +902,7 @@ func newFoldOracle(ctx context.Context, e *Engine, p *plan.Node, q *sparql.Query
 		if p.Children[o.largest].Alg == plan.Scan {
 			// Opened for its pattern only: the fold reads it in full.
 			var err error
-			if _, o.leaf, _, err = e.eval(ctx, p.Children[o.largest], q, env, true, nil); err != nil {
+			if _, o.leaf, _, err = e.eval(ctx, p.Children[o.largest], q, env, true); err != nil {
 				return nil, err
 			}
 		}
@@ -1019,7 +1019,7 @@ func TestDeterminismBroadcastMerge(t *testing.T) {
 						return fo
 					}
 					want, oerr := newFoldOracle(ctx, eng, c.plan, q, ExecEnv{Snap: snap, fo: markDead()})
-					out, _, tr, err := eng.eval(ctx, c.plan, q, ExecEnv{Snap: snap, fo: markDead()}, false, nil)
+					out, _, tr, err := eng.eval(ctx, c.plan, q, ExecEnv{Snap: snap, fo: markDead()}, false)
 					var ue *resilience.UnavailableError
 					if errors.As(oerr, &ue) {
 						if !errors.As(err, &ue) {

@@ -227,12 +227,14 @@ func BenchmarkBroadcastJoin(b *testing.B) {
 }
 
 // BenchmarkRootEmit times what result-heavy's root-bound kinds cost the
-// engine end to end — S2, J1, SP and F2, LUBM-10 under hash-so on ten
-// nodes, TD-Auto's plans — through ExecuteStream and a full drain of its
-// chunks, as a served query does. Their roots are a scan or a local
-// join, so each answer leaves once, from its home node, and the stream
-// keeps no seen-set; flat/op is the rows the home nodes emitted, rows/op
-// the distinct answers.
+// engine end to end — S2, J1, SP and F2, and L8 as a broadcast root,
+// LUBM-10 under hash-so on ten nodes, TD-Auto's plans — through
+// ExecuteStream and a full drain of its chunks, as a served query does.
+// first-ns/op is ExecuteStream plus the first NextChunk: what a
+// consumer waits for its first rows. S2's root is a scan and the
+// others' but L8's a local join, so each of their answers leaves once,
+// from its home node, and the stream keeps no seen-set; flat/op is the
+// rows the nodes emitted, rows/op the distinct answers.
 func BenchmarkRootEmit(b *testing.B) {
 	ds := lubm.Generate(lubm.Config{Universities: 10, Seed: 1})
 	placement, err := partition.HashSO{}.Partition(ds, 10)
@@ -242,26 +244,34 @@ func BenchmarkRootEmit(b *testing.B) {
 	e := New(ds.Dict, placement)
 	const prefixes = "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\nPREFIX ub: <" + lubm.UB + ">\n"
 	ctx := context.Background()
-	for _, kind := range []struct{ name, src string }{
-		{"S2", `SELECT ?x ?t WHERE { ?x rdf:type ?t . }`},
-		{"J1", `SELECT ?x ?c ?f WHERE { ?x ub:takesCourse ?c . ?f ub:teacherOf ?c . }`},
-		{"SP", `SELECT ?p ?a ?n WHERE { ?p ub:publicationAuthor ?a . ?p ub:name ?n . }`},
-		{"F2", `SELECT ?x WHERE { ?x ub:advisor ?f . ?p ub:publicationAuthor ?f . ?f ub:teacherOf ?c . }`},
+	for _, kind := range []struct {
+		name string
+		q    *sparql.Query
+	}{
+		{"S2", sparql.MustParse(prefixes + `SELECT ?x ?t WHERE { ?x rdf:type ?t . }`)},
+		{"J1", sparql.MustParse(prefixes + `SELECT ?x ?c ?f WHERE { ?x ub:takesCourse ?c . ?f ub:teacherOf ?c . }`)},
+		{"SP", sparql.MustParse(prefixes + `SELECT ?p ?a ?n WHERE { ?p ub:publicationAuthor ?a . ?p ub:name ?n . }`)},
+		{"F2", sparql.MustParse(prefixes + `SELECT ?x WHERE { ?x ub:advisor ?f . ?p ub:publicationAuthor ?f . ?f ub:teacherOf ?c . }`)},
+		{"L8", lubm.Query("L8")},
 	} {
-		q := sparql.MustParse(prefixes + kind.src)
-		p := optimizeFor(b, ds, q, partition.HashSO{}, opt.TDAuto).Plan
+		p := optimizeFor(b, ds, kind.q, partition.HashSO{}, opt.TDAuto).Plan
 		b.Run(kind.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var flat, rows int64
+			var first time.Duration
 			for i := 0; i < b.N; i++ {
-				st, err := e.ExecuteStream(ctx, p, q, ExecEnv{})
+				start := time.Now()
+				st, err := e.ExecuteStream(ctx, p, kind.q, ExecEnv{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				for {
+				for n := 0; ; n++ {
 					chunk, err := st.NextChunk(ctx)
 					if err != nil {
 						b.Fatal(err)
+					}
+					if n == 0 {
+						first += time.Since(start)
 					}
 					if chunk == nil {
 						break
@@ -269,6 +279,7 @@ func BenchmarkRootEmit(b *testing.B) {
 				}
 				flat, rows = st.Result().FlatRowCount(), st.Result().RowCount()
 			}
+			b.ReportMetric(float64(first.Nanoseconds())/float64(b.N), "first-ns/op")
 			b.ReportMetric(float64(flat), "flat/op")
 			b.ReportMetric(float64(rows), "rows/op")
 		})

@@ -1,9 +1,17 @@
 // Chunked result emission. ExecuteStream is the streaming twin of
 // ExecuteEnv: the plan evaluates exactly as before (same operators,
-// same shuffles, same metrics), but the final gather/dedup/projection
-// is demand-driven — the root's per-node row arenas are enumerated into
-// fixed-size row chunks as the consumer pulls, instead of materializing
-// one projected output arena.
+// same shuffles, same metrics), but the root operator runs node by node
+// as the consumer pulls. Everything below the root — children, data
+// movement, every node's gate and sizing, the failover reads of down
+// nodes — runs before ExecuteStream returns; the root's own per-node
+// step (a root scan's fragment read, a root join's trie join) runs in
+// NextChunk when the enumeration reaches that node, in node order, on
+// the consumer's goroutine, with at most one busy node's step started
+// ahead on a goroutine of its own (see flatEnum). A chunk holds one
+// node's rows, and the node's arena is released when the enumeration
+// moves on, so the first rows leave before the other nodes' root work
+// runs and the resident state of a stream is one chunk, the seen-set
+// and at most two nodes' root arenas.
 //
 // Each answer leaves once, from its home node, wherever the placement
 // can name one: a root scan emits a row only on its subject's home, a
@@ -43,43 +51,102 @@ import (
 // streamChunkRows is the most rows one chunk holds. Large enough to
 // amortize per-chunk overhead (gauge math, HTTP flushes), small enough
 // that a streamed query's resident output is a few tens of KB. The chunk
-// is allocated for the root's flat row count when that is smaller, so a
-// result of a few rows pays for a few rows.
+// grows to the largest node's output when that is smaller, so a result
+// of a few rows pays for a few rows.
 const streamChunkRows = 1024
 
 // dedupChargeStep batches seen-set gauge reservations so the hot loop
 // does not hit the shared budget atomics on every insert.
 const dedupChargeStep = 64 * 1024
 
-// flatEnum enumerates the projection of per-node flat relations, in
-// node order then row order — the deterministic gather order of the
-// materializing path. The returned slice is a scratch buffer valid only
-// until the next call; nil marks the end. Enumeration is pure —
-// cancellation polling and deduplication belong to the Stream driving
-// it.
+// flatEnum enumerates the projection of the root's per-node outputs,
+// in node order then row order — the deterministic gather order of the
+// materializing path. It obtains a node's output when it reaches the
+// node and releases the node's arena from the gauge when it leaves it.
+// The first busy node's step runs alone, so the first rows leave before
+// any other node's root work runs; from the second on, each busy node's
+// step runs while the next busy node's runs ahead on a goroutine of its
+// own, so the root's work keeps two cores busy and at most two root
+// arenas are resident. The returned slice is a scratch buffer valid
+// only until the next call; nil marks the end. Cancellation polling
+// and deduplication belong to the Stream driving it.
 type flatEnum struct {
-	parts   []*Relation
+	root    *rootOp
+	gauge   *resilience.Gauge
 	cols    []int
 	scratch []rdf.TermID
-	pi, ri  int
+	part    *Relation // the current node's output, nil between nodes
+	node    int       // the next node to enumerate
+	ri      int
+	ahead   *aheadStep // the step running ahead, nil when none is
+	paired  bool       // whether busy nodes' steps run in pairs yet
 }
 
-func (e *flatEnum) next() []rdf.TermID {
-	for e.pi < len(e.parts) {
-		rows := e.parts[e.pi].Rows
-		if e.ri >= len(rows) {
-			e.pi++
-			e.ri = 0
-			continue
+func (e *flatEnum) next(ctx context.Context) ([]rdf.TermID, error) {
+	for e.part == nil || e.ri >= len(e.part.Rows) {
+		e.release()
+		if e.node == len(e.root.busy) {
+			return nil, nil
 		}
-		row := rows[e.ri]
-		e.ri++
-		for i, c := range e.cols {
-			e.scratch[i] = row[c]
+		part, err := e.step(ctx, e.node)
+		if err != nil {
+			return nil, err
 		}
-		return e.scratch
+		e.part, e.node, e.ri = part, e.node+1, 0
 	}
-	return nil
+	row := e.part.Rows[e.ri]
+	e.ri++
+	for i, c := range e.cols {
+		e.scratch[i] = row[c]
+	}
+	return e.scratch, nil
+}
+
+// step returns node's root output: the step running ahead if it is
+// node's, else one run now, which on a busy node past the first starts
+// the next busy node's step ahead first.
+func (e *flatEnum) step(ctx context.Context, node int) (*Relation, error) {
+	if a := e.ahead; a != nil && a.node == node {
+		e.ahead = nil
+		return e.root.wait(a)
+	}
+	if e.root.busy[node] {
+		if next := e.root.nextBusy(node); e.paired && next >= 0 {
+			e.ahead = e.root.start(ctx, next)
+		}
+		e.paired = true
+	}
+	return e.root.run(ctx, node)
+}
+
+// left returns how many of the current node's rows the enumeration has
+// not returned yet, counting the last one returned.
+func (e *flatEnum) left() int { return len(e.part.Rows) - e.ri + 1 }
+
+// between reports whether the enumeration has used up the current
+// node's rows and has not yet obtained the next node's.
+func (e *flatEnum) between() bool {
+	return e.part == nil || e.ri == len(e.part.Rows)
+}
+
+// release returns the current node's arena to the gauge.
+func (e *flatEnum) release() {
+	if e.part != nil {
+		e.gauge.Release(e.part.charged)
+		e.part = nil
+	}
+}
+
+// close joins the step running ahead, if any — its work counts as the
+// work that ran — and returns every arena the enumeration holds.
+func (e *flatEnum) close() {
+	e.release()
+	if a := e.ahead; a != nil {
+		e.ahead = nil
+		if rel, err := e.root.wait(a); err == nil {
+			e.gauge.Release(rel.charged)
+		}
+	}
 }
 
 // rowSet is an exact set of fixed-width rows that remembers insertion
@@ -209,7 +276,7 @@ func dedupFree(nodes int, r *rootOut) bool {
 // enumeration order — NOT the sorted order ExecuteEnv returns), and
 // the returned rows are valid only until the next NextChunk call (the
 // chunk arena is recycled). Result returns the execution's statistics;
-// they are complete once NextChunk has returned nil.
+// they are complete once Finish has run.
 type Stream struct {
 	eng *Engine
 	env ExecEnv
@@ -227,11 +294,14 @@ type Stream struct {
 }
 
 // ExecuteStream runs the plan for q and returns a Stream over the
-// distinct projected results. All join work — child evaluation, data
-// movement, the root join itself — happens before ExecuteStream
-// returns; only the final gather/dedup/projection is deferred to
-// NextChunk. Metrics, trace and flat-row counts are identical to
-// ExecuteEnv's.
+// distinct projected results. Everything below the root — child
+// evaluation, data movement, every node's gate and sizing, the failover
+// reads of down nodes — happens before ExecuteStream returns, so a
+// fault there (a dead node whose fragment has no live copy, an injected
+// budget trip or stall at an operator) fails it. The root's per-node
+// steps, the dedup and the projection run in NextChunk. Metrics, trace
+// and flat-row counts, once the stream has been drained and finished,
+// are identical to ExecuteEnv's.
 func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv) (st *Stream, err error) {
 	defer resilience.CatchPanic(&err, e.inst.panicRecovered)
 	if env.Snap == nil {
@@ -257,32 +327,27 @@ func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Quer
 		vars = q.Vars()
 	}
 	vars = append([]string{}, vars...)
-	st = &Stream{eng: e, env: env, execStart: execStart}
-	root := &rootOut{vars: vars}
-	parts, _, trace, err := e.eval(ctx, p, q, env, false, root)
+	out := &rootOut{vars: vars}
+	root, err := e.openRoot(ctx, p, q, env, out)
 	if err != nil {
 		return nil, err
 	}
-	schema := parts[0].Vars
-	if err := validateVars(vars, schema); err != nil {
+	if err := validateVars(vars, root.vars); err != nil {
 		return nil, err
-	}
-	var flat int64
-	for _, r := range parts {
-		flat += int64(len(r.Rows))
 	}
 	cols := make([]int, len(vars))
 	for i, v := range vars {
-		cols[i] = parts[0].colIndex(v)
+		cols[i] = slices.Index(root.vars, v)
 	}
-	st.src = &flatEnum{parts: parts, cols: cols, scratch: make([]rdf.TermID, len(vars))}
-	st.res = &Result{Vars: vars, Trace: trace, flatRows: flat}
-	trace.addTo(&st.res.Metrics)
+	st = &Stream{eng: e, env: env, execStart: execStart}
+	st.src = &flatEnum{root: root, gauge: env.Gauge, cols: cols, scratch: make([]rdf.TermID, len(vars))}
+	st.res = &Result{Vars: vars, Trace: root.tr}
+	// No root step fails over: the failover reads ran at open.
 	st.res.Failovers, st.res.Degraded = env.fo.summary()
-	if !dedupFree(len(env.Snap.stores), root) {
+	if !dedupFree(len(env.Snap.stores), out) {
 		st.seen = newRowSet(len(vars), hashRow)
 	}
-	st.chunk = newRelation(vars, int(min(st.res.flatRows, streamChunkRows)))
+	st.chunk = newRelation(vars, 0)
 	return st, nil
 }
 
@@ -300,10 +365,12 @@ func validateVars(vars, schema []string) error {
 func (s *Stream) Vars() []string { return s.res.Vars }
 
 // NextChunk returns the next batch of distinct result rows, or nil at
-// the end of the stream. The rows (and their backing arena) are valid
-// only until the following NextChunk call — consumers that retain rows
-// must copy them. An error (cancellation, budget trip, recovered
-// panic) ends the stream.
+// the end of the stream. A batch holds at most streamChunkRows rows, all
+// from one node; the call runs that node's root step when it reaches
+// the node (and the steps of the empty nodes before it). The rows (and
+// their backing arena) are valid only until the following NextChunk
+// call — consumers that retain rows must copy them. An error
+// (cancellation, budget trip, recovered panic) ends the stream.
 func (s *Stream) NextChunk(ctx context.Context) (rows [][]rdf.TermID, err error) {
 	defer resilience.CatchPanic(&err, s.eng.inst.panicRecovered)
 	if s.done {
@@ -318,10 +385,22 @@ func (s *Stream) NextChunk(ctx context.Context) (rows [][]rdf.TermID, err error)
 	s.chunk.Rows = s.chunk.Rows[:0]
 	s.chunk.arena = s.chunk.arena[:0]
 	for len(s.chunk.Rows) < streamChunkRows {
-		row := s.src.next()
+		if len(s.chunk.Rows) > 0 && s.src.between() {
+			// A chunk ends with its node's rows: they leave before the next
+			// node's root step runs, in the next call.
+			break
+		}
+		row, err := s.src.next(ctx)
+		if err != nil {
+			return nil, err
+		}
 		if row == nil {
 			s.done = true
 			break
+		}
+		if len(s.chunk.Rows) == 0 {
+			// The chunk's node is known now: make room for its rows.
+			s.chunk.reserve(min(s.src.left(), streamChunkRows))
 		}
 		if s.ops++; s.ops&(cancelEvery-1) == 0 {
 			if err := obs.Canceled(ctx, "flatten"); err != nil {
@@ -357,22 +436,31 @@ func (s *Stream) NextChunk(ctx context.Context) (rows [][]rdf.TermID, err error)
 	return s.chunk.Rows, nil
 }
 
-// Finish records the execution in the engine instruments. It runs
-// automatically when the source drains; callers abandoning a stream
-// early call it to record what did happen. Idempotent.
+// Finish closes the root's accounting — its trace, the flat-row count,
+// the metrics summed from the trace — and records the execution in the
+// engine instruments. It runs automatically when the source drains;
+// callers abandoning a stream early call it to record the work that did
+// run. Idempotent.
 func (s *Stream) Finish() {
 	if s.finished {
 		return
 	}
 	s.finished = true
+	s.src.close()
+	root := s.src.root
+	root.work.settle()
+	s.res.flatRows = root.tr.OutputRows
+	root.tr.addTo(&s.res.Metrics)
 	if s.eng.inst != nil {
+		s.eng.inst.recordOp(root.tr.Alg, root.tr.Elapsed, root.tr.OutputRows)
 		s.eng.inst.recordExecute(time.Since(s.execStart), int(s.res.Returned), s.res.Metrics)
 		s.eng.inst.recordFailovers(s.res.Failovers)
 	}
 }
 
 // Result returns the execution's statistics result (Rows is nil — the
-// rows went through NextChunk; Returned counts them). Metrics, trace
-// and plan information are valid as soon as ExecuteStream returns;
-// Returned and the instruments are final once the stream ended.
+// rows went through NextChunk; Returned counts them). Vars, Failovers
+// and Degraded are valid as soon as ExecuteStream returns; Metrics,
+// Trace, FlatRowCount, Returned and the instruments are complete once
+// Finish has run, which a drained stream does on its own.
 func (s *Stream) Result() *Result { return s.res }

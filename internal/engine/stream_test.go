@@ -4,14 +4,21 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"sparqlopt/internal/cost"
+	"sparqlopt/internal/obs"
 	"sparqlopt/internal/opt"
 	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
 	"sparqlopt/internal/rdf"
+	"sparqlopt/internal/resilience"
 	"sparqlopt/internal/sparql"
+	"sparqlopt/internal/workload/lubm"
 )
 
 // drainStream collects every chunk of a stream, copying rows out of
@@ -155,10 +162,7 @@ func TestStreamChunkSizedToResult(t *testing.T) {
 	}
 	e = New(ds.Dict, placement)
 	big := sparql.MustParse(`SELECT * WHERE { ?a <n> ?b . }`)
-	st, err = e.ExecuteStream(context.Background(), optimizeFor(t, ds, big, m, opt.TDAuto).Plan, big, ExecEnv{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, log := openLogged(t, e, rootKind{"big", big, optimizeFor(t, ds, big, m, opt.TDAuto).Plan}, ExecEnv{})
 	const total = 250 * 400
 	var sizes []int
 	for {
@@ -172,16 +176,19 @@ func TestStreamChunkSizedToResult(t *testing.T) {
 		sizes = append(sizes, len(chunk))
 	}
 	st.Finish()
-	if len(sizes) != (total+streamChunkRows-1)/streamChunkRows {
-		t.Fatalf("%d rows arrived in %d chunks", total, len(sizes))
-	}
-	for i, n := range sizes[:len(sizes)-1] {
-		if n != streamChunkRows {
-			t.Errorf("chunk %d holds %d rows, want %d", i, n, streamChunkRows)
+	// Every node's rows fill whole chunks but the node's last: no chunk
+	// holds two nodes' rows.
+	var want []int
+	for node := 0; node < placement.Nodes; node++ {
+		for rows := log.rows[node]; rows > 0; rows -= streamChunkRows {
+			want = append(want, min(rows, streamChunkRows))
 		}
 	}
-	if last := sizes[len(sizes)-1]; last != total%streamChunkRows {
-		t.Errorf("last chunk holds %d rows, want %d", last, total%streamChunkRows)
+	if len(log.ran) != placement.Nodes || len(want) <= total/streamChunkRows+1 {
+		t.Fatalf("the stream stepped nodes %v, emitting %v rows: the test shows nothing", log.ran, log.rows)
+	}
+	if !slices.Equal(sizes, want) {
+		t.Errorf("%d rows arrived in chunks of %v, want %v", total, sizes, want)
 	}
 }
 
@@ -320,4 +327,192 @@ func sortRowsFor(r *Result) {
 	rel := &Relation{Vars: r.Vars, Rows: r.Rows}
 	rel.sortRows()
 	r.Rows = rel.Rows
+}
+
+// stepLog wraps a root's node work and records the steps the stream
+// runs: the nodes in the order their steps ended, and per node the rows
+// it emitted and the bytes its arena charged.
+type stepLog struct {
+	nodeWork
+	mu      sync.Mutex
+	ran     []int
+	rows    map[int]int
+	charged map[int]int64
+}
+
+func (l *stepLog) step(ctx context.Context, node int) (*Relation, error) {
+	rel, err := l.nodeWork.step(ctx, node)
+	if err == nil {
+		l.mu.Lock()
+		l.ran = append(l.ran, node)
+		l.rows[node], l.charged[node] = len(rel.Rows), rel.charged
+		l.mu.Unlock()
+	}
+	return rel, err
+}
+
+// rootKind is one of result-heavy's root-bound queries, planned.
+type rootKind struct {
+	name string
+	q    *sparql.Query
+	p    *plan.Node
+}
+
+// rootKinds returns S2 (a root scan) and J1 (a root local join) over
+// LUBM-2 under hash-so on ten nodes with TD-Auto's plans, and the
+// dataset and placement they run on.
+func rootKinds(t *testing.T) (*rdf.Dataset, *partition.Placement, []rootKind) {
+	t.Helper()
+	ds := lubm.Generate(lubm.Config{Universities: 2, Seed: 1})
+	placement, err := partition.HashSO{}.Partition(ds, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefixes = "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\nPREFIX ub: <" + lubm.UB + ">\n"
+	var kinds []rootKind
+	for _, k := range []struct{ name, src string }{
+		{"S2", `SELECT ?x ?t WHERE { ?x rdf:type ?t . }`},
+		{"J1", `SELECT ?x ?c ?f WHERE { ?x ub:takesCourse ?c . ?f ub:teacherOf ?c . }`},
+	} {
+		q := sparql.MustParse(prefixes + k.src)
+		kinds = append(kinds, rootKind{k.name, q, optimizeFor(t, ds, q, partition.HashSO{}, opt.TDAuto).Plan})
+	}
+	if kinds[0].p.Alg != plan.Scan || kinds[1].p.Alg != plan.LocalJoin {
+		t.Fatalf("S2's root is %v and J1's %v, want a scan and a local join", kinds[0].p.Alg, kinds[1].p.Alg)
+	}
+	return ds, placement, kinds
+}
+
+// openLogged opens a stream whose root steps go through a stepLog.
+func openLogged(t *testing.T, e *Engine, k rootKind, env ExecEnv) (*Stream, *stepLog) {
+	t.Helper()
+	st, err := e.ExecuteStream(context.Background(), k.p, k.q, env)
+	if err != nil {
+		t.Fatalf("%s: %v", k.name, err)
+	}
+	log := &stepLog{nodeWork: st.src.root.work, rows: map[int]int{}, charged: map[int]int64{}}
+	st.src.root.work = log
+	return st, log
+}
+
+// TestStreamRootStepsLazily: ExecuteStream runs no node's root step, and
+// the first chunk runs the steps of the empty nodes in front and of the
+// first non-empty node, in node order, and no other: its rows leave
+// before the other nodes' root work runs.
+func TestStreamRootStepsLazily(t *testing.T) {
+	ds, placement, kinds := rootKinds(t)
+	e := New(ds.Dict, placement)
+	for _, k := range kinds {
+		st, log := openLogged(t, e, k, ExecEnv{})
+		chunk, err := st.NextChunk(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := len(log.ran) - 1
+		for i, node := range log.ran {
+			if node != i {
+				t.Fatalf("%s: the stream stepped nodes %v, want 0, 1, … in order", k.name, log.ran)
+			}
+			if empty := log.rows[i] == 0; empty != (i < last) {
+				t.Fatalf("%s: the first chunk stepped nodes %v emitting %v rows, want the empty ones and then the first that emits", k.name, log.ran, log.rows)
+			}
+		}
+		if last < 0 || last == placement.Nodes-1 {
+			t.Fatalf("%s: the first chunk stepped nodes %v of %d: the test shows nothing", k.name, log.ran, placement.Nodes)
+		}
+		if len(chunk) != min(log.rows[last], streamChunkRows) {
+			t.Errorf("%s: the first chunk holds %d rows, its node emitted %d", k.name, len(chunk), log.rows[last])
+		}
+		st.Finish()
+	}
+}
+
+// TestStreamHoldsTwoRootArenas: a full drain charges the gauge with at
+// most two nodes' root arenas at a time — the node the stream
+// enumerates and the one whose step runs ahead; each is released when
+// the stream moves on — beside the chunk and the seen-set, not with the
+// sum of the nodes' arenas.
+func TestStreamHoldsTwoRootArenas(t *testing.T) {
+	ds, placement, kinds := rootKinds(t)
+	e := New(ds.Dict, placement)
+	for _, k := range kinds {
+		g := resilience.NewBudget(1<<40, 0).NewGauge()
+		st, log := openLogged(t, e, k, ExecEnv{Gauge: g})
+		below := g.Used()
+		drainStream(t, st)
+		var arenas []int64
+		for _, c := range log.charged {
+			arenas = append(arenas, c)
+		}
+		slices.Sort(arenas)
+		var two, sum int64
+		for i, c := range arenas {
+			if sum += c; i >= len(arenas)-2 {
+				two += c
+			}
+		}
+		resident := below + st.chunk.charged + st.seenCharged
+		if g.Peak() > resident+two {
+			t.Errorf("%s: peak %d B, want at most %d B below the root, %d of the two largest nodes' root arenas and %d of chunk and seen-set; the %d arenas add up to %d B",
+				k.name, g.Peak(), below, two, st.chunk.charged+st.seenCharged, len(arenas), sum)
+		}
+		if sum-two <= st.seenCharged {
+			t.Fatalf("%s: the root arenas add up to %d B, the two largest to %d: the test shows nothing", k.name, sum, two)
+		}
+		if g.Used() != resident {
+			t.Errorf("%s: %d B charged after the drain, want %d: the root arenas were not released", k.name, g.Used(), resident)
+		}
+	}
+}
+
+// TestStreamFinishEarly: a stream abandoned after its first chunk, or
+// while a root step runs ahead, leaves no goroutine behind, and its
+// metrics, trace, flat-row count and instruments record the root steps
+// that ran, no more.
+func TestStreamFinishEarly(t *testing.T) {
+	ds, placement, kinds := rootKinds(t)
+	e := New(ds.Dict, placement)
+	reg := obs.NewRegistry()
+	e.SetInstruments(NewInstruments(reg))
+	scanned := reg.Counter("engine_scanned_triples_total", "")
+	for _, k := range kinds {
+		full, err := e.ExecuteEnv(context.Background(), k.p, k.q, ExecEnv{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ahead := range []bool{false, true} {
+			id := fmt.Sprintf("%s/ahead=%v", k.name, ahead)
+			before, counted := runtime.NumGoroutine(), scanned.Value()
+			st, log := openLogged(t, e, k, ExecEnv{})
+			for chunks := 0; chunks == 0 || ahead && st.src.ahead == nil; chunks++ {
+				if chunk, err := st.NextChunk(context.Background()); err != nil || chunk == nil {
+					t.Fatalf("%s: chunk %d: %v, %d rows", id, chunks, err, len(chunk))
+				}
+			}
+			st.Finish()
+			res := st.Result()
+			var rows int64
+			for _, n := range log.rows {
+				rows += int64(n)
+			}
+			if res.FlatRowCount() != rows || res.Trace.OutputRows != rows || rows >= full.FlatRowCount() {
+				t.Errorf("%s: flat rows %d, root trace %d, the steps that ran emitted %d of the full run's %d",
+					id, res.FlatRowCount(), res.Trace.OutputRows, rows, full.FlatRowCount())
+			}
+			var m Metrics
+			res.Trace.addTo(&m)
+			if m != res.Metrics || m.ScannedTriples >= full.Metrics.ScannedTriples {
+				t.Errorf("%s: metrics %+v, the trace adds up to %+v, the full run's are %+v", id, res.Metrics, m, full.Metrics)
+			}
+			if got := scanned.Value() - counted; got != res.Metrics.ScannedTriples {
+				t.Errorf("%s: the instruments counted %d scanned triples, the run %d", id, got, res.Metrics.ScannedTriples)
+			}
+			for wait := 0; runtime.NumGoroutine() > before; wait++ {
+				if wait == 100 {
+					t.Fatalf("%s: %d goroutines after Finish, %d before ExecuteStream", id, runtime.NumGoroutine(), before)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		}
+	}
 }

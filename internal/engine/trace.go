@@ -127,15 +127,6 @@ func (tr *TraceNode) addTo(m *Metrics) {
 	}
 }
 
-// Operators counts the operators in the trace.
-func (tr *TraceNode) Operators() int {
-	n := 1
-	for _, ch := range tr.Children {
-		n += ch.Operators()
-	}
-	return n
-}
-
 // AttachSpans mirrors the execution profile under parent as lifecycle
 // spans — one "op:<name>" span per operator, in plan child order,
 // annotated with estimated vs. actual cardinality and shuffle volume.

@@ -2,7 +2,8 @@
 // the network face of the streaming results API: responses are encoded
 // row by row straight off a RunStream cursor, so a response body can be
 // arbitrarily larger than the per-query memory budget — the resident
-// state is one engine chunk plus the encoder's buffer (see encode.go).
+// state is one engine chunk, at most two nodes' root outputs and the
+// encoder's buffer (see encode.go).
 //
 // Endpoints:
 //
@@ -317,9 +318,12 @@ func negotiate(accept string) (encoder, bool) {
 
 // encodeStream writes the negotiated representation off the cursor:
 // rows are appended to one pooled buffer that goes out in a single
-// Write each time it passes flushBytes. A failure after the first byte
-// cannot change the status; the handler aborts the connection so the
-// client sees a truncated transfer, not a silently short result.
+// Write each time it passes flushBytes. A failure before the first
+// Write — the stream runs the root's work as it goes, so its first
+// node's can fail here — is answered like one at open (writeError). A
+// failure after the first byte cannot change the status; the handler
+// aborts the connection so the client sees a truncated transfer, not a
+// silently short result.
 func (s *Server) encodeStream(w http.ResponseWriter, enc encoder, rows *sparqlopt.Rows) {
 	w.Header().Set("Content-Type", enc.contentType())
 	flusher, _ := w.(http.Flusher)
@@ -331,12 +335,14 @@ func (s *Server) encodeStream(w http.ResponseWriter, enc encoder, rows *sparqlop
 			encodeBufs.Put(pooled)
 		}
 	}()
+	wrote := false
 	for rows.Next() {
 		buf = enc.row(buf, s.sys, rows.Row())
 		if len(buf) >= flushBytes {
 			if _, err := w.Write(buf); err != nil {
 				return // the client is gone; the deferred Close abandons the stream
 			}
+			wrote = true
 			if flusher != nil {
 				flusher.Flush()
 			}
@@ -344,12 +350,17 @@ func (s *Server) encodeStream(w http.ResponseWriter, enc encoder, rows *sparqlop
 		}
 	}
 	if err := rows.Err(); err != nil {
+		if !wrote {
+			writeError(w, err)
+			return
+		}
 		panic(http.ErrAbortHandler)
 	}
 	w.Write(enc.footer(buf)) // a failed last write has nobody left to tell
 }
 
-// writeError maps a serving failure onto the protocol, pre-stream.
+// writeError maps a serving failure onto the protocol, before the first
+// body byte.
 func writeError(w http.ResponseWriter, err error) {
 	var pe *sparqlopt.ParseError
 	var oe *sparqlopt.OverloadError

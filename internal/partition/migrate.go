@@ -22,15 +22,6 @@ type Migration struct {
 	Adds [][]rdf.Triple
 }
 
-// AddCount returns the total triples the migration adds.
-func (m *Migration) AddCount() int {
-	n := 0
-	for _, ts := range m.Adds {
-		n += len(ts)
-	}
-	return n
-}
-
 // View is a read-only look at the placement one engine snapshot
 // serves — the one record of who holds what. Migrations are planned
 // from it and applied to the snapshot it came from. Every array is the
@@ -159,22 +150,4 @@ func PlanRecovery(v *View, dead []int) *Migration {
 		return nil
 	}
 	return &Migration{Adds: adds}
-}
-
-// Covers reports whether every triple of the dataset is stored on at
-// least one node — the coverage invariant base methods establish at
-// Partition time.
-func (p *Placement) Covers(ds *rdf.Dataset) bool {
-	stored := make(map[rdf.Triple]struct{})
-	for _, ts := range p.Triples {
-		for _, t := range ts {
-			stored[t] = struct{}{}
-		}
-	}
-	for _, t := range ds.Triples {
-		if _, ok := stored[t]; !ok {
-			return false
-		}
-	}
-	return true
 }

@@ -203,17 +203,26 @@ func TestByName(t *testing.T) {
 // coverage asserts every dataset triple appears on at least one node.
 func coverage(t *testing.T, ds *rdf.Dataset, p *Placement) {
 	t.Helper()
+	for _, tr := range uncovered(ds, p) {
+		t.Errorf("triple %v missing from placement", ds.String(tr))
+	}
+}
+
+// uncovered returns the dataset triples no node of p stores.
+func uncovered(ds *rdf.Dataset, p *Placement) []rdf.Triple {
 	have := map[rdf.Triple]bool{}
 	for _, node := range p.Triples {
 		for _, tr := range node {
 			have[tr] = true
 		}
 	}
+	var out []rdf.Triple
 	for _, tr := range ds.Triples {
 		if !have[tr] {
-			t.Errorf("triple %v missing from placement", ds.String(tr))
+			out = append(out, tr)
 		}
 	}
+	return out
 }
 
 func TestPartitionCoverageAllMethods(t *testing.T) {

@@ -255,22 +255,6 @@ func (t *Tracker) State(node int) State {
 	return t.nodes[node].state
 }
 
-// AnyOpen reports whether any breaker is not Healthy — the /healthz
-// degradation condition.
-func (t *Tracker) AnyOpen() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := range t.nodes {
-		if t.nodes[i].state != Healthy {
-			return true
-		}
-	}
-	return false
-}
-
 // Down returns the nodes whose breakers are not Healthy, ascending —
 // the set recovery re-replicates around.
 func (t *Tracker) Down() []int {

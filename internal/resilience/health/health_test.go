@@ -172,15 +172,15 @@ func TestHealthHalfOpenFailureReopens(t *testing.T) {
 func TestHealthStatusAndDown(t *testing.T) {
 	clk := newManualClock()
 	tr := testTracker(clk)
-	if tr.AnyOpen() {
-		t.Fatal("fresh tracker reports AnyOpen")
+	if len(tr.Down()) > 0 {
+		t.Fatal("fresh tracker reports a node down")
 	}
 	for i := 0; i < 3; i++ {
 		tr.ReportFailure(2)
 	}
 	tr.ReportSuccess(0)
-	if !tr.AnyOpen() {
-		t.Fatal("AnyOpen = false with node 2 open")
+	if len(tr.Down()) == 0 {
+		t.Fatal("no node down with node 2 open")
 	}
 	down := tr.Down()
 	if len(down) != 1 || down[0] != 2 {
@@ -200,7 +200,7 @@ func TestHealthStatusAndDown(t *testing.T) {
 
 func TestHealthNilAndOutOfRange(t *testing.T) {
 	var tr *Tracker
-	if !tr.Allow(0) || tr.AnyOpen() || tr.State(5) != Healthy || tr.Nodes() != 0 {
+	if !tr.Allow(0) || len(tr.Down()) > 0 || tr.State(5) != Healthy || tr.Nodes() != 0 {
 		t.Error("nil tracker must behave as all-healthy")
 	}
 	tr.ReportFailure(0) // must not panic
@@ -215,7 +215,7 @@ func TestHealthNilAndOutOfRange(t *testing.T) {
 	if !real.Allow(-1) || !real.Allow(7) {
 		t.Error("out-of-range nodes must be admitted")
 	}
-	if real.AnyOpen() {
+	if len(real.Down()) > 0 {
 		t.Error("out-of-range reports must not affect tracked nodes")
 	}
 }

@@ -5,8 +5,9 @@ package sparqlopt
 // cache, degradation ladder, memory budget) and executes the query,
 // but returns before the result is materialized: a *Rows cursor pulls
 // distinct result rows on demand from the engine's chunked emission
-// path, so a query's resident output is one chunk regardless of result
-// size. Run is rebased on it — it is RunStream plus collect-and-sort —
+// path, which runs the plan's root operator node by node as the rows
+// are pulled, so a query's resident output is one chunk and at most two
+// nodes' root outputs regardless of result size. Run is rebased on it — it is RunStream plus collect-and-sort —
 // which makes the two paths bit-identical by construction.
 //
 // All per-call bookkeeping that used to live in defers around the old
@@ -237,8 +238,9 @@ func (f *finalizer) finish(res *ExecResult, err error) {
 // full serving stack applies exactly as in Run (admission control,
 // per-call deadline, plan cache, degradation ladder, memory budget,
 // metrics, slow-query log); only the result emission differs: rows
-// stream in the engine's deterministic order and the call's resident
-// output is one chunk. The cursor must be Closed.
+// stream in the engine's deterministic order, the root operator runs as
+// they are pulled, and the call's resident output is one chunk and at
+// most two nodes' root outputs. The cursor must be Closed.
 func (s *System) RunStream(ctx context.Context, query string, opts ...RunOption) (*Rows, error) {
 	return s.stream(ctx, query, nil, opt.NewRunSettings(opts))
 }
@@ -251,9 +253,10 @@ func (s *System) RunStreamQuery(ctx context.Context, q *Query, opts ...RunOption
 // stream is the serving pipeline behind RunStream, Run and the HTTP
 // endpoint. Exactly one of src and q is set by the caller. It admits,
 // parses, pins the serving snapshot, plans down the degradation
-// ladder and opens the engine's chunk stream. Everything after the
-// returned cursor is the stream's problem: the finalizer runs at its
-// end, not at this function's return.
+// ladder and opens the engine's chunk stream, of which it reads only
+// what is known at open: the plan it runs and the failover notes.
+// Everything after the returned cursor is the stream's problem: the
+// finalizer runs at its end, not at this function's return.
 func (s *System) stream(ctx context.Context, src string, q *Query, set opt.RunSettings) (*Rows, error) {
 	ctx, cancel := withDeadline(ctx, set.Deadline)
 	fin := &finalizer{s: s, set: set, cancel: cancel}
