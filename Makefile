@@ -38,9 +38,10 @@ race:
 
 # The determinism tests hold execution results to the single-node
 # reference and compare the metrics and trace shape of two runs. The
-# engine's one source of concurrency is its per-node workers (fanOut),
-# whose schedule GOMAXPROCS varies, so the engine line runs at -cpu
-# 1,2,4, and -count=2 reruns each setting to shake out
+# engine has two sources of concurrency, whose schedule GOMAXPROCS
+# varies: the per-node workers below the root (fanOut) and the root step
+# the stream starts ahead on a goroutine (flatEnum). So the engine line
+# runs at -cpu 1,2,4, and -count=2 reruns each setting to shake out
 # schedule-dependent flakiness. The engine's fragment-read table tests
 # (TestDeterminismFragmentRead: concurrent per-node reads in
 # permutation order, TestDeterminismFragmentProbe: the same leaves
@@ -54,8 +55,10 @@ race:
 # failover reads, both against the test-only hash fold over the same
 # inputs; TestDeterminismRootHome: root scans and root local joins that
 # emit each answer on its home node only, pairwise disjoint across nodes
-# and together Reference, with 0–3 delta chunks and any node dead) and
-# the per-node helper's table (TestFanOut) ride the same run. The
+# and together Reference, with 0–3 delta chunks and any node dead), the
+# per-node helper's table (TestFanOut) and the stream tests (TestStream:
+# among them TestStreamFinishEarly and TestStreamHoldsTwoRootArenas,
+# which cover the step started ahead) ride the same run. The
 # second line pins the served plan end to end: the exact scan, transfer
 # and join counts of L1–L10 and two point reads must not move with
 # GOMAXPROCS. The third pins the
@@ -64,7 +67,7 @@ race:
 # order, which must not come from a map range); partitioning runs on
 # one goroutine, so it needs no -race.
 determinism:
-	$(GO) test -run 'TestDeterminism|TestFanOut' -race -count=2 -cpu 1,2,4 ./internal/engine/...
+	$(GO) test -run 'TestDeterminism|TestFanOut|TestStream' -race -count=2 -cpu 1,2,4 ./internal/engine/...
 	$(GO) test -run 'TestProbedJoinsKeepCounts$$' -count=20 -cpu 1,2,4 .
 	$(GO) test -run 'TestPartitionDeterministic$$' -count=2 -cpu 1,2,4 ./internal/partition
 

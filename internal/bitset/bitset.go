@@ -95,16 +95,6 @@ func (s TPSet) Each(f func(i int) bool) {
 	}
 }
 
-// Members returns the members of s in increasing order.
-func (s TPSet) Members() []int {
-	out := make([]int, 0, s.Len())
-	s.Each(func(i int) bool {
-		out = append(out, i)
-		return true
-	})
-	return out
-}
-
 // Subsets calls f for every non-empty subset of s, in an unspecified
 // order. Iteration stops early if f returns false. The classic
 // sub = (sub - 1) & s trick enumerates exactly the 2^|s|−1 non-empty

@@ -327,7 +327,7 @@ func (e *Engine) SetData(data *rdf.Snapshot) { e.ApplyIngest(nil, data) }
 // count passes maxDeltaChunks, so scan overhead stays O(1) in commit
 // count; the merge keeps the accumulated chunk's sorted permutations
 // and merges the recent commits' into them, so its cost is linear in
-// the delta. An empty delta (a Dedup's) only re-pins data.
+// the delta. An empty delta (SetData's) only re-pins data.
 // Queries in flight keep their captured snapshot — an ingest commit
 // never blocks or tears a running query.
 func (e *Engine) ApplyIngest(delta []rdf.Triple, data *rdf.Snapshot) {
@@ -500,70 +500,26 @@ func (e *Engine) opGate(ctx context.Context, p *plan.Node, env ExecEnv) error {
 	return nil
 }
 
-// eval executes p below the plan's root and returns one relation per
-// node (the distributed intermediate result of paper §II-D) plus the
-// operator's trace. lazy lets a Scan child of a local or broadcast join
-// leave its reads to the parent's join: the open leaf is returned with
-// them, the relations of the nodes not read yet are nil, and the parent
-// settles the leaf's accounting when its join is done (see scanLeaf).
-// The root itself is opened by openRoot.
-func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, lazy bool) ([]*Relation, *scanLeaf, *TraceNode, error) {
-	if err := e.opGate(ctx, p, env); err != nil {
-		return nil, nil, nil, err
-	}
-	var out []*Relation
-	var leaf *scanLeaf
-	var err error
-	tr := newTrace(p)
-	start := time.Now()
-	switch p.Alg {
-	case plan.Scan:
-		if leaf, err = e.scan(ctx, p, q, env, tr, lazy, false); err == nil {
-			out = leaf.rels
-			tr.recordSizes(leaf.size)
-			if !lazy {
-				leaf.settle()
-				leaf = nil
-			}
-		}
-	case plan.LocalJoin, plan.BroadcastJoin, plan.RepartitionJoin:
-		if out, err = e.joinOp(ctx, p, q, env, tr, &start); err == nil {
-			tr.record(out)
-		}
-	default:
-		err = fmt.Errorf("engine: unknown operator %v", p.Alg)
-	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	tr.Elapsed = time.Since(start)
-	if e.inst != nil {
-		e.inst.recordOp(p.Alg, tr.Elapsed, tr.OutputRows)
-	}
-	return out, leaf, tr, nil
-}
-
-// rootOp is the plan's root operator opened for the stream: everything
-// below it has run — children, data movement, every node's gate and
-// sizing, the failover reads of down nodes — and node's share of the
-// root's own work waits for the stream to reach the node (see
-// flatEnum). tr is complete once settle has run: its Elapsed is the
-// open's own time plus the time the stream spent on node steps, its row
-// counts those of the steps that ran.
-type rootOp struct {
-	inst *Instruments
+// operator is a plan operator opened for its per-node steps: its
+// children have run and their rows have moved, and every node of its own
+// has been gated, sized and, when down, failed over. What is left is
+// each node's step — a scan's fragment read, a join's trie join — which
+// eval fans out below the root and the stream runs node by node at the
+// root (see flatEnum). tr is complete once the steps have run and work
+// is settled: its Elapsed is the open's own time plus the time spent on
+// steps, its row counts those of the steps that ran.
+type operator struct {
 	tr   *TraceNode
 	work nodeWork
 	// vars are the variables of every node's output.
 	vars []string
-	// busy[node] reports whether the node's step has rows to handle, as
-	// the sizes known at open tell: a root scan's read, every input of a
-	// root join.
+	// busy[node] reports whether the node's step has work, as the sizes
+	// known at open tell (see TraceNode.BusyNodes).
 	busy []bool
 }
 
-// nodeWork is an operator's per-node step: a root scan's fragment read
-// (scanLeaf) or a root join's trie join (openedJoin). settle closes the
+// nodeWork is an operator's per-node step: a scan's fragment read
+// (scanLeaf) or a join's trie join (openedJoin). settle closes the
 // operator's accounting once no step will run any more. Steps of
 // different nodes may run at once.
 type nodeWork interface {
@@ -571,124 +527,110 @@ type nodeWork interface {
 	settle()
 }
 
-// openRoot opens p as the plan's root, which the stream reads (see
-// rootOut): it evaluates p's children and moves their rows as eval
-// would, and gates, sizes and fails over p's own nodes, but performs no
-// node's step.
-func (e *Engine) openRoot(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, root *rootOut) (*rootOp, error) {
+// open opens p, the plan's root and every operator below it alike: it
+// gates p, evaluates p's children and moves their rows, gates and sizes
+// every node and runs the failover reads of down nodes, but performs no
+// node's step. A non-nil root makes p the plan's root, which the stream
+// reads (see rootOut).
+func (e *Engine) open(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, root *rootOut) (*operator, error) {
 	if err := e.opGate(ctx, p, env); err != nil {
 		return nil, err
 	}
-	op := &rootOp{inst: e.inst, tr: newTrace(p), busy: make([]bool, len(env.Snap.stores))}
+	tr := newTrace(p)
 	start := time.Now()
+	var op *operator
+	var err error
 	switch p.Alg {
 	case plan.Scan:
-		leaf, err := e.scan(ctx, p, q, env, op.tr, true, true)
-		if err != nil {
-			return nil, err
-		}
-		root.scanned(&leaf.bp, env.Snap.home != nil)
-		op.work, op.vars = leaf, leaf.bp.vars
-		for node, size := range leaf.size {
-			op.busy[node] = size > 0
-		}
+		op, err = e.scan(ctx, p, q, env, tr, root)
 	case plan.LocalJoin, plan.BroadcastJoin, plan.RepartitionJoin:
-		j, err := e.openJoin(ctx, p, q, env, op.tr, &start, root)
-		if err != nil {
-			return nil, err
-		}
-		op.work, op.vars = j, j.join.vars()
-		for node := range op.busy {
-			if op.busy[node] = j.rowsOn(node) > 0; op.busy[node] {
-				op.tr.BusyNodes++
-			}
-		}
+		op, err = e.openJoin(ctx, p, q, env, tr, &start, root)
 	default:
-		return nil, fmt.Errorf("engine: unknown operator %v", p.Alg)
+		err = fmt.Errorf("engine: unknown operator %v", p.Alg)
 	}
-	op.tr.Elapsed = time.Since(start)
-	return op, nil
-}
-
-// run performs node's step now, timing it and counting its rows into
-// the root's trace.
-func (r *rootOp) run(ctx context.Context, node int) (*Relation, error) {
-	start := time.Now()
-	rel, err := r.work.step(ctx, node)
-	return r.record(rel, err, start)
-}
-
-// aheadStep is a root step running on a goroutine of its own.
-type aheadStep struct {
-	node int
-	rel  *Relation
-	err  error
-	done chan struct{}
-}
-
-// start performs node's step on a goroutine of its own. A panic in it
-// is recovered into a typed *resilience.PanicError, as in fanOut.
-func (r *rootOp) start(ctx context.Context, node int) *aheadStep {
-	a := &aheadStep{node: node, done: make(chan struct{})}
-	go func() {
-		defer close(a.done)
-		defer resilience.CatchPanic(&a.err, r.inst.panicRecovered)
-		a.rel, a.err = r.work.step(ctx, node)
-	}()
-	return a
-}
-
-// wait returns the step start began, timing the wait for it and
-// counting its rows into the root's trace.
-func (r *rootOp) wait(a *aheadStep) (*Relation, error) {
-	start := time.Now()
-	<-a.done
-	return r.record(a.rel, a.err, start)
-}
-
-func (r *rootOp) record(rel *Relation, err error, since time.Time) (*Relation, error) {
-	r.tr.Elapsed += time.Since(since)
 	if err != nil {
 		return nil, err
 	}
-	r.tr.recordNode(len(rel.Rows))
-	return rel, nil
-}
-
-// nextBusy returns the first busy node after node, -1 when none is.
-func (r *rootOp) nextBusy(node int) int {
-	for next := node + 1; next < len(r.busy); next++ {
-		if r.busy[next] {
-			return next
+	tr.Nodes = len(op.busy)
+	for _, busy := range op.busy {
+		if busy {
+			tr.BusyNodes++
 		}
 	}
-	return -1
+	tr.Elapsed = time.Since(start)
+	return op, nil
 }
 
-// fanOut runs f once for every one of n simulated computing nodes and
-// returns how many of them were busy and the lowest-numbered node's
-// error, deterministically. Work runs where the data is: busy(node) —
-// asked once per node, and answered from sizes the operator already
-// holds — says whether the node has rows to handle. A node without any
-// runs on the calling goroutine, and so does the first busy one; every
+// eval executes p below the plan's root and returns one relation per
+// node (the distributed intermediate result of paper §II-D) plus the
+// operator's trace: open, then every node's step. lazy lets a Scan child
+// of a local or broadcast join leave its reads to the parent's join: the
+// open leaf is returned instead, its relations holding the failover
+// reads of down nodes and nil elsewhere, and the parent settles the
+// leaf's accounting when its join is done (see scanLeaf). A pattern that
+// repeats a variable filters its candidates, so its sizes at open are
+// bounds, and it is read here.
+func (e *Engine) eval(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, lazy bool) ([]*Relation, *scanLeaf, *TraceNode, error) {
+	op, err := e.open(ctx, p, q, env, nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	start := time.Now()
+	var out []*Relation
+	leaf, _ := op.work.(*scanLeaf)
+	if leaf != nil && lazy && !leaf.bp.repeated {
+		out = leaf.rels
+		for _, size := range leaf.size {
+			op.tr.recordNode(size)
+		}
+	} else {
+		leaf = nil
+		if out, err = e.steps(ctx, op.work, op.busy); err != nil {
+			return nil, nil, nil, err
+		}
+		op.work.settle()
+		op.tr.record(out)
+	}
+	op.tr.Elapsed += time.Since(start)
+	if e.inst != nil {
+		e.inst.recordOp(p.Alg, op.tr.Elapsed, op.tr.OutputRows)
+	}
+	return out, leaf, op.tr, nil
+}
+
+// steps runs every node's step of work through fanOut and returns the
+// nodes' outputs.
+func (e *Engine) steps(ctx context.Context, work nodeWork, busy []bool) ([]*Relation, error) {
+	out := make([]*Relation, len(busy))
+	err := e.fanOut(busy, func(node int) (err error) {
+		out[node], err = work.step(ctx, node)
+		return err
+	})
+	return out, err
+}
+
+// fanOut runs f once for every simulated computing node and returns the
+// lowest-numbered node's error, deterministically. Work runs where the
+// data is: busy[node] — read off sizes the operator already holds —
+// says whether the node has rows to handle. A node without any runs on
+// the calling goroutine, and so does the first busy one; every
 // other busy node gets a goroutine of its own, so a point read whose
 // matches live on one node starts none. A panic in f is recovered on
 // whichever goroutine ran it into a typed *resilience.PanicError
 // attributed to the node, so a poisoned operator fails its query, never
 // the process.
-func (e *Engine) fanOut(n int, busy func(node int) bool, f func(node int) error) (int, error) {
-	errs := make([]error, n)
+func (e *Engine) fanOut(busy []bool, f func(node int) error) error {
+	errs := make([]error, len(busy))
 	run := func(node int) {
 		defer resilience.CatchPanic(&errs[node], e.inst.panicRecovered)
 		errs[node] = f(node)
 	}
 	var wg sync.WaitGroup
-	busyNodes, first := 0, -1
-	for node := 0; node < n; node++ {
+	first := -1
+	for node, b := range busy {
 		switch {
-		case !busy(node):
+		case !b:
 			run(node)
-			continue
 		case first < 0:
 			first = node
 		default:
@@ -698,7 +640,6 @@ func (e *Engine) fanOut(n int, busy func(node int) bool, f func(node int) error)
 				run(node)
 			}()
 		}
-		busyNodes++
 	}
 	if first >= 0 {
 		run(first)
@@ -706,63 +647,49 @@ func (e *Engine) fanOut(n int, busy func(node int) bool, f func(node int) error)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return busyNodes, err
+			return err
 		}
 	}
-	return busyNodes, nil
+	return nil
 }
 
-// evalChildren evaluates the children of p in plan order, attaching
-// their traces to tr and restarting the parent's own-time clock, so an
-// operator's own time never includes its children's. With lazy set,
-// Scan children are opened lazily and come back in leaves (nil entries
-// for the other children).
-func (e *Engine) evalChildren(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, start *time.Time, lazy bool) ([][]*Relation, []*scanLeaf, error) {
-	n := len(p.Children)
-	children := make([][]*Relation, n)
-	leaves := make([]*scanLeaf, n)
-	for i, c := range p.Children {
-		rels, leaf, ctr, err := e.eval(ctx, c, q, env, lazy)
-		if err != nil {
-			return nil, nil, err
-		}
-		children[i], leaves[i] = rels, leaf
-		tr.Children = append(tr.Children, ctr)
-	}
-	*start = time.Now()
-	return children, leaves, nil
-}
-
-// joinInputs evaluates p's children and performs the operator's data
-// movement — nothing for a local join (partitioning guarantees every
-// complete match is co-located, Definition 2), gather+replicate of the
-// k−1 smaller inputs for broadcast, a hash scatter on the join
-// variable for repartition — returning per node the list of relations
-// that node's join consumes. Transfer accounting lands in the
-// operator's trace tr. Every input that moves arrives deduplicated and
-// sorted on the join variable: a broadcast's gathered inputs are sorted
-// once and shared read-only by every node, and a scatter's buckets are
-// sorted as they are deduplicated.
+// joinInputs evaluates p's children in plan order, attaching their
+// traces to tr, and performs the operator's data movement — nothing for
+// a local join (partitioning guarantees every complete match is
+// co-located, Definition 2), gather+replicate of the k−1 smaller inputs
+// for broadcast, a hash scatter on the join variable for repartition —
+// returning per node the list of relations that node's join consumes.
+// Transfer accounting lands in the operator's trace tr. Every input that
+// moves arrives deduplicated and sorted on the join variable: a
+// broadcast's gathered inputs are sorted once and shared read-only by
+// every node, and a scatter's buckets are sorted as they are
+// deduplicated. The operator's own-time clock start restarts once the
+// children have run, so an operator's own time never includes its
+// children's.
 //
 // The Scan children of a local join and the Scan child a broadcast join
 // leaves in place are opened but not read: they come back in leaves,
-// with nil relations on the nodes still unread, for the join to read
-// or merge (see sortedJoin). A child that has to move
-// is read in full first, so data movement is what it always was.
+// with nil relations on the nodes still unread, for the join to read or
+// merge (see sortedJoin). A child that has to move is read in full
+// first, through the same step fan-out as eval, so data movement is
+// what it always was.
 func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, start *time.Time) (opInputs, error) {
 	var in opInputs
-	children, leaves, err := e.evalChildren(ctx, p, q, env, tr, start, p.Alg != plan.RepartitionJoin)
-	if err != nil {
-		return in, err
+	children := make([][]*Relation, len(p.Children))
+	leaves := make([]*scanLeaf, len(p.Children))
+	// sizes[i] is child i's cluster-wide row count, as its trace records
+	// it; a leaf handed over unread knows it without having read a row.
+	sizes := make([]int64, len(p.Children))
+	for i, c := range p.Children {
+		rels, leaf, ctr, err := e.eval(ctx, c, q, env, p.Alg != plan.RepartitionJoin)
+		if err != nil {
+			return in, err
+		}
+		children[i], leaves[i], sizes[i] = rels, leaf, ctr.OutputRows
+		tr.Children = append(tr.Children, ctr)
 	}
+	*start = time.Now()
 	n := len(env.Snap.stores)
-	// sizes[i] is child i's cluster-wide row count, as its trace just
-	// recorded it; a lazily opened leaf knows it without having read a
-	// row.
-	sizes := make([]int64, len(children))
-	for i := range children {
-		sizes[i] = tr.Children[i].OutputRows
-	}
 	inputs := make([][]*Relation, n)
 	switch p.Alg {
 	case plan.LocalJoin:
@@ -798,12 +725,13 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 			if i == largest {
 				continue
 			}
-			if leaves[i] != nil {
+			if l := leaves[i]; l != nil {
 				// A leaf that ships is needed whole.
-				if err := leaves[i].readAll(e); err != nil {
+				var err error
+				if frags, err = e.steps(ctx, l, l.busy); err != nil {
 					return in, err
 				}
-				leaves[i].settle()
+				l.settle()
 			}
 			// The gather shares the fragments' row storage; no arena copy.
 			g := &Relation{Vars: frags[0].Vars, Rows: make([][]rdf.TermID, 0, sizes[i])}
@@ -882,28 +810,6 @@ type opInputs struct {
 	sizes  []int64
 }
 
-// joinOp runs one k-way join operator below the root: openJoin, then a
-// trie join on every node, each materializing the node's result as a
-// flat row arena.
-func (e *Engine) joinOp(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, start *time.Time) ([]*Relation, error) {
-	j, err := e.openJoin(ctx, p, q, env, tr, start, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Relation, len(j.in.rels))
-	// A node where some input is empty joins nothing.
-	busy := func(node int) bool { return j.rowsOn(node) > 0 }
-	tr.BusyNodes, err = e.fanOut(len(out), busy, func(node int) (err error) {
-		out[node], err = j.step(ctx, node)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	j.settle()
-	return out, nil
-}
-
 // openedJoin is a join operator whose per-node inputs are in place: its
 // step joins one node's (see nodeWork).
 type openedJoin struct {
@@ -914,13 +820,14 @@ type openedJoin struct {
 }
 
 // openJoin evaluates p's children and moves their rows (joinInputs) and
-// plans the trie join (sortedJoin) that every node runs. A local join
-// intersects its inputs on every variable two of them share
-// (joinOrder); a broadcast or repartition join on its one join
-// variable. A non-nil root makes p the plan's root: the join emits only
-// the projected columns, and a root local join with an anchor keeps
-// each match on its anchor's home (see Snap.joinHome).
-func (e *Engine) openJoin(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, start *time.Time, root *rootOut) (*openedJoin, error) {
+// plans the trie join (sortedJoin) that every node runs; a node where
+// some input is empty joins nothing. A local join intersects its inputs
+// on every variable two of them share (joinOrder); a broadcast or
+// repartition join on its one join variable. A non-nil root makes p the
+// plan's root: the join emits only the projected columns, and a root
+// local join with an anchor keeps each match on its anchor's home (see
+// Snap.joinHome).
+func (e *Engine) openJoin(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, start *time.Time, root *rootOut) (*operator, error) {
 	in, err := e.joinInputs(ctx, p, q, env, tr, start)
 	if err != nil {
 		return nil, err
@@ -948,12 +855,13 @@ func (e *Engine) openJoin(ctx context.Context, p *plan.Node, q *sparql.Query, en
 			}
 		}
 	}
-	tr.Nodes = len(in.rels)
-	return &openedJoin{join: join, in: in, env: env, site: opName(p.Alg)}, nil
+	op := &operator{tr: tr, vars: join.vars(), busy: make([]bool, len(in.rels))}
+	op.work = &openedJoin{join: join, in: in, env: env, site: opName(p.Alg)}
+	for node, rels := range in.rels {
+		op.busy[node] = join.rowsOn(node, rels) > 0
+	}
+	return op, nil
 }
-
-// rowsOn returns the fewest rows any input holds on node.
-func (j *openedJoin) rowsOn(node int) int { return j.join.rowsOn(node, j.in.rels[node]) }
 
 // step joins node's inputs.
 func (j *openedJoin) step(ctx context.Context, node int) (*Relation, error) {

@@ -296,7 +296,6 @@ func randomGraph(r *rand.Rand, nodes, preds int) *rdf.Dataset {
 		p := fmt.Sprintf("p%d", r.Intn(preds))
 		ds.Add(s, p, o)
 	}
-	ds.Dedup()
 	return ds
 }
 

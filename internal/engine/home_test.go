@@ -22,7 +22,7 @@ import (
 // random graph partitioned by every method, with 0–3 delta chunks (some
 // of their vertices in no base triple) and healthy or with any single
 // node dead, it evaluates root scans — variable and constant subjects —
-// and root local joins through openRoot and every node's step. Wherever
+// and root local joins through open and every node's step. Wherever
 // the stream would skip its seen-set (dedupFree), the nodes' outputs
 // must be pairwise disjoint sets whose union is Reference; elsewhere
 // their union must still be Reference. The home rule must hold where it is claimed: every root
@@ -141,7 +141,7 @@ func TestDeterminismRootHome(t *testing.T) {
 						fo.markDead(dead, "scan")
 					}
 					root := &rootOut{vars: ref.Vars}
-					op, err := eng.openRoot(ctx, p, q, ExecEnv{Snap: snap, fo: fo}, root)
+					op, err := eng.open(ctx, p, q, ExecEnv{Snap: snap, fo: fo}, root)
 					var parts []*Relation
 					if err == nil {
 						parts, err = stepAll(ctx, op)
@@ -201,11 +201,12 @@ func projectCols(row []rdf.TermID, cols []int) []rdf.TermID {
 
 // stepAll runs every node's root step in node order, as the stream
 // does, and returns the nodes' outputs.
-func stepAll(ctx context.Context, op *rootOp) ([]*Relation, error) {
+func stepAll(ctx context.Context, op *operator) ([]*Relation, error) {
+	enum := &flatEnum{root: op}
 	parts := make([]*Relation, op.tr.Nodes)
 	for node := range parts {
 		var err error
-		if parts[node], err = op.run(ctx, node); err != nil {
+		if parts[node], err = enum.run(ctx, node); err != nil {
 			return nil, err
 		}
 	}

@@ -11,17 +11,17 @@ import (
 	"sparqlopt/internal/sparql"
 )
 
-// scanLeaf is one Scan operator's fragment reads, one per node. A scan
-// the engine needs in full — a child of a repartition join, any node's
-// read that must fail over — reads every fragment when it is opened. A
-// Scan child of a local or broadcast join is opened lazily instead:
-// every node is gated and the exact size of its read is taken from the
-// candidate ranges' lengths, but no row is copied until the parent's
-// join on that node asks for the relation (read) — and it never asks
-// when the leaf's permutation orders it on the join's variables: the
-// join then intersects the leaf's sorted ranges with its siblings'
-// (merge; see sortedJoin). A root scan is opened lazily too, and the
-// stream reads one node at a time (step).
+// scanLeaf is one Scan operator's fragment reads, one per node. Opening
+// the scan gates every node and takes the size of its read from the
+// candidate ranges' lengths, delta included; only a down node's read, a
+// failover read, is performed then. A healthy node's read is its step:
+// the stream performs it at the root, eval below it — unless the scan is
+// a Scan child of a local or broadcast join, which eval hands to its
+// parent: no row is then copied until the parent's join on that node
+// asks for the relation (read), and it never asks when the leaf's
+// permutation orders it on the join's variables: the join then
+// intersects the leaf's sorted ranges with its siblings' (merge; see
+// sortedJoin).
 type scanLeaf struct {
 	snap  *Snap
 	bp    boundPattern
@@ -31,8 +31,12 @@ type scanLeaf struct {
 	// Each node's join touches only its own element.
 	rels []*Relation
 	// size[node] is the row count of the node's read, known before it is
-	// performed; a root scan's is a bound until the read.
+	// performed; a bound until the read when the pattern repeats a
+	// variable or the read is a root scan's (see nodeKeep).
 	size []int
+	// busy[node] reports whether the node's read, as sized at open, is
+	// non-empty or failed over.
+	busy []bool
 	// keep filters every read of a root scan (see nodeKeep).
 	keep nodeKeep
 
@@ -52,14 +56,11 @@ type scanLeaf struct {
 // every node. A root scan under a placement with homes emits each row
 // only on its subject's home, which holds every triple of that subject,
 // delta ones included; a constant subject's home is the only node that
-// reads. With lazy set, healthy nodes' reads are sized but left to the
-// parent join or, at the root, to the stream (see scanLeaf); a child
-// pattern that repeats a variable filters its candidates, so its ranges
-// are not its sizes and it is read at once.
-// Every node is gated and sized before any read starts; only the reads
-// whose range holds candidates (or that fail over) are spread over
-// goroutines (see fanOut), and the trace records how many those were.
-func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, lazy, root bool) (*scanLeaf, error) {
+// reads. Every node is gated and sized before any read starts, so a
+// failover read checks coverage against every death this scan
+// discovered, whatever the schedule; the failover reads are spread over
+// goroutines (see fanOut).
+func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, root *rootOut) (*operator, error) {
 	snap := env.Snap
 	n := len(snap.stores)
 	l := &scanLeaf{
@@ -69,27 +70,24 @@ func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 		tr:    tr,
 		rels:  make([]*Relation, n),
 		size:  make([]int, n),
+		busy:  make([]bool, n),
 		keep:  keepAll,
 	}
 	bp := &l.bp
 	only := -1 // the one node that reads, -1 when every node does
 	switch {
-	case root && snap.home != nil && bp.sConst:
+	case root != nil && snap.home != nil && bp.sConst:
 		only = snap.home(bp.s)
-	case root && snap.home != nil:
+	case root != nil && snap.home != nil:
 		l.keep = nodeKeep{col: bp.sVar, nodeOf: snap.home}
 	}
-	lazy = lazy && (root || !bp.repeated)
-	deltaLen := 0
-	if lazy {
-		for _, st := range snap.delta {
-			deltaLen += len(st.candidates(bp))
-		}
+	if root != nil {
+		root.scanned(bp, snap.home != nil)
 	}
-	// Gate every node before any read, sizing it on the way: its
-	// candidate range, and for a lazy leaf the delta too, which makes the
-	// size exact. A failover read then checks coverage against every
-	// death this scan discovered, whatever the schedule.
+	deltaLen := 0
+	for _, st := range snap.delta {
+		deltaLen += len(st.candidates(bp))
+	}
 	var down []bool // nil while every node is up
 	for node := 0; node < n; node++ {
 		if only >= 0 && node != only {
@@ -106,48 +104,27 @@ func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 			down[node] = true
 		}
 		l.size[node] = len(snap.stores[node].candidates(bp)) + deltaLen
+		l.busy[node] = d || l.size[node] > 0
 	}
-	var dead []int
 	if down != nil {
-		dead = env.fo.deadNodes()
-	}
-	isDown := func(node int) bool { return down != nil && down[node] }
-	busy := func(node int) bool { return isDown(node) || !lazy && l.size[node] > 0 }
-	busyNodes, err := e.fanOut(n, busy, func(node int) error {
-		switch {
-		case only >= 0 && node != only:
-			l.rels[node] = &Relation{Vars: bp.vars}
-			return nil
-		case lazy && !isDown(node):
-			return nil
-		}
-		var deadSet []int
-		if isDown(node) {
-			deadSet = dead
-		}
-		missing, err := l.readAt(node, deadSet)
-		if missing > 0 {
-			// Any hole fails fast, typed: never a silent partial result.
-			return e.unavailable(env, "scan", missing)
-		}
-		if isDown(node) {
-			env.fo.recordFailover()
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if lazy {
-		busyNodes = 0
-		for _, size := range l.size {
-			if size > 0 {
-				busyNodes++
+		dead := env.fo.deadNodes()
+		err := e.fanOut(down, func(node int) error {
+			if !down[node] {
+				return nil
 			}
+			missing, err := l.readAt(node, dead)
+			if missing > 0 {
+				// Any hole fails fast, typed: never a silent partial result.
+				return e.unavailable(env, "scan", missing)
+			}
+			env.fo.recordFailover()
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
-	tr.BusyNodes, tr.Nodes = busyNodes, n
-	return l, nil
+	return &operator{tr: tr, work: l, vars: bp.vars, busy: l.busy}, nil
 }
 
 // readAt performs node's fragment read and surfaces the delta's rows on
@@ -184,8 +161,8 @@ func (l *scanLeaf) readAt(node int, dead []int) (missing int, err error) {
 	return 0, rel.chargeTo(l.gauge, "scan")
 }
 
-// read returns node's fragment read, performing it now if the leaf was
-// opened lazily.
+// read returns node's fragment read, performing it now if it has not
+// been.
 func (l *scanLeaf) read(node int) (*Relation, error) {
 	switch {
 	case l.rels[node] != nil:
@@ -200,23 +177,13 @@ func (l *scanLeaf) read(node int) (*Relation, error) {
 	return l.rels[node], nil
 }
 
-// step performs node's read for the stream, which owns the relation
-// from then on: the leaf keeps no reference to it.
+// step performs node's read for its caller — eval's fan-out or the
+// stream — which owns the relation from then on: the leaf keeps no
+// reference to it.
 func (l *scanLeaf) step(_ context.Context, node int) (*Relation, error) {
 	rel, err := l.read(node)
 	l.rels[node] = nil
 	return rel, err
-}
-
-// readAll performs every read still outstanding, for a parent that
-// needs the leaf as a relation on every node after all.
-func (l *scanLeaf) readAll(e *Engine) error {
-	busy := func(node int) bool { return l.rels[node] == nil && l.size[node] > 0 }
-	_, err := e.fanOut(len(l.rels), busy, func(node int) error {
-		_, err := l.read(node)
-		return err
-	})
-	return err
 }
 
 // settle closes the leaf's accounting once nothing will read or merge

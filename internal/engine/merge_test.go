@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/cost"
 	"sparqlopt/internal/opt"
 	"sparqlopt/internal/partition"
@@ -157,7 +158,7 @@ func TestDeterminismTrieJoin(t *testing.T) {
 				// The patterns behind each of the operator's inputs.
 				var tps [][]int
 				for _, ch := range c.plan.Children {
-					tps = append(tps, ch.Set.Members())
+					tps = append(tps, members(ch.Set))
 				}
 				for node := 0; node < n; node++ {
 					reads := make([]*Relation, len(ors))
@@ -222,4 +223,14 @@ func TestDeterminismTrieJoin(t *testing.T) {
 			t.Errorf("table degenerate: %s never matched", c.name)
 		}
 	}
+}
+
+// members returns the members of s in increasing order.
+func members(s bitset.TPSet) []int {
+	var out []int
+	s.Each(func(i int) bool {
+		out = append(out, i)
+		return true
+	})
+	return out
 }

@@ -395,8 +395,8 @@ func TestDeterminismScanDeadSet(t *testing.T) {
 // through its ranges counts as postings exactly the entries whose
 // binding is in hand, once per key group however many rows look it up;
 // a leaf the join reads counts its read, and one read when it was
-// opened (a dead node's failover read, a repeated variable) nothing
-// more. Reading the leaf afterwards must join to the same rows.
+// opened (a dead node's failover read) nothing more. Reading the leaf
+// afterwards must join to the same rows.
 func TestDeterminismFragmentProbe(t *testing.T) {
 	fx := newReadFixture()
 	snap := fx.snap()
@@ -432,7 +432,11 @@ func TestDeterminismFragmentProbe(t *testing.T) {
 						fo.markDead(d, "scan")
 					}
 					env := ExecEnv{Snap: snap, fo: fo}
-					_, leaf, _, err := eng.eval(ctx, plan.NewScan(0, 1, cost.Default), q, env, true)
+					var leaf *scanLeaf
+					op, err := eng.open(ctx, plan.NewScan(0, 1, cost.Default), q, env, nil)
+					if err == nil {
+						leaf = op.work.(*scanLeaf)
+					}
 					hole := false
 					for node := 0; node < n; node++ {
 						if _, _, missing, _ := or.read(node, dead); missing > 0 {
@@ -665,14 +669,15 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 				}
 				env := ExecEnv{Snap: snap, fo: markDead()}
 				leaves := make([]*scanLeaf, len(q.Patterns))
+				outs := make([][]*Relation, len(q.Patterns))
 				vars := make([][]string, len(q.Patterns))
 				sizes := make([]int64, len(q.Patterns))
 				for i := range q.Patterns {
-					_, leaf, tr, err := eng.eval(ctx, plan.NewScan(i, 1, cost.Default), q, env, true)
+					out, leaf, tr, err := eng.eval(ctx, plan.NewScan(i, 1, cost.Default), q, env, true)
 					if err != nil {
 						t.Fatalf("%s: tp%d: %v", id, i+1, err)
 					}
-					leaves[i], vars[i], sizes[i] = leaf, leaf.bp.vars, tr.OutputRows
+					outs[i], leaves[i], vars[i], sizes[i] = out, leaf, inputVars(out[0], leaf), tr.OutputRows
 				}
 				join := newSortedJoin(vars, sizes, leaves, joinOrder(vars, sizes))
 				for i, want := range st.ranged {
@@ -696,7 +701,7 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 					rels := make([]*Relation, len(leaves))
 					before := make([]int64, len(leaves))
 					for i, l := range leaves {
-						rels[i], before[i] = l.rels[node], l.scanned.Load()
+						rels[i], before[i] = outs[i][node], scannedBy(l)
 					}
 					hit := join.rowsOn(node, rels) > 0
 					got, err := join.join(ctx, nil, "local join", node, rels)
@@ -710,7 +715,7 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 					}
 					for i, or := range ors {
 						in := &join.inputs[i]
-						postings := leaves[i].scanned.Load() - before[i]
+						postings := scannedBy(leaves[i]) - before[i]
 						lists := append([][]rdf.Triple{fx.base[node]}, fx.delta...)
 						if !in.ranges || rels[i] != nil {
 							var read int64
@@ -783,6 +788,15 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 			t.Errorf("table degenerate: no case with %s", what)
 		}
 	}
+}
+
+// scannedBy returns the postings leaf l has touched so far: none for an
+// input eval read in full and handed over as relations (a nil leaf).
+func scannedBy(l *scanLeaf) int64 {
+	if l == nil {
+		return 0
+	}
+	return l.scanned.Load()
 }
 
 // hashFold is the test-only fold the trie join is held to, an algorithm
@@ -901,10 +915,11 @@ func newFoldOracle(ctx context.Context, e *Engine, p *plan.Node, q *sparql.Query
 		o.postings += postings[o.largest]
 		if p.Children[o.largest].Alg == plan.Scan {
 			// Opened for its pattern only: the fold reads it in full.
-			var err error
-			if _, o.leaf, _, err = e.eval(ctx, p.Children[o.largest], q, env, true); err != nil {
+			op, err := e.open(ctx, p.Children[o.largest], q, env, nil)
+			if err != nil {
 				return nil, err
 			}
+			o.leaf = op.work.(*scanLeaf)
 		}
 		for node := range inputs {
 			inputs[node] = append([]*Relation{kids[o.largest][node]}, gathered...)

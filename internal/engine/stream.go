@@ -1,17 +1,17 @@
 // Chunked result emission. ExecuteStream is the streaming twin of
 // ExecuteEnv: the plan evaluates exactly as before (same operators,
 // same shuffles, same metrics), but the root operator runs node by node
-// as the consumer pulls. Everything below the root — children, data
-// movement, every node's gate and sizing, the failover reads of down
-// nodes — runs before ExecuteStream returns; the root's own per-node
-// step (a root scan's fragment read, a root join's trie join) runs in
-// NextChunk when the enumeration reaches that node, in node order, on
-// the consumer's goroutine, with at most one busy node's step started
-// ahead on a goroutine of its own (see flatEnum). A chunk holds one
-// node's rows, and the node's arena is released when the enumeration
-// moves on, so the first rows leave before the other nodes' root work
-// runs and the resident state of a stream is one chunk, the seen-set
-// and at most two nodes' root arenas.
+// as the consumer pulls. The root is opened like every operator (open:
+// children, data movement, every node's gate and sizing, the failover
+// reads of down nodes) before ExecuteStream returns; the root's own
+// per-node step (a root scan's fragment read, a root join's trie join)
+// runs in NextChunk when the enumeration reaches that node, in node
+// order, on the consumer's goroutine, with at most one busy node's step
+// started ahead on a goroutine of its own (see flatEnum). A chunk holds
+// one node's rows, and the node's arena is released when the
+// enumeration moves on, so the first rows leave before the other nodes'
+// root work runs and the resident state of a stream is one chunk, the
+// seen-set and at most two nodes' root arenas.
 //
 // Each answer leaves once, from its home node, wherever the placement
 // can name one: a root scan emits a row only on its subject's home, a
@@ -71,7 +71,8 @@ const dedupChargeStep = 64 * 1024
 // only until the next call; nil marks the end. Cancellation polling
 // and deduplication belong to the Stream driving it.
 type flatEnum struct {
-	root    *rootOp
+	root    *operator
+	inst    *Instruments
 	gauge   *resilience.Gauge
 	cols    []int
 	scratch []rdf.TermID
@@ -108,15 +109,70 @@ func (e *flatEnum) next(ctx context.Context) ([]rdf.TermID, error) {
 func (e *flatEnum) step(ctx context.Context, node int) (*Relation, error) {
 	if a := e.ahead; a != nil && a.node == node {
 		e.ahead = nil
-		return e.root.wait(a)
+		return e.wait(a)
 	}
 	if e.root.busy[node] {
-		if next := e.root.nextBusy(node); e.paired && next >= 0 {
-			e.ahead = e.root.start(ctx, next)
+		if next := e.nextBusy(node); e.paired && next >= 0 {
+			e.ahead = e.start(ctx, next)
 		}
 		e.paired = true
 	}
-	return e.root.run(ctx, node)
+	return e.run(ctx, node)
+}
+
+// run performs node's step now, timing it and counting its rows into
+// the root's trace.
+func (e *flatEnum) run(ctx context.Context, node int) (*Relation, error) {
+	start := time.Now()
+	rel, err := e.root.work.step(ctx, node)
+	return e.record(rel, err, start)
+}
+
+// aheadStep is a root step running on a goroutine of its own.
+type aheadStep struct {
+	node int
+	rel  *Relation
+	err  error
+	done chan struct{}
+}
+
+// start performs node's step on a goroutine of its own. A panic in it
+// is recovered into a typed *resilience.PanicError, as in fanOut.
+func (e *flatEnum) start(ctx context.Context, node int) *aheadStep {
+	a := &aheadStep{node: node, done: make(chan struct{})}
+	go func() {
+		defer close(a.done)
+		defer resilience.CatchPanic(&a.err, e.inst.panicRecovered)
+		a.rel, a.err = e.root.work.step(ctx, node)
+	}()
+	return a
+}
+
+// wait returns the step start began, timing the wait for it and
+// counting its rows into the root's trace.
+func (e *flatEnum) wait(a *aheadStep) (*Relation, error) {
+	start := time.Now()
+	<-a.done
+	return e.record(a.rel, a.err, start)
+}
+
+func (e *flatEnum) record(rel *Relation, err error, since time.Time) (*Relation, error) {
+	e.root.tr.Elapsed += time.Since(since)
+	if err != nil {
+		return nil, err
+	}
+	e.root.tr.recordNode(len(rel.Rows))
+	return rel, nil
+}
+
+// nextBusy returns the first busy node after node, -1 when none is.
+func (e *flatEnum) nextBusy(node int) int {
+	for next := node + 1; next < len(e.root.busy); next++ {
+		if e.root.busy[next] {
+			return next
+		}
+	}
+	return -1
 }
 
 // left returns how many of the current node's rows the enumeration has
@@ -143,7 +199,7 @@ func (e *flatEnum) close() {
 	e.release()
 	if a := e.ahead; a != nil {
 		e.ahead = nil
-		if rel, err := e.root.wait(a); err == nil {
+		if rel, err := e.wait(a); err == nil {
 			e.gauge.Release(rel.charged)
 		}
 	}
@@ -328,7 +384,7 @@ func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Quer
 	}
 	vars = append([]string{}, vars...)
 	out := &rootOut{vars: vars}
-	root, err := e.openRoot(ctx, p, q, env, out)
+	root, err := e.open(ctx, p, q, env, out)
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +396,7 @@ func (e *Engine) ExecuteStream(ctx context.Context, p *plan.Node, q *sparql.Quer
 		cols[i] = slices.Index(root.vars, v)
 	}
 	st = &Stream{eng: e, env: env, execStart: execStart}
-	st.src = &flatEnum{root: root, gauge: env.Gauge, cols: cols, scratch: make([]rdf.TermID, len(vars))}
+	st.src = &flatEnum{root: root, inst: e.inst, gauge: env.Gauge, cols: cols, scratch: make([]rdf.TermID, len(vars))}
 	st.res = &Result{Vars: vars, Trace: root.tr}
 	// No root step fails over: the failover reads ran at open.
 	st.res.Failovers, st.res.Degraded = env.fo.summary()

@@ -23,9 +23,11 @@ type TraceNode struct {
 	// MaxNodeRows is the largest per-node output (load skew).
 	MaxNodeRows int64
 	// BusyNodes is how many of the cluster's Nodes the operator had work
-	// on: for a join, the nodes where every input held rows; for a
-	// scan, the nodes it read or failed over, or — for a leaf its parent
-	// join reads later — the nodes whose read is non-empty.
+	// on, as its open sized them: for a join, the nodes where every input
+	// held rows; for a scan, the nodes whose read, delta included, is
+	// non-empty as sized at open (the candidate ranges' lengths, a bound
+	// where the pattern repeats a variable or a root scan keeps rows on
+	// their homes only), plus the down nodes it failed over.
 	BusyNodes, Nodes int
 	// TransferredRows is this operator's own network contribution.
 	TransferredRows int64
@@ -64,14 +66,6 @@ func newTrace(p *plan.Node) *TraceNode {
 func (tr *TraceNode) record(out []*Relation) {
 	for _, r := range out {
 		tr.recordNode(len(r.Rows))
-	}
-}
-
-// recordSizes is record for a scan, whose per-node row counts are known
-// whether or not the rows were read.
-func (tr *TraceNode) recordSizes(sizes []int) {
-	for _, n := range sizes {
-		tr.recordNode(n)
 	}
 }
 

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
 	"sparqlopt/internal/rdf"
+	"sparqlopt/internal/resilience"
 	"sparqlopt/internal/sparql"
 	"sparqlopt/internal/workload/lubm"
 )
@@ -34,9 +37,9 @@ func TestTraceMirrorsPlan(t *testing.T) {
 		t.Fatal("no trace attached")
 	}
 	// Same operator count and same root shape as the plan.
-	if traceOps(got.Trace) != res.Plan.Operators()+len(res.Plan.Leaves()) {
+	if traceOps(got.Trace) != res.Plan.Operators()+res.Plan.Set.Len() {
 		t.Errorf("trace has %d operators, plan has %d joins + %d scans",
-			traceOps(got.Trace), res.Plan.Operators(), len(res.Plan.Leaves()))
+			traceOps(got.Trace), res.Plan.Operators(), res.Plan.Set.Len())
 	}
 	if got.Trace.Alg != res.Plan.Alg || got.Trace.Set != res.Plan.Set {
 		t.Errorf("trace root mismatch: %v vs %v", got.Trace.Alg, res.Plan.Alg)
@@ -281,4 +284,155 @@ func TestTraceOwnTimesAddUp(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTraceBusyNodes holds every operator of the trace to the BusyNodes
+// rule (see TraceNode.BusyNodes) over L1–L10 at LUBM-1 under the five
+// methods, with and without an ingest delta, healthy and with node 1
+// dead. A scan counts the nodes where some triple of the node's fragment
+// or of the delta agrees with the pattern's constants, plus the dead
+// node it failed over; a join the nodes where every input holds rows,
+// the inputs' per-node rows following from the children's per-node
+// outputs and the join's data movement.
+func TestTraceBusyNodes(t *testing.T) {
+	const nodes, dead = 4, 1
+	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1})
+	base := ds.Snapshot().Triples()
+	// Triples of every predicate under subjects no base triple has, so
+	// that a node may hold a pattern's rows in the delta alone.
+	var delta []rdf.Triple
+	for i := 0; i < len(base); i += 300 {
+		tr := base[i]
+		tr.S = ds.Dict.Intern(fmt.Sprintf("http://example.org/new%d", i))
+		delta = append(delta, tr)
+	}
+	ctx := context.Background()
+	saw := map[string]bool{}
+	for _, name := range []string{"hash-so", "2f", "2fb", "un-1hop", "path-bmc"} {
+		m, err := partition.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		placement, err := m.Partition(ds, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, deltas := range [][]rdf.Triple{nil, delta} {
+			e := New(ds.Dict, placement)
+			e.SetFailover(&FailoverPolicy{})
+			e.ApplyIngest(deltas, nil)
+			for _, down := range []bool{false, true} {
+				env := func() ExecEnv {
+					fo := &failoverState{}
+					if down {
+						fo.markDead(dead, "scan")
+					}
+					return ExecEnv{Snap: e.Snapshot(), fo: fo}
+				}
+				for _, qn := range lubm.QueryNames {
+					q := lubm.Query(qn)
+					id := fmt.Sprintf("%s/delta=%v/down=%v/%s", name, deltas != nil, down, qn)
+					p := optimizeFor(t, ds, q, m, opt.TDAuto).Plan
+					res, err := e.ExecuteEnv(ctx, p, q, env())
+					var ue *resilience.UnavailableError
+					if errors.As(err, &ue) {
+						continue // the dead node held a triple no other node has
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", id, err)
+					}
+					if p.Alg == plan.Scan {
+						t.Fatalf("%s: a root scan, which reads on its subjects' homes: the rule below does not size it", id)
+					}
+					var check func(p *plan.Node, tr *TraceNode)
+					check = func(p *plan.Node, tr *TraceNode) {
+						busy := make([]bool, nodes)
+						if p.Alg == plan.Scan {
+							bp := bindPattern(ds.Dict, q.Patterns[p.TP])
+							for node := range busy {
+								busy[node] = down && node == dead ||
+									slices.ContainsFunc(placement.Triples[node], bp.agrees) || slices.ContainsFunc(deltas, bp.agrees)
+							}
+						} else {
+							busy = joinBusy(t, e, p, q, env)
+						}
+						want := 0
+						for _, b := range busy {
+							if b {
+								want++
+							}
+						}
+						if tr.BusyNodes != want || tr.Nodes != nodes {
+							t.Errorf("%s: %v over %v on %d/%d nodes, want %d/%d", id, p.Alg, p.Set, tr.BusyNodes, tr.Nodes, want, nodes)
+						}
+						saw[p.Alg.String()] = saw[p.Alg.String()] || want > 0 && want < nodes
+						for i, c := range p.Children {
+							check(c, tr.Children[i])
+						}
+					}
+					check(p, res.Trace)
+					saw["delta"] = saw["delta"] || deltas != nil
+					saw["down"] = saw["down"] || down
+				}
+			}
+		}
+	}
+	for _, what := range []string{plan.Scan.String(), plan.LocalJoin.String(), plan.BroadcastJoin.String(), plan.RepartitionJoin.String(), "delta", "down"} {
+		if !saw[what] {
+			t.Errorf("table degenerate: no case with %s (busy on some nodes but not all, for an operator)", what)
+		}
+	}
+}
+
+// agrees reports whether t agrees with every constant of bp.
+func (bp *boundPattern) agrees(t rdf.Triple) bool {
+	return !bp.unknown && (!bp.sConst || t.S == bp.s) && (!bp.pConst || t.P == bp.p) && (!bp.oConst || t.O == bp.o)
+}
+
+// joinBusy returns, per node, whether every input of join p holds rows
+// there: a local join's inputs are its children's outputs on the node, a
+// broadcast join's the largest child's output on the node and every
+// other child whole, a repartition join's the rows of every child whose
+// join variable hashes to the node.
+func joinBusy(t *testing.T, e *Engine, p *plan.Node, q *sparql.Query, env func() ExecEnv) []bool {
+	t.Helper()
+	n := e.Nodes()
+	kids := make([][]*Relation, len(p.Children))
+	sizes := make([]int, len(p.Children))
+	for i, c := range p.Children {
+		out, _, _, err := e.eval(context.Background(), c, q, env(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kids[i] = out
+		for _, rel := range out {
+			sizes[i] += len(rel.Rows)
+		}
+	}
+	largest := 0
+	for i, size := range sizes {
+		if size > sizes[largest] {
+			largest = i
+		}
+	}
+	busy := make([]bool, n)
+	for node := range busy {
+		busy[node] = true
+		for i, out := range kids {
+			var holds bool
+			switch {
+			case p.Alg == plan.LocalJoin || p.Alg == plan.BroadcastJoin && i == largest:
+				holds = len(out[node].Rows) > 0
+			case p.Alg == plan.BroadcastJoin:
+				holds = sizes[i] > 0
+			default:
+				col := out[0].colIndex(p.JoinVar)
+				for _, rel := range out {
+					holds = holds || slices.ContainsFunc(rel.Rows, func(row []rdf.TermID) bool { return int(uint64(row[col])%uint64(n)) == node })
+				}
+			}
+			busy[node] = busy[node] && holds
+		}
+	}
+	return busy
 }

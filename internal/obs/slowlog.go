@@ -112,14 +112,6 @@ func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
 	return &SlowLog{threshold: threshold, buf: make([]SlowQueryEntry, capacity)}
 }
 
-// Threshold returns the latency threshold.
-func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.threshold
-}
-
 // Record logs e if it qualifies — at or over the threshold, or failed
 // — and reports whether it was kept.
 func (l *SlowLog) Record(e SlowQueryEntry) bool {

@@ -15,15 +15,15 @@ func TestNilSlowLog(t *testing.T) {
 	if l.Record(SlowQueryEntry{Duration: time.Hour}) {
 		t.Error("nil log must drop everything")
 	}
-	if l.Entries() != nil || l.Total() != 0 || l.Threshold() != 0 {
+	if l.Entries() != nil || l.Total() != 0 {
 		t.Error("nil log must read empty")
 	}
 }
 
 func TestSlowLogThreshold(t *testing.T) {
 	l := NewSlowLog(8, 100*time.Millisecond)
-	if l.Threshold() != 100*time.Millisecond {
-		t.Fatalf("threshold = %v", l.Threshold())
+	if l.threshold != 100*time.Millisecond {
+		t.Fatalf("threshold = %v", l.threshold)
 	}
 	if l.Record(SlowQueryEntry{Query: "fast", Duration: 10 * time.Millisecond}) {
 		t.Error("fast success must be dropped")

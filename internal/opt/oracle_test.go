@@ -50,7 +50,7 @@ func oracleCMDs(jg *querygraph.JoinGraph, q bitset.TPSet) []string {
 		if neighbors.Len() < 2 {
 			continue
 		}
-		members := q.Members()
+		members := members(q)
 		// Enumerate set partitions: assign each member to an existing
 		// block or a fresh one.
 		blocks := []bitset.TPSet{}
@@ -208,4 +208,14 @@ func starQuery(n int) *sparql.Query {
 		})
 	}
 	return q
+}
+
+// members returns the members of s in increasing order.
+func members(s bitset.TPSet) []int {
+	var out []int
+	s.Each(func(i int) bool {
+		out = append(out, i)
+		return true
+	})
+	return out
 }

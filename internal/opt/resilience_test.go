@@ -32,7 +32,7 @@ func TestGreedyProducesValidPlan(t *testing.T) {
 			if err := res.Plan.Validate(); err != nil {
 				t.Fatalf("invalid greedy plan: %v", err)
 			}
-			if got := len(res.Plan.Leaves()); got != 8 {
+			if got := res.Plan.Set.Len(); got != 8 {
 				t.Fatalf("plan covers %d patterns, want 8", got)
 			}
 			// Greedy is deterministic: a second run yields the same cost.

@@ -56,7 +56,6 @@ func recoveryDataset() *rdf.Dataset {
 		ds.Add(fmt.Sprintf("s%d", i), "hot", fmt.Sprintf("o%d", i%7))
 		ds.Add(fmt.Sprintf("s%d", i), "cold", fmt.Sprintf("c%d", i%5))
 	}
-	ds.Dedup()
 	return ds
 }
 

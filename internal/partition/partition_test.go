@@ -43,7 +43,7 @@ func TestHashSOCombineQueryExample7(t *testing.T) {
 	// Paper Example 7: MLQ at ?a under hash partitioning is
 	// {tp1, tp2, tp3, tp7} = indexes {0,1,2,6}.
 	g := fig1Graph(t)
-	a, _ := g.VertexOf(sparql.V("a"))
+	a := slices.Index(g.Terms, sparql.V("a"))
 	got := HashSO{}.CombineQuery(g, a)
 	if got != bitset.Of(0, 1, 2, 6) {
 		t.Errorf("MLQ(?a) = %v, want {0,1,2,6}", got)
@@ -54,7 +54,7 @@ func TestPathCombineQueryExample5(t *testing.T) {
 	// Paper Example 5: MLQ at ?b under path partitioning is
 	// {tp1, tp3, tp4, tp5, tp7} = indexes {0,2,3,4,6}.
 	g := fig1Graph(t)
-	b, _ := g.VertexOf(sparql.V("b"))
+	b := slices.Index(g.Terms, sparql.V("b"))
 	got := PathBMC{}.CombineQuery(g, b)
 	if got != bitset.Of(0, 2, 3, 4, 6) {
 		t.Errorf("MLQ(?b) = %v, want {0,2,3,4,6}", got)
@@ -434,7 +434,7 @@ func TestGreedyEdgeCutBalance(t *testing.T) {
 
 func TestTwoHopForwardCombineQuery(t *testing.T) {
 	g := fig1Graph(t)
-	b, _ := g.VertexOf(sparql.V("b"))
+	b := slices.Index(g.Terms, sparql.V("b"))
 	// 2 hops forward from ?b: tp1 (?b→?a), tp5 (?b→?f), then ?a's
 	// out-edges tp3 (?a→?e), tp7 (?a→?d).
 	got := TwoHopForward{}.CombineQuery(g, b)
@@ -445,7 +445,7 @@ func TestTwoHopForwardCombineQuery(t *testing.T) {
 
 func TestTwoHopBidirectionalCombineQuery(t *testing.T) {
 	g := fig1Graph(t)
-	b, _ := g.VertexOf(sparql.V("b"))
+	b := slices.Index(g.Terms, sparql.V("b"))
 	// 2 undirected hops from ?b: tp1, tp5 (hop 1 via ?b), then every
 	// pattern touching ?a or ?f (hop 2): tp2, tp3, tp7.
 	got := TwoHopBidirectional{}.CombineQuery(g, b)

@@ -136,23 +136,6 @@ func JoinCost(alg Algorithm, children []*Node, card float64, p cost.Params) (op,
 	return op, maxChild + op
 }
 
-// Leaves returns the scan nodes of the plan in left-to-right order.
-func (n *Node) Leaves() []*Node {
-	var out []*Node
-	var walk func(*Node)
-	walk = func(m *Node) {
-		if m.Alg == Scan {
-			out = append(out, m)
-			return
-		}
-		for _, ch := range m.Children {
-			walk(ch)
-		}
-	}
-	walk(n)
-	return out
-}
-
 // Depth returns the number of operator levels (a scan has depth 1).
 func (n *Node) Depth() int {
 	if n.Alg == Scan {

@@ -55,7 +55,7 @@ func TestMultiwayJoin(t *testing.T) {
 	if j.Depth() != 2 || j.Operators() != 1 {
 		t.Errorf("Depth=%d Operators=%d", j.Depth(), j.Operators())
 	}
-	if got := len(j.Leaves()); got != 3 {
+	if got := len(leaves(j)); got != 3 {
 		t.Errorf("Leaves = %d", got)
 	}
 	if err := j.Validate(); err != nil {
@@ -152,4 +152,16 @@ func TestDOT(t *testing.T) {
 	if got := strings.Count(out, "->"); got != 4 {
 		t.Errorf("DOT has %d edges, want 4", got)
 	}
+}
+
+// leaves returns the scan nodes of the plan in left-to-right order.
+func leaves(n *Node) []*Node {
+	if n.Alg == Scan {
+		return []*Node{n}
+	}
+	var out []*Node
+	for _, ch := range n.Children {
+		out = append(out, leaves(ch)...)
+	}
+	return out
 }

@@ -22,8 +22,10 @@
 //     algorithm) pair owns the optimization; concurrent missers block
 //     on its future instead of re-optimizing. Combined with epoch
 //     tags — every cached artifact carries the dataset epoch it was
-//     derived under and is dropped when the epoch moves — this gives
-//     exactly one optimization per fingerprint, algorithm and epoch.
+//     derived under; when the epoch moves, an entry is retagged if the
+//     change missed its template's predicates (SetInvalidation) and
+//     dropped otherwise — this gives at most one optimization per
+//     fingerprint, algorithm and epoch.
 //
 // Serving a template plan to a query with different constants is the
 // standard parameterized-plan trade-off: the plan is always valid
@@ -287,7 +289,7 @@ func (e *entry) syncEpoch(epoch uint64, c *Cache, q *sparql.Query) {
 	}
 	if c.changed != nil && !e.predWild {
 		cs := c.changed(e.epoch, epoch)
-		if !cs.Touches(e.preds, false) {
+		if !cs.Touches(e.preds) {
 			if len(e.plans) > 0 {
 				c.retained.Add(1)
 			}

@@ -116,23 +116,22 @@ func TestHitAcrossIsomorphicQueries(t *testing.T) {
 	}
 	// The served plan must live in the second query's index/name space.
 	q2 := sparql.MustParse(iso)
-	for _, leaf := range res2.Plan.Leaves() {
-		if leaf.TP < 0 || leaf.TP >= len(q2.Patterns) {
-			t.Fatalf("leaf TP %d out of range", leaf.TP)
+	var check func(n *plan.Node)
+	check = func(n *plan.Node) {
+		if n.Alg == plan.Scan {
+			if n.TP < 0 || n.TP >= len(q2.Patterns) {
+				t.Fatalf("leaf TP %d out of range", n.TP)
+			}
+			return
+		}
+		if n.JoinVar != "p" {
+			t.Fatalf("join var %q, want the second query's shared var p", n.JoinVar)
+		}
+		for _, ch := range n.Children {
+			check(ch)
 		}
 	}
-	var checkVars func(n *plan.Node)
-	checkVars = func(n *plan.Node) {
-		if n.Alg != plan.Scan {
-			if n.JoinVar != "p" {
-				t.Fatalf("join var %q, want the second query's shared var p", n.JoinVar)
-			}
-			for _, ch := range n.Children {
-				checkVars(ch)
-			}
-		}
-	}
-	checkVars(res2.Plan)
+	check(res2.Plan)
 	if res2.Plan.Cost != res1.Plan.Cost {
 		t.Fatalf("remapped plan cost %v, template cost %v", res2.Plan.Cost, res1.Plan.Cost)
 	}

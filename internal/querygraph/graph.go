@@ -15,9 +15,8 @@ import (
 type Graph struct {
 	Query *sparql.Query
 
-	// Terms holds the distinct subject/object terms; Index inverts it.
+	// Terms holds the distinct subject/object terms.
 	Terms []sparql.Term
-	index map[sparql.Term]int
 
 	// SubjOf and ObjOf give, per vertex, the patterns having the vertex
 	// as subject resp. object.
@@ -32,13 +31,14 @@ type Graph struct {
 // bitset.MaxPatterns are rejected by NewJoinGraph; callers typically
 // construct both views together via Build.
 func NewGraph(q *sparql.Query) *Graph {
-	g := &Graph{Query: q, index: make(map[sparql.Term]int), TPEnds: make([][2]int, len(q.Patterns))}
+	g := &Graph{Query: q, TPEnds: make([][2]int, len(q.Patterns))}
+	index := make(map[sparql.Term]int)
 	vertex := func(t sparql.Term) int {
-		if i, ok := g.index[t]; ok {
+		if i, ok := index[t]; ok {
 			return i
 		}
 		i := len(g.Terms)
-		g.index[t] = i
+		index[t] = i
 		g.Terms = append(g.Terms, t)
 		g.SubjOf = append(g.SubjOf, 0)
 		g.ObjOf = append(g.ObjOf, 0)
@@ -56,13 +56,6 @@ func NewGraph(q *sparql.Query) *Graph {
 
 // NumVertices is |V_Q|.
 func (g *Graph) NumVertices() int { return len(g.Terms) }
-
-// VertexOf returns the vertex index of term t, if t appears as a
-// subject or object.
-func (g *Graph) VertexOf(t sparql.Term) (int, bool) {
-	i, ok := g.index[t]
-	return i, ok
-}
 
 // Incident returns the patterns having vertex v as subject or object.
 func (g *Graph) Incident(v int) bitset.TPSet {

@@ -220,12 +220,6 @@ func (jg *JoinGraph) NumEdges() int {
 	return n
 }
 
-// AdjIn returns the neighbors of pattern tp inside s (patterns of s
-// sharing a join variable with tp), excluding tp itself.
-func (jg *JoinGraph) AdjIn(s bitset.TPSet, tp int) bitset.TPSet {
-	return jg.Adj[tp].Intersect(s).Remove(tp)
-}
-
 // AdjOf returns the union of neighbors of every pattern in sub,
 // restricted to s and excluding sub — the expansion frontier
 // Adj(SQ) ∩ Q \ SQ used by Algorithm 2.
@@ -303,15 +297,6 @@ func (jg *JoinGraph) ComponentsExcluding(s bitset.TPSet, vj int) []bitset.TPSet 
 		rest = rest.Diff(comp)
 	}
 	return comps
-}
-
-// ConnectedExcluding reports whether s stays connected when join
-// variable vj is removed from the join graph.
-func (jg *JoinGraph) ConnectedExcluding(s bitset.TPSet, vj int) bool {
-	if s.Len() <= 1 {
-		return true
-	}
-	return jg.ReachExcluding(s, bitset.Single(s.Min()), vj) == s
 }
 
 // JoinVarsOf returns the indexes of the join variables of the

@@ -1,6 +1,7 @@
 package querygraph
 
 import (
+	"slices"
 	"testing"
 
 	"sparqlopt/internal/bitset"
@@ -150,10 +151,10 @@ func TestComponentsExcludingFig4(t *testing.T) {
 			t.Errorf("component %d = %v, want %v", i, comps[i], want[i])
 		}
 	}
-	if jg.ConnectedExcluding(jg.All(), v) {
+	if connectedExcluding(jg, jg.All(), v) {
 		t.Error("graph should fall apart without ?v")
 	}
-	if !jg.ConnectedExcluding(bitset.Of(4, 5, 6, 7, 8), v) {
+	if !connectedExcluding(jg, bitset.Of(4, 5, 6, 7, 8), v) {
 		t.Error("divisible component itself should stay connected")
 	}
 }
@@ -178,11 +179,11 @@ func TestJoinVarsOf(t *testing.T) {
 func TestAdjIn(t *testing.T) {
 	jg := mustJoinGraph(t, fig1)
 	// tp1 (idx 0) shares ?b with tp5 (4) and ?a with tp2 (1), tp3 (2), tp7 (6).
-	if got := jg.AdjIn(jg.All(), 0); got != bitset.Of(1, 2, 4, 6) {
+	if got := adjIn(jg, jg.All(), 0); got != bitset.Of(1, 2, 4, 6) {
 		t.Errorf("AdjIn(all, tp1) = %v", got)
 	}
 	// Restricted to {tp1, tp5, tp4}.
-	if got := jg.AdjIn(bitset.Of(0, 3, 4), 0); got != bitset.Of(4) {
+	if got := adjIn(jg, bitset.Of(0, 3, 4), 0); got != bitset.Of(4) {
 		t.Errorf("AdjIn(subset, tp1) = %v", got)
 	}
 }
@@ -216,7 +217,7 @@ func TestQueryGraph(t *testing.T) {
 	if g.NumVertices() != 7 {
 		t.Fatalf("NumVertices = %d", g.NumVertices())
 	}
-	a, ok := g.VertexOf(sparql.V("a"))
+	a, ok := vertexOf(g, sparql.V("a"))
 	if !ok {
 		t.Fatal("?a not a vertex")
 	}
@@ -234,7 +235,7 @@ func TestQueryGraph(t *testing.T) {
 
 func TestForwardClosure(t *testing.T) {
 	g := NewGraph(sparql.MustParse(fig1))
-	b, _ := g.VertexOf(sparql.V("b"))
+	b, _ := vertexOf(g, sparql.V("b"))
 	// Paper Example 5: all patterns reachable from ?b are
 	// {tp1, tp3, tp4, tp5, tp7} (indexes 0,2,3,4,6).
 	got := g.ForwardClosure(b, -1)
@@ -253,7 +254,7 @@ func TestForwardClosure(t *testing.T) {
 
 func TestUndirectedClosure(t *testing.T) {
 	g := NewGraph(sparql.MustParse(fig1))
-	a, _ := g.VertexOf(sparql.V("a"))
+	a, _ := vertexOf(g, sparql.V("a"))
 	// Paper Example 7 (hash partitioning, undirected 1 hop from ?a):
 	// {tp1, tp2, tp3, tp7}.
 	if got := g.UndirectedClosure(a, 1); got != bitset.Of(0, 1, 2, 6) {
@@ -285,4 +286,23 @@ func TestClassString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", c, c.String(), want)
 		}
 	}
+}
+
+// adjIn returns the neighbors of pattern tp inside s (patterns of s
+// sharing a join variable with tp), excluding tp itself.
+func adjIn(jg *JoinGraph, s bitset.TPSet, tp int) bitset.TPSet {
+	return jg.Adj[tp].Intersect(s).Remove(tp)
+}
+
+// connectedExcluding reports whether s stays connected when join
+// variable vj is removed from the join graph.
+func connectedExcluding(jg *JoinGraph, s bitset.TPSet, vj int) bool {
+	return s.Len() <= 1 || jg.ReachExcluding(s, bitset.Single(s.Min()), vj) == s
+}
+
+// vertexOf returns the vertex index of term t, if t appears as a
+// subject or object.
+func vertexOf(g *Graph, t sparql.Term) (int, bool) {
+	i := slices.Index(g.Terms, t)
+	return i, i >= 0
 }

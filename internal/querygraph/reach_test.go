@@ -94,8 +94,8 @@ func TestReachExcludingOracle(t *testing.T) {
 							t.Fatalf("%v-%d: ComponentsExcluding(%v, %d) = %v, oracle %v", class, n, s, vj, got, want)
 						}
 					}
-					if conn := jg.ConnectedExcluding(s, vj); conn != (len(want) <= 1) {
-						t.Fatalf("%v-%d: ConnectedExcluding(%v, %d) = %v with %d components", class, n, s, vj, conn, len(want))
+					if conn := s.Len() <= 1 || jg.ReachExcluding(s, bitset.Single(s.Min()), vj) == s; conn != (len(want) <= 1) {
+						t.Fatalf("%v-%d: ReachExcluding(%v, %v, %d) reached all = %v with %d components", class, n, s, bitset.Single(s.Min()), vj, conn, len(want))
 					}
 				}
 			}

@@ -17,7 +17,6 @@ package rdf
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -242,8 +241,8 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 func (s *Snapshot) Len() int { return len(s.triples) }
 
 // WriteDelta describes one published epoch: the triples the commit
-// actually inserted (duplicates are filtered out before commit; none
-// for a Dedup), the epoch, and the snapshot it published.
+// actually inserted (duplicates are filtered out before commit), the
+// epoch, and the snapshot it published.
 type WriteDelta struct {
 	Triples []Triple
 	Epoch   uint64
@@ -251,27 +250,14 @@ type WriteDelta struct {
 }
 
 // ChangeSet summarizes which predicates changed across a span of
-// epochs. All reports a change that cannot be attributed to specific
-// predicates (a Dedup reorder); consumers must treat it as touching
-// everything.
+// epochs.
 type ChangeSet struct {
-	All   bool
 	Preds map[TermID]struct{}
 }
 
-// Empty reports whether the span contained no changes at all.
-func (c ChangeSet) Empty() bool { return !c.All && len(c.Preds) == 0 }
-
 // Touches reports whether the change set may affect artifacts derived
-// from the given predicates. wildcard marks an artifact whose
-// predicate set is unknown (e.g. a query with a variable predicate).
-func (c ChangeSet) Touches(preds map[TermID]struct{}, wildcard bool) bool {
-	if c.Empty() {
-		return false
-	}
-	if c.All || wildcard {
-		return true
-	}
+// from the given predicates.
+func (c ChangeSet) Touches(preds map[TermID]struct{}) bool {
 	for p := range c.Preds {
 		if _, ok := preds[p]; ok {
 			return true
@@ -292,8 +278,7 @@ func (c ChangeSet) Touches(preds map[TermID]struct{}, wildcard bool) bool {
 // Writes go through Add/AddTriple/AddBatch, which deduplicate at
 // insert (re-adding a present triple is a no-op: no epoch bump, no
 // invalidation), publish a fresh immutable Snapshot, and fire the
-// hooks registered with Subscribe; Dedup publishes through the same
-// path.
+// hooks registered with Subscribe.
 // Readers call Snapshot() once and use it for the whole query.
 // Code that appends to Triples directly bypasses all of this; it is
 // only legal before the dataset starts serving.
@@ -307,9 +292,8 @@ type Dataset struct {
 	mu    sync.Mutex          // serializes writers
 	index map[Triple]struct{} // lazy membership set, built on first write
 
-	modMu       sync.RWMutex      // guards predLastMod and wildcard
+	modMu       sync.RWMutex      // guards predLastMod
 	predLastMod map[TermID]uint64 // predicate → epoch of its last change
-	wildcard    uint64            // epoch of the last unattributable change
 
 	hooks  map[int]func(WriteDelta)
 	hookID int
@@ -334,7 +318,7 @@ func (ds *Dataset) AddTriple(t Triple) {
 	if !ds.insertLocked(t) {
 		return
 	}
-	ds.publishLocked([]Triple{t}, false)
+	ds.publishLocked([]Triple{t})
 }
 
 // AddBatch inserts a batch of triples under one commit: one epoch
@@ -352,7 +336,7 @@ func (ds *Dataset) AddBatch(ts []Triple) int {
 	if len(delta) == 0 {
 		return 0
 	}
-	ds.publishLocked(delta, false)
+	ds.publishLocked(delta)
 	return len(delta)
 }
 
@@ -373,11 +357,11 @@ func (ds *Dataset) insertLocked(t Triple) bool {
 }
 
 // publishLocked publishes the next epoch: it records what changed —
-// the predicates of delta, or, with all, an unattributable change —
-// stores the new snapshot, and fires the commit hooks (synchronously,
-// still under ds.mu, so hooks observe every epoch in order). Every
-// epoch the dataset publishes goes through here. Caller holds ds.mu.
-func (ds *Dataset) publishLocked(delta []Triple, all bool) {
+// the predicates of delta — stores the new snapshot, and fires the
+// commit hooks (synchronously, still under ds.mu, so hooks observe
+// every epoch in order). Every epoch the dataset publishes goes through
+// here. Caller holds ds.mu.
+func (ds *Dataset) publishLocked(delta []Triple) {
 	epoch := ds.epoch.Add(1)
 	ds.modMu.Lock()
 	if ds.predLastMod == nil {
@@ -385,9 +369,6 @@ func (ds *Dataset) publishLocked(delta []Triple, all bool) {
 	}
 	for _, t := range delta {
 		ds.predLastMod[t.P] = epoch
-	}
-	if all {
-		ds.wildcard = epoch
 	}
 	ds.modMu.Unlock()
 	snap := &Snapshot{dict: ds.Dict, triples: ds.Triples[:len(ds.Triples):len(ds.Triples)], epoch: epoch}
@@ -416,10 +397,10 @@ func (ds *Dataset) Snapshot() *Snapshot {
 // about. Holding the writer lock, it calls build with the current
 // snapshot — for build's duration Triples holds exactly that
 // snapshot's triples — and registers the hook build returns, which
-// then fires for every later epoch the dataset publishes (writes and
-// Dedup), in epoch order, with the writer lock held. Neither build nor
-// the hook may call a mutation method. A nil hook registers nothing.
-// The returned function unregisters the hook.
+// then fires for every later epoch the dataset publishes, in epoch
+// order, with the writer lock held. Neither build nor the hook may call
+// a mutation method. A nil hook registers nothing. The returned
+// function unregisters the hook.
 func (ds *Dataset) Subscribe(build func(*Snapshot) func(WriteDelta)) (unsubscribe func()) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -447,17 +428,14 @@ func (ds *Dataset) Epoch() uint64 { return ds.epoch.Load() }
 
 // ChangedBetween summarizes what changed in the epoch span (from, to].
 // A consumer holding an artifact collected at epoch `from` calls this
-// when it observes the dataset at epoch `to`; an Empty result means
-// the artifact is still exactly valid.
+// when it observes the dataset at epoch `to`; a result with no
+// predicates means the artifact is still exactly valid.
 func (ds *Dataset) ChangedBetween(from, to uint64) ChangeSet {
 	if to <= from {
 		return ChangeSet{}
 	}
 	ds.modMu.RLock()
 	defer ds.modMu.RUnlock()
-	if ds.wildcard > from && ds.wildcard <= to {
-		return ChangeSet{All: true}
-	}
 	var preds map[TermID]struct{}
 	for p, e := range ds.predLastMod {
 		if e > from && e <= to {
@@ -476,33 +454,6 @@ func (ds *Dataset) Len() int {
 		return len(s.triples)
 	}
 	return len(ds.Triples)
-}
-
-// Dedup sorts the triples and removes exact duplicates. The sorted set
-// is built copy-on-write so previously published snapshots keep their
-// rows; the reorder is recorded as an unattributable change and
-// reaches the commit hooks with no Triples. Duplicates only arise from
-// appending to Triples directly, which is legal only before serving.
-func (ds *Dataset) Dedup() {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	sorted := make([]Triple, len(ds.Triples))
-	copy(sorted, ds.Triples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	out := sorted[:0]
-	for i, t := range sorted {
-		if i == 0 || t != sorted[i-1] {
-			out = append(out, t)
-		}
-	}
-	ds.Triples = out
-	if ds.index != nil {
-		ds.index = make(map[Triple]struct{}, len(out)*2)
-		for _, t := range out {
-			ds.index[t] = struct{}{}
-		}
-	}
-	ds.publishLocked(nil, true)
 }
 
 // String renders a triple using the dataset's dictionary, for debugging.

@@ -222,22 +222,6 @@ func TestDatasetAddAndString(t *testing.T) {
 	}
 }
 
-func TestDatasetDedup(t *testing.T) {
-	ds := NewDataset()
-	ds.Add("a", "p", "b")
-	ds.Add("a", "p", "b")
-	ds.Add("b", "p", "c")
-	ds.Add("a", "p", "b")
-	ds.Dedup()
-	if ds.Len() != 2 {
-		t.Fatalf("after Dedup Len = %d, want 2", ds.Len())
-	}
-	// Dedup also sorts.
-	if !ds.Triples[0].Less(ds.Triples[1]) {
-		t.Error("Dedup did not sort")
-	}
-}
-
 func TestTripleLess(t *testing.T) {
 	a := Triple{1, 1, 1}
 	cases := []struct {
@@ -360,11 +344,6 @@ func TestDatasetEpoch(t *testing.T) {
 	if ds.Epoch() != 1 {
 		t.Errorf("epoch after duplicate Add = %d, want 1 (no-op)", ds.Epoch())
 	}
-	before := ds.Epoch()
-	ds.Dedup()
-	if ds.Epoch() <= before {
-		t.Errorf("Dedup must bump the epoch: %d -> %d", before, ds.Epoch())
-	}
 }
 
 func TestAddBatchDelta(t *testing.T) {
@@ -401,8 +380,8 @@ func TestAddBatchDelta(t *testing.T) {
 }
 
 // TestSnapshotsAreSets pins the invariant the statistics tracker's
-// count shortcut relies on: no sequence of Add, AddTriple, AddBatch and
-// Dedup publishes a snapshot that holds a triple twice, and a commit's
+// count shortcut relies on: no sequence of Add, AddTriple and AddBatch
+// publishes a snapshot that holds a triple twice, and a commit's
 // delta holds exactly the triples the snapshot before it lacked.
 func TestSnapshotsAreSets(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
@@ -433,7 +412,7 @@ func TestSnapshotsAreSets(t *testing.T) {
 			}
 		})
 		for op := 0; op < 60; op++ {
-			switch r.Intn(4) {
+			switch r.Intn(3) {
 			case 0:
 				ds.Add(term(), term(), term())
 			case 1:
@@ -447,8 +426,6 @@ func TestSnapshotsAreSets(t *testing.T) {
 					batch = append(batch, batch[r.Intn(len(batch))])
 				}
 				ds.AddBatch(batch)
-			case 3:
-				ds.Dedup()
 			}
 			before = ds.Snapshot()
 			if !isSet(before.Triples()) {
@@ -489,38 +466,26 @@ func TestChangedBetween(t *testing.T) {
 	ds.Add("c", "q", "d") // epoch 2
 	p, _ := ds.Dict.Lookup("p")
 	q, _ := ds.Dict.Lookup("q")
-	if cs := ds.ChangedBetween(2, 2); !cs.Empty() {
+	if cs := ds.ChangedBetween(2, 2); len(cs.Preds) != 0 {
 		t.Fatalf("empty span reported changes: %+v", cs)
 	}
 	cs := ds.ChangedBetween(1, 2)
-	if cs.All || len(cs.Preds) != 1 {
+	if len(cs.Preds) != 1 {
 		t.Fatalf("span (1,2] = %+v, want exactly predicate q", cs)
 	}
 	if _, ok := cs.Preds[q]; !ok {
 		t.Fatalf("span (1,2] missed predicate q: %+v", cs)
 	}
-	if !cs.Touches(map[TermID]struct{}{q: {}}, false) {
+	if !cs.Touches(map[TermID]struct{}{q: {}}) {
 		t.Error("change set must touch artifacts over q")
 	}
-	if cs.Touches(map[TermID]struct{}{p: {}}, false) {
+	if cs.Touches(map[TermID]struct{}{p: {}}) {
 		t.Error("change set must not touch artifacts over p only")
 	}
-	if !cs.Touches(map[TermID]struct{}{p: {}}, true) {
-		t.Error("wildcard artifacts are always touched")
-	}
-	// An unattributable bump poisons the whole span.
-	ds.Dedup() // epoch 3
-	if cs := ds.ChangedBetween(1, 3); !cs.All {
-		t.Fatalf("span across Dedup = %+v, want All", cs)
-	}
-	// A write after it is attributed again.
-	ds.Add("e", "p", "f") // epoch 4
-	cs = ds.ChangedBetween(3, 4)
-	if cs.All {
-		t.Fatalf("span after Dedup = %+v, want attributed", cs)
-	}
-	if _, ok := cs.Preds[p]; !ok {
-		t.Fatalf("span (3,4] missed predicate p: %+v", cs)
+	ds.Add("e", "p", "f") // epoch 3
+	cs = ds.ChangedBetween(2, 3)
+	if _, ok := cs.Preds[p]; !ok || len(cs.Preds) != 1 {
+		t.Fatalf("span (2,3] = %+v, want exactly predicate p", cs)
 	}
 }
 
@@ -531,7 +496,7 @@ func subscribe(ds *Dataset, h func(WriteDelta)) func() {
 
 // TestSubscribeSeesEveryEpoch: build sees the snapshot Snapshot()
 // returns at that moment, and every epoch the dataset publishes after
-// it — a batch, a Dedup, an Add — reaches the hook once, in epoch
+// it — a batch, an Add — reaches the hook once, in epoch
 // order, carrying the snapshot Snapshot() returns right after.
 func TestSubscribeSeesEveryEpoch(t *testing.T) {
 	ds := NewDataset()
@@ -551,7 +516,6 @@ func TestSubscribeSeesEveryEpoch(t *testing.T) {
 		triples int
 	}{
 		{"AddBatch", func() { ds.AddBatch(batch) }, 2},
-		{"Dedup", ds.Dedup, 0},
 		{"Add", func() { ds.Add("g", "p", "h") }, 1},
 	}
 	for i, st := range steps {

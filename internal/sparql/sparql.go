@@ -84,13 +84,6 @@ func (tp TriplePattern) Vars() []string {
 	return out
 }
 
-// HasVar reports whether the pattern mentions the variable.
-func (tp TriplePattern) HasVar(name string) bool {
-	return (tp.S.IsVar() && tp.S.Value == name) ||
-		(tp.P.IsVar() && tp.P.Value == name) ||
-		(tp.O.IsVar() && tp.O.Value == name)
-}
-
 // Query is a subgraph-matching query: a set of triple patterns plus
 // the projected variables (empty Select means "project everything").
 type Query struct {

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -144,8 +145,8 @@ func TestTriplePatternVars(t *testing.T) {
 	if vs := tp.Vars(); len(vs) != 1 || vs[0] != "x" {
 		t.Errorf("Vars = %v", vs)
 	}
-	if !tp.HasVar("x") || tp.HasVar("y") {
-		t.Error("HasVar wrong")
+	if !slices.Contains(tp.Vars(), "x") || slices.Contains(tp.Vars(), "y") {
+		t.Error("Vars wrong")
 	}
 	tp2 := TriplePattern{S: V("s"), P: V("p"), O: V("o")}
 	if vs := tp2.Vars(); len(vs) != 3 {

@@ -59,7 +59,7 @@ func (t *Tracker) fold(tr rdf.Triple) {
 // Apply folds one committed write delta and advances the tracker to
 // its epoch. Deltas must be applied in commit order and hold only the
 // triples the commit inserted (WriteDelta.Triples). A nil/empty delta
-// (a Dedup's) just advances the epoch.
+// just advances the epoch.
 func (t *Tracker) Apply(delta []rdf.Triple, epoch uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

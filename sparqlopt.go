@@ -363,8 +363,10 @@ func WithNodes(n int) Option { return func(c *openConfig) { c.nodes = n } }
 // template (skipping statistics collection and plan enumeration
 // entirely), and deduplicates concurrent optimizations of one shape
 // through a singleflight layer. Cached plans are tagged with the
-// dataset epoch and re-optimized after any dataset mutation. Cached
-// and uncached runs return bit-identical rows; a cached plan may be
+// dataset epoch; a write drops only the plans of query shapes that
+// mention a predicate it touched or a variable predicate, and retags
+// the others to the new epoch (CacheCounters.Retained). Cached and
+// uncached runs return bit-identical rows; a cached plan may be
 // suboptimal for a query whose constants are much more or less
 // selective than those of the run that produced the template.
 func WithPlanCache(n int) Option { return func(c *openConfig) { c.planCache = n } }
@@ -733,10 +735,9 @@ func (s *System) admit(ctx context.Context) (func(), error) {
 }
 
 // applyWrite is the dataset commit hook: it folds one published epoch
-// — a write's delta, or none for a Dedup — into the engine
-// and the incremental statistics tracker before the commit returns,
-// under the dataset's writer lock, so both follow the dataset's epochs
-// in order. Both applies are in-memory; a panic here is a bug and
+// — a write's delta — into the engine and the incremental statistics
+// tracker before the commit returns, under the dataset's writer lock,
+// so both follow the dataset's epochs in order. Both applies are in-memory; a panic here is a bug and
 // reaches the writer, as one in rdf.Dataset would.
 func (s *System) applyWrite(wd rdf.WriteDelta) {
 	s.engine.ApplyIngest(wd.Triples, wd.Snap)
