@@ -120,7 +120,9 @@ bench:
 # at LUBM-10 through ExecuteStream and a full drain, with allocations
 # and the flat and distinct rows per query), of the result
 # encoders (LUBM-1 rows shaped like S2 and J1 in JSON and TSV, with
-# encode ns/row and body B/row) plus a quick pass
+# encode ns/row and body B/row), of the set-up layers (the N-Triples
+# load of LUBM-10 from memory, and each method's Partition of LUBM-10 on
+# ten nodes, with allocations) plus a quick pass
 # of the node-failover experiment: catches compile or runtime breakage
 # in the bench harness without measuring anything (its output shows
 # whether every failure stayed typed and recovery restored full
@@ -137,6 +139,8 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkBroadcastJoin -benchtime=1x ./internal/engine
 	$(GO) test -run='^$$' -bench=BenchmarkRootEmit -benchtime=1x ./internal/engine
 	$(GO) test -run='^$$' -bench=BenchmarkEncodeRows -benchtime=1x ./internal/httpd
+	$(GO) test -run='^$$' -bench=BenchmarkReadNTriples -benchtime=1x ./internal/ntriples
+	$(GO) test -run='^$$' -bench=BenchmarkPartition -benchtime=1x ./internal/partition
 	$(GO) run ./cmd/benchrunner -experiment failover -quick
 
 # The benchmark spine (benchmark/, its own module) compiles against

@@ -4,7 +4,9 @@
 // nodes (_:label); lines end with '.' and '#' starts a comment.
 //
 // The parser is line-oriented and streaming, suitable for loading the
-// multi-million-triple datasets the workload generators produce.
+// multi-million-triple datasets the workload generators produce: it
+// interns each line's terms as it reads, and commits the whole load to
+// the dataset at the end, as one write (one epoch, one WriteDelta).
 package ntriples
 
 import (
@@ -35,10 +37,15 @@ func Read(r io.Reader) (*rdf.Dataset, error) {
 	return ds, nil
 }
 
-// ReadInto parses N-Triples from r, appending to ds.
+// ReadInto parses N-Triples from r and adds the triples to ds in one
+// commit (rdf.Dataset.AddBatch): a single epoch and a single WriteDelta
+// holding each new triple once, in file order, with lines already in
+// ds or repeated in r dropped. On a parse or read error it commits
+// nothing, though the terms of the lines read before it stay interned.
 func ReadInto(r io.Reader, ds *rdf.Dataset) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	var ts []rdf.Triple
 	lineno := 0
 	for sc.Scan() {
 		lineno++
@@ -50,9 +57,13 @@ func ReadInto(r io.Reader, ds *rdf.Dataset) error {
 		if err != nil {
 			return &ParseError{Line: lineno, Msg: err.Error()}
 		}
-		ds.Add(s, p, o)
+		ts = append(ts, rdf.Triple{S: ds.Dict.Intern(s), P: ds.Dict.Intern(p), O: ds.Dict.Intern(o)})
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	ds.AddBatch(ts)
+	return nil
 }
 
 // parseLine splits one statement into its three term strings.

@@ -109,6 +109,66 @@ func TestReadInto(t *testing.T) {
 	}
 }
 
+// TestReadIntoCommitsOnce pins the load's commit: a subscribed dataset
+// sees one WriteDelta per ReadInto, holding each new triple once in
+// file order — a line repeated in the file or already in the dataset is
+// dropped — at the next epoch.
+func TestReadIntoCommitsOnce(t *testing.T) {
+	ds := rdf.NewDataset()
+	ds.Add("x", "y", "z")
+	var got []rdf.WriteDelta
+	ds.Subscribe(func(*rdf.Snapshot) func(rdf.WriteDelta) {
+		return func(wd rdf.WriteDelta) { got = append(got, wd) }
+	})
+	in := `<c> <p> <d> .
+<x> <y> <z> .
+<a> <p> <b> .
+
+<c> <p> <d> .
+<e> <q> "f" .
+`
+	if err := ReadInto(strings.NewReader(in), ds); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("%d commits, want 1", len(got))
+	}
+	var lines []string
+	for _, tr := range got[0].Triples {
+		lines = append(lines, ds.String(tr))
+	}
+	want := []string{"<c> <p> <d>", "<a> <p> <b>", `<e> <q> <"f">`}
+	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+		t.Errorf("delta holds\n%s\nwant\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
+	}
+	if got[0].Epoch != 2 || ds.Epoch() != 2 || ds.Len() != 4 || got[0].Snap != ds.Snapshot() {
+		t.Errorf("commit at epoch %d (dataset %d, Len %d), want epoch 2 and Len 4", got[0].Epoch, ds.Epoch(), ds.Len())
+	}
+}
+
+// TestReadIntoParseErrorCommitsNothing: a malformed line k returns
+// *ParseError{Line: k} and leaves the dataset as it was — no triple of
+// the lines before k, no epoch, no snapshot, no commit.
+func TestReadIntoParseErrorCommitsNothing(t *testing.T) {
+	ds := rdf.NewDataset()
+	ds.Add("x", "y", "z")
+	commits := 0
+	ds.Subscribe(func(*rdf.Snapshot) func(rdf.WriteDelta) {
+		return func(rdf.WriteDelta) { commits++ }
+	})
+	snap, epoch := ds.Snapshot(), ds.Epoch()
+	in := "<a> <p> <b> .\n# comment\n<c> <p> <d> .\n<e> <p> oops .\n<g> <p> <h> .\n"
+	err := ReadInto(strings.NewReader(in), ds)
+	var pe *ParseError
+	if !errors.As(err, &pe) || pe.Line != 4 {
+		t.Fatalf("err = %v, want a *ParseError at line 4", err)
+	}
+	if ds.Len() != 1 || ds.Epoch() != epoch || ds.Snapshot() != snap || commits != 0 {
+		t.Errorf("after the error: Len %d, epoch %d, same snapshot %v, %d commits; want 1, %d, true, 0",
+			ds.Len(), ds.Epoch(), ds.Snapshot() == snap, commits, epoch)
+	}
+}
+
 // Property: Write then Read round-trips IRI-only datasets.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(raw [][3]uint8) bool {

@@ -97,10 +97,10 @@ func (TwoHopBidirectional) Partition(ds *rdf.Dataset, nodes int) (*Placement, er
 		return nil, err
 	}
 	g := rdf.NewGraph(ds.Triples)
-	hoods := map[rdf.TermID][]int{}
+	hoods := make([][]int, g.Span())
 	hood := func(v rdf.TermID) []int {
-		h, ok := hoods[v]
-		if !ok {
+		h := hoods[v]
+		if h == nil {
 			h = []int{hashNode(v, nodes)}
 			for _, e := range g.In(v) {
 				h = append(h, hashNode(e.To, nodes))
@@ -159,50 +159,43 @@ func (PathBMC) Partition(ds *rdf.Dataset, nodes int) (*Placement, error) {
 		}
 		return true
 	})
-	covered := make(map[rdf.TermID]bool)
+	// An element is the out-edges of the vertices its walk reached, in
+	// the order it reached them.
 	type element struct {
-		anchor  rdf.TermID
-		triples []rdf.Triple
+		verts []rdf.TermID
+		size  int // triples
 	}
 	var elements []element
+	seen := make([]int, g.Span()) // the last element whose walk reached the vertex, plus one; 0 if none did
 	build := func(start rdf.TermID) {
-		var triples []rdf.Triple
-		seen := map[rdf.TermID]bool{start: true}
-		covered[start] = true
-		queue := []rdf.TermID{start}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, e := range g.Out(v) {
-				triples = append(triples, rdf.Triple{S: v, P: e.Pred, O: e.To})
-				covered[e.To] = true
-				if !seen[e.To] {
-					seen[e.To] = true
-					queue = append(queue, e.To)
+		id := len(elements) + 1
+		el := element{verts: []rdf.TermID{start}}
+		seen[start] = id
+		for i := 0; i < len(el.verts); i++ {
+			out := g.Out(el.verts[i])
+			el.size += len(out)
+			for _, e := range out {
+				if seen[e.To] != id {
+					seen[e.To] = id
+					el.verts = append(el.verts, e.To)
 				}
 			}
 		}
-		if len(triples) > 0 {
-			elements = append(elements, element{anchor: start, triples: triples})
-		}
+		elements = append(elements, el)
 	}
 	for _, v := range starts {
 		build(v)
 	}
 	// Cover cycle components that no start vertex reaches.
 	g.Vertices(func(v rdf.TermID) bool {
-		if !covered[v] && len(g.Out(v)) > 0 {
+		if seen[v] == 0 && len(g.Out(v)) > 0 {
 			build(v)
 		}
 		return true
 	})
 	// Distribute: biggest elements first, always to the least-loaded node.
-	for i := 1; i < len(elements); i++ {
-		for j := i; j > 0 && len(elements[j].triples) > len(elements[j-1].triples); j-- {
-			elements[j], elements[j-1] = elements[j-1], elements[j]
-		}
-	}
-	c := newCollector(nodes)
+	slices.SortStableFunc(elements, func(a, b element) int { return b.size - a.size })
+	owned := make([][]element, nodes)
 	load := make([]int, nodes)
 	for _, el := range elements {
 		best := 0
@@ -211,12 +204,28 @@ func (PathBMC) Partition(ds *rdf.Dataset, nodes int) (*Placement, error) {
 				best = n
 			}
 		}
-		for _, t := range el.triples {
-			c.add(best, t)
-		}
-		load[best] += len(el.triples)
+		owned[best] = append(owned[best], el)
+		load[best] += el.size
 	}
-	return c.placement(nil, false), nil
+	// Elements overlap: two on one node share the out-edges of every
+	// vertex both reached. Each node takes a vertex's out-edges once, where
+	// its first element reaches it.
+	frags := make([][]rdf.Triple, nodes)
+	holder := make([]int, g.Span()) // the last node that took the vertex's out-edges, plus one
+	for n, els := range owned {
+		for _, el := range els {
+			for _, v := range el.verts {
+				if holder[v] == n+1 {
+					continue
+				}
+				holder[v] = n + 1
+				for _, e := range g.Out(v) {
+					frags[n] = append(frags[n], rdf.Triple{S: v, P: e.Pred, O: e.To})
+				}
+			}
+		}
+	}
+	return &Placement{Nodes: nodes, Triples: frags}, nil
 }
 
 // UndirectedOneHop is the un-one-hop method of Huang et al. (paper
@@ -251,8 +260,8 @@ func (UndirectedOneHop) Partition(ds *rdf.Dataset, nodes int) (*Placement, error
 	// A vertex placed after Open has only delta triples, which are on
 	// every node: any node is its home, and hashing names one.
 	home := func(v rdf.TermID) int {
-		if n, ok := assign[v]; ok {
-			return n
+		if int(v) < len(assign) && assign[v] >= 0 {
+			return assign[v]
 		}
 		return hashNode(v, nodes)
 	}
@@ -260,14 +269,19 @@ func (UndirectedOneHop) Partition(ds *rdf.Dataset, nodes int) (*Placement, error
 }
 
 // greedyEdgeCut partitions the vertices into balanced BFS-grown
-// regions, a drop-in substitute for METIS at this scale.
-func greedyEdgeCut(g *rdf.Graph, nodes int) map[rdf.TermID]int {
+// regions, a drop-in substitute for METIS at this scale. It returns
+// each vertex's node, indexed by TermID; -1 marks an ID that is no
+// vertex.
+func greedyEdgeCut(g *rdf.Graph, nodes int) []int {
 	total := g.NumVertices()
 	capPer := (total + nodes - 1) / nodes
-	assign := make(map[rdf.TermID]int, total)
+	assign := make([]int, g.Span())
+	for v := range assign {
+		assign[v] = -1
+	}
 	cur, size := 0, 0
 	place := func(v rdf.TermID) bool {
-		if _, done := assign[v]; done {
+		if assign[v] >= 0 {
 			return false
 		}
 		if size >= capPer && cur < nodes-1 {
@@ -279,11 +293,10 @@ func greedyEdgeCut(g *rdf.Graph, nodes int) map[rdf.TermID]int {
 		return true
 	}
 	g.Vertices(func(seed rdf.TermID) bool {
-		if _, done := assign[seed]; done {
+		if !place(seed) {
 			return true
 		}
 		queue := []rdf.TermID{seed}
-		place(seed)
 		for len(queue) > 0 {
 			v := queue[0]
 			queue = queue[1:]

@@ -199,26 +199,25 @@ func hashNode(v rdf.TermID, nodes int) int {
 	return int(x % uint64(nodes))
 }
 
-// collector accumulates per-node triples with per-node dedup.
+// collector accumulates per-node fragments for the methods that place
+// each triple in one step — hash-so, 2f, 2fb and un-1hop, whose
+// distribute maps the triple to the nodes of the vertices whose element
+// holds it. The dataset is a set, so a triple can repeat on a node only
+// within its own step, while it is the last triple there: add skips a
+// node whose last triple is this one, and each fragment keeps the
+// order the triples were placed in.
 type collector struct {
 	triples [][]rdf.Triple
-	seen    []map[rdf.Triple]struct{}
 }
 
 func newCollector(nodes int) *collector {
-	c := &collector{triples: make([][]rdf.Triple, nodes), seen: make([]map[rdf.Triple]struct{}, nodes)}
-	for i := range c.seen {
-		c.seen[i] = make(map[rdf.Triple]struct{})
-	}
-	return c
+	return &collector{triples: make([][]rdf.Triple, nodes)}
 }
 
 func (c *collector) add(node int, t rdf.Triple) {
-	if _, dup := c.seen[node][t]; dup {
-		return
+	if f := c.triples[node]; len(f) == 0 || f[len(f)-1] != t {
+		c.triples[node] = append(f, t)
 	}
-	c.seen[node][t] = struct{}{}
-	c.triples[node] = append(c.triples[node], t)
 }
 
 // placement returns the collected fragments with the method's home

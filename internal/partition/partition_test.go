@@ -420,7 +420,9 @@ func TestGreedyEdgeCutBalance(t *testing.T) {
 	assign := greedyEdgeCut(g, 4)
 	counts := map[int]int{}
 	for _, n := range assign {
-		counts[n]++
+		if n >= 0 { // -1: the ID is no vertex (the predicate)
+			counts[n]++
+		}
 	}
 	if len(counts) < 2 {
 		t.Errorf("partitioner used %d nodes", len(counts))

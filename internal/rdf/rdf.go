@@ -16,7 +16,6 @@ package rdf
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -323,30 +322,43 @@ func (ds *Dataset) AddTriple(t Triple) {
 
 // AddBatch inserts a batch of triples under one commit: one epoch
 // bump, one snapshot, one commit delta carrying exactly the triples
-// that were new. Returns the number inserted.
+// that were new, in batch order. Returns the number inserted. Into an
+// empty dataset AddBatch keeps ts's backing array as the dataset's own
+// storage, dropping repeats in place, so a load holds one copy of its
+// triples; the caller must not use ts afterwards.
 func (ds *Dataset) AddBatch(ts []Triple) int {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	var delta []Triple
-	for _, t := range ts {
-		if ds.insertLocked(t) {
-			delta = append(delta, t)
-		}
+	if ds.index == nil {
+		ds.buildIndexLocked(len(ts))
 	}
-	if len(delta) == 0 {
+	if len(ds.Triples) == 0 {
+		ds.Triples = ts[:0]
+	}
+	old := len(ds.Triples)
+	for _, t := range ts {
+		ds.insertLocked(t)
+	}
+	if len(ds.Triples) == old {
 		return 0
 	}
-	ds.publishLocked(delta)
-	return len(delta)
+	ds.publishLocked(ds.Triples[old:len(ds.Triples):len(ds.Triples)])
+	return len(ds.Triples) - old
+}
+
+// buildIndexLocked builds the membership index over Triples, sized for
+// extra more. Caller holds ds.mu.
+func (ds *Dataset) buildIndexLocked(extra int) {
+	ds.index = make(map[Triple]struct{}, len(ds.Triples)+extra)
+	for _, u := range ds.Triples {
+		ds.index[u] = struct{}{}
+	}
 }
 
 // insertLocked appends t unless already present. Caller holds ds.mu.
 func (ds *Dataset) insertLocked(t Triple) bool {
 	if ds.index == nil {
-		ds.index = make(map[Triple]struct{}, len(ds.Triples)*2)
-		for _, u := range ds.Triples {
-			ds.index[u] = struct{}{}
-		}
+		ds.buildIndexLocked(1)
 	}
 	if _, dup := ds.index[t]; dup {
 		return false
@@ -467,69 +479,94 @@ type Edge struct {
 	To   TermID // neighbor vertex (object for Out, subject for In)
 }
 
-// Graph is the directed labeled RDF graph view of a dataset: for every
-// vertex (term appearing as a subject or object) it records the
-// outgoing and incoming labeled edges.
+// Graph is the directed labeled RDF graph view of a set of triples: for
+// every vertex (term appearing as a subject or object) its outgoing and
+// incoming labeled edges, in compressed adjacency form over the dense
+// TermIDs. Each vertex's edges lie contiguously in one shared array per
+// direction, in the order of the triples the graph was built from, and
+// an offset array indexed by TermID bounds them.
 type Graph struct {
-	out map[TermID][]Edge
-	in  map[TermID][]Edge
-	n   int // triple count
+	outStart, inStart []uint32 // v's edges are out[outStart[v]:outStart[v+1]]
+	out, in           []Edge
+	vertices          int
 }
 
-// NewGraph builds the graph view of the given triples.
+// NewGraph builds the graph view of the given triples: it counts every
+// vertex's degrees, turns them into offsets, and fills the edges in
+// triple order.
 func NewGraph(triples []Triple) *Graph {
-	g := &Graph{out: make(map[TermID][]Edge), in: make(map[TermID][]Edge)}
+	span := 0
 	for _, t := range triples {
-		g.Add(t)
+		span = max(span, int(t.S)+1, int(t.O)+1)
+	}
+	g := &Graph{
+		outStart: make([]uint32, span+1), inStart: make([]uint32, span+1),
+		out: make([]Edge, len(triples)), in: make([]Edge, len(triples)),
+	}
+	for _, t := range triples {
+		g.outStart[t.S]++
+		g.inStart[t.O]++
+	}
+	// Inclusive prefix sums leave outStart[v] at the end of v's range;
+	// filling decrements it back to the start. Filling backwards keeps
+	// each vertex's edges in triple order.
+	var outSum, inSum uint32
+	for v := 0; v < span; v++ {
+		if g.outStart[v] > 0 || g.inStart[v] > 0 {
+			g.vertices++
+		}
+		outSum += g.outStart[v]
+		inSum += g.inStart[v]
+		g.outStart[v], g.inStart[v] = outSum, inSum
+	}
+	g.outStart[span], g.inStart[span] = outSum, inSum
+	for i := len(triples) - 1; i >= 0; i-- {
+		t := triples[i]
+		g.outStart[t.S]--
+		g.out[g.outStart[t.S]] = Edge{Pred: t.P, To: t.O}
+		g.inStart[t.O]--
+		g.in[g.inStart[t.O]] = Edge{Pred: t.P, To: t.S}
 	}
 	return g
 }
 
-// Add inserts one triple into the graph.
-func (g *Graph) Add(t Triple) {
-	g.out[t.S] = append(g.out[t.S], Edge{Pred: t.P, To: t.O})
-	g.in[t.O] = append(g.in[t.O], Edge{Pred: t.P, To: t.S})
-	g.n++
+// Out returns the outgoing edges of v (v as subject), in triple order.
+func (g *Graph) Out(v TermID) []Edge {
+	if int(v) >= g.Span() {
+		return nil
+	}
+	return g.out[g.outStart[v]:g.outStart[v+1]:g.outStart[v+1]]
 }
 
-// Out returns the outgoing edges of v (v as subject).
-func (g *Graph) Out(v TermID) []Edge { return g.out[v] }
-
-// In returns the incoming edges of v (v as object).
-func (g *Graph) In(v TermID) []Edge { return g.in[v] }
+// In returns the incoming edges of v (v as object), in triple order.
+func (g *Graph) In(v TermID) []Edge {
+	if int(v) >= g.Span() {
+		return nil
+	}
+	return g.in[g.inStart[v]:g.inStart[v+1]:g.inStart[v+1]]
+}
 
 // Len returns the number of triples in the graph.
-func (g *Graph) Len() int { return g.n }
+func (g *Graph) Len() int { return len(g.out) }
+
+// Span returns one past the largest vertex ID: every vertex is below
+// it, so a slice of that length indexes any vertex.
+func (g *Graph) Span() int { return len(g.outStart) - 1 }
 
 // Vertices calls f once for every vertex of the graph (any term that
 // appears as a subject or object), in ascending TermID order, so that
 // a placement seeded by vertex order repeats run to run. Iteration
 // stops if f returns false.
 func (g *Graph) Vertices(f func(v TermID) bool) {
-	vs := make([]TermID, 0, g.NumVertices())
-	for v := range g.out {
-		vs = append(vs, v)
-	}
-	for v := range g.in {
-		if _, ok := g.out[v]; !ok {
-			vs = append(vs, v)
+	for v := range g.Span() {
+		if g.outStart[v] == g.outStart[v+1] && g.inStart[v] == g.inStart[v+1] {
+			continue
 		}
-	}
-	slices.Sort(vs)
-	for _, v := range vs {
-		if !f(v) {
+		if !f(TermID(v)) {
 			return
 		}
 	}
 }
 
 // NumVertices returns the number of distinct vertices.
-func (g *Graph) NumVertices() int {
-	n := len(g.out)
-	for v := range g.in {
-		if _, ok := g.out[v]; !ok {
-			n++
-		}
-	}
-	return n
-}
+func (g *Graph) NumVertices() int { return g.vertices }

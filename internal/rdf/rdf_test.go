@@ -3,6 +3,7 @@ package rdf
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -322,6 +323,44 @@ func TestQuickGraphDegreeSum(t *testing.T) {
 	}
 }
 
+// Property: the compressed adjacency is the per-vertex filter of the
+// triples — Out(v) the triples with subject v and In(v) those with
+// object v, each in triple order — and Vertices visits exactly the
+// subjects and objects, ascending. An ID past every vertex has no edges.
+func TestQuickGraphMatchesTriples(t *testing.T) {
+	f := func(raw []struct{ S, P, O uint8 }) bool {
+		triples := make([]Triple, len(raw))
+		out, in := map[TermID][]Edge{}, map[TermID][]Edge{}
+		for i, r := range raw {
+			tr := Triple{TermID(r.S % 32), TermID(r.P), TermID(r.O % 32)}
+			triples[i] = tr
+			out[tr.S] = append(out[tr.S], Edge{Pred: tr.P, To: tr.O})
+			in[tr.O] = append(in[tr.O], Edge{Pred: tr.P, To: tr.S})
+		}
+		g := NewGraph(triples)
+		var visited []TermID
+		g.Vertices(func(v TermID) bool { visited = append(visited, v); return true })
+		var want []TermID
+		for v := TermID(0); v < 32; v++ {
+			if out[v] != nil || in[v] != nil {
+				want = append(want, v)
+			}
+		}
+		if !slices.Equal(visited, want) || g.NumVertices() != len(want) || g.Len() != len(triples) {
+			return false
+		}
+		for v := TermID(0); v < 40; v++ {
+			if !slices.Equal(g.Out(v), out[v]) || !slices.Equal(g.In(v), in[v]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestDatasetEpoch(t *testing.T) {
 	ds := NewDataset()
 	if ds.Epoch() != 0 {
@@ -376,6 +415,42 @@ func TestAddBatchDelta(t *testing.T) {
 	ds.Add("g", "q", "h")
 	if len(got) != 1 {
 		t.Fatal("hook fired after unregister")
+	}
+}
+
+// TestAddBatchIntoEmptyKeepsBatch pins what a load relies on: into an
+// empty dataset AddBatch keeps the batch's array as the dataset's
+// storage (no second copy of the triples), drops repeats in place, and
+// commits once with a delta that shares that storage; a later batch
+// into the now non-empty dataset leaves its slice as it was.
+func TestAddBatchIntoEmptyKeepsBatch(t *testing.T) {
+	ds := NewDataset()
+	var got []WriteDelta
+	subscribe(ds, func(wd WriteDelta) { got = append(got, wd) })
+	p := ds.Dict.Intern("p")
+	a := Triple{ds.Dict.Intern("a"), p, ds.Dict.Intern("b")}
+	b := Triple{ds.Dict.Intern("b"), p, ds.Dict.Intern("c")}
+	c := Triple{ds.Dict.Intern("c"), p, ds.Dict.Intern("a")}
+	batch := []Triple{a, b, a, c, b}
+	if n := ds.AddBatch(batch); n != 3 {
+		t.Fatalf("AddBatch inserted %d, want 3", n)
+	}
+	if want := []Triple{a, b, c}; !slices.Equal(ds.Triples, want) || !slices.Equal(ds.Snapshot().Triples(), want) {
+		t.Fatalf("dataset holds %v, want %v", ds.Triples, want)
+	}
+	if &ds.Triples[0] != &batch[0] {
+		t.Error("AddBatch into an empty dataset copied the batch")
+	}
+	if len(got) != 1 || got[0].Epoch != 1 || !slices.Equal(got[0].Triples, ds.Triples) || &got[0].Triples[0] != &batch[0] {
+		t.Fatalf("deltas %+v, want one at epoch 1 holding the dataset's own triples", got)
+	}
+	d := Triple{ds.Dict.Intern("d"), p, ds.Dict.Intern("a")}
+	next := []Triple{c, d}
+	if n := ds.AddBatch(next); n != 1 || ds.Len() != 4 || !slices.Equal(next, []Triple{c, d}) {
+		t.Fatalf("second batch inserted %d (Len %d) and left %v", n, ds.Len(), next)
+	}
+	if len(got) != 2 || !slices.Equal(got[1].Triples, []Triple{d}) {
+		t.Fatalf("second delta %+v, want [d]", got[1:])
 	}
 }
 

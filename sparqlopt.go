@@ -201,7 +201,9 @@ const (
 // NewDataset returns an empty dataset.
 func NewDataset() *Dataset { return rdf.NewDataset() }
 
-// ReadNTriples loads an N-Triples stream.
+// ReadNTriples loads an N-Triples stream into a fresh dataset. It
+// parses the stream line by line and commits the load once: the
+// dataset's first epoch holds every triple.
 func ReadNTriples(r io.Reader) (*Dataset, error) { return ntriples.Read(r) }
 
 // WriteNTriples serializes a dataset as N-Triples.
