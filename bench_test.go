@@ -160,7 +160,7 @@ func BenchmarkOptimize(b *testing.B) {
 			b.Fatal(err)
 		}
 		run(sh.name, &opt.Input{Query: q, Views: views, Est: mustEstimator(b, q, s),
-			Params: sparqlopt.DefaultCostParams(), Method: partition.HashSO{}, Inst: inst}, opt.TDCMD)
+			Params: sparqlopt.DefaultCostParams(), Method: partition.HashSO, Inst: inst}, opt.TDCMD)
 	}
 	m, err := sparqlopt.PartitionMethod("2f")
 	if err != nil {
@@ -264,7 +264,7 @@ func BenchmarkOptimizeTDCMD(b *testing.B) {
 				b.Fatal(err)
 			}
 			est := mustEstimator(b, q, s)
-			in := &opt.Input{Query: q, Views: views, Est: est, Params: sparqlopt.DefaultCostParams(), Method: partition.HashSO{}}
+			in := &opt.Input{Query: q, Views: views, Est: est, Params: sparqlopt.DefaultCostParams(), Method: partition.HashSO}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := opt.Optimize(context.Background(), in, algo); err != nil {
@@ -280,7 +280,7 @@ func BenchmarkOptimizeTDCMD(b *testing.B) {
 func BenchmarkLocalCheck(b *testing.B) {
 	q := lubm.Query("L10")
 	g := querygraph.NewGraph(q)
-	checker := partition.NewLocalChecker(partition.HashSO{}, g)
+	checker := partition.NewLocalChecker(partition.HashSO, g)
 	set := bitset.Of(0, 1, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

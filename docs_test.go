@@ -24,8 +24,11 @@ import (
 // the same way: every flag a command's usage comment or a `sparqld
 // -flag …` command line in the docs names must be defined, and every
 // defined flag listed. README.md must name every root With… option and
-// every field of NodeFailoverConfig, and no field it lacks. DESIGN.md's fault-site table must hold exactly the sites
-// faultinject registers.
+// every field of NodeFailoverConfig, and no field it lacks. DESIGN.md's
+// fault-site table must hold exactly the sites faultinject registers.
+// The -partition usage lines of sparqld and sparqlopt, and
+// PartitionMethod's doc, list exactly the names of partition.ByName's
+// table.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	const runner = "cmd/benchrunner/main.go"
 	fset := token.NewFileSet()
@@ -115,6 +118,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		checkCommandFlags(t, fset, cmd, docs)
 	}
 	checkFaultSiteTable(t, docs["DESIGN.md"])
+	checkMethodNames(t, fset)
 	checkReadmeOptions(t, docs["README.md"], options, fields)
 	for name, text := range docs {
 		for _, line := range strings.Split(text, "\n") {
@@ -301,4 +305,81 @@ func checkFaultSiteTable(t *testing.T, design string) {
 			t.Errorf("DESIGN.md's fault-site table does not list %s", site)
 		}
 	}
+}
+
+// checkMethodNames is the partitioning-method half of
+// TestDocsNameOnlyWhatExists: the names after -partition in the usage
+// comments of sparqld and sparqlopt, and the quoted names in
+// PartitionMethod's doc, are exactly the keys of partition.ByName's
+// table (the byName map literal).
+func checkMethodNames(t *testing.T, fset *token.FileSet) {
+	const table = "internal/partition/methods.go"
+	f, err := parser.ParseFile(fset, table, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "byName" || len(vs.Values) != 1 {
+			return true
+		}
+		for _, el := range vs.Values[0].(*ast.CompositeLit).Elts {
+			name, err := strconv.Unquote(el.(*ast.KeyValueExpr).Key.(*ast.BasicLit).Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names[name] = true
+		}
+		return false
+	})
+	if len(names) == 0 {
+		t.Fatalf("found no byName table in %s", table)
+	}
+	same := func(where string, listed []string) {
+		got := map[string]bool{}
+		for _, name := range listed {
+			got[name] = true
+			if !names[name] {
+				t.Errorf("%s names partitioning method %q, which ByName does not have", where, name)
+			}
+		}
+		for name := range names {
+			if !got[name] {
+				t.Errorf("%s does not name partitioning method %q", where, name)
+			}
+		}
+	}
+	for _, cmd := range []string{"sparqld", "sparqlopt"} {
+		path := "cmd/" + cmd + "/main.go"
+		main, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := regexp.MustCompile(`(?m)^\s*-partition\s+([^(\n]*)`).FindStringSubmatch(main.Doc.Text())
+		if m == nil {
+			t.Errorf("%s usage has no -partition line", path)
+			continue
+		}
+		var listed []string
+		for _, name := range strings.Split(m[1], "|") {
+			listed = append(listed, strings.TrimSpace(name))
+		}
+		same(path+"'s -partition usage", listed)
+	}
+	root, err := parser.ParseFile(fset, "sparqlopt.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range root.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "PartitionMethod" {
+			var listed []string
+			for _, m := range regexp.MustCompile(`"([^"]+)"`).FindAllStringSubmatch(fd.Doc.Text(), -1) {
+				listed = append(listed, m[1])
+			}
+			same("PartitionMethod's doc", listed)
+			return
+		}
+	}
+	t.Error("sparqlopt.go declares no PartitionMethod")
 }

@@ -37,11 +37,11 @@ func main() {
 		jg.NumTP, jg.Classify(), jg.Vars)
 
 	methods := []partition.Method{
-		partition.HashSO{},
-		partition.TwoHopForward{},
-		partition.TwoHopBidirectional{},
-		partition.PathBMC{},
-		partition.UndirectedOneHop{},
+		partition.HashSO,
+		partition.TwoHopForward,
+		partition.TwoHopBidirectional,
+		partition.PathBMC,
+		partition.UndirectedOneHop,
 	}
 	for _, m := range methods {
 		fmt.Printf("=== %s ===\n", m.Name())

@@ -49,7 +49,7 @@ func main() {
 			var optimal float64
 			for ai, a := range algos {
 				in := &opt.Input{Query: q, Views: views, Est: est,
-					Params: cost.Default, Method: partition.HashSO{}}
+					Params: cost.Default, Method: partition.HashSO}
 				start := time.Now()
 				res, err := a.Run(context.Background(), in)
 				if err != nil {

@@ -105,7 +105,7 @@ func TestDPBushyFindsValidPlans(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
 		q := randomConnectedQuery(r, 2+r.Intn(5))
-		in := makeInput(t, q, int64(trial), partition.HashSO{})
+		in := makeInput(t, q, int64(trial), partition.HashSO)
 		res, err := DPBushy(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
@@ -127,7 +127,7 @@ func TestDPBushyNeverBeatsTDCMD(t *testing.T) {
 	sometimesWorse := 0
 	for trial := 0; trial < 20; trial++ {
 		q := randomConnectedQuery(r, 3+r.Intn(4))
-		in := makeInput(t, q, int64(50+trial), partition.HashSO{})
+		in := makeInput(t, q, int64(50+trial), partition.HashSO)
 		full, err := opt.Optimize(context.Background(), in, opt.TDCMD)
 		if err != nil {
 			t.Fatal(err)
@@ -148,7 +148,7 @@ func TestDPBushyNeverBeatsTDCMD(t *testing.T) {
 
 func TestDPBushyDisconnected(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE { ?a <p> ?b . ?c <p> ?d . }`)
-	in := makeInput(t, q, 1, nil)
+	in := makeInput(t, q, 1, partition.Method{})
 	if _, err := DPBushy(context.Background(), in); !errors.Is(err, querygraph.ErrUnsupported) {
 		t.Errorf("disconnected query: err = %v, want querygraph.ErrUnsupported", err)
 	}
@@ -156,7 +156,7 @@ func TestDPBushyDisconnected(t *testing.T) {
 
 func TestDPBushyMultiwayOnStar(t *testing.T) {
 	// On a star query DP-Bushy must consider the n-way join.
-	in := makeInput(t, starQuery(5), 3, nil)
+	in := makeInput(t, starQuery(5), 3, partition.Method{})
 	res, err := DPBushy(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestDPBushySubqueryExplosion(t *testing.T) {
 	// DP-Bushy visits disconnected subqueries too: for a chain of n
 	// patterns it memoizes far more subqueries than the n(n+1)/2
 	// connected segments.
-	in := makeInput(t, chainQuery(10), 4, nil)
+	in := makeInput(t, chainQuery(10), 4, partition.Method{})
 	res, err := DPBushy(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestDPBushySubqueryExplosion(t *testing.T) {
 }
 
 func TestMSCProducesFlatPlans(t *testing.T) {
-	in := makeInput(t, starQuery(6), 5, partition.HashSO{})
+	in := makeInput(t, starQuery(6), 5, partition.HashSO)
 	res, err := MSC(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestMSCChainLevels(t *testing.T) {
 	// A chain of 8 has a unique minimum cover per level (pairs), so
 	// exactly one plan is explored (paper Table VII: MSC chain-8 = 1),
 	// with ⌈log2 8⌉ = 3 join levels.
-	in := makeInput(t, chainQuery(8), 6, nil)
+	in := makeInput(t, chainQuery(8), 6, partition.Method{})
 	res, err := MSC(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestMSCChainLevels(t *testing.T) {
 func TestMSCCycleCoverCount(t *testing.T) {
 	// Paper Table VII reports 4 plans for cycle-8: the four rotations
 	// of the pairing cover.
-	in := makeInput(t, cycleQuery(8), 7, nil)
+	in := makeInput(t, cycleQuery(8), 7, partition.Method{})
 	res, err := MSC(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestMSCValidOnRandomQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 15; trial++ {
 		q := randomConnectedQuery(r, 2+r.Intn(5))
-		in := makeInput(t, q, int64(80+trial), partition.HashSO{})
+		in := makeInput(t, q, int64(80+trial), partition.HashSO)
 		res, err := MSC(context.Background(), in)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -264,7 +264,7 @@ func TestMSCNoBroadcastJoins(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 10; trial++ {
 		q := randomConnectedQuery(r, 3+r.Intn(4))
-		in := makeInput(t, q, int64(90+trial), partition.HashSO{})
+		in := makeInput(t, q, int64(90+trial), partition.HashSO)
 		res, err := MSC(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
@@ -284,7 +284,7 @@ func TestMSCNoBroadcastJoins(t *testing.T) {
 
 func TestMSCDisconnected(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE { ?a <p> ?b . ?c <p> ?d . }`)
-	in := makeInput(t, q, 8, nil)
+	in := makeInput(t, q, 8, partition.Method{})
 	if _, err := MSC(context.Background(), in); !errors.Is(err, querygraph.ErrUnsupported) {
 		t.Errorf("disconnected query: err = %v, want querygraph.ErrUnsupported", err)
 	}
@@ -294,7 +294,7 @@ func TestBinaryDPOnlyBinaryJoins(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 15; trial++ {
 		q := randomConnectedQuery(r, 2+r.Intn(6))
-		in := makeInput(t, q, int64(110+trial), partition.HashSO{})
+		in := makeInput(t, q, int64(110+trial), partition.HashSO)
 		res, err := BinaryDP(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
@@ -321,7 +321,7 @@ func TestBinaryDPNeverBeatsTDCMD(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 15; trial++ {
 		q := randomConnectedQuery(r, 3+r.Intn(4))
-		in := makeInput(t, q, int64(130+trial), nil)
+		in := makeInput(t, q, int64(130+trial), partition.Method{})
 		full, err := opt.Optimize(context.Background(), in, opt.TDCMD)
 		if err != nil {
 			t.Fatal(err)
@@ -340,7 +340,7 @@ func TestBinaryDPMatchesTDCMDOnChains(t *testing.T) {
 	// On chains every cmd is binary, so the two optimizers explore the
 	// same space and must agree on cost.
 	for _, n := range []int{3, 6, 9} {
-		in := makeInput(t, chainQuery(n), int64(n), nil)
+		in := makeInput(t, chainQuery(n), int64(n), partition.Method{})
 		full, err := opt.Optimize(context.Background(), in, opt.TDCMD)
 		if err != nil {
 			t.Fatal(err)
@@ -358,7 +358,7 @@ func TestBinaryDPMatchesTDCMDOnChains(t *testing.T) {
 func TestBaselineCancellation(t *testing.T) {
 	// DP-Bushy on a 24-pattern chain visits ~2^24 subqueries; a short
 	// deadline must abort it. MSC on a dense query likewise.
-	in := makeInput(t, chainQuery(24), 9, nil)
+	in := makeInput(t, chainQuery(24), 9, partition.Method{})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if _, err := DPBushy(ctx, in); err == nil {
@@ -367,7 +367,7 @@ func TestBaselineCancellation(t *testing.T) {
 
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	in2 := makeInput(t, starQuery(12), 10, nil)
+	in2 := makeInput(t, starQuery(12), 10, partition.Method{})
 	if _, err := MSC(ctx2, in2); err == nil {
 		t.Error("MSC planned under a cancelled context")
 	}
@@ -384,11 +384,11 @@ func TestRejectedBeforeSearch(t *testing.T) {
 	runs := append(append([]Optimizer(nil), Optimizers...), Optimizer{CLI: "dpccp", Name: "DPccp", Run: DPccp})
 	for _, o := range runs {
 		t.Run(o.CLI, func(t *testing.T) {
-			in := makeInput(t, disconnected, 1, partition.HashSO{})
+			in := makeInput(t, disconnected, 1, partition.HashSO)
 			if _, err := o.Run(context.Background(), in); !errors.Is(err, querygraph.ErrUnsupported) {
 				t.Errorf("disconnected query: err = %v, want querygraph.ErrUnsupported", err)
 			}
-			in = makeInput(t, starQuery(12), 10, partition.HashSO{})
+			in = makeInput(t, starQuery(12), 10, partition.HashSO)
 			_, err := o.Run(cancelled, in)
 			var pe *obs.PhaseError
 			if !errors.Is(err, context.Canceled) || !errors.As(err, &pe) || pe.Phase != "optimize" {
@@ -405,7 +405,7 @@ func TestDPBushyTimeExplodesOnChains(t *testing.T) {
 	// The paper's core complexity claim (§III): generate-and-test
 	// binary division makes DP-Bushy's work grow ~3^n on chains while
 	// TD-CMD's grows ~n^3. Compare enumerated subqueries at n=14.
-	in := makeInput(t, chainQuery(14), 11, nil)
+	in := makeInput(t, chainQuery(14), 11, partition.Method{})
 	full, err := opt.Optimize(context.Background(), in, opt.TDCMD)
 	if err != nil {
 		t.Fatal(err)
@@ -433,7 +433,7 @@ func TestMSCFlattestPlanOnFig1(t *testing.T) {
 		?c <p6> ?d .
 		?a <p7> ?d .
 	}`)
-	in := makeInput(t, q, 777, partition.HashSO{})
+	in := makeInput(t, q, 777, partition.HashSO)
 	res, err := MSC(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func TestConnectedSubgraphsChainCount(t *testing.T) {
 // enumerators must agree on the optimal cost everywhere.
 func TestDPccpMatchesBinaryDP(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
-	methods := []partition.Method{nil, partition.HashSO{}, partition.PathBMC{}}
+	methods := []partition.Method{{}, partition.HashSO, partition.PathBMC}
 	for trial := 0; trial < 25; trial++ {
 		q := randomConnectedQuery(r, 2+r.Intn(6))
 		in := makeInput(t, q, int64(900+trial), methods[trial%3])
@@ -92,7 +92,7 @@ func TestDPccpNeverBeatsTDCMD(t *testing.T) {
 	strictlyWorse := 0
 	for trial := 0; trial < 25; trial++ {
 		q := randomConnectedQuery(r, 3+r.Intn(5))
-		in := makeInput(t, q, int64(950+trial), nil)
+		in := makeInput(t, q, int64(950+trial), partition.Method{})
 		full, err := opt.Optimize(context.Background(), in, opt.TDCMD)
 		if err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestDPccpDisconnected(t *testing.T) {
 	q := randomConnectedQuery(rand.New(rand.NewSource(1)), 2)
 	q.Patterns[1].S.Value = "isolatedA"
 	q.Patterns[1].O.Value = "isolatedB"
-	in := makeInput(t, q, 11, nil)
+	in := makeInput(t, q, 11, partition.Method{})
 	if _, err := DPccp(context.Background(), in); !errors.Is(err, querygraph.ErrUnsupported) {
 		t.Errorf("disconnected query: err = %v, want querygraph.ErrUnsupported", err)
 	}

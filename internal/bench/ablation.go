@@ -44,7 +44,7 @@ func Ablation(cfg Config) error {
 		q, s := randquery.Generate(c.class, c.n, cfg.seed())
 		var optimum float64
 		for _, combo := range combos {
-			in, err := makeInput(cfg, q, s, partition.HashSO{})
+			in, err := makeInput(cfg, q, s, partition.HashSO)
 			if err != nil {
 				return err
 			}

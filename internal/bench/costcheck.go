@@ -22,7 +22,7 @@ func CostModelCheck(cfg Config) error {
 	lubmDS, uniDS := cfg.datasets()
 	queries := benchQueries(lubmDS, uniDS)
 	algos := baseline.Select("td-auto", "msc", "dp-bushy")
-	method := partition.HashSO{}
+	method := partition.HashSO
 
 	engines := map[*rdf.Dataset]*engine.Engine{}
 	for _, ds := range []*rdf.Dataset{lubmDS, uniDS} {

@@ -43,7 +43,7 @@ func Fig6(cfg Config) error {
 			q, s := tpl.Instantiate(cfg.seed()*100000 + int64(tpl.ID*1000+inst))
 			var base outcome
 			for ai, algo := range algos {
-				in, err := makeInput(cfg, q, s, partition.HashSO{})
+				in, err := makeInput(cfg, q, s, partition.HashSO)
 				if err != nil {
 					return err
 				}
@@ -119,7 +119,7 @@ func collectRandGrid(cfg Config) (*randGrid, error) {
 				q, s := randquery.Generate(cl, n, cfg.seed()+int64(inst*7919))
 				var base outcome
 				for ai, algo := range g.algos {
-					in, err := makeInput(cfg, q, s, partition.HashSO{})
+					in, err := makeInput(cfg, q, s, partition.HashSO)
 					if err != nil {
 						return nil, err
 					}

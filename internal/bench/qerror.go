@@ -22,7 +22,7 @@ import (
 func QError(cfg Config) error {
 	lubmDS, uniDS := cfg.datasets()
 	queries := benchQueries(lubmDS, uniDS)
-	method := partition.HashSO{}
+	method := partition.HashSO
 	engines := map[*rdf.Dataset]*engine.Engine{}
 	for _, ds := range []*rdf.Dataset{lubmDS, uniDS} {
 		placement, err := method.Partition(ds, cfg.nodes())

@@ -85,7 +85,7 @@ func Table4(cfg Config) error {
 	for _, algo := range algos {
 		row := algo.Name
 		for _, bq := range queries {
-			in, err := dataInput(cfg, bq.ds, bq.q, partition.HashSO{})
+			in, err := dataInput(cfg, bq.ds, bq.q, partition.HashSO)
 			if err != nil {
 				return err
 			}
@@ -108,11 +108,11 @@ func Table5(cfg Config) error {
 	}
 	algos := baseline.Select("td-auto", "msc", "dp-bushy")
 	rows := []rowSpec{
-		{partition.HashSO{}, algos[0]},
-		{partition.HashSO{}, algos[1]},
-		{partition.HashSO{}, algos[2]},
-		{partition.TwoHopForward{}, algos[0]},
-		{partition.PathBMC{}, algos[0]},
+		{partition.HashSO, algos[0]},
+		{partition.HashSO, algos[1]},
+		{partition.HashSO, algos[2]},
+		{partition.TwoHopForward, algos[0]},
+		{partition.PathBMC, algos[0]},
 	}
 	// Partition each dataset once per method.
 	engines := map[string]map[*rdf.Dataset]*engine.Engine{}
@@ -183,7 +183,7 @@ func Table6(cfg Config) error {
 	for _, algo := range algos {
 		row := algo.Name
 		for _, bq := range queries {
-			in, err := dataInput(cfg, bq.ds, bq.q, partition.HashSO{})
+			in, err := dataInput(cfg, bq.ds, bq.q, partition.HashSO)
 			if err != nil {
 				return err
 			}
@@ -235,7 +235,7 @@ func Table7(cfg Config) error {
 		row := algo.Name
 		for _, c := range cells {
 			q, s := randquery.Generate(c.class, c.n, cfg.seed())
-			in, err := makeInput(cfg, q, s, partition.HashSO{})
+			in, err := makeInput(cfg, q, s, partition.HashSO)
 			if err != nil {
 				return err
 			}

@@ -149,8 +149,8 @@ var testQueries = []string{
 func TestDistributedMatchesReference(t *testing.T) {
 	ds := socialDataset()
 	methods := []partition.Method{
-		partition.HashSO{}, partition.TwoHopForward{}, partition.TwoHopBidirectional{},
-		partition.PathBMC{}, partition.UndirectedOneHop{},
+		partition.HashSO, partition.TwoHopForward, partition.TwoHopBidirectional,
+		partition.PathBMC, partition.UndirectedOneHop,
 	}
 	algos := []opt.Algorithm{opt.TDCMD, opt.TDCMDP, opt.HGRTDCMD, opt.TDAuto}
 	for _, src := range testQueries {
@@ -183,7 +183,7 @@ func TestLocalPlansMoveNoRows(t *testing.T) {
 	// local plan must transfer zero rows.
 	ds := socialDataset()
 	q := sparql.MustParse(`SELECT * WHERE { ?p <type> <Person> . ?p <worksFor> ?o . ?p <knows> ?b . }`)
-	m := partition.HashSO{}
+	m := partition.HashSO
 	placement, err := m.Partition(ds, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestDistributedJoinMovesRows(t *testing.T) {
 	// joins must report transferred rows.
 	ds := socialDataset()
 	q := sparql.MustParse(`SELECT * WHERE { ?a <knows> ?b . ?b <knows> ?c . ?c <knows> ?d . }`)
-	m := partition.HashSO{}
+	m := partition.HashSO
 	placement, err := m.Partition(ds, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestDistributedJoinMovesRows(t *testing.T) {
 func TestExecuteCancelled(t *testing.T) {
 	ds := socialDataset()
 	q := sparql.MustParse(testQueries[0])
-	m := partition.HashSO{}
+	m := partition.HashSO
 	placement, _ := m.Partition(ds, 2)
 	e := New(ds.Dict, placement)
 	res := optimizeFor(t, ds, q, m, opt.TDCMD)
@@ -242,7 +242,7 @@ func TestExecuteCancelled(t *testing.T) {
 func TestScannedTriplesCounted(t *testing.T) {
 	ds := socialDataset()
 	q := sparql.MustParse(`SELECT * WHERE { ?p <worksFor> ?o . ?o <inCity> ?c . }`)
-	m := partition.HashSO{}
+	m := partition.HashSO
 	placement, _ := m.Partition(ds, 3)
 	e := New(ds.Dict, placement)
 	res := optimizeFor(t, ds, q, m, opt.TDCMD)
@@ -262,7 +262,7 @@ func TestScannedTriplesCounted(t *testing.T) {
 func TestQuickRandomGraphsAllPartitionings(t *testing.T) {
 	r := rand.New(rand.NewSource(271))
 	methods := []partition.Method{
-		partition.HashSO{}, partition.TwoHopForward{}, partition.PathBMC{}, partition.UndirectedOneHop{},
+		partition.HashSO, partition.TwoHopForward, partition.PathBMC, partition.UndirectedOneHop,
 	}
 	for trial := 0; trial < 12; trial++ {
 		ds := randomGraph(r, 30+r.Intn(40), 4)

@@ -25,7 +25,7 @@ import (
 // order cost L10 up to 100× in the trie join's sizing.
 func TestJoinOrder(t *testing.T) {
 	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1})
-	placement, err := partition.TwoHopForward{}.Partition(ds, 4)
+	placement, err := partition.TwoHopForward.Partition(ds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestJoinOrder(t *testing.T) {
 				walk(c)
 			}
 		}
-		walk(optimizeFor(t, ds, q, partition.TwoHopForward{}, opt.TDAuto).Plan)
+		walk(optimizeFor(t, ds, q, partition.TwoHopForward, opt.TDAuto).Plan)
 		if local == nil {
 			t.Fatalf("%s: no local join under 2f", name)
 		}

@@ -34,7 +34,7 @@ func handPlan(t *testing.T, ds *rdf.Dataset, q *sparql.Query, build func(scan fu
 func TestBroadcastEqualsRepartition(t *testing.T) {
 	ds := socialDataset()
 	q := sparql.MustParse(`SELECT * WHERE { ?a <knows> ?b . ?b <worksFor> ?o . }`)
-	placement, err := partition.HashSO{}.Partition(ds, 3)
+	placement, err := partition.HashSO.Partition(ds, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestBroadcastEqualsRepartition(t *testing.T) {
 func TestMultiwayRepartition(t *testing.T) {
 	ds := socialDataset()
 	q := sparql.MustParse(`SELECT * WHERE { ?a <worksFor> ?o . ?b <worksFor> ?o . ?o <inCity> ?c . }`)
-	placement, err := partition.HashSO{}.Partition(ds, 4)
+	placement, err := partition.HashSO.Partition(ds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMultiwayRepartition(t *testing.T) {
 func TestSingleNodeCluster(t *testing.T) {
 	ds := socialDataset()
 	q := sparql.MustParse(`SELECT * WHERE { ?a <knows> ?b . ?b <knows> ?c . }`)
-	placement, err := partition.PathBMC{}.Partition(ds, 1)
+	placement, err := partition.PathBMC.Partition(ds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestMoreNodesThanData(t *testing.T) {
 	ds.Add("a", "p", "b")
 	ds.Add("b", "q", "c")
 	q := sparql.MustParse(`SELECT * WHERE { ?x <p> ?y . ?y <q> ?z . }`)
-	placement, err := partition.HashSO{}.Partition(ds, 16)
+	placement, err := partition.HashSO.Partition(ds, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestMoreNodesThanData(t *testing.T) {
 func TestRepartitionMissingVariable(t *testing.T) {
 	ds := socialDataset()
 	q := sparql.MustParse(`SELECT * WHERE { ?a <knows> ?b . ?b <worksFor> ?o . }`)
-	placement, _ := partition.HashSO{}.Partition(ds, 2)
+	placement, _ := partition.HashSO.Partition(ds, 2)
 	e := New(ds.Dict, placement)
 	p := handPlan(t, ds, q, func(scan func(int) *plan.Node) *plan.Node {
 		return plan.NewJoin(plan.RepartitionJoin, "nonexistent", []*plan.Node{scan(0), scan(1)}, 5, cost.Default)
@@ -151,7 +151,7 @@ func TestRepartitionMissingVariable(t *testing.T) {
 func TestInvalidPlanRejected(t *testing.T) {
 	ds := socialDataset()
 	q := sparql.MustParse(`SELECT * WHERE { ?a <knows> ?b . ?b <worksFor> ?o . }`)
-	placement, _ := partition.HashSO{}.Partition(ds, 2)
+	placement, _ := partition.HashSO.Partition(ds, 2)
 	e := New(ds.Dict, placement)
 	bad := &plan.Node{Set: 3, Alg: plan.LocalJoin} // no children
 	if _, err := e.Execute(context.Background(), bad, q); err == nil {

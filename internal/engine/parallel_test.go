@@ -62,7 +62,7 @@ func TestDeterminismParallelExecution(t *testing.T) {
 		querygraph.Star, querygraph.Chain, querygraph.Cycle, querygraph.Tree, querygraph.Dense,
 	}
 	methods := []partition.Method{
-		partition.HashSO{}, partition.TwoHopForward{}, partition.PathBMC{}, partition.UndirectedOneHop{},
+		partition.HashSO, partition.TwoHopForward, partition.PathBMC, partition.UndirectedOneHop,
 	}
 	algos := []opt.Algorithm{opt.TDCMD, opt.TDCMDP, opt.HGRTDCMD, opt.TDAuto}
 	r := rand.New(rand.NewSource(99))
@@ -112,7 +112,7 @@ func TestDeterminismParallelBenchQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := partition.HashSO{}
+		m := partition.HashSO
 		placement, err := m.Partition(ds, 4)
 		if err != nil {
 			t.Fatal(err)

@@ -18,7 +18,7 @@ func resilienceFixture(t *testing.T) (*Engine, *opt.Result, *sparql.Query) {
 	t.Helper()
 	ds := socialDataset()
 	q := sparql.MustParse(`SELECT * WHERE { ?a <worksFor> ?o . ?b <worksFor> ?o . ?a <knows> ?b . ?o <inCity> ?c . }`)
-	m := partition.HashSO{}
+	m := partition.HashSO
 	placement, err := m.Partition(ds, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 // build-time regression shows without the spine.
 func BenchmarkStoreBuild(b *testing.B) {
 	ds := lubm.Generate(lubm.Config{Universities: 10, Seed: 1})
-	placement, err := partition.HashSO{}.Partition(ds, 10)
+	placement, err := partition.HashSO.Partition(ds, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func BenchmarkStoreBuild(b *testing.B) {
 // leaves afresh, as a query does, and joins on every node.
 func BenchmarkStarJoin(b *testing.B) {
 	ds := lubm.Generate(lubm.Config{Universities: 10, Seed: 1})
-	placement, err := partition.HashSO{}.Partition(ds, 10)
+	placement, err := partition.HashSO.Partition(ds, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func BenchmarkStarJoin(b *testing.B) {
 // node, against the test-only hash fold over the nodes' reads.
 func BenchmarkLocalJoin(b *testing.B) {
 	ds := lubm.Generate(lubm.Config{Universities: 10, Seed: 1})
-	placement, err := partition.TwoHopForward{}.Partition(ds, 10)
+	placement, err := partition.TwoHopForward.Partition(ds, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func BenchmarkLocalJoin(b *testing.B) {
 				walk(c)
 			}
 		}
-		walk(optimizeFor(b, ds, q, partition.TwoHopForward{}, opt.TDAuto).Plan)
+		walk(optimizeFor(b, ds, q, partition.TwoHopForward, opt.TDAuto).Plan)
 		benchLocalJoin(b, e, env, fmt.Sprintf("%s/on_%s", name, local.JoinVar), local, q)
 	}
 }
@@ -158,7 +158,7 @@ func foldNode(ctx context.Context, node int, rels []*Relation, leaves []*scanLea
 // does, then joins on every node.
 func BenchmarkBroadcastJoin(b *testing.B) {
 	ds := lubm.Generate(lubm.Config{Universities: 10, Seed: 1})
-	placement, err := partition.HashSO{}.Partition(ds, 10)
+	placement, err := partition.HashSO.Partition(ds, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func BenchmarkBroadcastJoin(b *testing.B) {
 				walk(c)
 			}
 		}
-		walk(optimizeFor(b, ds, q, partition.HashSO{}, opt.TDAuto).Plan)
+		walk(optimizeFor(b, ds, q, partition.HashSO, opt.TDAuto).Plan)
 		for _, p := range joins {
 			open := func() (in opInputs, vars [][]string) {
 				start := time.Now()
@@ -237,7 +237,7 @@ func BenchmarkBroadcastJoin(b *testing.B) {
 // rows the nodes emitted, rows/op the distinct answers.
 func BenchmarkRootEmit(b *testing.B) {
 	ds := lubm.Generate(lubm.Config{Universities: 10, Seed: 1})
-	placement, err := partition.HashSO{}.Partition(ds, 10)
+	placement, err := partition.HashSO.Partition(ds, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func BenchmarkRootEmit(b *testing.B) {
 		{"F2", sparql.MustParse(prefixes + `SELECT ?x WHERE { ?x ub:advisor ?f . ?p ub:publicationAuthor ?f . ?f ub:teacherOf ?c . }`)},
 		{"L8", lubm.Query("L8")},
 	} {
-		p := optimizeFor(b, ds, kind.q, partition.HashSO{}, opt.TDAuto).Plan
+		p := optimizeFor(b, ds, kind.q, partition.HashSO, opt.TDAuto).Plan
 		b.Run(kind.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var flat, rows int64

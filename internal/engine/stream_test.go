@@ -45,7 +45,7 @@ func drainStream(t *testing.T, st *Stream) [][]rdf.TermID {
 // yields arrival order and Execute sorts.
 func TestStreamMatchesExecute(t *testing.T) {
 	ds := socialDataset()
-	m := partition.HashSO{}
+	m := partition.HashSO
 	placement, err := m.Partition(ds, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestStreamMultiChunk(t *testing.T) {
 			ds.Add(fmt.Sprintf("a%d", i), "n", fmt.Sprintf("b%d", j))
 		}
 	}
-	m := partition.HashSO{}
+	m := partition.HashSO
 	placement, err := m.Partition(ds, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestStreamChunkSizedToResult(t *testing.T) {
 			ds.Add(fmt.Sprintf("a%d", i), "n", fmt.Sprintf("b%d", j))
 		}
 	}
-	m := partition.HashSO{}
+	m := partition.HashSO
 	placement, err := m.Partition(ds, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestStreamChunkSizedToResult(t *testing.T) {
 // distinct row once, like the materializing path.
 func TestStreamDedup(t *testing.T) {
 	ds := socialDataset()
-	m := partition.HashSO{}
+	m := partition.HashSO
 	placement, err := m.Partition(ds, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestStreamDedup(t *testing.T) {
 // annotated error.
 func TestStreamCancel(t *testing.T) {
 	ds := socialDataset()
-	m := partition.HashSO{}
+	m := partition.HashSO
 	placement, err := m.Partition(ds, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func TestStreamCancel(t *testing.T) {
 // path plus deferred cleanup) without double-counting metrics.
 func TestStreamFinishIdempotent(t *testing.T) {
 	ds := socialDataset()
-	m := partition.HashSO{}
+	m := partition.HashSO
 	placement, err := m.Partition(ds, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +364,7 @@ type rootKind struct {
 func rootKinds(t *testing.T) (*rdf.Dataset, *partition.Placement, []rootKind) {
 	t.Helper()
 	ds := lubm.Generate(lubm.Config{Universities: 2, Seed: 1})
-	placement, err := partition.HashSO{}.Partition(ds, 10)
+	placement, err := partition.HashSO.Partition(ds, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func rootKinds(t *testing.T) (*rdf.Dataset, *partition.Placement, []rootKind) {
 		{"J1", `SELECT ?x ?c ?f WHERE { ?x ub:takesCourse ?c . ?f ub:teacherOf ?c . }`},
 	} {
 		q := sparql.MustParse(prefixes + k.src)
-		kinds = append(kinds, rootKind{k.name, q, optimizeFor(t, ds, q, partition.HashSO{}, opt.TDAuto).Plan})
+		kinds = append(kinds, rootKind{k.name, q, optimizeFor(t, ds, q, partition.HashSO, opt.TDAuto).Plan})
 	}
 	if kinds[0].p.Alg != plan.Scan || kinds[1].p.Alg != plan.LocalJoin {
 		t.Fatalf("S2's root is %v and J1's %v, want a scan and a local join", kinds[0].p.Alg, kinds[1].p.Alg)

@@ -22,7 +22,7 @@ import (
 func TestTraceMirrorsPlan(t *testing.T) {
 	ds := socialDataset()
 	q := sparql.MustParse(`SELECT * WHERE { ?a <knows> ?b . ?b <worksFor> ?o . ?o <inCity> ?c . }`)
-	m := partition.HashSO{}
+	m := partition.HashSO
 	placement, err := m.Partition(ds, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestTraceRowCountsAreExact(t *testing.T) {
 	// must be ≥ the distinct result count.
 	ds := socialDataset()
 	q := sparql.MustParse(`SELECT * WHERE { ?p <worksFor> ?o . ?o <inCity> ?c . }`)
-	m := partition.HashSO{}
+	m := partition.HashSO
 	placement, _ := m.Partition(ds, 2)
 	e := New(ds.Dict, placement)
 	res := optimizeFor(t, ds, q, m, 0)
@@ -113,7 +113,7 @@ func TestTraceSaysHowLeafWasRead(t *testing.T) {
 		ds.Add(fmt.Sprintf("f%d", i), "worksFor", fmt.Sprintf("d%d", i%9))
 	}
 	q := sparql.MustParse(`SELECT * WHERE { <s0> <advisor> ?f . ?f <worksFor> ?d . }`)
-	m := partition.HashSO{}
+	m := partition.HashSO
 	placement, err := m.Partition(ds, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -46,15 +46,12 @@ func runHGR(k *Kit) (*Result, error) {
 // for every maximal local query MLQ; overlapping picks are made
 // disjoint by intersecting with the uncovered set, so the returned
 // groups partition the query. Every group is a local query (a
-// connected subset of an MLQ). With no partitioning method, every
+// connected subset of an MLQ). Under the zero Method, every
 // pattern forms its own group and the reduction is the identity.
 func reduceJoinGraph(k *Kit) []bitset.TPSet {
 	jg := k.JG
 	all := jg.All()
-	var mlqs []bitset.TPSet
-	if k.checker != nil {
-		mlqs = k.checker.MaximalLocalQueries()
-	}
+	mlqs := k.checker.MaximalLocalQueries()
 	var groups []bitset.TPSet
 	uncovered := all
 	for !uncovered.IsEmpty() {

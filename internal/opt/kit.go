@@ -23,8 +23,8 @@ type Kit struct {
 	JG *querygraph.JoinGraph
 
 	ctx context.Context
-	// checker tests locality; nil without a partitioning method, when
-	// only single patterns are local.
+	// checker tests locality; under the zero Method only single
+	// patterns are local.
 	checker *partition.LocalChecker
 	scans   []*plan.Node
 
@@ -54,10 +54,8 @@ func NewKit(ctx context.Context, in *Input) (*Kit, error) {
 	if err := obs.Canceled(ctx, "optimize"); err != nil {
 		return nil, err
 	}
-	k := &Kit{In: in, JG: jg, ctx: ctx, scans: make([]*plan.Node, jg.NumTP)}
-	if in.Method != nil {
-		k.checker = partition.NewLocalChecker(in.Method, in.Views.Query)
-	}
+	k := &Kit{In: in, JG: jg, ctx: ctx, scans: make([]*plan.Node, jg.NumTP),
+		checker: partition.NewLocalChecker(in.Method, in.Views.Query)}
 	for tp := range k.scans {
 		k.scans[tp] = plan.NewScan(tp, in.Est.Cardinality(bitset.Single(tp)), in.Params)
 	}
@@ -70,9 +68,6 @@ func (k *Kit) Leaf(tp int) *plan.Node { return k.scans[tp] }
 // IsLocal reports whether the subquery s runs without communication
 // under the input's partitioning method.
 func (k *Kit) IsLocal(s bitset.TPSet) bool {
-	if k.checker == nil {
-		return s.Len() <= 1
-	}
 	return k.checker.IsLocal(s)
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sparqlopt/internal/bitset"
+	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
 	"sparqlopt/internal/resilience"
 )
@@ -70,7 +71,7 @@ func TestMemoTable(t *testing.T) {
 // the run returns when it ends.
 func TestMemoChargesOncePerInsert(t *testing.T) {
 	n := 8
-	in := makeInput(t, chainQuery(n), 5, nil)
+	in := makeInput(t, chainQuery(n), 5, partition.Method{})
 	in.Gauge = resilience.NewBudget(1<<30, 0).NewGauge()
 	res, err := Optimize(context.Background(), in, TDCMD)
 	if err != nil {

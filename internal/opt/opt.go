@@ -77,8 +77,8 @@ type Input struct {
 	// Params is the cost model (cost.Default if zero Nodes).
 	Params cost.Params
 	// Method is the data partitioning method, used to detect local
-	// queries. When nil, no subquery is considered local except single
-	// patterns (pure distributed execution).
+	// queries. Under the zero Method no subquery is considered local
+	// except single patterns (pure distributed execution).
 	Method partition.Method
 	// Inst, when non-nil, receives run metrics (per-algorithm timing,
 	// memo hit rate, pruning tallies), accumulated across runs; nil

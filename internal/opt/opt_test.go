@@ -49,7 +49,7 @@ func TestTChainFormula(t *testing.T) {
 	// Eq. 8: T(Q_chain) = (n³ − n) / 6 — the number of cmds TD-CMD
 	// enumerates across all connected subqueries.
 	for _, n := range []int{4, 8, 12, 16} {
-		in := makeInput(t, chainQuery(n), 1, nil)
+		in := makeInput(t, chainQuery(n), 1, partition.Method{})
 		res, err := Optimize(context.Background(), in, TDCMD)
 		if err != nil {
 			t.Fatal(err)
@@ -64,7 +64,7 @@ func TestTChainFormula(t *testing.T) {
 func TestTCycleFormula(t *testing.T) {
 	// Eq. 9: T(Q_cycle) = (n³ − n²) / 2.
 	for _, n := range []int{4, 6, 8, 10} {
-		in := makeInput(t, cycleQuery(n), 2, nil)
+		in := makeInput(t, cycleQuery(n), 2, partition.Method{})
 		res, err := Optimize(context.Background(), in, TDCMD)
 		if err != nil {
 			t.Fatal(err)
@@ -87,7 +87,7 @@ func TestTStarFormula(t *testing.T) {
 		return r
 	}
 	for _, n := range []int{3, 5, 8} {
-		in := makeInput(t, starQuery(n), 3, nil)
+		in := makeInput(t, starQuery(n), 3, partition.Method{})
 		res, err := Optimize(context.Background(), in, TDCMD)
 		if err != nil {
 			t.Fatal(err)
@@ -107,10 +107,7 @@ func TestTStarFormula(t *testing.T) {
 // implementation to cross-check TD-CMD's optimality.
 func oracleBestCost(in *Input) float64 {
 	jg := in.Views.Join
-	var checker *partition.LocalChecker
-	if in.Method != nil {
-		checker = partition.NewLocalChecker(in.Method, in.Views.Query)
-	}
+	checker := partition.NewLocalChecker(in.Method, in.Views.Query)
 	memo := map[bitset.TPSet]float64{}
 	var best func(s bitset.TPSet) float64
 	best = func(s bitset.TPSet) float64 {
@@ -123,7 +120,7 @@ func oracleBestCost(in *Input) float64 {
 			return c
 		}
 		bestCost := math.Inf(1)
-		if checker != nil && checker.IsLocal(s) {
+		if checker.IsLocal(s) {
 			inputs := []float64{}
 			maxScan := 0.0
 			s.Each(func(tp int) bool {
@@ -164,7 +161,7 @@ func oracleBestCost(in *Input) float64 {
 
 func TestTDCMDOptimal(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	methods := []partition.Method{nil, partition.HashSO{}, partition.PathBMC{}}
+	methods := []partition.Method{{}, partition.HashSO, partition.PathBMC}
 	for trial := 0; trial < 30; trial++ {
 		q := randomConnectedQuery(r, 2+r.Intn(5))
 		in := makeInput(t, q, int64(trial), methods[trial%len(methods)])
@@ -189,7 +186,7 @@ func TestPrunedNeverBeatsTDCMD(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 25; trial++ {
 		q := randomConnectedQuery(r, 3+r.Intn(5))
-		in := makeInput(t, q, int64(100+trial), partition.HashSO{})
+		in := makeInput(t, q, int64(100+trial), partition.HashSO)
 		full, err := Optimize(context.Background(), in, TDCMD)
 		if err != nil {
 			t.Fatal(err)
@@ -215,7 +212,7 @@ func TestPrunedNeverBeatsTDCMD(t *testing.T) {
 
 func TestPruningShrinksSearchSpace(t *testing.T) {
 	// On a star query, Rule 1 collapses the Bell-number space.
-	in := makeInput(t, starQuery(8), 11, partition.HashSO{})
+	in := makeInput(t, starQuery(8), 11, partition.HashSO)
 	full, err := Optimize(context.Background(), in, TDCMD)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +230,7 @@ func TestPruningShrinksSearchSpace(t *testing.T) {
 func TestLocalShortcut(t *testing.T) {
 	// A star query is fully local under hash partitioning, so Rule 3
 	// makes TD-CMDP return the flat local plan without enumerating.
-	in := makeInput(t, starQuery(6), 12, partition.HashSO{})
+	in := makeInput(t, starQuery(6), 12, partition.HashSO)
 	res, err := Optimize(context.Background(), in, TDCMDP)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +246,7 @@ func TestLocalShortcut(t *testing.T) {
 func TestLocalPlanPreferredByTDCMD(t *testing.T) {
 	// Even without the shortcut, the local plan should win on a local
 	// query: local joins dominate the alternatives under Table II.
-	in := makeInput(t, starQuery(5), 13, partition.HashSO{})
+	in := makeInput(t, starQuery(5), 13, partition.HashSO)
 	res, err := Optimize(context.Background(), in, TDCMD)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +261,7 @@ func TestHGRGroups(t *testing.T) {
 	// local groups; every group must be a local query and they must
 	// partition the pattern set.
 	q := sparql.MustParse(fig1)
-	in := makeInput(t, q, 14, partition.PathBMC{})
+	in := makeInput(t, q, 14, partition.PathBMC)
 	res, err := Optimize(context.Background(), in, HGRTDCMD)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +269,7 @@ func TestHGRGroups(t *testing.T) {
 	if res.Groups == nil {
 		t.Fatal("HGR result missing groups")
 	}
-	checker := partition.NewLocalChecker(partition.PathBMC{}, in.Views.Query)
+	checker := partition.NewLocalChecker(partition.PathBMC, in.Views.Query)
 	var union bitset.TPSet
 	for _, g := range res.Groups {
 		if union.Overlaps(g) {
@@ -298,7 +295,7 @@ func TestHGRGroups(t *testing.T) {
 }
 
 func TestHGRWithoutMethodDegenerates(t *testing.T) {
-	in := makeInput(t, chainQuery(5), 15, nil)
+	in := makeInput(t, chainQuery(5), 15, partition.Method{})
 	res, err := Optimize(context.Background(), in, HGRTDCMD)
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +309,7 @@ func TestHGRWithoutMethodDegenerates(t *testing.T) {
 }
 
 func TestHGRReducesSearchSpace(t *testing.T) {
-	in := makeInput(t, sparql.MustParse(fig1), 16, partition.HashSO{})
+	in := makeInput(t, sparql.MustParse(fig1), 16, partition.HashSO)
 	full, err := Optimize(context.Background(), in, TDCMD)
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +366,7 @@ func TestChooseAutoMultiCycle(t *testing.T) {
 
 func TestOptimizeDisconnected(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE { ?a <p> ?b . ?c <p> ?d . }`)
-	in := makeInput(t, q, 17, nil)
+	in := makeInput(t, q, 17, partition.Method{})
 	if _, err := Optimize(context.Background(), in, TDCMD); err == nil {
 		t.Error("disconnected query accepted")
 	}
@@ -377,7 +374,7 @@ func TestOptimizeDisconnected(t *testing.T) {
 
 func TestOptimizeSinglePattern(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE { ?a <p> ?b . }`)
-	in := makeInput(t, q, 18, partition.HashSO{})
+	in := makeInput(t, q, 18, partition.HashSO)
 	for _, algo := range []Algorithm{TDCMD, TDCMDP, HGRTDCMD, TDAuto} {
 		res, err := Optimize(context.Background(), in, algo)
 		if err != nil {
@@ -390,7 +387,7 @@ func TestOptimizeSinglePattern(t *testing.T) {
 }
 
 func TestOptimizeValidation(t *testing.T) {
-	in := makeInput(t, chainQuery(3), 19, nil)
+	in := makeInput(t, chainQuery(3), 19, partition.Method{})
 	if _, err := Optimize(context.Background(), &Input{Query: in.Query}, TDCMD); err == nil {
 		t.Error("nil estimator accepted")
 	}
@@ -405,7 +402,7 @@ func TestOptimizeValidation(t *testing.T) {
 func TestOptimizeCancellation(t *testing.T) {
 	// A 30-pattern star explodes without pruning; a tiny deadline must
 	// abort with the context error, not hang.
-	in := makeInput(t, starQuery(30), 20, nil)
+	in := makeInput(t, starQuery(30), 20, partition.Method{})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -419,7 +416,7 @@ func TestOptimizeCancellation(t *testing.T) {
 }
 
 func TestResultUsedField(t *testing.T) {
-	in := makeInput(t, chainQuery(6), 21, partition.HashSO{})
+	in := makeInput(t, chainQuery(6), 21, partition.HashSO)
 	res, err := Optimize(context.Background(), in, TDAuto)
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +443,7 @@ func TestFlatPlanNotAlwaysBest(t *testing.T) {
 	deeper := 0
 	for trial := 0; trial < 40; trial++ {
 		q := randomConnectedQuery(r, 5+r.Intn(3))
-		in := makeInput(t, q, int64(300+trial), nil)
+		in := makeInput(t, q, int64(300+trial), partition.Method{})
 		res, err := Optimize(context.Background(), in, TDCMD)
 		if err != nil {
 			t.Fatal(err)
@@ -464,7 +461,7 @@ func TestMaximumQuerySize(t *testing.T) {
 	// The boundary case: a 64-pattern chain (the bitset limit).
 	// T(chain_64) = (64³−64)/6 = 43,680 — TD-CMD must handle it fast.
 	n := 64
-	in := makeInput(t, chainQuery(n), 64, nil)
+	in := makeInput(t, chainQuery(n), 64, partition.Method{})
 	res, err := Optimize(context.Background(), in, TDCMD)
 	if err != nil {
 		t.Fatal(err)
@@ -504,7 +501,7 @@ func TestConclusionsHoldAtLargeCardinalityRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := &Input{Query: q, Views: views, Est: est, Params: cost.Default, Method: partition.HashSO{}}
+		in := &Input{Query: q, Views: views, Est: est, Params: cost.Default, Method: partition.HashSO}
 		full, err := Optimize(context.Background(), in, TDCMD)
 		if err != nil {
 			t.Fatal(err)

@@ -45,7 +45,7 @@ func TestPlansAreCartesianFree(t *testing.T) {
 	algos := []Algorithm{TDCMD, TDCMDP, HGRTDCMD, TDAuto}
 	for trial := 0; trial < 40; trial++ {
 		q := randomConnectedQuery(r, 2+r.Intn(7))
-		in := makeInput(t, q, int64(500+trial), partition.HashSO{})
+		in := makeInput(t, q, int64(500+trial), partition.HashSO)
 		for _, algo := range algos {
 			res, err := Optimize(context.Background(), in, algo)
 			if err != nil {
@@ -62,7 +62,7 @@ func TestPlanCardinalityConsistency(t *testing.T) {
 	r := rand.New(rand.NewSource(403))
 	for trial := 0; trial < 20; trial++ {
 		q := randomConnectedQuery(r, 3+r.Intn(5))
-		in := makeInput(t, q, int64(600+trial), partition.PathBMC{})
+		in := makeInput(t, q, int64(600+trial), partition.PathBMC)
 		res, err := Optimize(context.Background(), in, TDCMD)
 		if err != nil {
 			t.Fatal(err)
@@ -87,7 +87,7 @@ func TestMemoDeterminism(t *testing.T) {
 	r := rand.New(rand.NewSource(405))
 	for trial := 0; trial < 10; trial++ {
 		q := randomConnectedQuery(r, 4+r.Intn(4))
-		in := makeInput(t, q, int64(700+trial), partition.HashSO{})
+		in := makeInput(t, q, int64(700+trial), partition.HashSO)
 		a, err := Optimize(context.Background(), in, TDCMD)
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +107,7 @@ func TestMemoDeterminism(t *testing.T) {
 func TestOptionsCombinations(t *testing.T) {
 	r := rand.New(rand.NewSource(407))
 	q := randomConnectedQuery(r, 7)
-	in := makeInput(t, q, 800, partition.HashSO{})
+	in := makeInput(t, q, 800, partition.HashSO)
 	full, err := Optimize(context.Background(), in, TDCMD)
 	if err != nil {
 		t.Fatal(err)

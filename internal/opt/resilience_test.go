@@ -21,7 +21,7 @@ func TestGreedyProducesValidPlan(t *testing.T) {
 			case 2:
 				query = starQuery(8)
 			}
-			in := makeInput(t, query, 7, partition.HashSO{})
+			in := makeInput(t, query, 7, partition.HashSO)
 			res, err := Optimize(context.Background(), in, Greedy)
 			if err != nil {
 				t.Fatal(err)
@@ -51,7 +51,7 @@ func TestGreedyNeverBeatenByTDCMD(t *testing.T) {
 	// TD-CMD is exhaustive over CP-free k-ary plans; greedy's left-deep
 	// chain must never cost less (sanity of shared cost plumbing).
 	for seed := int64(1); seed <= 5; seed++ {
-		in := makeInput(t, chainQuery(7), seed, nil)
+		in := makeInput(t, chainQuery(7), seed, partition.Method{})
 		exact, err := Optimize(context.Background(), in, TDCMD)
 		if err != nil {
 			t.Fatal(err)
@@ -67,7 +67,7 @@ func TestGreedyNeverBeatenByTDCMD(t *testing.T) {
 }
 
 func TestOptPanicRecoveredSequential(t *testing.T) {
-	in := makeInput(t, chainQuery(6), 11, nil)
+	in := makeInput(t, chainQuery(6), 11, partition.Method{})
 	in.Faults = faultinject.New(1)
 	in.Faults.Arm(faultinject.OptPanic, 1)
 	_, err := Optimize(context.Background(), in, TDCMD)
@@ -84,7 +84,7 @@ func TestOptPanicRecoveredSequential(t *testing.T) {
 }
 
 func TestOptBudgetTrip(t *testing.T) {
-	in := makeInput(t, chainQuery(10), 13, nil)
+	in := makeInput(t, chainQuery(10), 13, partition.Method{})
 	in.Gauge = resilience.NewBudget(4*memoEntryBytes, 0).NewGauge()
 	_, err := Optimize(context.Background(), in, TDCMD)
 	if !errors.Is(err, resilience.ErrBudgetExceeded) {
@@ -101,7 +101,7 @@ func TestOptBudgetTrip(t *testing.T) {
 }
 
 func TestOptBudgetFaultWithoutGauge(t *testing.T) {
-	in := makeInput(t, chainQuery(6), 17, nil)
+	in := makeInput(t, chainQuery(6), 17, partition.Method{})
 	in.Faults = faultinject.New(2)
 	in.Faults.Arm(faultinject.OptBudget, 10)
 	_, err := Optimize(context.Background(), in, TDCMD)
@@ -111,7 +111,7 @@ func TestOptBudgetFaultWithoutGauge(t *testing.T) {
 }
 
 func TestOptBudgetEnoughForSmallQuery(t *testing.T) {
-	in := makeInput(t, chainQuery(5), 19, nil)
+	in := makeInput(t, chainQuery(5), 19, partition.Method{})
 	in.Gauge = resilience.NewBudget(1<<20, 0).NewGauge()
 	res, err := Optimize(context.Background(), in, TDCMD)
 	if err != nil {
@@ -130,7 +130,7 @@ func TestOptBudgetEnoughForSmallQuery(t *testing.T) {
 func TestParallelCancellationExpired(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	in := makeInput(t, starQuery(14), 1, nil)
+	in := makeInput(t, starQuery(14), 1, partition.Method{})
 	start := time.Now()
 	_, err := Optimize(ctx, in, TDCMD)
 	if !errors.Is(err, context.Canceled) {
@@ -148,7 +148,7 @@ func TestParallelCancellationExpired(t *testing.T) {
 func TestParallelCancellationDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	in := makeInput(t, starQuery(16), 1, nil)
+	in := makeInput(t, starQuery(16), 1, partition.Method{})
 	start := time.Now()
 	_, err := Optimize(ctx, in, TDCMD)
 	if !errors.Is(err, context.DeadlineExceeded) {

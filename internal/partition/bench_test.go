@@ -11,7 +11,7 @@ import (
 // runs it once.
 func BenchmarkPartition(b *testing.B) {
 	ds := lubm.Generate(lubm.Config{Universities: 10, Seed: 1})
-	for _, m := range []Method{HashSO{}, TwoHopForward{}, TwoHopBidirectional{}, PathBMC{}, UndirectedOneHop{}} {
+	for _, m := range []Method{HashSO, TwoHopForward, TwoHopBidirectional, PathBMC, UndirectedOneHop} {
 		b.Run(m.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

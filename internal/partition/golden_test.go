@@ -31,7 +31,7 @@ func goldenPlacements(t *testing.T) string {
 	t.Helper()
 	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1})
 	var b strings.Builder
-	for _, m := range []Method{HashSO{}, TwoHopForward{}, TwoHopBidirectional{}, PathBMC{}, UndirectedOneHop{}} {
+	for _, m := range []Method{HashSO, TwoHopForward, TwoHopBidirectional, PathBMC, UndirectedOneHop} {
 		for _, nodes := range []int{4, 10} {
 			p, err := m.Partition(ds, nodes)
 			if err != nil {
@@ -39,7 +39,7 @@ func goldenPlacements(t *testing.T) string {
 			}
 			fmt.Fprintf(&b, "%s nodes=%d rf=%.6f\n", m.Name(), nodes, p.ReplicationFactor(ds.Len()))
 			for n, frag := range p.Triples {
-				if _, ok := m.(PathBMC); ok {
+				if m == PathBMC {
 					frag = slices.Clone(frag)
 					slices.SortFunc(frag, rdf.Triple.Compare)
 				}

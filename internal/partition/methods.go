@@ -1,6 +1,9 @@
 package partition
 
 import (
+	"errors"
+	"fmt"
+	"math/bits"
 	"slices"
 
 	"sparqlopt/internal/bitset"
@@ -8,149 +11,178 @@ import (
 	"sparqlopt/internal/rdf"
 )
 
-// HashSO is hash partitioning with a hash function on both the subject
-// and the object of each triple (paper §V-A data partitioning (1)).
-// combine(v, G) assembles the triples incident to v; distribute hashes
-// v. Every triple is stored on (at most) two nodes: hash(S) and
-// hash(O). Under this method all triples sharing a subject or object
-// are collocated, so a subquery is local iff its patterns share a
-// common vertex (the assumption hard-wired into MSC and DP-Bushy).
-type HashSO struct{}
-
-// Name implements Method.
-func (HashSO) Name() string { return "Hash-SO" }
-
-// CombineQuery implements Method: the undirected 1-hop closure — all
-// patterns containing vertex v (paper Example 7).
-func (HashSO) CombineQuery(g *querygraph.Graph, v int) bitset.TPSet {
-	return g.UndirectedClosure(v, 1)
+// Method is one static RDF data partitioning method, declared once in
+// the generic model: combine(v, G) is the closure of v — every edge
+// within hops edges of v, following edge direction or ignoring it — and
+// distribute places each element on a node. The same closure drives
+// both sides: on the query graph it is combine(v, G_Q), the maximal
+// local query at v (Definition 2), and on the data graph it decides
+// where each triple goes. The built-in methods are the package values
+// below. The zero Method has the empty closure: under it only single
+// patterns are local, and it cannot partition.
+type Method struct {
+	name string
+	// undirected closures ignore edge direction; the others follow it.
+	undirected bool
+	// hops bounds the closure in edges from v; -1 is unbounded.
+	hops int
+	// edgeCut distributes by the greedy edge cut over the data graph;
+	// the others hash the anchor vertex.
+	edgeCut bool
 }
 
-// Partition implements Method.
-func (HashSO) Partition(ds *rdf.Dataset, nodes int) (*Placement, error) {
-	if err := checkNodes(nodes); err != nil {
-		return nil, err
-	}
-	c := newCollector(nodes)
-	for _, t := range ds.Triples {
-		c.add(hashNode(t.S, nodes), t)
-		c.add(hashNode(t.O, nodes), t)
-	}
-	return c.placement(hashHome(nodes), true), nil
+var (
+	// HashSO is hash partitioning with a hash function on both the
+	// subject and the object of each triple (paper §V-A data partitioning
+	// (1)). combine(v, G) assembles the triples incident to v; distribute
+	// hashes v. Every triple is stored on (at most) two nodes: hash(S) and
+	// hash(O). Under this method all triples sharing a subject or object
+	// are collocated, so a subquery is local iff its patterns share a
+	// common vertex (the assumption hard-wired into MSC and DP-Bushy).
+	HashSO = Method{name: "Hash-SO", undirected: true, hops: 1}
+
+	// TwoHopForward is the semantic hash partitioning algorithm "2f" of
+	// Lee & Liu (paper Example 2): combine(v, G) assembles all edges
+	// within 2-hop forward distance of v; distribute hashes v.
+	TwoHopForward = Method{name: "2f", hops: 2}
+
+	// TwoHopBidirectional is the bidirectional variant of semantic hash
+	// partitioning ("2fb" in Lee & Liu's terminology): combine(v, G)
+	// assembles all edges within 2 hops of v ignoring direction. It
+	// trades higher replication for more local queries than 2f — another
+	// point in the generic model's design space.
+	TwoHopBidirectional = Method{name: "2fb", undirected: true, hops: 2}
+
+	// PathBMC is the path partitioning approach of Wu et al. (paper
+	// Example 2): combine(v, G) assembles every triple reachable from a
+	// start vertex v following edge direction; distribute merges elements
+	// onto nodes. The published bottom-up merging is approximated by
+	// greedy least-loaded assignment of elements in decreasing size
+	// order, which preserves the property the optimizer depends on —
+	// every element is stored whole on one node (see DESIGN.md).
+	PathBMC = Method{name: "Path-BMC", hops: -1}
+
+	// UndirectedOneHop is the un-one-hop method of Huang et al. (paper
+	// Example 2): combine(v, G) assembles the triples whose subject or
+	// object is v; distribute places vertices with a graph partitioner.
+	// METIS is replaced by a greedy BFS-grown balanced edge-cut
+	// partitioner; the optimizer only depends on the combine semantics.
+	UndirectedOneHop = Method{name: "Un-1hop", undirected: true, hops: 1, edgeCut: true}
+)
+
+// byName is the table of built-in methods, by the names the commands'
+// -partition flag takes.
+var byName = map[string]Method{
+	"hash-so":  HashSO,
+	"2f":       TwoHopForward,
+	"2fb":      TwoHopBidirectional,
+	"path-bmc": PathBMC,
+	"un-1hop":  UndirectedOneHop,
 }
 
-// TwoHopForward is the semantic hash partitioning algorithm "2f" of
-// Lee & Liu (paper Example 2): combine(v, G) assembles all edges
-// within 2-hop forward distance of v; distribute hashes v.
-type TwoHopForward struct{}
-
-// Name implements Method.
-func (TwoHopForward) Name() string { return "2f" }
-
-// CombineQuery implements Method: the forward 2-hop closure.
-func (TwoHopForward) CombineQuery(g *querygraph.Graph, v int) bitset.TPSet {
-	return g.ForwardClosure(v, 2)
+// ByName returns the built-in method with the given name: "hash-so",
+// "2f", "2fb", "path-bmc" or "un-1hop".
+func ByName(name string) (Method, error) {
+	if m, ok := byName[name]; ok {
+		return m, nil
+	}
+	return Method{}, fmt.Errorf("partition: unknown method %q", name)
 }
 
-// Partition implements Method. A triple (s,p,o) lies within the 2-hop
-// forward element of s (first hop) and of every in-neighbor of s
-// (second hop), so it is placed on hash(s) and on hash(u) for each
-// edge u→s.
-func (TwoHopForward) Partition(ds *rdf.Dataset, nodes int) (*Placement, error) {
-	if err := checkNodes(nodes); err != nil {
-		return nil, err
+// Name returns the method's name as used in the paper's tables.
+func (m Method) Name() string { return m.name }
+
+// CombineQuery returns the maximal local query anchored at vertex v of
+// the query graph: the pattern set combine(v, G_Q), the method's
+// closure of v (paper Examples 5 and 7).
+func (m Method) CombineQuery(g *querygraph.Graph, v int) bitset.TPSet {
+	if m.undirected {
+		return g.UndirectedClosure(v, m.hops)
 	}
-	g := rdf.NewGraph(ds.Triples)
-	c := newCollector(nodes)
-	for _, t := range ds.Triples {
-		c.add(hashNode(t.S, nodes), t)
-		for _, e := range g.In(t.S) {
-			c.add(hashNode(e.To, nodes), t)
-		}
-	}
-	return c.placement(hashHome(nodes), false), nil
+	return g.ForwardClosure(v, m.hops)
 }
 
-// TwoHopBidirectional is the bidirectional variant of semantic hash
-// partitioning ("2fb" in Lee & Liu's terminology): combine(v, G)
-// assembles all edges within 2 hops of v ignoring direction. It trades
-// higher replication for more local queries than 2f — another point in
-// the generic model's design space.
-type TwoHopBidirectional struct{}
-
-// Name implements Method.
-func (TwoHopBidirectional) Name() string { return "2fb" }
-
-// CombineQuery implements Method: the undirected 2-hop closure.
-func (TwoHopBidirectional) CombineQuery(g *querygraph.Graph, v int) bitset.TPSet {
-	return g.UndirectedClosure(v, 2)
-}
-
-// Partition implements Method. A triple (s,p,o) lies within 2
-// undirected hops of s, of o, and of every neighbor of s or o: it is
-// placed on the nodes hashing a vertex of s's or o's neighborhood (the
-// vertex and its neighbors). Each vertex's set of nodes is computed once,
-// so a hub — the class of every rdf:type triple naming it — is walked
-// once, not once per triple touching it.
-func (TwoHopBidirectional) Partition(ds *rdf.Dataset, nodes int) (*Placement, error) {
-	if err := checkNodes(nodes); err != nil {
-		return nil, err
+// Partition applies the combining and distributing phases to the
+// dataset, producing a placement onto the given number of nodes.
+//
+// A bounded closure places by node sets: set(v) starts as {home(v)},
+// and each of hops−1 rounds ORs in the sets of v's in-neighbours (and
+// of its out-neighbours when the closure is undirected), so set(v) ends
+// as the homes of the anchors whose elements hold v's out-edges (every
+// edge at v, when undirected). A triple goes to set(s), united with
+// set(o) when the closure is undirected. Each fragment keeps the
+// dataset's triple order. An unbounded closure merges whole elements
+// onto nodes (mergeElements).
+func (m Method) Partition(ds *rdf.Dataset, nodes int) (*Placement, error) {
+	if m.hops == 0 {
+		return nil, errors.New("partition: the zero Method has no closure to place by")
 	}
-	g := rdf.NewGraph(ds.Triples)
-	hoods := make([][]int, g.Span())
-	hood := func(v rdf.TermID) []int {
-		h := hoods[v]
-		if h == nil {
-			h = []int{hashNode(v, nodes)}
-			for _, e := range g.In(v) {
-				h = append(h, hashNode(e.To, nodes))
+	if nodes <= 0 {
+		return nil, fmt.Errorf("partition: cluster size must be positive, got %d", nodes)
+	}
+	if m.hops < 0 {
+		return &Placement{Nodes: nodes, Triples: mergeElements(ds, nodes)}, nil
+	}
+	home := func(v rdf.TermID) int { return hashNode(v, nodes) }
+	if m.edgeCut {
+		home = edgeCutHome(ds, nodes)
+	}
+	// Writers may intern terms meanwhile; every term of ds.Triples is
+	// below the length read here.
+	span, words := ds.Dict.Len(), (nodes+63)/64
+	sets := make([]uint64, span*words)
+	for v := range span {
+		n := home(rdf.TermID(v))
+		sets[v*words+n/64] |= 1 << (n % 64)
+	}
+	for range m.hops - 1 {
+		next := slices.Clone(sets)
+		for _, t := range ds.Triples {
+			s, o := int(t.S)*words, int(t.O)*words
+			for w := range words {
+				next[o+w] |= sets[s+w]
+				if m.undirected {
+					next[s+w] |= sets[o+w]
+				}
 			}
-			for _, e := range g.Out(v) {
-				h = append(h, hashNode(e.To, nodes))
+		}
+		sets = next
+	}
+	// The first pass counts each fragment, the second fills it.
+	frags := make([][]rdf.Triple, nodes)
+	sizes := make([]int, nodes)
+	for pass := range 2 {
+		for _, t := range ds.Triples {
+			s, o := int(t.S)*words, int(t.O)*words
+			for w := range words {
+				u := sets[s+w]
+				if m.undirected {
+					u |= sets[o+w]
+				}
+				for ; u != 0; u &= u - 1 {
+					n := w*64 + bits.TrailingZeros64(u)
+					if pass == 0 {
+						sizes[n]++
+					} else {
+						frags[n] = append(frags[n], t)
+					}
+				}
 			}
-			slices.Sort(h)
-			h = slices.Compact(h)
-			hoods[v] = h
 		}
-		return h
-	}
-	c := newCollector(nodes)
-	for _, t := range ds.Triples {
-		for _, n := range hood(t.S) {
-			c.add(n, t)
-		}
-		for _, n := range hood(t.O) {
-			c.add(n, t)
+		if pass == 0 {
+			for n, size := range sizes {
+				frags[n] = make([]rdf.Triple, 0, size)
+			}
 		}
 	}
-	return c.placement(hashHome(nodes), false), nil
+	return &Placement{Nodes: nodes, Triples: frags, Home: home, DeltaHomed: m.hops == 1}, nil
 }
 
-// PathBMC is the path partitioning approach of Wu et al. (paper
-// Example 2): combine(v, G) assembles every triple reachable from a
-// start vertex v following edge direction; distribute merges elements
-// onto nodes. The published bottom-up merging is approximated by
-// greedy least-loaded assignment of elements in decreasing size order,
-// which preserves the property the optimizer depends on — every
-// element is stored whole on one node (see DESIGN.md).
-type PathBMC struct{}
-
-// Name implements Method.
-func (PathBMC) Name() string { return "Path-BMC" }
-
-// CombineQuery implements Method: the unbounded forward closure
-// (paper Example 5).
-func (PathBMC) CombineQuery(g *querygraph.Graph, v int) bitset.TPSet {
-	return g.ForwardClosure(v, -1)
-}
-
-// Partition implements Method. Elements are anchored at start vertices
-// (no incoming edges). Vertices unreachable from any start vertex
-// (cycles) anchor additional elements so that every triple is stored.
-func (PathBMC) Partition(ds *rdf.Dataset, nodes int) (*Placement, error) {
-	if err := checkNodes(nodes); err != nil {
-		return nil, err
-	}
+// mergeElements is path-bmc's placement. Elements are anchored at start
+// vertices (no incoming edges). Vertices unreachable from any start
+// vertex (cycles) anchor additional elements so that every triple is
+// stored.
+func mergeElements(ds *rdf.Dataset, nodes int) [][]rdf.Triple {
 	g := rdf.NewGraph(ds.Triples)
 	var starts []rdf.TermID
 	g.Vertices(func(v rdf.TermID) bool {
@@ -225,47 +257,20 @@ func (PathBMC) Partition(ds *rdf.Dataset, nodes int) (*Placement, error) {
 			}
 		}
 	}
-	return &Placement{Nodes: nodes, Triples: frags}, nil
+	return frags
 }
 
-// UndirectedOneHop is the un-one-hop method of Huang et al. (paper
-// Example 2): combine(v, G) assembles the triples whose subject or
-// object is v; distribute places vertices with a graph partitioner.
-// METIS is replaced by a greedy BFS-grown balanced edge-cut
-// partitioner; the optimizer only depends on the combine semantics.
-type UndirectedOneHop struct{}
-
-// Name implements Method.
-func (UndirectedOneHop) Name() string { return "Un-1hop" }
-
-// CombineQuery implements Method: the undirected 1-hop closure.
-func (UndirectedOneHop) CombineQuery(g *querygraph.Graph, v int) bitset.TPSet {
-	return g.UndirectedClosure(v, 1)
-}
-
-// Partition implements Method. Vertices are assigned to nodes by
-// growing BFS regions of |V|/nodes vertices; each vertex's incident
-// triples are stored on its node.
-func (UndirectedOneHop) Partition(ds *rdf.Dataset, nodes int) (*Placement, error) {
-	if err := checkNodes(nodes); err != nil {
-		return nil, err
-	}
-	g := rdf.NewGraph(ds.Triples)
-	assign := greedyEdgeCut(g, nodes)
-	c := newCollector(nodes)
-	for _, t := range ds.Triples {
-		c.add(assign[t.S], t)
-		c.add(assign[t.O], t)
-	}
-	// A vertex placed after Open has only delta triples, which are on
-	// every node: any node is its home, and hashing names one.
-	home := func(v rdf.TermID) int {
+// edgeCutHome is un-1hop's distribute: each vertex's node under the
+// greedy edge cut. A vertex placed after Open has only delta triples,
+// which are on every node: any node is its home, and hashing names one.
+func edgeCutHome(ds *rdf.Dataset, nodes int) func(rdf.TermID) int {
+	assign := greedyEdgeCut(rdf.NewGraph(ds.Triples), nodes)
+	return func(v rdf.TermID) int {
 		if int(v) < len(assign) && assign[v] >= 0 {
 			return assign[v]
 		}
 		return hashNode(v, nodes)
 	}
-	return c.placement(home, true), nil
 }
 
 // greedyEdgeCut partitions the vertices into balanced BFS-grown
@@ -314,4 +319,14 @@ func greedyEdgeCut(g *rdf.Graph, nodes int) []int {
 		return true
 	})
 	return assign
+}
+
+// hashNode maps a term to a node with a splitmix64-style mixer, so
+// placement does not correlate with dictionary assignment order.
+func hashNode(v rdf.TermID, nodes int) int {
+	x := uint64(v) + 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	x ^= x >> 31
+	return int(x % uint64(nodes))
 }

@@ -26,7 +26,7 @@ func TestMigrationAddCount(t *testing.T) {
 
 func TestCoversDetectsLoss(t *testing.T) {
 	ds := chainDataset()
-	p, err := HashSO{}.Partition(ds, 2)
+	p, err := HashSO.Partition(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func placedView(ds *rdf.Dataset, p *Placement, overlay [][]rdf.Triple) *View {
 func TestPlanRecoveryCoversDeadNode(t *testing.T) {
 	ds := recoveryDataset()
 	const nodes, dead = 4, 1
-	base, err := HashSO{}.Partition(ds, nodes)
+	base, err := HashSO.Partition(ds, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

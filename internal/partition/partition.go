@@ -10,11 +10,14 @@
 // Definition 5), which is how the optimizer detects local queries in
 // Θ(|V_Q|) regardless of the concrete partitioning method.
 //
-// Four methods from the literature are provided:
+// A Method declares both phases once — its closure (direction and hop
+// bound) and its distribute — and the same declaration drives the
+// local-query check and the placement. Five methods are provided:
 //
 //   - HashSO — hash partitioning on both subject and object
 //     (the baseline assumed by MSC and DP-Bushy);
 //   - TwoHopForward — semantic hash partitioning, "2f" (Lee & Liu);
+//   - TwoHopBidirectional — its undirected variant, "2fb";
 //   - PathBMC — path partitioning (Wu et al.);
 //   - UndirectedOneHop — undirected one-hop with graph-partitioner
 //     placement (Huang et al.; METIS replaced by a greedy BFS-grown
@@ -22,27 +25,10 @@
 package partition
 
 import (
-	"fmt"
-
 	"sparqlopt/internal/bitset"
 	"sparqlopt/internal/querygraph"
 	"sparqlopt/internal/rdf"
 )
-
-// Method is one static RDF data partitioning method expressed in the
-// generic combine/distribute model.
-type Method interface {
-	// Name returns the method's name as used in the paper's tables.
-	Name() string
-
-	// CombineQuery returns the maximal local query anchored at vertex v
-	// of the query graph: the pattern set combine(v, G_Q).
-	CombineQuery(g *querygraph.Graph, v int) bitset.TPSet
-
-	// Partition applies the combining and distributing phases to the
-	// dataset, producing a placement onto the given number of nodes.
-	Partition(ds *rdf.Dataset, nodes int) (*Placement, error)
-}
 
 // Placement is the result of partitioning: the triples held by each
 // computing node (deduplicated per node; a triple may be replicated
@@ -56,16 +42,17 @@ type Placement struct {
 	Triples [][]rdf.Triple
 	// Home is the method's distribute as a function of a term: the node
 	// that holds every match of a local query anchored at v (Definition
-	// 2), and with it every triple whose subject is v. nil when the method
-	// has no per-vertex home: path-bmc anchors its elements at start
+	// 2), and with it every triple whose subject is v. nil exactly when
+	// the closure is unbounded: path-bmc anchors its elements at start
 	// vertices.
 	Home func(v rdf.TermID) int
 	// DeltaHomed reports that Home keeps that meaning for local queries
-	// while broadcast-ingested triples exist: the method places a triple
-	// by its own endpoints (hash-so, un-1hop), so a match that uses a
-	// delta triple still lies whole on its anchor's home. Under 2f and
-	// 2fb a written edge x→y brings base triples around y into x's
-	// element, and x's home need not hold them.
+	// while broadcast-ingested triples exist. It holds exactly when the
+	// closure's bound is one hop (hash-so, un-1hop): a triple's anchors
+	// are then its own endpoints, so a match that uses a delta triple
+	// still lies whole on its anchor's home. Under 2f and 2fb a written
+	// edge x→y brings base triples around y into x's element, and x's
+	// home need not hold them.
 	DeltaHomed bool
 }
 
@@ -151,11 +138,8 @@ func (c *LocalChecker) IsLocal(s bitset.TPSet) bool {
 // Anchor returns a variable v that some pattern of the local subquery s
 // holds, with combine(v, G_Q) ⊇ s: every match of s then lies whole on
 // the home of v's binding (see Placement.Home). It is the lowest such
-// vertex, "" when no variable of s anchors it or c is nil.
+// vertex, "" when no variable of s anchors it.
 func (c *LocalChecker) Anchor(s bitset.TPSet) string {
-	if c == nil {
-		return ""
-	}
 	for v, t := range c.g.Terms {
 		if t.IsVar() && c.g.Incident(v).Overlaps(s) && s.SubsetOf(c.combines[v]) {
 			return t.Value
@@ -169,72 +153,4 @@ func (c *LocalChecker) MaximalLocalQueries() []bitset.TPSet {
 	out := make([]bitset.TPSet, len(c.mlqs))
 	copy(out, c.mlqs)
 	return out
-}
-
-// ByName returns the built-in method with the given name: "hash-so",
-// "2f", "2fb", "path-bmc" or "un-1hop".
-func ByName(name string) (Method, error) {
-	switch name {
-	case "hash-so":
-		return HashSO{}, nil
-	case "2f":
-		return TwoHopForward{}, nil
-	case "2fb":
-		return TwoHopBidirectional{}, nil
-	case "path-bmc":
-		return PathBMC{}, nil
-	case "un-1hop":
-		return UndirectedOneHop{}, nil
-	}
-	return nil, fmt.Errorf("partition: unknown method %q", name)
-}
-
-// hashNode maps a term to a node with a splitmix64-style mixer, so
-// placement does not correlate with dictionary assignment order.
-func hashNode(v rdf.TermID, nodes int) int {
-	x := uint64(v) + 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return int(x % uint64(nodes))
-}
-
-// collector accumulates per-node fragments for the methods that place
-// each triple in one step — hash-so, 2f, 2fb and un-1hop, whose
-// distribute maps the triple to the nodes of the vertices whose element
-// holds it. The dataset is a set, so a triple can repeat on a node only
-// within its own step, while it is the last triple there: add skips a
-// node whose last triple is this one, and each fragment keeps the
-// order the triples were placed in.
-type collector struct {
-	triples [][]rdf.Triple
-}
-
-func newCollector(nodes int) *collector {
-	return &collector{triples: make([][]rdf.Triple, nodes)}
-}
-
-func (c *collector) add(node int, t rdf.Triple) {
-	if f := c.triples[node]; len(f) == 0 || f[len(f)-1] != t {
-		c.triples[node] = append(f, t)
-	}
-}
-
-// placement returns the collected fragments with the method's home
-// function (nil when it has none).
-func (c *collector) placement(home func(rdf.TermID) int, deltaHomed bool) *Placement {
-	return &Placement{Nodes: len(c.triples), Triples: c.triples, Home: home, DeltaHomed: deltaHomed}
-}
-
-// hashHome is the home function of the methods that distribute by
-// hashing the anchor vertex.
-func hashHome(nodes int) func(rdf.TermID) int {
-	return func(v rdf.TermID) int { return hashNode(v, nodes) }
-}
-
-func checkNodes(nodes int) error {
-	if nodes <= 0 {
-		return fmt.Errorf("partition: cluster size must be positive, got %d", nodes)
-	}
-	return nil
 }

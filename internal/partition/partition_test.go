@@ -44,7 +44,7 @@ func TestHashSOCombineQueryExample7(t *testing.T) {
 	// {tp1, tp2, tp3, tp7} = indexes {0,1,2,6}.
 	g := fig1Graph(t)
 	a := slices.Index(g.Terms, sparql.V("a"))
-	got := HashSO{}.CombineQuery(g, a)
+	got := HashSO.CombineQuery(g, a)
 	if got != bitset.Of(0, 1, 2, 6) {
 		t.Errorf("MLQ(?a) = %v, want {0,1,2,6}", got)
 	}
@@ -55,7 +55,7 @@ func TestPathCombineQueryExample5(t *testing.T) {
 	// {tp1, tp3, tp4, tp5, tp7} = indexes {0,2,3,4,6}.
 	g := fig1Graph(t)
 	b := slices.Index(g.Terms, sparql.V("b"))
-	got := PathBMC{}.CombineQuery(g, b)
+	got := PathBMC.CombineQuery(g, b)
 	if got != bitset.Of(0, 2, 3, 4, 6) {
 		t.Errorf("MLQ(?b) = %v, want {0,2,3,4,6}", got)
 	}
@@ -63,7 +63,7 @@ func TestPathCombineQueryExample5(t *testing.T) {
 
 func TestLocalCheckerHash(t *testing.T) {
 	g := fig1Graph(t)
-	c := NewLocalChecker(HashSO{}, g)
+	c := NewLocalChecker(HashSO, g)
 	// Example 7: all subqueries of {tp1,tp2,tp3,tp7} are local.
 	if !c.IsLocal(bitset.Of(0, 1, 2)) {
 		t.Error("{tp1,tp2,tp3} should be local under hash")
@@ -87,7 +87,7 @@ func TestLocalCheckerHash(t *testing.T) {
 
 func TestLocalCheckerPath(t *testing.T) {
 	g := fig1Graph(t)
-	c := NewLocalChecker(PathBMC{}, g)
+	c := NewLocalChecker(PathBMC, g)
 	// Under path partitioning, everything reachable from ?b or ?c is
 	// local; e.g. {tp1,tp3,tp4,tp5,tp7} (Example 5).
 	if !c.IsLocal(bitset.Of(0, 2, 3, 4, 6)) {
@@ -102,7 +102,7 @@ func TestLocalCheckerPath(t *testing.T) {
 
 func TestLocalCheckerKeepsOnlyMaximal(t *testing.T) {
 	g := fig1Graph(t)
-	c := NewLocalChecker(HashSO{}, g)
+	c := NewLocalChecker(HashSO, g)
 	mlqs := c.MaximalLocalQueries()
 	for i, a := range mlqs {
 		for j, b := range mlqs {
@@ -125,34 +125,41 @@ func TestLocalCheckerAnchor(t *testing.T) {
 		s    bitset.TPSet
 		want string
 	}{
-		{PathBMC{}, bitset.Of(1, 2), "x"},
-		{PathBMC{}, bitset.Of(0, 1, 2), "a"},
-		{TwoHopForward{}, bitset.Of(1, 2), "x"},
-		{HashSO{}, bitset.Of(1, 2), "y"},
-		{HashSO{}, bitset.Of(1, 2, 3), "y"},
-		{HashSO{}, bitset.Of(3, 4), ""}, // anchored at the constant <c> only
-		{HashSO{}, bitset.Of(0, 2), ""}, // not local
+		{PathBMC, bitset.Of(1, 2), "x"},
+		{PathBMC, bitset.Of(0, 1, 2), "a"},
+		{TwoHopForward, bitset.Of(1, 2), "x"},
+		{HashSO, bitset.Of(1, 2), "y"},
+		{HashSO, bitset.Of(1, 2, 3), "y"},
+		{HashSO, bitset.Of(3, 4), ""}, // anchored at the constant <c> only
+		{HashSO, bitset.Of(0, 2), ""}, // not local
 	} {
 		if got := NewLocalChecker(c.m, g).Anchor(c.s); got != c.want {
 			t.Errorf("%s: Anchor(%v) = %q, want %q", c.m.Name(), c.s, got, c.want)
 		}
 	}
-	if got := (*LocalChecker)(nil).Anchor(bitset.Of(0, 1)); got != "" {
-		t.Errorf("a nil checker anchored %q", got)
+	// The zero Method's closure is empty: only single patterns are
+	// local, and nothing is anchored.
+	zero := NewLocalChecker(Method{}, g)
+	if got := zero.Anchor(bitset.Of(1, 2)); got != "" {
+		t.Errorf("the zero Method anchored %q", got)
+	}
+	if zero.IsLocal(bitset.Of(1, 2)) || !zero.IsLocal(bitset.Of(1)) || len(zero.MaximalLocalQueries()) != 0 {
+		t.Error("the zero Method's checker admits more than single patterns")
 	}
 }
 
 // TestPlacementHomeHoldsSubjects: every method with a home places each
-// triple on its subject's home; path-bmc has none, and un-1hop hashes a
-// vertex its placement never saw.
+// triple on its subject's home; path-bmc, the one unbounded closure, has
+// none, and un-1hop hashes a vertex its placement never saw. Only the
+// one-hop closures are homed under a delta.
 func TestPlacementHomeHoldsSubjects(t *testing.T) {
 	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1})
-	for _, m := range []Method{HashSO{}, TwoHopForward{}, TwoHopBidirectional{}, UndirectedOneHop{}, PathBMC{}} {
+	for _, m := range []Method{HashSO, TwoHopForward, TwoHopBidirectional, UndirectedOneHop, PathBMC} {
 		p, err := m.Partition(ds, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := m.(PathBMC); ok {
+		if m == PathBMC {
 			if p.Home != nil {
 				t.Errorf("%s names a home", m.Name())
 			}
@@ -172,9 +179,8 @@ func TestPlacementHomeHoldsSubjects(t *testing.T) {
 				t.Fatalf("%s: %s is not on its subject's home %d", m.Name(), ds.String(tr), p.Home(tr.S))
 			}
 		}
-		_, deltaHomed := m.(HashSO)
-		if _, ok := m.(UndirectedOneHop); ok {
-			deltaHomed = true
+		deltaHomed := m == HashSO || m == UndirectedOneHop
+		if m == UndirectedOneHop {
 			if unseen := rdf.TermID(ds.Dict.Len() + 7); p.Home(unseen) != hashNode(unseen, 4) {
 				t.Errorf("%s: an unseen vertex is homed on %d, want %d", m.Name(), p.Home(unseen), hashNode(unseen, 4))
 			}
@@ -186,13 +192,16 @@ func TestPlacementHomeHoldsSubjects(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"hash-so", "2f", "2fb", "path-bmc", "un-1hop"} {
+	for name, want := range map[string]Method{
+		"hash-so": HashSO, "2f": TwoHopForward, "2fb": TwoHopBidirectional,
+		"path-bmc": PathBMC, "un-1hop": UndirectedOneHop,
+	} {
 		m, err := ByName(name)
 		if err != nil {
 			t.Errorf("ByName(%q): %v", name, err)
 		}
-		if m == nil {
-			t.Errorf("ByName(%q) returned nil", name)
+		if m != want {
+			t.Errorf("ByName(%q) = %q, want %q", name, m.Name(), want.Name())
 		}
 	}
 	if _, err := ByName("nope"); err == nil {
@@ -227,7 +236,7 @@ func uncovered(ds *rdf.Dataset, p *Placement) []rdf.Triple {
 
 func TestPartitionCoverageAllMethods(t *testing.T) {
 	ds := chainDataset()
-	for _, m := range []Method{HashSO{}, TwoHopForward{}, TwoHopBidirectional{}, PathBMC{}, UndirectedOneHop{}} {
+	for _, m := range []Method{HashSO, TwoHopForward, TwoHopBidirectional, PathBMC, UndirectedOneHop} {
 		t.Run(m.Name(), func(t *testing.T) {
 			p, err := m.Partition(ds, 3)
 			if err != nil {
@@ -251,7 +260,7 @@ func TestPartitionCoverageAllMethods(t *testing.T) {
 // runs in one process.
 func TestPartitionDeterministic(t *testing.T) {
 	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1})
-	for _, m := range []Method{HashSO{}, TwoHopForward{}, TwoHopBidirectional{}, PathBMC{}, UndirectedOneHop{}} {
+	for _, m := range []Method{HashSO, TwoHopForward, TwoHopBidirectional, PathBMC, UndirectedOneHop} {
 		t.Run(m.Name(), func(t *testing.T) {
 			first, err := m.Partition(ds, 10)
 			if err != nil {
@@ -273,52 +282,75 @@ func TestPartitionDeterministic(t *testing.T) {
 	}
 }
 
-// TestTwoHopBidirectionalPerTriple pins 2fb's placement, which walks
-// each vertex's neighborhood once, to its definition walked per triple:
-// (s,p,o) on the node of s, of o, and of every in- or out-neighbor of s
-// or o. The fragments must be the same triple for triple on a graph with
-// a hub vertex (the object of every second triple, as rdf:type classes
-// are) and on the chain at 1, 4, 10 and 70 nodes, and on LUBM-1, whose
-// per-triple walk is the slow one, at 4 and 70.
-func TestTwoHopBidirectionalPerTriple(t *testing.T) {
+// TestTwoHopPerTriple pins the two-hop placements, which place by node
+// sets widened in rounds, to their definitions walked per triple. 2f
+// places (s,p,o) on the node of s and of every u with u→s; 2fb on the
+// node of s, of o, and of every in- or out-neighbor of s or o. The
+// fragments must be the same triple for triple on a graph with a hub
+// vertex (the object of every second triple, as rdf:type classes are),
+// on the chain and on LUBM-1, at 1, 4, 10 and 70 nodes: 70 takes a
+// second bitset word.
+func TestTwoHopPerTriple(t *testing.T) {
 	hub := rdf.NewDataset()
 	for i := 0; i < 500; i++ {
 		v := fmt.Sprintf("v%d", i)
 		hub.Add(v, "type", "Hub")
 		hub.Add(v, "next", fmt.Sprintf("v%d", (i*7+3)%500))
 	}
-	for _, d := range []struct {
-		name  string
-		ds    *rdf.Dataset
-		nodes []int
+	datasets := []struct {
+		name string
+		ds   *rdf.Dataset
 	}{
-		{"lubm1", lubm.Generate(lubm.Config{Universities: 1, Seed: 1}), []int{4, 70}},
-		{"hub", hub, []int{1, 4, 10, 70}},
-		{"chain", chainDataset(), []int{1, 4, 10, 70}},
-	} {
-		g := rdf.NewGraph(d.ds.Triples)
-		for _, nodes := range d.nodes {
-			want := newCollector(nodes)
-			for _, tr := range d.ds.Triples {
-				want.add(hashNode(tr.S, nodes), tr)
-				want.add(hashNode(tr.O, nodes), tr)
-				for _, v := range []rdf.TermID{tr.S, tr.O} {
-					for _, e := range g.In(v) {
-						want.add(hashNode(e.To, nodes), tr)
-					}
-					for _, e := range g.Out(v) {
-						want.add(hashNode(e.To, nodes), tr)
-					}
+		{"lubm1", lubm.Generate(lubm.Config{Universities: 1, Seed: 1})},
+		{"hub", hub},
+		{"chain", chainDataset()},
+	}
+	for _, c := range []struct {
+		m Method
+		// anchors calls f with every vertex whose element holds tr.
+		anchors func(g *rdf.Graph, tr rdf.Triple, f func(rdf.TermID))
+	}{
+		{TwoHopForward, func(g *rdf.Graph, tr rdf.Triple, f func(rdf.TermID)) {
+			f(tr.S)
+			for _, e := range g.In(tr.S) {
+				f(e.To)
+			}
+		}},
+		{TwoHopBidirectional, func(g *rdf.Graph, tr rdf.Triple, f func(rdf.TermID)) {
+			for _, v := range []rdf.TermID{tr.S, tr.O} {
+				f(v)
+				for _, e := range g.In(v) {
+					f(e.To)
+				}
+				for _, e := range g.Out(v) {
+					f(e.To)
 				}
 			}
-			got, err := TwoHopBidirectional{}.Partition(d.ds, nodes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for n := range want.triples {
-				if !slices.Equal(got.Triples[n], want.triples[n]) {
-					t.Fatalf("%s at %d nodes: node %d holds %d triples, the per-triple walk %d",
-						d.name, nodes, n, len(got.Triples[n]), len(want.triples[n]))
+		}},
+	} {
+		for _, d := range datasets {
+			g := rdf.NewGraph(d.ds.Triples)
+			for _, nodes := range []int{1, 4, 10, 70} {
+				want := make([][]rdf.Triple, nodes)
+				on := make([]bool, nodes)
+				for _, tr := range d.ds.Triples {
+					clear(on)
+					c.anchors(g, tr, func(v rdf.TermID) { on[hashNode(v, nodes)] = true })
+					for n, ok := range on {
+						if ok {
+							want[n] = append(want[n], tr)
+						}
+					}
+				}
+				got, err := c.m.Partition(d.ds, nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for n := range want {
+					if !slices.Equal(got.Triples[n], want[n]) {
+						t.Fatalf("%s on %s at %d nodes: node %d holds %d triples, the per-triple walk %d",
+							c.m.Name(), d.name, nodes, n, len(got.Triples[n]), len(want[n]))
+					}
 				}
 			}
 		}
@@ -327,10 +359,13 @@ func TestTwoHopBidirectionalPerTriple(t *testing.T) {
 
 func TestPartitionRejectsBadNodeCount(t *testing.T) {
 	ds := chainDataset()
-	for _, m := range []Method{HashSO{}, TwoHopForward{}, TwoHopBidirectional{}, PathBMC{}, UndirectedOneHop{}} {
+	for _, m := range []Method{HashSO, TwoHopForward, TwoHopBidirectional, PathBMC, UndirectedOneHop} {
 		if _, err := m.Partition(ds, 0); err == nil {
 			t.Errorf("%s accepted 0 nodes", m.Name())
 		}
+	}
+	if _, err := (Method{}).Partition(ds, 4); err == nil {
+		t.Error("the zero Method partitioned")
 	}
 }
 
@@ -338,7 +373,7 @@ func TestHashSOCollocation(t *testing.T) {
 	// Every pair of triples sharing a subject or object must be
 	// collocated on at least one node under HashSO.
 	ds := chainDataset()
-	p, err := HashSO{}.Partition(ds, 4)
+	p, err := HashSO.Partition(ds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +409,7 @@ func TestHashSOCollocation(t *testing.T) {
 func TestPathBMCElementsWhole(t *testing.T) {
 	// Every forward closure from a start vertex must live on one node.
 	ds := chainDataset()
-	p, err := PathBMC{}.Partition(ds, 2)
+	p, err := PathBMC.Partition(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +439,7 @@ func TestPathBMCCoversCycles(t *testing.T) {
 	ds.Add("a", "p", "b")
 	ds.Add("b", "p", "c")
 	ds.Add("c", "p", "a")
-	p, err := PathBMC{}.Partition(ds, 2)
+	p, err := PathBMC.Partition(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +474,7 @@ func TestTwoHopForwardCombineQuery(t *testing.T) {
 	b := slices.Index(g.Terms, sparql.V("b"))
 	// 2 hops forward from ?b: tp1 (?b→?a), tp5 (?b→?f), then ?a's
 	// out-edges tp3 (?a→?e), tp7 (?a→?d).
-	got := TwoHopForward{}.CombineQuery(g, b)
+	got := TwoHopForward.CombineQuery(g, b)
 	if got != bitset.Of(0, 2, 4, 6) {
 		t.Errorf("2f MLQ(?b) = %v, want {0,2,4,6}", got)
 	}
@@ -450,7 +485,7 @@ func TestTwoHopBidirectionalCombineQuery(t *testing.T) {
 	b := slices.Index(g.Terms, sparql.V("b"))
 	// 2 undirected hops from ?b: tp1, tp5 (hop 1 via ?b), then every
 	// pattern touching ?a or ?f (hop 2): tp2, tp3, tp7.
-	got := TwoHopBidirectional{}.CombineQuery(g, b)
+	got := TwoHopBidirectional.CombineQuery(g, b)
 	if got != bitset.Of(0, 1, 2, 4, 6) {
 		t.Errorf("2fb MLQ(?b) = %v, want {0,1,2,4,6}", got)
 	}
@@ -461,8 +496,8 @@ func TestTwoHopBidirectionalSupersetsOf2f(t *testing.T) {
 	// so 2fb detects at least the local queries 2f does.
 	g := fig1Graph(t)
 	for v := range g.Terms {
-		f := TwoHopForward{}.CombineQuery(g, v)
-		fb := TwoHopBidirectional{}.CombineQuery(g, v)
+		f := TwoHopForward.CombineQuery(g, v)
+		fb := TwoHopBidirectional.CombineQuery(g, v)
 		if !f.SubsetOf(fb) {
 			t.Errorf("vertex %d: 2f %v not within 2fb %v", v, f, fb)
 		}

@@ -39,7 +39,8 @@ type Config struct {
 // which every benchmark constant exists.
 func DefaultConfig() Config { return Config{Universities: 7, Seed: 1} }
 
-// Generate builds the dataset.
+// Generate builds the dataset and commits it in one batch: its first
+// epoch holds every triple.
 func Generate(cfg Config) *rdf.Dataset {
 	if cfg.Universities <= 0 {
 		cfg.Universities = 1
@@ -52,16 +53,21 @@ func Generate(cfg Config) *rdf.Dataset {
 	for u := 0; u < cfg.Universities; u++ {
 		g.university(u)
 	}
+	g.ds.AddBatch(g.ts)
 	return g.ds
 }
 
 type gen struct {
 	ds  *rdf.Dataset
+	ts  []rdf.Triple // the generated triples, committed at the end in one batch
 	r   *rand.Rand
 	cfg Config
 }
 
-func (g *gen) add(s, p, o string)    { g.ds.Add(s, p, o) }
+func (g *gen) add(s, p, o string) {
+	d := g.ds.Dict
+	g.ts = append(g.ts, rdf.Triple{S: d.Intern(s), P: d.Intern(p), O: d.Intern(o)})
+}
 func (g *gen) typ(s, class string)   { g.add(s, RDF+"type", UB+class) }
 func (g *gen) rel(s, p, o string)    { g.add(s, UB+p, o) }
 func (g *gen) lit(s, p, name string) { g.add(s, UB+p, `"`+name+`"`) }

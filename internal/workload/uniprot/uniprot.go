@@ -35,20 +35,28 @@ type Config struct {
 // DefaultConfig generates a small but structurally complete graph.
 func DefaultConfig() Config { return Config{Proteins: 2000, Seed: 2} }
 
-// Generate builds the dataset.
+// Generate builds the dataset and commits it in one batch: its first
+// epoch holds every triple.
 func Generate(cfg Config) *rdf.Dataset {
 	if cfg.Proteins < 50 {
 		cfg.Proteins = 50
 	}
 	g := &gen{ds: rdf.NewDataset(), r: rand.New(rand.NewSource(cfg.Seed)), n: cfg.Proteins}
 	g.run()
+	g.ds.AddBatch(g.ts)
 	return g.ds
 }
 
 type gen struct {
 	ds *rdf.Dataset
+	ts []rdf.Triple // the generated triples, committed at the end in one batch
 	r  *rand.Rand
 	n  int
+}
+
+func (g *gen) add(s, p, o string) {
+	d := g.ds.Dict
+	g.ts = append(g.ts, rdf.Triple{S: d.Intern(s), P: d.Intern(p), O: d.Intern(o)})
 }
 
 func protein(i int) string { return fmt.Sprintf("http://purl.uniprot.org/uniprot/P%05d", i) }
@@ -82,54 +90,54 @@ func (g *gen) run() {
 	annotationID := 0
 	for i := 0; i < g.n; i++ {
 		p := protein(i)
-		g.ds.Add(p, RDFNS+"type", UNI+"Protein")
-		g.ds.Add(p, UNI+"organism", taxa[g.r.Intn(len(taxa))])
-		g.ds.Add(p, UNI+"encodedBy", fmt.Sprintf("http://purl.uniprot.org/gene/G%05d", i))
+		g.add(p, RDFNS+"type", UNI+"Protein")
+		g.add(p, UNI+"organism", taxa[g.r.Intn(len(taxa))])
+		g.add(p, UNI+"encodedBy", fmt.Sprintf("http://purl.uniprot.org/gene/G%05d", i))
 		// Enzyme classification for about half the proteins.
 		if g.r.Float64() < 0.5 {
-			g.ds.Add(p, UNI+"enzyme", enzymes[g.r.Intn(len(enzymes))])
+			g.add(p, UNI+"enzyme", enzymes[g.r.Intn(len(enzymes))])
 		}
 		// Keywords.
 		for k := 0; k < g.r.Intn(3); k++ {
-			g.ds.Add(p, UNI+"classifiedWith", keywords[g.r.Intn(len(keywords))])
+			g.add(p, UNI+"classifiedWith", keywords[g.r.Intn(len(keywords))])
 		}
 		// Cross references: a node with a database, linked via seeAlso.
 		for k := 0; k < 1+g.r.Intn(3); k++ {
 			link := fmt.Sprintf("http://purl.uniprot.org/xref/X%05d_%d", i, k)
-			g.ds.Add(p, RDFS+"seeAlso", link)
-			g.ds.Add(link, UNI+"database", databases[g.r.Intn(len(databases))])
+			g.add(p, RDFS+"seeAlso", link)
+			g.add(link, UNI+"database", databases[g.r.Intn(len(databases))])
 		}
 		// Direct seeAlso references into other databases.
 		if g.r.Float64() < 0.2 {
-			g.ds.Add(p, RDFS+"seeAlso", seeAlsoTargets[g.r.Intn(len(seeAlsoTargets))])
+			g.add(p, RDFS+"seeAlso", seeAlsoTargets[g.r.Intn(len(seeAlsoTargets))])
 		}
 		// Annotations with comments and ranges.
 		for k := 0; k < 1+g.r.Intn(3); k++ {
 			a := fmt.Sprintf("http://purl.uniprot.org/annotation/A%06d", annotationID)
 			annotationID++
-			g.ds.Add(p, UNI+"annotation", a)
-			g.ds.Add(a, RDFS+"comment", fmt.Sprintf(`"annotation text %d"`, annotationID))
-			g.ds.Add(a, UNI+"range", fmt.Sprintf("http://purl.uniprot.org/range/R%06d", annotationID))
+			g.add(p, UNI+"annotation", a)
+			g.add(a, RDFS+"comment", fmt.Sprintf(`"annotation text %d"`, annotationID))
+			g.add(a, UNI+"range", fmt.Sprintf("http://purl.uniprot.org/range/R%06d", annotationID))
 			if g.r.Float64() < 0.25 {
-				g.ds.Add(a, RDFNS+"type", UNI+"Disease_Annotation")
+				g.add(a, RDFNS+"type", UNI+"Disease_Annotation")
 			} else {
-				g.ds.Add(a, RDFNS+"type", UNI+"Function_Annotation")
+				g.add(a, RDFNS+"type", UNI+"Function_Annotation")
 			}
 		}
 		// Replacement chains: P_i replaces P_{i-1} (and the inverse).
 		if i > 0 && g.r.Float64() < 0.3 {
 			prev := protein(i - 1)
-			g.ds.Add(p, UNI+"replaces", prev)
-			g.ds.Add(prev, UNI+"replacedBy", p)
+			g.add(p, UNI+"replaces", prev)
+			g.add(prev, UNI+"replacedBy", p)
 		}
 	}
 
 	// Interactions between random protein pairs.
 	for k := 0; k < g.n; k++ {
 		ia := fmt.Sprintf("http://purl.uniprot.org/interaction/I%06d", k)
-		g.ds.Add(ia, RDFNS+"type", UNI+"Interaction")
-		g.ds.Add(ia, UNI+"participant", protein(g.r.Intn(g.n)))
-		g.ds.Add(ia, UNI+"participant", protein(g.r.Intn(g.n)))
+		g.add(ia, RDFNS+"type", UNI+"Interaction")
+		g.add(ia, UNI+"participant", protein(g.r.Intn(g.n)))
+		g.add(ia, UNI+"participant", protein(g.r.Intn(g.n)))
 	}
 
 	// Guarantee the benchmark constants and their surroundings.
@@ -141,45 +149,45 @@ func (g *gen) benchmarkEntities(seeAlsoTargets []string) {
 	// U1: one protein referencing all four cross-database entries.
 	star := protein(0)
 	for _, tgt := range seeAlsoTargets[:4] {
-		g.ds.Add(star, RDFS+"seeAlso", tgt)
+		g.add(star, RDFS+"seeAlso", tgt)
 	}
 
 	// U2: Q4N2B5 with a replacedBy/replaces chain ending at a
 	// cross-reference with a database.
 	q := "http://purl.uniprot.org/uniprot/Q4N2B5"
-	g.ds.Add(q, RDFNS+"type", UNI+"Protein")
+	g.add(q, RDFNS+"type", UNI+"Protein")
 	a, ab, b := protein(1), protein(2), protein(3)
-	g.ds.Add(q, UNI+"replacedBy", a)
-	g.ds.Add(a, UNI+"replaces", ab)
-	g.ds.Add(ab, UNI+"replacedBy", b)
+	g.add(q, UNI+"replacedBy", a)
+	g.add(a, UNI+"replaces", ab)
+	g.add(ab, UNI+"replacedBy", b)
 	// b's seeAlso cross-references already carry databases.
 
 	// U3: two interacting proteins with the queried enzyme classes,
 	// annotations, replaces and encodedBy.
 	p1, p2, p3 := protein(4), protein(5), protein(6)
-	g.ds.Add(p1, UNI+"enzyme", "http://purl.uniprot.org/enzyme/2.7.7.-")
-	g.ds.Add(p2, UNI+"enzyme", "http://purl.uniprot.org/enzyme/3.1.3.16")
-	g.ds.Add(p1, UNI+"replaces", p3)
+	g.add(p1, UNI+"enzyme", "http://purl.uniprot.org/enzyme/2.7.7.-")
+	g.add(p2, UNI+"enzyme", "http://purl.uniprot.org/enzyme/3.1.3.16")
+	g.add(p1, UNI+"replaces", p3)
 	ia := "http://purl.uniprot.org/interaction/IBENCH"
-	g.ds.Add(ia, RDFNS+"type", UNI+"Interaction")
-	g.ds.Add(ia, UNI+"participant", p1)
-	g.ds.Add(ia, UNI+"participant", p2)
+	g.add(ia, RDFNS+"type", UNI+"Interaction")
+	g.add(ia, UNI+"participant", p1)
+	g.add(ia, UNI+"participant", p2)
 
 	// U4: a protein with keyword 67, the embl-cds reference and a
 	// replaces chain into annotated proteins.
 	u4 := protein(7)
-	g.ds.Add(u4, UNI+"classifiedWith", "http://purl.uniprot.org/keywords/67")
-	g.ds.Add(u4, RDFS+"seeAlso", "http://purl.uniprot.org/embl-cds/AAN81952.1")
-	g.ds.Add(u4, UNI+"replaces", protein(8))
-	g.ds.Add(protein(8), UNI+"replacedBy", protein(9))
+	g.add(u4, UNI+"classifiedWith", "http://purl.uniprot.org/keywords/67")
+	g.add(u4, RDFS+"seeAlso", "http://purl.uniprot.org/embl-cds/AAN81952.1")
+	g.add(u4, UNI+"replaces", protein(8))
+	g.add(protein(8), UNI+"replacedBy", protein(9))
 
 	// U5 needs human proteins with disease annotations; ensure one.
 	u5 := protein(10)
-	g.ds.Add(u5, UNI+"organism", TAXON+"9606")
+	g.add(u5, UNI+"organism", TAXON+"9606")
 	ann := "http://purl.uniprot.org/annotation/ABENCH"
-	g.ds.Add(u5, UNI+"annotation", ann)
-	g.ds.Add(ann, RDFNS+"type", UNI+"Disease_Annotation")
-	g.ds.Add(ann, RDFS+"comment", `"benchmark disease annotation"`)
+	g.add(u5, UNI+"annotation", ann)
+	g.add(ann, RDFNS+"type", UNI+"Disease_Annotation")
+	g.add(ann, RDFS+"comment", `"benchmark disease annotation"`)
 }
 
 const prefixes = `

@@ -20,7 +20,9 @@ type DataConfig struct {
 
 // GenerateData builds a dataset over the same schema graph the query
 // templates are drawn from, so every template matches by construction
-// of the vocabulary (result sizes still vary with the walk).
+// of the vocabulary (result sizes still vary with the walk). The
+// dataset is committed in one batch: its first epoch holds every
+// triple.
 func GenerateData(cfg DataConfig) *rdf.Dataset {
 	if cfg.Scale < 10 {
 		cfg.Scale = 10
@@ -72,6 +74,7 @@ func GenerateData(cfg DataConfig) *rdf.Dataset {
 		"contentRating": 9, "validThrough": 10, "location": 10,
 	}
 	litID := 0
+	var ts []rdf.Triple
 	for _, e := range schemaEdges {
 		mult := multiplicity[e.pred]
 		subjects := pools[e.from]
@@ -88,9 +91,10 @@ func GenerateData(cfg DataConfig) *rdf.Dataset {
 				} else {
 					o = pick(e.to)
 				}
-				ds.Add(s, "http://watdiv/"+e.pred, o)
+				ts = append(ts, rdf.Triple{S: ds.Dict.Intern(s), P: ds.Dict.Intern("http://watdiv/" + e.pred), O: ds.Dict.Intern(o)})
 			}
 		}
 	}
+	ds.AddBatch(ts)
 	return ds
 }

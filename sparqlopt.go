@@ -473,7 +473,7 @@ func WithObservability(opts ...ObsOption) Option {
 
 // Open partitions the dataset and builds the execution engine.
 func Open(ds *Dataset, opts ...Option) (*System, error) {
-	cfg := openConfig{method: partition.HashSO{}, nodes: cost.Default.Nodes}
+	cfg := openConfig{method: partition.HashSO, nodes: cost.Default.Nodes}
 	for _, o := range opts {
 		o(&cfg)
 	}
