@@ -53,9 +53,15 @@ race:
 # repartition joins merging sorted inputs, and TestDeterminismTrieJoin:
 # local trie joins over cycles, read leaves, non-leaf inputs and
 # failover reads, both against the test-only hash fold over the same
-# inputs; TestDeterminismRootHome: root scans and root local joins that
-# emit each answer on its home node only, pairwise disjoint across nodes
-# and together Reference, with 0–3 delta chunks and any node dead), the
+# inputs; TestDeterminismRootHome: root scans, root local joins and
+# homed broadcast roots that emit each answer on its home node only,
+# pairwise disjoint across nodes and together Reference, with 0–3 delta
+# chunks and any node dead; TestDeterminismHomedBroadcast: the served
+# plans of L1–L10, whose broadcasts ship each small row to its key's
+# home where the largest input is homed, against Reference under every
+# method, healthy, with a node dead and with a delta, and
+# TestDeterminismHomedBroadcastTrace: L8's homed broadcast root as
+# -explain prints it and as its span records it), the
 # per-node helper's table (TestFanOut) and the stream tests (TestStream:
 # among them TestStreamFinishEarly and TestStreamHoldsTwoRootArenas,
 # which cover the step started ahead) ride the same run. The
@@ -116,9 +122,11 @@ bench:
 # allocations), of 2f's multi-variable local joins (L7–L10's local
 # subqueries at LUBM-10, trie-joined and folded, with allocations), of
 # the broadcast joins (L8's two and L10's on ?z at LUBM-10, merged and
-# folded, with allocations), of the root's emission (S2, J1, SP and F2
-# at LUBM-10 through ExecuteStream and a full drain, with allocations
-# and the flat and distinct rows per query), of the result
+# folded, with allocations and the rows each moved — a homed broadcast,
+# L8's on ?z, ships each small row once, the others once per node), of
+# the root's emission (S2, J1, SP, F2 and L8, a homed broadcast root, at
+# LUBM-10 through ExecuteStream and a full drain, with allocations and
+# the flat and distinct rows per query, equal for all five), of the result
 # encoders (LUBM-1 rows shaped like S2 and J1 in JSON and TSV, with
 # encode ns/row and body B/row), of the set-up layers (the N-Triples
 # load of LUBM-10 from memory, and each method's Partition of LUBM-10 on

@@ -125,7 +125,11 @@ func TestPathPartitioningMakesBenchmarksLocal(t *testing.T) {
 // before stars merged and before joins probed. The root's home rule
 // moved the cells whose root is a scan or a local join (L1, L2, P1, P2
 // under hash-so; L2, L4, L7, P1 under 2f): flatCopies is what their root
-// flattened while every node emitted every match it held. Every count is
+// flattened while every node emitted every match it held. Homed
+// broadcasts, which ship each small row to its key's home alone, moved
+// the cells with a broadcast over a homed largest input (L3, L5, L6, L10
+// under hash-so; L3, L5, L6 under 2f): movedCopies is what they moved
+// while every small row shipped to all four nodes. Every count is
 // exact — which nodes get a goroutine decides where the work runs, never
 // how much there is. P2's matches live on the advisor triple's two
 // homes, so its join runs on at most two nodes.
@@ -154,31 +158,32 @@ func TestProbedJoinsKeepCounts(t *testing.T) {
 		scannedProbed                       int64 // postings touched before local stars merged
 		scannedRead                         int64 // postings touched when every leaf was read in full
 		flatCopies                          int64 // flat rows while every node emitted every match it held
+		movedCopies                         int64 // rows moved while every broadcast shipped its small inputs to every node
 	}{
-		{"hash-so", "L1", 5, 0, 0, 5, 10, 18, 18, 310, 9},
-		{"hash-so", "L2", 443, 0, 0, 443, 459, 564, 564, 994, 536},
-		{"hash-so", "L3", 12, 16, 112, 6, 13, 13, 16, 3696, 6},
-		{"hash-so", "L4", 312, 64, 256, 148, 328, 328, 866, 1254, 148},
-		{"hash-so", "L5", 455, 20, 128, 2, 487, 487, 548, 6704, 2},
-		{"hash-so", "L6", 26, 20, 240, 2, 42, 42, 102, 10368, 2},
-		{"hash-so", "L7", 690, 68, 528, 329, 1021, 1021, 2514, 2669, 329},
-		{"hash-so", "L8", 2069, 1536, 10240, 145, 2839, 2839, 5318, 7177, 145},
-		{"hash-so", "L9", 1459, 1024, 6144, 0, 2467, 2467, 4221, 14815, 0},
-		{"hash-so", "L10", 3328, 3292, 52160, 0, 3289, 3289, 5646, 16500, 0},
-		{"hash-so", "P1", 0, 0, 0, 2, 2, 3, 3, 10, 3},
-		{"hash-so", "P2", 1, 0, 0, 1, 2, 4, 4, 789, 2},
-		{"2f", "L1", 5, 0, 0, 5, 10, 10, 10, 259, 5},
-		{"2f", "L2", 443, 0, 0, 443, 1507, 1507, 1507, 1612, 1443},
-		{"2f", "L3", 12, 16, 112, 5, 14, 14, 18, 2728, 5},
-		{"2f", "L4", 128, 0, 0, 128, 372, 2036, 2036, 2141, 465},
-		{"2f", "L5", 1469, 20, 128, 8, 1587, 1587, 1693, 6111, 8},
-		{"2f", "L6", 77, 20, 240, 1, 138, 138, 244, 8207, 1},
-		{"2f", "L7", 269, 0, 0, 269, 939, 1713, 1713, 1818, 343},
-		{"2f", "L8", 137, 0, 0, 137, 780, 7577, 7577, 7577, 137},
-		{"2f", "L9", 199, 0, 0, 0, 1309, 6986, 6986, 12592, 0},
-		{"2f", "L10", 199, 0, 0, 0, 1632, 8110, 8110, 13720, 0},
-		{"2f", "P1", 0, 0, 0, 2, 2, 4, 4, 12, 4},
-		{"2f", "P2", 2, 0, 0, 2, 4, 4, 4, 1455, 2},
+		{"hash-so", "L1", 5, 0, 0, 5, 10, 18, 18, 310, 9, 0},
+		{"hash-so", "L2", 443, 0, 0, 443, 459, 564, 564, 994, 536, 0},
+		{"hash-so", "L3", 7, 4, 28, 3, 8, 13, 16, 3696, 6, 16},
+		{"hash-so", "L4", 312, 64, 256, 148, 328, 328, 866, 1254, 148, 64},
+		{"hash-so", "L5", 453, 14, 104, 2, 485, 487, 548, 6704, 2, 20},
+		{"hash-so", "L6", 22, 5, 60, 1, 38, 42, 102, 10368, 2, 20},
+		{"hash-so", "L7", 690, 68, 528, 329, 1021, 1021, 2514, 2669, 329, 68},
+		{"hash-so", "L8", 2069, 1536, 10240, 145, 2839, 2839, 5318, 7177, 145, 1536},
+		{"hash-so", "L9", 1459, 1024, 6144, 0, 2467, 2467, 4221, 14815, 0, 1024},
+		{"hash-so", "L10", 3298, 2485, 36020, 0, 3289, 3289, 5646, 16500, 0, 3292},
+		{"hash-so", "P1", 0, 0, 0, 2, 2, 3, 3, 10, 3, 0},
+		{"hash-so", "P2", 1, 0, 0, 1, 2, 4, 4, 789, 2, 0},
+		{"2f", "L1", 5, 0, 0, 5, 10, 10, 10, 259, 5, 0},
+		{"2f", "L2", 443, 0, 0, 443, 1507, 1507, 1507, 1612, 1443, 0},
+		{"2f", "L3", 10, 7, 40, 3, 12, 14, 18, 2728, 5, 16},
+		{"2f", "L4", 128, 0, 0, 128, 372, 2036, 2036, 2141, 465, 0},
+		{"2f", "L5", 1455, 6, 56, 2, 1585, 1587, 1693, 6111, 8, 20},
+		{"2f", "L6", 70, 8, 108, 1, 134, 138, 244, 8207, 1, 20},
+		{"2f", "L7", 269, 0, 0, 269, 939, 1713, 1713, 1818, 343, 0},
+		{"2f", "L8", 137, 0, 0, 137, 780, 7577, 7577, 7577, 137, 0},
+		{"2f", "L9", 199, 0, 0, 0, 1309, 6986, 6986, 12592, 0, 0},
+		{"2f", "L10", 199, 0, 0, 0, 1632, 8110, 8110, 13720, 0, 0},
+		{"2f", "P1", 0, 0, 0, 2, 2, 4, 4, 12, 4, 0},
+		{"2f", "P2", 2, 0, 0, 2, 4, 4, 4, 1455, 2, 0},
 	} {
 		m, err := PartitionMethod(c.method)
 		if err != nil {
@@ -196,8 +201,8 @@ func TestProbedJoinsKeepCounts(t *testing.T) {
 		got := res.Metrics
 		want := engine.Metrics{ScannedTriples: c.scanned, TransferredRows: c.moved, TransferredBytes: c.bytes, JoinedRows: c.joined}
 		if got != want || res.FlatRowCount() != c.flat {
-			t.Errorf("%s/%s: metrics %+v flat %d, want %+v flat %d (%d postings while local joins folded, %d before stars merged, %d before joins probed; %d flat while every node emitted every match)",
-				c.method, c.query, got, res.FlatRowCount(), want, c.flat, c.scannedFolded, c.scannedProbed, c.scannedRead, c.flatCopies)
+			t.Errorf("%s/%s: metrics %+v flat %d, want %+v flat %d (%d postings while local joins folded, %d before stars merged, %d before joins probed; %d flat while every node emitted every match; %d moved while broadcasts shipped every copy)",
+				c.method, c.query, got, res.FlatRowCount(), want, c.flat, c.scannedFolded, c.scannedProbed, c.scannedRead, c.flatCopies, c.movedCopies)
 		}
 		if c.method == "hash-so" && c.query == "P2" && (res.Trace.Alg == plan.Scan || res.Trace.BusyNodes > 2) {
 			t.Errorf("hash-so/P2: root %v ran on %d/%d nodes, want a join on at most 2", res.Trace.Alg, res.Trace.BusyNodes, res.Trace.Nodes)

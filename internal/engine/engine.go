@@ -211,11 +211,13 @@ const maxDeltaChunks = 16
 // found.
 type Snap struct {
 	stores []*store
-	// home is the placement's home function and deltaHomed whether it
-	// survives the delta for local joins (partition.Placement.Home and
-	// DeltaHomed); home is nil when the method has none.
+	// home is the placement's home function, deltaHomed whether it
+	// survives the delta for local joins and homed the triple positions it
+	// homes (partition.Placement.Home, DeltaHomed and Homed); home is nil
+	// when the method has none.
 	home       func(rdf.TermID) int
 	deltaHomed bool
+	homed      partition.Positions
 	// overlays[node] indexes the recovery adds on node; nil when the
 	// node has none (and the whole slice is nil before any recovery).
 	overlays []*store
@@ -245,6 +247,25 @@ func (s *Snap) joinHome(p *plan.Node) func(rdf.TermID) int {
 		return nil
 	}
 	return s.home
+}
+
+// homedOn reports whether child c of a join holds every row keyed k on
+// variable v on the home of k: a scan with v at a position the placement
+// homes (the delta is on every node, so writes keep it so), or a local
+// join anchored at v whose home rule holds (see joinHome).
+func (s *Snap) homedOn(c *plan.Node, q *sparql.Query, v string) bool {
+	if s.home == nil {
+		return false
+	}
+	switch c.Alg {
+	case plan.Scan:
+		tp := q.Patterns[c.TP]
+		return tp.S.IsVar() && tp.S.Value == v && s.homed.Has(partition.Subject) ||
+			tp.O.IsVar() && tp.O.Value == v && s.homed.Has(partition.Object)
+	case plan.LocalJoin:
+		return c.Anchor == v && s.joinHome(c) != nil
+	}
+	return false
 }
 
 // Data returns the dataset snapshot this store view corresponds to
@@ -284,7 +305,7 @@ type Engine struct {
 // method. The dictionary must be the one that encoded the triples.
 func New(dict *rdf.Dict, placement *partition.Placement) *Engine {
 	e := &Engine{dict: dict}
-	e.snap.Store(&Snap{stores: buildStores(placement.Triples), home: placement.Home, deltaHomed: placement.DeltaHomed})
+	e.snap.Store(&Snap{stores: buildStores(placement.Triples), home: placement.Home, deltaHomed: placement.DeltaHomed, homed: placement.Homed})
 	return e
 }
 
@@ -662,10 +683,19 @@ func (e *Engine) fanOut(busy []bool, f func(node int) error) error {
 // Transfer accounting lands in the operator's trace tr. Every input that
 // moves arrives deduplicated and sorted on the join variable: a
 // broadcast's gathered inputs are sorted once and shared read-only by
-// every node, and a scatter's buckets are sorted as they are
+// every node (or split among the nodes, below), and a scatter's buckets
+// are sorted as they are
 // deduplicated. The operator's own-time clock start restarts once the
 // children have run, so an operator's own time never includes its
 // children's.
+//
+// A broadcast whose largest input is homed on the join variable (see
+// Snap.homedOn) is homed: every row of that input keyed k is on Home(k),
+// so each small row ships to its key's home alone, one moved row per
+// row, instead of to all n nodes. A counting pass splits each gathered
+// input by its keys' homes; the parts share its rows and stay sorted.
+// Node i then joins only the keys homed at i, and is busy only where
+// every input has rows there.
 //
 // The Scan children of a local join and the Scan child a broadcast join
 // leaves in place are opened but not read: they come back in leaves,
@@ -713,11 +743,14 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 				return in, fmt.Errorf("engine: broadcast variable ?%s missing from input %d", p.JoinVar, i)
 			}
 		}
+		in.homed = env.Snap.homedOn(p.Children[largest], q, p.JoinVar)
+		tr.Homed = in.homed
 		// Gather each small input, then deduplicate it by sorting it on the
 		// join column (replicated fragments may hold the same row on
 		// several nodes). The join sees the largest input first, then the
-		// replicated ones — each present in full on every node.
-		small := make([]*Relation, 0, len(children)-1)
+		// shipped ones — each present in full on every node, or split by
+		// its keys' homes when the broadcast is homed.
+		small := make([][]*Relation, 0, len(children)-1) // [input][node]
 		in.leaves = make([]*scanLeaf, len(children))
 		in.leaves[0] = leaves[largest]
 		in.sizes = append(make([]int64, 0, len(children)), sizes[largest])
@@ -739,17 +772,28 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 				g.Rows = append(g.Rows, f.Rows...)
 			}
 			g.dedupOn(cols[i])
-			// Every row ships to every node holding the largest input.
-			moved := int64(len(g.Rows)) * int64(n)
+			// Every row ships to every node, or to its key's home alone.
+			var parts []*Relation
+			moved := int64(len(g.Rows))
+			if in.homed {
+				parts = splitByHome(g, env.Snap.home, n)
+			} else {
+				for range n {
+					parts = append(parts, g)
+				}
+				moved *= int64(n)
+			}
 			tr.TransferredRows += moved
 			tr.TransferredBytes += moved * termIDBytes * int64(len(g.Vars))
-			small = append(small, g)
+			small = append(small, parts)
 			in.sizes = append(in.sizes, moved)
 		}
 		for node := 0; node < n; node++ {
 			rels := make([]*Relation, 0, len(children))
 			rels = append(rels, children[largest][node])
-			rels = append(rels, small...)
+			for _, parts := range small {
+				rels = append(rels, parts[node])
+			}
 			inputs[node] = rels
 		}
 	case plan.RepartitionJoin:
@@ -790,6 +834,39 @@ func (e *Engine) joinInputs(ctx context.Context, p *plan.Node, q *sparql.Query, 
 	return in, nil
 }
 
+// splitByHome splits g, deduplicated on its join column (see
+// Relation.dedupOn), into one part per node: the rows whose key is
+// homed there, in g's order. A counting pass sizes the parts, which
+// share g's rows and key column, so each stays sorted on the key and
+// no row is copied.
+func splitByHome(g *Relation, home func(rdf.TermID) int, n int) []*Relation {
+	dst := make([]int32, len(g.keys))
+	at := make([]int, n+1) // part d is [at[d], at[d+1]) once summed
+	for i, k := range g.keys {
+		if i == 0 || k != g.keys[i-1] {
+			dst[i] = int32(home(k))
+		} else {
+			dst[i] = dst[i-1]
+		}
+		at[dst[i]+1]++
+	}
+	for d := range n {
+		at[d+1] += at[d]
+	}
+	rows, keys := make([][]rdf.TermID, len(g.Rows)), make([]rdf.TermID, len(g.keys))
+	next := slices.Clone(at[:n])
+	for i, d := range dst {
+		rows[next[d]], keys[next[d]] = g.Rows[i], g.keys[i]
+		next[d]++
+	}
+	parts := make([]*Relation, n)
+	for d := range parts {
+		lo, hi := at[d], at[d+1]
+		parts[d] = &Relation{Vars: g.Vars, Rows: rows[lo:hi:hi], keys: keys[lo:hi:hi], sortedOn: g.sortedOn}
+	}
+	return parts
+}
+
 // inputVars returns an input's variables: its scan leaf's, or those of
 // its relation on node 0.
 func inputVars(rel *Relation, leaf *scanLeaf) []string {
@@ -808,6 +885,9 @@ type opInputs struct {
 	rels   [][]*Relation
 	leaves []*scanLeaf
 	sizes  []int64
+	// homed marks a homed broadcast: each node holds the small rows keyed
+	// on its homes alone (see joinInputs).
+	homed bool
 }
 
 // openedJoin is a join operator whose per-node inputs are in place: its
@@ -826,7 +906,8 @@ type openedJoin struct {
 // repartition join on its one join variable. A non-nil root makes p the
 // plan's root: the join emits only the projected columns, and a root
 // local join with an anchor keeps each match on its anchor's home (see
-// Snap.joinHome).
+// Snap.joinHome). A repartition root and a homed broadcast root emit
+// each match on one node, the one its join key names.
 func (e *Engine) openJoin(ctx context.Context, p *plan.Node, q *sparql.Query, env ExecEnv, tr *TraceNode, start *time.Time, root *rootOut) (*operator, error) {
 	in, err := e.joinInputs(ctx, p, q, env, tr, start)
 	if err != nil {
@@ -849,6 +930,11 @@ func (e *Engine) openJoin(ctx context.Context, p *plan.Node, q *sparql.Query, en
 		case plan.RepartitionJoin:
 			// Every row on a node was routed there by its join key.
 			root.keyedOn(p.JoinVar)
+		case plan.BroadcastJoin:
+			// A homed broadcast's small rows are on their keys' homes only.
+			if in.homed {
+				root.keyedOn(p.JoinVar)
+			}
 		case plan.LocalJoin:
 			if home := env.Snap.joinHome(p); home != nil && join.homeOn(p.Anchor, home) {
 				root.keyedOn(p.Anchor)

@@ -15,15 +15,18 @@
 //
 // Each answer leaves once, from its home node, wherever the placement
 // can name one: a root scan emits a row only on its subject's home, a
-// root local join a match only on its anchor's home, and a root join
-// whose projection drops a column emits only the projected ones,
-// probing the inputs the projection does not need (see rootOut, Snap.joinHome, sortedJoin.project). Such a
+// root local join a match only on its anchor's home, a homed broadcast
+// root a match only on its join key's home (its small rows went there
+// alone), and a root join whose projection drops a column emits only
+// the projected ones, probing the inputs the projection does not need
+// (see rootOut, Snap.joinHome, Snap.homedOn, sortedJoin.project). Such a
 // root hands the stream no copy, and the stream keeps no seen-set (see
 // dedupFree).
 //
-// Where copies remain — a broadcast root, a placement without homes, a
-// projection that drops an enumerated column — distinctness across
-// chunks is exact. Emitted chunks are recycled, so the stream keeps its
+// Where copies remain — a broadcast root whose largest input is not
+// homed on the join variable, a placement without homes, a projection
+// that drops an enumerated column — distinctness across chunks is
+// exact. Emitted chunks are recycled, so the stream keeps its
 // own copy of every distinct row it has emitted in a rowSet — an
 // open-addressing table of row indices over one append-only TermID
 // arena — and verifies every hash candidate against the stored row,
@@ -319,6 +322,8 @@ func (r *rootOut) keyedOn(v string) {
 // key names, when the projection keeps the key:
 //   - a repartition-join root: every input row on node i was routed (by
 //     scatter) because its join-key hash lands on i;
+//   - a homed broadcast root: every small row on node i was shipped
+//     there because its join key is homed on i (see joinInputs);
 //   - a home-filtered root scan: a row is emitted on its subject's home;
 //   - a home-filtered root local join: a match on its anchor's home,
 //     which holds it whole (Definition 2; see Snap.joinHome).

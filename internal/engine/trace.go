@@ -29,6 +29,10 @@ type TraceNode struct {
 	// where the pattern repeats a variable or a root scan keeps rows on
 	// their homes only), plus the down nodes it failed over.
 	BusyNodes, Nodes int
+	// Homed marks a homed broadcast: its largest input is homed on the
+	// join variable, so each small row shipped to its key's home alone
+	// (see joinInputs).
+	Homed bool
 	// TransferredRows is this operator's own network contribution.
 	TransferredRows int64
 	// TransferredBytes is the wire volume of TransferredRows.
@@ -93,8 +97,12 @@ func (tr *TraceNode) Format() string {
 			fmt.Fprintf(&b, "%sscan tp%d: %s (est %.4g) max/node=%d %s time=%v\n",
 				indent, t.TP+1, read, t.EstimatedCard, t.MaxNodeRows, spread, t.Elapsed.Round(time.Microsecond))
 		default:
-			fmt.Fprintf(&b, "%s%s on ?%s: rows=%d (est %.4g) max/node=%d %s moved=%d (%dB) time=%v\n",
-				indent, t.Alg, t.JoinVar, t.OutputRows, t.EstimatedCard, t.MaxNodeRows, spread,
+			homed := ""
+			if t.Homed {
+				homed = " homed"
+			}
+			fmt.Fprintf(&b, "%s%s on ?%s%s: rows=%d (est %.4g) max/node=%d %s moved=%d (%dB) time=%v\n",
+				indent, t.Alg, t.JoinVar, homed, t.OutputRows, t.EstimatedCard, t.MaxNodeRows, spread,
 				t.TransferredRows, t.TransferredBytes, t.Elapsed.Round(time.Microsecond))
 		}
 		for _, ch := range t.Children {
@@ -138,6 +146,9 @@ func (tr *TraceNode) AttachSpans(parent *obs.Span) {
 		}
 	} else {
 		s.SetAttr("join_var", tr.JoinVar)
+		if tr.Homed {
+			s.SetAttr("homed", "true")
+		}
 	}
 	s.SetAttrFloat("est_rows", tr.EstimatedCard)
 	s.SetAttrInt("rows", tr.OutputRows)

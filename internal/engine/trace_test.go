@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sparqlopt/internal/cost"
+	"sparqlopt/internal/obs"
 	"sparqlopt/internal/opt"
 	"sparqlopt/internal/partition"
 	"sparqlopt/internal/plan"
@@ -293,7 +294,9 @@ func TestTraceOwnTimesAddUp(t *testing.T) {
 // or of the delta agrees with the pattern's constants, plus the dead
 // node it failed over; a join the nodes where every input holds rows,
 // the inputs' per-node rows following from the children's per-node
-// outputs and the join's data movement.
+// outputs and the join's data movement. Which broadcasts are homed, and
+// so split their small inputs by home, the table models from the method
+// alone, and holds TraceNode.Homed to it.
 func TestTraceBusyNodes(t *testing.T) {
 	const nodes, dead = 4, 1
 	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1})
@@ -318,6 +321,7 @@ func TestTraceBusyNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, deltas := range [][]rdf.Triple{nil, delta} {
+			hm := homeModel{home: placement.Home, objects: name != "2f", locals: deltas == nil || name == "hash-so" || name == "un-1hop"}
 			e := New(ds.Dict, placement)
 			e.SetFailover(&FailoverPolicy{})
 			e.ApplyIngest(deltas, nil)
@@ -346,7 +350,7 @@ func TestTraceBusyNodes(t *testing.T) {
 					}
 					var check func(p *plan.Node, tr *TraceNode)
 					check = func(p *plan.Node, tr *TraceNode) {
-						busy := make([]bool, nodes)
+						busy, homed := make([]bool, nodes), false
 						if p.Alg == plan.Scan {
 							bp := bindPattern(ds.Dict, q.Patterns[p.TP])
 							for node := range busy {
@@ -354,8 +358,12 @@ func TestTraceBusyNodes(t *testing.T) {
 									slices.ContainsFunc(placement.Triples[node], bp.agrees) || slices.ContainsFunc(deltas, bp.agrees)
 							}
 						} else {
-							busy = joinBusy(t, e, p, q, env)
+							busy, homed = joinBusy(t, e, p, q, env, hm)
 						}
+						if tr.Homed != homed {
+							t.Errorf("%s: %v over %v homed = %v, want %v", id, p.Alg, p.Set, tr.Homed, homed)
+						}
+						saw["homed"] = saw["homed"] || homed
 						want := 0
 						for _, b := range busy {
 							if b {
@@ -377,10 +385,46 @@ func TestTraceBusyNodes(t *testing.T) {
 			}
 		}
 	}
-	for _, what := range []string{plan.Scan.String(), plan.LocalJoin.String(), plan.BroadcastJoin.String(), plan.RepartitionJoin.String(), "delta", "down"} {
+	for _, what := range []string{plan.Scan.String(), plan.LocalJoin.String(), plan.BroadcastJoin.String(), plan.RepartitionJoin.String(), "delta", "down", "homed"} {
 		if !saw[what] {
 			t.Errorf("table degenerate: no case with %s (busy on some nodes but not all, for an operator)", what)
 		}
+	}
+}
+
+// TestDeterminismHomedBroadcastTrace pins how a homed broadcast shows,
+// on L8's root at LUBM-1 under hash-so on ten nodes (TD-Auto's plan): a
+// broadcast on ?z whose largest input is the scan holding ?z as its
+// subject. Its
+// trace line, the one sparqlopt -explain prints, says "homed" after the
+// join variable, and its span carries homed=true; the broadcast below it,
+// whose largest input is a local join anchored on ?x, says neither.
+func TestDeterminismHomedBroadcastTrace(t *testing.T) {
+	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1})
+	placement, err := partition.HashSO.Partition(ds, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := lubm.Query("L8")
+	res, err := New(ds.Dict, placement).Execute(context.Background(), optimizeFor(t, ds, q, partition.HashSO, opt.TDAuto).Plan, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(res.Trace.Format(), "\n")
+	if want := "⋈B on ?z homed: rows=137 "; !strings.HasPrefix(lines[0], want) {
+		t.Errorf("root line %q, want it to start %q", lines[0], want)
+	}
+	if want := "  ⋈B on ?y: rows=137 "; !strings.HasPrefix(lines[1], want) {
+		t.Errorf("second line %q, want it to start %q", lines[1], want)
+	}
+	parent := &obs.Span{Name: "execute"}
+	res.Trace.AttachSpans(parent)
+	root := parent.Children[0]
+	if v, ok := root.Attr("homed"); !ok || v != "true" {
+		t.Errorf("root span homed = %q, %v; want true", v, ok)
+	}
+	if v, ok := root.Children[0].Attr("homed"); ok {
+		t.Errorf("the ?y broadcast's span says homed = %q", v)
 	}
 }
 
@@ -389,12 +433,39 @@ func (bp *boundPattern) agrees(t rdf.Triple) bool {
 	return !bp.unknown && (!bp.sConst || t.S == bp.s) && (!bp.pConst || t.P == bp.p) && (!bp.oConst || t.O == bp.o)
 }
 
+// homeModel is when a method's broadcasts are homed: never without a
+// home; over a scan holding the join variable as its subject, or as its
+// object when the method homes objects; over a local join anchored on the
+// join variable when locals is set (not under 2f or 2fb with a delta).
+type homeModel struct {
+	home    func(rdf.TermID) int
+	objects bool
+	locals  bool
+}
+
+// homes reports whether child c holds every row keyed on v on its key's home.
+func (hm homeModel) homes(c *plan.Node, q *sparql.Query, v string) bool {
+	if hm.home == nil {
+		return false
+	}
+	switch c.Alg {
+	case plan.Scan:
+		tp := q.Patterns[c.TP]
+		return tp.S.IsVar() && tp.S.Value == v || hm.objects && tp.O.IsVar() && tp.O.Value == v
+	case plan.LocalJoin:
+		return hm.locals && c.Anchor == v
+	}
+	return false
+}
+
 // joinBusy returns, per node, whether every input of join p holds rows
-// there: a local join's inputs are its children's outputs on the node, a
-// broadcast join's the largest child's output on the node and every
-// other child whole, a repartition join's the rows of every child whose
-// join variable hashes to the node.
-func joinBusy(t *testing.T, e *Engine, p *plan.Node, q *sparql.Query, env func() ExecEnv) []bool {
+// there, and whether p is a homed broadcast: a local join's inputs are
+// its children's outputs on the node, a broadcast join's the largest
+// child's output on the node and every other child whole — or, when the
+// largest child is homed on the join variable, the other children's rows
+// whose key is homed on the node — a repartition join's the rows of every
+// child whose join variable hashes to the node.
+func joinBusy(t *testing.T, e *Engine, p *plan.Node, q *sparql.Query, env func() ExecEnv, hm homeModel) ([]bool, bool) {
 	t.Helper()
 	n := e.Nodes()
 	kids := make([][]*Relation, len(p.Children))
@@ -415,6 +486,7 @@ func joinBusy(t *testing.T, e *Engine, p *plan.Node, q *sparql.Query, env func()
 			largest = i
 		}
 	}
+	homed := p.Alg == plan.BroadcastJoin && hm.homes(p.Children[largest], q, p.JoinVar)
 	busy := make([]bool, n)
 	for node := range busy {
 		busy[node] = true
@@ -423,6 +495,11 @@ func joinBusy(t *testing.T, e *Engine, p *plan.Node, q *sparql.Query, env func()
 			switch {
 			case p.Alg == plan.LocalJoin || p.Alg == plan.BroadcastJoin && i == largest:
 				holds = len(out[node].Rows) > 0
+			case homed:
+				col := out[0].colIndex(p.JoinVar)
+				for _, rel := range out {
+					holds = holds || slices.ContainsFunc(rel.Rows, func(row []rdf.TermID) bool { return hm.home(row[col]) == node })
+				}
 			case p.Alg == plan.BroadcastJoin:
 				holds = sizes[i] > 0
 			default:
@@ -434,5 +511,5 @@ func joinBusy(t *testing.T, e *Engine, p *plan.Node, q *sparql.Query, env func()
 			busy[node] = busy[node] && holds
 		}
 	}
-	return busy
+	return busy, homed
 }

@@ -5,8 +5,10 @@
 //
 // The parser is line-oriented and streaming, suitable for loading the
 // multi-million-triple datasets the workload generators produce: it
-// interns each line's terms as it reads, and commits the whole load to
-// the dataset at the end, as one write (one epoch, one WriteDelta).
+// parses each line in the scanner's buffer, interns its terms as it reads
+// (only a term new to the dictionary is copied), and commits the whole
+// load to the dataset at the end, as one write (one epoch, one
+// WriteDelta).
 package ntriples
 
 import (
@@ -14,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unsafe"
 
 	"sparqlopt/internal/rdf"
 )
@@ -49,7 +52,11 @@ func ReadInto(r io.Reader, ds *rdf.Dataset) error {
 	lineno := 0
 	for sc.Scan() {
 		lineno++
-		line := strings.TrimSpace(sc.Text())
+		// A view of the scanner's buffer, not a copy: it is valid until the
+		// next Scan, and nothing keeps it — Dict.Intern copies a fresh term,
+		// and an error message is formatted from it.
+		b := sc.Bytes()
+		line := strings.TrimSpace(unsafe.String(unsafe.SliceData(b), len(b)))
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}

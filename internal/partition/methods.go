@@ -175,7 +175,17 @@ func (m Method) Partition(ds *rdf.Dataset, nodes int) (*Placement, error) {
 			}
 		}
 	}
-	return &Placement{Nodes: nodes, Triples: frags, Home: home, DeltaHomed: m.hops == 1}, nil
+	return &Placement{Nodes: nodes, Triples: frags, Home: home, DeltaHomed: m.hops == 1, Homed: m.homed()}, nil
+}
+
+// homed returns the triple positions a bounded closure's placement homes:
+// set(v) starts as {home(v)} and only grows, and a triple goes to set(s),
+// united with set(o) when the closure is undirected.
+func (m Method) homed() Positions {
+	if m.undirected {
+		return Subject | Object
+	}
+	return Subject
 }
 
 // mergeElements is path-bmc's placement. Elements are anchored at start
@@ -184,40 +194,41 @@ func (m Method) Partition(ds *rdf.Dataset, nodes int) (*Placement, error) {
 // stored.
 func mergeElements(ds *rdf.Dataset, nodes int) [][]rdf.Triple {
 	g := rdf.NewGraph(ds.Triples)
-	var starts []rdf.TermID
-	g.Vertices(func(v rdf.TermID) bool {
-		if len(g.In(v)) == 0 && len(g.Out(v)) > 0 {
-			starts = append(starts, v)
-		}
-		return true
-	})
 	// An element is the out-edges of the vertices its walk reached, in
-	// the order it reached them.
+	// the order it reached them: verts[off : off+len] of one flat slice
+	// every element's walk appends to.
 	type element struct {
-		verts []rdf.TermID
-		size  int // triples
+		off, len int
+		size     int // triples
+		node     int
 	}
 	var elements []element
-	seen := make([]int, g.Span()) // the last element whose walk reached the vertex, plus one; 0 if none did
+	var verts []rdf.TermID
+	seen := make([]int32, g.Span()) // the last element whose walk reached the vertex, plus one; 0 if none did
 	build := func(start rdf.TermID) {
-		id := len(elements) + 1
-		el := element{verts: []rdf.TermID{start}}
+		id := int32(len(elements) + 1)
+		el := element{off: len(verts)}
+		verts = append(verts, start)
 		seen[start] = id
-		for i := 0; i < len(el.verts); i++ {
-			out := g.Out(el.verts[i])
+		for i := el.off; i < len(verts); i++ {
+			out := g.Out(verts[i])
 			el.size += len(out)
 			for _, e := range out {
 				if seen[e.To] != id {
 					seen[e.To] = id
-					el.verts = append(el.verts, e.To)
+					verts = append(verts, e.To)
 				}
 			}
 		}
+		el.len = len(verts) - el.off
 		elements = append(elements, el)
 	}
-	for _, v := range starts {
-		build(v)
-	}
+	g.Vertices(func(v rdf.TermID) bool {
+		if len(g.In(v)) == 0 && len(g.Out(v)) > 0 {
+			build(v)
+		}
+		return true
+	})
 	// Cover cycle components that no start vertex reaches.
 	g.Vertices(func(v rdf.TermID) bool {
 		if seen[v] == 0 && len(g.Out(v)) > 0 {
@@ -227,33 +238,48 @@ func mergeElements(ds *rdf.Dataset, nodes int) [][]rdf.Triple {
 	})
 	// Distribute: biggest elements first, always to the least-loaded node.
 	slices.SortStableFunc(elements, func(a, b element) int { return b.size - a.size })
-	owned := make([][]element, nodes)
 	load := make([]int, nodes)
-	for _, el := range elements {
+	for i := range elements {
 		best := 0
 		for n := 1; n < nodes; n++ {
 			if load[n] < load[best] {
 				best = n
 			}
 		}
-		owned[best] = append(owned[best], el)
-		load[best] += el.size
+		elements[i].node = best
+		load[best] += elements[i].size
 	}
+	// Each node's elements, in the order it took them.
+	slices.SortStableFunc(elements, func(a, b element) int { return a.node - b.node })
 	// Elements overlap: two on one node share the out-edges of every
 	// vertex both reached. Each node takes a vertex's out-edges once, where
-	// its first element reaches it.
+	// its first element reaches it. The first pass counts each fragment,
+	// the second fills it; holder stamps the vertices a node took in the
+	// pass.
 	frags := make([][]rdf.Triple, nodes)
-	holder := make([]int, g.Span()) // the last node that took the vertex's out-edges, plus one
-	for n, els := range owned {
-		for _, el := range els {
-			for _, v := range el.verts {
-				if holder[v] == n+1 {
+	sizes := make([]int, nodes)
+	holder := make([]int32, g.Span()) // the last (pass, node) that took the vertex's out-edges, plus one
+	for pass := range 2 {
+		for _, el := range elements {
+			n, stamp := el.node, int32(pass*nodes+el.node+1)
+			for _, v := range verts[el.off : el.off+el.len] {
+				if holder[v] == stamp {
 					continue
 				}
-				holder[v] = n + 1
-				for _, e := range g.Out(v) {
+				holder[v] = stamp
+				out := g.Out(v)
+				if pass == 0 {
+					sizes[n] += len(out)
+					continue
+				}
+				for _, e := range out {
 					frags[n] = append(frags[n], rdf.Triple{S: v, P: e.Pred, O: e.To})
 				}
+			}
+		}
+		if pass == 0 {
+			for n, size := range sizes {
+				frags[n] = make([]rdf.Triple, 0, size)
 			}
 		}
 	}

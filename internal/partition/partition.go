@@ -54,7 +54,24 @@ type Placement struct {
 	// edge x→y brings base triples around y into x's element, and x's
 	// home need not hold them.
 	DeltaHomed bool
+	// Homed lists the triple positions Home homes: a term t at a homed
+	// position has every triple holding it there on Home(t). The subject
+	// under every bounded closure, the object as well when the closure is
+	// undirected (hash-so, 2fb, un-1hop); none under path-bmc.
+	Homed Positions
 }
+
+// Positions is a set of triple positions.
+type Positions uint8
+
+// The triple positions a placement can home.
+const (
+	Subject Positions = 1 << iota
+	Object
+)
+
+// Has reports whether every position of q is in p.
+func (p Positions) Has(q Positions) bool { return p&q == q }
 
 // TotalStored returns the sum of fragment sizes (≥ the dataset size
 // when the method replicates triples).

@@ -148,45 +148,55 @@ func TestLocalCheckerAnchor(t *testing.T) {
 	}
 }
 
-// TestPlacementHomeHoldsSubjects: every method with a home places each
-// triple on its subject's home; path-bmc, the one unbounded closure, has
-// none, and un-1hop hashes a vertex its placement never saw. Only the
-// one-hop closures are homed under a delta.
-func TestPlacementHomeHoldsSubjects(t *testing.T) {
+// TestPlacementHomedPositions holds every method's placement of LUBM-1,
+// at 4 and 10 nodes, to its Homed positions: each triple is on its
+// subject's home wherever the method has a home, and on its object's home
+// for every triple exactly when Homed says objects are homed — a method
+// that does not home them must leave some triple off its object's home.
+// path-bmc, the one unbounded closure, has no home and homes nothing;
+// un-1hop hashes a vertex its placement never saw. Only the one-hop
+// closures are homed under a delta.
+func TestPlacementHomedPositions(t *testing.T) {
 	ds := lubm.Generate(lubm.Config{Universities: 1, Seed: 1})
 	for _, m := range []Method{HashSO, TwoHopForward, TwoHopBidirectional, UndirectedOneHop, PathBMC} {
-		p, err := m.Partition(ds, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m == PathBMC {
-			if p.Home != nil {
-				t.Errorf("%s names a home", m.Name())
+		for _, nodes := range []int{4, 10} {
+			p, err := m.Partition(ds, nodes)
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		held := map[rdf.Triple]map[int]bool{}
-		for n, ts := range p.Triples {
-			for _, tr := range ts {
-				if held[tr] == nil {
-					held[tr] = map[int]bool{}
+			if m == PathBMC {
+				if p.Home != nil || p.Homed != 0 {
+					t.Errorf("%s names a home (homed %b)", m.Name(), p.Homed)
 				}
-				held[tr][n] = true
+				continue
 			}
-		}
-		for _, tr := range ds.Triples {
-			if !held[tr][p.Home(tr.S)] {
-				t.Fatalf("%s: %s is not on its subject's home %d", m.Name(), ds.String(tr), p.Home(tr.S))
+			if !p.Homed.Has(Subject) {
+				t.Errorf("%s at %d nodes: subjects are not homed", m.Name(), nodes)
 			}
-		}
-		deltaHomed := m == HashSO || m == UndirectedOneHop
-		if m == UndirectedOneHop {
-			if unseen := rdf.TermID(ds.Dict.Len() + 7); p.Home(unseen) != hashNode(unseen, 4) {
-				t.Errorf("%s: an unseen vertex is homed on %d, want %d", m.Name(), p.Home(unseen), hashNode(unseen, 4))
+			held := map[rdf.Triple]uint64{} // the nodes holding each triple, as bits
+			for n, ts := range p.Triples {
+				for _, tr := range ts {
+					held[tr] |= 1 << n
+				}
 			}
-		}
-		if p.DeltaHomed != deltaHomed {
-			t.Errorf("%s: DeltaHomed = %v", m.Name(), p.DeltaHomed)
+			onObjectHomes := true
+			for _, tr := range ds.Triples {
+				if held[tr]&(1<<p.Home(tr.S)) == 0 {
+					t.Fatalf("%s at %d nodes: %s is not on its subject's home %d", m.Name(), nodes, ds.String(tr), p.Home(tr.S))
+				}
+				onObjectHomes = onObjectHomes && held[tr]&(1<<p.Home(tr.O)) != 0
+			}
+			if onObjectHomes != p.Homed.Has(Object) {
+				t.Errorf("%s at %d nodes: every triple on its object's home = %v, Homed = %b", m.Name(), nodes, onObjectHomes, p.Homed)
+			}
+			if m == UndirectedOneHop {
+				if unseen := rdf.TermID(ds.Dict.Len() + 7); p.Home(unseen) != hashNode(unseen, nodes) {
+					t.Errorf("%s: an unseen vertex is homed on %d, want %d", m.Name(), p.Home(unseen), hashNode(unseen, nodes))
+				}
+			}
+			if deltaHomed := m == HashSO || m == UndirectedOneHop; p.DeltaHomed != deltaHomed {
+				t.Errorf("%s: DeltaHomed = %v", m.Name(), p.DeltaHomed)
+			}
 		}
 	}
 }
