@@ -29,8 +29,9 @@
 //	-max-limit  cap on the client-requested ?limit= (0 = no cap)
 //	-slowlog    slow-query threshold feeding /debug/slowlog (0 with
 //	            -debug logs every query)
-//	-failover   node fault domains: per-node health breakers, retries
-//	            with backoff, replica failover for dead nodes' scans;
+//	-failover   node fault domains: per-node health breakers, a failed
+//	            node is dead for its query, replica failover for dead
+//	            nodes' scans;
 //	            unreplicated dead fragments fail fast as 503 with
 //	            Retry-After, /healthz reports per-node breaker state,
 //	            and sustained failure triggers recovery re-replication

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,13 +69,13 @@ func withBreaker(hc health.Config) Option { return func(c *openConfig) { c.break
 
 // failoverBreakerOff enables failover with every breaker kept closed
 // for the whole test so runs against different dead nodes cannot
-// contaminate each other through shared breaker state; the
-// retry-exhaustion path alone declares nodes dead. Breaker behavior
-// itself is covered by the health package tests, TestFailoverBreakerRecovers
-// and TestChaosFailover.
+// contaminate each other through shared breaker state; a firing fault
+// site alone declares a node dead. Breaker behavior itself is covered
+// by the health package tests, TestFailoverBreakerRecovers and
+// TestChaosFailover.
 var failoverBreakerOff Option = func(c *openConfig) {
-	WithNodeFailover(NodeFailoverConfig{MaxAttempts: 2, RetryBase: time.Microsecond, RetryCap: 10 * time.Microsecond})(c)
-	withBreaker(health.Config{ConsecutiveFailures: 1 << 30, MinSamples: 1 << 30})(c)
+	WithNodeFailover(NodeFailoverConfig{})(c)
+	withBreaker(health.Config{ConsecutiveFailures: 1 << 30})(c)
 }
 
 // TestFailoverProperty is the deterministic failover property sweep:
@@ -228,7 +230,7 @@ func TestFailoverProperty(t *testing.T) {
 // TestFailoverWithoutPolicyFailsFast pins the no-failover twin's
 // failure mode: with node fault sites armed but WithNodeFailover
 // absent, the first faulted node operation fails the query immediately
-// with the typed error — no retries, no replica serving.
+// with the typed error — no replica serving.
 func TestFailoverWithoutPolicyFailsFast(t *testing.T) {
 	sys, err := Open(failoverDataset(), WithNodes(4))
 	if err != nil {
@@ -246,6 +248,59 @@ func TestFailoverWithoutPolicyFailsFast(t *testing.T) {
 	}
 	if ue.Op != "scan" {
 		t.Errorf("Op = %q, want scan", ue.Op)
+	}
+}
+
+// TestFailoverBlipFailsOver pins that a node operation is never
+// retried: a scan fault that fires once, on one covered node, is a
+// transient blip, and the run that meets it fails that node over
+// rather than asking it again. The rows stay bit-identical to the
+// healthy run, the run reports the failover and names the node, and
+// the node's breaker hears exactly one failure: not enough to open it.
+func TestFailoverBlipFailsOver(t *testing.T) {
+	sys, err := Open(failoverDataset(), WithNodes(4), WithNodeFailover(NodeFailoverConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := sys.engine.Snapshot().View()
+	node := 0
+	for node < 4 && !nodeCovered(view, node) {
+		node++
+	}
+	if node == 4 {
+		t.Fatal("fixture degenerate: no node's fragment is fully replicated")
+	}
+	src := failoverQueries[0]
+	ref, err := sys.Run(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sys.NodeHealth()[node].Failures
+	faults := NewFaultSet(chaosSeed(t))
+	faults.ArmN(FaultNodeScan(node), 1, 1)
+	res, err := sys.Run(context.Background(), src, WithFaultInjection(faults))
+	if err != nil {
+		t.Fatalf("blip on covered node %d: %v", node, err)
+	}
+	if faults.Fired(FaultNodeScan(node)) != 1 {
+		t.Fatalf("scan site of node %d fired %d times, want 1", node, faults.Fired(FaultNodeScan(node)))
+	}
+	if !chaosRowsEqual(res.Rows, ref.Rows) {
+		t.Error("failed-over rows diverged from the healthy run")
+	}
+	if res.Failovers == 0 {
+		t.Error("the blip was absorbed: no failover reported")
+	}
+	want := fmt.Sprintf("node %d down", node)
+	if !slices.ContainsFunc(res.Degraded, func(d string) bool { return strings.Contains(d, want) }) {
+		t.Errorf("Degraded = %q, want a note naming %q", res.Degraded, want)
+	}
+	st := sys.NodeHealth()[node]
+	if got := st.Failures - before; got != 1 {
+		t.Errorf("node %d breaker heard %d failures, want 1", node, got)
+	}
+	if st.State != NodeHealthy {
+		t.Errorf("node %d breaker = %v after one blip, want healthy", node, st.State)
 	}
 }
 
@@ -331,16 +386,16 @@ func TestFailoverRecoveryReplicates(t *testing.T) {
 }
 
 // TestFailoverBreakerRecovers exercises the health lifecycle end to
-// end on a served system at the breaker's fixed settings (3
-// consecutive failures trip it, it stays open 1s, 2 clean probes close
-// it): sustained scan failures trip node 1's breaker open (visible in
-// NodeHealth), later healthy runs probe it half-open and close it
-// again, and serving is bit-identical throughout.
+// end on a served system at the breaker's fixed settings (3 queries in
+// a row that find the node failed trip it, it stays open 1s, 2 clean
+// probes close it): three faulted runs trip node 1's breaker open
+// (visible in NodeHealth), later healthy runs probe it half-open and
+// close it again, and serving is bit-identical throughout.
 func TestFailoverBreakerRecovers(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
 	sys, err := Open(failoverDataset(), WithNodes(2),
-		WithNodeFailover(NodeFailoverConfig{MaxAttempts: 1, Clock: clock}))
+		WithNodeFailover(NodeFailoverConfig{Clock: clock}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +422,7 @@ func TestFailoverBreakerRecovers(t *testing.T) {
 		t.Fatalf("node 1 breaker = %v after sustained failures, want open", st[1].State)
 	}
 	// While open, even un-faulted runs treat node 1 as dead (served
-	// from replicas or Unavailable) without paying retries.
+	// from replicas or Unavailable) without contacting it.
 	if res, err := sys.Run(context.Background(), src); err == nil {
 		if !chaosRowsEqual(res.Rows, ref.Rows) {
 			t.Fatal("breaker-open run: rows diverged")
@@ -412,10 +467,7 @@ func TestChaosFailover(t *testing.T) {
 		WithNodes(4),
 		WithPlanCache(64),
 		WithAdmissionControl(128, 64),
-		WithNodeFailover(NodeFailoverConfig{
-			MaxAttempts: 2,
-			RetryBase:   time.Microsecond,
-		}),
+		WithNodeFailover(NodeFailoverConfig{}),
 		withBreaker(health.Config{OpenFor: time.Millisecond}),
 		WithObservability(WithSlowQueryLog(256, 0)),
 	)

@@ -94,15 +94,10 @@ func FailoverBench(cfg Config) error {
 	}
 	const killedNode = 1
 
-	foCfg := sparqlopt.NodeFailoverConfig{
-		MaxAttempts: 2,
-		RetryBase:   100 * time.Microsecond,
-		RetryCap:    time.Millisecond,
-	}
 	withFO, err := sparqlopt.Open(ds,
 		sparqlopt.WithNodes(cfg.nodes()),
 		sparqlopt.WithPlanCache(64),
-		sparqlopt.WithNodeFailover(foCfg),
+		sparqlopt.WithNodeFailover(sparqlopt.NodeFailoverConfig{}),
 		sparqlopt.WithObservability(),
 	)
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/resilience"
 	"sparqlopt/internal/resilience/faultinject"
+	"sparqlopt/internal/resilience/health"
 	"sparqlopt/internal/sparql"
 )
 
@@ -296,9 +297,9 @@ type Engine struct {
 	snap atomic.Pointer[Snap]
 	// inst is the optional metrics bundle; nil disables recording.
 	inst *Instruments
-	// fo is the node-failover policy; nil disables the failover ladder
-	// (node faults then fail queries immediately — see nodeGate).
-	fo *FailoverPolicy
+	// fo is the per-node breakers of node failover; nil turns failover
+	// off (node faults then fail queries immediately — see nodeGate).
+	fo *health.Tracker
 }
 
 // New builds an engine over the placement produced by a partitioning
@@ -978,7 +979,7 @@ func (e *Engine) scatter(ctx context.Context, frags []*Relation, col int, env Ex
 	// healthy worker re-homes it — the failover is recorded and the
 	// shuffle proceeds unchanged, bit-identical to the healthy run.
 	for node := 0; node < n; node++ {
-		down, err := e.nodeGate(ctx, node, "shuffle", env)
+		down, err := e.nodeGate(node, "shuffle", env)
 		if err != nil {
 			return nil, 0, err
 		}

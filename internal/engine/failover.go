@@ -8,19 +8,23 @@ package engine
 // in for the node's process or link dying: while one fires, every
 // contact with that node on the corresponding path fails.
 //
-// The failure ladder, per node operation:
+// Within one execution a node is up or down, and its breaker (the
+// health tracker, across executions) is closed, open or probing. Per
+// node operation:
 //
-//  1. Breaker check. If the node's health breaker is Open, skip the
-//     contact entirely — no retries, no sleeps — and go straight to
-//     failover. A dead node costs queries nothing once the breaker
-//     has tripped, and queries that cannot carry a fault set (HTTP
-//     requests) still exercise the failover path deterministically.
-//  2. Retry with capped exponential backoff (resilience.Backoff,
-//     cancellable sleeps), re-asking the fault site each attempt so a
-//     transient blip recovers without declaring the node dead. Every
-//     attempt's outcome feeds the breaker.
-//  3. Failover. The node joins the execution's dead set, and its share
-//     of the operation is served without it:
+//  1. Dead already. A node an earlier operation of this execution
+//     declared dead stays dead: the operation fails over at once.
+//  2. Breaker check. If the node's breaker is Open, the node is not
+//     contacted and joins the dead set. A dead node costs queries
+//     nothing once its breaker has tripped, and queries that cannot
+//     carry a fault set (HTTP requests) still exercise the failover
+//     path deterministically.
+//  3. Contact. The fault site is asked once. If it does not fire, the
+//     breaker hears a success. If it fires, the breaker hears one
+//     failure and the node joins the execution's dead set: there is
+//     no retry, so a transient blip fails this execution over too.
+//
+// A dead node's share of the operation is served without it:
 //
 //     Scans become failover reads (see Snap.read): the dead node's
 //     immutable store is walked as its fragment *manifest* — standing
@@ -37,39 +41,20 @@ package engine
 //     any healthy worker can own the bucket. The failover is recorded
 //     but always succeeds.
 //
-// Join compute needs no ladder of its own: by the time a join runs,
+// Join compute needs no gate of its own: by the time a join runs,
 // all data movement has happened, and the per-node join worker is
 // re-homeable computation exactly like a shuffle bucket.
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
-	"sparqlopt/internal/obs"
 	"sparqlopt/internal/resilience"
 	"sparqlopt/internal/resilience/faultinject"
 	"sparqlopt/internal/resilience/health"
 )
-
-// FailoverPolicy enables node-failure handling. Set it with
-// Engine.SetFailover; a nil policy (the default) disables the ladder —
-// a firing node fault then fails the query immediately with a typed
-// *resilience.UnavailableError and no replica is consulted (the
-// no-failover twin the benchmarks compare against).
-type FailoverPolicy struct {
-	// Health is the per-node breaker the ladder feeds and consults.
-	// Optional: nil disables breaker fast-failing (every operation
-	// pays its retries).
-	Health *health.Tracker
-	// MaxAttempts is how many times a node operation is tried before
-	// the node is declared dead for the execution (< 1 means 1).
-	MaxAttempts int
-	// Backoff paces the retries. The zero value retries immediately.
-	Backoff resilience.Backoff
-}
 
 // failoverState is one execution's failure memory: which nodes were
 // declared dead (by what), and how many node operations failed over.
@@ -152,17 +137,20 @@ func (st *failoverState) summary() (int64, []string) {
 	return st.failovers, notes
 }
 
-// SetFailover installs (or, with nil, removes) the engine's node-
-// failover policy. It must not be called concurrently with Execute.
-func (e *Engine) SetFailover(p *FailoverPolicy) { e.fo = p }
+// SetFailover turns node failover on, with h as the per-node breakers
+// it feeds and consults, or off with nil (the default): a firing node
+// fault then fails the query immediately with a typed
+// *resilience.UnavailableError and no replica is consulted (the
+// no-failover twin the benchmarks compare against). It must not be
+// called concurrently with Execute.
+func (e *Engine) SetFailover(h *health.Tracker) { e.fo = h }
 
 // nodeGate simulates contacting node for one kind of operation
 // ("scan" or "shuffle") at that operation's per-node fault site. It
 // returns down=true when the node must be treated as dead and the
-// operation served via failover. With no failover policy a firing
-// fault is a hard, typed error instead. err is non-nil only for
-// cancellation or that no-failover failure.
-func (e *Engine) nodeGate(ctx context.Context, node int, kind string, env ExecEnv) (down bool, err error) {
+// operation served via failover. With failover off a firing fault is
+// a hard, typed error instead, the only error nodeGate returns.
+func (e *Engine) nodeGate(node int, kind string, env ExecEnv) (down bool, err error) {
 	fo := e.fo
 	// The site name is built only when a fault set could fire it: every
 	// scan and scatter passes here once per node, and production (no
@@ -185,40 +173,21 @@ func (e *Engine) nodeGate(ctx context.Context, node int, kind string, env ExecEn
 	}
 	st := env.fo
 	if st.isDead(node) {
-		// Already declared dead by an earlier operation of this
-		// execution: don't pay the retries again.
+		// Declared dead by an earlier operation of this execution,
+		// which already told the breaker.
 		return true, nil
 	}
-	if !fo.Health.Allow(node) {
+	if !fo.Allow(node) {
 		st.markDead(node, "breaker open")
 		return true, nil
 	}
-	attempts := fo.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+	if !env.Faults.Should(site) {
+		fo.ReportSuccess(node)
+		return false, nil
 	}
-	for a := 0; ; a++ {
-		if !env.Faults.Should(site) {
-			fo.Health.ReportSuccess(node)
-			return false, nil
-		}
-		fo.Health.ReportFailure(node)
-		if a+1 >= attempts {
-			st.markDead(node, kind)
-			return true, nil
-		}
-		if d := fo.Backoff.Delay(a); d > 0 {
-			// Backoff sleeps stay cancellable: a deadline firing mid-retry
-			// aborts the query like any other timeout.
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return false, obs.Canceled(ctx, "failover")
-			case <-t.C:
-			}
-		}
-	}
+	fo.ReportFailure(node)
+	st.markDead(node, kind)
+	return true, nil
 }
 
 // unavailable builds the typed fail-fast error for a query that
@@ -227,11 +196,9 @@ func (e *Engine) nodeGate(ctx context.Context, node int, kind string, env ExecEn
 func (e *Engine) unavailable(env ExecEnv, op string, missing int) error {
 	nodes := env.fo.deadNodes()
 	var retry time.Duration
-	if fo := e.fo; fo != nil {
-		for _, n := range nodes {
-			if r := fo.Health.RetryIn(n); r > retry {
-				retry = r
-			}
+	for _, n := range nodes {
+		if r := e.fo.RetryIn(n); r > retry {
+			retry = r
 		}
 	}
 	return &resilience.UnavailableError{Nodes: nodes, Op: op, Missing: missing, RetryAfter: retry}

@@ -108,7 +108,7 @@ func TestDeterminismRootHome(t *testing.T) {
 				t.Fatal(err)
 			}
 			eng := New(full.Dict, placement)
-			eng.SetFailover(&FailoverPolicy{})
+			eng.SetFailover(failoverOn(nodes))
 			for _, c := range chunks[len(chunks)-deltas:] {
 				eng.ApplyIngest(c, nil)
 			}
@@ -280,7 +280,7 @@ func TestDeterminismHomedBroadcast(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := New(ds.Dict, placement)
-			e.SetFailover(&FailoverPolicy{})
+			e.SetFailover(failoverOn(nodes))
 			e.ApplyIngest(written, nil)
 			for _, qn := range lubm.QueryNames {
 				q := lubm.Query(qn)

@@ -93,7 +93,7 @@ func (e *Engine) scan(ctx context.Context, p *plan.Node, q *sparql.Query, env Ex
 		if only >= 0 && node != only {
 			continue
 		}
-		d, err := e.nodeGate(ctx, node, "scan", env)
+		d, err := e.nodeGate(node, "scan", env)
 		if err != nil {
 			return nil, err
 		}

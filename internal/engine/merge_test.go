@@ -129,7 +129,7 @@ func TestDeterminismTrieJoin(t *testing.T) {
 		fx := randomMergeFixture(r, round%4)
 		snap := fx.snap()
 		n := len(fx.base)
-		eng := &Engine{dict: fx.dict, fo: &FailoverPolicy{}}
+		eng := &Engine{dict: fx.dict, fo: failoverOn(n)}
 		eng.snap.Store(snap)
 		for _, c := range cases {
 			q := sparql.MustParse(`SELECT * WHERE { ` + c.src + ` . }`)

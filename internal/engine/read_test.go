@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -16,8 +17,16 @@ import (
 	"sparqlopt/internal/rdf"
 	"sparqlopt/internal/resilience"
 	"sparqlopt/internal/resilience/faultinject"
+	"sparqlopt/internal/resilience/health"
 	"sparqlopt/internal/sparql"
 )
+
+// failoverOn turns node failover on for nodes nodes with breakers that
+// never trip: only a fault site firing, or a dead set the test marks,
+// declares a node dead.
+func failoverOn(nodes int) *health.Tracker {
+	return health.New(nodes, health.Config{ConsecutiveFailures: math.MaxInt})
+}
 
 // readFixture is a hand-built three-node snapshot: base fragments with
 // replicated and single-copy triples, recovery overlays on nodes 0
@@ -243,7 +252,7 @@ func TestDeterminismFragmentRead(t *testing.T) {
 	fx := newReadFixture()
 	snap := fx.snap()
 	n := len(fx.base)
-	eng := &Engine{dict: fx.dict, fo: &FailoverPolicy{}}
+	eng := &Engine{dict: fx.dict, fo: failoverOn(n)}
 	eng.snap.Store(snap)
 	patterns := []string{
 		`?s <p> ?o`,
@@ -349,7 +358,7 @@ func TestDeterminismScanDeadSet(t *testing.T) {
 	fx := newReadFixture()
 	snap := fx.snap()
 	n := len(fx.base)
-	eng := &Engine{dict: fx.dict, fo: &FailoverPolicy{MaxAttempts: 1}}
+	eng := &Engine{dict: fx.dict, fo: failoverOn(n)}
 	eng.snap.Store(snap)
 	q := sparql.MustParse(`SELECT * WHERE { ?s <p> ?o . }`)
 	or := newOracle(fx, q.Patterns[0])
@@ -401,7 +410,7 @@ func TestDeterminismFragmentProbe(t *testing.T) {
 	fx := newReadFixture()
 	snap := fx.snap()
 	n := len(fx.base)
-	eng := &Engine{dict: fx.dict, fo: &FailoverPolicy{}}
+	eng := &Engine{dict: fx.dict, fo: failoverOn(n)}
 	eng.snap.Store(snap)
 	ctx := context.Background()
 	deadSets := [][]int{nil}
@@ -631,7 +640,7 @@ func TestDeterminismFragmentMerge(t *testing.T) {
 		fx := randomMergeFixture(r, round%4)
 		snap := fx.snap()
 		n := len(fx.base)
-		eng := &Engine{dict: fx.dict, fo: &FailoverPolicy{}}
+		eng := &Engine{dict: fx.dict, fo: failoverOn(n)}
 		eng.snap.Store(snap)
 		deadSets := [][]int{nil}
 		for i := 0; i < n; i++ {
@@ -1022,7 +1031,7 @@ func TestDeterminismBroadcastMerge(t *testing.T) {
 			q := sparql.MustParse(`SELECT * WHERE { ` + c.src + ` . }`)
 			unavailable := map[string]bool{} // dead sets the plain snapshot cannot serve
 			for si, snap := range []*Snap{plain, overlaid.snap()} {
-				eng := &Engine{dict: fx.dict, fo: &FailoverPolicy{}}
+				eng := &Engine{dict: fx.dict, fo: failoverOn(n)}
 				eng.snap.Store(snap)
 				for _, deadList := range deadSets {
 					id := fmt.Sprintf("round %d: %v %s/overlaid=%v/dead=%v", round, c.plan.Alg, c.src, si > 0, deadList)

@@ -323,7 +323,7 @@ func TestTraceBusyNodes(t *testing.T) {
 		for _, deltas := range [][]rdf.Triple{nil, delta} {
 			hm := homeModel{home: placement.Home, objects: name != "2f", locals: deltas == nil || name == "hash-so" || name == "un-1hop"}
 			e := New(ds.Dict, placement)
-			e.SetFailover(&FailoverPolicy{})
+			e.SetFailover(failoverOn(nodes))
 			e.ApplyIngest(deltas, nil)
 			for _, down := range []bool{false, true} {
 				env := func() ExecEnv {

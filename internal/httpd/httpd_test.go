@@ -757,7 +757,7 @@ func TestUnavailableMapsTo503(t *testing.T) {
 	// typed unavailable failure while its breaker is open.
 	sys := testSystem(t,
 		sparqlopt.WithNodes(1),
-		sparqlopt.WithNodeFailover(sparqlopt.NodeFailoverConfig{MaxAttempts: 1, Clock: clock}))
+		sparqlopt.WithNodeFailover(sparqlopt.NodeFailoverConfig{Clock: clock}))
 	srv := newServer(t, sys, Config{})
 
 	if resp, _ := get(t, srv.URL+"/healthz"); resp.StatusCode != http.StatusOK {

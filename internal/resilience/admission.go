@@ -179,3 +179,21 @@ func (a *Admission) retryAfter(queued int64) time.Duration {
 	jitter := time.Duration(float64(held) / 2 * unitFloat(splitmix64(a.rejects.Add(1))))
 	return d + jitter
 }
+
+// unitFloat maps a 64-bit hash onto [0, 1).
+func unitFloat(h uint64) float64 {
+	return float64(h>>11) / float64(uint64(1)<<53)
+}
+
+// splitmix64 is the SplitMix64 finalizer — one multiply-xorshift
+// round with excellent avalanche, the same mixer the fault-injection
+// sites use. Kept private and dependency-free.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}

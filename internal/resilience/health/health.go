@@ -1,22 +1,25 @@
-// Package health tracks per-node availability with an error-rate
-// circuit breaker. Every simulated node gets an independent breaker:
+// Package health tracks per-node availability with a consecutive-
+// failure circuit breaker. Every simulated node gets an independent
+// breaker:
 //
-//	Healthy ──(error rate / consecutive failures)──▶ Open
+//	Healthy ──(ConsecutiveFailures failures in a row)──▶ Open
 //	Open ──(OpenFor elapses, next Allow)──▶ HalfOpen
 //	HalfOpen ──(ProbeSuccesses consecutive successes)──▶ Healthy
 //	HalfOpen ──(any failure)──▶ Open
 //
 // While a node is Open, Allow reports false and the engine skips
-// contacting the node entirely — no retries, straight to replica
-// failover — so a dead node costs queries nothing after the breaker
-// trips. Once OpenFor has elapsed, Allow lets probes through in the
-// HalfOpen state; real successes close the breaker, a failure reopens
-// it and restarts the clock.
+// contacting the node entirely, straight to replica failover, so a
+// dead node costs queries nothing after the breaker trips. Once
+// OpenFor has elapsed, Allow lets probes through in the HalfOpen
+// state; real successes close the breaker, a failure reopens it and
+// restarts the clock.
 //
 // The tracker is fed by the engine's per-node operation outcomes
-// (ReportSuccess / ReportFailure) and consulted by the serving layer
-// for /healthz, the node_health metrics, and the recovery trigger. The clock is injectable so tests drive the Open→HalfOpen
-// transition deterministically.
+// (ReportSuccess / ReportFailure; an execution reports at most one
+// failure per node, since a failed node is dead for the rest of it)
+// and consulted by the serving layer for /healthz, the node_health
+// metrics, and the recovery trigger. The clock is injectable so tests
+// drive the Open→HalfOpen transition deterministically.
 package health
 
 import (
@@ -54,18 +57,12 @@ func (s State) String() string {
 
 // Config tunes the breakers. The zero value gets sensible defaults.
 type Config struct {
-	// Window is the sliding error-rate window (default 10s). Counts
-	// reset when a window expires with no trip.
-	Window time.Duration
-	// MinSamples is the minimum operations inside the window before
-	// the failure rate alone can trip the breaker (default 5).
-	MinSamples int
-	// FailureRate trips the breaker when failures/ops in the window
-	// reaches it, given MinSamples (default 0.5).
-	FailureRate float64
-	// ConsecutiveFailures trips the breaker immediately after this
-	// many back-to-back failures, regardless of rate (default 3) —
-	// the fast path for a node that went fully dark.
+	// ConsecutiveFailures trips the breaker after this many back-to-
+	// back failures with no success between them (default 3). The
+	// engine reports one failure per execution that finds the node
+	// failed, so the default opens the breaker on the third query in a
+	// row to do so: a one-off blip fails that query over but leaves
+	// the node Healthy.
 	ConsecutiveFailures int
 	// OpenFor is how long an Open breaker rejects before allowing a
 	// half-open probe (default 1s).
@@ -78,15 +75,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 10 * time.Second
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 5
-	}
-	if c.FailureRate <= 0 {
-		c.FailureRate = 0.5
-	}
 	if c.ConsecutiveFailures <= 0 {
 		c.ConsecutiveFailures = 3
 	}
@@ -114,9 +102,6 @@ type NodeStatus struct {
 // nodeState is one breaker. All fields are guarded by Tracker.mu.
 type nodeState struct {
 	state    State
-	winStart time.Time // start of the current rate window
-	winOps   int
-	winFails int
 	consec   int       // consecutive failures (Healthy only)
 	openedAt time.Time // when the breaker last opened
 	probeOK  int       // consecutive half-open successes
@@ -184,8 +169,6 @@ func (t *Tracker) ReportSuccess(node int) {
 	n.successes++
 	switch n.state {
 	case Healthy:
-		t.rotate(n)
-		n.winOps++
 		n.consec = 0
 	case HalfOpen:
 		n.probeOK++
@@ -211,13 +194,8 @@ func (t *Tracker) ReportFailure(node int) {
 	now := t.cfg.Now()
 	switch n.state {
 	case Healthy:
-		t.rotate(n)
-		n.winOps++
-		n.winFails++
 		n.consec++
-		tripRate := n.winOps >= t.cfg.MinSamples &&
-			float64(n.winFails)/float64(n.winOps) >= t.cfg.FailureRate
-		if n.consec >= t.cfg.ConsecutiveFailures || tripRate {
+		if n.consec >= t.cfg.ConsecutiveFailures {
 			n.state = Open
 			n.openedAt = now
 		}
@@ -230,18 +208,6 @@ func (t *Tracker) ReportFailure(node int) {
 		// A straggler failure while open extends the cool-down: the
 		// node is demonstrably still failing.
 		n.openedAt = now
-	}
-}
-
-// rotate resets the rate window once it has fully elapsed, so stale
-// failures from minutes ago cannot trip a now-quiet node. Caller
-// holds mu; n must be Healthy.
-func (t *Tracker) rotate(n *nodeState) {
-	now := t.cfg.Now()
-	if n.winStart.IsZero() || now.Sub(n.winStart) >= t.cfg.Window {
-		n.winStart = now
-		n.winOps = 0
-		n.winFails = 0
 	}
 }
 

@@ -30,9 +30,6 @@ func (c *manualClock) advance(d time.Duration) {
 
 func testTracker(clk *manualClock) *Tracker {
 	return New(4, Config{
-		Window:              10 * time.Second,
-		MinSamples:          4,
-		FailureRate:         0.5,
 		ConsecutiveFailures: 3,
 		OpenFor:             time.Second,
 		ProbeSuccesses:      2,
@@ -65,37 +62,18 @@ func TestHealthConsecutiveFailuresTrip(t *testing.T) {
 	}
 }
 
-func TestHealthFailureRateTrip(t *testing.T) {
-	clk := newManualClock()
-	tr := testTracker(clk)
-	// Interleave so consecutive failures never reach 3; the rate
-	// (3 of 6 = 0.5 ≥ FailureRate with MinSamples met) must trip.
-	seq := []bool{false, true, false, true, false, true}
-	for _, fail := range seq {
-		if fail {
-			tr.ReportFailure(2)
-		} else {
-			tr.ReportSuccess(2)
-		}
+// TestHealthSuccessResetsStreak: only failures in a row trip the
+// breaker; a success between them starts the count again, however many
+// failures came before.
+func TestHealthSuccessResetsStreak(t *testing.T) {
+	tr := testTracker(newManualClock())
+	for i := 0; i < 10; i++ {
+		tr.ReportFailure(2)
+		tr.ReportFailure(2)
+		tr.ReportSuccess(2)
 	}
-	if got := tr.State(2); got != Open {
-		t.Fatalf("state = %v, want open at 50%% failure rate", got)
-	}
-}
-
-func TestHealthWindowRotationForgets(t *testing.T) {
-	clk := newManualClock()
-	tr := testTracker(clk)
-	// Two failures, then the window expires: the stale counts must not
-	// combine with fresh ones to trip the rate.
-	tr.ReportFailure(0)
-	tr.ReportFailure(0)
-	clk.advance(11 * time.Second)
-	tr.ReportSuccess(0) // rotates the window, clears consec too
-	tr.ReportFailure(0)
-	tr.ReportFailure(0)
-	if got := tr.State(0); got != Healthy {
-		t.Fatalf("state = %v, want healthy (stale window forgotten)", got)
+	if got := tr.State(2); got != Healthy {
+		t.Fatalf("state = %v after interleaved failures, want healthy", got)
 	}
 }
 

@@ -13,10 +13,7 @@
 //     so one poisoned query cannot take the process down;
 //   - UnavailableError: the typed failure for queries that need data
 //     whose only copies live on dead nodes (see the health subpackage
-//     for the per-node breaker that declares them dead);
-//   - Backoff: capped exponential retry delays with deterministic
-//     jitter, shared by the engine's node-retry path and the
-//     admission queue's retry-after hints.
+//     for the per-node breaker that declares them dead).
 //
 // All guards fail with typed errors (ErrOverloaded, ErrBudgetExceeded,
 // ErrUnavailable, *PanicError) so callers can distinguish "shed me,
@@ -97,9 +94,9 @@ func (e *BudgetError) Is(target error) bool { return target == ErrBudgetExceeded
 var ErrUnavailable = errors.New("resilience: fragment unavailable")
 
 // UnavailableError reports that a query needed triples whose only
-// copies live on nodes currently considered dead: the engine retried,
-// failed over to replicas, and found at least one matched triple with
-// no live copy. It is a fail-fast error — the query never hangs or
+// copies live on nodes currently considered dead: the engine failed
+// over to replicas and found at least one matched triple with no live
+// copy. It is a fail-fast error — the query never hangs or
 // returns a silent partial result. It matches ErrUnavailable via
 // errors.Is.
 type UnavailableError struct {

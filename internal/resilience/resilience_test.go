@@ -168,6 +168,34 @@ func TestAdmissionConcurrencyNeverExceeded(t *testing.T) {
 	}
 }
 
+// TestAdmissionRetryAfterScalesWithDepth pins the satellite behavior:
+// the retry-after hint grows with the queue depth ahead of the
+// rejected caller instead of being a constant.
+func TestAdmissionRetryAfterScalesWithDepth(t *testing.T) {
+	a := NewAdmission(4, 0)
+	shallow := a.retryAfter(0)
+	deep := a.retryAfter(40) // ten extra drain waves of 4
+	if shallow <= 0 {
+		t.Fatalf("retryAfter(0) = %v, want > 0", shallow)
+	}
+	if deep <= shallow {
+		t.Errorf("retryAfter(40) = %v not > retryAfter(0) = %v", deep, shallow)
+	}
+	// Depth scaling dominates jitter: 10 extra waves must be at least
+	// 5 hold-times apart even in the worst jitter draw.
+	if deep-shallow < 5*10*time.Millisecond {
+		t.Errorf("depth scaling too weak: Δ = %v over 10 waves", deep-shallow)
+	}
+	// Jitter decorrelates identical rejections without reordering depths.
+	again := a.retryAfter(0)
+	if again == shallow {
+		t.Log("two rejections at equal depth drew equal jitter (possible, just unlikely)")
+	}
+	if again >= deep {
+		t.Errorf("jitter reordered depths: retryAfter(0) = %v ≥ retryAfter(40) = %v", again, deep)
+	}
+}
+
 func TestBudgetPerQueryTrip(t *testing.T) {
 	b := NewBudget(100, 0)
 	g := b.NewGauge()

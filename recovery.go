@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"time"
 
 	"sparqlopt/internal/engine"
 	"sparqlopt/internal/obs"
@@ -33,29 +32,13 @@ type recovery struct {
 	rounds, failed *obs.Counter
 }
 
-// newRecovery installs the failover policy fc on eng, with one breaker
-// per node configured by breaker, and returns the driver whose rounds
-// charge their rebuilds against budget.
+// newRecovery turns failover on in eng, with one breaker per node
+// configured by breaker on fc's clock, and returns the driver whose
+// rounds charge their rebuilds against budget.
 func newRecovery(eng *engine.Engine, budget *resilience.Budget, nodes int, fc NodeFailoverConfig, breaker health.Config) *recovery {
 	breaker.Now = fc.Clock
 	r := &recovery{health: health.New(nodes, breaker), engine: eng, budget: budget}
-	attempts := fc.MaxAttempts
-	if attempts <= 0 {
-		attempts = 3
-	}
-	base := fc.RetryBase
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	retryCap := fc.RetryCap
-	if retryCap <= 0 {
-		retryCap = 50 * time.Millisecond
-	}
-	eng.SetFailover(&engine.FailoverPolicy{
-		Health:      r.health,
-		MaxAttempts: attempts,
-		Backoff:     resilience.Backoff{Base: base, Cap: retryCap, Seed: 0x5eedfa11},
-	})
+	eng.SetFailover(r.health)
 	return r
 }
 

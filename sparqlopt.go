@@ -172,9 +172,9 @@ const (
 // FaultNodeScan returns the node-scoped site "node/<i>/scan": while
 // armed and firing, node i fails to serve fragment scans, simulating
 // the node's death on the read path. With WithNodeFailover the engine
-// retries, then serves the scan from replicas (or fails fast with a
-// typed *UnavailableError when none cover it); without it the query
-// fails immediately.
+// declares the node dead for the query and serves the scan from
+// replicas (or fails fast with a typed *UnavailableError when none
+// cover it); without it the query fails immediately.
 func FaultNodeScan(node int) FaultSite { return faultinject.NodeScan(node) }
 
 // FaultNodeShuffle returns the node-scoped site "node/<i>/shuffle":
@@ -405,20 +405,11 @@ func WithMemoryBudget(perQuery, total int64) Option {
 	}
 }
 
-// NodeFailoverConfig configures node failover. Zero fields take
-// defaults: 3 attempts, 1ms base / 50ms cap backoff. Each node's
-// breaker is fixed: it opens after 3 consecutive failures (or a 50%
-// failure rate over at least 5 operations in a 10s window), stays open
-// 1s, and closes after 2 successful half-open probes.
+// NodeFailoverConfig configures node failover. Each node's breaker is
+// fixed: it opens after 3 queries in a row found the node failed (one
+// failure per query: a failed node is dead for the rest of its query),
+// stays open 1s, and closes after 2 successful half-open probes.
 type NodeFailoverConfig struct {
-	// MaxAttempts is how many times a failing node operation is tried
-	// (first try included) before the node is declared dead for the
-	// execution and failover kicks in.
-	MaxAttempts int
-	// RetryBase and RetryCap bound the capped exponential backoff
-	// between attempts.
-	RetryBase time.Duration
-	RetryCap  time.Duration
 	// Clock overrides the breakers' time source — deterministic tests
 	// only; nil means time.Now.
 	Clock func() time.Time
@@ -427,7 +418,7 @@ type NodeFailoverConfig struct {
 // WithNodeFailover makes node failure a first-class fault domain the
 // system survives. Each simulated node gets a health breaker fed by
 // the node-scoped fault sites (FaultNodeScan, FaultNodeShuffle). A
-// node operation that keeps failing past its retries is declared dead
+// node operation that fails, with no retry, declares the node dead
 // for the execution: scans of the dead node's fragment are served from
 // replica copies on healthy nodes — bit-identical to the healthy run
 // whenever every stranded triple has a live copy — and repartition
